@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddf import BoundPair
+from .ddf import BoundPair, _pow2m1
 
 __all__ = [
     "EquivalentChannel",
@@ -28,10 +28,6 @@ __all__ = [
     "af_bounds_2hop",
     "af_bounds_multihop",
 ]
-
-
-def _pow2m1(x):
-    return np.expm1(np.asarray(x) * math.log(2.0))
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-import yaml
-
-from .config import ConfigError, config_from_dict
+from .config import ConfigError, config_from_dict, read_yaml
 from .harness import format_rows, run_experiment
 
 __all__ = ["main"]
 
 
-def _parse_snr(text: str) -> list[float]:
-    """Grid override: comma list '0,5,10' or inclusive range '0:45:5'."""
+def _parse_snr(text: str) -> list[float] | dict[str, str]:
+    """Grid override: comma list '0,5,10' or inclusive range '0:45:5'.
+
+    A range becomes the config file's {start, stop, step} mapping, so
+    both spellings build the same grid.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError("snr range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("snr range needs step > 0 and stop >= start")
-        out = []
-        x = start
-        while x <= stop + 1e-9:
-            out.append(round(x, 9))
-            x += step
-        return out
+        return dict(zip(("start", "stop", "step"), parts))
     return [float(p) for p in text.split(",") if p.strip()]
 
 
@@ -42,23 +36,8 @@ def _entry_name(entry) -> str:
     return entry if isinstance(entry, str) else entry.get("name", "")
 
 
-def _load_raw(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    return raw
-
-
 def _build_config(args):
-    raw = _load_raw(args.config)
+    raw = read_yaml(args.config)
     if args.strategies:
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
         have = {_entry_name(e): e for e in raw.get("strategies", [])}

@@ -2,9 +2,10 @@
 
 The file is one mapping; unknown keys are rejected so typos fail loudly.
 All keys are optional except ``strategies``.  ``snr_db`` takes either an
-explicit list or {start, stop, step} (inclusive stop).  Strategy entries
-are either a name string or a mapping with ``name`` plus optional
-``coop_sets`` ({user: [helpers]}) and ``multihop_mode``.
+explicit list or {start, stop, step} (inclusive stop; point i is
+start + i * step, not rounded).  Strategy entries are either a name
+string or a mapping with ``name`` plus optional ``coop_sets``
+({user: [helpers]}) and ``multihop_mode``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .network import GeometryParams
 from .power import PowerConfig
 from .strategies import Strategy, parse_strategy
 
-__all__ = ["ConfigError", "load_config", "config_from_dict"]
+__all__ = ["ConfigError", "load_config", "config_from_dict", "read_yaml"]
 
 
 class ConfigError(ValueError):
@@ -32,7 +33,6 @@ _TOP_KEYS = {
     "snr_db",
     "target_events",
     "trial_ceiling",
-    "x_axis",
     "per_user_rows",
     "bounds_only",
     "output",
@@ -177,7 +177,6 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
             target_events=int(merged.get("target_events", 100)),
             trial_ceiling=int(merged.get("trial_ceiling", 10_000_000)),
             workers=int(merged.get("workers", 1)),
-            x_axis=str(merged.get("x_axis", "transmit-snr")),
             output_path=merged.get("output"),
             per_user_rows=bool(merged.get("per_user_rows", False)),
             theta_star=float(bounds.get("theta_star", 0.5)),
@@ -188,11 +187,22 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str, **overrides) -> ExperimentConfig:
-    """Parse a YAML config file into an ExperimentConfig."""
+def read_yaml(path: str) -> dict:
+    """The raw mapping of a YAML config file (empty file: empty mapping)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return config_from_dict(raw if raw is not None else {}, **overrides)
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration root must be a mapping")
+    return raw
+
+
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Parse a YAML config file into an ExperimentConfig."""
+    return config_from_dict(read_yaml(path), **overrides)

@@ -38,8 +38,6 @@ __all__ = [
 
 CSV_HEADER = "strategy,user_k,snr_db,ptot_db,outage,ci95,bound_lower,bound_upper,trials,ceiling_flag"
 
-_X_AXIS_MODES = ("transmit-snr", "total-power")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,7 +52,6 @@ class ExperimentConfig:
     target_events: int = mc.TARGET_EVENTS
     trial_ceiling: int = mc.TRIAL_CEILING
     workers: int = 1
-    x_axis: str = "transmit-snr"
     output_path: str | None = None
     per_user_rows: bool = False
     theta_star: float = 0.5
@@ -76,8 +73,6 @@ class ExperimentConfig:
             raise ValueError("target_events and trial_ceiling must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.x_axis not in _X_AXIS_MODES:
-            raise ValueError(f"x_axis must be one of {_X_AXIS_MODES}")
         if not 0.0 < self.theta_star < 1.0:
             raise ValueError("theta_star must be in (0, 1)")
         for s in self.strategies:
@@ -123,71 +118,129 @@ def mac_outage(pc: PowerConfig, d_dk: float, gamma: float, num_users: int) -> fl
     return -math.expm1(-math.expm1(pc.rate * math.log(2.0)) * d_dk**gamma / burst)
 
 
-def _helper_ids(strategy: Strategy, k: int) -> list[str]:
-    if strategy.uses_relay:
-        return [RELAY]
-    return [user_id(j) for j in strategy.helpers(k)]
+@dataclass(frozen=True)
+class _Cell:
+    """One (strategy, placement, user) cell: everything that does not depend on P.
+
+    The forwarders of user k are the relay under rc and its helper users
+    otherwise (none for mac).  Links run destination-source (dk),
+    destination-forwarder (dj) and forwarder-source (jk); each distance
+    is kept raw, raised to gamma (``*_pow``) and raised to -gamma/2
+    (``*_scale``, the AF amplitude scale).  ``hh_pow`` is the
+    helper-to-helper d^gamma table of ucmh-ddf (zero diagonal).
+    """
+
+    placement_idx: int
+    user_idx: int
+    kernel: str
+    gamma: float
+    d_dk: float
+    d_dj: tuple[float, ...]
+    d_jk: tuple[float, ...]
+    dk_pow: float
+    dj_pow: tuple[float, ...]
+    jk_pow: tuple[float, ...]
+    dk_scale: float
+    dj_scale: tuple[float, ...]
+    jk_scale: tuple[float, ...]
+    hh_pow: tuple[tuple[float, ...], ...]
 
 
-def _cell_kernel(strategy: Strategy, placement: NodePlacement, pc: PowerConfig, k: int):
-    """Kernel name and plain-data params for one (strategy, user) cell."""
+_NON_AF_KERNELS = {"mac": "mac", "rc": "rc-ddf", "uc2": "uc2-ddf", "ucmh": "ucmh-ddf"}
+
+
+def _cell(strategy: Strategy, placement: NodePlacement, placement_idx: int, k: int) -> _Cell:
     gamma = placement.params.path_loss_exponent
     src = user_id(k)
+    fwd = [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
     d_dk = placement.distance(DESTINATION, src)
-    burst = user_burst_power(strategy, pc, k)
-    if strategy.mode == "mac":
-        return "mac", {"rate": pc.rate, "burst": burst, "d_dk_pow": d_dk**gamma}
-    helpers = _helper_ids(strategy, k)
-    budgets = (
-        (relay_power(pc),)
-        if strategy.uses_relay
-        else tuple(user_burst_power(strategy, pc, j) for j in strategy.helpers(k))
-    )
+    d_dj = tuple(placement.distance(DESTINATION, h) for h in fwd)
+    d_jk = tuple(placement.distance(h, src) for h in fwd)
     if strategy.family == "af":
         kernel = "af2" if strategy.hops(k) == 2 else "afmh"
-        return kernel, {
+    else:
+        kernel = _NON_AF_KERNELS[strategy.mode]
+    hh_pow = ()
+    if kernel == "ucmh-ddf":
+        hh_pow = tuple(
+            tuple(0.0 if o == h else placement.distance(h, o) ** gamma for o in fwd)
+            for h in fwd
+        )
+    return _Cell(
+        placement_idx=placement_idx,
+        user_idx=k - 1,
+        kernel=kernel,
+        gamma=gamma,
+        d_dk=d_dk,
+        d_dj=d_dj,
+        d_jk=d_jk,
+        dk_pow=d_dk**gamma,
+        dj_pow=tuple(d**gamma for d in d_dj),
+        jk_pow=tuple(d**gamma for d in d_jk),
+        dk_scale=d_dk ** (-gamma / 2.0),
+        dj_scale=tuple(d ** (-gamma / 2.0) for d in d_dj),
+        jk_scale=tuple(d ** (-gamma / 2.0) for d in d_jk),
+        hh_pow=hh_pow,
+    )
+
+
+def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple[float, ...]]]:
+    """(burst power, forwarder budgets) of each user at one P."""
+    bursts = [user_burst_power(strategy, pc, k) for k in range(1, strategy.num_users + 1)]
+    if strategy.uses_relay:
+        relay = (relay_power(pc),)
+        return [(b, relay) for b in bursts]
+    return [
+        (b, tuple(bursts[j - 1] for j in strategy.helpers(k)))
+        for k, b in enumerate(bursts, start=1)
+    ]
+
+
+def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budgets) -> dict:
+    """Plain-data params of the cell's trial kernel at one P."""
+    if cell.kernel == "mac":
+        return {"rate": pc.rate, "burst": burst, "d_dk_pow": cell.dk_pow}
+    if cell.kernel in ("af2", "afmh"):
+        return {
             "rate": pc.rate,
             "burst": burst,
             "helper_budgets": budgets,
-            "scale_dk": d_dk ** (-gamma / 2.0),
-            "scale_dj": tuple(
-                placement.distance(DESTINATION, h) ** (-gamma / 2.0) for h in helpers
-            ),
-            "scale_jk": tuple(placement.distance(h, src) ** (-gamma / 2.0) for h in helpers),
+            "scale_dk": cell.dk_scale,
+            "scale_dj": cell.dj_scale,
+            "scale_jk": cell.jk_scale,
         }
-    if strategy.mode == "rc":
-        return "rc-ddf", {
+    if cell.kernel == "rc-ddf":
+        return {
             "rate": pc.rate,
             "burst": burst,
             "relay_budget": budgets[0],
-            "d_rk": placement.distance(RELAY, src),
-            "gamma": gamma,
-            "d_dk_pow": d_dk**gamma,
-            "d_dr_pow": placement.distance(DESTINATION, RELAY) ** gamma,
+            "d_rk": cell.d_jk[0],
+            "gamma": cell.gamma,
+            "d_dk_pow": cell.dk_pow,
+            "d_dr_pow": cell.dj_pow[0],
         }
-    if strategy.mode == "uc2":
-        return "uc2-ddf", {
+    if cell.kernel == "uc2-ddf":
+        return {
             "rate": pc.rate,
             "burst": burst,
             "helper_budgets": budgets,
-            "d_jk": tuple(placement.distance(h, src) for h in helpers),
-            "gamma": gamma,
-            "d_dk_pow": d_dk**gamma,
-            "d_dj_pow": tuple(placement.distance(DESTINATION, h) ** gamma for h in helpers),
+            "d_jk": cell.d_jk,
+            "gamma": cell.gamma,
+            "d_dk_pow": cell.dk_pow,
+            "d_dj_pow": cell.dj_pow,
         }
     # ucmh-ddf: helper h hears the source (slot 0) and every other helper.
-    m = len(helpers)
+    m = len(budgets)
     recv_coef = np.zeros((m, m + 1))
-    for hh, h in enumerate(helpers):
-        recv_coef[hh, 0] = burst / placement.distance(h, src) ** gamma
-        for jj, other in enumerate(helpers):
+    for hh in range(m):
+        recv_coef[hh, 0] = burst / cell.jk_pow[hh]
+        for jj in range(m):
             if jj != hh:
-                recv_coef[hh, jj + 1] = budgets[jj] / placement.distance(h, other) ** gamma
-    dest_coef = (burst / d_dk**gamma,) + tuple(
-        budgets[jj] / placement.distance(DESTINATION, h) ** gamma
-        for jj, h in enumerate(helpers)
+                recv_coef[hh, jj + 1] = budgets[jj] / cell.hh_pow[hh][jj]
+    dest_coef = (burst / cell.dk_pow,) + tuple(
+        budget / d_pow for budget, d_pow in zip(budgets, cell.dj_pow)
     )
-    return "ucmh-ddf", {
+    return {
         "rate": pc.rate,
         "recv_coef": tuple(map(tuple, recv_coef)),
         "dest_coef": dest_coef,
@@ -196,51 +249,38 @@ def _cell_kernel(strategy: Strategy, placement: NodePlacement, pc: PowerConfig, 
 
 
 def _cell_bounds(
+    cell: _Cell,
     strategy: Strategy,
-    placement: NodePlacement,
     pc: PowerConfig,
-    k: int,
+    burst,
+    budgets,
     theta_star: float = 0.5,
     optimize: bool = False,
 ) -> BoundPair:
-    """Analytic bound pair for one cell; the closed form twice for mac."""
-    gamma = placement.params.path_loss_exponent
-    src = user_id(k)
-    d_dk = placement.distance(DESTINATION, src)
-    if strategy.mode == "mac":
-        cf = mac_outage(pc, d_dk, gamma, strategy.num_users)
+    """Analytic bound pair of the cell at one P; the closed form twice for mac."""
+    if cell.kernel == "mac":
+        cf = mac_outage(pc, cell.d_dk, cell.gamma, strategy.num_users)
         return BoundPair(lower=cf, upper=cf)
-    burst = user_burst_power(strategy, pc, k)
-    helpers = _helper_ids(strategy, k)
-    budgets = (
-        (relay_power(pc),)
-        if strategy.uses_relay
-        else tuple(user_burst_power(strategy, pc, j) for j in strategy.helpers(k))
-    )
-    if strategy.family == "af":
-        d_dj = [placement.distance(DESTINATION, h) for h in helpers]
-        d_jk = [placement.distance(h, src) for h in helpers]
-        if strategy.hops(k) == 2:
-            return af_bounds_2hop(pc.rate, burst, d_dk, d_dj, d_jk, gamma)
-        return af_bounds_multihop(pc.rate, burst, d_dk, d_dj, d_jk, gamma)
-    if strategy.mode == "rc":
+    if cell.kernel == "af2":
+        return af_bounds_2hop(pc.rate, burst, cell.d_dk, cell.d_dj, cell.d_jk, cell.gamma)
+    if cell.kernel == "afmh":
+        return af_bounds_multihop(pc.rate, burst, cell.d_dk, cell.d_dj, cell.d_jk, cell.gamma)
+    if cell.kernel == "rc-ddf":
         return ddf_bounds_rc(
             pc.rate,
             burst,
             budgets[0] / burst,
-            d_dk,
-            placement.distance(DESTINATION, RELAY),
-            placement.distance(RELAY, src),
-            gamma,
+            cell.d_dk,
+            cell.d_dj[0],
+            cell.d_jk[0],
+            cell.gamma,
             theta_star=theta_star,
             optimize=optimize,
         )
     lambdas = np.concatenate(([1.0], np.asarray(budgets) / burst))
-    dist_dest_pow = np.array(
-        [d_dk**gamma] + [placement.distance(DESTINATION, h) ** gamma for h in helpers]
-    )
-    dist_src_pow = np.array([placement.distance(h, src) ** gamma for h in helpers])
-    if strategy.mode == "uc2":
+    dist_dest_pow = np.array((cell.dk_pow,) + cell.dj_pow)
+    dist_src_pow = np.array(cell.jk_pow)
+    if cell.kernel == "uc2-ddf":
         return ddf_bounds_uc2(
             pc.rate,
             burst,
@@ -255,11 +295,56 @@ def _cell_bounds(
     )
 
 
-def _mean_bounds(pairs: list[BoundPair]) -> BoundPair:
-    return BoundPair(
-        lower=float(np.mean([b.lower for b in pairs])),
-        upper=float(np.mean([b.upper for b in pairs])),
-    )
+@dataclass(frozen=True)
+class _Point:
+    """One sweep point at cell granularity: counts (none when bounds-only),
+    each cell's (user index, bound pair) in cell order, and the ceiling flag."""
+
+    counts: list[mc.CellResult]
+    bounds: list[tuple[int, BoundPair]]
+    ceiling_flag: bool
+
+    def pooled(self, user: int | None = None) -> tuple[float, int, int]:
+        picked = [c for c in self.counts if user is None or c.user_idx == user]
+        n = sum(c.trials for c in picked)
+        e = sum(c.events for c in picked)
+        return e / n, n, e
+
+    def mean_bounds(self, user: int | None = None) -> BoundPair:
+        picked = [b for u, b in self.bounds if user is None or u == user]
+        return BoundPair(
+            lower=float(np.mean([b.lower for b in picked])),
+            upper=float(np.mean([b.upper for b in picked])),
+        )
+
+    def estimate(self) -> OutageEstimate:
+        p, n, e = self.pooled()
+        per_placement = []
+        for i in sorted({c.placement_idx for c in self.counts}):
+            picked = [c for c in self.counts if c.placement_idx == i]
+            per_placement.append(sum(c.events for c in picked) / sum(c.trials for c in picked))
+        return OutageEstimate(
+            p_hat=p,
+            trials=n,
+            ci95=_halfwidth(p, n),
+            bounds=self.mean_bounds(),
+            per_placement=tuple(per_placement),
+            events=e,
+            ceiling_flag=self.ceiling_flag,
+        )
+
+
+def _tasks(cells: list[_Cell], strategy: Strategy, pc: PowerConfig, powers) -> list[tuple]:
+    """``mc.run_cells`` entries: (placement, user, kernel, params) per cell."""
+    return [
+        (
+            c.placement_idx,
+            c.user_idx,
+            c.kernel,
+            _kernel_params(c, strategy, pc, *powers[c.user_idx]),
+        )
+        for c in cells
+    ]
 
 
 def estimate_outage(
@@ -279,87 +364,53 @@ def estimate_outage(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    total_events = 0
-    bounds = []
-    for u in range(strategy.num_users):
-        kernel, params = _cell_kernel(strategy, placement, pc, u + 1)
-        prev = 0
-        for round_idx, cum in enumerate(mc.round_targets(trials)):
-            for chunk_idx, size in enumerate(mc.chunk_sizes(cum - prev)):
-                path = (placement_index, u, round_idx, chunk_idx)
-                total_events += mc.count_events(kernel, params, seed, path, size)
-            prev = cum
-        bounds.append(_cell_bounds(strategy, placement, pc, u + 1))
-    n = trials * strategy.num_users
-    p = total_events / n
-    return OutageEstimate(
-        p_hat=p,
-        trials=n,
-        ci95=_halfwidth(p, n),
-        bounds=_mean_bounds(bounds),
-        per_placement=(p,),
-        events=total_events,
+    K = strategy.num_users
+    cells = [_cell(strategy, placement, placement_index, k) for k in range(1, K + 1)]
+    powers = _user_powers(strategy, pc)
+    # A target above every possible count runs each cell to its ceiling share.
+    counts, _ = mc.run_cells(
+        _tasks(cells, strategy, pc, powers),
+        seed,
+        target_events=trials * K + 1,
+        trial_ceiling=trials * K,
     )
+    bounds = [(c.user_idx, _cell_bounds(c, strategy, pc, *powers[c.user_idx])) for c in cells]
+    return _Point(counts, bounds, ceiling_flag=False).estimate()
 
 
-@dataclass(frozen=True)
-class _PointResult:
-    """Internal per-point pooling, kept at cell granularity for rows."""
+def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements):
+    """Yield (snr_db, power config, point) over the SNR grid for one strategy.
 
-    cells: list[mc.CellResult]
-    cell_bounds: dict[tuple[int, int], BoundPair]
-    ceiling_flag: bool
-    num_users: int
-
-    def pooled(self, user: int | None = None) -> tuple[float, int, int]:
-        picked = [c for c in self.cells if user is None or c.user_idx == user]
-        n = sum(c.trials for c in picked)
-        e = sum(c.events for c in picked)
-        return e / n, n, e
-
-    def bounds(self, user: int | None = None) -> BoundPair:
-        picked = [
-            b for (p, u), b in sorted(self.cell_bounds.items()) if user is None or u == user
-        ]
-        return _mean_bounds(picked)
-
-    def per_placement(self) -> tuple[float, ...]:
-        out = []
-        for p in sorted({c.placement_idx for c in self.cells}):
-            picked = [c for c in self.cells if c.placement_idx == p]
-            out.append(sum(c.events for c in picked) / sum(c.trials for c in picked))
-        return tuple(out)
-
-
-def _run_point(
-    cfg: ExperimentConfig,
-    strategy: Strategy,
-    strategy_index: int,
-    snr_index: int,
-    placements: list[NodePlacement],
-    pc: PowerConfig,
-) -> _PointResult:
-    cells = []
-    cell_bounds = {}
-    for p_idx, placement in enumerate(placements):
-        for u in range(strategy.num_users):
-            kernel, params = _cell_kernel(strategy, placement, pc, u + 1)
-            cells.append((p_idx, u, kernel, params))
-            cell_bounds[(p_idx, u)] = _cell_bounds(
-                strategy, placement, pc, u + 1, cfg.theta_star, cfg.optimize_bounds
+    Cells are built once; each SNR point only scales them by P.
+    """
+    cells = [
+        _cell(strategy, placement, i, k)
+        for i, placement in enumerate(placements)
+        for k in range(1, strategy.num_users + 1)
+    ]
+    for snr_index, snr in enumerate(cfg.snr_db):
+        pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
+        powers = _user_powers(strategy, pc)
+        bounds = [
+            (
+                c.user_idx,
+                _cell_bounds(
+                    c, strategy, pc, *powers[c.user_idx], cfg.theta_star, cfg.optimize_bounds
+                ),
             )
-    point_seed = mc.mix64(cfg.master_seed, 1, strategy_index, snr_index)
-    if cfg.bounds_only:
-        results = [mc.CellResult(p, u, 0, 0) for p, u, _, _ in cells]
-        return _PointResult(results, cell_bounds, False, strategy.num_users)
-    results, flagged = mc.run_cells(
-        cells,
-        point_seed,
-        workers=cfg.workers,
-        target_events=cfg.target_events,
-        trial_ceiling=cfg.trial_ceiling,
-    )
-    return _PointResult(results, cell_bounds, flagged, strategy.num_users)
+            for c in cells
+        ]
+        if cfg.bounds_only:
+            yield snr, pc, _Point([], bounds, False)
+            continue
+        counts, flagged = mc.run_cells(
+            _tasks(cells, strategy, pc, powers),
+            mc.mix64(cfg.master_seed, 1, strategy_index, snr_index),
+            workers=cfg.workers,
+            target_events=cfg.target_events,
+            trial_ceiling=cfg.trial_ceiling,
+        )
+        yield snr, pc, _Point(counts, bounds, flagged)
 
 
 def sweep_fixed_placement(
@@ -394,23 +445,8 @@ def sweep_fixed_placement(
         theta_star=theta_star,
         optimize_bounds=optimize_bounds,
     )
-    out = []
-    for snr_index, snr in enumerate(cfg.snr_db):
-        pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
-        point = _run_point(cfg, strategy, strategy_index, snr_index, [placement], pc)
-        p, n, e = point.pooled()
-        out.append(
-            OutageEstimate(
-                p_hat=p,
-                trials=n,
-                ci95=_halfwidth(p, n),
-                bounds=point.bounds(),
-                per_placement=point.per_placement(),
-                events=e,
-                ceiling_flag=point.ceiling_flag,
-            )
-        )
-    return out
+    points = _points(cfg, strategy, strategy_index, [placement])
+    return [point.estimate() for _, _, point in points]
 
 
 def area_averaged_outage(
@@ -421,24 +457,12 @@ def area_averaged_outage(
     strategy_index labels the point streams; sweeps over several
     strategies must pass each one's position so streams never collide.
     """
-    placements = cfg.placements()
-    out = []
-    for snr_index, snr in enumerate(cfg.snr_db):
-        pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
-        point = _run_point(cfg, strategy, strategy_index, snr_index, placements, pc)
-        p, n, e = point.pooled()
-        out.append(
-            OutageEstimate(
-                p_hat=p,
-                trials=n,
-                ci95=_halfwidth(p, n),
-                bounds=point.bounds(),
-                per_placement=point.per_placement(),
-                events=e,
-                ceiling_flag=point.ceiling_flag,
-            )
-        )
-    return out
+    if cfg.bounds_only:
+        raise ValueError("area_averaged_outage returns Monte Carlo estimates; bounds_only is set")
+    return [
+        point.estimate()
+        for _, _, point in _points(cfg, strategy, strategy_index, cfg.placements())
+    ]
 
 
 def diversity_slope(points) -> float:
@@ -494,15 +518,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     placements = cfg.placements()
     rows = []
     for s_idx, strategy in enumerate(cfg.strategies):
-        for snr_index, snr in enumerate(cfg.snr_db):
-            pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
-            point = _run_point(cfg, strategy, s_idx, snr_index, placements, pc)
+        for snr, pc, point in _points(cfg, strategy, s_idx, placements):
             ptot_db = 10.0 * math.log10(total_power(strategy, pc))
             targets: list[int | None] = [None]
             if cfg.per_user_rows:
                 targets += list(range(strategy.num_users))
             for user in targets:
-                b = point.bounds(user)
+                b = point.mean_bounds(user)
                 if cfg.bounds_only:
                     outage = ci = None
                     n = 0
@@ -520,7 +542,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                         "bound_lower": b.lower,
                         "bound_upper": b.upper,
                         "trials": n,
-                        "ceiling_flag": point.ceiling_flag and not cfg.bounds_only,
+                        "ceiling_flag": point.ceiling_flag,
                     }
                 )
     if cfg.output_path is not None:

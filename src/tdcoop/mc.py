@@ -24,6 +24,7 @@ information is strictly below the rate; rate 0 therefore never fails.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -187,11 +188,12 @@ def _count_ucmh_ddf(params, rng, n):
     return int((mi < rate).sum())
 
 
-def _count_af2(params, rng, n):
-    """Two-slot AF, m helpers.
+def _count_af(params, rng, n, multihop=False):
+    """AF over m helpers: the two-slot scheme (all helpers forward at
+    once) or, with multihop, L = m + 1 slots with one helper per slot.
 
     Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
-    standard_normal (n, 2(1 + 2m)).
+    standard_normal (n, 2(1 + 2m)); helpers never hear each other.
     """
     rate = params["rate"]
     m = len(params["helper_budgets"])
@@ -201,27 +203,8 @@ def _count_af2(params, rng, n):
     h_dk = amp[:, 0] * params["scale_dk"]
     h_dj = amp[:, 1 : 1 + m] * np.asarray(params["scale_dj"])
     h_jk = amp[:, 1 + m :] * np.asarray(params["scale_jk"])
-    ch = _af.af2_equivalent_channel(
-        h_dk, h_dj, h_jk, np.asarray(params["helper_budgets"]), params["burst"]
-    )
-    mi = _af.af_trial_mutual_info(ch, params["burst"])
-    return int((mi < rate).sum())
-
-
-def _count_afmh(params, rng, n):
-    """L-slot AF, one helper forwarding per slot.  Same draw layout as
-    the two-slot kernel (helpers never hear each other)."""
-    rate = params["rate"]
-    m = len(params["helper_budgets"])
-    amp = _rayleigh_complex(rng, n, 1 + 2 * m)
-    if rate <= 0.0:
-        return 0
-    h_dk = amp[:, 0] * params["scale_dk"]
-    h_dj = amp[:, 1 : 1 + m] * np.asarray(params["scale_dj"])
-    h_jk = amp[:, 1 + m :] * np.asarray(params["scale_jk"])
-    ch = _af.afmh_equivalent_channel(
-        h_dk, h_dj, h_jk, np.asarray(params["helper_budgets"]), params["burst"]
-    )
+    build = _af.afmh_equivalent_channel if multihop else _af.af2_equivalent_channel
+    ch = build(h_dk, h_dj, h_jk, np.asarray(params["helper_budgets"]), params["burst"])
     mi = _af.af_trial_mutual_info(ch, params["burst"])
     return int((mi < rate).sum())
 
@@ -231,8 +214,8 @@ _KERNELS = {
     "rc-ddf": _count_rc_ddf,
     "uc2-ddf": _count_uc2_ddf,
     "ucmh-ddf": _count_ucmh_ddf,
-    "af2": _count_af2,
-    "afmh": _count_afmh,
+    "af2": _count_af,
+    "afmh": functools.partial(_count_af, multihop=True),
 }
 
 

@@ -1,4 +1,4 @@
-"""Node geometry and Rayleigh block-fading channel draws.
+"""Node geometry and the Rayleigh block-fading channel model.
 
 The destination sits at the origin of a circular sector, a fixed relay
 sits inside it, and the K users are placed uniformly over the sector
@@ -6,7 +6,8 @@ area outside an exclusion radius (uniform in area means the radial
 density is proportional to r).  Every link (a, b) carries a proper
 complex Gaussian amplitude A with zero mean and unit variance, constant
 per trial, so |A|^2 is a unit-mean exponential.  The channel gain is
-H = A / d^(gamma/2) with d the link distance.
+H = A / d^(gamma/2) with d the link distance; the trial kernels of the
+engine module draw the amplitudes.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ import numpy as np
 __all__ = [
     "GeometryParams",
     "NodePlacement",
-    "ChannelDraw",
     "sample_placement",
-    "link_distance",
-    "draw_link_gains",
-    "sample_channel_draw",
 ]
 
 DESTINATION = "d"
@@ -102,10 +99,6 @@ class NodePlacement:
         ia, ib = self._ids.index(a), self._ids.index(b)
         return float(self._dist[ia, ib])
 
-    def path_gain(self, a: str, b: str) -> float:
-        """Deterministic power attenuation 1 / d^gamma of link (a, b)."""
-        return self.distance(a, b) ** -self.params.path_loss_exponent
-
 
 def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePlacement:
     """Draw one uniform-in-area user placement.
@@ -129,70 +122,3 @@ def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePl
             float(radius[k - 1] * np.sin(angle[k - 1])),
         )
     return NodePlacement(params=params, positions=positions)
-
-
-def link_distance(placement: NodePlacement, a: str, b: str) -> float:
-    """Euclidean distance between two distinct nodes."""
-    return placement.distance(a, b)
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One block-fading realisation for a set of links.
-
-    ``amp_sq`` maps link -> |A|^2; ``amp`` carries the complex amplitudes
-    and is None when phases were not needed (decode-and-forward only uses
-    magnitudes).  ``gain_sq`` folds in the path loss: |H|^2 = |A|^2 / d^gamma.
-    """
-
-    amp_sq: dict[tuple[str, str], float]
-    gain_sq: dict[tuple[str, str], float]
-    amp: dict[tuple[str, str], complex] | None = None
-
-
-def draw_link_gains(
-    placement: NodePlacement,
-    links: list[tuple[str, str]],
-    n: int,
-    rng: np.random.Generator,
-    need_phases: bool = False,
-):
-    """Draw n i.i.d. amplitude realisations for each link.
-
-    Returns (amp_sq, amp) where amp_sq has shape (n, len(links)) and amp is
-    the complex array of the same shape, or None when need_phases is False.
-    Magnitude-only sampling draws unit-mean exponentials directly, which is
-    half the random numbers.  Column order follows the links argument, which
-    fixes the stream layout for reproducibility.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = len(links)
-    if need_phases:
-        parts = rng.standard_normal((n, 2 * m))
-        amp = np.sqrt(0.5) * (parts[:, :m] + 1j * parts[:, m:])
-        amp_sq = amp.real**2 + amp.imag**2
-        return amp_sq, amp
-    amp_sq = rng.exponential(size=(n, m))
-    return amp_sq, None
-
-
-def sample_channel_draw(
-    placement: NodePlacement,
-    links: list[tuple[str, str]],
-    rng: np.random.Generator,
-    need_phases: bool = False,
-) -> ChannelDraw:
-    """Draw a single coherence-interval realisation for the given links."""
-    amp_sq, amp = draw_link_gains(placement, links, 1, rng, need_phases)
-    gamma = placement.params.path_loss_exponent
-    amp_sq_map = {}
-    gain_sq_map = {}
-    amp_map = {} if need_phases else None
-    for j, (a, b) in enumerate(links):
-        d = placement.distance(a, b)
-        amp_sq_map[(a, b)] = float(amp_sq[0, j])
-        gain_sq_map[(a, b)] = float(amp_sq[0, j]) / d**gamma
-        if need_phases:
-            amp_map[(a, b)] = complex(amp[0, j])
-    return ChannelDraw(amp_sq=amp_sq_map, gain_sq=gain_sq_map, amp=amp_map)

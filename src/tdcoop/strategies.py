@@ -21,13 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-__all__ = ["Strategy", "parse_strategy", "STRATEGY_NAMES"]
+__all__ = ["Strategy", "parse_strategy"]
 
 MULTIHOP_MODES = ("accumulating", "per-fraction")
 
 _NAME_RE = re.compile(r"^(mac|rc-(ddf|af)|uc(\d+)-(ddf|af))$")
-
-STRATEGY_NAMES = ("mac", "rc-ddf", "rc-af", "uc2-ddf", "uc2-af", "uc<K>-ddf", "uc<K>-af")
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,6 @@ class Strategy:
                 sizes = {len(h) for h in self.coop_sets}
                 if sizes != {len(self.coop_sets[0])} or len(self.coop_sets[0]) < 2:
                     raise ValueError("multihop requires >= 2 helpers per user, same count")
-
-    @property
-    def cooperative(self) -> bool:
-        return self.mode != "mac"
 
     @property
     def uses_relay(self) -> bool:

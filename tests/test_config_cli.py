@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tdcoop import cli
 from tdcoop.cli import main
 from tdcoop.config import ConfigError, config_from_dict, load_config
 
@@ -106,6 +107,8 @@ class TestConfigFromDict:
             config_from_dict({"strategies": ["mac"], "geometry": {"users": 3}})
         with pytest.raises(ConfigError, match="unknown power"):
             config_from_dict({"strategies": ["mac"], "power": {"p1": 2.0}})
+        with pytest.raises(ConfigError, match="unknown top-level"):
+            config_from_dict({"strategies": ["mac"], "x_axis": "transmit-snr"})
 
     def test_strategies_required(self):
         with pytest.raises(ConfigError):
@@ -135,6 +138,12 @@ class TestConfigFromDict:
         path.write_text("strategies: [mac\n  nope")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_unreadable_or_non_mapping_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(str(tmp_path / "missing.yaml"))
+        with pytest.raises(ConfigError, match="mapping"):
+            load_config(write_cfg(tmp_path, "- mac\n"))
 
 
 class TestCliRun:
@@ -171,6 +180,17 @@ class TestCliRun:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 2 * 3
         assert main(["run", "-c", path, "--snr-db", "0,10", "--bounds-only"]) == 0
+
+    def test_snr_range_matches_config_mapping(self, tmp_path, monkeypatch):
+        """--snr-db a:b:c builds the grid of the {start, stop, step} mapping."""
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        assert main(["run", "-c", write_cfg(tmp_path), "--snr-db", "0:1:0.1"]) == 0
+        mapping = config_from_dict(
+            {"strategies": ["mac"], "snr_db": {"start": 0, "stop": 1, "step": 0.1}}
+        )
+        assert seen[0].snr_db == mapping.snr_db
+        assert len(mapping.snr_db) == 11
 
     def test_bad_snr_override_exits_2(self, tmp_path, capsys):
         assert main(["run", "-c", write_cfg(tmp_path), "--snr-db", "5:1:2"]) == 2

@@ -139,6 +139,11 @@ class TestAreaAveraged:
         b = area_averaged_outage(multi, multi.strategies[0])[0]
         assert a.p_hat == b.p_hat and a.events == b.events
 
+    def test_bounds_only_rejected(self):
+        cfg = tiny_config(bounds_only=True)
+        with pytest.raises(ValueError, match="bounds_only"):
+            area_averaged_outage(cfg, cfg.strategies[0])
+
     def test_per_placement_breakdown(self):
         cfg = tiny_config(snr_db=(0.0,), num_placements=3)
         est = area_averaged_outage(cfg, cfg.strategies[0])[0]
@@ -257,6 +262,22 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert rows[0]["outage"] is None and rows[0]["trials"] == 0
         assert rows[0]["bound_lower"] > 0
+
+    def test_bounds_only_prints_the_full_run_bounds(self):
+        names = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
+        strategies = tuple(parse_strategy(n, 3) for n in names)
+        for optimize in (False, True):
+            kw = dict(
+                strategies=strategies, snr_db=(0.0, 20.0), trial_ceiling=6_000,
+                per_user_rows=True, optimize_bounds=optimize,
+            )
+            full = run_experiment(tiny_config(**kw))
+            bounds_only = run_experiment(tiny_config(bounds_only=True, **kw))
+            cols = ("strategy", "user_k", "snr_db", "ptot_db", "bound_lower", "bound_upper")
+            assert len(full) == len(strategies) * 2 * 4
+            assert [[r[c] for c in cols] for r in bounds_only] == [
+                [r[c] for c in cols] for r in full
+            ]
 
     def test_writes_csv_when_configured(self, tmp_path):
         out = tmp_path / "rows.csv"

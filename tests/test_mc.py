@@ -120,6 +120,28 @@ class TestCountEvents:
             mc.count_events("nope", MAC_PARAMS, 5, (0,), 16)
 
 
+class TestRayleighDraw:
+    """The AF kernels' complex amplitude draw."""
+
+    def test_amp_sq_unit_mean(self):
+        amp = mc._rayleigh_complex(np.random.default_rng(9), 10**6, 1)
+        np.testing.assert_allclose((np.abs(amp) ** 2).mean(), 1.0, atol=4e-3)
+
+    def test_phase_draw_components(self):
+        """Complex amplitudes have two independent N(0, 1/2) components."""
+        amp = mc._rayleigh_complex(np.random.default_rng(10), 10**5, 2)
+        assert amp.shape == (10**5, 2)
+        np.testing.assert_allclose(amp.real.var(), 0.5, atol=1e-2)
+        np.testing.assert_allclose(amp.imag.var(), 0.5, atol=1e-2)
+        assert abs(np.corrcoef(amp.real[:, 0], amp.imag[:, 0])[0, 1]) < 0.01
+
+    def test_links_uncorrelated(self):
+        amp_sq = np.abs(mc._rayleigh_complex(np.random.default_rng(12), 10**5, 3)) ** 2
+        corr = np.corrcoef(amp_sq.T)
+        off = corr[~np.eye(3, dtype=bool)]
+        assert np.all(np.abs(off) < 0.01)
+
+
 def mac_cells(n_cells, burst=3.0):
     return [(i, 0, "mac", dict(MAC_PARAMS, burst=burst)) for i in range(n_cells)]
 

@@ -1,4 +1,4 @@
-"""Tests for sector geometry sampling and Rayleigh link draws."""
+"""Tests for sector geometry sampling and node distances."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,8 @@ import pytest
 from tdcoop.network import (
     DESTINATION,
     RELAY,
-    ChannelDraw,
     GeometryParams,
     NodePlacement,
-    draw_link_gains,
-    link_distance,
-    sample_channel_draw,
     sample_placement,
     user_id,
 )
@@ -107,7 +103,7 @@ class TestNodePlacement:
 
     def test_relay_destination_distance(self):
         pl = unit_circle_placement()
-        np.testing.assert_allclose(link_distance(pl, RELAY, DESTINATION), 0.5, rtol=1e-15)
+        np.testing.assert_allclose(pl.distance(RELAY, DESTINATION), 0.5, rtol=1e-15)
 
     def test_self_link_rejected(self):
         pl = unit_circle_placement()
@@ -121,65 +117,3 @@ class TestNodePlacement:
                 params=params,
                 positions={DESTINATION: (0, 0), RELAY: (0.5, 0), "u1": (0.4, 0.1)},
             )
-
-    def test_path_gain(self):
-        pl = unit_circle_placement()
-        np.testing.assert_allclose(pl.path_gain(RELAY, DESTINATION), 0.5**-4, rtol=1e-14)
-
-
-class TestLinkDraws:
-    def test_amp_sq_unit_mean(self):
-        pl = unit_circle_placement()
-        rng = np.random.default_rng(9)
-        amp_sq, amp = draw_link_gains(pl, [("d", "u1")], 10**6, rng)
-        assert amp is None
-        np.testing.assert_allclose(amp_sq.mean(), 1.0, atol=4e-3)
-
-    def test_phase_draw_components(self):
-        """Complex amplitudes have two independent N(0, 1/2) components."""
-        pl = unit_circle_placement()
-        rng = np.random.default_rng(10)
-        amp_sq, amp = draw_link_gains(pl, [("d", "u1"), ("d", "u2")], 10**5, rng, need_phases=True)
-        assert amp.shape == (10**5, 2)
-        np.testing.assert_allclose(amp.real.var(), 0.5, atol=1e-2)
-        np.testing.assert_allclose(amp.imag.var(), 0.5, atol=1e-2)
-        np.testing.assert_allclose(amp_sq, np.abs(amp) ** 2, rtol=1e-12)
-        np.testing.assert_allclose(amp_sq.mean(), 1.0, atol=1e-2)
-
-    def test_links_uncorrelated(self):
-        pl = unit_circle_placement()
-        rng = np.random.default_rng(12)
-        links = [("d", "u1"), ("d", "u2"), ("u1", "u2")]
-        amp_sq, _ = draw_link_gains(pl, links, 10**5, rng)
-        corr = np.corrcoef(amp_sq.T)
-        off = corr[~np.eye(3, dtype=bool)]
-        assert np.all(np.abs(off) < 0.01)
-
-    def test_gain_folds_in_path_loss(self):
-        """mean |H|^2 = 1/d^gamma: 16 +- 0.1 at d = 0.5, gamma = 4."""
-        params = GeometryParams(num_users=1)
-        pl = NodePlacement(
-            params=params,
-            positions={DESTINATION: (0.0, 0.0), RELAY: (0.5, 0.0), "u1": (0.5, 0.0)},
-        )
-        rng = np.random.default_rng(13)
-        amp_sq, _ = draw_link_gains(pl, [("d", "u1")], 10**6, rng)
-        gain_sq = amp_sq[:, 0] / pl.distance("d", "u1") ** 4
-        np.testing.assert_allclose(gain_sq.mean(), 16.0, atol=0.1)
-
-    def test_single_draw_maps(self):
-        pl = unit_circle_placement()
-        rng = np.random.default_rng(14)
-        draw = sample_channel_draw(pl, [("d", "u1"), ("r", "u1")], rng, need_phases=True)
-        assert isinstance(draw, ChannelDraw)
-        for link in [("d", "u1"), ("r", "u1")]:
-            d = pl.distance(*link)
-            np.testing.assert_allclose(
-                draw.gain_sq[link], draw.amp_sq[link] / d**4, rtol=1e-12
-            )
-            np.testing.assert_allclose(abs(draw.amp[link]) ** 2, draw.amp_sq[link], rtol=1e-12)
-
-    def test_zero_trials_rejected(self):
-        pl = unit_circle_placement()
-        with pytest.raises(ValueError):
-            draw_link_gains(pl, [("d", "u1")], 0, np.random.default_rng(0))

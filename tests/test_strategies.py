@@ -9,7 +9,6 @@ class TestParseStrategy:
     def test_mac(self):
         s = parse_strategy("mac", 3)
         assert (s.family, s.mode) == ("mac", "mac")
-        assert not s.cooperative
         assert not s.uses_relay
         assert s.hops(1) == 1
 

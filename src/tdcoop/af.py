@@ -8,6 +8,14 @@ c_s, after which the rate is the standard (1/L) log2 det(I + P HH*) of
 the whitened matrix.  The source repeats each codeword over all L slots
 of its period, hence the 1/L prefactor and the 2^(L R) coding penalty in
 the upper bounds.
+
+The whitened matrix has one of two fixed shapes: 2x2 lower-triangular
+when all helpers forward in one slot (``af2_*``), an arrow when each
+helper has its own slot (``afmh_*``).  The trial kernels take the rate
+from the closed-form determinant of each shape
+(``af2_trial_mutual_info``, ``afmh_trial_mutual_info``);
+``af_trial_mutual_info`` of the ``*_equivalent_channel`` matrices is the
+general log-det reference they are tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ __all__ = [
     "af2_equivalent_channel",
     "afmh_equivalent_channel",
     "af_trial_mutual_info",
+    "af2_trial_mutual_info",
+    "afmh_trial_mutual_info",
     "af_bounds_2hop",
     "af_bounds_multihop",
 ]
@@ -46,6 +56,16 @@ class EquivalentChannel:
         return self.matrix.shape[-1]
 
 
+def _abs2(z):
+    """|z|^2 without the square root of np.abs."""
+    return z.real**2 + z.imag**2
+
+
+def _amplifier_gain_sq(h_jk_sq, helper_budgets, source_burst):
+    """c_j^2 = 2 Pbar_j / (|H_jk|^2 Pbar_k + 1), unchecked (see af_amplifier_gain)."""
+    return 2.0 * np.asarray(helper_budgets, dtype=float) / (h_jk_sq * source_burst + 1.0)
+
+
 def af_amplifier_gain(h_jk_sq, helper_budget, source_burst):
     """Forwarding gain c_j = sqrt(2 Pbar_j / (|H_jk|^2 Pbar_k + 1)).
 
@@ -58,7 +78,7 @@ def af_amplifier_gain(h_jk_sq, helper_budget, source_burst):
     budget = np.asarray(helper_budget, dtype=float)
     if np.any(h < 0) or np.any(budget < 0) or source_burst < 0:
         raise ValueError("gains and powers must be nonnegative")
-    out = np.sqrt(2.0 * budget / (h * source_burst + 1.0))
+    out = np.sqrt(_amplifier_gain_sq(h, budget, source_burst))
     return float(out) if np.ndim(h_jk_sq) == 0 else out
 
 
@@ -127,6 +147,49 @@ def af_trial_mutual_info(channel: EquivalentChannel, source_burst):
     if not np.all(sign.real > 0.5):
         raise FloatingPointError("det(I + P H H*) must be positive")
     return logdet / (L * math.log(2.0))
+
+
+def af2_trial_mutual_info(h_dk, h_dj, h_jk, helper_budgets, source_burst):
+    """Closed form of ``af_trial_mutual_info(af2_equivalent_channel(...))``.
+
+    The whitened matrix is lower-triangular with diagonal (h_dk, h_dk/c_s)
+    and f/c_s below it, f = sum_j c_j H_dj H_jk, so
+    det(I + P HH*) = 1 + P (|h_dk|^2 + (|f|^2 + |h_dk|^2)/c_s^2)
+    + P^2 |h_dk|^4 / c_s^2, a sum of nonnegative terms.  Inputs are shaped
+    as for ``af2_equivalent_channel``.
+    """
+    P = source_burst
+    h_dj, h_jk = np.asarray(h_dj), np.asarray(h_jk)
+    a_dk = _abs2(np.asarray(h_dk))
+    c_sq = _amplifier_gain_sq(_abs2(h_jk), helper_budgets, P)
+    fwd_sq = _abs2((np.sqrt(c_sq) * h_dj * h_jk).sum(axis=1))
+    cs_sq = 1.0 + (c_sq * _abs2(h_dj)).sum(axis=1)
+    det_m1 = P * (a_dk + (fwd_sq + a_dk) / cs_sq) + P * P * a_dk * a_dk / cs_sq
+    return np.log1p(det_m1) / (2.0 * math.log(2.0))
+
+
+def afmh_trial_mutual_info(h_dk, h_dj, h_jk, helper_budgets, source_burst):
+    """Closed form of ``af_trial_mutual_info(afmh_equivalent_channel(...))``.
+
+    Row j of the whitened arrow matrix holds u_j = c_j H_dj H_jk / c_sj
+    in column 0 and h_dk / c_sj on the diagonal, so with
+    g_j = 1 + P |h_dk|^2 / c_sj^2
+    det(I + P HH*) = prod_j g_j (1 + P |h_dk|^2 + sum_j P |u_j|^2 / g_j).
+    Only magnitudes enter.  Inputs are shaped as for
+    ``afmh_equivalent_channel``.
+    """
+    P = source_burst
+    a_dk = _abs2(np.asarray(h_dk))
+    a_dj = _abs2(np.asarray(h_dj))
+    a_jk = _abs2(np.asarray(h_jk))
+    c_sq = _amplifier_gain_sq(a_jk, helper_budgets, P)
+    cs_sq = 1.0 + c_sq * a_dj
+    g_m1 = P * a_dk[:, None] / cs_sq
+    u_sq = c_sq * a_dj * a_jk / cs_sq
+    logdet = np.log1p(g_m1).sum(axis=1) + np.log1p(
+        P * a_dk + (P * u_sq / (1.0 + g_m1)).sum(axis=1)
+    )
+    return logdet / ((a_dj.shape[1] + 1) * math.log(2.0))
 
 
 def af_bounds_2hop(

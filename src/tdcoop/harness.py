@@ -378,10 +378,11 @@ def estimate_outage(
     return _Point(counts, bounds, ceiling_flag=False).estimate()
 
 
-def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements):
+def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
     """Yield (snr_db, power config, point) over the SNR grid for one strategy.
 
-    Cells are built once; each SNR point only scales them by P.
+    Cells are built once; each SNR point only scales them by P.  pool is
+    the sweep's ``mc.worker_pool``.
     """
     cells = [
         _cell(strategy, placement, i, k)
@@ -409,6 +410,7 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
             workers=cfg.workers,
             target_events=cfg.target_events,
             trial_ceiling=cfg.trial_ceiling,
+            pool=pool,
         )
         yield snr, pc, _Point(counts, bounds, flagged)
 
@@ -445,8 +447,9 @@ def sweep_fixed_placement(
         theta_star=theta_star,
         optimize_bounds=optimize_bounds,
     )
-    points = _points(cfg, strategy, strategy_index, [placement])
-    return [point.estimate() for _, _, point in points]
+    with mc.worker_pool(workers) as pool:
+        points = _points(cfg, strategy, strategy_index, [placement], pool)
+        return [point.estimate() for _, _, point in points]
 
 
 def area_averaged_outage(
@@ -459,10 +462,9 @@ def area_averaged_outage(
     """
     if cfg.bounds_only:
         raise ValueError("area_averaged_outage returns Monte Carlo estimates; bounds_only is set")
-    return [
-        point.estimate()
-        for _, _, point in _points(cfg, strategy, strategy_index, cfg.placements())
-    ]
+    with mc.worker_pool(cfg.workers) as pool:
+        points = _points(cfg, strategy, strategy_index, cfg.placements(), pool)
+        return [point.estimate() for _, _, point in points]
 
 
 def diversity_slope(points) -> float:
@@ -517,34 +519,35 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """
     placements = cfg.placements()
     rows = []
-    for s_idx, strategy in enumerate(cfg.strategies):
-        for snr, pc, point in _points(cfg, strategy, s_idx, placements):
-            ptot_db = 10.0 * math.log10(total_power(strategy, pc))
-            targets: list[int | None] = [None]
-            if cfg.per_user_rows:
-                targets += list(range(strategy.num_users))
-            for user in targets:
-                b = point.mean_bounds(user)
-                if cfg.bounds_only:
-                    outage = ci = None
-                    n = 0
-                else:
-                    p, n, _ = point.pooled(user)
-                    outage, ci = p, _halfwidth(p, n)
-                rows.append(
-                    {
-                        "strategy": strategy.name,
-                        "user_k": "avg" if user is None else user + 1,
-                        "snr_db": snr,
-                        "ptot_db": ptot_db,
-                        "outage": outage,
-                        "ci95": ci,
-                        "bound_lower": b.lower,
-                        "bound_upper": b.upper,
-                        "trials": n,
-                        "ceiling_flag": point.ceiling_flag,
-                    }
-                )
+    with mc.worker_pool(cfg.workers) as pool:
+        for s_idx, strategy in enumerate(cfg.strategies):
+            for snr, pc, point in _points(cfg, strategy, s_idx, placements, pool):
+                ptot_db = 10.0 * math.log10(total_power(strategy, pc))
+                targets: list[int | None] = [None]
+                if cfg.per_user_rows:
+                    targets += list(range(strategy.num_users))
+                for user in targets:
+                    b = point.mean_bounds(user)
+                    if cfg.bounds_only:
+                        outage = ci = None
+                        n = 0
+                    else:
+                        p, n, _ = point.pooled(user)
+                        outage, ci = p, _halfwidth(p, n)
+                    rows.append(
+                        {
+                            "strategy": strategy.name,
+                            "user_k": "avg" if user is None else user + 1,
+                            "snr_db": snr,
+                            "ptot_db": ptot_db,
+                            "outage": outage,
+                            "ci95": ci,
+                            "bound_lower": b.lower,
+                            "bound_upper": b.upper,
+                            "trials": n,
+                            "ceiling_flag": point.ceiling_flag,
+                        }
+                    )
     if cfg.output_path is not None:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(format_rows(rows))

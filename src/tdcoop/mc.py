@@ -15,7 +15,9 @@ each round until the point has TARGET_EVENTS pooled outage events or the
 cell hits its equal share of the trial ceiling.  Decisions use pooled
 integer event counts at round boundaries only, which keeps the schedule
 identical for any worker count.  Rounds are cut into tasks of at most
-MAX_TASK_TRIALS trials; each task reduces to one integer.
+MAX_TASK_TRIALS trials; each task reduces to one integer.  With more
+than one worker, tasks run on a spawn-started process pool that a whole
+sweep shares (``worker_pool``).
 
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
@@ -24,14 +26,14 @@ information is strictly below the rate; rate 0 therefore never fails.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
+import multiprocessing
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import multiprocessing
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "round_targets",
     "chunk_sizes",
     "count_events",
+    "worker_pool",
     "run_cells",
     "CellResult",
 ]
@@ -107,7 +110,13 @@ def _rayleigh_complex(rng, n, m):
     imaginary, scaled by sqrt(1/2).
     """
     parts = rng.standard_normal((n, 2 * m))
-    return math.sqrt(0.5) * (parts[:, :m] + 1j * parts[:, m:])
+    parts *= math.sqrt(0.5)
+    # Link-major storage (Fortran order): each link's column is contiguous,
+    # which keeps the per-trial sums over links in the rate step fast.
+    amp = np.empty((m, n), dtype=complex)
+    amp.real = parts[:, :m].T
+    amp.imag = parts[:, m:].T
+    return amp.T
 
 
 def _count_mac(params, rng, n):
@@ -193,19 +202,21 @@ def _count_af(params, rng, n, multihop=False):
     once) or, with multihop, L = m + 1 slots with one helper per slot.
 
     Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
-    standard_normal (n, 2(1 + 2m)); helpers never hear each other.
+    standard_normal (n, 2(1 + 2m)); helpers never hear each other.  The
+    rate is the closed-form determinant of the scheme's whitened matrix
+    (``af2_trial_mutual_info``/``afmh_trial_mutual_info``); no matrix is
+    built, and ``af_trial_mutual_info`` stays the general reference.
     """
     rate = params["rate"]
     m = len(params["helper_budgets"])
-    amp = _rayleigh_complex(rng, n, 1 + 2 * m)
+    h = _rayleigh_complex(rng, n, 1 + 2 * m)
     if rate <= 0.0:
         return 0
-    h_dk = amp[:, 0] * params["scale_dk"]
-    h_dj = amp[:, 1 : 1 + m] * np.asarray(params["scale_dj"])
-    h_jk = amp[:, 1 + m :] * np.asarray(params["scale_jk"])
-    build = _af.afmh_equivalent_channel if multihop else _af.af2_equivalent_channel
-    ch = build(h_dk, h_dj, h_jk, np.asarray(params["helper_budgets"]), params["burst"])
-    mi = _af.af_trial_mutual_info(ch, params["burst"])
+    h *= np.array((params["scale_dk"], *params["scale_dj"], *params["scale_jk"]))
+    mutual_info = _af.afmh_trial_mutual_info if multihop else _af.af2_trial_mutual_info
+    mi = mutual_info(
+        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["helper_budgets"], params["burst"]
+    )
     return int((mi < rate).sum())
 
 
@@ -247,18 +258,43 @@ class CellResult:
     events: int
 
 
+@contextlib.contextmanager
+def worker_pool(workers: int):
+    """Process pool shared by every ``run_cells`` call of one sweep.
+
+    Yields None at one worker.  Otherwise the pool starts its workers
+    with spawn (never fork, which is unsafe once the parent has threads)
+    when the first tasks arrive, and shuts them down when the block
+    exits.  Scripts that run a sweep with more than one worker therefore
+    need an ``if __name__ == "__main__":`` guard.
+    """
+    if workers <= 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown()
+
+
 def run_cells(
     cells: list[tuple[int, int, str, dict]],
     point_seed: int,
     workers: int = 1,
     target_events: int = TARGET_EVENTS,
     trial_ceiling: int = TRIAL_CEILING,
+    pool=None,
 ) -> tuple[list[CellResult], bool]:
     """Adaptive pooled trial loop for one sweep point.
 
     cells holds (placement_idx, user_idx, kernel, params) entries; every
     cell receives the same per-round trial counts (equal shares of the
     ceiling), so per-user and per-placement averages pool cleanly.
+    With more than one worker the tasks run on ``pool`` (a
+    ``worker_pool``), or on a pool of this call's own when none is given.
     Returns the per-cell counts and the ceiling flag (True when the point
     stopped at the ceiling with fewer than target_events events).
     """
@@ -270,10 +306,7 @@ def run_cells(
     targets = round_targets(cap)
     trials = {(c[0], c[1]): 0 for c in cells}
     events = {(c[0], c[1]): 0 for c in cells}
-    pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork")
-    ) if workers > 1 else None
-    try:
+    with worker_pool(workers) if pool is None else contextlib.nullcontext(pool) as pool:
         prev = 0
         for round_idx, cum in enumerate(targets):
             add = cum - prev
@@ -286,7 +319,10 @@ def run_cells(
                     tasks.append((kernel, params, point_seed, path, size))
                     owners.append((placement_idx, user_idx))
             if pool is not None:
-                results = list(pool.map(_run_task, tasks, chunksize=1))
+                # About four chunks per worker balance the load while
+                # keeping the per-chunk pickling and IPC overhead small.
+                chunk = -(-len(tasks) // (4 * workers))
+                results = list(pool.map(_run_task, tasks, chunksize=chunk))
             else:
                 results = [_run_task(t) for t in tasks]
             for owner, task, got in zip(owners, tasks, results):
@@ -294,9 +330,6 @@ def run_cells(
                 events[owner] += got
             if sum(events.values()) >= target_events:
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     flagged = sum(events.values()) < target_events
     out = [
         CellResult(p, u, trials[(p, u)], events[(p, u)])

@@ -11,14 +11,17 @@ import math
 import numpy as np
 import pytest
 
+from tdcoop import mc
 from tdcoop.af import (
     EquivalentChannel,
     af2_equivalent_channel,
+    af2_trial_mutual_info,
     af_amplifier_gain,
     af_bounds_2hop,
     af_bounds_multihop,
     af_trial_mutual_info,
     afmh_equivalent_channel,
+    afmh_trial_mutual_info,
 )
 from tdcoop.mathcore import hypoexp_leading_cdf_term
 
@@ -260,6 +263,87 @@ class TestTrialMutualInfo:
         ch = EquivalentChannel(matrix=mat, row_scale=np.ones((1, 2)))
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             af_trial_mutual_info(ch, 1.0)
+
+
+SHAPES = (
+    ("af2", af2_equivalent_channel, af2_trial_mutual_info),
+    ("afmh", afmh_equivalent_channel, afmh_trial_mutual_info),
+)
+
+
+def slogdet_count_events(kernel, params, seed, path, trials):
+    """Reference AF kernel: the engine's stream and draw layout, the
+    general log-det rate of the equivalent-channel matrix."""
+    build = afmh_equivalent_channel if kernel == "afmh" else af2_equivalent_channel
+    m = len(params["helper_budgets"])
+    links = 1 + 2 * m
+    rng = mc.derive_stream(seed, *path)
+    events = 0
+    for start in range(0, trials, 1 << 16):
+        n = min(1 << 16, trials - start)
+        parts = rng.standard_normal((n, 2 * links))
+        amp = math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
+        ch = build(
+            amp[:, 0] * params["scale_dk"],
+            amp[:, 1 : 1 + m] * np.asarray(params["scale_dj"]),
+            amp[:, 1 + m :] * np.asarray(params["scale_jk"]),
+            np.asarray(params["helper_budgets"]),
+            params["burst"],
+        )
+        events += int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
+    return events
+
+
+class TestClosedFormRates:
+    """The kernel's closed-form rates against the general log-det path."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("name,build,closed_form", SHAPES)
+    def test_match_slogdet_oracle(self, name, build, closed_form, m):
+        rng = np.random.default_rng(127 + m)
+        n = 2000
+        for pbar in np.logspace(-2, 6, 9):
+            # Link scales d^(-gamma/2) for distances 0.3..2 at gamma 4.
+            scale = rng.uniform(0.3, 2.0, size=1 + 2 * m) ** -2.0
+            h_dk = random_complex(rng, n) * scale[0]
+            h_dj = random_complex(rng, (n, m)) * scale[1 : 1 + m]
+            h_jk = random_complex(rng, (n, m)) * scale[1 + m :]
+            budgets = rng.uniform(0.1, 3.0, size=m)
+            want = af_trial_mutual_info(build(h_dk, h_dj, h_jk, budgets, pbar), pbar)
+            got = closed_form(h_dk, h_dj, h_jk, budgets, pbar)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, want, rtol=1e-10, err_msg=f"{name} P={pbar:g}")
+
+    def test_dead_cooperators_leave_the_direct_link(self):
+        h_dk = np.array([0.8 + 0.1j, 0.0, 2.0j])
+        zeros = np.zeros((3, 2), dtype=complex)
+        a_dk = np.abs(h_dk) ** 2
+        for _, _, closed_form in SHAPES:
+            got = closed_form(h_dk, zeros, zeros, (0.5, 0.5), 10.0)
+            np.testing.assert_allclose(got, np.log2(1.0 + 10.0 * a_dk), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "kernel,budgets,seed,path,trials",
+        (
+            ("af2", (1.2,), 3, (0, 0, 0, 0), 5000),
+            ("af2", (0.7, 1.6), 17, (4, 2, 1, 0), (1 << 16) + 3000),
+            ("afmh", (0.7, 1.6), 17, (4, 2, 1, 0), 5000),
+            ("afmh", (1.1, 0.4), 29, (1, 1, 3, 2), (1 << 16) + 3000),
+        ),
+    )
+    def test_engine_counts_match_slogdet_kernel(self, kernel, budgets, seed, path, trials):
+        m = len(budgets)
+        params = {
+            "rate": 1.0,
+            "burst": 3.0,
+            "helper_budgets": budgets,
+            "scale_dk": 0.9**-2,
+            "scale_dj": tuple(0.8**-2 for _ in range(m)),
+            "scale_jk": tuple(0.5**-2 for _ in range(m)),
+        }
+        want = slogdet_count_events(kernel, params, seed, path, trials)
+        assert 0.02 * trials < want < 0.98 * trials
+        assert mc.count_events(kernel, params, seed, path, trials) == want
 
 
 class TestAfBounds:

@@ -1,6 +1,7 @@
 """Tests for the sweep harness: estimates, averaging, slopes, CSV rows."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -278,6 +279,28 @@ class TestRunExperiment:
             assert [[r[c] for c in cols] for r in bounds_only] == [
                 [r[c] for c in cols] for r in full
             ]
+
+    def test_one_worker_pool_per_run(self, tmp_path, monkeypatch):
+        """All points of a run share one pool; the CSV matches one worker."""
+        built = []
+
+        class CountingPool(mc.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["mp_context"].get_start_method())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        strategies = (parse_strategy("rc-ddf", 3), parse_strategy("uc2-af", 3))
+        blobs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}.csv"
+            run_experiment(
+                tiny_config(strategies=strategies, workers=workers, output_path=str(out))
+            )
+            blobs.append(out.read_bytes())
+        assert built == ["spawn"]
+        assert blobs[0] == blobs[1]
+        assert multiprocessing.active_children() == []
 
     def test_writes_csv_when_configured(self, tmp_path):
         out = tmp_path / "rows.csv"

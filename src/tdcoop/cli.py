@@ -4,7 +4,8 @@ tdcoop run -c cfg.yaml [overrides]      run the sweep, write or print CSV
 tdcoop export-placements -c cfg.yaml -o placements.csv
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 output not
-writable.
+writable.  ``run`` prints one stderr warning per sweep point that stopped
+at its trial ceiling short of the target events; the CSV is unchanged.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
+    for r in rows:
+        if r["user_k"] == "avg" and r["ceiling_flag"]:
+            print(
+                f"warning: {r['strategy']} at {r['snr_db']:g} dB stopped at the trial "
+                f"ceiling: {r['events']} of {cfg.target_events} target events "
+                f"in {r['trials']} trials",
+                file=sys.stderr,
+            )
     if cfg.output_path is None:
         sys.stdout.write(format_rows(rows))
     else:

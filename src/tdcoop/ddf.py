@@ -171,10 +171,19 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
     (slot 0 is the source, slots 1..H the helpers in input order).
     recv_coef is (H, L) with entries Pbar_t / d(h, t)^gamma.  At each
     stage the undecided helper needing the smallest additional fraction
-    decodes next; the stage is capped at the remaining time when nobody
-    can decode, which ends the schedule.  In "accumulating" mode a helper
-    keeps the information collected in earlier stages; in "per-fraction"
-    mode it must decode within a single stage.
+    decodes next, ties to the lowest helper index; the stage is capped at
+    the remaining time when nobody can decode, which ends the schedule.
+    In "accumulating" mode a helper keeps the information collected in
+    earlier stages; in "per-fraction" mode it must decode within a single
+    stage.
+
+    Each stage works on helper-major (H, n) arrays and selects with
+    ``np.where``.  A trial whose stage is capped has no time left, and
+    nothing computed for it afterwards is read, so the stage updates run
+    over all trials without masking them.  recv_amp_sq stored
+    helper-major, e.g. ``x.transpose(2, 0, 1)`` of an (H, L, n) array x,
+    is read contiguously.  The returned arrays are trial-major views of
+    stage-major storage.
     """
     if mode not in ("accumulating", "per-fraction"):
         raise ValueError(f"unknown multihop mode {mode!r}")
@@ -183,43 +192,53 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
     n, H, L = a.shape
     if H != L - 1 or coef.shape != (H, L):
         raise ValueError("recv_amp_sq must be (n, L-1, L) with matching recv_coef")
-    order = np.zeros((n, L), dtype=np.int64)
-    fractions = np.zeros((n, L))
+    # gain[h, t] = |A|^2 * Pbar_t / d(h, t)^gamma, the SNR at helper h from slot t.
+    gain = np.moveaxis(a, 0, -1) * coef[:, :, None]
+    order = np.zeros((L, n), dtype=np.int64)
+    fractions = np.zeros((L, n))
     decoded = np.ones(n, dtype=np.int64)
-    undecided = np.ones((n, H), dtype=bool)
-    acc_info = np.zeros((n, H))
-    remaining = np.ones(n)
-    alive = np.ones(n, dtype=bool)
-    rows = np.arange(n)
-    helper_snr = a[:, :, 0] * coef[:, 0]  # source transmits from stage 0
+    undecided = np.ones((H, n), dtype=bool)
+    acc_info = np.zeros((H, n))
+    remaining = np.ones(n)  # 0 exactly once a stage is capped
+    helper_snr = gain[:, 0].copy()  # source transmits from stage 0
     for s in range(L - 1):
         rate_now = capacity(helper_snr)
-        need = rate - acc_info if mode == "accumulating" else np.full((n, H), rate)
+        need = rate - acc_info if mode == "accumulating" else rate
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = np.where(need <= 0.0, 0.0, need / np.where(rate_now > 0.0, rate_now, np.nan))
-        cand = np.where(np.isnan(cand), np.inf, cand)
-        cand[~undecided] = np.inf
-        best = np.argmin(cand, axis=1)
-        best_theta = cand[rows, best]
-        decode = alive & (best_theta < remaining)
-        cap = alive & ~decode
-        fractions[cap, s] = remaining[cap]
-        remaining[cap] = 0.0
-        alive[cap] = False
+            cand = np.where(rate_now > 0.0, need / rate_now, np.inf)
+        cand = np.where(undecided, np.where(need <= 0.0, 0.0, cand), np.inf)
+        # A running minimum over helpers, strict so that ties go to the lowest
+        # index.  cand.argmin(axis=0) and cand.min(axis=0) give the same values
+        # but the schedule then takes 173 rather than 143 ns per trial at H = 2
+        # (n = 8192, 2 vCPUs, numpy 2.4).
+        best = np.zeros(n, dtype=np.int64)
+        best_theta = cand[0]
+        for h in range(1, H):
+            better = cand[h] < best_theta
+            best = np.where(better, h, best)
+            best_theta = np.where(better, cand[h], best_theta)
+        decode = best_theta < remaining
+        # A capped stage takes the remaining time, which a finished trial has
+        # at 0; the trials that decode give up their fraction.
+        fractions[s] = np.where(decode, best_theta, remaining)
+        remaining = np.where(decode, remaining - best_theta, 0.0)
         if not decode.any():
             break
-        theta_s = np.where(decode, best_theta, 0.0)
-        fractions[decode, s] = best_theta[decode]
         if mode == "accumulating":
-            acc_info[decode] += theta_s[decode, None] * rate_now[decode]
-        remaining[decode] = remaining[decode] - best_theta[decode]
-        order[decode, s + 1] = best[decode] + 1
-        decoded[decode] += 1
-        undecided[rows[decode], best[decode]] = False
-        new_slot = best[decode] + 1
-        helper_snr[decode] += a[rows[decode], :, new_slot] * coef.T[new_slot]
-    fractions[alive, L - 1] = remaining[alive]
-    return MultihopSchedule(order=order, fractions=fractions, decoded=decoded)
+            acc_info += fractions[s] * rate_now
+        order[s + 1] = np.where(decode, best + 1, 0)
+        decoded += decode
+        # The new decoder's links into every helper join their SNRs.  Row-wise
+        # updates of undecided beat one broadcast compare (372 against 400 ns
+        # per trial at H = 3).
+        joining = gain[:, 1]
+        undecided[0] &= best != 0
+        for h in range(1, H):
+            joining = np.where(best == h, gain[:, h + 1], joining)
+            undecided[h] &= best != h
+        helper_snr += joining
+    fractions[L - 1] = remaining
+    return MultihopSchedule(order=order.T, fractions=fractions.T, decoded=decoded)
 
 
 def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coef):
@@ -241,9 +260,8 @@ def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coe
     for p in range(L):
         active = (p < schedule.decoded) & (remaining > 0.0)
         slot = schedule.order[:, p]
-        boost = np.where(active, np.where(remaining > 0.0, remaining, 1.0), 1.0)
-        contrib = np.where(active, a[rows, slot] * coef[slot] / boost, 0.0)
-        snr = snr + contrib
+        boost = np.where(active, remaining, 1.0)
+        snr = snr + np.where(active, a[rows, slot] * coef[slot] / boost, 0.0)
         theta_p = fr[:, p]
         info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
         remaining = remaining - theta_p

@@ -529,10 +529,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 for user in targets:
                     b = point.mean_bounds(user)
                     if cfg.bounds_only:
-                        outage = ci = None
+                        outage = ci = events = None
                         n = 0
                     else:
-                        p, n, _ = point.pooled(user)
+                        p, n, events = point.pooled(user)
                         outage, ci = p, _halfwidth(p, n)
                     rows.append(
                         {
@@ -545,6 +545,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                             "bound_lower": b.lower,
                             "bound_upper": b.upper,
                             "trials": n,
+                            "events": events,
                             "ceiling_flag": point.ceiling_flag,
                         }
                     )

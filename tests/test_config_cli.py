@@ -192,6 +192,32 @@ class TestCliRun:
         assert seen[0].snr_db == mapping.snr_db
         assert len(mapping.snr_db) == 11
 
+    def test_ceiling_warning_per_flagged_point(self, tmp_path, capsys):
+        """One stderr line per averaged point stopped at its ceiling."""
+        path = write_cfg(tmp_path)
+        args = ["run", "-c", path, "--snr-db", "0,30", "--trial-ceiling", "4000"]
+        assert main(args + ["--per-user-rows"]) == 0
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        flagged = [r for r in rows if r[1] == "avg" and r[9] == "1"]
+        reached = [r for r in rows if r[1] == "avg" and r[9] == "0"]
+        assert flagged and reached
+        warnings = captured.err.splitlines()
+        assert len(warnings) == len(flagged)
+        for row, line in zip(flagged, warnings):
+            events = round(float(row[4]) * int(row[8]))
+            assert line == (
+                f"warning: {row[0]} at {float(row[2]):g} dB stopped at the trial "
+                f"ceiling: {events} of 50 target events in {row[8]} trials"
+            )
+
+    def test_no_warning_when_the_point_reaches_its_target(self, tmp_path, capsys):
+        args = ["run", "-c", write_cfg(tmp_path), "--snr-db", "0", "--trial-ceiling", "4000"]
+        assert main(args + ["--strategies", "mac"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith(",0")
+        assert captured.err == ""
+
     def test_bad_snr_override_exits_2(self, tmp_path, capsys):
         assert main(["run", "-c", write_cfg(tmp_path), "--snr-db", "5:1:2"]) == 2
 

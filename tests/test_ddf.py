@@ -3,7 +3,9 @@
 Frozen values come from hand substitution into the listen-fraction and
 mutual-information formulas.  Distributional claims are checked against
 independent oracles: empirical CDFs of the sampled listen fraction and a
-quadrature of the first-stage fraction's survival function.
+quadrature of the first-stage fraction's survival function.  The greedy
+multihop schedule is checked bit for bit against a trial-major reference
+implementation that selects with boolean-mask scatters.
 """
 
 import math
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tdcoop import mc
 from tdcoop.ddf import (
     BoundPair,
+    MultihopSchedule,
     clustering_condition,
     ddf_bounds_multihop,
     ddf_bounds_rc,
@@ -27,7 +31,7 @@ from tdcoop.ddf import (
     trial_mutual_info_rc,
     trial_mutual_info_uc2,
 )
-from tdcoop.mathcore import hypoexp_leading_cdf_term
+from tdcoop.mathcore import capacity, hypoexp_leading_cdf_term
 
 
 class TestListenFractionRc:
@@ -234,8 +238,6 @@ class TestTrialMutualInfoMultihop:
         np.testing.assert_allclose(got, [2.0], rtol=1e-12)
 
     def test_hand_two_stage_value(self):
-        from tdcoop.ddf import MultihopSchedule
-
         sched = MultihopSchedule(
             order=np.array([[0, 1]]),
             fractions=np.array([[0.5, 0.5]]),
@@ -269,6 +271,185 @@ class TestTrialMutualInfoMultihop:
         dest_coef = np.array([burst / d_dk**gamma, burst / d_dj**gamma])
         mh = trial_mutual_info_multihop(sched, dest, dest_coef)
         np.testing.assert_allclose(mh, uc2, atol=1e-12)
+
+
+def scatter_multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
+    """Reference greedy schedule: trial-major arrays, boolean-mask scatters
+    and a fancy gather, ties to the lowest helper index through argmin."""
+    a = np.asarray(recv_amp_sq, dtype=float)
+    coef = np.asarray(recv_coef, dtype=float)
+    n, H, L = a.shape
+    order = np.zeros((n, L), dtype=np.int64)
+    fractions = np.zeros((n, L))
+    decoded = np.ones(n, dtype=np.int64)
+    undecided = np.ones((n, H), dtype=bool)
+    acc_info = np.zeros((n, H))
+    remaining = np.ones(n)
+    alive = np.ones(n, dtype=bool)
+    rows = np.arange(n)
+    helper_snr = a[:, :, 0] * coef[:, 0]
+    for s in range(L - 1):
+        rate_now = capacity(helper_snr)
+        need = rate - acc_info if mode == "accumulating" else np.full((n, H), rate)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where(need <= 0.0, 0.0, need / np.where(rate_now > 0.0, rate_now, np.nan))
+        cand = np.where(np.isnan(cand), np.inf, cand)
+        cand[~undecided] = np.inf
+        best = np.argmin(cand, axis=1)
+        best_theta = cand[rows, best]
+        decode = alive & (best_theta < remaining)
+        cap = alive & ~decode
+        fractions[cap, s] = remaining[cap]
+        remaining[cap] = 0.0
+        alive[cap] = False
+        if not decode.any():
+            break
+        theta_s = np.where(decode, best_theta, 0.0)
+        fractions[decode, s] = best_theta[decode]
+        if mode == "accumulating":
+            acc_info[decode] += theta_s[decode, None] * rate_now[decode]
+        remaining[decode] = remaining[decode] - best_theta[decode]
+        order[decode, s + 1] = best[decode] + 1
+        decoded[decode] += 1
+        undecided[rows[decode], best[decode]] = False
+        new_slot = best[decode] + 1
+        helper_snr[decode] += a[rows[decode], :, new_slot] * coef.T[new_slot]
+    fractions[alive, L - 1] = remaining[alive]
+    return MultihopSchedule(order=order, fractions=fractions, decoded=decoded)
+
+
+def gather_trial_mutual_info_multihop(schedule, dest_amp_sq, dest_coef):
+    """Reference destination rate: a per-trial gather of the entering slot,
+    with the boost guarding remaining > 0 on its own."""
+    a = np.asarray(dest_amp_sq, dtype=float)
+    coef = np.asarray(dest_coef, dtype=float)
+    n, L = a.shape
+    info = np.zeros(n)
+    snr = np.zeros(n)
+    remaining = np.ones(n)
+    rows = np.arange(n)
+    for p in range(L):
+        active = (p < schedule.decoded) & (remaining > 0.0)
+        slot = schedule.order[:, p]
+        boost = np.where(active, np.where(remaining > 0.0, remaining, 1.0), 1.0)
+        snr = snr + np.where(active, a[rows, slot] * coef[slot] / boost, 0.0)
+        theta_p = schedule.fractions[:, p]
+        info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
+        remaining = remaining - theta_p
+    return info
+
+
+def edge_case_inputs(H, seed, n=6000):
+    """Random multihop inputs with blocks of edge cases (rate 0.5).
+
+    Every helper's self-link is 0.  Rows 0-499: no helper hears the
+    source, so the schedule caps at stage 0.  Rows 500-999: every source
+    link gives SNR 1 exactly (capacity 1 bit), an exact tie in which the
+    other helpers then need nothing more in accumulating mode.  Rows
+    1000-1499: exact ties at random gains.  Rows 1500-1999: helper 0
+    hears no one and nobody hears it.  Destination links are dead in
+    rows 2000-2499.
+    """
+    rng = np.random.default_rng(seed)
+    L = H + 1
+    a = rng.exponential(size=(n, H, L))
+    coef = rng.uniform(2.0, 20.0, size=(H, L))
+    coef[:, 0] = 4.0
+    for h in range(H):
+        a[:, h, h + 1] = 0.0
+    a[:500, :, 0] = 0.0
+    a[500:1000, :, 0] = 0.25
+    a[1000:1500, :, 0] = a[1000:1500, :1, 0]
+    a[1500:2000, 0, :] = 0.0
+    a[1500:2000, :, 1] = 0.0
+    dest = rng.exponential(size=(n, L))
+    dest[2000:2500] = 0.0
+    dest_coef = rng.uniform(1.0, 10.0, size=L)
+    return a, coef, dest, dest_coef
+
+
+UCMH_ORACLE_RATE = 0.5
+
+
+def oracle_count_events(params, seed, path, trials):
+    """Reference ucmh-ddf kernel: the engine's stream and draw layout drawn
+    in one piece, trial-major link arrays, the scatter schedule."""
+    recv_coef = np.asarray(params["recv_coef"])
+    m, L = recv_coef.shape
+    npairs = m * (m - 1) // 2
+    a = mc.derive_stream(seed, *path).exponential(size=(trials, m + npairs + 1 + m))
+    recv = np.zeros((trials, m, L))
+    recv[:, :, 0] = a[:, :m]
+    col = m
+    for h in range(m):
+        for j in range(h + 1, m):
+            recv[:, h, j + 1] = a[:, col]
+            recv[:, j, h + 1] = a[:, col]
+            col += 1
+    sched = scatter_multihop_schedule(recv, recv_coef, params["rate"], params["mode"])
+    mi = gather_trial_mutual_info_multihop(sched, a[:, m + npairs :], params["dest_coef"])
+    return int((mi < params["rate"]).sum())
+
+
+class TestMultihopScatterOracle:
+    """The helper-major schedule reproduces the scatter reference exactly."""
+
+    @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
+    @pytest.mark.parametrize("H", (1, 2, 3))
+    def test_bitwise_equal(self, H, mode):
+        a, coef, dest, dest_coef = edge_case_inputs(H, seed=200 + H)
+        # At rate 0 every helper needs nothing, one that hears no one included.
+        for rate in (0.0, UCMH_ORACLE_RATE):
+            want = scatter_multihop_schedule(a, coef, rate, mode)
+            got = multihop_schedule(a, coef, rate, mode)
+            for field in ("order", "fractions", "decoded"):
+                w, g = getattr(want, field), getattr(got, field)
+                assert g.shape == w.shape and g.dtype == w.dtype, field
+                assert np.array_equal(g, w), (rate, field)
+            want_mi = gather_trial_mutual_info_multihop(want, dest, dest_coef)
+            got_mi = trial_mutual_info_multihop(got, dest, dest_coef)
+            assert np.array_equal(got_mi, want_mi), rate
+        # The edge cases occur: stage-0 caps, and (two or more helpers)
+        # ties and helpers that need nothing more.
+        capped = (want.decoded == 1) & (want.fractions[:, 0] == 1.0)
+        assert capped[:500].all()
+        if H >= 2:
+            assert np.all(want.order[500:1000, 1] == 1)
+            assert np.all(want.order[1000:1500, 1] <= 1)
+            if mode == "accumulating":
+                assert np.all(want.fractions[500:1000, 1] == 0.0)
+                assert np.all(want.decoded[500:1000] == H + 1)
+
+    def test_ties_go_to_the_lowest_index(self):
+        a = np.zeros((1, 3, 4))
+        a[0, :, 0] = 0.5
+        coef = np.ones((3, 4))
+        for mode in ("accumulating", "per-fraction"):
+            sched = multihop_schedule(a, coef, rate=0.25, mode=mode)
+            assert sched.order[0, 1] == 1
+
+    @pytest.mark.parametrize(
+        "m,mode,seed,path,trials",
+        (
+            (2, "accumulating", 3, (0, 0, 0, 0), (1 << 13) + 1),
+            (2, "accumulating", 17, (4, 2, 1, 0), (1 << 16) + 3000),
+            (2, "per-fraction", 17, (4, 2, 1, 0), (1 << 14) + 3000),
+            (3, "accumulating", 29, (1, 1, 3, 2), (1 << 14) + 3000),
+            (3, "per-fraction", 31, (2, 0, 0, 1), (1 << 14) + 3000),
+        ),
+    )
+    def test_engine_counts_match_scatter_kernel(self, m, mode, seed, path, trials):
+        L = m + 1
+        params = {
+            "rate": 1.5,
+            "recv_coef": tuple(tuple(3.0 + h + t for t in range(L)) for h in range(m)),
+            "dest_coef": tuple(1.0 + 0.5 * t for t in range(L)),
+            "mode": mode,
+        }
+        assert trials > mc._BATCH
+        want = oracle_count_events(params, seed, path, trials)
+        assert 0.02 * trials < want < 0.98 * trials
+        assert mc.count_events("ucmh-ddf", params, seed, path, trials) == want
 
 
 class TestBounds:

@@ -83,6 +83,32 @@ class TestChunkSizes:
 
 MAC_PARAMS = {"rate": 0.25, "burst": 3.0, "d_dk_pow": 1.0}
 
+AF_PARAMS = {
+    "rate": 1.0, "burst": 3.0, "helper_budgets": (0.7, 1.6),
+    "scale_dk": 0.9**-2, "scale_dj": (0.8**-2, 0.8**-2), "scale_jk": (0.5**-2, 0.5**-2),
+}
+# One parameter set per kernel, each with an outage probability well
+# inside (0, 1) at 70,000 trials.
+KERNEL_PARAMS = {
+    "mac": MAC_PARAMS,
+    "rc-ddf": {
+        "rate": 1.0, "burst": 3.0, "gamma": 4.0, "d_rk": 0.6,
+        "d_dk_pow": 1.0, "relay_budget": 1.5, "d_dr_pow": 0.8,
+    },
+    "uc2-ddf": {
+        "rate": 1.0, "burst": 3.0, "gamma": 4.0, "d_jk": (0.6, 0.7),
+        "d_dk_pow": 1.0, "helper_budgets": (1.0, 1.2), "d_dj_pow": (0.9, 1.1),
+    },
+    "ucmh-ddf": {
+        "rate": 1.5,
+        "recv_coef": ((3.0, 0.0, 4.0), (3.5, 4.0, 0.0)),
+        "dest_coef": (1.0, 1.5, 2.0),
+        "mode": "accumulating",
+    },
+    "af2": AF_PARAMS,
+    "afmh": AF_PARAMS,
+}
+
 
 class TestCountEvents:
     def test_deterministic(self):
@@ -92,14 +118,26 @@ class TestCountEvents:
 
     def test_internal_batching_continues_one_stream(self):
         """A task larger than the batch size consumes one stream serially."""
-        trials = (1 << 16) + 777
+        trials = mc._BATCH + 777
         got = mc.count_events("mac", MAC_PARAMS, 5, (1, 2, 3, 4), trials)
         rng = mc.derive_stream(5, 1, 2, 3, 4)
         threshold = math.expm1(0.25 * math.log(2.0)) / 3.0
         manual = 0
-        for step in (1 << 16, 777):
+        for step in (mc._BATCH, 777):
             manual += int((rng.exponential(size=(step, 1))[:, 0] < threshold).sum())
         assert got == manual
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_PARAMS))
+    def test_counts_do_not_depend_on_batch_size(self, kernel, monkeypatch):
+        """Every kernel gives the same count for any internal batch size."""
+        params = KERNEL_PARAMS[kernel]
+        trials = 70_000
+        counts = set()
+        for batch in (1000, 8192, 65536):
+            monkeypatch.setattr(mc, "_BATCH", batch)
+            counts.add(mc.count_events(kernel, params, 13, (2, 1, 0, 0), trials))
+        assert len(counts) == 1
+        assert 0 < counts.pop() < trials
 
     def test_rate_zero_never_fails(self):
         params = dict(MAC_PARAMS, rate=0.0)

@@ -12,11 +12,9 @@ from .network import GeometryParams, NodePlacement, sample_placement, user_id
 from .strategies import Strategy, parse_strategy
 from .power import (
     PowerConfig,
-    TransmitProfile,
     processing_power,
     relay_power,
     total_power,
-    transmit_power_profile,
     user_burst_power,
 )
 from .ddf import (
@@ -70,11 +68,9 @@ __all__ = [
     "Strategy",
     "parse_strategy",
     "PowerConfig",
-    "TransmitProfile",
     "processing_power",
     "relay_power",
     "total_power",
-    "transmit_power_profile",
     "user_burst_power",
     "BoundPair",
     "clustering_condition",

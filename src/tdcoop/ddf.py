@@ -41,7 +41,6 @@ __all__ = [
     "ddf_bounds_uc2",
     "ddf_bounds_multihop",
     "clustering_condition",
-    "optimize_theta_grid",
 ]
 
 _THETA_GRID = np.linspace(0.01, 0.99, 99)
@@ -369,8 +368,6 @@ def _multihop_theta_vector(L, first_fraction=None):
     if first_fraction is None:
         return np.full(L, 1.0 / L)
     t = float(first_fraction)
-    if not 0.0 < t < 1.0:
-        raise ValueError("first_fraction must be in (0, 1)")
     out = np.full(L, (1.0 - t) / (L - 1))
     out[0] = t
     return out
@@ -382,14 +379,14 @@ def ddf_bounds_multihop(
     lambdas,
     dist_dest_pow,
     dist_to_source_pow,
-    theta_fractions=None,
     optimize=False,
 ) -> BoundPair:
     """High-SNR outage bounds for the 3+ hop chain.
 
     The upper bound is the diversity-L term times (K_c + K_d): K_c covers
-    trials where every helper decodes under the split theta_fractions,
-    K_d those where none does.  Both products run over all helpers, so
+    trials where every helper decodes under the split fractions (equal
+    1/L, or the best first fraction on the grid when optimising), K_d
+    those where none does.  Both products run over all helpers, so
     the decode order does not enter.
     """
     lam = np.asarray(lambdas, dtype=float)
@@ -418,14 +415,7 @@ def ddf_bounds_multihop(
             (kc_kd(_multihop_theta_vector(L, t)) for t in _THETA_GRID),
         )
         return BoundPair(lower=lower, upper=best * lower)
-    tvec = (
-        np.asarray(theta_fractions, dtype=float)
-        if theta_fractions is not None
-        else _multihop_theta_vector(L)
-    )
-    if tvec.size != L or np.any(tvec <= 0) or not math.isclose(tvec.sum(), 1.0, rel_tol=1e-9):
-        raise ValueError("theta_fractions must be L positive values summing to 1")
-    return BoundPair(lower=lower, upper=kc_kd(tvec) * lower)
+    return BoundPair(lower=lower, upper=kc_kd(_multihop_theta_vector(L)) * lower)
 
 
 def clustering_condition(
@@ -458,8 +448,3 @@ def clustering_condition(
         / dd[0]
     )
     return bool(dk.sum() <= threshold), float(threshold)
-
-
-def optimize_theta_grid():
-    """The 99-point split-fraction grid used by the bound optimisers."""
-    return _THETA_GRID.copy()

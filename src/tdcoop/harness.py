@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if self.target_events < 1 or self.trial_ceiling < 1:
             raise ValueError("target_events and trial_ceiling must be >= 1")
+        cells = self.num_placements * self.geometry.num_users
+        if not self.bounds_only and self.trial_ceiling < cells:
+            raise ValueError(
+                f"trial_ceiling {self.trial_ceiling} is below one trial per cell "
+                f"({self.num_placements} placements x {self.geometry.num_users} users = {cells})"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.theta_star < 1.0:
@@ -196,56 +202,23 @@ def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple
     ]
 
 
+# The cell's link table as the trial kernels read it (raw d_dk and d_dj
+# serve only the bounds).
+_LINK_FIELDS = (
+    "gamma", "d_jk", "dk_pow", "dj_pow", "jk_pow", "hh_pow", "dk_scale", "dj_scale", "jk_scale"
+)
+
+
 def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budgets) -> dict:
-    """Plain-data params of the cell's trial kernel at one P."""
-    if cell.kernel == "mac":
-        return {"rate": pc.rate, "burst": burst, "d_dk_pow": cell.dk_pow}
-    if cell.kernel in ("af2", "afmh"):
-        return {
-            "rate": pc.rate,
-            "burst": burst,
-            "helper_budgets": budgets,
-            "scale_dk": cell.dk_scale,
-            "scale_dj": cell.dj_scale,
-            "scale_jk": cell.jk_scale,
-        }
-    if cell.kernel == "rc-ddf":
-        return {
-            "rate": pc.rate,
-            "burst": burst,
-            "relay_budget": budgets[0],
-            "d_rk": cell.d_jk[0],
-            "gamma": cell.gamma,
-            "d_dk_pow": cell.dk_pow,
-            "d_dr_pow": cell.dj_pow[0],
-        }
-    if cell.kernel == "uc2-ddf":
-        return {
-            "rate": pc.rate,
-            "burst": burst,
-            "helper_budgets": budgets,
-            "d_jk": cell.d_jk,
-            "gamma": cell.gamma,
-            "d_dk_pow": cell.dk_pow,
-            "d_dj_pow": cell.dj_pow,
-        }
-    # ucmh-ddf: helper h hears the source (slot 0) and every other helper.
-    m = len(budgets)
-    recv_coef = np.zeros((m, m + 1))
-    for hh in range(m):
-        recv_coef[hh, 0] = burst / cell.jk_pow[hh]
-        for jj in range(m):
-            if jj != hh:
-                recv_coef[hh, jj + 1] = budgets[jj] / cell.hh_pow[hh][jj]
-    dest_coef = (burst / cell.dk_pow,) + tuple(
-        budget / d_pow for budget, d_pow in zip(budgets, cell.dj_pow)
-    )
-    return {
-        "rate": pc.rate,
-        "recv_coef": tuple(map(tuple, recv_coef)),
-        "dest_coef": dest_coef,
-        "mode": strategy.multihop_mode,
-    }
+    """The cell's trial-kernel record at one P, the same keys for every kernel.
+
+    rate, the source's burst power, its forwarders' budgets (the relay's
+    under rc), the multihop mode and the link table; each kernel reads
+    the entries its rate step needs.
+    """
+    record = {"rate": pc.rate, "burst": burst, "budgets": budgets, "mode": strategy.multihop_mode}
+    record.update((name, getattr(cell, name)) for name in _LINK_FIELDS)
+    return record
 
 
 def _cell_bounds(

@@ -26,6 +26,14 @@ batch size; it only keeps each batch's draw arrays in cache.
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
 information is strictly below the rate; rate 0 therefore never fails.
+Every kernel takes the same parameter record (built by the sweep
+harness): ``rate``, the source's ``burst`` power, its forwarders'
+``budgets`` (the relay's under rc), the multihop ``mode`` and the
+cell's link table -- ``gamma``, raw source-forwarder distances
+``d_jk``, d^gamma per link (``dk_pow``, ``dj_pow``, ``jk_pow``, and
+``hh_pow`` between helpers) and the AF amplitude scales d^(-gamma/2)
+(``dk_scale``, ``dj_scale``, ``jk_scale``).  Each kernel reads what its
+rate step needs.
 """
 
 from __future__ import annotations
@@ -103,8 +111,9 @@ def chunk_sizes(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Trial kernels.  params holds plain floats/tuples so tasks pickle cheaply.
-# Each kernel documents its draw layout; changing a layout changes results.
+# Trial kernels.  params is the plain-data record described above, so
+# tasks pickle cheaply.  Each kernel documents its draw layout; changing a
+# layout changes results.
 
 
 def _rayleigh_complex(rng, n, m):
@@ -132,7 +141,7 @@ def _count_mac(params, rng, n):
     burst = params["burst"]
     if burst <= 0.0:
         return n
-    threshold = math.expm1(rate * math.log(2.0)) * params["d_dk_pow"] / burst
+    threshold = math.expm1(rate * math.log(2.0)) * params["dk_pow"] / burst
     return int((a < threshold).sum())
 
 
@@ -143,11 +152,11 @@ def _count_rc_ddf(params, rng, n):
     if rate <= 0.0:
         return 0
     burst = params["burst"]
-    theta = _ddf.listen_fraction_rc(a[:, 0], params["d_rk"], burst, rate, params["gamma"])
+    theta = _ddf.listen_fraction_rc(a[:, 0], params["d_jk"][0], burst, rate, params["gamma"])
     mi = _ddf.trial_mutual_info_rc(
         theta,
-        a[:, 1] * burst / params["d_dk_pow"],
-        a[:, 2] * params["relay_budget"] / params["d_dr_pow"],
+        a[:, 1] * burst / params["dk_pow"],
+        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
     )
     return int((mi < rate).sum())
 
@@ -159,16 +168,16 @@ def _count_uc2_ddf(params, rng, n):
     A_dk, then destination links A_dj (m).
     """
     rate = params["rate"]
-    m = len(params["helper_budgets"])
+    m = len(params["budgets"])
     a = rng.exponential(size=(n, 2 * m + 1))
     if rate <= 0.0:
         return 0
     burst = params["burst"]
     d_jk = np.asarray(params["d_jk"])
     theta = _ddf.listen_fraction_uc2(a[:, :m], d_jk, burst, rate, params["gamma"])
-    budgets = np.asarray(params["helper_budgets"])
-    helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["d_dj_pow"])
-    mi = _ddf.trial_mutual_info_uc2(theta, a[:, m] * burst / params["d_dk_pow"], helper_snr)
+    budgets = np.asarray(params["budgets"])
+    helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["dj_pow"])
+    mi = _ddf.trial_mutual_info_uc2(theta, a[:, m] * burst / params["dk_pow"], helper_snr)
     return int((mi < rate).sum())
 
 
@@ -181,12 +190,25 @@ def _count_ucmh_ddf(params, rng, n):
     one fading draw for both directions.
     """
     rate = params["rate"]
-    recv_coef = np.asarray(params["recv_coef"])
-    m, L = recv_coef.shape[0], recv_coef.shape[1]
+    burst, budgets = params["burst"], params["budgets"]
+    m = len(budgets)
+    L = m + 1
     npairs = m * (m - 1) // 2
     a = rng.exponential(size=(n, m + npairs + 1 + m))
     if rate <= 0.0:
         return 0
+    # Link SNR coefficients: helper h hears the source (slot 0) and every
+    # other helper; the destination hears the source and every helper.
+    recv_coef = np.zeros((m, L))
+    for h in range(m):
+        recv_coef[h, 0] = burst / params["jk_pow"][h]
+        for j in range(m):
+            if j != h:
+                recv_coef[h, j + 1] = budgets[j] / params["hh_pow"][h][j]
+    dest_coef = np.array(
+        (burst / params["dk_pow"],)
+        + tuple(budget / d_pow for budget, d_pow in zip(budgets, params["dj_pow"]))
+    )
     # Helper-major (m, L, n) storage, passed as its (n, m, L) view: the
     # schedule reads each helper's links as contiguous columns.
     recv = np.zeros((m, L, n))
@@ -201,7 +223,7 @@ def _count_ucmh_ddf(params, rng, n):
     sched = _ddf.multihop_schedule(
         recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"]
     )
-    mi = _ddf.trial_mutual_info_multihop(sched, dest, np.asarray(params["dest_coef"]))
+    mi = _ddf.trial_mutual_info_multihop(sched, dest, dest_coef)
     return int((mi < rate).sum())
 
 
@@ -216,15 +238,13 @@ def _count_af(params, rng, n, multihop=False):
     built, and ``af_trial_mutual_info`` stays the general reference.
     """
     rate = params["rate"]
-    m = len(params["helper_budgets"])
+    m = len(params["budgets"])
     h = _rayleigh_complex(rng, n, 1 + 2 * m)
     if rate <= 0.0:
         return 0
-    h *= np.array((params["scale_dk"], *params["scale_dj"], *params["scale_jk"]))
+    h *= np.array((params["dk_scale"], *params["dj_scale"], *params["jk_scale"]))
     mutual_info = _af.afmh_trial_mutual_info if multihop else _af.af2_trial_mutual_info
-    mi = mutual_info(
-        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["helper_budgets"], params["burst"]
-    )
+    mi = mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
     return int((mi < rate).sum())
 
 

@@ -2,18 +2,24 @@
 
 Every user owns a 1/K share of the frame and spends its average budget
 P_k only while transmitting, so bursts are scaled up by the inverse of
-the transmitting time share.  Cooperation adds processing costs on top:
-a node pays eta * R_j to encode and delta * R_j to decode a rate-R_j
-message, plus a fixed overhead P_0 when it processes at all.  A source
-only encodes its own message; a DDF forwarder decodes and re-encodes
-each message it relays; an AF forwarder does neither.  The destination's
-processing is not charged to the network.
+the transmitting time share (``user_burst_power``; the relay's budget is
+``relay_power``).  These are the program's only burst and budget rules:
+the sweep harness passes each user's burst and its forwarders' budgets
+to the trial kernels in one parameter record, and the kernels apply the
+in-period boosts (a DDF forwarder's 1/(1 - theta) over its remaining
+time, an AF forwarder's two-slot gain).
+
+Cooperation adds processing costs on top: a node pays eta * R_j to
+encode and delta * R_j to decode a rate-R_j message, plus a fixed
+overhead P_0 when it processes at all.  A source only encodes its own
+message; a DDF forwarder decodes and re-encodes each message it relays;
+an AF forwarder does neither.  The destination's processing is not
+charged to the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Collection
 
 from .strategies import Strategy
 
@@ -23,8 +29,6 @@ __all__ = [
     "relay_power",
     "processing_power",
     "total_power",
-    "TransmitProfile",
-    "transmit_power_profile",
 ]
 
 
@@ -77,25 +81,19 @@ def relay_power(pc: PowerConfig) -> float:
     return pc.relay_power_factor * pc.user_power
 
 
-def processing_power(
-    pc: PowerConfig,
-    encodes_for: int | Collection = (),
-    decodes_for: int | Collection = (),
-) -> float:
+def processing_power(pc: PowerConfig, encodes_for: int = 0, decodes_for: int = 0) -> float:
     """P_0 + (eta * #encoded + delta * #decoded) * R for one node.
 
-    The indicator sets may be given as collections of message owners or
-    as plain counts; with a symmetric rate only the counts matter.  A
-    node with both sets empty pays nothing, not even overhead.
+    encodes_for and decodes_for count the messages the node encodes and
+    decodes; with a symmetric rate only the counts matter.  A node that
+    codes nothing pays nothing, not even overhead.
     """
-    n_enc = encodes_for if isinstance(encodes_for, int) else len(encodes_for)
-    n_dec = decodes_for if isinstance(decodes_for, int) else len(decodes_for)
-    if n_enc < 0 or n_dec < 0:
+    if encodes_for < 0 or decodes_for < 0:
         raise ValueError("indicator counts must be nonnegative")
-    if n_enc == 0 and n_dec == 0:
+    if encodes_for == 0 and decodes_for == 0:
         return 0.0
     return pc.overhead_power + (
-        pc.encode_factor * n_enc + pc.decode_factor * n_dec
+        pc.encode_factor * encodes_for + pc.decode_factor * decodes_for
     ) * pc.rate
 
 
@@ -124,115 +122,3 @@ def total_power(strategy: Strategy, pc: PowerConfig) -> float:
             total += processing_power(pc, K, K)
     return total
 
-
-@dataclass(frozen=True)
-class TransmitProfile:
-    """Realised burst schedule: (node, period owner, time share, burst power).
-
-    The time share is the fraction of the owner's period during which the
-    node is on.  Average power of a node over the frame is the sum of
-    share * burst / K over its entries; for interior fractions this lands
-    exactly on the node's budget.
-    """
-
-    num_users: int
-    entries: tuple[tuple[str, int, float, float], ...]
-
-    def average_power(self, node: str) -> float:
-        return sum(
-            share * burst / self.num_users
-            for who, _, share, burst in self.entries
-            if who == node
-        )
-
-
-def _require_interior(thetabar: float, context: str):
-    if thetabar <= 0.0:
-        raise ValueError(f"degenerate fraction: no transmit time left for {context}")
-
-
-def _check_theta(theta, period: int) -> float:
-    theta = float(theta)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"listen fraction for period {period} must be in (0, 1]")
-    return theta
-
-
-def transmit_power_profile(
-    strategy: Strategy, pc: PowerConfig, fractions=None
-) -> TransmitProfile:
-    """Expand a strategy plus realised slot fractions into burst entries.
-
-    ``fractions`` is per-period scheduling data keyed by the period owner:
-    the listen fraction theta for two-hop DDF, nothing for mac/AF (AF
-    fractions are fixed), or (order, fraction vector) pairs for multihop
-    DDF.  Cooperating transmitters with zero remaining time are an error;
-    callers drop helpers that never start transmitting instead.
-    """
-    K = strategy.num_users
-    entries = []
-    fractions = fractions or {}
-    for k in range(1, K + 1):
-        uk = f"u{k}"
-        entries.append((uk, k, 1.0, user_burst_power(strategy, pc, k)))
-        if strategy.mode == "rc":
-            if strategy.family == "af":
-                entries.append(("r", k, 0.5, 2.0 * relay_power(pc)))
-            else:
-                theta = _check_theta(fractions[k], k)
-                if theta < 1.0:
-                    entries.append(("r", k, 1.0 - theta, relay_power(pc) / (1.0 - theta)))
-        elif strategy.mode == "uc2":
-            helpers = strategy.helpers(k)
-            if strategy.family == "af":
-                for j in helpers:
-                    entries.append(
-                        (f"u{j}", k, 0.5, 2.0 * user_burst_power(strategy, pc, j))
-                    )
-            else:
-                theta = _check_theta(fractions[k], k)
-                if theta < 1.0:
-                    for j in helpers:
-                        entries.append(
-                            (
-                                f"u{j}",
-                                k,
-                                1.0 - theta,
-                                user_burst_power(strategy, pc, j) / (1.0 - theta),
-                            )
-                        )
-        elif strategy.mode == "ucmh":
-            L = strategy.hops(k)
-            if strategy.family == "af":
-                for j in strategy.helpers(k):
-                    entries.append(
-                        (f"u{j}", k, 1.0 / L, L * user_burst_power(strategy, pc, j))
-                    )
-            else:
-                order, theta_vec = fractions[k]
-                if len(order) != L or len(theta_vec) != L or order[0] != k:
-                    raise ValueError(f"malformed multihop schedule for period {k}")
-                # A node transmits from its own stage to the end of the
-                # period, so its time share is the remaining time at its
-                # position; a zero-length own stage (instant decode) still
-                # leaves it transmitting afterwards.
-                remaining = 1.0
-                for pos, node in enumerate(order):
-                    share = remaining
-                    theta_here = float(theta_vec[pos])
-                    if theta_here < 0.0:
-                        raise ValueError("negative slot fraction")
-                    if pos > 0:
-                        if theta_here > 0.0 and share <= 0.0:
-                            _require_interior(share, f"hop {pos + 1} in period {k}")
-                        if share > 0.0:
-                            entries.append(
-                                (
-                                    f"u{node}",
-                                    k,
-                                    share,
-                                    user_burst_power(strategy, pc, node) / share,
-                                )
-                            )
-                    remaining -= theta_here
-    return TransmitProfile(num_users=K, entries=tuple(entries))

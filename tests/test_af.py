@@ -275,7 +275,7 @@ def slogdet_count_events(kernel, params, seed, path, trials):
     """Reference AF kernel: the engine's stream and draw layout, the
     general log-det rate of the equivalent-channel matrix."""
     build = afmh_equivalent_channel if kernel == "afmh" else af2_equivalent_channel
-    m = len(params["helper_budgets"])
+    m = len(params["budgets"])
     links = 1 + 2 * m
     rng = mc.derive_stream(seed, *path)
     events = 0
@@ -284,10 +284,10 @@ def slogdet_count_events(kernel, params, seed, path, trials):
         parts = rng.standard_normal((n, 2 * links))
         amp = math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
         ch = build(
-            amp[:, 0] * params["scale_dk"],
-            amp[:, 1 : 1 + m] * np.asarray(params["scale_dj"]),
-            amp[:, 1 + m :] * np.asarray(params["scale_jk"]),
-            np.asarray(params["helper_budgets"]),
+            amp[:, 0] * params["dk_scale"],
+            amp[:, 1 : 1 + m] * np.asarray(params["dj_scale"]),
+            amp[:, 1 + m :] * np.asarray(params["jk_scale"]),
+            np.asarray(params["budgets"]),
             params["burst"],
         )
         events += int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
@@ -336,10 +336,10 @@ class TestClosedFormRates:
         params = {
             "rate": 1.0,
             "burst": 3.0,
-            "helper_budgets": budgets,
-            "scale_dk": 0.9**-2,
-            "scale_dj": tuple(0.8**-2 for _ in range(m)),
-            "scale_jk": tuple(0.5**-2 for _ in range(m)),
+            "budgets": budgets,
+            "dk_scale": 0.9**-2,
+            "dj_scale": tuple(0.8**-2 for _ in range(m)),
+            "jk_scale": tuple(0.5**-2 for _ in range(m)),
         }
         want = slogdet_count_events(kernel, params, seed, path, trials)
         assert 0.02 * trials < want < 0.98 * trials

@@ -218,6 +218,15 @@ class TestCliRun:
         assert captured.out.splitlines()[1].endswith(",0")
         assert captured.err == ""
 
+    def test_trial_ceiling_below_the_cell_count_exits_2(self, tmp_path, capsys):
+        # 2 placements x 3 users = 6 cells need at least one trial each
+        path = write_cfg(tmp_path)
+        assert main(["run", "-c", path, "--trial-ceiling", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial_ceiling 5 is below one trial per cell")
+        assert "2 placements x 3 users = 6" in err
+        assert main(["run", "-c", path, "--trial-ceiling", "5", "--bounds-only"]) == 0
+
     def test_bad_snr_override_exits_2(self, tmp_path, capsys):
         assert main(["run", "-c", write_cfg(tmp_path), "--snr-db", "5:1:2"]) == 2
 

@@ -26,7 +26,6 @@ from tdcoop.ddf import (
     listen_fraction_rc,
     listen_fraction_uc2,
     multihop_schedule,
-    optimize_theta_grid,
     trial_mutual_info_multihop,
     trial_mutual_info_rc,
     trial_mutual_info_uc2,
@@ -371,10 +370,24 @@ def edge_case_inputs(H, seed, n=6000):
 UCMH_ORACLE_RATE = 0.5
 
 
+def oracle_coefficients(params):
+    """The ucmh-ddf link SNR coefficients of a kernel record, built as
+    whole arrays: helper h hears the source at burst / jk_pow[h] and
+    helper j at budgets[j] / hh_pow[h][j]; the destination hears the
+    source at burst / dk_pow and helper j at budgets[j] / dj_pow[j]."""
+    burst = params["burst"]
+    budgets = np.asarray(params["budgets"], dtype=float)
+    hh = np.asarray(params["hh_pow"], dtype=float)
+    heard = np.divide(budgets, hh, out=np.zeros_like(hh), where=~np.eye(budgets.size, dtype=bool))
+    recv_coef = np.column_stack((burst / np.asarray(params["jk_pow"]), heard))
+    dest_coef = np.concatenate(([burst / params["dk_pow"]], budgets / np.asarray(params["dj_pow"])))
+    return recv_coef, dest_coef
+
+
 def oracle_count_events(params, seed, path, trials):
     """Reference ucmh-ddf kernel: the engine's stream and draw layout drawn
     in one piece, trial-major link arrays, the scatter schedule."""
-    recv_coef = np.asarray(params["recv_coef"])
+    recv_coef, dest_coef = oracle_coefficients(params)
     m, L = recv_coef.shape
     npairs = m * (m - 1) // 2
     a = mc.derive_stream(seed, *path).exponential(size=(trials, m + npairs + 1 + m))
@@ -387,7 +400,7 @@ def oracle_count_events(params, seed, path, trials):
             recv[:, j, h + 1] = a[:, col]
             col += 1
     sched = scatter_multihop_schedule(recv, recv_coef, params["rate"], params["mode"])
-    mi = gather_trial_mutual_info_multihop(sched, a[:, m + npairs :], params["dest_coef"])
+    mi = gather_trial_mutual_info_multihop(sched, a[:, m + npairs :], dest_coef)
     return int((mi < params["rate"]).sum())
 
 
@@ -439,12 +452,17 @@ class TestMultihopScatterOracle:
         ),
     )
     def test_engine_counts_match_scatter_kernel(self, m, mode, seed, path, trials):
-        L = m + 1
         params = {
             "rate": 1.5,
-            "recv_coef": tuple(tuple(3.0 + h + t for t in range(L)) for h in range(m)),
-            "dest_coef": tuple(1.0 + 0.5 * t for t in range(L)),
+            "burst": 3.0,
+            "budgets": tuple(2.0 + 0.5 * j for j in range(m)),
             "mode": mode,
+            "jk_pow": tuple(1.0 - 0.1 * h for h in range(m)),
+            "hh_pow": tuple(
+                tuple(0.0 if h == j else 0.5 + 0.1 * (h + j) for j in range(m)) for h in range(m)
+            ),
+            "dk_pow": 3.0,
+            "dj_pow": tuple(1.0 + 0.25 * j for j in range(m)),
         }
         assert trials > mc._BATCH
         want = oracle_count_events(params, seed, path, trials)
@@ -485,13 +503,6 @@ class TestBounds:
         mh = ddf_bounds_multihop(0.25, 100.0, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0))
         np.testing.assert_allclose(mh.lower, uc2.lower, rtol=1e-14)
         assert mh.upper >= mh.lower
-
-    def test_multihop_theta_vector_validated(self):
-        with pytest.raises(ValueError):
-            ddf_bounds_multihop(
-                0.25, 100.0, (1, 1, 1), (1, 1, 1), (1, 1),
-                theta_fractions=(0.5, 0.5, 0.5),
-            )
 
     def test_bad_theta_star_rejected(self):
         with pytest.raises(ValueError):
@@ -560,12 +571,3 @@ class TestClusteringCondition:
     def test_two_branches_rejected(self):
         with pytest.raises(ValueError):
             clustering_condition(0.25, 10.0, (1.0, 1.0), (1.0, 1.0), (1.0,))
-
-
-class TestThetaGrid:
-    def test_grid_shape_and_range(self):
-        g = optimize_theta_grid()
-        assert g.size == 99
-        np.testing.assert_allclose(g[0], 0.01)
-        np.testing.assert_allclose(g[-1], 0.99)
-        assert np.all(np.diff(g) > 0)

@@ -81,32 +81,25 @@ class TestChunkSizes:
             assert sum(mc.chunk_sizes(int(n))) == n
 
 
-MAC_PARAMS = {"rate": 0.25, "burst": 3.0, "d_dk_pow": 1.0}
-
-AF_PARAMS = {
-    "rate": 1.0, "burst": 3.0, "helper_budgets": (0.7, 1.6),
-    "scale_dk": 0.9**-2, "scale_dj": (0.8**-2, 0.8**-2), "scale_jk": (0.5**-2, 0.5**-2),
+# One full kernel record (two forwarders, gamma 4): every kernel takes
+# the same keys and reads what it needs.
+RECORD = {
+    "rate": 1.0, "burst": 3.0, "budgets": (1.0, 1.2), "mode": "accumulating",
+    "gamma": 4.0, "d_jk": (0.6, 0.7),
+    "dk_pow": 1.0, "dj_pow": (0.9, 1.1), "jk_pow": (0.6**4, 0.7**4),
+    "hh_pow": ((0.0, 0.5), (0.5, 0.0)),
+    "dk_scale": 1.0, "dj_scale": (0.9**-0.5, 1.1**-0.5), "jk_scale": (0.6**-2, 0.7**-2),
 }
-# One parameter set per kernel, each with an outage probability well
-# inside (0, 1) at 70,000 trials.
+MAC_PARAMS = dict(RECORD, rate=0.25)
+# Each kernel's outage probability sits well inside (0, 1) at 70,000
+# trials.
 KERNEL_PARAMS = {
     "mac": MAC_PARAMS,
-    "rc-ddf": {
-        "rate": 1.0, "burst": 3.0, "gamma": 4.0, "d_rk": 0.6,
-        "d_dk_pow": 1.0, "relay_budget": 1.5, "d_dr_pow": 0.8,
-    },
-    "uc2-ddf": {
-        "rate": 1.0, "burst": 3.0, "gamma": 4.0, "d_jk": (0.6, 0.7),
-        "d_dk_pow": 1.0, "helper_budgets": (1.0, 1.2), "d_dj_pow": (0.9, 1.1),
-    },
-    "ucmh-ddf": {
-        "rate": 1.5,
-        "recv_coef": ((3.0, 0.0, 4.0), (3.5, 4.0, 0.0)),
-        "dest_coef": (1.0, 1.5, 2.0),
-        "mode": "accumulating",
-    },
-    "af2": AF_PARAMS,
-    "afmh": AF_PARAMS,
+    "rc-ddf": RECORD,
+    "uc2-ddf": RECORD,
+    "ucmh-ddf": dict(RECORD, rate=1.5),
+    "af2": RECORD,
+    "afmh": RECORD,
 }
 
 

@@ -8,7 +8,6 @@ from tdcoop.power import (
     processing_power,
     relay_power,
     total_power,
-    transmit_power_profile,
     user_burst_power,
 )
 from tdcoop.strategies import parse_strategy
@@ -51,12 +50,6 @@ class TestProcessingPower:
         assert processing_power(pc, 0, 0) == 0.0
         np.testing.assert_allclose(processing_power(pc, 1, 0), 0.7)
         np.testing.assert_allclose(processing_power(pc, 2, 2), 0.7)
-
-    def test_collections_count_like_ints(self):
-        pc = PowerConfig(rate=0.5, encode_factor=0.2, decode_factor=0.3)
-        np.testing.assert_allclose(
-            processing_power(pc, {1, 2}, {3}), processing_power(pc, 2, 1)
-        )
 
 
 class TestTotalPower:
@@ -104,73 +97,28 @@ class TestTotalPower:
             assert total_power(s, bigger) > ref
 
 
-class TestTransmitProfile:
-    def test_rc_ddf_relay_burst(self):
-        pc = PowerConfig(user_power=1.0, relay_power_factor=0.5)
-        s = parse_strategy("rc-ddf", 3)
-        prof = transmit_power_profile(s, pc, fractions={1: 0.5, 2: 0.5, 3: 0.5})
-        relay_entries = [e for e in prof.entries if e[0] == "r"]
-        assert len(relay_entries) == 3
-        for _, _, share, burst in relay_entries:
-            np.testing.assert_allclose(share, 0.5)
-            np.testing.assert_allclose(burst, 1.0)
+SEVEN = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
+# test id -> (strategy name, number of users, coop_sets)
+AUDIT_CASES = {
+    **{name: (name, 3, None) for name in SEVEN},
+    "uc2-ddf-ring": ("uc2-ddf", 3, {1: [2], 2: [3], 3: [1]}),
+    "uc4-ddf": ("uc4-ddf", 4, None),
+    "uc4-af": ("uc4-af", 4, None),
+}
 
-    def test_energy_audit_all_strategies(self):
-        """Average power per node over the frame equals its budget to 1e-12."""
-        pc = PowerConfig(user_power=1.3, relay_power_factor=0.5)
-        rng = np.random.default_rng(21)
-        cases = {
-            "mac": None,
-            "rc-af": None,
-            "uc2-af": None,
-            "uc3-af": None,
-            "rc-ddf": {k: rng.uniform(0.05, 0.95) for k in (1, 2, 3)},
-            "uc2-ddf": {k: rng.uniform(0.05, 0.95) for k in (1, 2, 3)},
-        }
-        orders = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}
-        mh = {}
-        for k in (1, 2, 3):
-            t1 = rng.uniform(0.1, 0.5)
-            t2 = rng.uniform(0.05, 1.0 - t1 - 0.05)
-            mh[k] = (orders[k], (t1, t2, 1.0 - t1 - t2))
-        cases["uc3-ddf"] = mh
-        for name, fr in cases.items():
-            s = parse_strategy(name, 3)
-            prof = transmit_power_profile(s, pc, fractions=fr)
-            for k in (1, 2, 3):
-                np.testing.assert_allclose(
-                    prof.average_power(f"u{k}"), 1.3, atol=1e-12,
-                    err_msg=f"user budget violated for {name}",
-                )
-            if s.uses_relay:
-                np.testing.assert_allclose(prof.average_power("r"), 0.65, atol=1e-12)
 
-    def test_instant_decode_keeps_transmitting(self):
-        # zero-length own stage: the helper still spends the rest of the period
-        pc = PowerConfig(user_power=1.0)
-        s = parse_strategy("uc3-ddf", 3)
-        fr = {k: ((k, k % 3 + 1, (k + 1) % 3 + 1), (0.4, 0.0, 0.6)) for k in (1, 2, 3)}
-        prof = transmit_power_profile(s, pc, fractions=fr)
-        for k in (1, 2, 3):
-            np.testing.assert_allclose(prof.average_power(f"u{k}"), 1.0, atol=1e-12)
-
-    def test_degenerate_fraction_rejected(self):
-        pc = PowerConfig(user_power=1.0)
-        s = parse_strategy("uc3-ddf", 3)
-        # third hop wants time but none remains
-        fr = {
-            1: ((1, 2, 3), (0.5, 0.5, 0.2)),
-            2: ((2, 3, 1), (0.5, 0.3, 0.2)),
-            3: ((3, 1, 2), (0.5, 0.3, 0.2)),
-        }
-        with pytest.raises(ValueError):
-            transmit_power_profile(s, pc, fractions=fr)
-
-    def test_bad_two_hop_fraction_rejected(self):
-        pc = PowerConfig(user_power=1.0)
-        s = parse_strategy("uc2-ddf", 3)
-        with pytest.raises(ValueError):
-            transmit_power_profile(s, pc, fractions={1: 0.0, 2: 0.5, 3: 0.5})
+class TestBudgetAudit:
+    @pytest.mark.parametrize(
+        "name,num_users,coop_sets", list(AUDIT_CASES.values()), ids=list(AUDIT_CASES)
+    )
+    def test_burst_over_on_time_meets_the_budget(self, name, num_users, coop_sets):
+        """User k is on in its own period and the N_k it forwards in, each
+        1/K of the frame, so its burst averages back to P_k."""
+        pc = PowerConfig(user_power=1.3)
+        s = parse_strategy(name, num_users, coop_sets=coop_sets)
+        for k in range(1, num_users + 1):
+            average = user_burst_power(s, pc, k) * (s.num_forwarded(k) + 1) / num_users
+            assert abs(average - pc.user_power) <= 1e-12, (name, k)
 
 
 class TestPowerConfig:

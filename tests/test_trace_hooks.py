@@ -1,0 +1,53 @@
+"""The benchmark's trace hooks still find the call sites they rebind.
+
+``perfbench/tracing.py`` times the program's layers from outside: it
+rebinds the module attributes through which one tdcoop module calls
+another (``ddf.multihop_schedule``, ``harness.user_burst_power``, ...).
+A refactor that renames or drops one of those names breaks
+``perfbench/run.py --trace 1``; these tests catch that in the unit suite.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracing  # noqa: E402
+from tdcoop import af, cli, config, ddf, harness, mathcore, mc  # noqa: E402
+from tdcoop.network import GeometryParams, sample_placement  # noqa: E402
+from tdcoop.power import PowerConfig  # noqa: E402
+from tdcoop.strategies import parse_strategy  # noqa: E402
+
+MODULES = (af, cli, config, ddf, harness, mathcore, mc)
+
+
+def bindings():
+    return [{name: id(value) for name, value in vars(m).items()} for m in MODULES]
+
+
+@pytest.mark.parametrize("mode", ("full", "light", "pool"))
+def test_install_then_restore(mode):
+    before = bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, mode)
+        assert bindings() != before
+    finally:
+        tracer.restore()
+    assert bindings() == before
+
+
+def test_full_mode_records_the_layers():
+    placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, "full")
+        harness.estimate_outage(
+            parse_strategy("uc3-ddf", 3), placement, PowerConfig(user_power=10.0), trials=64, seed=1
+        )
+    finally:
+        tracer.restore()
+    for name in ("mc.run_cells", "mc.task.ucmh-ddf", "mc.draw", "ddf.schedule", "power"):
+        assert name in tracer.span_names, name

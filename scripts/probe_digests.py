@@ -26,6 +26,9 @@ script exits 1.
   f  b's settings with uc3-ddf alone, accumulating mode
   g  b's settings with uc3-ddf alone, per-fraction mode
   h  b's settings at num_users 4 with uc4-ddf and uc4-af (three helpers)
+  i  the bounds-grid sweep: default geometry, the seven strategies, 250
+     placements, seed 2001, -10..45 dB in 5 dB steps, rate 0.25,
+     relay/encode/decode factors 0.5, bounds.optimize off; --bounds-only
 """
 
 from __future__ import annotations
@@ -73,6 +76,15 @@ PROBE_B = {
     ],
 }
 
+BOUNDS_GRID = {
+    "seed": 2001,
+    "placements": 250,
+    "snr_db": [float(x) for x in range(-10, 50, 5)],
+    "power": {"rate": 0.25, "relay_factor": 0.5, "encode_factor": 0.5, "decode_factor": 0.5},
+    "bounds": {"optimize": False},
+    "strategies": SEVEN,
+}
+
 # name -> (config, extra CLI arguments, worker counts)
 CLI_PROBES = {
     "a": (ACCEPTANCE_8, [], (1, 2)),
@@ -85,6 +97,7 @@ CLI_PROBES = {
         (1,),
     ),
     "h": ({**SMALL_AREA, "geometry": {"num_users": 4}, "strategies": ["uc4-ddf", "uc4-af"]}, [], (1,)),
+    "i": (BOUNDS_GRID, ["--bounds-only"], (1,)),
 }
 
 
@@ -138,7 +151,7 @@ def estimate_digest() -> str:
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in "abcdefgh":
+        for name in "abcdefghi":
             if name in CLI_PROBES:
                 config, extra, workers = CLI_PROBES[name]
                 digests = cli_digests(config, extra, workers, Path(tmp))

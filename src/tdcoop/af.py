@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddf import BoundPair, _pow2m1
+from .ddf import BoundPair, _columns, _float_pow, _pow2m1
 
 __all__ = [
     "EquivalentChannel",
@@ -192,40 +192,36 @@ def afmh_trial_mutual_info(h_dk, h_dj, h_jk, helper_budgets, source_burst):
     return logdet / ((a_dj.shape[1] + 1) * math.log(2.0))
 
 
-def af_bounds_2hop(
-    rate, burst_power, d_dk, d_dest_helpers, d_helpers_src, gamma
-) -> BoundPair:
+def af_bounds_2hop(rate, burst_power, dk_pow, dj_pow, jk_pow) -> BoundPair:
     """Outage bounds for the two-slot scheme.
 
-    Lower: coherent two-antenna array with the helpers merged into one
-    effective branch.  Upper: orthogonal forwarding with the worst helper
-    path, paying the repetition penalty 2^(2R) - 1.
+    dk_pow is d^gamma of the source-destination link; dj_pow and jk_pow
+    hold the helper-destination and source-helper d^gamma, one helper per
+    column of the last axis.  rate is a scalar; a leading axis runs over
+    cells, to which dk_pow and burst_power broadcast.  Lower: coherent
+    two-antenna array with the helpers merged into one effective branch.
+    Upper: orthogonal forwarding with the worst helper path, paying the
+    repetition penalty 2^(2R) - 1.
     """
-    dd = np.asarray(d_dest_helpers, dtype=float) ** gamma
-    dk = np.asarray(d_helpers_src, dtype=float) ** gamma
+    burst_power, dk_pow, dd, dk = _columns(burst_power, dk_pow, dj_pow, jk_pow)
     eta = float(_pow2m1(rate))
     eta2 = float(_pow2m1(2.0 * rate))
-    lower = eta**2 * d_dk**gamma / (2.0 * burst_power**2 * float((1.0 / dd).sum()))
-    upper = eta2**2 * d_dk**gamma * float((dk + dd).max()) / (2.0 * burst_power**2)
+    burst_sq = _float_pow(burst_power, 2)
+    lower = eta**2 * dk_pow / (2.0 * burst_sq * (1.0 / dd).sum(axis=-1))
+    upper = eta2**2 * dk_pow * (dk + dd).max(axis=-1) / (2.0 * burst_sq)
     return BoundPair(lower=lower, upper=upper)
 
 
-def af_bounds_multihop(
-    rate, burst_power, d_dk, d_dest_helpers, d_helpers_src, gamma
-) -> BoundPair:
-    """Outage bounds for the L-slot scheme (L = helpers + 1)."""
-    dd = np.asarray(d_dest_helpers, dtype=float) ** gamma
-    dk = np.asarray(d_helpers_src, dtype=float) ** gamma
-    L = dd.size + 1
+def af_bounds_multihop(rate, burst_power, dk_pow, dj_pow, jk_pow) -> BoundPair:
+    """Outage bounds for the L-slot scheme (L = helpers + 1).
+
+    Arguments are shaped as for ``af_bounds_2hop``.
+    """
+    burst_power, dk_pow, dd, dk = _columns(burst_power, dk_pow, dj_pow, jk_pow)
+    L = dd.shape[-1] + 1
     eta = float(_pow2m1(rate))
     eta_l = float(_pow2m1(L * rate))
-    lower = (
-        eta**L * d_dk**gamma * float(np.prod(dd)) / (math.factorial(L) * burst_power**L)
-    )
-    upper = (
-        eta_l**L
-        * d_dk**gamma
-        * float(np.prod(dd + dk))
-        / (math.factorial(L) * burst_power**L)
-    )
+    denom = math.factorial(L) * _float_pow(burst_power, L)
+    lower = eta**L * dk_pow * np.prod(dd, axis=-1) / denom
+    upper = eta_l**L * dk_pow * np.prod(dd + dk, axis=-1) / denom
     return BoundPair(lower=lower, upper=upper)

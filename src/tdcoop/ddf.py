@@ -15,7 +15,9 @@ inverse of its remaining transmit time.
 
 All trial-level functions are vectorised over trials.  The bound
 functions return the high-SNR lower/upper pair built from the leading
-term of the weighted-exponential-sum CDF.
+term of the weighted-exponential-sum CDF; they take link distances
+already raised to gamma and broadcast over a leading cell axis, so one
+call bounds every cell of a sweep point.
 """
 
 from __future__ import annotations
@@ -48,19 +50,41 @@ _THETA_GRID = np.linspace(0.01, 0.99, 99)
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Analytic outage bounds; lower <= upper always holds."""
+    """Analytic outage bounds, one pair or arrays over cells.
 
-    lower: float
-    upper: float
+    0 <= lower <= upper holds for every cell; the error names the first
+    cell that breaks it.
+    """
+
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"invalid bound pair ({self.lower}, {self.upper})")
+        lower, upper = np.broadcast_arrays(self.lower, self.upper)
+        bad = np.flatnonzero(~((0.0 <= lower) & (lower <= upper)))
+        if bad.size:
+            i = bad[0]
+            cell = "" if lower.ndim == 0 else f" at cell {i}"
+            raise ValueError(f"invalid bound pair{cell} ({lower.flat[i]}, {upper.flat[i]})")
 
 
 def _pow2m1(x):
     """2**x - 1, exact at 0."""
     return np.expm1(np.asarray(x) * math.log(2.0))
+
+
+def _float_pow(x, p):
+    """x ** p per element with Python's float power.
+
+    The bounds raise burst powers the way a scalar formula does; numpy's
+    array power can land an ulp away from it.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _columns(*arrays):
+    return tuple(np.asarray(a, dtype=float) for a in arrays)
 
 
 def listen_fraction_rc(amp_sq, distance, burst_power, rate, gamma):
@@ -268,57 +292,58 @@ def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coe
 
 
 def _leading_product(rate, burst_power, lambdas, dist_dest_pow):
-    """(2^R-1)^L / (L! * Pbar^L) * prod_j d_dj^gamma / lambda_j."""
-    lam = np.asarray(lambdas, dtype=float)
-    dd = np.asarray(dist_dest_pow, dtype=float)
-    L = lam.size
+    """(2^R-1)^L / (L! * Pbar^L) * prod_j d_dj^gamma / lambda_j, per cell."""
+    L = lambdas.shape[-1]
     eta = float(_pow2m1(rate))
-    return eta**L / (math.factorial(L) * burst_power**L) * float(np.prod(dd / lam))
+    return (
+        eta**L
+        / (math.factorial(L) * _float_pow(burst_power, L))
+        * np.prod(dist_dest_pow / lambdas, axis=-1)
+    )
 
 
 def ddf_bounds_rc(
     rate,
     burst_power,
     relay_ratio,
-    d_dk,
-    d_dr,
-    d_rk,
-    gamma,
+    dk_pow,
+    dr_pow,
+    rk_pow,
     theta_star=0.5,
     optimize=False,
 ) -> BoundPair:
     """High-SNR outage bounds for one dedicated DDF forwarder.
 
-    relay_ratio is the relay budget over the user burst power.  The lower
-    bound is the two-branch diversity term; the upper bound multiplies it
-    by a bracket evaluated at the split point theta_star (optionally grid
-    searched).
+    relay_ratio is the relay budget over the user burst power; dk_pow,
+    dr_pow and rk_pow are d^gamma of the source-destination,
+    relay-destination and source-relay links.  rate and theta_star are
+    scalars; the other arguments are scalars or columns over cells.  The
+    lower bound is the two-branch diversity term; the upper bound
+    multiplies it by a bracket evaluated at the split point theta_star
+    (or its smallest value over the theta grid).
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
-    eta = float(_pow2m1(rate))
-    lower = (
-        eta**2
-        * d_dk**gamma
-        * d_dr**gamma
-        / (2.0 * relay_ratio * burst_power**2)
+    burst_power, relay_ratio, dk_pow, dr_pow, rk_pow = _columns(
+        burst_power, relay_ratio, dk_pow, dr_pow, rk_pow
     )
+    eta = float(_pow2m1(rate))
+    lower = eta**2 * dk_pow * dr_pow / (2.0 * relay_ratio * _float_pow(burst_power, 2))
 
     def bracket(ts):
         tb = 1.0 - ts
         first = float(_pow2m1(rate / tb)) ** 2 * tb / eta**2
         second = (
             2.0
-            * d_rk**gamma
+            * rk_pow
             * float(_pow2m1(rate / ts)) ** 2
             * relay_ratio
-            / (d_dr**gamma * eta**2)
+            / (dr_pow * eta**2)
         )
         return first + second
 
-    if optimize:
-        theta_star = min(_THETA_GRID, key=bracket)
-    return BoundPair(lower=lower, upper=bracket(theta_star) * lower)
+    splits = _THETA_GRID if optimize else (theta_star,)
+    return BoundPair(lower=lower, upper=np.min([bracket(ts) for ts in splits], axis=0) * lower)
 
 
 def ddf_bounds_uc2(
@@ -334,33 +359,34 @@ def ddf_bounds_uc2(
 
     lambdas and dist_dest_pow cover the source plus its helpers (source
     first, lambda_k = 1, distances already raised to gamma);
-    dist_to_source_pow are the helper-to-source d^gamma values.
+    dist_to_source_pow are the helper-to-source d^gamma values.  Their
+    last axis runs over the branches, any leading axis over cells, to
+    which burst_power also broadcasts.
     """
     if not 0.0 < theta_star < 1.0:
         raise ValueError("theta_star must be in (0, 1)")
-    lam = np.asarray(lambdas, dtype=float)
-    dd = np.asarray(dist_dest_pow, dtype=float)
-    dk = np.asarray(dist_to_source_pow, dtype=float)
-    L = lam.size
+    burst_power, lam, dd, dk = _columns(burst_power, lambdas, dist_dest_pow, dist_to_source_pow)
+    L = lam.shape[-1]
     eta = float(_pow2m1(rate))
     lower = _leading_product(rate, burst_power, lam, dd)
-    helper_term = float(np.prod(dd[1:] / lam[1:]))
+    helper_term = np.prod(dd[..., 1:] / lam[..., 1:], axis=-1)
+    dk_sum = dk.sum(axis=-1)
+    burst_lm2 = _float_pow(burst_power, L - 2)
 
     def k2(ts):
         tb = 1.0 - ts
         first = float(_pow2m1(rate / tb)) ** L * tb ** (L - 1) / eta**L
         second = (
             float(_pow2m1(rate / ts)) ** 2
-            * float(dk.sum())
+            * dk_sum
             * math.factorial(L)
-            * burst_power ** (L - 2)
+            * burst_lm2
             / (eta**L * helper_term)
         )
         return first + second
 
-    if optimize:
-        theta_star = min(_THETA_GRID, key=k2)
-    return BoundPair(lower=lower, upper=k2(theta_star) * lower)
+    splits = _THETA_GRID if optimize else (theta_star,)
+    return BoundPair(lower=lower, upper=np.min([k2(ts) for ts in splits], axis=0) * lower)
 
 
 def _multihop_theta_vector(L, first_fraction=None):
@@ -387,35 +413,29 @@ def ddf_bounds_multihop(
     trials where every helper decodes under the split fractions (equal
     1/L, or the best first fraction on the grid when optimising), K_d
     those where none does.  Both products run over all helpers, so
-    the decode order does not enter.
+    the decode order does not enter.  Arguments are shaped as for
+    ``ddf_bounds_uc2``.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    dd = np.asarray(dist_dest_pow, dtype=float)
-    dk = np.asarray(dist_to_source_pow, dtype=float)
-    L = lam.size
+    burst_power, lam, dd, dk = _columns(burst_power, lambdas, dist_dest_pow, dist_to_source_pow)
+    L = lam.shape[-1]
     if L < 3:
         raise ValueError("multihop bounds need at least three hops")
     eta = float(_pow2m1(rate))
     lower = _leading_product(rate, burst_power, lam, dd)
+    helper_prod = np.prod(dk / lam[..., 1:], axis=-1)
 
     def kc_kd(tvec):
         tail = 1.0 - np.cumsum(tvec)[:-1]
         thetabar_sum = np.concatenate(([1.0], tail))  # remaining time at each stage
         kc = float(_pow2m1(rate / tvec[-1])) ** L * float(np.prod(thetabar_sum)) / eta**L
-        kd = (
-            float(_pow2m1(rate / tvec[0])) ** L
-            * math.factorial(L)
-            / eta**L
-            * float(np.prod(dk / lam[1:]))
-        )
+        kd = float(_pow2m1(rate / tvec[0])) ** L * math.factorial(L) / eta**L * helper_prod
         return kc + kd
 
     if optimize:
-        best = min(
-            (kc_kd(_multihop_theta_vector(L, t)) for t in _THETA_GRID),
-        )
-        return BoundPair(lower=lower, upper=best * lower)
-    return BoundPair(lower=lower, upper=kc_kd(_multihop_theta_vector(L)) * lower)
+        splits = [_multihop_theta_vector(L, t) for t in _THETA_GRID]
+    else:
+        splits = [_multihop_theta_vector(L)]
+    return BoundPair(lower=lower, upper=np.min([kc_kd(t) for t in splits], axis=0) * lower)
 
 
 def clustering_condition(

@@ -114,14 +114,27 @@ def _halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / n)
 
 
-def mac_outage(pc: PowerConfig, d_dk: float, gamma: float, num_users: int) -> float:
-    """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / (K P_k))."""
-    if d_dk <= 0 or gamma <= 0 or num_users < 1:
+def mac_outage(pc: PowerConfig, dk_pow, num_users: int):
+    """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / (K P_k)).
+
+    dk_pow is d^gamma of the source-destination link, a scalar or a
+    column over cells; the result has its shape.
+    """
+    d = np.asarray(dk_pow, dtype=float)
+    if num_users < 1:
         raise ValueError("mac_outage requires positive inputs")
+    bad = np.flatnonzero(~(d > 0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"mac_outage requires positive inputs: d^gamma {d.flat[i]} at cell {i}")
     burst = num_users * pc.user_power
     if burst == 0.0:
-        return 1.0 if pc.rate > 0 else 0.0
-    return -math.expm1(-math.expm1(pc.rate * math.log(2.0)) * d_dk**gamma / burst)
+        out = np.full(d.shape, 1.0 if pc.rate > 0 else 0.0)
+    else:
+        x = -math.expm1(pc.rate * math.log(2.0)) * d / burst
+        # math.expm1 per element: numpy's expm1 can differ from it in the last bit.
+        out = np.array([-math.expm1(v) for v in x.ravel().tolist()]).reshape(d.shape)
+    return float(out) if d.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -221,60 +234,124 @@ def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budg
     return record
 
 
-def _cell_bounds(
-    cell: _Cell,
+@dataclass(frozen=True)
+class _Group:
+    """The cells of one strategy that share a kernel and a forwarder count.
+
+    rows are the cells' positions in cell order; user_ids are the group's
+    distinct user indices and user_ids[slots] each cell's.  dk_pow (n,),
+    dj_pow and jk_pow (n, forwarders) are the cells' d^gamma as the trial
+    kernels get them (Python's float power); af_dj_pow and af_jk_pow raise
+    the same distances with numpy's array power, which can land an ulp
+    away, for the AF bounds.
+    """
+
+    kernel: str
+    rows: np.ndarray
+    user_ids: list[int]
+    slots: np.ndarray
+    dk_pow: np.ndarray
+    dj_pow: np.ndarray
+    jk_pow: np.ndarray
+    af_dj_pow: np.ndarray
+    af_jk_pow: np.ndarray
+
+
+def _cell_table(cells: list[_Cell]) -> list[_Group]:
+    """The strategy's cells as column groups, one per (kernel, forwarder count)."""
+    rows_by_key: dict[tuple[str, int], list[int]] = {}
+    for row, c in enumerate(cells):
+        rows_by_key.setdefault((c.kernel, len(c.d_dj)), []).append(row)
+    groups = []
+    for (kernel, _), rows in rows_by_key.items():
+        picked = [cells[r] for r in rows]
+        gamma = picked[0].gamma
+        user_ids = sorted({c.user_idx for c in picked})
+        slots = np.array([user_ids.index(c.user_idx) for c in picked])
+        groups.append(
+            _Group(
+                kernel=kernel,
+                rows=np.array(rows),
+                user_ids=user_ids,
+                slots=slots,
+                dk_pow=np.array([c.dk_pow for c in picked]),
+                dj_pow=np.array([c.dj_pow for c in picked]),
+                jk_pow=np.array([c.jk_pow for c in picked]),
+                af_dj_pow=np.array([c.d_dj for c in picked]) ** gamma,
+                af_jk_pow=np.array([c.d_jk for c in picked]) ** gamma,
+            )
+        )
+    return groups
+
+
+def _bounds(
+    groups: list[_Group],
     strategy: Strategy,
     pc: PowerConfig,
-    burst,
-    budgets,
+    powers,
     theta_star: float = 0.5,
     optimize: bool = False,
-) -> BoundPair:
-    """Analytic bound pair of the cell at one P; the closed form twice for mac."""
-    if cell.kernel == "mac":
-        cf = mac_outage(pc, cell.d_dk, cell.gamma, strategy.num_users)
-        return BoundPair(lower=cf, upper=cf)
-    if cell.kernel == "af2":
-        return af_bounds_2hop(pc.rate, burst, cell.d_dk, cell.d_dj, cell.d_jk, cell.gamma)
-    if cell.kernel == "afmh":
-        return af_bounds_multihop(pc.rate, burst, cell.d_dk, cell.d_dj, cell.d_jk, cell.gamma)
-    if cell.kernel == "rc-ddf":
-        return ddf_bounds_rc(
-            pc.rate,
-            burst,
-            budgets[0] / burst,
-            cell.d_dk,
-            cell.d_dj[0],
-            cell.d_jk[0],
-            cell.gamma,
-            theta_star=theta_star,
-            optimize=optimize,
-        )
-    lambdas = np.concatenate(([1.0], np.asarray(budgets) / burst))
-    dist_dest_pow = np.array((cell.dk_pow,) + cell.dj_pow)
-    dist_src_pow = np.array(cell.jk_pow)
-    if cell.kernel == "uc2-ddf":
-        return ddf_bounds_uc2(
-            pc.rate,
-            burst,
-            lambdas,
-            dist_dest_pow,
-            dist_src_pow,
-            theta_star=theta_star,
-            optimize=optimize,
-        )
-    return ddf_bounds_multihop(
-        pc.rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's analytic bound pair at one P: (lower, upper) in cell order.
+
+    One bound-function call per group; the closed form twice for mac.
+    """
+    size = sum(g.rows.size for g in groups)
+    lower, upper = np.empty(size), np.empty(size)
+    for g in groups:
+        per_user = [powers[u] for u in g.user_ids]
+        burst = np.array([b for b, _ in per_user])[g.slots]
+        budgets = np.array([f for _, f in per_user])[g.slots]
+        if g.kernel == "mac":
+            cf = mac_outage(pc, g.dk_pow, strategy.num_users)
+            pair = BoundPair(lower=cf, upper=cf)
+        elif g.kernel == "af2":
+            pair = af_bounds_2hop(pc.rate, burst, g.dk_pow, g.af_dj_pow, g.af_jk_pow)
+        elif g.kernel == "afmh":
+            pair = af_bounds_multihop(pc.rate, burst, g.dk_pow, g.af_dj_pow, g.af_jk_pow)
+        elif g.kernel == "rc-ddf":
+            pair = ddf_bounds_rc(
+                pc.rate,
+                burst,
+                budgets[:, 0] / burst,
+                g.dk_pow,
+                g.dj_pow[:, 0],
+                g.jk_pow[:, 0],
+                theta_star=theta_star,
+                optimize=optimize,
+            )
+        else:
+            lambdas = np.column_stack((np.ones(burst.size), budgets / burst[:, None]))
+            dist_dest_pow = np.column_stack((g.dk_pow, g.dj_pow))
+            if g.kernel == "uc2-ddf":
+                pair = ddf_bounds_uc2(
+                    pc.rate,
+                    burst,
+                    lambdas,
+                    dist_dest_pow,
+                    g.jk_pow,
+                    theta_star=theta_star,
+                    optimize=optimize,
+                )
+            else:
+                pair = ddf_bounds_multihop(
+                    pc.rate, burst, lambdas, dist_dest_pow, g.jk_pow, optimize=optimize
+                )
+        lower[g.rows] = pair.lower
+        upper[g.rows] = pair.upper
+    return lower, upper
 
 
 @dataclass(frozen=True)
 class _Point:
     """One sweep point at cell granularity: counts (none when bounds-only),
-    each cell's (user index, bound pair) in cell order, and the ceiling flag."""
+    each cell's user index and bound pair as arrays in cell order, and the
+    ceiling flag."""
 
     counts: list[mc.CellResult]
-    bounds: list[tuple[int, BoundPair]]
+    users: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     ceiling_flag: bool
 
     def pooled(self, user: int | None = None) -> tuple[float, int, int]:
@@ -284,10 +361,10 @@ class _Point:
         return e / n, n, e
 
     def mean_bounds(self, user: int | None = None) -> BoundPair:
-        picked = [b for u, b in self.bounds if user is None or u == user]
+        picked = slice(None) if user is None else self.users == user
         return BoundPair(
-            lower=float(np.mean([b.lower for b in picked])),
-            upper=float(np.mean([b.upper for b in picked])),
+            lower=float(np.mean(self.lower[picked])),
+            upper=float(np.mean(self.upper[picked])),
         )
 
     def estimate(self) -> OutageEstimate:
@@ -347,14 +424,16 @@ def estimate_outage(
         target_events=trials * K + 1,
         trial_ceiling=trials * K,
     )
-    bounds = [(c.user_idx, _cell_bounds(c, strategy, pc, *powers[c.user_idx])) for c in cells]
-    return _Point(counts, bounds, ceiling_flag=False).estimate()
+    users = np.array([c.user_idx for c in cells])
+    lower, upper = _bounds(_cell_table(cells), strategy, pc, powers)
+    return _Point(counts, users, lower, upper, ceiling_flag=False).estimate()
 
 
 def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
     """Yield (snr_db, power config, point) over the SNR grid for one strategy.
 
-    Cells are built once; each SNR point only scales them by P.  pool is
+    Cells and their column table are built once; each SNR point only
+    scales them by P.  pool is
     the sweep's ``mc.worker_pool``.
     """
     cells = [
@@ -362,20 +441,16 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
         for i, placement in enumerate(placements)
         for k in range(1, strategy.num_users + 1)
     ]
+    groups = _cell_table(cells)
+    users = np.array([c.user_idx for c in cells])
     for snr_index, snr in enumerate(cfg.snr_db):
         pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
         powers = _user_powers(strategy, pc)
-        bounds = [
-            (
-                c.user_idx,
-                _cell_bounds(
-                    c, strategy, pc, *powers[c.user_idx], cfg.theta_star, cfg.optimize_bounds
-                ),
-            )
-            for c in cells
-        ]
+        lower, upper = _bounds(
+            groups, strategy, pc, powers, cfg.theta_star, cfg.optimize_bounds
+        )
         if cfg.bounds_only:
-            yield snr, pc, _Point([], bounds, False)
+            yield snr, pc, _Point([], users, lower, upper, False)
             continue
         counts, flagged = mc.run_cells(
             _tasks(cells, strategy, pc, powers),
@@ -385,7 +460,7 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
             trial_ceiling=cfg.trial_ceiling,
             pool=pool,
         )
-        yield snr, pc, _Point(counts, bounds, flagged)
+        yield snr, pc, _Point(counts, users, lower, upper, flagged)
 
 
 def sweep_fixed_placement(

@@ -155,9 +155,9 @@ def test_direct_link_closed_form_sweep(capsys):
     ests = sweep_fixed_placement(parse_strategy("mac", 3), pl, PowerConfig(), grid, seed=7)
     worst_z = 0.0
     for snr, est in zip(grid, ests):
-        cf = mac_outage(PowerConfig().with_user_power(10 ** (snr / 10.0)), 1.0, GAMMA, 3)
+        cf = mac_outage(PowerConfig().with_user_power(10 ** (snr / 10.0)), 1.0**GAMMA, 3)
         worst_z = max(worst_z, abs(est.p_hat - cf) / est.ci95)
-    ref_cf = mac_outage(PowerConfig(), 1.0, GAMMA, 3)
+    ref_cf = mac_outage(PowerConfig(), 1.0**GAMMA, 3)
     ref_ok = abs(ref_cf - 0.061121) < 5e-7 and abs(ests[0].p_hat - ref_cf) <= ests[0].ci95
     dt = time.perf_counter() - t0
     ok = worst_z <= 1.0 and ref_ok and dt < 30.0
@@ -272,16 +272,46 @@ def test_analytic_bounds_sandwich_monte_carlo(capsys, slope_sweeps):
             assert est.p_hat <= est.bounds.upper + 3 * se, (name, snr)
 
 
-def interpolate_crossing(ptot_db, p_hat, level=1e-2):
-    """Total power (dB) where the outage curve crosses level, log-linear."""
+def crossing_bracket(p_hat, level=1e-2):
+    """Index i of the first grid step whose outage falls through level."""
     for i in range(len(p_hat) - 1):
         a, b = p_hat[i], p_hat[i + 1]
         if a >= level > b and b > 0:
-            xa, xb = ptot_db[i], ptot_db[i + 1]
-            return xa + (math.log10(level) - math.log10(a)) * (xb - xa) / (
-                math.log10(b) - math.log10(a)
-            )
+            return i
     return None
+
+
+def interpolate_crossing(ptot_db, p_hat, level=1e-2):
+    """Total power (dB) where the outage curve crosses level, log-linear."""
+    i = crossing_bracket(p_hat, level)
+    if i is None:
+        return None
+    a, b = p_hat[i], p_hat[i + 1]
+    xa, xb = ptot_db[i], ptot_db[i + 1]
+    return xa + (math.log10(level) - math.log10(a)) * (xb - xa) / (
+        math.log10(b) - math.log10(a)
+    )
+
+
+def crossing_halfwidth(ptot_db, p_hat, ci95, level=1e-2):
+    """95 % half-width (dB) of interpolate_crossing from the point CIs.
+
+    With l = log10(outage), the crossing is x* = x_a + t (x_b - x_a),
+    t = (log10(level) - l_a) / (l_b - l_a).  Each point's CI maps to
+    dl = ci95 / (p ln 10), and |dx*/dl_a| = (1 - t) / |s|,
+    |dx*/dl_b| = t / |s| with s = (l_b - l_a) / (x_b - x_a) the local
+    slope of the curve, so the point CIs divided by the slope combine in
+    quadrature.
+    """
+    i = crossing_bracket(p_hat, level)
+    if i is None:
+        return None
+    la, lb = math.log10(p_hat[i]), math.log10(p_hat[i + 1])
+    slope = abs(lb - la) / (ptot_db[i + 1] - ptot_db[i])
+    t = (math.log10(level) - la) / (lb - la)
+    dla = ci95[i] / (p_hat[i] * math.log(10.0))
+    dlb = ci95[i + 1] / (p_hat[i + 1] * math.log(10.0))
+    return math.hypot((1.0 - t) * dla, t * dlb) / slope
 
 
 def mac_area_outage(p, rate, num_users):
@@ -335,13 +365,16 @@ def processing_cost_curves():
         master_seed=SEED,
     )
     t0 = time.perf_counter()
-    curves = {}
+    curves, cis = {}, {}
     for idx, s in enumerate(cfg.strategies):
-        curves[s.name] = [e.p_hat for e in area_averaged_outage(cfg, s, strategy_index=idx)]
-    stars = {}
+        ests = area_averaged_outage(cfg, s, strategy_index=idx)
+        curves[s.name] = [e.p_hat for e in ests]
+        cis[s.name] = [e.ci95 for e in ests]
+    stars = {"halfwidth": {}}
     for name in names:
         s = parse_strategy(name, 3)
         stars[name] = []
+        stars["halfwidth"][name] = []
         for eta in COST_ETAS:
             ptot = [
                 10 * math.log10(
@@ -356,6 +389,7 @@ def processing_cost_curves():
                 for snr in grid
             ]
             stars[name].append(interpolate_crossing(ptot, curves[name]))
+            stars["halfwidth"][name].append(crossing_halfwidth(ptot, curves[name], cis[name]))
     stars["elapsed"] = time.perf_counter() - t0
     return stars
 
@@ -406,7 +440,7 @@ def test_direct_link_processing_shift_constant(capsys, processing_cost_curves):
     pc_star = PowerConfig(user_power=p_star, rate=COST_RATE)
     n = 4000
     quad = sum(
-        mac_outage(pc_star, math.sqrt(r0sq + (i + 0.5) / n * (rhosq - r0sq)), GAMMA, K)
+        mac_outage(pc_star, math.sqrt(r0sq + (i + 0.5) / n * (rhosq - r0sq)) ** GAMMA, K)
         for i in range(n)
     ) / n
     assert abs(quad - 1e-2) <= 1e-7, quad
@@ -426,6 +460,43 @@ def test_direct_link_processing_shift_constant(capsys, processing_cost_curves):
         f"at closed-form P*={p_star:.4f}, tolerance 0.05)",
     )
     assert ok, f"measured {shift:.4f} dB, expected {expected:.4f} dB at P*={p_star:.4f}"
+
+
+# Acceptance 9: (eta index, strategy expected lower, strategy expected higher).
+# Cheap processing favours full user cooperation; at eta = 1 every DDF
+# helper pays to decode and re-encode each message it relays, and the
+# dedicated relay wins.
+DDF_ORDERINGS = ((0, "uc3-ddf", "rc-ddf"), (2, "rc-ddf", "uc3-ddf"), (2, "rc-ddf", "uc2-ddf"))
+
+
+def test_relay_beats_user_cooperation_once_processing_counts(capsys, processing_cost_curves):
+    """The abstract's claim on the DDF curves: P_tot* at 1e-2 outage.
+
+    Each ordering must hold by more than its margin, the combined 95 %
+    half-width of the two crossings (crossing_halfwidth: the point CIs
+    divided by the local slope of each curve); the curves are independent
+    estimates, so the half-widths add in quadrature.
+    """
+    stars = processing_cost_curves
+    hw = stars["halfwidth"]
+    ok = True
+    parts = []
+    for e, low, high in DDF_ORDERINGS:
+        x_low, x_high = stars[low][e], stars[high][e]
+        assert None not in (x_low, x_high, hw[low][e], hw[high][e]), (low, high)
+        margin = math.hypot(hw[low][e], hw[high][e])
+        gap = x_high - x_low
+        ok = ok and gap > margin
+        parts.append(
+            f"eta {COST_ETAS[e]}: {low} {x_low:.3f} < {high} {x_high:.3f} "
+            f"(gap {gap:.3f} dB, margin {margin:.3f} dB)"
+        )
+    tell(
+        capsys,
+        f"[acceptance 9] relay vs user cooperation by processing cost: "
+        f"{'PASS' if ok else 'FAIL'} ({'; '.join(parts)})",
+    )
+    assert ok, parts
 
 
 def test_csv_byte_identity_across_workers(capsys, tmp_path):

@@ -349,8 +349,8 @@ class TestClosedFormRates:
 class TestAfBounds:
     def test_two_hop_frozen_values(self):
         got = af_bounds_2hop(
-            rate=0.25, burst_power=100.0, d_dk=1.0,
-            d_dest_helpers=(1.0,), d_helpers_src=(0.5,), gamma=4.0,
+            rate=0.25, burst_power=100.0, dk_pow=1.0**4.0,
+            dj_pow=np.array((1.0,)) ** 4.0, jk_pow=np.array((0.5,)) ** 4.0,
         )
         np.testing.assert_allclose(got.lower, 1.7899666183826455e-06, rtol=1e-12)
         np.testing.assert_allclose(got.upper, 9.11480899785865e-06, rtol=1e-12)
@@ -360,8 +360,8 @@ class TestAfBounds:
 
     def test_multihop_frozen_lower(self):
         got = af_bounds_multihop(
-            rate=0.25, burst_power=100.0, d_dk=1.0,
-            d_dest_helpers=(1.0, 1.0), d_helpers_src=(1.0, 1.0), gamma=4.0,
+            rate=0.25, burst_power=100.0, dk_pow=1.0**4.0,
+            dj_pow=np.array((1.0, 1.0)) ** 4.0, jk_pow=np.array((1.0, 1.0)) ** 4.0,
         )
         np.testing.assert_allclose(got.lower, 1.1289147327178563e-09, rtol=1e-12)
         eta = 2**0.25 - 1
@@ -377,10 +377,9 @@ class TestAfBounds:
             kwargs = dict(
                 rate=rng.uniform(0.05, 2.0),
                 burst_power=rng.uniform(1.0, 1e4),
-                d_dk=rng.uniform(0.2, 1.5),
-                d_dest_helpers=rng.uniform(0.2, 1.5, m),
-                d_helpers_src=rng.uniform(0.05, 1.2, m),
-                gamma=4.0,
+                dk_pow=rng.uniform(0.2, 1.5) ** 4.0,
+                dj_pow=rng.uniform(0.2, 1.5, m) ** 4.0,
+                jk_pow=rng.uniform(0.05, 1.2, m) ** 4.0,
             )
             two = af_bounds_2hop(**kwargs)
             assert two.lower <= two.upper

@@ -474,14 +474,14 @@ class TestBounds:
     def test_rc_frozen_values(self):
         got = ddf_bounds_rc(
             rate=1.0, burst_power=10.0, relay_ratio=1.0,
-            d_dk=1.0, d_dr=1.0, d_rk=0.5, gamma=4.0, theta_star=0.5,
+            dk_pow=1.0**4.0, dr_pow=1.0**4.0, rk_pow=0.5**4.0, theta_star=0.5,
         )
         np.testing.assert_allclose(got.lower, 0.005, rtol=1e-12)
         np.testing.assert_allclose(got.upper, 0.028125, rtol=1e-12)
 
     def test_rc_optimized_no_worse(self):
-        base = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9, 0.8, 0.4, 4.0, theta_star=0.5)
-        opt = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9, 0.8, 0.4, 4.0, optimize=True)
+        base = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9**4.0, 0.8**4.0, 0.4**4.0, theta_star=0.5)
+        opt = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9**4.0, 0.8**4.0, 0.4**4.0, optimize=True)
         assert opt.upper <= base.upper + 1e-15
         np.testing.assert_allclose(opt.lower, base.lower, rtol=1e-14)
 
@@ -506,7 +506,7 @@ class TestBounds:
 
     def test_bad_theta_star_rejected(self):
         with pytest.raises(ValueError):
-            ddf_bounds_rc(1.0, 10.0, 1.0, 1.0, 1.0, 0.5, 4.0, theta_star=1.0)
+            ddf_bounds_rc(1.0, 10.0, 1.0, 1.0**4.0, 1.0**4.0, 0.5**4.0, theta_star=1.0)
         with pytest.raises(ValueError):
             ddf_bounds_uc2(0.25, 100.0, (1, 1), (1, 1), (1,), theta_star=0.0)
 
@@ -518,8 +518,10 @@ class TestBounds:
             burst = rng.uniform(1.0, 1e4)
             got = ddf_bounds_rc(
                 rate, burst, rng.uniform(0.1, 2.0),
-                rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.0),
-                4.0, theta_star=rng.uniform(0.05, 0.95),
+                rng.uniform(0.2, 1.5) ** 4.0,
+                rng.uniform(0.2, 1.5) ** 4.0,
+                rng.uniform(0.05, 1.0) ** 4.0,
+                theta_star=rng.uniform(0.05, 0.95),
             )
             assert got.lower <= got.upper
         for _ in range(2500):

@@ -20,6 +20,8 @@ from tdcoop.network import GeometryParams, sample_placement  # noqa: E402
 from tdcoop.power import PowerConfig  # noqa: E402
 from tdcoop.strategies import parse_strategy  # noqa: E402
 
+SEVEN = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
+
 MODULES = (af, cli, config, ddf, harness, mathcore, mc)
 
 
@@ -51,3 +53,27 @@ def test_full_mode_records_the_layers():
         tracer.restore()
     for name in ("mc.run_cells", "mc.task.ucmh-ddf", "mc.draw", "ddf.schedule", "power"):
         assert name in tracer.span_names, name
+
+
+def test_full_mode_records_the_bound_layers():
+    """A bounds-only sweep calls each bound function through the names the
+    tracer rebinds: one span per (strategy, SNR point), since every cell of
+    these strategies shares one kernel and forwarder count."""
+    cfg = harness.ExperimentConfig(
+        geometry=GeometryParams(),
+        power=PowerConfig(),
+        strategies=tuple(parse_strategy(n, 3) for n in SEVEN),
+        snr_db=(0.0, 10.0),
+        num_placements=4,
+        bounds_only=True,
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, "full")
+        harness.run_experiment(cfg)
+    finally:
+        tracer.restore()
+    calls = {name: v["calls"] for name, v in tracer.summary(1.0)["by_name"].items()}
+    assert calls.get("ddf.bounds") == 3 * 2
+    assert calls.get("af.bounds") == 3 * 2
+    assert calls.get("harness.mac_outage") == 2

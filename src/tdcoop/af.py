@@ -198,7 +198,7 @@ def af_bounds_2hop(rate, burst_power, dk_pow, dj_pow, jk_pow) -> BoundPair:
     dk_pow is d^gamma of the source-destination link; dj_pow and jk_pow
     hold the helper-destination and source-helper d^gamma, one helper per
     column of the last axis.  rate is a scalar; a leading axis runs over
-    cells, to which dk_pow and burst_power broadcast.  Lower: coherent
+    rows, to which dk_pow and burst_power broadcast.  Lower: coherent
     two-antenna array with the helpers merged into one effective branch.
     Upper: orthogonal forwarding with the worst helper path, paying the
     repetition penalty 2^(2R) - 1.

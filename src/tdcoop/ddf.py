@@ -16,8 +16,8 @@ inverse of its remaining transmit time.
 All trial-level functions are vectorised over trials.  The bound
 functions return the high-SNR lower/upper pair built from the leading
 term of the weighted-exponential-sum CDF; they take link distances
-already raised to gamma and broadcast over a leading cell axis, so one
-call bounds every cell of a sweep point.
+already raised to gamma and broadcast over a leading axis of rows, so
+one call bounds one sweep cell at every point of the SNR grid.
 """
 
 from __future__ import annotations
@@ -50,22 +50,25 @@ _THETA_GRID = np.linspace(0.01, 0.99, 99)
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Analytic outage bounds, one pair or arrays over cells.
+    """Analytic outage bounds, one pair or arrays of one shape over rows.
 
-    0 <= lower <= upper holds for every cell; the error names the first
-    cell that breaks it.
+    0 <= lower <= upper holds for every row; the error names the first
+    row that breaks it.
     """
 
     lower: float | np.ndarray
     upper: float | np.ndarray
 
     def __post_init__(self):
-        lower, upper = np.broadcast_arrays(self.lower, self.upper)
-        bad = np.flatnonzero(~((0.0 <= lower) & (lower <= upper)))
-        if bad.size:
-            i = bad[0]
-            cell = "" if lower.ndim == 0 else f" at cell {i}"
-            raise ValueError(f"invalid bound pair{cell} ({lower.flat[i]}, {upper.flat[i]})")
+        if np.shape(self.lower) != np.shape(self.upper):
+            raise ValueError("lower and upper bounds differ in shape")
+        # A Python comparison per row: numpy's comparison ufuncs would each
+        # take their dispatch tables on first use, for a handful of rows.
+        pairs = zip(np.ravel(self.lower).tolist(), np.ravel(self.upper).tolist())
+        for i, (lo, up) in enumerate(pairs):
+            if not 0.0 <= lo <= up:
+                row = "" if np.ndim(self.lower) == 0 else f" at row {i}"
+                raise ValueError(f"invalid bound pair{row} ({lo}, {up})")
 
 
 def _pow2m1(x):
@@ -292,7 +295,7 @@ def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coe
 
 
 def _leading_product(rate, burst_power, lambdas, dist_dest_pow):
-    """(2^R-1)^L / (L! * Pbar^L) * prod_j d_dj^gamma / lambda_j, per cell."""
+    """(2^R-1)^L / (L! * Pbar^L) * prod_j d_dj^gamma / lambda_j, per row."""
     L = lambdas.shape[-1]
     eta = float(_pow2m1(rate))
     return (
@@ -317,7 +320,7 @@ def ddf_bounds_rc(
     relay_ratio is the relay budget over the user burst power; dk_pow,
     dr_pow and rk_pow are d^gamma of the source-destination,
     relay-destination and source-relay links.  rate and theta_star are
-    scalars; the other arguments are scalars or columns over cells.  The
+    scalars; the other arguments are scalars or columns over rows.  The
     lower bound is the two-branch diversity term; the upper bound
     multiplies it by a bracket evaluated at the split point theta_star
     (or its smallest value over the theta grid).
@@ -342,8 +345,11 @@ def ddf_bounds_rc(
         )
         return first + second
 
-    splits = _THETA_GRID if optimize else (theta_star,)
-    return BoundPair(lower=lower, upper=np.min([bracket(ts) for ts in splits], axis=0) * lower)
+    if optimize:
+        best = np.min([bracket(ts) for ts in _THETA_GRID], axis=0)
+    else:
+        best = bracket(theta_star)
+    return BoundPair(lower=lower, upper=best * lower)
 
 
 def ddf_bounds_uc2(
@@ -360,7 +366,7 @@ def ddf_bounds_uc2(
     lambdas and dist_dest_pow cover the source plus its helpers (source
     first, lambda_k = 1, distances already raised to gamma);
     dist_to_source_pow are the helper-to-source d^gamma values.  Their
-    last axis runs over the branches, any leading axis over cells, to
+    last axis runs over the branches, any leading axis over rows, to
     which burst_power also broadcasts.
     """
     if not 0.0 < theta_star < 1.0:
@@ -385,8 +391,11 @@ def ddf_bounds_uc2(
         )
         return first + second
 
-    splits = _THETA_GRID if optimize else (theta_star,)
-    return BoundPair(lower=lower, upper=np.min([k2(ts) for ts in splits], axis=0) * lower)
+    if optimize:
+        best = np.min([k2(ts) for ts in _THETA_GRID], axis=0)
+    else:
+        best = k2(theta_star)
+    return BoundPair(lower=lower, upper=best * lower)
 
 
 def _multihop_theta_vector(L, first_fraction=None):
@@ -432,10 +441,10 @@ def ddf_bounds_multihop(
         return kc + kd
 
     if optimize:
-        splits = [_multihop_theta_vector(L, t) for t in _THETA_GRID]
+        best = np.min([kc_kd(_multihop_theta_vector(L, t)) for t in _THETA_GRID], axis=0)
     else:
-        splits = [_multihop_theta_vector(L)]
-    return BoundPair(lower=lower, upper=np.min([kc_kd(t) for t in splits], axis=0) * lower)
+        best = kc_kd(_multihop_theta_vector(L))
+    return BoundPair(lower=lower, upper=best * lower)
 
 
 def clustering_condition(

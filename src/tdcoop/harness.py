@@ -114,27 +114,28 @@ def _halfwidth(p: float, n: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / n)
 
 
-def mac_outage(pc: PowerConfig, dk_pow, num_users: int):
+def mac_outage(rate: float, user_power, dk_pow, num_users: int):
     """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / (K P_k)).
 
-    dk_pow is d^gamma of the source-destination link, a scalar or a
-    column over cells; the result has its shape.
+    dk_pow is d^gamma of the source-destination link.  user_power and
+    dk_pow are scalars or columns that broadcast against each other (a
+    sweep passes one cell's d^gamma and the SNR grid's powers); the
+    result has their shape.
     """
-    d = np.asarray(dk_pow, dtype=float)
     if num_users < 1:
         raise ValueError("mac_outage requires positive inputs")
-    bad = np.flatnonzero(~(d > 0))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"mac_outage requires positive inputs: d^gamma {d.flat[i]} at cell {i}")
-    burst = num_users * pc.user_power
-    if burst == 0.0:
-        out = np.full(d.shape, 1.0 if pc.rate > 0 else 0.0)
-    else:
-        x = -math.expm1(pc.rate * math.log(2.0)) * d / burst
-        # math.expm1 per element: numpy's expm1 can differ from it in the last bit.
-        out = np.array([-math.expm1(v) for v in x.ravel().tolist()]).reshape(d.shape)
-    return float(out) if d.ndim == 0 else out
+    d, p = np.broadcast_arrays(np.asarray(dk_pow, dtype=float), np.asarray(user_power, dtype=float))
+    scale = -math.expm1(rate * math.log(2.0))
+    out = []
+    # Per row in Python floats: numpy's expm1 can differ from math.expm1
+    # in the last bit.
+    for i, (dv, pv) in enumerate(zip(d.ravel().tolist(), p.ravel().tolist())):
+        if not dv > 0:
+            raise ValueError(f"mac_outage requires positive inputs: d^gamma {dv} at row {i}")
+        burst = num_users * pv
+        out.append(-math.expm1(scale * dv / burst) if burst != 0.0 else float(rate > 0))
+    out = np.array(out).reshape(d.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -144,16 +145,16 @@ class _Cell:
     The forwarders of user k are the relay under rc and its helper users
     otherwise (none for mac).  Links run destination-source (dk),
     destination-forwarder (dj) and forwarder-source (jk); each distance
-    is kept raw, raised to gamma (``*_pow``) and raised to -gamma/2
-    (``*_scale``, the AF amplitude scale).  ``hh_pow`` is the
-    helper-to-helper d^gamma table of ucmh-ddf (zero diagonal).
+    is raised to gamma (``*_pow``) and to -gamma/2 (``*_scale``, the AF
+    amplitude scale), and the forwarder links are also kept raw.
+    ``hh_pow`` is the helper-to-helper d^gamma table of ucmh-ddf (zero
+    diagonal).
     """
 
     placement_idx: int
     user_idx: int
     kernel: str
     gamma: float
-    d_dk: float
     d_dj: tuple[float, ...]
     d_jk: tuple[float, ...]
     dk_pow: float
@@ -190,7 +191,6 @@ def _cell(strategy: Strategy, placement: NodePlacement, placement_idx: int, k: i
         user_idx=k - 1,
         kernel=kernel,
         gamma=gamma,
-        d_dk=d_dk,
         d_dj=d_dj,
         d_jk=d_jk,
         dk_pow=d_dk**gamma,
@@ -215,8 +215,8 @@ def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple
     ]
 
 
-# The cell's link table as the trial kernels read it (raw d_dk and d_dj
-# serve only the bounds).
+# The cell's link table as the trial kernels read it (raw d_dj serves
+# only the AF bounds).
 _LINK_FIELDS = (
     "gamma", "d_jk", "dk_pow", "dj_pow", "jk_pow", "hh_pow", "dk_scale", "dj_scale", "jk_scale"
 )
@@ -234,111 +234,87 @@ def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budg
     return record
 
 
-@dataclass(frozen=True)
-class _Group:
-    """The cells of one strategy that share a kernel and a forwarder count.
+def _cell_bounds(
+    cell: _Cell,
+    strategy: Strategy,
+    rate: float,
+    user_power,
+    burst,
+    lambdas,
+    theta_star: float = 0.5,
+    optimize: bool = False,
+) -> BoundPair:
+    """Analytic bound pair of the cell at every grid point; the closed form twice for mac.
 
-    rows are the cells' positions in cell order; user_ids are the group's
-    distinct user indices and user_ids[slots] each cell's.  dk_pow (n,),
-    dj_pow and jk_pow (n, forwarders) are the cells' d^gamma as the trial
-    kernels get them (Python's float power); af_dj_pow and af_jk_pow raise
-    the same distances with numpy's array power, which can land an ulp
-    away, for the AF bounds.
+    user_power and burst (the source's burst power) are columns over the
+    SNR grid.  lambdas has one row per grid point: 1 for the source, then
+    each forwarder's budget over the burst.
     """
-
-    kernel: str
-    rows: np.ndarray
-    user_ids: list[int]
-    slots: np.ndarray
-    dk_pow: np.ndarray
-    dj_pow: np.ndarray
-    jk_pow: np.ndarray
-    af_dj_pow: np.ndarray
-    af_jk_pow: np.ndarray
-
-
-def _cell_table(cells: list[_Cell]) -> list[_Group]:
-    """The strategy's cells as column groups, one per (kernel, forwarder count)."""
-    rows_by_key: dict[tuple[str, int], list[int]] = {}
-    for row, c in enumerate(cells):
-        rows_by_key.setdefault((c.kernel, len(c.d_dj)), []).append(row)
-    groups = []
-    for (kernel, _), rows in rows_by_key.items():
-        picked = [cells[r] for r in rows]
-        gamma = picked[0].gamma
-        user_ids = sorted({c.user_idx for c in picked})
-        slots = np.array([user_ids.index(c.user_idx) for c in picked])
-        groups.append(
-            _Group(
-                kernel=kernel,
-                rows=np.array(rows),
-                user_ids=user_ids,
-                slots=slots,
-                dk_pow=np.array([c.dk_pow for c in picked]),
-                dj_pow=np.array([c.dj_pow for c in picked]),
-                jk_pow=np.array([c.jk_pow for c in picked]),
-                af_dj_pow=np.array([c.d_dj for c in picked]) ** gamma,
-                af_jk_pow=np.array([c.d_jk for c in picked]) ** gamma,
-            )
+    if cell.kernel == "mac":
+        cf = mac_outage(rate, user_power, cell.dk_pow, strategy.num_users)
+        return BoundPair(lower=cf, upper=cf)
+    if cell.kernel in ("af2", "afmh"):
+        # The AF bounds raise the forwarder links with numpy's array power,
+        # which can land an ulp away from the kernels' Python float power.
+        dj_pow = np.asarray(cell.d_dj) ** cell.gamma
+        jk_pow = np.asarray(cell.d_jk) ** cell.gamma
+        if cell.kernel == "af2":
+            return af_bounds_2hop(rate, burst, cell.dk_pow, dj_pow, jk_pow)
+        return af_bounds_multihop(rate, burst, cell.dk_pow, dj_pow, jk_pow)
+    if cell.kernel == "rc-ddf":
+        return ddf_bounds_rc(
+            rate,
+            burst,
+            lambdas[:, 1],
+            cell.dk_pow,
+            cell.dj_pow[0],
+            cell.jk_pow[0],
+            theta_star=theta_star,
+            optimize=optimize,
         )
-    return groups
+    dist_dest_pow = np.array((cell.dk_pow,) + cell.dj_pow)
+    dist_src_pow = np.array(cell.jk_pow)
+    if cell.kernel == "uc2-ddf":
+        return ddf_bounds_uc2(
+            rate,
+            burst,
+            lambdas,
+            dist_dest_pow,
+            dist_src_pow,
+            theta_star=theta_star,
+            optimize=optimize,
+        )
+    return ddf_bounds_multihop(rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize)
 
 
 def _bounds(
-    groups: list[_Group],
+    cells: list[_Cell],
     strategy: Strategy,
-    pc: PowerConfig,
+    grid: list[PowerConfig],
     powers,
     theta_star: float = 0.5,
     optimize: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell's analytic bound pair at one P: (lower, upper) in cell order.
+    """Every cell's bound pair at every grid point: (lower, upper), each
+    shaped (grid points, cells) in cell order.
 
-    One bound-function call per group; the closed form twice for mac.
+    powers[s] is ``_user_powers`` at grid[s].  One bound-function call per
+    cell covers the whole grid.
     """
-    size = sum(g.rows.size for g in groups)
-    lower, upper = np.empty(size), np.empty(size)
-    for g in groups:
-        per_user = [powers[u] for u in g.user_ids]
-        burst = np.array([b for b, _ in per_user])[g.slots]
-        budgets = np.array([f for _, f in per_user])[g.slots]
-        if g.kernel == "mac":
-            cf = mac_outage(pc, g.dk_pow, strategy.num_users)
-            pair = BoundPair(lower=cf, upper=cf)
-        elif g.kernel == "af2":
-            pair = af_bounds_2hop(pc.rate, burst, g.dk_pow, g.af_dj_pow, g.af_jk_pow)
-        elif g.kernel == "afmh":
-            pair = af_bounds_multihop(pc.rate, burst, g.dk_pow, g.af_dj_pow, g.af_jk_pow)
-        elif g.kernel == "rc-ddf":
-            pair = ddf_bounds_rc(
-                pc.rate,
-                burst,
-                budgets[:, 0] / burst,
-                g.dk_pow,
-                g.dj_pow[:, 0],
-                g.jk_pow[:, 0],
-                theta_star=theta_star,
-                optimize=optimize,
-            )
-        else:
-            lambdas = np.column_stack((np.ones(burst.size), budgets / burst[:, None]))
-            dist_dest_pow = np.column_stack((g.dk_pow, g.dj_pow))
-            if g.kernel == "uc2-ddf":
-                pair = ddf_bounds_uc2(
-                    pc.rate,
-                    burst,
-                    lambdas,
-                    dist_dest_pow,
-                    g.jk_pow,
-                    theta_star=theta_star,
-                    optimize=optimize,
-                )
-            else:
-                pair = ddf_bounds_multihop(
-                    pc.rate, burst, lambdas, dist_dest_pow, g.jk_pow, optimize=optimize
-                )
-        lower[g.rows] = pair.lower
-        upper[g.rows] = pair.upper
+    user_power = np.array([pc.user_power for pc in grid])
+    per_user = []
+    for u in range(strategy.num_users):
+        rows = [p[u] for p in powers]
+        lambdas = [(1.0,) + tuple(f / b for f in budgets) for b, budgets in rows]
+        per_user.append((np.array([b for b, _ in rows]), np.array(lambdas)))
+    lower = np.empty((len(grid), len(cells)))
+    upper = np.empty_like(lower)
+    for i, c in enumerate(cells):
+        pair = _cell_bounds(
+            c, strategy, grid[0].rate, user_power, *per_user[c.user_idx], theta_star, optimize
+        )
+        lower[:, i] = pair.lower
+        upper[:, i] = pair.upper
     return lower, upper
 
 
@@ -425,42 +401,42 @@ def estimate_outage(
         trial_ceiling=trials * K,
     )
     users = np.array([c.user_idx for c in cells])
-    lower, upper = _bounds(_cell_table(cells), strategy, pc, powers)
-    return _Point(counts, users, lower, upper, ceiling_flag=False).estimate()
+    lower, upper = _bounds(cells, strategy, [pc], [powers])
+    return _Point(counts, users, lower[0], upper[0], ceiling_flag=False).estimate()
 
 
 def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
     """Yield (snr_db, power config, point) over the SNR grid for one strategy.
 
-    Cells and their column table are built once; each SNR point only
-    scales them by P.  pool is
-    the sweep's ``mc.worker_pool``.
+    Cells and their bounds over the whole grid are computed once; each
+    SNR point only scales the cells by P.  pool is the sweep's
+    ``mc.worker_pool``.
     """
     cells = [
         _cell(strategy, placement, i, k)
         for i, placement in enumerate(placements)
         for k in range(1, strategy.num_users + 1)
     ]
-    groups = _cell_table(cells)
     users = np.array([c.user_idx for c in cells])
-    for snr_index, snr in enumerate(cfg.snr_db):
-        pc = cfg.power.with_user_power(10.0 ** (snr / 10.0))
-        powers = _user_powers(strategy, pc)
-        lower, upper = _bounds(
-            groups, strategy, pc, powers, cfg.theta_star, cfg.optimize_bounds
-        )
+    grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
+    powers = [_user_powers(strategy, pc) for pc in grid]
+    lower, upper = _bounds(cells, strategy, grid, powers, cfg.theta_star, cfg.optimize_bounds)
+    for snr_index, (snr, pc) in enumerate(zip(cfg.snr_db, grid)):
+        # Row copies: a point the caller still holds must not keep the whole
+        # grid's arrays alive while the next strategy builds its own.
+        bounds = (users, lower[snr_index].copy(), upper[snr_index].copy())
         if cfg.bounds_only:
-            yield snr, pc, _Point([], users, lower, upper, False)
+            yield snr, pc, _Point([], *bounds, False)
             continue
         counts, flagged = mc.run_cells(
-            _tasks(cells, strategy, pc, powers),
+            _tasks(cells, strategy, pc, powers[snr_index]),
             mc.mix64(cfg.master_seed, 1, strategy_index, snr_index),
             workers=cfg.workers,
             target_events=cfg.target_events,
             trial_ceiling=cfg.trial_ceiling,
             pool=pool,
         )
-        yield snr, pc, _Point(counts, users, lower, upper, flagged)
+        yield snr, pc, _Point(counts, *bounds, flagged)
 
 
 def sweep_fixed_placement(

@@ -155,9 +155,9 @@ def test_direct_link_closed_form_sweep(capsys):
     ests = sweep_fixed_placement(parse_strategy("mac", 3), pl, PowerConfig(), grid, seed=7)
     worst_z = 0.0
     for snr, est in zip(grid, ests):
-        cf = mac_outage(PowerConfig().with_user_power(10 ** (snr / 10.0)), 1.0**GAMMA, 3)
+        cf = mac_outage(PowerConfig().rate, 10 ** (snr / 10.0), 1.0**GAMMA, 3)
         worst_z = max(worst_z, abs(est.p_hat - cf) / est.ci95)
-    ref_cf = mac_outage(PowerConfig(), 1.0**GAMMA, 3)
+    ref_cf = mac_outage(PowerConfig().rate, 1.0, 1.0**GAMMA, 3)
     ref_ok = abs(ref_cf - 0.061121) < 5e-7 and abs(ests[0].p_hat - ref_cf) <= ests[0].ci95
     dt = time.perf_counter() - t0
     ok = worst_z <= 1.0 and ref_ok and dt < 30.0
@@ -437,10 +437,9 @@ def test_direct_link_processing_shift_constant(capsys, processing_cost_curves):
     p_star = mac_area_crossing(COST_RATE, K)
     # Midpoint rule in u = r^2 over the per-user closed form: guards the erf algebra.
     r0sq, rhosq = GP.exclusion_radius**2, GP.sector_radius**2
-    pc_star = PowerConfig(user_power=p_star, rate=COST_RATE)
     n = 4000
     quad = sum(
-        mac_outage(pc_star, math.sqrt(r0sq + (i + 0.5) / n * (rhosq - r0sq)) ** GAMMA, K)
+        mac_outage(COST_RATE, p_star, math.sqrt(r0sq + (i + 0.5) / n * (rhosq - r0sq)) ** GAMMA, K)
         for i in range(n)
     ) / n
     assert abs(quad - 1e-2) <= 1e-7, quad

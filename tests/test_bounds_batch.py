@@ -1,12 +1,12 @@
-"""Batched analytic bounds equal the per-cell scalar formulas bit for bit.
+"""Batched analytic bounds equal the one-pair scalar formulas bit for bit.
 
-The bound functions broadcast over a leading cell axis, so a sweep point
-bounds all of its cells with one call per (kernel, forwarder count)
-group.  The ``ref_*`` functions below are the per-cell formulas they
-replace, kept as the reference: the same expressions in the same order on
-Python floats, with the burst raised by Python's float power, 2^x - 1
-taken on one scalar at a time and the theta search a Python ``min``.
-Every comparison is on the bytes of the float64 results.
+The bound functions broadcast over a leading axis of rows, so a sweep
+bounds one cell at every point of its SNR grid with one call.  The
+``ref_*`` functions below are the one-pair formulas they replace, kept as
+the reference: the same expressions in the same order on Python floats,
+with the burst raised by Python's float power, 2^x - 1 taken on one
+scalar at a time and the theta search a Python ``min``.  Every
+comparison is on the bytes of the float64 results.
 """
 
 import math
@@ -26,20 +26,20 @@ from tdcoop.ddf import (
     ddf_bounds_uc2,
 )
 from tdcoop.harness import mac_outage
-from tdcoop.network import GeometryParams, sample_placement
+from tdcoop.network import DESTINATION, GeometryParams, sample_placement, user_id
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
 
-CELLS = 240
+ROWS = 240
 
-# -- scalar reference formulas, one cell per call ------------------------------
+# -- scalar reference formulas, one pair per call ------------------------------
 
 
-def ref_mac(pc, dk_pow, num_users):
-    burst = num_users * pc.user_power
+def ref_mac(rate, user_power, dk_pow, num_users):
+    burst = num_users * user_power
     if burst == 0.0:
-        return 1.0 if pc.rate > 0 else 0.0
-    return -math.expm1(-math.expm1(pc.rate * math.log(2.0)) * dk_pow / burst)
+        return 1.0 if rate > 0 else 0.0
+    return -math.expm1(-math.expm1(rate * math.log(2.0)) * dk_pow / burst)
 
 
 def ref_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, theta_star=0.5, optimize=False):
@@ -135,50 +135,52 @@ def ref_afmh(rate, burst_power, dk_pow, dj_pow, jk_pow):
     return lower, upper
 
 
-def ref_cell_bounds(cell, strategy, pc, burst, budgets, optimize):
-    """One cell's bound pair the way the sweep computed it cell by cell."""
+def ref_cell_bounds(cell, d_dk, strategy, pc, burst, budgets, optimize):
+    """One cell's bound pair at one P the way the sweep computed it point by
+    point, from the raw source-destination distance d_dk."""
     g = cell.gamma
     if cell.kernel == "mac":
-        cf = ref_mac(pc, cell.d_dk**g, strategy.num_users)
+        cf = ref_mac(pc.rate, pc.user_power, d_dk**g, strategy.num_users)
         return cf, cf
     if cell.kernel in ("af2", "afmh"):
         ref = ref_af2 if cell.kernel == "af2" else ref_afmh
         dd = np.asarray(cell.d_dj, dtype=float) ** g
         dk = np.asarray(cell.d_jk, dtype=float) ** g
-        return ref(pc.rate, burst, cell.d_dk**g, dd, dk)
+        return ref(pc.rate, burst, d_dk**g, dd, dk)
     if cell.kernel == "rc-ddf":
         return ref_rc(
-            pc.rate, burst, budgets[0] / burst, cell.d_dk**g, cell.d_dj[0] ** g, cell.d_jk[0] ** g,
+            pc.rate, burst, budgets[0] / burst, d_dk**g, cell.d_dj[0] ** g, cell.d_jk[0] ** g,
             optimize=optimize,
         )
     lambdas = np.concatenate(([1.0], np.asarray(budgets) / burst))
-    dd = np.array((cell.d_dk**g,) + tuple(d**g for d in cell.d_dj))
+    dd = np.array((d_dk**g,) + tuple(d**g for d in cell.d_dj))
     dk = np.array(tuple(d**g for d in cell.d_jk))
     if cell.kernel == "uc2-ddf":
         return ref_uc2(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
     return ref_multihop(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
 
 
-# -- random cells -----------------------------------------------------------------
+# -- random rows ------------------------------------------------------------------
 
 
-def random_cells(seed, helpers):
-    """Per-cell inputs: bursts that repeat across cells (as one user's burst
-    does), link d^gamma columns, and helper budgets over the burst.  Numpy's
-    and Python's powers of a value rarely differ, hence 48 distinct bursts."""
+def random_rows(seed, helpers):
+    """Per-row inputs: bursts that repeat across rows (as a burst recurs
+    across cells), link d^gamma columns, and helper budgets over the burst.
+    Numpy's and Python's powers of a value rarely differ, hence 48 distinct
+    bursts."""
     rng = np.random.default_rng(seed)
-    burst = rng.choice(rng.uniform(0.5, 1e4, 48), CELLS)
+    burst = rng.choice(rng.uniform(0.5, 1e4, 48), ROWS)
     return {
         "burst": burst,
-        "ratio": rng.uniform(0.05, 2.0, (CELLS, helpers)),
-        "dk": rng.uniform(0.2, 1.5, CELLS) ** 4.0,
-        "dj": rng.uniform(0.2, 1.5, (CELLS, helpers)) ** 4.0,
-        "jk": rng.uniform(0.02, 1.2, (CELLS, helpers)) ** 4.0,
+        "ratio": rng.uniform(0.05, 2.0, (ROWS, helpers)),
+        "dk": rng.uniform(0.2, 1.5, ROWS) ** 4.0,
+        "dj": rng.uniform(0.2, 1.5, (ROWS, helpers)) ** 4.0,
+        "jk": rng.uniform(0.02, 1.2, (ROWS, helpers)) ** 4.0,
     }
 
 
 def lambdas_of(c):
-    return np.column_stack((np.ones(CELLS), c["ratio"]))
+    return np.column_stack((np.ones(ROWS), c["ratio"]))
 
 
 def dest_of(c):
@@ -186,19 +188,19 @@ def dest_of(c):
 
 
 def row(x, i):
-    """Cell i's inputs as the scalar formulas took them: Python floats, helper rows as arrays."""
+    """Row i's inputs as the scalar formulas took them: Python floats, helper rows as arrays."""
     return x[i].tolist() if x.ndim == 1 else x[i]
 
 
 def assert_bitwise(batch, refs, single):
-    """batch (a BoundPair over cells) against per-cell reference pairs and
-    per-cell calls of the batch function."""
+    """batch (a BoundPair over rows) against per-row reference pairs and
+    per-row calls of the batch function."""
     lower = np.array([lo for lo, _ in refs])
     upper = np.array([up for _, up in refs])
-    assert batch.lower.shape == batch.upper.shape == (CELLS,)
+    assert batch.lower.shape == batch.upper.shape == (ROWS,)
     assert batch.lower.tobytes() == lower.tobytes()
     assert batch.upper.tobytes() == upper.tobytes()
-    for i in range(0, CELLS, 7):
+    for i in range(0, ROWS, 7):
         one = single(i)
         assert np.float64(one.lower).tobytes() == batch.lower[i].tobytes(), i
         assert np.float64(one.upper).tobytes() == batch.upper[i].tobytes(), i
@@ -209,21 +211,25 @@ RATES = (0.25, 0.75)
 
 @pytest.mark.parametrize("rate", RATES)
 def test_mac_outage_batch(rate):
-    c = random_cells(1, 0)
-    pc = PowerConfig(user_power=37.0, rate=rate)
-    got = mac_outage(pc, c["dk"], 3)
-    want = np.array([ref_mac(pc, d, 3) for d in c["dk"].tolist()])
+    c = random_rows(1, 0)
+    got = mac_outage(rate, 37.0, c["dk"], 3)
+    want = np.array([ref_mac(rate, 37.0, d, 3) for d in c["dk"].tolist()])
     assert got.tobytes() == want.tobytes()
-    assert all(mac_outage(pc, d, 3) == got[i] for i, d in enumerate(c["dk"].tolist()))
+    assert all(mac_outage(rate, 37.0, d, 3) == got[i] for i, d in enumerate(c["dk"].tolist()))
+    # the sweep's shape: one d^gamma against a column of powers
+    powers = c["burst"] / 3.0
+    got = mac_outage(rate, powers, 0.8, 3)
+    want = np.array([ref_mac(rate, p, 0.8, 3) for p in powers.tolist()])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("optimize", (False, True))
 @pytest.mark.parametrize("rate", RATES)
 def test_rc_batch(rate, optimize):
-    c = random_cells(2, 1)
+    c = random_rows(2, 1)
     args = (c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0])
     got = ddf_bounds_rc(rate, *args, theta_star=0.3, optimize=optimize)
-    refs = [ref_rc(rate, *(row(a, i) for a in args), 0.3, optimize) for i in range(CELLS)]
+    refs = [ref_rc(rate, *(row(a, i) for a in args), 0.3, optimize) for i in range(ROWS)]
     assert_bitwise(
         got,
         refs,
@@ -235,10 +241,10 @@ def test_rc_batch(rate, optimize):
 @pytest.mark.parametrize("helpers", (1, 2, 3))
 @pytest.mark.parametrize("rate", RATES)
 def test_uc2_batch(rate, helpers, optimize):
-    c = random_cells(3 + helpers, helpers)
+    c = random_rows(3 + helpers, helpers)
     args = (c["burst"], lambdas_of(c), dest_of(c), c["jk"])
     got = ddf_bounds_uc2(rate, *args, theta_star=0.4, optimize=optimize)
-    refs = [ref_uc2(rate, *(row(a, i) for a in args), 0.4, optimize) for i in range(CELLS)]
+    refs = [ref_uc2(rate, *(row(a, i) for a in args), 0.4, optimize) for i in range(ROWS)]
     assert_bitwise(
         got,
         refs,
@@ -250,10 +256,10 @@ def test_uc2_batch(rate, helpers, optimize):
 @pytest.mark.parametrize("helpers", (2, 3))
 @pytest.mark.parametrize("rate", RATES)
 def test_multihop_batch(rate, helpers, optimize):
-    c = random_cells(7 + helpers, helpers)
+    c = random_rows(7 + helpers, helpers)
     args = (c["burst"], lambdas_of(c), dest_of(c), c["jk"])
     got = ddf_bounds_multihop(rate, *args, optimize=optimize)
-    refs = [ref_multihop(rate, *(row(a, i) for a in args), optimize) for i in range(CELLS)]
+    refs = [ref_multihop(rate, *(row(a, i) for a in args), optimize) for i in range(ROWS)]
     assert_bitwise(
         got, refs, lambda i: ddf_bounds_multihop(rate, *(row(a, i) for a in args), optimize=optimize)
     )
@@ -271,14 +277,14 @@ def test_multihop_batch(rate, helpers, optimize):
 )
 @pytest.mark.parametrize("rate", RATES)
 def test_af_batch(fn, ref, helpers, rate):
-    c = random_cells(11 + helpers, helpers)
+    c = random_rows(11 + helpers, helpers)
     args = (c["burst"], c["dk"], c["dj"], c["jk"])
     got = fn(rate, *args)
-    refs = [ref(rate, *(row(a, i) for a in args)) for i in range(CELLS)]
+    refs = [ref(rate, *(row(a, i) for a in args)) for i in range(ROWS)]
     assert_bitwise(got, refs, lambda i: fn(rate, *(row(a, i) for a in args)))
 
 
-# -- the sweep's cell table ----------------------------------------------------------
+# -- the sweep: one call per cell over the SNR grid ---------------------------------
 
 UNEVEN = {1: [2, 3], 2: [3], 3: [1]}
 SWEEP_STRATEGIES = (
@@ -286,61 +292,68 @@ SWEEP_STRATEGIES = (
     + [(3, parse_strategy(n, 3, coop_sets=UNEVEN)) for n in ("uc2-ddf", "uc2-af")]
     + [(4, parse_strategy(n, 4)) for n in ("uc4-ddf", "uc4-af")]
 )
+GRID_DB = (-10.0, 0.0, 7.5, 30.0, 45.0)
 
 
 @pytest.mark.parametrize("optimize", (False, True))
 @pytest.mark.parametrize(
     "num_users,strategy", SWEEP_STRATEGIES, ids=lambda x: getattr(x, "name", str(x))
 )
-def test_cell_table_bounds_match_the_per_cell_formulas(num_users, strategy, optimize):
-    """``harness._bounds`` over the grouped table gives each cell, in cell
-    order, the bytes the per-cell formulas give from its raw distances."""
+def test_sweep_bounds_match_the_per_point_formulas(num_users, strategy, optimize):
+    """``harness._bounds`` gives each (grid point, cell), in cell order, the
+    bytes the one-pair formulas give at that point from the raw distances."""
     geometry = GeometryParams(num_users=num_users)
-    placements = [
-        sample_placement(geometry, np.random.default_rng([5, i])) for i in range(-(-CELLS // num_users))
-    ]
+    placements = [sample_placement(geometry, np.random.default_rng([5, i])) for i in range(12)]
     cells = [
         harness._cell(strategy, pl, i, k)
         for i, pl in enumerate(placements)
         for k in range(1, num_users + 1)
     ]
-    groups = harness._cell_table(cells)
-    if strategy.coop_sets == parse_strategy("uc2-ddf", 3, coop_sets=UNEVEN).coop_sets:
-        assert len(groups) == 2
-    for p in (1.0, 1e3):
-        pc = PowerConfig(user_power=p, rate=0.25)
-        powers = harness._user_powers(strategy, pc)
-        lower, upper = harness._bounds(groups, strategy, pc, powers, 0.5, optimize)
+    grid = [PowerConfig(rate=0.25).with_user_power(10.0 ** (snr / 10.0)) for snr in GRID_DB]
+    powers = [harness._user_powers(strategy, pc) for pc in grid]
+    lower, upper = harness._bounds(cells, strategy, grid, powers, 0.5, optimize)
+    assert lower.shape == upper.shape == (len(grid), len(cells))
+    for s, pc in enumerate(grid):
         refs = [
-            ref_cell_bounds(c, strategy, pc, *powers[c.user_idx], optimize) for c in cells
+            ref_cell_bounds(
+                c,
+                placements[c.placement_idx].distance(DESTINATION, user_id(c.user_idx + 1)),
+                strategy,
+                pc,
+                *powers[s][c.user_idx],
+                optimize,
+            )
+            for c in cells
         ]
-        assert lower.tobytes() == np.array([lo for lo, _ in refs]).tobytes()
-        assert upper.tobytes() == np.array([up for _, up in refs]).tobytes()
+        assert lower[s].tobytes() == np.array([lo for lo, _ in refs]).tobytes(), s
+        assert upper[s].tobytes() == np.array([up for _, up in refs]).tobytes(), s
 
 
-# -- checks that stay per cell ------------------------------------------------------
+# -- checks that stay per row -------------------------------------------------------
 
 
-def test_invalid_cell_named_by_index():
-    c = random_cells(21, 2)
+def test_invalid_row_named_by_index():
+    c = random_rows(21, 2)
     ratio = c["ratio"][:, 0].copy()
     ratio[17] = -ratio[17]
-    with pytest.raises(ValueError, match=r"at cell 17 \("):
+    with pytest.raises(ValueError, match=r"at row 17 \("):
         ddf_bounds_rc(1.0, c["burst"], ratio, c["dk"], c["dj"][:, 0], c["jk"][:, 0])
     dj = c["dj"].copy()
     dj[5, 1] = np.nan
-    with pytest.raises(ValueError, match=r"at cell 5 \("):
+    with pytest.raises(ValueError, match=r"at row 5 \("):
         af_bounds_multihop(0.25, c["burst"], c["dk"], dj, c["jk"])
     dk = c["dk"].copy()
     dk[3] = 0.0
-    with pytest.raises(ValueError, match="at cell 3"):
-        mac_outage(PowerConfig(), dk, 3)
-    with pytest.raises(ValueError, match=r"at cell 2 \("):
+    with pytest.raises(ValueError, match="at row 3"):
+        mac_outage(0.25, 1.0, dk, 3)
+    with pytest.raises(ValueError, match=r"at row 2 \("):
         BoundPair(lower=np.array([0.1, 0.2, 0.3]), upper=np.array([0.1, 0.2, 0.25]))
+    with pytest.raises(ValueError, match="shape"):
+        BoundPair(lower=np.array([0.1, 0.2]), upper=0.3)
 
 
 def test_batch_argument_checks():
-    c = random_cells(22, 1)
+    c = random_rows(22, 1)
     with pytest.raises(ValueError, match="three hops"):
         ddf_bounds_multihop(0.25, c["burst"], lambdas_of(c), dest_of(c), c["jk"])
     with pytest.raises(ValueError, match="theta_star"):
@@ -348,11 +361,14 @@ def test_batch_argument_checks():
     with pytest.raises(ValueError, match="theta_star"):
         ddf_bounds_rc(0.25, c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0], theta_star=0.0)
     with pytest.raises(ValueError, match="positive"):
-        mac_outage(PowerConfig(), c["dk"], 0)
+        mac_outage(0.25, 1.0, c["dk"], 0)
 
 
 def test_mac_zero_power_batch():
-    dk = random_cells(23, 0)["dk"]
-    got = mac_outage(PowerConfig(user_power=0.0), dk, 3)
+    dk = random_rows(23, 0)["dk"]
+    got = mac_outage(0.25, 0.0, dk, 3)
     assert got.shape == dk.shape and np.all(got == 1.0)
-    assert np.all(mac_outage(PowerConfig(user_power=0.0, rate=0.0), dk, 3) == 0.0)
+    assert np.all(mac_outage(0.0, 0.0, dk, 3) == 0.0)
+    # a zero power among positive ones: certain outage on that row only
+    got = mac_outage(0.25, np.array([1.0, 0.0, 10.0]), 0.8, 3)
+    assert got[1] == 1.0 and got[0] == ref_mac(0.25, 1.0, 0.8, 3) and got[2] < got[0]

@@ -51,23 +51,23 @@ def tiny_config(**kw):
 class TestMacOutage:
     def test_reference_value(self):
         np.testing.assert_allclose(
-            mac_outage(PowerConfig(), 1.0**4.0, 3), MAC_REF, rtol=1e-12
+            mac_outage(0.25, 1.0, 1.0**4.0, 3), MAC_REF, rtol=1e-12
         )
 
     def test_vanishes_at_high_power(self):
-        assert mac_outage(PowerConfig(user_power=1e12), 1.0**4.0, 3) < 1e-10
+        assert mac_outage(0.25, 1e12, 1.0**4.0, 3) < 1e-10
 
     def test_vanishes_at_zero_rate(self):
-        assert mac_outage(PowerConfig(rate=0.0), 1.0**4.0, 3) == 0.0
+        assert mac_outage(0.0, 1.0, 1.0**4.0, 3) == 0.0
 
     def test_zero_power_certain_outage(self):
-        assert mac_outage(PowerConfig(user_power=0.0), 1.0**4.0, 3) == 1.0
+        assert mac_outage(0.25, 0.0, 1.0**4.0, 3) == 1.0
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            mac_outage(PowerConfig(), 0.0**4.0, 3)
+            mac_outage(0.25, 1.0, 0.0**4.0, 3)
         with pytest.raises(ValueError):
-            mac_outage(PowerConfig(), 1.0**4.0, 0)
+            mac_outage(0.25, 1.0, 1.0**4.0, 0)
 
 
 class TestEstimateOutage:
@@ -182,7 +182,7 @@ class TestSweepFixedPlacement:
             parse_strategy("mac", 3), pl, PowerConfig(), grid, seed=2024
         )
         for snr, est in zip(grid, ests):
-            cf = mac_outage(PowerConfig().with_user_power(10 ** (snr / 10.0)), 1.0**4.0, 3)
+            cf = mac_outage(0.25, 10 ** (snr / 10.0), 1.0**4.0, 3)
             np.testing.assert_allclose(est.bounds.lower, cf, rtol=1e-12)
             np.testing.assert_allclose(est.bounds.upper, cf, rtol=1e-12)
             assert abs(est.p_hat - cf) <= est.ci95

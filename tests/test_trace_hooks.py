@@ -57,8 +57,7 @@ def test_full_mode_records_the_layers():
 
 def test_full_mode_records_the_bound_layers():
     """A bounds-only sweep calls each bound function through the names the
-    tracer rebinds: one span per (strategy, SNR point), since every cell of
-    these strategies shares one kernel and forwarder count."""
+    tracer rebinds: one span per cell, which covers the whole SNR grid."""
     cfg = harness.ExperimentConfig(
         geometry=GeometryParams(),
         power=PowerConfig(),
@@ -74,6 +73,7 @@ def test_full_mode_records_the_bound_layers():
     finally:
         tracer.restore()
     calls = {name: v["calls"] for name, v in tracer.summary(1.0)["by_name"].items()}
-    assert calls.get("ddf.bounds") == 3 * 2
-    assert calls.get("af.bounds") == 3 * 2
-    assert calls.get("harness.mac_outage") == 2
+    cells = 4 * 3
+    assert calls.get("ddf.bounds") == 3 * cells
+    assert calls.get("af.bounds") == 3 * cells
+    assert calls.get("harness.mac_outage") == cells

@@ -62,8 +62,8 @@ class BoundPair:
     def __post_init__(self):
         if np.shape(self.lower) != np.shape(self.upper):
             raise ValueError("lower and upper bounds differ in shape")
-        # A Python comparison per row: numpy's comparison ufuncs would each
-        # take their dispatch tables on first use, for a handful of rows.
+        # A Python comparison per row: numpy's comparisons and masks raise
+        # peak memory on first use by more than a dozen rows repay.
         pairs = zip(np.ravel(self.lower).tolist(), np.ravel(self.upper).tolist())
         for i, (lo, up) in enumerate(pairs):
             if not 0.0 <= lo <= up:

@@ -5,10 +5,16 @@ Run from the repository root, with nothing installed:
     PYTHONPATH=src python3 scripts/probe_digests.py
 
 A change that must not move any number prints the same digests before
-and after it.  Everything a digest covers is fixed here: the configs,
-the worker counts and how results turn into bytes (CLI probes hash the
-CSV file; the library probes hash ``json.dumps`` of the edge rows and
-the newline-joined ``repr`` of ``OutageEstimate`` values).  A probe run
+and after it.  With ``--expect`` the script compares each digest with a
+saved run, prints ``same`` or ``DIFF`` after it and exits 1 on any DIFF:
+
+    PYTHONPATH=src python3 scripts/probe_digests.py > before.txt
+    PYTHONPATH=src python3 scripts/probe_digests.py --expect before.txt
+
+Everything a digest covers is fixed here: the configs, the worker counts
+and how results turn into bytes (CLI probes hash the CSV file; the
+library probes hash ``json.dumps`` of the edge rows and the
+newline-joined ``repr`` of ``OutageEstimate`` values).  A probe run
 at several worker counts must give the same bytes at each, or the
 script exits 1.
 
@@ -33,6 +39,7 @@ script exits 1.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -44,6 +51,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
+PROBES = tuple("abcdefghi")
 SEVEN = ["mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af"]
 
 ACCEPTANCE_8 = {
@@ -148,10 +156,24 @@ def estimate_digest() -> str:
     return _sha("\n".join(reprs).encode())
 
 
-def main() -> int:
+def read_expected(path: str) -> dict[str, str]:
+    """Probe name -> digest from a saved run of this script."""
+    expected = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        words = line.split()
+        if len(words) >= 2 and words[0] in PROBES and len(words[1]) == 64:
+            expected[words[0]] = words[1]
+    return expected
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print the sha256 of each frozen probe.")
+    ap.add_argument("--expect", metavar="FILE", help="saved output to compare each digest with")
+    args = ap.parse_args(argv)
+    expected = read_expected(args.expect) if args.expect else None
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in "abcdefghi":
+        for name in PROBES:
             if name in CLI_PROBES:
                 config, extra, workers = CLI_PROBES[name]
                 digests = cli_digests(config, extra, workers, Path(tmp))
@@ -162,8 +184,14 @@ def main() -> int:
             if len(set(digests)) != 1:
                 status = 1
                 print(f"{name} MISMATCH across {label}: {' '.join(digests)}", flush=True)
-            else:
-                print(f"{name} {digests[0]}  ({label})", flush=True)
+                continue
+            verdict = ""
+            if expected is not None:
+                same = expected.get(name) == digests[0]
+                verdict = "  same" if same else f"  DIFF (expected {expected.get(name)})"
+                if not same:
+                    status = 1
+            print(f"{name} {digests[0]}  ({label}){verdict}", flush=True)
     return status
 
 

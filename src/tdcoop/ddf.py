@@ -76,6 +76,21 @@ def _pow2m1(x):
     return np.expm1(np.asarray(x) * math.log(2.0))
 
 
+def _grid_pow(x, p):
+    """(2**x - 1) ** p with Python's float power; +inf where it overflows.
+
+    The theta grid's outer points reach 2**(rate / 0.01); a bracket that
+    overflows there exceeds every finite one, so it counts as +inf in the
+    grid's minimum.
+    """
+    with np.errstate(over="ignore"):
+        base = float(_pow2m1(x))
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
+
+
 def _float_pow(x, p):
     """x ** p per element with Python's float power.
 
@@ -335,11 +350,11 @@ def ddf_bounds_rc(
 
     def bracket(ts):
         tb = 1.0 - ts
-        first = float(_pow2m1(rate / tb)) ** 2 * tb / eta**2
+        first = _grid_pow(rate / tb, 2) * tb / eta**2
         second = (
             2.0
             * rk_pow
-            * float(_pow2m1(rate / ts)) ** 2
+            * _grid_pow(rate / ts, 2)
             * relay_ratio
             / (dr_pow * eta**2)
         )
@@ -381,9 +396,9 @@ def ddf_bounds_uc2(
 
     def k2(ts):
         tb = 1.0 - ts
-        first = float(_pow2m1(rate / tb)) ** L * tb ** (L - 1) / eta**L
+        first = _grid_pow(rate / tb, L) * tb ** (L - 1) / eta**L
         second = (
-            float(_pow2m1(rate / ts)) ** 2
+            _grid_pow(rate / ts, 2)
             * dk_sum
             * math.factorial(L)
             * burst_lm2
@@ -436,8 +451,8 @@ def ddf_bounds_multihop(
     def kc_kd(tvec):
         tail = 1.0 - np.cumsum(tvec)[:-1]
         thetabar_sum = np.concatenate(([1.0], tail))  # remaining time at each stage
-        kc = float(_pow2m1(rate / tvec[-1])) ** L * float(np.prod(thetabar_sum)) / eta**L
-        kd = float(_pow2m1(rate / tvec[0])) ** L * math.factorial(L) / eta**L * helper_prod
+        kc = _grid_pow(rate / tvec[-1], L) * float(np.prod(thetabar_sum)) / eta**L
+        kd = _grid_pow(rate / tvec[0], L) * math.factorial(L) / eta**L * helper_prod
         return kc + kd
 
     if optimize:

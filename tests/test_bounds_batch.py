@@ -5,7 +5,8 @@ bounds one cell at every point of its SNR grid with one call.  The
 ``ref_*`` functions below are the one-pair formulas they replace, kept as
 the reference: the same expressions in the same order on Python floats,
 with the burst raised by Python's float power, 2^x - 1 taken on one
-scalar at a time and the theta search a Python ``min``.  Every
+scalar at a time and the theta search a Python ``min`` in which a
+bracket that overflows Python's float power counts as +inf.  Every
 comparison is on the bytes of the float64 results.
 """
 
@@ -35,6 +36,18 @@ ROWS = 240
 # -- scalar reference formulas, one pair per call ------------------------------
 
 
+def inf_on_overflow(bracket):
+    """The theta search's key: +inf where the bracket overflows."""
+
+    def key(ts):
+        try:
+            return bracket(ts)
+        except OverflowError:
+            return math.inf
+
+    return key
+
+
 def ref_mac(rate, user_power, dk_pow, num_users):
     burst = num_users * user_power
     if burst == 0.0:
@@ -53,7 +66,7 @@ def ref_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, theta_star=0.
         return first + second
 
     if optimize:
-        theta_star = min(_THETA_GRID, key=bracket)
+        theta_star = min(_THETA_GRID, key=inf_on_overflow(bracket))
     return lower, bracket(theta_star) * lower
 
 
@@ -85,7 +98,7 @@ def ref_uc2(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, theta
         return first + second
 
     if optimize:
-        theta_star = min(_THETA_GRID, key=k2)
+        theta_star = min(_THETA_GRID, key=inf_on_overflow(k2))
     return lower, k2(theta_star) * lower
 
 
@@ -110,7 +123,8 @@ def ref_multihop(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, 
         return kc + kd
 
     if optimize:
-        return lower, min(kc_kd(_multihop_theta_vector(L, t)) for t in _THETA_GRID) * lower
+        key = inf_on_overflow(lambda t: kc_kd(_multihop_theta_vector(L, t)))
+        return lower, min(key(t) for t in _THETA_GRID) * lower
     return lower, kc_kd(_multihop_theta_vector(L)) * lower
 
 
@@ -327,6 +341,28 @@ def test_sweep_bounds_match_the_per_point_formulas(num_users, strategy, optimize
         ]
         assert lower[s].tobytes() == np.array([lo for lo, _ in refs]).tobytes(), s
         assert upper[s].tobytes() == np.array([up for _, up in refs]).tobytes(), s
+
+
+@pytest.mark.parametrize("helpers", (1, 2, 3))
+def test_theta_search_at_high_rate(helpers):
+    """At rate 9 the grid's outer brackets overflow Python's float power;
+    the optimised bounds skip them and stay finite."""
+    rate = 9.0
+    c = random_rows(31 + helpers, helpers)
+    calls = [(ddf_bounds_uc2, ref_uc2, (c["burst"], lambdas_of(c), dest_of(c), c["jk"]))]
+    if helpers == 1:
+        args = (c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0])
+        calls.append((ddf_bounds_rc, ref_rc, args))
+    else:
+        calls.append((ddf_bounds_multihop, ref_multihop, (c["burst"], lambdas_of(c), dest_of(c), c["jk"])))
+    with pytest.raises(OverflowError):
+        float(_pow2m1(rate / _THETA_GRID[0])) ** 2
+    for fn, ref, args in calls:
+        got = fn(rate, *args, optimize=True)
+        assert np.all(np.isfinite(got.upper)) and np.all(np.isfinite(got.lower))
+        with np.errstate(over="ignore"):
+            refs = [ref(rate, *(row(a, i) for a in args), optimize=True) for i in range(ROWS)]
+        assert_bitwise(got, refs, lambda i: fn(rate, *(row(a, i) for a in args), optimize=True))
 
 
 # -- checks that stay per row -------------------------------------------------------

@@ -244,6 +244,19 @@ class TestCliRun:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[4] == "" and row[8] == "0"
 
+    def test_optimized_multihop_bounds_at_unit_rate(self, tmp_path, capsys):
+        """uc4-ddf's theta search reaches 2^300 on its last stage, whose
+        fourth power overflows Python's float power; the run still
+        writes finite bounds."""
+        text = BASE_YAML.replace("num_users: 3", "num_users: 4").replace("rate: 0.25", "rate: 1.0")
+        text = text.replace("  - mac\n  - rc-ddf\n", "  - uc4-ddf\n") + "bounds:\n  optimize: true\n"
+        assert main(["run", "-c", write_cfg(tmp_path, text), "--bounds-only"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            lower, upper = (float(x) for x in row.split(",")[6:8])
+            assert 0.0 < lower <= upper < math.inf
+
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
         path = write_cfg(tmp_path)
         outs = []

@@ -151,6 +151,119 @@ class TestCountEvents:
             mc.count_events("nope", MAC_PARAMS, 5, (0,), 16)
 
 
+# Three helpers (K = 4) for the multihop chain.
+RECORD3 = dict(
+    RECORD,
+    budgets=(1.0, 1.2, 0.8),
+    d_jk=(0.6, 0.7, 0.8),
+    dj_pow=(0.9, 1.1, 1.0),
+    jk_pow=(0.6**4, 0.7**4, 0.8**4),
+    hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
+)
+# (kernel, record, column of A_dk, columns of the kernel's draw table)
+SCREENED = {
+    "rc-ddf": ("rc-ddf", RECORD, 1, 3),
+    "uc2-ddf": ("uc2-ddf", RECORD, 2, 5),
+    "ucmh-accumulating": ("ucmh-ddf", RECORD, 3, 6),
+    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 3, 6),
+    "ucmh-k4": ("ucmh-ddf", RECORD3, 6, 10),
+}
+
+
+def scaled(params, rate, snr_db):
+    """params at another rate, with burst and budgets scaled by 10^(snr_db/10)."""
+    scale = 10.0 ** (snr_db / 10.0)
+    budgets = tuple(b * scale for b in params["budgets"])
+    return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
+
+
+def keep_every_row(a, dk_col, params):
+    return a
+
+
+class StubDraws:
+    """Stands in for a kernel's generator and hands it a fixed draw table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def exponential(self, size):
+        assert size == self.table.shape
+        return self.table.copy()
+
+
+class TestDirectScreen:
+    """The DDF kernels send only rows whose direct link may miss the rate
+    through the rate step; the counts must not change."""
+
+    @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
+    @pytest.mark.parametrize("case", sorted(SCREENED))
+    def test_counts_equal_the_unscreened_stream(self, case, rate, monkeypatch):
+        kernel, record, _, _ = SCREENED[case]
+        kept = []
+
+        def spy(a, dk_col, params):
+            out = screen(a, dk_col, params)
+            kept.append((len(a), len(out)))
+            return out
+
+        screen = mc._direct_screen
+        for snr_db in (-10, 0, 10, 20, 30, 40, 50):
+            params = scaled(record, rate, snr_db)
+            path = (snr_db + 10, 0, 0, 0)
+            kept.clear()
+            monkeypatch.setattr(mc, "_direct_screen", spy)
+            screened = mc.count_events(kernel, params, 21, path, 40_000)
+            monkeypatch.setattr(mc, "_direct_screen", keep_every_row)
+            assert screened == mc.count_events(kernel, params, 21, path, 40_000), snr_db
+            if rate > 0.0 and snr_db >= 30:
+                assert sum(k for _, k in kept) < sum(n for n, _ in kept) // 2
+        zero = dict(scaled(record, rate, 0), burst=0.0)
+        monkeypatch.setattr(mc, "_direct_screen", screen)
+        got = mc.count_events(kernel, zero, 21, (0,), 5000)
+        assert got == (5000 if rate > 0.0 else 0)
+
+    @pytest.mark.parametrize("case", sorted(SCREENED))
+    def test_batch_with_no_surviving_row(self, case):
+        kernel, record, dk_col, cols = SCREENED[case]
+        params = scaled(record, 0.25, 50)
+        table = mc.derive_stream(3, 0).exponential(size=(64, cols))
+        table[:, dk_col] = 2.0 * mc._direct_threshold(params)
+        assert len(mc._direct_screen(table, dk_col, params)) == 0
+        assert mc._KERNELS[kernel](params, StubDraws(table), 64) == 0
+
+    @staticmethod
+    def outages_at_cut(case, rate, snr_db, factor, monkeypatch):
+        """Unscreened outage count of rows whose A_dk sits at the cut
+        threshold * factor and up to four ulps above it, once with every
+        helper link zero (the helpers never decode, so theta = 1) and in
+        rows with random helper links."""
+        kernel, record, dk_col, cols = SCREENED[case]
+        params = scaled(record, rate, snr_db)
+        cut = mc._direct_threshold(params) * factor
+        steps = [cut]
+        for _ in range(4):
+            steps.append(np.nextafter(steps[-1], np.inf))
+        rng = np.random.default_rng(int(rate * 100) + snr_db)
+        table = rng.exponential(size=(len(steps), 33, cols))
+        table[:, 0] = 0.0
+        table[:, :, dk_col] = np.array(steps)[:, None]
+        table = table.reshape(-1, cols)
+        monkeypatch.setattr(mc, "_direct_screen", keep_every_row)
+        return mc._KERNELS[kernel](params, StubDraws(table), len(table))
+
+    @pytest.mark.parametrize("case", sorted(SCREENED))
+    def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
+        """Every row the screen drops meets the rate through the kernel's own
+        rate step, and a cut 1e-9 below the threshold would drop rows
+        that do not."""
+        for rate in (0.25, 0.5, 1.0, 2.0, 4.0, 9.0):
+            for snr_db in (-10, 10, 30, 50):
+                keep_cut = 1.0 + mc._SCREEN_MARGIN
+                assert self.outages_at_cut(case, rate, snr_db, keep_cut, monkeypatch) == 0
+                assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
+
+
 class TestRayleighDraw:
     """The AF kernels' complex amplitude draw."""
 

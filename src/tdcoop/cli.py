@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, config_from_dict, read_yaml
+from .config import ConfigError, config_from_dict, read_yaml, strategy_name
 from .harness import format_rows, run_experiment
 
 __all__ = ["main"]
@@ -33,15 +33,11 @@ def _parse_snr(text: str) -> list[float] | dict[str, str]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _entry_name(entry) -> str:
-    return entry if isinstance(entry, str) else entry.get("name", "")
-
-
 def _build_config(args):
     raw = read_yaml(args.config)
     if args.strategies:
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        have = {_entry_name(e): e for e in raw.get("strategies", [])}
+        have = {strategy_name(e): e for e in raw.get("strategies", [])}
         missing = [w for w in wanted if w not in have]
         if missing:
             raise ConfigError(f"strategies not in config: {missing}")

@@ -19,7 +19,7 @@ from .network import GeometryParams
 from .power import PowerConfig
 from .strategies import Strategy, parse_strategy
 
-__all__ = ["ConfigError", "load_config", "config_from_dict", "read_yaml"]
+__all__ = ["ConfigError", "load_config", "config_from_dict", "read_yaml", "strategy_name"]
 
 
 class ConfigError(ValueError):
@@ -82,6 +82,21 @@ def _snr_grid(raw) -> tuple[float, ...]:
     raise ConfigError("snr_db must be a list or a start/stop/step mapping")
 
 
+def _section(merged: dict, name: str) -> dict:
+    raw = merged.get(name, {}) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    return raw
+
+
+def _position(raw: dict, key: str) -> tuple[float, float]:
+    try:
+        x, y = (float(v) for v in raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry {key} must be an (x, y) pair") from exc
+    return x, y
+
+
 def _geometry(raw: dict) -> GeometryParams:
     _check_keys(raw, _GEOMETRY_KEYS, "geometry")
     kwargs = {}
@@ -94,9 +109,9 @@ def _geometry(raw: dict) -> GeometryParams:
     if "exclusion_radius" in raw:
         kwargs["exclusion_radius"] = float(raw["exclusion_radius"])
     if "relay" in raw:
-        kwargs["relay_position"] = tuple(float(x) for x in raw["relay"])
+        kwargs["relay_position"] = _position(raw, "relay")
     if "destination" in raw:
-        kwargs["destination_position"] = tuple(float(x) for x in raw["destination"])
+        kwargs["destination_position"] = _position(raw, "destination")
     if "path_loss_exponent" in raw:
         kwargs["path_loss_exponent"] = float(raw["path_loss_exponent"])
     return GeometryParams(**kwargs)
@@ -127,14 +142,22 @@ def _coop_sets(raw, num_users: int):
     return tuple(out)
 
 
-def _strategy(entry, num_users: int) -> Strategy:
+def strategy_name(entry) -> str:
+    """The name of one ``strategies`` entry: the string, or its ``name``."""
     if isinstance(entry, str):
-        return parse_strategy(entry, num_users)
+        return entry
     if not isinstance(entry, dict) or "name" not in entry:
         raise ConfigError("strategy entries must be a name or a mapping with 'name'")
+    return entry["name"]
+
+
+def _strategy(entry, num_users: int) -> Strategy:
+    name = strategy_name(entry)
+    if isinstance(entry, str):
+        return parse_strategy(name, num_users)
     _check_keys(entry, {"name", "coop_sets", "multihop_mode"}, "strategy")
     return parse_strategy(
-        entry["name"],
+        name,
         num_users,
         coop_sets=_coop_sets(entry.get("coop_sets"), num_users),
         multihop_mode=entry.get("multihop_mode", "accumulating"),
@@ -157,9 +180,9 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
             merged[key] = val
     if "strategies" not in merged:
         raise ConfigError("configuration must list at least one strategy")
-    geometry = _geometry(merged.get("geometry", {}) or {})
-    power = _power(merged.get("power", {}) or {})
-    bounds = merged.get("bounds", {}) or {}
+    geometry = _geometry(_section(merged, "geometry"))
+    power = _power(_section(merged, "power"))
+    bounds = _section(merged, "bounds")
     _check_keys(bounds, _BOUNDS_KEYS, "bounds")
     strategies = tuple(
         _strategy(e, geometry.num_users) for e in merged["strategies"]

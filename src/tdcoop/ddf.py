@@ -13,11 +13,12 @@ hops the decode order is greedy (earliest decoder first, ties to the
 lowest node index) and each new decoder boosts its burst power by the
 inverse of its remaining transmit time.
 
-All trial-level functions are vectorised over trials.  The bound
-functions return the high-SNR lower/upper pair built from the leading
-term of the weighted-exponential-sum CDF; they take link distances
-already raised to gamma and broadcast over a leading axis of rows, so
-one call bounds one sweep cell at every point of the SNR grid.
+Every function takes link distances already raised to gamma (d^gamma);
+the sweep harness raises them once per cell.  All trial-level functions
+are vectorised over trials.  The bound functions return the high-SNR
+lower/upper pair built from the leading term of the
+weighted-exponential-sum CDF and broadcast over a leading axis of rows,
+so one call bounds one sweep cell at every point of the SNR grid.
 """
 
 from __future__ import annotations
@@ -105,16 +106,19 @@ def _columns(*arrays):
     return tuple(np.asarray(a, dtype=float) for a in arrays)
 
 
-def listen_fraction_rc(amp_sq, distance, burst_power, rate, gamma):
+def listen_fraction_rc(amp_sq, dist_pow, burst_power, rate):
     """Listen fraction of a single forwarder on link gain |A|^2.
 
-    min(1, R / C(|A|^2 * Pbar / d^gamma)); a zero gain gives 1 (the
-    forwarder never decodes and stays silent).  Co-located nodes have no
-    fading link, so a zero distance is rejected.
+    min(1, R / C(|A|^2 * Pbar / d^gamma)), with dist_pow = d^gamma of the
+    source-forwarder link; a zero gain gives 1 (the forwarder never
+    decodes and stays silent).  Co-located nodes have no fading link, so
+    a zero distance is rejected.  The trial kernels call
+    ``listen_fraction_uc2`` for one forwarder too; this is its
+    one-forwarder reference.
     """
-    if distance <= 0.0:
+    if dist_pow <= 0.0:
         raise ValueError("forwarder distance must be positive")
-    snr = np.asarray(amp_sq, dtype=float) * burst_power / distance**gamma
+    snr = np.asarray(amp_sq, dtype=float) * burst_power / dist_pow
     c = capacity(snr)
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
@@ -122,17 +126,18 @@ def listen_fraction_rc(amp_sq, distance, burst_power, rate, gamma):
     return float(out) if np.ndim(amp_sq) == 0 else out
 
 
-def listen_fraction_uc2(amp_sq, distances, burst_power, rate, gamma):
-    """Shared listen fraction when all helpers must decode before relaying.
+def listen_fraction_uc2(amp_sq, dist_pow, burst_power, rate):
+    """Shared listen fraction when all forwarders must decode before relaying.
 
-    amp_sq has one column per helper; the slot boundary waits for the
-    slowest helper, so the fraction is the per-helper maximum capped at 1.
+    amp_sq has one column per forwarder and dist_pow holds each one's
+    source-link d^gamma; the slot boundary waits for the slowest
+    forwarder, so the fraction is the per-forwarder maximum capped at 1.
     """
     a = np.atleast_2d(np.asarray(amp_sq, dtype=float))
-    d = np.asarray(distances, dtype=float)
+    d = np.asarray(dist_pow, dtype=float)
     if np.any(d <= 0.0):
-        raise ValueError("helper distances must be positive")
-    snr = a * burst_power / d**gamma
+        raise ValueError("forwarder distances must be positive")
+    snr = a * burst_power / d
     c = capacity(snr)
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
@@ -161,6 +166,8 @@ def trial_mutual_info_rc(theta, direct_snr, relay_link_snr):
     direct_snr is |H_dk|^2 * Pbar_k; relay_link_snr is |H_dr|^2 * P_r at
     the relay's average budget, and the burst boost 1/(1-theta) is applied
     here.  At theta = 1 the relay never transmits and the rate is G1.
+    The trial kernels call ``trial_mutual_info_uc2`` for one forwarder
+    too; this is its one-forwarder reference.
     """
     theta = np.asarray(theta, dtype=float)
     g1 = capacity(direct_snr)
@@ -347,6 +354,8 @@ def ddf_bounds_rc(
     )
     eta = float(_pow2m1(rate))
     lower = eta**2 * dk_pow * dr_pow / (2.0 * relay_ratio * _float_pow(burst_power, 2))
+    if eta == 0.0:  # rate 0 never fails; the brackets below divide by eta
+        return BoundPair(lower=lower, upper=lower)
 
     def bracket(ts):
         tb = 1.0 - ts
@@ -390,6 +399,8 @@ def ddf_bounds_uc2(
     L = lam.shape[-1]
     eta = float(_pow2m1(rate))
     lower = _leading_product(rate, burst_power, lam, dd)
+    if eta == 0.0:  # rate 0 never fails; the brackets below divide by eta
+        return BoundPair(lower=lower, upper=lower)
     helper_term = np.prod(dd[..., 1:] / lam[..., 1:], axis=-1)
     dk_sum = dk.sum(axis=-1)
     burst_lm2 = _float_pow(burst_power, L - 2)
@@ -446,6 +457,8 @@ def ddf_bounds_multihop(
         raise ValueError("multihop bounds need at least three hops")
     eta = float(_pow2m1(rate))
     lower = _leading_product(rate, burst_power, lam, dd)
+    if eta == 0.0:  # rate 0 never fails; the brackets below divide by eta
+        return BoundPair(lower=lower, upper=lower)
     helper_prod = np.prod(dk / lam[..., 1:], axis=-1)
 
     def kc_kd(tvec):

@@ -144,25 +144,19 @@ class _Cell:
 
     The forwarders of user k are the relay under rc and its helper users
     otherwise (none for mac).  Links run destination-source (dk),
-    destination-forwarder (dj) and forwarder-source (jk); each distance
-    is raised to gamma (``*_pow``) and to -gamma/2 (``*_scale``, the AF
-    amplitude scale), and the forwarder links are also kept raw.
-    ``hh_pow`` is the helper-to-helper d^gamma table of ucmh-ddf (zero
-    diagonal).
+    destination-forwarder (dj) and forwarder-source (jk); ``hh_pow`` is
+    the helper-to-helper table of ucmh-ddf (zero diagonal).  Each link
+    is kept only as d^gamma, raised here with Python's float power: this
+    is the one link table, which the trial kernels and the bounds read
+    as it is.
     """
 
     placement_idx: int
     user_idx: int
     kernel: str
-    gamma: float
-    d_dj: tuple[float, ...]
-    d_jk: tuple[float, ...]
     dk_pow: float
     dj_pow: tuple[float, ...]
     jk_pow: tuple[float, ...]
-    dk_scale: float
-    dj_scale: tuple[float, ...]
-    jk_scale: tuple[float, ...]
     hh_pow: tuple[tuple[float, ...], ...]
 
 
@@ -173,9 +167,6 @@ def _cell(strategy: Strategy, placement: NodePlacement, placement_idx: int, k: i
     gamma = placement.params.path_loss_exponent
     src = user_id(k)
     fwd = [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
-    d_dk = placement.distance(DESTINATION, src)
-    d_dj = tuple(placement.distance(DESTINATION, h) for h in fwd)
-    d_jk = tuple(placement.distance(h, src) for h in fwd)
     if strategy.family == "af":
         kernel = "af2" if strategy.hops(k) == 2 else "afmh"
     else:
@@ -190,15 +181,9 @@ def _cell(strategy: Strategy, placement: NodePlacement, placement_idx: int, k: i
         placement_idx=placement_idx,
         user_idx=k - 1,
         kernel=kernel,
-        gamma=gamma,
-        d_dj=d_dj,
-        d_jk=d_jk,
-        dk_pow=d_dk**gamma,
-        dj_pow=tuple(d**gamma for d in d_dj),
-        jk_pow=tuple(d**gamma for d in d_jk),
-        dk_scale=d_dk ** (-gamma / 2.0),
-        dj_scale=tuple(d ** (-gamma / 2.0) for d in d_dj),
-        jk_scale=tuple(d ** (-gamma / 2.0) for d in d_jk),
+        dk_pow=placement.distance(DESTINATION, src) ** gamma,
+        dj_pow=tuple(placement.distance(DESTINATION, h) ** gamma for h in fwd),
+        jk_pow=tuple(placement.distance(h, src) ** gamma for h in fwd),
         hh_pow=hh_pow,
     )
 
@@ -215,11 +200,7 @@ def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple
     ]
 
 
-# The cell's link table as the trial kernels read it (raw d_dj serves
-# only the AF bounds).
-_LINK_FIELDS = (
-    "gamma", "d_jk", "dk_pow", "dj_pow", "jk_pow", "hh_pow", "dk_scale", "dj_scale", "jk_scale"
-)
+_LINK_FIELDS = ("dk_pow", "dj_pow", "jk_pow", "hh_pow")
 
 
 def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budgets) -> dict:
@@ -254,13 +235,8 @@ def _cell_bounds(
         cf = mac_outage(rate, user_power, cell.dk_pow, strategy.num_users)
         return BoundPair(lower=cf, upper=cf)
     if cell.kernel in ("af2", "afmh"):
-        # The AF bounds raise the forwarder links with numpy's array power,
-        # which can land an ulp away from the kernels' Python float power.
-        dj_pow = np.asarray(cell.d_dj) ** cell.gamma
-        jk_pow = np.asarray(cell.d_jk) ** cell.gamma
-        if cell.kernel == "af2":
-            return af_bounds_2hop(rate, burst, cell.dk_pow, dj_pow, jk_pow)
-        return af_bounds_multihop(rate, burst, cell.dk_pow, dj_pow, jk_pow)
+        af_bounds = af_bounds_2hop if cell.kernel == "af2" else af_bounds_multihop
+        return af_bounds(rate, burst, cell.dk_pow, cell.dj_pow, cell.jk_pow)
     if cell.kernel == "rc-ddf":
         return ddf_bounds_rc(
             rate,

@@ -26,14 +26,16 @@ batch size; it only keeps each batch's draw arrays in cache.
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
 information is strictly below the rate; rate 0 therefore never fails.
-Every kernel takes the same parameter record (built by the sweep
+Every kernel takes the same 8-key parameter record (built by the sweep
 harness): ``rate``, the source's ``burst`` power, its forwarders'
 ``budgets`` (the relay's under rc), the multihop ``mode`` and the
-cell's link table -- ``gamma``, raw source-forwarder distances
-``d_jk``, d^gamma per link (``dk_pow``, ``dj_pow``, ``jk_pow``, and
-``hh_pow`` between helpers) and the AF amplitude scales d^(-gamma/2)
-(``dk_scale``, ``dj_scale``, ``jk_scale``).  Each kernel reads what its
-rate step needs.
+cell's d^gamma link table -- ``dk_pow`` (destination-source),
+``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
+``hh_pow`` (between helpers).  Each kernel reads what its rate step
+needs; the AF kernels scale their amplitudes by 1/sqrt(d^gamma).  rc-ddf
+and uc2-ddf are one protocol, the source's slot and then a second slot
+that its decoded forwarders share, so rc-ddf runs on the uc2 kernel
+with the relay as its one forwarder.
 
 The DDF kernels screen on the direct link before their rate step.  Every
 DDF destination rate is a weighted sum, with weights summing to 1, of
@@ -173,39 +175,17 @@ def _count_mac(params, rng, n):
     return int((a < _direct_threshold(params)).sum())
 
 
-def _count_rc_ddf(params, rng, n):
-    """One dedicated forwarder.  Draws: exponential (n, 3) = A_rk, A_dk, A_dr.
-
-    Only the rows that ``_direct_screen`` keeps reach the rate step.  A
-    dropped row meets the rate: theta*G1 + (1-theta)*G2 with G2 >= G1 is
-    at least G1, the direct link's capacity, and the kept rows' rates
-    are computed trial by trial as without the screen.
-    """
-    rate = params["rate"]
-    a = rng.exponential(size=(n, 3))
-    if rate <= 0.0:
-        return 0
-    a = _direct_screen(a, 1, params)
-    burst = params["burst"]
-    theta = _ddf.listen_fraction_rc(a[:, 0], params["d_jk"][0], burst, rate, params["gamma"])
-    mi = _ddf.trial_mutual_info_rc(
-        theta,
-        a[:, 1] * burst / params["dk_pow"],
-        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
-    )
-    return int((mi < rate).sum())
-
-
 def _count_uc2_ddf(params, rng, n):
-    """Shared second slot, m helpers.
+    """Shared second slot, m forwarders: the relay under rc (m = 1), the
+    helper users under uc2.
 
-    Draws: exponential (n, 2m + 1) = helper listen links A_jk (m), then
-    A_dk, then destination links A_dj (m).  Only the rows that
-    ``_direct_screen`` keeps reach the rate step.  A dropped row meets
-    the rate: the second slot's SNR adds the helpers' terms to the
-    direct one, so the rate is at least G1, the direct link's capacity,
-    and the kept rows' rates are computed trial by trial as without the
-    screen.
+    Draws: exponential (n, 2m + 1) = forwarder listen links A_jk (m),
+    then A_dk, then destination links A_dj (m); at m = 1 that is
+    A_rk, A_dk, A_dr.  Only the rows that ``_direct_screen`` keeps
+    reach the rate step.  A dropped row meets the rate: the second
+    slot's SNR adds the forwarders' terms to the direct one, so the rate
+    is at least G1, the direct link's capacity, and the kept rows' rates
+    are computed trial by trial as without the screen.
     """
     rate = params["rate"]
     m = len(params["budgets"])
@@ -214,8 +194,7 @@ def _count_uc2_ddf(params, rng, n):
         return 0
     a = _direct_screen(a, m, params)
     burst = params["burst"]
-    d_jk = np.asarray(params["d_jk"])
-    theta = _ddf.listen_fraction_uc2(a[:, :m], d_jk, burst, rate, params["gamma"])
+    theta = _ddf.listen_fraction_uc2(a[:, :m], params["jk_pow"], burst, rate)
     budgets = np.asarray(params["budgets"])
     helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["dj_pow"])
     mi = _ddf.trial_mutual_info_uc2(theta, a[:, m] * burst / params["dk_pow"], helper_snr)
@@ -291,7 +270,7 @@ def _count_af(params, rng, n, multihop=False):
     h = _rayleigh_complex(rng, n, 1 + 2 * m)
     if rate <= 0.0:
         return 0
-    h *= np.array((params["dk_scale"], *params["dj_scale"], *params["jk_scale"]))
+    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
     mutual_info = _af.afmh_trial_mutual_info if multihop else _af.af2_trial_mutual_info
     mi = mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
     return int((mi < rate).sum())
@@ -299,7 +278,7 @@ def _count_af(params, rng, n, multihop=False):
 
 _KERNELS = {
     "mac": _count_mac,
-    "rc-ddf": _count_rc_ddf,
+    "rc-ddf": _count_uc2_ddf,
     "uc2-ddf": _count_uc2_ddf,
     "ucmh-ddf": _count_ucmh_ddf,
     "af2": _count_af,

@@ -284,9 +284,9 @@ def slogdet_count_events(kernel, params, seed, path, trials):
         parts = rng.standard_normal((n, 2 * links))
         amp = math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
         ch = build(
-            amp[:, 0] * params["dk_scale"],
-            amp[:, 1 : 1 + m] * np.asarray(params["dj_scale"]),
-            amp[:, 1 + m :] * np.asarray(params["jk_scale"]),
+            amp[:, 0] * (1.0 / math.sqrt(params["dk_pow"])),
+            amp[:, 1 : 1 + m] * (1.0 / np.sqrt(params["dj_pow"])),
+            amp[:, 1 + m :] * (1.0 / np.sqrt(params["jk_pow"])),
             np.asarray(params["budgets"]),
             params["burst"],
         )
@@ -337,9 +337,9 @@ class TestClosedFormRates:
             "rate": 1.0,
             "burst": 3.0,
             "budgets": budgets,
-            "dk_scale": 0.9**-2,
-            "dj_scale": tuple(0.8**-2 for _ in range(m)),
-            "jk_scale": tuple(0.5**-2 for _ in range(m)),
+            "dk_pow": 0.9**4,
+            "dj_pow": tuple(0.8**4 for _ in range(m)),
+            "jk_pow": tuple(0.5**4 for _ in range(m)),
         }
         want = slogdet_count_events(kernel, params, seed, path, trials)
         assert 0.02 * trials < want < 0.98 * trials

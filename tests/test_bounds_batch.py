@@ -27,7 +27,7 @@ from tdcoop.ddf import (
     ddf_bounds_uc2,
 )
 from tdcoop.harness import mac_outage
-from tdcoop.network import DESTINATION, GeometryParams, sample_placement, user_id
+from tdcoop.network import DESTINATION, RELAY, GeometryParams, sample_placement, user_id
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
 
@@ -149,26 +149,30 @@ def ref_afmh(rate, burst_power, dk_pow, dj_pow, jk_pow):
     return lower, upper
 
 
-def ref_cell_bounds(cell, d_dk, strategy, pc, burst, budgets, optimize):
+def ref_cell_bounds(cell, placement, strategy, pc, burst, budgets, optimize):
     """One cell's bound pair at one P the way the sweep computed it point by
-    point, from the raw source-destination distance d_dk."""
-    g = cell.gamma
+    point, from the placement's raw distances, each raised to gamma with
+    Python's float power."""
+    g = placement.params.path_loss_exponent
+    k = cell.user_idx + 1
+    src = user_id(k)
+    fwd = [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
+    dk_pow = placement.distance(DESTINATION, src) ** g
+    dj_pow = tuple(placement.distance(DESTINATION, h) ** g for h in fwd)
+    jk_pow = tuple(placement.distance(h, src) ** g for h in fwd)
     if cell.kernel == "mac":
-        cf = ref_mac(pc.rate, pc.user_power, d_dk**g, strategy.num_users)
+        cf = ref_mac(pc.rate, pc.user_power, dk_pow, strategy.num_users)
         return cf, cf
     if cell.kernel in ("af2", "afmh"):
         ref = ref_af2 if cell.kernel == "af2" else ref_afmh
-        dd = np.asarray(cell.d_dj, dtype=float) ** g
-        dk = np.asarray(cell.d_jk, dtype=float) ** g
-        return ref(pc.rate, burst, d_dk**g, dd, dk)
+        return ref(pc.rate, burst, dk_pow, np.array(dj_pow), np.array(jk_pow))
     if cell.kernel == "rc-ddf":
         return ref_rc(
-            pc.rate, burst, budgets[0] / burst, d_dk**g, cell.d_dj[0] ** g, cell.d_jk[0] ** g,
-            optimize=optimize,
+            pc.rate, burst, budgets[0] / burst, dk_pow, dj_pow[0], jk_pow[0], optimize=optimize
         )
     lambdas = np.concatenate(([1.0], np.asarray(budgets) / burst))
-    dd = np.array((d_dk**g,) + tuple(d**g for d in cell.d_dj))
-    dk = np.array(tuple(d**g for d in cell.d_jk))
+    dd = np.array((dk_pow,) + dj_pow)
+    dk = np.array(jk_pow)
     if cell.kernel == "uc2-ddf":
         return ref_uc2(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
     return ref_multihop(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
@@ -331,7 +335,7 @@ def test_sweep_bounds_match_the_per_point_formulas(num_users, strategy, optimize
         refs = [
             ref_cell_bounds(
                 c,
-                placements[c.placement_idx].distance(DESTINATION, user_id(c.user_idx + 1)),
+                placements[c.placement_idx],
                 strategy,
                 pc,
                 *powers[s][c.user_idx],

@@ -257,6 +257,43 @@ class TestCliRun:
             lower, upper = (float(x) for x in row.split(",")[6:8])
             assert 0.0 < lower <= upper < math.inf
 
+    @pytest.mark.parametrize("bounds_only", (False, True))
+    def test_rate_zero_runs_every_strategy(self, tmp_path, capsys, bounds_only):
+        """Rate 0 never fails: every strategy writes zero outage and zero bounds."""
+        seven = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
+        text = BASE_YAML.replace("rate: 0.25", "rate: 0").replace("  - mac\n  - rc-ddf\n", "")
+        text += "".join(f"  - {name}\n" for name in seven)
+        args = ["run", "-c", write_cfg(tmp_path, text), "--snr-db", "10", "--trial-ceiling", "600"]
+        assert main(args + (["--bounds-only"] if bounds_only else [])) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == list(seven)
+        for row in rows:
+            assert float(row[6]) == float(row[7]) == 0.0
+            assert row[4] == ("" if bounds_only else "0")
+
+    @pytest.mark.parametrize(
+        "old,new,extra",
+        (
+            ("geometry:\n  num_users: 3\n", "geometry: 3\n", []),
+            ("power:\n  rate: 0.25\n", "power: 0.25\n", []),
+            ("strategies:", "bounds: 2\nstrategies:", []),
+            ("  num_users: 3\n", "  num_users: 3\n  relay: 0.5\n", []),
+            ("  num_users: 3\n", "  num_users: 3\n  relay: [0.5, 0.0, 1.0]\n", []),
+            ("  num_users: 3\n", "  num_users: 3\n  destination: [0.0]\n", []),
+            ("  - rc-ddf\n", "  - rc-ddf\n  - 7\n", ["--strategies", "mac"]),
+        ),
+        ids=(
+            "geometry-scalar", "power-scalar", "bounds-scalar", "relay-scalar",
+            "relay-triple", "destination-single", "strategy-entry-number",
+        ),
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, extra):
+        assert old in BASE_YAML
+        path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
+        assert main(["run", "-c", path, "--bounds-only"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
         path = write_cfg(tmp_path)
         outs = []

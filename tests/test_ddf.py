@@ -39,14 +39,14 @@ class TestListenFractionRc:
         rate = 0.25
         amp = (2 ** (2 * rate) - 1) * 0.5**4 / 100.0
         np.testing.assert_allclose(
-            listen_fraction_rc(amp, 0.5, 100.0, rate, 4.0), 0.5, rtol=1e-12
+            listen_fraction_rc(amp, 0.5**4, 100.0, rate), 0.5, rtol=1e-12
         )
 
     def test_zero_gain_never_decodes(self):
-        assert listen_fraction_rc(0.0, 0.5, 100.0, 0.25, 4.0) == 1.0
+        assert listen_fraction_rc(0.0, 0.5**4, 100.0, 0.25) == 1.0
 
     def test_strong_link_decodes_fast(self):
-        theta = listen_fraction_rc(50.0, 0.3, 1000.0, 0.25, 4.0)
+        theta = listen_fraction_rc(50.0, 0.3**4, 1000.0, 0.25)
         assert 0.0 < theta < 0.02
 
     def test_cdf_frozen_point(self):
@@ -60,7 +60,7 @@ class TestListenFractionRc:
         """Sampled listen fractions reproduce the mixed CDF within 3e-3."""
         rng = np.random.default_rng(101)
         amp = rng.exponential(size=10**6)
-        theta = listen_fraction_rc(amp, 0.5, 100.0, 0.25, 4.0)
+        theta = listen_fraction_rc(amp, 0.5**4, 100.0, 0.25)
         grid = np.linspace(0.05, 0.999, 97)
         emp = np.searchsorted(np.sort(theta), grid, side="right") / theta.size
         np.testing.assert_allclose(
@@ -76,28 +76,28 @@ class TestListenFractionRc:
 
     def test_zero_distance_rejected(self):
         with pytest.raises((ValueError, ZeroDivisionError)):
-            listen_fraction_rc(1.0, 0.0, 100.0, 0.25, 4.0)
+            listen_fraction_rc(1.0, 0.0, 100.0, 0.25)
 
 
 class TestListenFractionUc2:
     def test_single_helper_reduces_to_rc(self):
         rng = np.random.default_rng(7)
         amp = rng.exponential(size=500)
-        via_rc = listen_fraction_rc(amp, 0.4, 50.0, 0.25, 4.0)
-        via_uc = listen_fraction_uc2(amp[:, None], np.array([0.4]), 50.0, 0.25, 4.0)
+        via_rc = listen_fraction_rc(amp, 0.4**4, 50.0, 0.25)
+        via_uc = listen_fraction_uc2(amp[:, None], np.array([0.4**4]), 50.0, 0.25)
         np.testing.assert_allclose(via_uc, via_rc, rtol=1e-14)
 
     def test_equal_snrs_give_half(self):
         rate = 0.25
         d = np.array([0.2, 0.3])
         amp = (2 ** (2 * rate) - 1) * d**4 / 100.0
-        out = listen_fraction_uc2(amp[None, :], d, 100.0, rate, 4.0)
+        out = listen_fraction_uc2(amp[None, :], d**4, 100.0, rate)
         np.testing.assert_allclose(out, [0.5], rtol=1e-12)
 
     def test_slowest_helper_sets_fraction(self):
         amp = np.array([[5.0, 0.01]])
-        out = listen_fraction_uc2(amp, np.array([0.3, 0.3]), 100.0, 0.25, 4.0)
-        slow = listen_fraction_rc(0.01, 0.3, 100.0, 0.25, 4.0)
+        out = listen_fraction_uc2(amp, np.array([0.3, 0.3])**4, 100.0, 0.25)
+        slow = listen_fraction_rc(0.01, 0.3**4, 100.0, 0.25)
         np.testing.assert_allclose(out, [slow], rtol=1e-14)
 
     def test_product_cdf_clustered_oracle(self):
@@ -106,7 +106,7 @@ class TestListenFractionUc2:
         n = 10**6
         d = np.array([0.1, 0.1])
         amp = rng.exponential(size=(n, 2))
-        theta = listen_fraction_uc2(amp, d, 100.0, 0.25, 4.0)
+        theta = listen_fraction_uc2(amp, d**4, 100.0, 0.25)
         want = listen_fraction_cdf(0.5, float((d**4).sum()), 100.0, 0.25)
         emp = float(np.mean(theta <= 0.5))
         se = math.sqrt(want * (1 - want) / n)
@@ -255,7 +255,7 @@ class TestTrialMutualInfoMultihop:
         a_dk = rng.exponential(size=n)
         a_dj = rng.exponential(size=n)
 
-        theta = listen_fraction_rc(a_jk, d_jk, burst, rate, gamma)
+        theta = listen_fraction_rc(a_jk, d_jk**gamma, burst, rate)
         uc2 = trial_mutual_info_uc2(
             theta,
             a_dk * burst / d_dk**gamma,
@@ -543,6 +543,26 @@ class TestBounds:
                 rng.uniform(0.01, 1.5, L - 1),
             )
             assert bounds.lower <= bounds.upper
+
+    @pytest.mark.parametrize("optimize", (False, True))
+    def test_rate_zero_gives_zero_pairs(self, optimize):
+        """Rate 0 never fails: every DDF bound is (0, 0), for one pair and
+        for rows, where the theta brackets would divide by 2^0 - 1."""
+        burst = np.array([1.0, 10.0, 1e4])
+        lam = np.array([[1.0, 0.5, 0.7]] * 3)
+        dest = np.array([[1.0, 0.8, 1.2]] * 3)
+        src = np.array([[0.3, 0.4]] * 3)
+        calls = (
+            lambda b, i: ddf_bounds_rc(0.0, b, 0.5, 1.0, 0.8, src[i, 0], optimize=optimize),
+            lambda b, i: ddf_bounds_uc2(0.0, b, lam[i], dest[i], src[i], optimize=optimize),
+            lambda b, i: ddf_bounds_multihop(0.0, b, lam[i], dest[i], src[i], optimize=optimize),
+        )
+        for call in calls:
+            one = call(10.0, 0)
+            assert np.shape(one.lower) == () and one.lower == one.upper == 0.0
+            rows = call(burst, slice(None))
+            assert np.shape(rows.lower) == (3,)
+            assert not np.any(rows.lower) and not np.any(rows.upper)
 
     def test_bound_pair_validation(self):
         with pytest.raises(ValueError):

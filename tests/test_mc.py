@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tdcoop import mc
+from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
 
 
 class TestMix64:
@@ -85,17 +86,18 @@ class TestChunkSizes:
 # the same keys and reads what it needs.
 RECORD = {
     "rate": 1.0, "burst": 3.0, "budgets": (1.0, 1.2), "mode": "accumulating",
-    "gamma": 4.0, "d_jk": (0.6, 0.7),
     "dk_pow": 1.0, "dj_pow": (0.9, 1.1), "jk_pow": (0.6**4, 0.7**4),
     "hh_pow": ((0.0, 0.5), (0.5, 0.0)),
-    "dk_scale": 1.0, "dj_scale": (0.9**-0.5, 1.1**-0.5), "jk_scale": (0.6**-2, 0.7**-2),
 }
+# The relay as the one forwarder: the shared-slot kernel sizes its draws
+# from the budgets.
+RECORD1 = dict(RECORD, budgets=(1.0,), dj_pow=(0.9,), jk_pow=(0.6**4,), hh_pow=())
 MAC_PARAMS = dict(RECORD, rate=0.25)
 # Each kernel's outage probability sits well inside (0, 1) at 70,000
 # trials.
 KERNEL_PARAMS = {
     "mac": MAC_PARAMS,
-    "rc-ddf": RECORD,
+    "rc-ddf": RECORD1,
     "uc2-ddf": RECORD,
     "ucmh-ddf": dict(RECORD, rate=1.5),
     "af2": RECORD,
@@ -155,14 +157,13 @@ class TestCountEvents:
 RECORD3 = dict(
     RECORD,
     budgets=(1.0, 1.2, 0.8),
-    d_jk=(0.6, 0.7, 0.8),
     dj_pow=(0.9, 1.1, 1.0),
     jk_pow=(0.6**4, 0.7**4, 0.8**4),
     hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
 )
 # (kernel, record, column of A_dk, columns of the kernel's draw table)
 SCREENED = {
-    "rc-ddf": ("rc-ddf", RECORD, 1, 3),
+    "rc-ddf": ("rc-ddf", RECORD1, 1, 3),
     "uc2-ddf": ("uc2-ddf", RECORD, 2, 5),
     "ucmh-accumulating": ("ucmh-ddf", RECORD, 3, 6),
     "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 3, 6),
@@ -262,6 +263,53 @@ class TestDirectScreen:
                 keep_cut = 1.0 + mc._SCREEN_MARGIN
                 assert self.outages_at_cut(case, rate, snr_db, keep_cut, monkeypatch) == 0
                 assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
+
+
+def count_rc_ddf(params, rng, n):
+    """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
+    uc2 kernel.  Draws: exponential (n, 3) = A_rk, A_dk, A_dr; the rows the
+    direct screen keeps go through the one-forwarder rate references."""
+    rate = params["rate"]
+    a = rng.exponential(size=(n, 3))
+    if rate <= 0.0:
+        return 0
+    a = mc._direct_screen(a, 1, params)
+    burst = params["burst"]
+    theta = listen_fraction_rc(a[:, 0], params["jk_pow"][0], burst, rate)
+    mi = trial_mutual_info_rc(
+        theta,
+        a[:, 1] * burst / params["dk_pow"],
+        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
+    )
+    return int((mi < rate).sum())
+
+
+class TestRelayOnSharedSlotKernel:
+    """rc-ddf is uc2-ddf with the relay as the one forwarder."""
+
+    def test_one_kernel(self):
+        assert mc._KERNELS["rc-ddf"] is mc._KERNELS["uc2-ddf"]
+
+    @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
+    @pytest.mark.parametrize(
+        "record",
+        (RECORD1, dict(RECORD1, dj_pow=(0.4**4,), jk_pow=(1.3**4,))),
+        ids=("near-relay", "far-relay"),
+    )
+    def test_counts_equal_the_one_forwarder_kernel(self, record, rate):
+        """Same stream, same counts, across the batch boundary."""
+        trials = 2 * mc._BATCH + 777
+        counts = []
+        for snr_db in (-10, 0, 10, 20, 30, 40, 50):
+            params = scaled(record, rate, snr_db)
+            path = (snr_db + 10, 1, 0, 0)
+            rng = mc.derive_stream(29, *path)
+            want = 0
+            for start in range(0, trials, mc._BATCH):
+                want += count_rc_ddf(params, rng, min(mc._BATCH, trials - start))
+            assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
+            counts.append(want)
+        assert any(0 < c < trials for c in counts) == (rate > 0.0)
 
 
 class TestRayleighDraw:

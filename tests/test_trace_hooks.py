@@ -43,16 +43,21 @@ def test_install_then_restore(mode):
 
 def test_full_mode_records_the_layers():
     placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
-    tracer = tracing.Tracer()
-    try:
-        tracing.install(tracer, "full")
-        harness.estimate_outage(
-            parse_strategy("uc3-ddf", 3), placement, PowerConfig(user_power=10.0), trials=64, seed=1
-        )
-    finally:
-        tracer.restore()
-    for name in ("mc.run_cells", "mc.task.ucmh-ddf", "mc.draw", "ddf.schedule", "power"):
-        assert name in tracer.span_names, name
+    # rc-ddf runs on the uc2 kernel but keeps its own task label.
+    for strategy, spans in (
+        ("uc3-ddf", ("mc.task.ucmh-ddf", "ddf.schedule")),
+        ("rc-ddf", ("mc.task.rc-ddf", "ddf.rate")),
+    ):
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer, "full")
+            harness.estimate_outage(
+                parse_strategy(strategy, 3), placement, PowerConfig(user_power=10.0), trials=64, seed=1
+            )
+        finally:
+            tracer.restore()
+        for name in ("mc.run_cells", "mc.draw", "power") + spans:
+            assert name in tracer.span_names, (strategy, name)
 
 
 def test_full_mode_records_the_bound_layers():

@@ -66,11 +66,21 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown {where} keys: {unknown}")
 
 
+def _number(kind, value, what: str):
+    """value as kind (int or float); a list, mapping or word is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
 def _snr_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, dict):
         _check_keys(raw, {"start", "stop", "step"}, "snr_db")
         try:
-            start, stop, step = float(raw["start"]), float(raw["stop"]), float(raw["step"])
+            start, stop, step = (
+                _number(float, raw[k], f"snr_db {k}") for k in ("start", "stop", "step")
+            )
         except KeyError as exc:
             raise ConfigError(f"snr_db range needs start/stop/step: missing {exc}") from exc
         if step <= 0 or stop < start:
@@ -78,7 +88,7 @@ def _snr_grid(raw) -> tuple[float, ...]:
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(count))
     if isinstance(raw, (list, tuple)):
-        return tuple(float(x) for x in raw)
+        return tuple(_number(float, x, "snr_db") for x in raw)
     raise ConfigError("snr_db must be a list or a start/stop/step mapping")
 
 
@@ -100,32 +110,40 @@ def _position(raw: dict, key: str) -> tuple[float, float]:
 def _geometry(raw: dict) -> GeometryParams:
     _check_keys(raw, _GEOMETRY_KEYS, "geometry")
     kwargs = {}
+
+    def number(kind, key):
+        return _number(kind, raw[key], f"geometry {key}")
+
     if "num_users" in raw:
-        kwargs["num_users"] = int(raw["num_users"])
+        kwargs["num_users"] = number(int, "num_users")
     if "sector_radius" in raw:
-        kwargs["sector_radius"] = float(raw["sector_radius"])
+        kwargs["sector_radius"] = number(float, "sector_radius")
     if "sector_angle_deg" in raw:
-        kwargs["sector_angle"] = math.radians(float(raw["sector_angle_deg"]))
+        kwargs["sector_angle"] = math.radians(number(float, "sector_angle_deg"))
     if "exclusion_radius" in raw:
-        kwargs["exclusion_radius"] = float(raw["exclusion_radius"])
+        kwargs["exclusion_radius"] = number(float, "exclusion_radius")
     if "relay" in raw:
         kwargs["relay_position"] = _position(raw, "relay")
     if "destination" in raw:
         kwargs["destination_position"] = _position(raw, "destination")
     if "path_loss_exponent" in raw:
-        kwargs["path_loss_exponent"] = float(raw["path_loss_exponent"])
+        kwargs["path_loss_exponent"] = number(float, "path_loss_exponent")
     return GeometryParams(**kwargs)
 
 
 def _power(raw: dict) -> PowerConfig:
     _check_keys(raw, _POWER_KEYS, "power")
+
+    def number(key, default):
+        return _number(float, raw.get(key, default), f"power {key}")
+
     return PowerConfig(
         user_power=1.0,
-        rate=float(raw.get("rate", 0.25)),
-        relay_power_factor=float(raw.get("relay_factor", 0.5)),
-        encode_factor=float(raw.get("encode_factor", 0.0)),
-        decode_factor=float(raw.get("decode_factor", 0.0)),
-        overhead_power=float(raw.get("overhead_power", 0.0)),
+        rate=number("rate", 0.25),
+        relay_power_factor=number("relay_factor", 0.5),
+        encode_factor=number("encode_factor", 0.0),
+        decode_factor=number("decode_factor", 0.0),
+        overhead_power=number("overhead_power", 0.0),
     )
 
 
@@ -146,8 +164,8 @@ def strategy_name(entry) -> str:
     """The name of one ``strategies`` entry: the string, or its ``name``."""
     if isinstance(entry, str):
         return entry
-    if not isinstance(entry, dict) or "name" not in entry:
-        raise ConfigError("strategy entries must be a name or a mapping with 'name'")
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ConfigError("strategy entries must be a name or a mapping with a 'name' string")
     return entry["name"]
 
 
@@ -189,20 +207,24 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
     )
     if len({s.name for s in strategies}) != len(strategies):
         raise ConfigError("duplicate strategy names")
+
+    def number(key, default):
+        return _number(int, merged.get(key, default), key)
+
     try:
         return ExperimentConfig(
             geometry=geometry,
             power=power,
             strategies=strategies,
             snr_db=_snr_grid(merged.get("snr_db", [0.0])),
-            num_placements=int(merged.get("placements", 100)),
-            master_seed=int(merged.get("seed", 0)),
-            target_events=int(merged.get("target_events", 100)),
-            trial_ceiling=int(merged.get("trial_ceiling", 10_000_000)),
-            workers=int(merged.get("workers", 1)),
+            num_placements=number("placements", 100),
+            master_seed=number("seed", 0),
+            target_events=number("target_events", 100),
+            trial_ceiling=number("trial_ceiling", 10_000_000),
+            workers=number("workers", 1),
             output_path=merged.get("output"),
             per_user_rows=bool(merged.get("per_user_rows", False)),
-            theta_star=float(bounds.get("theta_star", 0.5)),
+            theta_star=_number(float, bounds.get("theta_star", 0.5), "bounds theta_star"),
             optimize_bounds=bool(bounds.get("optimize", False)),
             bounds_only=bool(merged.get("bounds_only", False)),
         )

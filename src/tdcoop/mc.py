@@ -1,13 +1,14 @@
 """Deterministic parallel Monte Carlo trial engine.
 
-Every batch of trials draws from its own counter-based stream whose key
-is (seed, blake2b-64 of the batch's index path), so results depend only
-on the configuration and never on worker count or execution order:
+Every task draws from its own counter-based streams, each keyed by
+(seed, blake2b-64 of an index path), so results depend only on the
+configuration and never on worker count or execution order:
 
     placement i       <- stream (master_seed; 0, i)
     point seed        <- mix64(master_seed, 1, strategy_idx, snr_idx)
-    trial chunk       <- stream (point_seed; placement_idx, user_idx,
-                                 round_idx, chunk_idx)
+    trial chunk       <- direct stream (point_seed; placement_idx,
+                             user_idx, round_idx, chunk_idx)
+                         forwarder stream (point_seed; the same path, 1)
 
 Trials for one (strategy, SNR) point are scheduled in geometric rounds:
 every (placement, user) cell starts at MIN_CELL_TRIALS and quadruples at
@@ -20,8 +21,11 @@ than one worker, tasks run on a spawn-started process pool that a whole
 sweep shares (``worker_pool``).
 
 A task draws its trials in internal batches of ``_BATCH`` trials that
-read the task's one stream in order, so counts do not depend on the
-batch size; it only keeps each batch's draw arrays in cache.
+read the task's two streams in order, so counts do not depend on the
+batch size; it only keeps each batch's draw arrays in cache.  The direct
+stream holds every trial's first draws (the direct gain A_dk, or a whole
+mac or AF trial); the forwarder stream holds the other DDF links of the
+trials the direct screen keeps, one row per kept trial in trial order.
 
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
@@ -37,18 +41,18 @@ and uc2-ddf are one protocol, the source's slot and then a second slot
 that its decoded forwarders share, so rc-ddf runs on the uc2 kernel
 with the relay as its one forwarder.
 
-The DDF kernels screen on the direct link before their rate step.  Every
-DDF destination rate is a weighted sum, with weights summing to 1, of
-capacities whose SNR includes the direct term A_dk * burst / dk_pow, so
-it is at least C(A_dk * burst / dk_pow).  A trial whose A_dk reaches
-``_direct_threshold`` (where that capacity equals the rate) times
-1 + ``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding
-in the weighted sums.  Only the other rows go through the rate step,
-which works elementwise over trials, so each kept trial gets the same
-rate bits as without the screen and the counts cannot change.  At zero
-burst power nothing is screened.  AF is not screened: its only
-direct-only bound, (1/L) C(P|h_dk|^2), drops few rows at the benchmark's
-points.
+The DDF kernels screen on the direct link before they draw anything
+else.  Every DDF destination rate is a weighted sum, with weights
+summing to 1, of capacities whose SNR includes the direct term
+A_dk * burst / dk_pow, so it is at least C(A_dk * burst / dk_pow).  A
+trial whose A_dk reaches ``_direct_threshold`` (where that capacity
+equals the rate) times 1 + ``_SCREEN_MARGIN`` cannot be in outage; the
+margin covers rounding in the weighted sums.  Only the other trials draw
+their forwarder links and go through the rate step, which works
+elementwise over trials, so a kept trial's rate is the one it would get
+from the same links without the screen.  At zero burst power nothing is
+screened.  AF is not screened: its only direct-only bound,
+(1/L) C(P|h_dk|^2), drops few rows at the benchmark's points.
 """
 
 from __future__ import annotations
@@ -153,21 +157,27 @@ def _direct_threshold(params):
     return math.expm1(params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
 
 
-def _direct_screen(a, dk_col, params):
-    """Rows of the draw table a that the direct link alone may not carry.
+def _direct_screen(params, rng, n):
+    """Direct gains A_dk of the batch's trials the direct link alone may not
+    carry.
 
-    Keeps the rows whose A_dk (column dk_col) lies below the direct-link
-    threshold widened by ``_SCREEN_MARGIN``; every dropped row meets the
-    rate under each DDF scheme.  At zero burst power every row is kept.
+    Draws: exponential (n,) = A_dk from the task's direct stream.  Keeps,
+    in trial order, the gains below the direct-link threshold widened by
+    ``_SCREEN_MARGIN``; every dropped trial meets the rate under each DDF
+    scheme.  At rate 0 nothing is kept (no trial fails); at zero burst
+    power everything is.
     """
+    a_dk = rng.exponential(size=n)
+    if params["rate"] <= 0.0:
+        return a_dk[:0]
     if params["burst"] <= 0.0:
-        return a
-    return a[a[:, dk_col] < _direct_threshold(params) * (1.0 + _SCREEN_MARGIN)]
+        return a_dk
+    return a_dk[a_dk < _direct_threshold(params) * (1.0 + _SCREEN_MARGIN)]
 
 
-def _count_mac(params, rng, n):
-    """Direct slot only.  Draws: exponential (n, 1) = |A_dk|^2."""
-    a = rng.exponential(size=(n, 1))[:, 0]
+def _count_mac(params, rng, fwd_rng, n):
+    """Direct slot only.  Draws: exponential (n,) = A_dk."""
+    a = rng.exponential(size=n)
     if params["rate"] <= 0.0:
         return 0
     if params["burst"] <= 0.0:
@@ -175,56 +185,52 @@ def _count_mac(params, rng, n):
     return int((a < _direct_threshold(params)).sum())
 
 
-def _count_uc2_ddf(params, rng, n):
+def _count_uc2_ddf(params, rng, fwd_rng, n):
     """Shared second slot, m forwarders: the relay under rc (m = 1), the
     helper users under uc2.
 
-    Draws: exponential (n, 2m + 1) = forwarder listen links A_jk (m),
-    then A_dk, then destination links A_dj (m); at m = 1 that is
-    A_rk, A_dk, A_dr.  Only the rows that ``_direct_screen`` keeps
-    reach the rate step.  A dropped row meets the rate: the second
-    slot's SNR adds the forwarders' terms to the direct one, so the rate
-    is at least G1, the direct link's capacity, and the kept rows' rates
-    are computed trial by trial as without the screen.
+    Draws: A_dk from ``_direct_screen``; then, for the kept trials only,
+    exponential (kept, 2m) from the forwarder stream = forwarder listen
+    links A_jk (m), then destination links A_dj (m); at m = 1 that is
+    A_rk, A_dr.  A dropped trial meets the rate: the second slot's SNR
+    adds the forwarders' terms to the direct one, so the rate is at
+    least G1, the direct link's capacity.
     """
-    rate = params["rate"]
-    m = len(params["budgets"])
-    a = rng.exponential(size=(n, 2 * m + 1))
-    if rate <= 0.0:
+    a_dk = _direct_screen(params, rng, n)
+    if not a_dk.size:
         return 0
-    a = _direct_screen(a, m, params)
-    burst = params["burst"]
+    rate, burst = params["rate"], params["burst"]
+    m = len(params["budgets"])
+    a = fwd_rng.exponential(size=(a_dk.size, 2 * m))
     theta = _ddf.listen_fraction_uc2(a[:, :m], params["jk_pow"], burst, rate)
     budgets = np.asarray(params["budgets"])
-    helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["dj_pow"])
-    mi = _ddf.trial_mutual_info_uc2(theta, a[:, m] * burst / params["dk_pow"], helper_snr)
+    helper_snr = a[:, m:] * budgets / np.asarray(params["dj_pow"])
+    mi = _ddf.trial_mutual_info_uc2(theta, a_dk * burst / params["dk_pow"], helper_snr)
     return int((mi < rate).sum())
 
 
-def _count_ucmh_ddf(params, rng, n):
+def _count_ucmh_ddf(params, rng, fwd_rng, n):
     """Greedy multihop chain, m helpers (L = m + 1 slots).
 
-    Draws: exponential (n, m + m(m-1)/2 + 1 + m) in the order
-    helper-hears-source (m), helper pairs (h < j, row-major), destination
-    from source (1), destination from helpers (m).  A helper pair shares
-    one fading draw for both directions.  Only the rows that
-    ``_direct_screen`` keeps reach the rate step.  A dropped row meets
-    the rate: the stage SNRs at the destination start at the direct term
-    and never decrease, and the stage fractions sum to 1.  The schedule
-    and the destination rate work trial by trial (a stage loop that ends
-    early skips only stages no kept trial has time left for), so the
-    kept rows' rates are the same as without the screen.
+    Draws: A_dk from ``_direct_screen``; then, for the kept trials only,
+    exponential (kept, m + m(m-1)/2 + m) from the forwarder stream in the
+    order helper-hears-source (m), helper pairs (h < j, row-major),
+    destination from helpers (m).  A helper pair shares one fading draw
+    for both directions.  A dropped trial meets the rate: the stage SNRs
+    at the destination start at the direct term and never decrease, and
+    the stage fractions sum to 1.  The schedule and the destination rate
+    work trial by trial (a stage loop that ends early skips only stages
+    no kept trial has time left for).
     """
-    rate = params["rate"]
-    burst, budgets = params["burst"], params["budgets"]
+    a_dk = _direct_screen(params, rng, n)
+    if not a_dk.size:
+        return 0
+    rate, burst, budgets = params["rate"], params["burst"], params["budgets"]
     m = len(budgets)
     L = m + 1
     npairs = m * (m - 1) // 2
-    a = rng.exponential(size=(n, m + npairs + 1 + m))
-    if rate <= 0.0:
-        return 0
-    a = _direct_screen(a, m + npairs, params)
-    n = len(a)
+    n = a_dk.size
+    a = fwd_rng.exponential(size=(n, m + npairs + m))
     # Link SNR coefficients: helper h hears the source (slot 0) and every
     # other helper; the destination hears the source and every helper.
     recv_coef = np.zeros((m, L))
@@ -247,7 +253,7 @@ def _count_ucmh_ddf(params, rng, n):
             recv[h, j + 1] = a[:, col]
             recv[j, h + 1] = a[:, col]
             col += 1
-    dest = a[:, m + npairs :]
+    dest = np.column_stack((a_dk, a[:, m + npairs :]))
     sched = _ddf.multihop_schedule(
         recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"]
     )
@@ -255,13 +261,14 @@ def _count_ucmh_ddf(params, rng, n):
     return int((mi < rate).sum())
 
 
-def _count_af(params, rng, n, multihop=False):
+def _count_af(params, rng, fwd_rng, n, multihop=False):
     """AF over m helpers: the two-slot scheme (all helpers forward at
     once) or, with multihop, L = m + 1 slots with one helper per slot.
 
     Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
-    standard_normal (n, 2(1 + 2m)); helpers never hear each other.  The
-    rate is the closed-form determinant of the scheme's whitened matrix
+    standard_normal (n, 2(1 + 2m)) from the direct stream; the forwarder
+    stream is unused.  Helpers never hear each other.  The rate is the
+    closed-form determinant of the scheme's whitened matrix
     (``af2_trial_mutual_info``/``afmh_trial_mutual_info``); no matrix is
     built, and ``af_trial_mutual_info`` stays the general reference.
     """
@@ -287,17 +294,21 @@ _KERNELS = {
 
 
 def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int) -> int:
-    """Outage events in one task, consumed in internal batches of one stream.
+    """Outage events in one task, consumed in internal batches of the
+    task's two streams.
 
-    Every kernel's draw layout is trial-major, so the count is the same for
-    any batch size."""
+    The direct stream is keyed by path and the forwarder stream by path
+    followed by 1.  Every kernel reads both trial-major (the forwarder
+    stream only for the trials the direct screen keeps), so the count is
+    the same for any batch size."""
     fn = _KERNELS[kernel]
     rng = derive_stream(seed, *path)
+    fwd_rng = derive_stream(seed, *path, 1)
     events = 0
     done = 0
     while done < trials:
         step = min(_BATCH, trials - done)
-        events += fn(params, rng, step)
+        events += fn(params, rng, fwd_rng, step)
         done += step
     return events
 

@@ -294,6 +294,24 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "old,new",
+        (
+            ("placements: 2\n", "placements: [2]\n"),
+            ("  num_users: 3\n", "  num_users: 3\n  sector_radius: [1]\n"),
+            ("  rate: 0.25\n", "  rate: [1]\n"),
+            ("  - rc-ddf\n", "  - rc-ddf\n  - name: 5\n"),
+        ),
+        ids=("placements-list", "sector-radius-list", "rate-list", "strategy-name-number"),
+    )
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, old, new):
+        """A value of the wrong type is a config error, not a traceback."""
+        assert old in BASE_YAML
+        path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
         path = write_cfg(tmp_path)
         outs = []

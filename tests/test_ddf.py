@@ -385,12 +385,19 @@ def oracle_coefficients(params):
 
 
 def oracle_count_events(params, seed, path, trials):
-    """Reference ucmh-ddf kernel: the engine's stream and draw layout drawn
-    in one piece, trial-major link arrays, the scatter schedule."""
+    """Reference ucmh-ddf kernel: the engine's two streams and draw layout
+    drawn in one piece, trial-major link arrays, the scatter schedule.
+
+    Every trial's A_dk comes from the direct stream.  The trials the
+    direct screen keeps take the forwarder stream's rows in order; the
+    dropped ones get dead forwarder links and still run the rate step."""
     recv_coef, dest_coef = oracle_coefficients(params)
     m, L = recv_coef.shape
     npairs = m * (m - 1) // 2
-    a = mc.derive_stream(seed, *path).exponential(size=(trials, m + npairs + 1 + m))
+    a_dk = mc.derive_stream(seed, *path).exponential(size=trials)
+    keep = a_dk < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
+    a = np.zeros((trials, m + npairs + m))
+    a[keep] = mc.derive_stream(seed, *path, 1).exponential(size=(int(keep.sum()), a.shape[1]))
     recv = np.zeros((trials, m, L))
     recv[:, :, 0] = a[:, :m]
     col = m
@@ -400,7 +407,8 @@ def oracle_count_events(params, seed, path, trials):
             recv[:, j, h + 1] = a[:, col]
             col += 1
     sched = scatter_multihop_schedule(recv, recv_coef, params["rate"], params["mode"])
-    mi = gather_trial_mutual_info_multihop(sched, a[:, m + npairs :], dest_coef)
+    dest = np.column_stack((a_dk, a[:, m + npairs :]))
+    mi = gather_trial_mutual_info_multihop(sched, dest, dest_coef)
     return int((mi < params["rate"]).sum())
 
 

@@ -10,8 +10,18 @@ import math
 import numpy as np
 import pytest
 
-from tdcoop import mc
-from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
+from tdcoop import harness, mc
+from tdcoop.ddf import (
+    listen_fraction_rc,
+    listen_fraction_uc2,
+    multihop_schedule,
+    trial_mutual_info_multihop,
+    trial_mutual_info_rc,
+    trial_mutual_info_uc2,
+)
+from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
+from tdcoop.power import PowerConfig
+from tdcoop.strategies import parse_strategy
 
 
 class TestMix64:
@@ -161,13 +171,13 @@ RECORD3 = dict(
     jk_pow=(0.6**4, 0.7**4, 0.8**4),
     hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
 )
-# (kernel, record, column of A_dk, columns of the kernel's draw table)
+# (kernel, record, columns of the kernel's forwarder table)
 SCREENED = {
-    "rc-ddf": ("rc-ddf", RECORD1, 1, 3),
-    "uc2-ddf": ("uc2-ddf", RECORD, 2, 5),
-    "ucmh-accumulating": ("ucmh-ddf", RECORD, 3, 6),
-    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 3, 6),
-    "ucmh-k4": ("ucmh-ddf", RECORD3, 6, 10),
+    "rc-ddf": ("rc-ddf", RECORD1, 2),
+    "uc2-ddf": ("uc2-ddf", RECORD, 4),
+    "ucmh-accumulating": ("ucmh-ddf", RECORD, 5),
+    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 5),
+    "ucmh-k4": ("ucmh-ddf", RECORD3, 9),
 }
 
 
@@ -178,86 +188,139 @@ def scaled(params, rate, snr_db):
     return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
 
 
-def keep_every_row(a, dk_col, params):
-    return a
+def keep_every_trial(params, rng, n):
+    """A direct screen that keeps every trial, at rate 0 too."""
+    return rng.exponential(size=n)
 
 
 class StubDraws:
-    """Stands in for a kernel's generator and hands it a fixed draw table."""
+    """Stands in for a kernel's generator and hands it a fixed draw array."""
 
     def __init__(self, table):
         self.table = table
 
     def exponential(self, size):
-        assert size == self.table.shape
+        assert np.shape(self.table) == (size if isinstance(size, tuple) else (size,))
         return self.table.copy()
 
 
+class NoDraws:
+    """A generator the kernel must not draw from."""
+
+    def exponential(self, size):
+        raise AssertionError(f"unexpected draw of {size}")
+
+
+def unscreened_table(params, seed, path, trials, cols):
+    """One task's draws as an unscreened table: every trial's A_dk from the
+    direct stream, and a forwarder table in which the trials the screen
+    keeps take the forwarder stream's rows in order while the dropped
+    trials get dead links (zero gains)."""
+    a_dk = mc.derive_stream(seed, *path).exponential(size=trials)
+    if params["rate"] <= 0.0:
+        keep = np.zeros(trials, dtype=bool)
+    elif params["burst"] <= 0.0:
+        keep = np.ones(trials, dtype=bool)
+    else:
+        keep = a_dk < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
+    fwd = np.zeros((trials, cols))
+    fwd[keep] = mc.derive_stream(seed, *path, 1).exponential(size=(int(keep.sum()), cols))
+    return a_dk, fwd
+
+
+def unscreened_count(kernel, params, a_dk, fwd, monkeypatch):
+    """The kernel's rate step over every row of the table, in one batch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_direct_screen", keep_every_trial)
+        return mc._KERNELS[kernel](params, StubDraws(a_dk), StubDraws(fwd), len(a_dk))
+
+
 class TestDirectScreen:
-    """The DDF kernels send only rows whose direct link may miss the rate
-    through the rate step; the counts must not change."""
+    """The DDF kernels draw forwarder links and run the rate step only for
+    trials whose direct link may miss the rate; a dropped trial must
+    count as it would with dead forwarder links."""
+
+    def spy(self, monkeypatch):
+        """Record (batch size, kept trials) of every screened batch."""
+        kept = []
+        screen = mc._direct_screen
+
+        def spy(params, rng, n):
+            out = screen(params, rng, n)
+            kept.append((n, out.size))
+            return out
+
+        monkeypatch.setattr(mc, "_direct_screen", spy)
+        return kept
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_counts_equal_the_unscreened_stream(self, case, rate, monkeypatch):
-        kernel, record, _, _ = SCREENED[case]
-        kept = []
-
-        def spy(a, dk_col, params):
-            out = screen(a, dk_col, params)
-            kept.append((len(a), len(out)))
-            return out
-
-        screen = mc._direct_screen
+        kernel, record, cols = SCREENED[case]
+        kept = self.spy(monkeypatch)
+        trials = 40_000
+        assert trials > 2 * mc._BATCH
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 0, 0, 0)
             kept.clear()
-            monkeypatch.setattr(mc, "_direct_screen", spy)
-            screened = mc.count_events(kernel, params, 21, path, 40_000)
-            monkeypatch.setattr(mc, "_direct_screen", keep_every_row)
-            assert screened == mc.count_events(kernel, params, 21, path, 40_000), snr_db
+            got = mc.count_events(kernel, params, 21, path, trials)
+            table = unscreened_table(params, 21, path, trials, cols)
+            assert got == unscreened_count(kernel, params, *table, monkeypatch), snr_db
             if rate > 0.0 and snr_db >= 30:
-                assert sum(k for _, k in kept) < sum(n for n, _ in kept) // 2
+                assert sum(k for _, k in kept) < trials // 2
         zero = dict(scaled(record, rate, 0), burst=0.0)
-        monkeypatch.setattr(mc, "_direct_screen", screen)
         got = mc.count_events(kernel, zero, 21, (0,), 5000)
         assert got == (5000 if rate > 0.0 else 0)
+        table = unscreened_table(zero, 21, (0,), 5000, cols)
+        assert got == unscreened_count(kernel, zero, *table, monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(SCREENED))
+    def test_counts_across_batches_with_no_kept_trial(self, case, monkeypatch):
+        """Batches that keep no trial draw nothing from the forwarder
+        stream, so the next kept trial still takes its next row."""
+        kernel, record, cols = SCREENED[case]
+        kept = self.spy(monkeypatch)
+        monkeypatch.setattr(mc, "_BATCH", 64)
+        trials = 64 * 200 + 7
+        params = scaled(record, 1.0, 30)
+        got = mc.count_events(kernel, params, 23, (1, 0, 0, 0), trials)
+        table = unscreened_table(params, 23, (1, 0, 0, 0), trials, cols)
+        assert got == unscreened_count(kernel, params, *table, monkeypatch)
+        sizes = [k for _, k in kept]
+        assert 0 in sizes and max(sizes) > 0
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_batch_with_no_surviving_row(self, case):
-        kernel, record, dk_col, cols = SCREENED[case]
+        kernel, record, _ = SCREENED[case]
         params = scaled(record, 0.25, 50)
-        table = mc.derive_stream(3, 0).exponential(size=(64, cols))
-        table[:, dk_col] = 2.0 * mc._direct_threshold(params)
-        assert len(mc._direct_screen(table, dk_col, params)) == 0
-        assert mc._KERNELS[kernel](params, StubDraws(table), 64) == 0
+        a_dk = np.full(64, 2.0 * mc._direct_threshold(params))
+        assert mc._direct_screen(params, StubDraws(a_dk), 64).size == 0
+        assert mc._KERNELS[kernel](params, StubDraws(a_dk), NoDraws(), 64) == 0
 
     @staticmethod
     def outages_at_cut(case, rate, snr_db, factor, monkeypatch):
-        """Unscreened outage count of rows whose A_dk sits at the cut
+        """Unscreened outage count of trials whose A_dk sits at the cut
         threshold * factor and up to four ulps above it, once with every
-        helper link zero (the helpers never decode, so theta = 1) and in
-        rows with random helper links."""
-        kernel, record, dk_col, cols = SCREENED[case]
+        forwarder link zero (the forwarders never decode, so theta = 1)
+        and in trials with random forwarder links."""
+        kernel, record, cols = SCREENED[case]
         params = scaled(record, rate, snr_db)
         cut = mc._direct_threshold(params) * factor
         steps = [cut]
         for _ in range(4):
             steps.append(np.nextafter(steps[-1], np.inf))
         rng = np.random.default_rng(int(rate * 100) + snr_db)
-        table = rng.exponential(size=(len(steps), 33, cols))
-        table[:, 0] = 0.0
-        table[:, :, dk_col] = np.array(steps)[:, None]
-        table = table.reshape(-1, cols)
-        monkeypatch.setattr(mc, "_direct_screen", keep_every_row)
-        return mc._KERNELS[kernel](params, StubDraws(table), len(table))
+        fwd = rng.exponential(size=(len(steps), 33, cols))
+        fwd[:, 0] = 0.0
+        a_dk = np.repeat(steps, 33)
+        return unscreened_count(kernel, params, a_dk, fwd.reshape(-1, cols), monkeypatch)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
-        """Every row the screen drops meets the rate through the kernel's own
-        rate step, and a cut 1e-9 below the threshold would drop rows
-        that do not."""
+        """Every trial the screen drops meets the rate through the kernel's
+        own rate step, and a cut 1e-9 below the threshold would drop
+        trials that do not."""
         for rate in (0.25, 0.5, 1.0, 2.0, 4.0, 9.0):
             for snr_db in (-10, 10, 30, 50):
                 keep_cut = 1.0 + mc._SCREEN_MARGIN
@@ -265,21 +328,21 @@ class TestDirectScreen:
                 assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
 
 
-def count_rc_ddf(params, rng, n):
+def count_rc_ddf(params, rng, fwd_rng, n):
     """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
-    uc2 kernel.  Draws: exponential (n, 3) = A_rk, A_dk, A_dr; the rows the
-    direct screen keeps go through the one-forwarder rate references."""
-    rate = params["rate"]
-    a = rng.exponential(size=(n, 3))
-    if rate <= 0.0:
+    uc2 kernel, on the two-stream layout.  Draws: A_dk through the direct
+    screen, then exponential (kept, 2) = A_rk, A_dr from the forwarder
+    stream; the kept trials go through the one-forwarder rate references."""
+    a_dk = mc._direct_screen(params, rng, n)
+    if not a_dk.size:
         return 0
-    a = mc._direct_screen(a, 1, params)
-    burst = params["burst"]
+    rate, burst = params["rate"], params["burst"]
+    a = fwd_rng.exponential(size=(a_dk.size, 2))
     theta = listen_fraction_rc(a[:, 0], params["jk_pow"][0], burst, rate)
     mi = trial_mutual_info_rc(
         theta,
-        a[:, 1] * burst / params["dk_pow"],
-        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
+        a_dk * burst / params["dk_pow"],
+        a[:, 1] * params["budgets"][0] / params["dj_pow"][0],
     )
     return int((mi < rate).sum())
 
@@ -297,19 +360,155 @@ class TestRelayOnSharedSlotKernel:
         ids=("near-relay", "far-relay"),
     )
     def test_counts_equal_the_one_forwarder_kernel(self, record, rate):
-        """Same stream, same counts, across the batch boundary."""
+        """Same streams, same counts, across the batch boundary."""
         trials = 2 * mc._BATCH + 777
         counts = []
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 1, 0, 0)
             rng = mc.derive_stream(29, *path)
+            fwd_rng = mc.derive_stream(29, *path, 1)
             want = 0
             for start in range(0, trials, mc._BATCH):
-                want += count_rc_ddf(params, rng, min(mc._BATCH, trials - start))
+                want += count_rc_ddf(params, rng, fwd_rng, min(mc._BATCH, trials - start))
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
+
+
+# The DDF kernels before they drew forwarder links only for the trials the
+# direct screen keeps: every trial's links come from the one direct stream,
+# and the screen drops rows of the whole table.
+
+
+def one_stream_screen(a, dk_col, params):
+    """Rows of the draw table a whose A_dk (column dk_col) lies below the
+    widened direct-link threshold; every row at zero burst power."""
+    if params["burst"] <= 0.0:
+        return a
+    return a[a[:, dk_col] < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)]
+
+
+def one_stream_uc2_ddf(params, rng, n):
+    """Shared second slot, m forwarders.  Draws: exponential (n, 2m + 1) =
+    A_jk (m), A_dk, A_dj (m)."""
+    rate = params["rate"]
+    m = len(params["budgets"])
+    a = rng.exponential(size=(n, 2 * m + 1))
+    if rate <= 0.0:
+        return 0
+    a = one_stream_screen(a, m, params)
+    burst = params["burst"]
+    theta = listen_fraction_uc2(a[:, :m], params["jk_pow"], burst, rate)
+    budgets = np.asarray(params["budgets"])
+    helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["dj_pow"])
+    mi = trial_mutual_info_uc2(theta, a[:, m] * burst / params["dk_pow"], helper_snr)
+    return int((mi < rate).sum())
+
+
+def one_stream_ucmh_ddf(params, rng, n):
+    """Greedy multihop chain, m helpers.  Draws: exponential
+    (n, m + m(m-1)/2 + 1 + m) = helper-hears-source (m), helper pairs
+    (h < j, row-major), A_dk, destination from helpers (m)."""
+    rate = params["rate"]
+    burst, budgets = params["burst"], params["budgets"]
+    m = len(budgets)
+    L = m + 1
+    npairs = m * (m - 1) // 2
+    a = rng.exponential(size=(n, m + npairs + 1 + m))
+    if rate <= 0.0:
+        return 0
+    a = one_stream_screen(a, m + npairs, params)
+    n = len(a)
+    recv_coef = np.zeros((m, L))
+    for h in range(m):
+        recv_coef[h, 0] = burst / params["jk_pow"][h]
+        for j in range(m):
+            if j != h:
+                recv_coef[h, j + 1] = budgets[j] / params["hh_pow"][h][j]
+    dest_coef = np.array(
+        (burst / params["dk_pow"],)
+        + tuple(budget / d_pow for budget, d_pow in zip(budgets, params["dj_pow"]))
+    )
+    recv = np.zeros((m, L, n))
+    recv[:, 0] = a[:, :m].T
+    col = m
+    for h in range(m):
+        for j in range(h + 1, m):
+            recv[h, j + 1] = a[:, col]
+            recv[j, h + 1] = a[:, col]
+            col += 1
+    dest = a[:, m + npairs :]
+    sched = multihop_schedule(recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"])
+    mi = trial_mutual_info_multihop(sched, dest, dest_coef)
+    return int((mi < rate).sum())
+
+
+ONE_STREAM = {
+    "rc-ddf": one_stream_uc2_ddf,
+    "uc2-ddf": one_stream_uc2_ddf,
+    "ucmh-ddf": one_stream_ucmh_ddf,
+}
+
+# The acceptance slope benchmark's rim cluster, with a fourth rim user for K = 4.
+RIM = ((1.0, 29.0), (0.99, 31.0), (0.98, 33.0), (0.97, 35.0))
+
+
+def rim_cluster(num_users):
+    pos = {DESTINATION: (0.0, 0.0), RELAY: (0.5, 0.0)}
+    for k, (r, deg) in enumerate(RIM[:num_users], start=1):
+        a = math.radians(deg)
+        pos[user_id(k)] = (r * math.cos(a), r * math.sin(a))
+    return NodePlacement(params=GeometryParams(num_users=num_users), positions=pos)
+
+
+class TestTwoStreamLayoutOracle:
+    """The two-stream DDF layout samples the same outage distribution as the
+    one-stream layout it replaced: on the rim cluster, event rates from
+    independent seeds agree within 4.5 pooled standard errors at 2^20 or
+    more trials per side."""
+
+    NEW_SEED, OLD_SEED = 1009, 2003
+    # Three SNRs per rate, where the outage runs from about 1e-4 to 0.6.
+    POINTS = tuple(
+        (rate, snr_db)
+        for rate, grid in ((0.25, (-10, -5, 0)), (1.0, (-5, 0, 5)), (9.0, (25, 30, 35)))
+        for snr_db in grid
+    )
+
+    @pytest.mark.parametrize(
+        "name,num_users,mode",
+        (
+            ("rc-ddf", 3, "accumulating"),
+            ("uc2-ddf", 3, "accumulating"),
+            ("uc3-ddf", 3, "accumulating"),
+            ("uc3-ddf", 3, "per-fraction"),
+            ("uc4-ddf", 4, "accumulating"),
+        ),
+    )
+    def test_event_rates_agree(self, name, num_users, mode, monkeypatch):
+        strategy = parse_strategy(name, num_users, multihop_mode=mode)
+        placement = rim_cluster(num_users)
+        per_user = -(-(1 << 20) // num_users)
+        one_stream = {
+            kernel: (lambda params, rng, fwd_rng, n, fn=fn: fn(params, rng, n))
+            for kernel, fn in ONE_STREAM.items()
+        }
+        total = 0
+        for rate, snr_db in self.POINTS:
+            pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
+            new = harness.estimate_outage(strategy, placement, pc, per_user, self.NEW_SEED)
+            with monkeypatch.context() as patch:
+                for kernel, fn in one_stream.items():
+                    patch.setitem(mc._KERNELS, kernel, fn)
+                old = harness.estimate_outage(strategy, placement, pc, per_user, self.OLD_SEED)
+            n = new.trials
+            assert n == old.trials >= 1 << 20
+            pooled = (new.events + old.events) / (2 * n)
+            se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+            assert abs(new.events - old.events) / n <= 4.5 * se, (rate, snr_db, new, old)
+            total += new.events
+        assert total > 1000
 
 
 class TestRayleighDraw:

@@ -43,21 +43,27 @@ def test_install_then_restore(mode):
 
 def test_full_mode_records_the_layers():
     placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
-    # rc-ddf runs on the uc2 kernel but keeps its own task label.
-    for strategy, spans in (
-        ("uc3-ddf", ("mc.task.ucmh-ddf", "ddf.schedule")),
-        ("rc-ddf", ("mc.task.rc-ddf", "ddf.rate")),
+    # rc-ddf runs on the uc2 kernel but keeps its own task label.  At rate 4
+    # the direct screen keeps trials in every rc-ddf batch (one batch per
+    # user), so each batch draws from the direct and the forwarder stream.
+    for strategy, rate, spans in (
+        ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule")),
+        ("rc-ddf", 4.0, ("mc.task.rc-ddf", "ddf.rate")),
     ):
         tracer = tracing.Tracer()
         try:
             tracing.install(tracer, "full")
             harness.estimate_outage(
-                parse_strategy(strategy, 3), placement, PowerConfig(user_power=10.0), trials=64, seed=1
+                parse_strategy(strategy, 3), placement, PowerConfig(user_power=10.0, rate=rate),
+                trials=64, seed=1,
             )
         finally:
             tracer.restore()
         for name in ("mc.run_cells", "mc.draw", "power") + spans:
             assert name in tracer.span_names, (strategy, name)
+    # tracer holds the rc-ddf estimate: three tasks of one batch each.
+    assert tracer.tasks == 3
+    assert tracer.summary(1.0)["by_name"]["mc.draw"]["calls"] == 2 * tracer.tasks
 
 
 def test_full_mode_records_the_bound_layers():

@@ -35,6 +35,9 @@ script exits 1.
   i  the bounds-grid sweep: default geometry, the seven strategies, 250
      placements, seed 2001, -10..45 dB in 5 dB steps, rate 0.25,
      relay/encode/decode factors 0.5, bounds.optimize off; --bounds-only
+  j  area_averaged_outage on default geometry, 4 placements, seed 13,
+     0/10 dB, rate 1, trial ceiling 60,000: uc2-ddf (strategy index 0),
+     then uc2-af (index 1)
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBES = tuple("abcdefghi")
+PROBES = tuple("abcdefghij")
 SEVEN = ["mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af"]
 
 ACCEPTANCE_8 = {
@@ -156,6 +159,32 @@ def estimate_digest() -> str:
     return _sha("\n".join(reprs).encode())
 
 
+def area_digest() -> str:
+    from tdcoop.harness import ExperimentConfig, area_averaged_outage
+    from tdcoop.network import GeometryParams
+    from tdcoop.power import PowerConfig
+    from tdcoop.strategies import parse_strategy
+
+    cfg = ExperimentConfig(
+        geometry=GeometryParams(),
+        power=PowerConfig(rate=1.0),
+        strategies=(parse_strategy("uc2-ddf", 3), parse_strategy("uc2-af", 3)),
+        snr_db=(0.0, 10.0),
+        num_placements=4,
+        master_seed=13,
+        trial_ceiling=60000,
+    )
+    reprs = [
+        repr(est)
+        for idx, strategy in enumerate(cfg.strategies)
+        for est in area_averaged_outage(cfg, strategy, strategy_index=idx)
+    ]
+    return _sha("\n".join(reprs).encode())
+
+
+LIBRARY_PROBES = {"d": edge_rows_digest, "e": estimate_digest, "j": area_digest}
+
+
 def read_expected(path: str) -> dict[str, str]:
     """Probe name -> digest from a saved run of this script."""
     expected = {}
@@ -178,7 +207,7 @@ def main(argv=None) -> int:
                 config, extra, workers = CLI_PROBES[name]
                 digests = cli_digests(config, extra, workers, Path(tmp))
             else:
-                digests = [edge_rows_digest() if name == "d" else estimate_digest()]
+                digests = [LIBRARY_PROBES[name]()]
                 workers = (1,)
             label = "workers " + ",".join(map(str, workers))
             if len(set(digests)) != 1:

@@ -4,13 +4,14 @@ tdcoop run -c cfg.yaml [overrides]      run the sweep, write or print CSV
 tdcoop export-placements -c cfg.yaml -o placements.csv
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 output not
-writable.  ``run`` prints one stderr warning per sweep point that stopped
+writable (``run`` checks it before the sweep starts).  ``run`` prints one stderr warning per sweep point that stopped
 at its trial ceiling short of the target events; the CSV is unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, config_from_dict, read_yaml, strategy_name
@@ -55,6 +56,16 @@ def _build_config(args):
     return config_from_dict(raw, **overrides)
 
 
+def _check_writable(path) -> None:
+    """Open path as the final write will, but in append mode, so an
+    existing file keeps its bytes; a file made here is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = _build_config(args)
@@ -62,6 +73,9 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        # Fail on an unwritable output before the sweep, not after it.
+        if cfg.output_path is not None:
+            _check_writable(cfg.output_path)
         rows = run_experiment(cfg)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ string or a mapping with ``name`` plus optional ``coop_sets``
 from __future__ import annotations
 
 import math
+import os
 
 import yaml
 
@@ -41,22 +42,28 @@ _TOP_KEYS = {
     "bounds",
     "strategies",
 }
-_GEOMETRY_KEYS = {
-    "num_users",
-    "sector_radius",
-    "sector_angle_deg",
-    "exclusion_radius",
-    "relay",
-    "destination",
-    "path_loss_exponent",
+# Numeric keys of a section -> (dataclass field, int or float).
+_TOP_NUMBERS = {
+    "placements": ("num_placements", int),
+    "seed": ("master_seed", int),
+    "target_events": ("target_events", int),
+    "trial_ceiling": ("trial_ceiling", int),
+    "workers": ("workers", int),
 }
-_POWER_KEYS = {
-    "rate",
-    "relay_factor",
-    "encode_factor",
-    "decode_factor",
-    "overhead_power",
+_GEOMETRY_NUMBERS = {
+    "num_users": ("num_users", int),
+    "sector_radius": ("sector_radius", float),
+    "exclusion_radius": ("exclusion_radius", float),
+    "path_loss_exponent": ("path_loss_exponent", float),
 }
+_POWER_NUMBERS = {
+    "rate": ("rate", float),
+    "relay_factor": ("relay_power_factor", float),
+    "encode_factor": ("encode_factor", float),
+    "decode_factor": ("decode_factor", float),
+    "overhead_power": ("overhead_power", float),
+}
+_GEOMETRY_KEYS = set(_GEOMETRY_NUMBERS) | {"sector_angle_deg", "relay", "destination"}
 _BOUNDS_KEYS = {"theta_star", "optimize"}
 
 
@@ -72,6 +79,22 @@ def _number(kind, value, what: str):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _numbers(raw: dict, fields: dict, where: str) -> dict:
+    """{field: number} for each key of fields that raw sets."""
+    return {
+        field: _number(kind, raw[key], f"{where}{key}")
+        for key, (field, kind) in fields.items()
+        if key in raw
+    }
+
+
+def _flag(value, what: str) -> bool:
+    """A YAML boolean; anything else (a quoted "false", 0) is a config error."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _snr_grid(raw) -> tuple[float, ...]:
@@ -109,42 +132,20 @@ def _position(raw: dict, key: str) -> tuple[float, float]:
 
 def _geometry(raw: dict) -> GeometryParams:
     _check_keys(raw, _GEOMETRY_KEYS, "geometry")
-    kwargs = {}
-
-    def number(kind, key):
-        return _number(kind, raw[key], f"geometry {key}")
-
-    if "num_users" in raw:
-        kwargs["num_users"] = number(int, "num_users")
-    if "sector_radius" in raw:
-        kwargs["sector_radius"] = number(float, "sector_radius")
+    kwargs = _numbers(raw, _GEOMETRY_NUMBERS, "geometry ")
     if "sector_angle_deg" in raw:
-        kwargs["sector_angle"] = math.radians(number(float, "sector_angle_deg"))
-    if "exclusion_radius" in raw:
-        kwargs["exclusion_radius"] = number(float, "exclusion_radius")
+        angle = _number(float, raw["sector_angle_deg"], "geometry sector_angle_deg")
+        kwargs["sector_angle"] = math.radians(angle)
     if "relay" in raw:
         kwargs["relay_position"] = _position(raw, "relay")
     if "destination" in raw:
         kwargs["destination_position"] = _position(raw, "destination")
-    if "path_loss_exponent" in raw:
-        kwargs["path_loss_exponent"] = number(float, "path_loss_exponent")
     return GeometryParams(**kwargs)
 
 
 def _power(raw: dict) -> PowerConfig:
-    _check_keys(raw, _POWER_KEYS, "power")
-
-    def number(key, default):
-        return _number(float, raw.get(key, default), f"power {key}")
-
-    return PowerConfig(
-        user_power=1.0,
-        rate=number("rate", 0.25),
-        relay_power_factor=number("relay_factor", 0.5),
-        encode_factor=number("encode_factor", 0.0),
-        decode_factor=number("decode_factor", 0.0),
-        overhead_power=number("overhead_power", 0.0),
-    )
+    _check_keys(raw, set(_POWER_NUMBERS), "power")
+    return PowerConfig(**_numbers(raw, _POWER_NUMBERS, "power "))
 
 
 def _coop_sets(raw, num_users: int):
@@ -156,7 +157,9 @@ def _coop_sets(raw, num_users: int):
     for k in range(1, num_users + 1):
         if k not in raw:
             raise ConfigError(f"coop_sets missing user {k}")
-        out.append(tuple(int(j) for j in raw[k]))
+        if not isinstance(raw[k], (list, tuple)):
+            raise ConfigError(f"coop_sets user {k} must map to a helper list, got {raw[k]!r}")
+        out.append(tuple(_number(int, j, f"coop_sets user {k} helper") for j in raw[k]))
     return tuple(out)
 
 
@@ -198,35 +201,37 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
             merged[key] = val
     if "strategies" not in merged:
         raise ConfigError("configuration must list at least one strategy")
+    if not isinstance(merged["strategies"], (list, tuple)):
+        raise ConfigError("strategies must be a list of names or mappings")
     geometry = _geometry(_section(merged, "geometry"))
     power = _power(_section(merged, "power"))
     bounds = _section(merged, "bounds")
     _check_keys(bounds, _BOUNDS_KEYS, "bounds")
-    strategies = tuple(
-        _strategy(e, geometry.num_users) for e in merged["strategies"]
-    )
+    strategies = tuple(_strategy(e, geometry.num_users) for e in merged["strategies"])
     if len({s.name for s in strategies}) != len(strategies):
         raise ConfigError("duplicate strategy names")
-
-    def number(key, default):
-        return _number(int, merged.get(key, default), key)
-
+    # Only the keys the file or the overrides set; ExperimentConfig has the
+    # defaults.
+    kwargs = _numbers(merged, _TOP_NUMBERS, "")
+    output = merged.get("output")
+    if output is not None:
+        if not isinstance(output, (str, os.PathLike)):
+            raise ConfigError(f"output must be a file path, got {output!r}")
+        kwargs["output_path"] = output
+    for key in ("per_user_rows", "bounds_only"):
+        if key in merged:
+            kwargs[key] = _flag(merged[key], key)
+    if "theta_star" in bounds:
+        kwargs["theta_star"] = _number(float, bounds["theta_star"], "bounds theta_star")
+    if "optimize" in bounds:
+        kwargs["optimize_bounds"] = _flag(bounds["optimize"], "bounds optimize")
     try:
         return ExperimentConfig(
             geometry=geometry,
             power=power,
             strategies=strategies,
             snr_db=_snr_grid(merged.get("snr_db", [0.0])),
-            num_placements=number("placements", 100),
-            master_seed=number("seed", 0),
-            target_events=number("target_events", 100),
-            trial_ceiling=number("trial_ceiling", 10_000_000),
-            workers=number("workers", 1),
-            output_path=merged.get("output"),
-            per_user_rows=bool(merged.get("per_user_rows", False)),
-            theta_star=_number(float, bounds.get("theta_star", 0.5), "bounds theta_star"),
-            optimize_bounds=bool(bounds.get("optimize", False)),
-            bounds_only=bool(merged.get("bounds_only", False)),
+            **kwargs,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -110,10 +110,6 @@ class OutageEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
 
 
-def _halfwidth(p: float, n: int) -> float:
-    return 1.96 * math.sqrt(p * (1.0 - p) / n)
-
-
 def mac_outage(rate: float, user_power, dk_pow, num_users: int):
     """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / (K P_k)).
 
@@ -200,21 +196,6 @@ def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple
     ]
 
 
-_LINK_FIELDS = ("dk_pow", "dj_pow", "jk_pow", "hh_pow")
-
-
-def _kernel_params(cell: _Cell, strategy: Strategy, pc: PowerConfig, burst, budgets) -> dict:
-    """The cell's trial-kernel record at one P, the same keys for every kernel.
-
-    rate, the source's burst power, its forwarders' budgets (the relay's
-    under rc), the multihop mode and the link table; each kernel reads
-    the entries its rate step needs.
-    """
-    record = {"rate": pc.rate, "burst": burst, "budgets": budgets, "mode": strategy.multihop_mode}
-    record.update((name, getattr(cell, name)) for name in _LINK_FIELDS)
-    return record
-
-
 def _cell_bounds(
     cell: _Cell,
     strategy: Strategy,
@@ -296,57 +277,66 @@ def _bounds(
 
 @dataclass(frozen=True)
 class _Point:
-    """One sweep point at cell granularity: counts (none when bounds-only),
-    each cell's user index and bound pair as arrays in cell order, and the
-    ceiling flag."""
+    """One sweep point at cell granularity.  Arrays run in cell order:
+    each cell's placement and user index, its events (None when
+    bounds-only) and its bound pair; trials is the count every cell ran."""
 
-    counts: list[mc.CellResult]
+    placements: np.ndarray
     users: np.ndarray
+    events: np.ndarray | None
+    trials: int
     lower: np.ndarray
     upper: np.ndarray
     ceiling_flag: bool
 
-    def pooled(self, user: int | None = None) -> tuple[float, int, int]:
-        picked = [c for c in self.counts if user is None or c.user_idx == user]
-        n = sum(c.trials for c in picked)
-        e = sum(c.events for c in picked)
-        return e / n, n, e
-
-    def mean_bounds(self, user: int | None = None) -> BoundPair:
+    def bounds(self, user: int | None = None) -> BoundPair:
         picked = slice(None) if user is None else self.users == user
         return BoundPair(
             lower=float(np.mean(self.lower[picked])),
             upper=float(np.mean(self.upper[picked])),
         )
 
-    def estimate(self) -> OutageEstimate:
-        p, n, e = self.pooled()
-        per_placement = []
-        for i in sorted({c.placement_idx for c in self.counts}):
-            picked = [c for c in self.counts if c.placement_idx == i]
-            per_placement.append(sum(c.events for c in picked) / sum(c.trials for c in picked))
+    def estimate(self, user: int | None = None) -> OutageEstimate:
+        """Counts pooled over every cell, or over one user's cells."""
+        picked = slice(None) if user is None else self.users == user
+        events = self.events[picked]
+        e = int(events.sum())
+        n = self.trials * events.size
+        p = e / n
+        # Each placement's pooled events over its picked cells' trials.
+        _, where, cells = np.unique(self.placements[picked], return_inverse=True, return_counts=True)
+        per_placement = np.bincount(where, weights=events) / (self.trials * cells)
         return OutageEstimate(
             p_hat=p,
             trials=n,
-            ci95=_halfwidth(p, n),
-            bounds=self.mean_bounds(),
-            per_placement=tuple(per_placement),
+            ci95=1.96 * math.sqrt(p * (1.0 - p) / n),
+            bounds=self.bounds(user),
+            per_placement=tuple(per_placement.tolist()),
             events=e,
             ceiling_flag=self.ceiling_flag,
         )
 
 
 def _tasks(cells: list[_Cell], strategy: Strategy, pc: PowerConfig, powers) -> list[tuple]:
-    """``mc.run_cells`` entries: (placement, user, kernel, params) per cell."""
-    return [
-        (
-            c.placement_idx,
-            c.user_idx,
-            c.kernel,
-            _kernel_params(c, strategy, pc, *powers[c.user_idx]),
-        )
-        for c in cells
-    ]
+    """``mc.run_cells`` entries at one P: (placement, user, kernel, params) per cell.
+
+    params is the same record for every kernel: rate, the source's burst
+    power, its forwarders' budgets (the relay's under rc), the multihop
+    mode and the cell's link table; each kernel reads the entries its
+    rate step needs.  powers is ``_user_powers`` at pc.
+    """
+    tasks = []
+    for c in cells:
+        burst, budgets = powers[c.user_idx]
+        params = {"rate": pc.rate, "burst": burst, "budgets": budgets, "mode": strategy.multihop_mode}
+        params.update(dk_pow=c.dk_pow, dj_pow=c.dj_pow, jk_pow=c.jk_pow, hh_pow=c.hh_pow)
+        tasks.append((c.placement_idx, c.user_idx, c.kernel, params))
+    return tasks
+
+
+def _indices(cells: list[_Cell]) -> tuple[np.ndarray, np.ndarray]:
+    """Placement and user index arrays in cell order."""
+    return np.array([c.placement_idx for c in cells]), np.array([c.user_idx for c in cells])
 
 
 def estimate_outage(
@@ -355,7 +345,6 @@ def estimate_outage(
     pc: PowerConfig,
     trials: int,
     seed: int,
-    placement_index: int = 0,
 ) -> OutageEstimate:
     """Fixed-size user-averaged estimate on one placement.
 
@@ -367,18 +356,17 @@ def estimate_outage(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     K = strategy.num_users
-    cells = [_cell(strategy, placement, placement_index, k) for k in range(1, K + 1)]
+    cells = [_cell(strategy, placement, 0, k) for k in range(1, K + 1)]
     powers = _user_powers(strategy, pc)
     # A target above every possible count runs each cell to its ceiling share.
-    counts, _ = mc.run_cells(
+    events, n, _ = mc.run_cells(
         _tasks(cells, strategy, pc, powers),
         seed,
         target_events=trials * K + 1,
         trial_ceiling=trials * K,
     )
-    users = np.array([c.user_idx for c in cells])
     lower, upper = _bounds(cells, strategy, [pc], [powers])
-    return _Point(counts, users, lower[0], upper[0], ceiling_flag=False).estimate()
+    return _Point(*_indices(cells), events, n, lower[0], upper[0], False).estimate()
 
 
 def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
@@ -393,18 +381,18 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
         for i, placement in enumerate(placements)
         for k in range(1, strategy.num_users + 1)
     ]
-    users = np.array([c.user_idx for c in cells])
+    indices = _indices(cells)
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
     powers = [_user_powers(strategy, pc) for pc in grid]
     lower, upper = _bounds(cells, strategy, grid, powers, cfg.theta_star, cfg.optimize_bounds)
     for snr_index, (snr, pc) in enumerate(zip(cfg.snr_db, grid)):
         # Row copies: a point the caller still holds must not keep the whole
         # grid's arrays alive while the next strategy builds its own.
-        bounds = (users, lower[snr_index].copy(), upper[snr_index].copy())
+        bounds = (lower[snr_index].copy(), upper[snr_index].copy())
         if cfg.bounds_only:
-            yield snr, pc, _Point([], *bounds, False)
+            yield snr, pc, _Point(*indices, None, 0, *bounds, False)
             continue
-        counts, flagged = mc.run_cells(
+        events, trials, flagged = mc.run_cells(
             _tasks(cells, strategy, pc, powers[snr_index]),
             mc.mix64(cfg.master_seed, 1, strategy_index, snr_index),
             workers=cfg.workers,
@@ -412,7 +400,7 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
             trial_ceiling=cfg.trial_ceiling,
             pool=pool,
         )
-        yield snr, pc, _Point(counts, *bounds, flagged)
+        yield snr, pc, _Point(*indices, events, trials, *bounds, flagged)
 
 
 def sweep_fixed_placement(
@@ -422,11 +410,8 @@ def sweep_fixed_placement(
     snr_db,
     seed: int,
     strategy_index: int = 0,
-    target_events: int = mc.TARGET_EVENTS,
     trial_ceiling: int = mc.TRIAL_CEILING,
     workers: int = 1,
-    theta_star: float = 0.5,
-    optimize_bounds: bool = False,
 ) -> list[OutageEstimate]:
     """Adaptive sweep on one hand-picked geometry (no area averaging).
 
@@ -441,11 +426,8 @@ def sweep_fixed_placement(
         snr_db=tuple(snr_db),
         num_placements=1,
         master_seed=seed,
-        target_events=target_events,
         trial_ceiling=trial_ceiling,
         workers=workers,
-        theta_star=theta_star,
-        optimize_bounds=optimize_bounds,
     )
     with mc.worker_pool(workers) as pool:
         points = _points(cfg, strategy, strategy_index, [placement], pool)
@@ -527,13 +509,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                 if cfg.per_user_rows:
                     targets += list(range(strategy.num_users))
                 for user in targets:
-                    b = point.mean_bounds(user)
                     if cfg.bounds_only:
-                        outage = ci = events = None
-                        n = 0
+                        b, outage, ci, n, events = point.bounds(user), None, None, 0, None
                     else:
-                        p, n, events = point.pooled(user)
-                        outage, ci = p, _halfwidth(p, n)
+                        est = point.estimate(user)
+                        b, outage, ci, n, events = est.bounds, est.p_hat, est.ci95, est.trials, est.events
                     rows.append(
                         {
                             "strategy": strategy.name,

@@ -16,7 +16,10 @@ each round until the point has TARGET_EVENTS pooled outage events or the
 cell hits its equal share of the trial ceiling.  Decisions use pooled
 integer event counts at round boundaries only, which keeps the schedule
 identical for any worker count.  Rounds are cut into tasks of at most
-MAX_TASK_TRIALS trials; each task reduces to one integer.  With more
+MAX_TASK_TRIALS trials; each task reduces to one integer.  Since every
+cell runs every round, ``run_cells`` returns one count table: the events
+of each cell as an int array in the caller's cell order, the one trial
+count all cells ran, and the ceiling flag.  With more
 than one worker, tasks run on a spawn-started process pool that a whole
 sweep shares (``worker_pool``).
 
@@ -64,7 +67,6 @@ import math
 import multiprocessing
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +86,6 @@ __all__ = [
     "count_events",
     "worker_pool",
     "run_cells",
-    "CellResult",
 ]
 
 MIN_CELL_TRIALS = 2048
@@ -318,16 +319,6 @@ def _run_task(args):
     return count_events(kernel, params, seed, path, trials)
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Pooled counts for one (placement, user) cell of a sweep point."""
-
-    placement_idx: int
-    user_idx: int
-    trials: int
-    events: int
-
-
 @contextlib.contextmanager
 def worker_pool(workers: int):
     """Process pool shared by every ``run_cells`` call of one sweep.
@@ -357,7 +348,7 @@ def run_cells(
     target_events: int = TARGET_EVENTS,
     trial_ceiling: int = TRIAL_CEILING,
     pool=None,
-) -> tuple[list[CellResult], bool]:
+) -> tuple[np.ndarray, int, bool]:
     """Adaptive pooled trial loop for one sweep point.
 
     cells holds (placement_idx, user_idx, kernel, params) entries; every
@@ -365,29 +356,26 @@ def run_cells(
     ceiling), so per-user and per-placement averages pool cleanly.
     With more than one worker the tasks run on ``pool`` (a
     ``worker_pool``), or on a pool of this call's own when none is given.
-    Returns the per-cell counts and the ceiling flag (True when the point
-    stopped at the ceiling with fewer than target_events events).
+    Returns the events of each cell as an int array in the order of
+    cells, the trial count every cell ran, and the ceiling flag (True
+    when the point stopped at the ceiling with fewer than target_events
+    events).
     """
     if not cells:
         raise ValueError("run_cells needs at least one cell")
     if trial_ceiling < len(cells):
         raise ValueError("trial ceiling below one trial per cell")
-    cap = trial_ceiling // len(cells)
-    targets = round_targets(cap)
-    trials = {(c[0], c[1]): 0 for c in cells}
-    events = {(c[0], c[1]): 0 for c in cells}
+    events = np.zeros(len(cells), dtype=np.int64)
+    trials = 0
     with worker_pool(workers) if pool is None else contextlib.nullcontext(pool) as pool:
-        prev = 0
-        for round_idx, cum in enumerate(targets):
-            add = cum - prev
-            prev = cum
-            tasks = []
-            owners = []
-            for placement_idx, user_idx, kernel, params in cells:
-                for chunk_idx, size in enumerate(chunk_sizes(add)):
-                    path = (placement_idx, user_idx, round_idx, chunk_idx)
-                    tasks.append((kernel, params, point_seed, path, size))
-                    owners.append((placement_idx, user_idx))
+        for round_idx, cum in enumerate(round_targets(trial_ceiling // len(cells))):
+            sizes = chunk_sizes(cum - trials)
+            trials = cum
+            tasks = [
+                (kernel, params, point_seed, (placement_idx, user_idx, round_idx, chunk_idx), size)
+                for placement_idx, user_idx, kernel, params in cells
+                for chunk_idx, size in enumerate(sizes)
+            ]
             if pool is not None:
                 # About four chunks per worker balance the load while
                 # keeping the per-chunk pickling and IPC overhead small.
@@ -395,14 +383,8 @@ def run_cells(
                 results = list(pool.map(_run_task, tasks, chunksize=chunk))
             else:
                 results = [_run_task(t) for t in tasks]
-            for owner, task, got in zip(owners, tasks, results):
-                trials[owner] += task[4]
-                events[owner] += got
-            if sum(events.values()) >= target_events:
+            # Each cell's tasks are consecutive, one per chunk.
+            events += np.reshape(results, (len(cells), len(sizes))).sum(axis=1)
+            if events.sum() >= target_events:
                 break
-    flagged = sum(events.values()) < target_events
-    out = [
-        CellResult(p, u, trials[(p, u)], events[(p, u)])
-        for p, u, _, _ in cells
-    ]
-    return out, flagged
+    return events, trials, bool(events.sum() < target_events)

@@ -7,6 +7,9 @@ import pytest
 from tdcoop import cli
 from tdcoop.cli import main
 from tdcoop.config import ConfigError, config_from_dict, load_config
+from tdcoop.harness import ExperimentConfig
+from tdcoop.network import GeometryParams
+from tdcoop.power import PowerConfig
 
 BASE_YAML = """\
 seed: 5
@@ -32,12 +35,17 @@ def write_cfg(tmp_path, text=BASE_YAML, name="cfg.yaml"):
 
 class TestConfigFromDict:
     def test_minimal(self):
+        """Every unset key takes the dataclass default; snr_db defaults to 0 dB."""
         cfg = config_from_dict({"strategies": ["mac"]})
-        assert cfg.master_seed == 0
-        assert cfg.num_placements == 100
         assert cfg.snr_db == (0.0,)
         assert cfg.strategies[0].name == "mac"
         assert cfg.geometry.num_users == 3
+        assert cfg == ExperimentConfig(
+            geometry=GeometryParams(),
+            power=PowerConfig(),
+            strategies=cfg.strategies,
+            snr_db=(0.0,),
+        )
 
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
@@ -169,10 +177,31 @@ class TestCliRun:
         path = write_cfg(tmp_path, BASE_YAML.replace("- rc-ddf", "- mac"))
         assert main(["run", "-c", path]) == 2
 
-    def test_unwritable_output_exits_3(self, tmp_path, capsys):
-        rc = main(["run", "-c", write_cfg(tmp_path), "-o", "/no/such/dir/out.csv"])
-        assert rc == 3
-        assert "cannot write" in capsys.readouterr().err
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, monkeypatch):
+        """The output path is checked before the sweep starts."""
+        def sweep(cfg):
+            raise AssertionError("run_experiment entered with an unwritable output")
+
+        monkeypatch.setattr(cli, "run_experiment", sweep)
+        for bad in ("/no/such/dir/out.csv", str(tmp_path)):
+            rc = main(["run", "-c", write_cfg(tmp_path), "-o", bad])
+            assert rc == 3
+            assert "cannot write" in capsys.readouterr().err
+
+    def test_output_check_keeps_existing_file(self, tmp_path, monkeypatch):
+        """The early check neither truncates an existing output nor leaves a
+        new one behind when the sweep fails."""
+        def sweep(cfg):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "run_experiment", sweep)
+        old = tmp_path / "old.csv"
+        old.write_text("previous rows\n")
+        new = tmp_path / "new.csv"
+        for out in (old, new):
+            assert main(["run", "-c", write_cfg(tmp_path), "-o", str(out)]) == 3
+        assert old.read_text() == "previous rows\n"
+        assert not new.exists()
 
     def test_snr_override_forms(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
@@ -281,10 +310,17 @@ class TestCliRun:
             ("  num_users: 3\n", "  num_users: 3\n  relay: [0.5, 0.0, 1.0]\n", []),
             ("  num_users: 3\n", "  num_users: 3\n  destination: [0.0]\n", []),
             ("  - rc-ddf\n", "  - rc-ddf\n  - 7\n", ["--strategies", "mac"]),
+            (
+                "  - rc-ddf\n",
+                "  - name: uc2-ddf\n    coop_sets: {1: 2, 2: 3, 3: 1}\n",
+                [],
+            ),
+            ("strategies:\n  - mac\n  - rc-ddf\n", "strategies: mac\n", []),
         ),
         ids=(
             "geometry-scalar", "power-scalar", "bounds-scalar", "relay-scalar",
             "relay-triple", "destination-single", "strategy-entry-number",
+            "coop-sets-scalar-helper", "strategies-string",
         ),
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, extra):
@@ -293,6 +329,10 @@ class TestCliRun:
         assert main(["run", "-c", path, "--bounds-only"] + extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        if "coop_sets" in new:
+            assert "helper list" in err
+        if new.startswith("strategies:"):
+            assert "strategies must be a list" in err
 
     @pytest.mark.parametrize(
         "old,new",
@@ -301,14 +341,23 @@ class TestCliRun:
             ("  num_users: 3\n", "  num_users: 3\n  sector_radius: [1]\n"),
             ("  rate: 0.25\n", "  rate: [1]\n"),
             ("  - rc-ddf\n", "  - rc-ddf\n  - name: 5\n"),
+            ("seed: 5\n", 'seed: 5\nbounds_only: "false"\n'),
+            ("seed: 5\n", "seed: 5\nper_user_rows: 1\n"),
+            ("seed: 5\n", 'seed: 5\nbounds:\n  optimize: "true"\n'),
         ),
-        ids=("placements-list", "sector-radius-list", "rate-list", "strategy-name-number"),
+        ids=(
+            "placements-list", "sector-radius-list", "rate-list", "strategy-name-number",
+            "bounds-only-string", "per-user-rows-number", "optimize-string",
+        ),
     )
     def test_mistyped_value_exits_2(self, tmp_path, capsys, old, new):
-        """A value of the wrong type is a config error, not a traceback."""
+        """A value of the wrong type is a config error, not a traceback; a
+        flag must be a YAML boolean, so a quoted "false" does not switch it on."""
         assert old in BASE_YAML
         path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
-        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        # --bounds-only would replace the file's bounds_only value.
+        flags = [] if "bounds_only" in new else ["--bounds-only"]
+        assert main(["run", "-c", path] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 

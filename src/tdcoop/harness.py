@@ -304,14 +304,17 @@ class _Point:
         n = self.trials * events.size
         p = e / n
         # Each placement's pooled events over its picked cells' trials.
-        _, where, cells = np.unique(self.placements[picked], return_inverse=True, return_counts=True)
-        per_placement = np.bincount(where, weights=events) / (self.trials * cells)
+        per_placement = {}
+        for i, k in zip(self.placements[picked].tolist(), events.tolist()):
+            per_placement.setdefault(i, []).append(k)
         return OutageEstimate(
             p_hat=p,
             trials=n,
             ci95=1.96 * math.sqrt(p * (1.0 - p) / n),
             bounds=self.bounds(user),
-            per_placement=tuple(per_placement.tolist()),
+            per_placement=tuple(
+                sum(ks) / (self.trials * len(ks)) for _, ks in sorted(per_placement.items())
+            ),
             events=e,
             ceiling_flag=self.ceiling_flag,
         )

@@ -4,8 +4,9 @@ tdcoop run -c cfg.yaml [overrides]      run the sweep, write or print CSV
 tdcoop export-placements -c cfg.yaml -o placements.csv
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 output not
-writable (``run`` checks it before the sweep starts).  ``run`` prints one stderr warning per sweep point that stopped
-at its trial ceiling short of the target events; the CSV is unchanged.
+writable (``run`` checks it before the sweep starts).  ``run`` prints
+one stderr warning per sweep point that stopped at its trial ceiling
+short of the target events; the CSV is unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ def _parse_snr(text: str) -> list[float] | dict[str, str]:
 
 def _build_config(args):
     raw = read_yaml(args.config)
-    if args.strategies:
+    # A strategies value that is not a list is left for config_from_dict
+    # to reject.
+    if args.strategies and isinstance(raw.get("strategies"), list):
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        have = {strategy_name(e): e for e in raw.get("strategies", [])}
+        have = {strategy_name(e): e for e in raw["strategies"]}
         missing = [w for w in wanted if w not in have]
         if missing:
             raise ConfigError(f"strategies not in config: {missing}")

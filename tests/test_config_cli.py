@@ -316,11 +316,12 @@ class TestCliRun:
                 [],
             ),
             ("strategies:\n  - mac\n  - rc-ddf\n", "strategies: mac\n", []),
+            ("strategies:\n  - mac\n  - rc-ddf\n", "strategies: mac\n", ["--strategies", "mac"]),
         ),
         ids=(
             "geometry-scalar", "power-scalar", "bounds-scalar", "relay-scalar",
             "relay-triple", "destination-single", "strategy-entry-number",
-            "coop-sets-scalar-helper", "strategies-string",
+            "coop-sets-scalar-helper", "strategies-string", "strategies-string-subset",
         ),
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, extra):

@@ -331,7 +331,7 @@ def _tasks(cells: list[_Cell], strategy: Strategy, pc: PowerConfig, powers) -> l
     tasks = []
     for c in cells:
         burst, budgets = powers[c.user_idx]
-        params = {"rate": pc.rate, "burst": burst, "budgets": budgets, "mode": strategy.multihop_mode}
+        params = dict(rate=pc.rate, burst=burst, budgets=budgets, mode=strategy.multihop_mode)
         params.update(dk_pow=c.dk_pow, dj_pow=c.dj_pow, jk_pow=c.jk_pow, hh_pow=c.hh_pow)
         tasks.append((c.placement_idx, c.user_idx, c.kernel, params))
     return tasks
@@ -516,7 +516,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
                         b, outage, ci, n, events = point.bounds(user), None, None, 0, None
                     else:
                         est = point.estimate(user)
-                        b, outage, ci, n, events = est.bounds, est.p_hat, est.ci95, est.trials, est.events
+                        b, outage, ci = est.bounds, est.p_hat, est.ci95
+                        n, events = est.trials, est.events
                     rows.append(
                         {
                             "strategy": strategy.name,

@@ -66,7 +66,9 @@ def _check_writable(path) -> None:
     with open(path, "a", encoding="utf-8"):
         pass
     if not existed:
-        os.remove(path)
+        # realpath: through a dangling symlink open() made the link's
+        # target; remove that and keep the link.
+        os.remove(os.path.realpath(path))
 
 
 def _cmd_run(args) -> int:

@@ -11,7 +11,6 @@ string or a mapping with ``name`` plus optional ``coop_sets``
 from __future__ import annotations
 
 import math
-import os
 
 import yaml
 
@@ -215,7 +214,7 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
     kwargs = _numbers(merged, _TOP_NUMBERS, "")
     output = merged.get("output")
     if output is not None:
-        if not isinstance(output, (str, os.PathLike)):
+        if not isinstance(output, str):
             raise ConfigError(f"output must be a file path, got {output!r}")
         kwargs["output_path"] = output
     for key in ("per_user_rows", "bounds_only"):

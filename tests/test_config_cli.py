@@ -37,9 +37,19 @@ class TestConfigFromDict:
     def test_minimal(self):
         """Every unset key takes the dataclass default; snr_db defaults to 0 dB."""
         cfg = config_from_dict({"strategies": ["mac"]})
+        assert cfg.master_seed == 0
+        assert cfg.num_placements == 100
         assert cfg.snr_db == (0.0,)
         assert cfg.strategies[0].name == "mac"
         assert cfg.geometry.num_users == 3
+        # The defaults the README's config block documents.
+        assert cfg.target_events == 100
+        assert cfg.trial_ceiling == 10_000_000
+        assert cfg.output_path is None
+        assert cfg.theta_star == 0.5
+        assert cfg.power.rate == 0.25
+        assert cfg.power.relay_power_factor == 0.5
+        assert cfg.power.encode_factor == cfg.power.decode_factor == 0.0
         assert cfg == ExperimentConfig(
             geometry=GeometryParams(),
             power=PowerConfig(),
@@ -190,7 +200,7 @@ class TestCliRun:
 
     def test_output_check_keeps_existing_file(self, tmp_path, monkeypatch):
         """The early check neither truncates an existing output nor leaves a
-        new one behind when the sweep fails."""
+        new one behind when the sweep fails, and keeps a dangling symlink."""
         def sweep(cfg):
             raise OSError("disk full")
 
@@ -198,10 +208,14 @@ class TestCliRun:
         old = tmp_path / "old.csv"
         old.write_text("previous rows\n")
         new = tmp_path / "new.csv"
-        for out in (old, new):
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        for out in (old, new, link):
             assert main(["run", "-c", write_cfg(tmp_path), "-o", str(out)]) == 3
         assert old.read_text() == "previous rows\n"
         assert not new.exists()
+        assert link.is_symlink()
+        assert not (tmp_path / "target.csv").exists()
 
     def test_snr_override_forms(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

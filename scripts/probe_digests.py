@@ -38,6 +38,11 @@ script exits 1.
   j  area_averaged_outage on default geometry, 4 placements, seed 13,
      0/10 dB, rate 1, trial ceiling 60,000: uc2-ddf (strategy index 0),
      then uc2-af (index 1)
+  k  ``tdcoop export-placements`` on b's config, without and then with
+     --seed 9: sha256 of the two CSV files joined
+  l  ``tdcoop run`` on b's config with --strategies uc2-ddf,rc-af
+     --snr-db 0:20:10 --seed 9 --per-user-rows (a ring coop_sets entry
+     picked by name); workers 1 and 2
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBES = tuple("abcdefghij")
+PROBES = tuple("abcdefghijkl")
 SEVEN = ["mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af"]
 
 ACCEPTANCE_8 = {
@@ -109,6 +114,11 @@ CLI_PROBES = {
     ),
     "h": ({**SMALL_AREA, "geometry": {"num_users": 4}, "strategies": ["uc4-ddf", "uc4-af"]}, [], (1,)),
     "i": (BOUNDS_GRID, ["--bounds-only"], (1,)),
+    "l": (
+        PROBE_B,
+        ["--strategies", "uc2-ddf,rc-af", "--snr-db", "0:20:10", "--seed", "9", "--per-user-rows"],
+        (1, 2),
+    ),
 }
 
 
@@ -116,22 +126,43 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def cli_digests(config: dict, extra: list[str], workers: tuple[int, ...], tmp: Path) -> list[str]:
-    """sha256 of ``tdcoop run``'s CSV at each worker count."""
+def _write_config(config: dict, tmp: Path) -> Path:
+    path = tmp / "probe.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
+    return path
+
+
+def _cli(argv: list[str]) -> None:
+    """cli.main(argv) with its console output captured; exit on failure."""
     from tdcoop import cli
 
-    cfg = tmp / "probe.yaml"
-    cfg.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"tdcoop {argv[0]} exited with {rc}: {sink.getvalue()}")
+
+
+def cli_digests(config: dict, extra: list[str], workers: tuple[int, ...], tmp: Path) -> list[str]:
+    """sha256 of ``tdcoop run``'s CSV at each worker count."""
+    cfg = _write_config(config, tmp)
     out = []
     for w in workers:
         csv = tmp / f"probe_w{w}.csv"
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            rc = cli.main(["run", "-c", str(cfg), "-o", str(csv), "--workers", str(w), *extra])
-        if rc != 0:
-            raise SystemExit(f"tdcoop run exited with {rc}: {sink.getvalue()}")
+        _cli(["run", "-c", str(cfg), "-o", str(csv), "--workers", str(w), *extra])
         out.append(_sha(csv.read_bytes()))
     return out
+
+
+def export_digest(tmp: Path) -> str:
+    """sha256 of the placement CSVs of b's config, default seed then seed 9."""
+    cfg = _write_config(PROBE_B, tmp)
+    data = b""
+    for extra in ([], ["--seed", "9"]):
+        csv = tmp / "placements.csv"
+        _cli(["export-placements", "-c", str(cfg), "-o", str(csv), *extra])
+        data += csv.read_bytes()
+    return _sha(data)
 
 
 def edge_rows_digest() -> str:
@@ -206,6 +237,9 @@ def main(argv=None) -> int:
             if name in CLI_PROBES:
                 config, extra, workers = CLI_PROBES[name]
                 digests = cli_digests(config, extra, workers, Path(tmp))
+            elif name == "k":
+                digests = [export_digest(Path(tmp))]
+                workers = (1,)
             else:
                 digests = [LIBRARY_PROBES[name]()]
                 workers = (1,)

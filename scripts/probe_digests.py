@@ -36,8 +36,8 @@ script exits 1.
      placements, seed 2001, -10..45 dB in 5 dB steps, rate 0.25,
      relay/encode/decode factors 0.5, bounds.optimize off; --bounds-only
   j  area_averaged_outage on default geometry, 4 placements, seed 13,
-     0/10 dB, rate 1, trial ceiling 60,000: uc2-ddf (strategy index 0),
-     then uc2-af (index 1)
+     0/10 dB, rate 1, trial ceiling 60,000, strategies uc2-ddf then
+     uc2-af: every estimate of the first list, then of the second
   k  ``tdcoop export-placements`` on b's config, without and then with
      --seed 9: sha256 of the two CSV files joined
   l  ``tdcoop run`` on b's config with --strategies uc2-ddf,rc-af
@@ -205,11 +205,7 @@ def area_digest() -> str:
         master_seed=13,
         trial_ceiling=60000,
     )
-    reprs = [
-        repr(est)
-        for idx, strategy in enumerate(cfg.strategies)
-        for est in area_averaged_outage(cfg, strategy, strategy_index=idx)
-    ]
+    reprs = [repr(est) for ests in area_averaged_outage(cfg) for est in ests]
     return _sha("\n".join(reprs).encode())
 
 

@@ -1,12 +1,14 @@
 """Command line entry points.
 
-tdcoop run -c cfg.yaml [overrides]      run the sweep, write or print CSV
-tdcoop export-placements -c cfg.yaml -o placements.csv
+tdcoop run -c cfg.yaml [--seed N] [-o out.csv] [run flags]   sweep to CSV
+tdcoop export-placements -c cfg.yaml [--seed N] [-o placements.csv]
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 output not
-writable (``run`` checks it before the sweep starts).  ``run`` prints
-one stderr warning per sweep point that stopped at its trial ceiling
-short of the target events; the CSV is unchanged.
+The config file alone must be a valid experiment; each flag then
+replaces its key's value, and the result is checked again.  Exit codes:
+0 success, 2 invalid configuration or usage, 3 output not writable
+(``run`` checks it before the sweep starts).  ``run`` prints one stderr
+warning per sweep point that stopped at its trial ceiling short of the
+target events; the CSV is unchanged.
 """
 
 from __future__ import annotations
@@ -21,42 +23,41 @@ from .harness import format_rows, run_experiment
 __all__ = ["main"]
 
 
-def _parse_snr(text: str) -> list[float] | dict[str, str]:
-    """Grid override: comma list '0,5,10' or inclusive range '0:45:5'.
+def _parse_snr(text: str) -> list[str] | dict[str, str]:
+    """--snr-db: comma list '0,5,10' or inclusive range '0:45:5'.
 
     A range becomes the config file's {start, stop, step} mapping, so
-    both spellings build the same grid.
+    both spellings build the same grid; the config parses the numbers.
     """
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("snr range must be start:stop:step")
-        return dict(zip(("start", "stop", "step"), parts))
-    return [float(p) for p in text.split(",") if p.strip()]
+    if ":" not in text:
+        return [p for p in text.split(",") if p.strip()]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("an snr range must be start:stop:step")
+    return dict(zip(("start", "stop", "step"), parts))
 
 
 def _build_config(args):
+    """The config file's experiment with the flags named in args.flags
+    written over it.
+
+    Each flag's argparse dest is the config key it replaces; --strategies
+    picks the file's entries by name, settings kept.
+    """
     raw = read_yaml(args.config)
-    # A strategies value that is not a list is left for config_from_dict
-    # to reject.
-    if args.strategies and isinstance(raw.get("strategies"), list):
-        wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        have = {strategy_name(e): e for e in raw["strategies"]}
-        missing = [w for w in wanted if w not in have]
-        if missing:
-            raise ConfigError(f"strategies not in config: {missing}")
-        raw["strategies"] = [have[w] for w in wanted]
-    overrides = {
-        "seed": args.seed,
-        "workers": args.workers,
-        "target_events": args.target_events,
-        "trial_ceiling": args.trial_ceiling,
-        "output": args.output,
-        "snr_db": _parse_snr(args.snr_db) if args.snr_db else None,
-        "bounds_only": args.bounds_only,
-        "per_user_rows": args.per_user_rows,
-    }
-    return config_from_dict(raw, **overrides)
+    config_from_dict(raw)  # the file alone must be a valid experiment
+    for key in args.flags:
+        value = getattr(args, key)
+        if key == "strategies" and value is not None:
+            have = {strategy_name(e): e for e in raw[key]}
+            wanted = [w.strip() for w in value.split(",") if w.strip()]
+            missing = [w for w in wanted if w not in have]
+            if missing:
+                raise ConfigError(f"strategies not in config: {missing}")
+            value = [have[w] for w in wanted]
+        if value is not None:
+            raw[key] = value
+    return config_from_dict(raw)
 
 
 def _check_writable(path) -> None:
@@ -71,12 +72,7 @@ def _check_writable(path) -> None:
         os.remove(os.path.realpath(path))
 
 
-def _cmd_run(args) -> int:
-    try:
-        cfg = _build_config(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_run(cfg, args) -> int:
     try:
         # Fail on an unwritable output before the sweep, not after it.
         if cfg.output_path is not None:
@@ -100,12 +96,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_export_placements(args) -> int:
-    try:
-        cfg = _build_config(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_export_placements(cfg, args) -> int:
     lines = ["placement,node,x,y"]
     for idx, placement in enumerate(cfg.placements()):
         for node in placement.node_ids:
@@ -125,15 +116,18 @@ def _cmd_export_placements(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_shared(parser: argparse.ArgumentParser):
     parser.add_argument("-c", "--config", required=True, help="YAML config path")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument("-o", "--output", default=None, help="output CSV path")
+
+
+def _add_run_only(parser: argparse.ArgumentParser):
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--target-events", type=int, default=None)
     parser.add_argument("--trial-ceiling", type=int, default=None)
-    parser.add_argument("--snr-db", default=None, help="'0,5,10' or '0:45:5'")
+    parser.add_argument("--snr-db", type=_parse_snr, default=None, help="'0,5,10' or '0:45:5'")
     parser.add_argument("--strategies", default=None, help="comma-separated subset")
-    parser.add_argument("-o", "--output", default=None, help="output CSV path")
     parser.add_argument(
         "--bounds-only", action="store_const", const=True, default=None,
         help="skip Monte Carlo, emit bounds columns only",
@@ -144,6 +138,11 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
+# The config keys that run's flags replace: each flag's dest is its key.
+_RUN_FLAGS = ("seed", "output", "workers", "target_events", "trial_ceiling", "snr_db",
+              "strategies", "bounds_only", "per_user_rows")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tdcoop",
@@ -151,13 +150,20 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a sweep and emit the results CSV")
-    _add_common(run_p)
-    run_p.set_defaults(fn=_cmd_run)
+    _add_shared(run_p)
+    _add_run_only(run_p)
+    run_p.set_defaults(fn=_cmd_run, flags=_RUN_FLAGS)
     exp_p = sub.add_parser("export-placements", help="emit the placement ensemble")
-    _add_common(exp_p)
-    exp_p.set_defaults(fn=_cmd_export_placements)
+    _add_shared(exp_p)
+    # -o names export-placements' own CSV, not the config's output.
+    exp_p.set_defaults(fn=_cmd_export_placements, flags=("seed",))
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        cfg = _build_config(args)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.fn(cfg, args)
 
 
 if __name__ == "__main__":

@@ -26,21 +26,6 @@ class ConfigError(ValueError):
     """Invalid or malformed experiment configuration."""
 
 
-_TOP_KEYS = {
-    "seed",
-    "workers",
-    "placements",
-    "snr_db",
-    "target_events",
-    "trial_ceiling",
-    "per_user_rows",
-    "bounds_only",
-    "output",
-    "geometry",
-    "power",
-    "bounds",
-    "strategies",
-}
 # Numeric keys of a section -> (dataclass field, int or float).
 _TOP_NUMBERS = {
     "placements": ("num_placements", int),
@@ -61,6 +46,9 @@ _POWER_NUMBERS = {
     "encode_factor": ("encode_factor", float),
     "decode_factor": ("decode_factor", float),
     "overhead_power": ("overhead_power", float),
+}
+_TOP_KEYS = set(_TOP_NUMBERS) | {
+    "snr_db", "per_user_rows", "bounds_only", "output", "geometry", "power", "bounds", "strategies",
 }
 _GEOMETRY_KEYS = set(_GEOMETRY_NUMBERS) | {"sector_angle_deg", "relay", "destination"}
 _BOUNDS_KEYS = {"theta_star", "optimize"}
@@ -114,11 +102,11 @@ def _snr_grid(raw) -> tuple[float, ...]:
     raise ConfigError("snr_db must be a list or a start/stop/step mapping")
 
 
-def _section(merged: dict, name: str) -> dict:
-    raw = merged.get(name, {}) or {}
-    if not isinstance(raw, dict):
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name, {}) or {}
+    if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a mapping")
-    return raw
+    return section
 
 
 def _position(raw: dict, key: str) -> tuple[float, float]:
@@ -184,42 +172,32 @@ def _strategy(entry, num_users: int) -> Strategy:
     )
 
 
-def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
-    """Build a validated ExperimentConfig; overrides replace file values.
-
-    Supported overrides: seed, workers, snr_db, target_events,
-    trial_ceiling, output, strategies (list of names), bounds_only,
-    per_user_rows.
-    """
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build a validated ExperimentConfig from a config file's mapping."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     _check_keys(raw, _TOP_KEYS, "top-level")
-    merged = dict(raw)
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
-    if "strategies" not in merged:
+    if "strategies" not in raw:
         raise ConfigError("configuration must list at least one strategy")
-    if not isinstance(merged["strategies"], (list, tuple)):
+    if not isinstance(raw["strategies"], (list, tuple)):
         raise ConfigError("strategies must be a list of names or mappings")
-    geometry = _geometry(_section(merged, "geometry"))
-    power = _power(_section(merged, "power"))
-    bounds = _section(merged, "bounds")
+    geometry = _geometry(_section(raw, "geometry"))
+    power = _power(_section(raw, "power"))
+    bounds = _section(raw, "bounds")
     _check_keys(bounds, _BOUNDS_KEYS, "bounds")
-    strategies = tuple(_strategy(e, geometry.num_users) for e in merged["strategies"])
+    strategies = tuple(_strategy(e, geometry.num_users) for e in raw["strategies"])
     if len({s.name for s in strategies}) != len(strategies):
         raise ConfigError("duplicate strategy names")
-    # Only the keys the file or the overrides set; ExperimentConfig has the
-    # defaults.
-    kwargs = _numbers(merged, _TOP_NUMBERS, "")
-    output = merged.get("output")
+    # Only the keys the file sets; ExperimentConfig has the defaults.
+    kwargs = _numbers(raw, _TOP_NUMBERS, "")
+    output = raw.get("output")
     if output is not None:
         if not isinstance(output, str):
             raise ConfigError(f"output must be a file path, got {output!r}")
         kwargs["output_path"] = output
     for key in ("per_user_rows", "bounds_only"):
-        if key in merged:
-            kwargs[key] = _flag(merged[key], key)
+        if key in raw:
+            kwargs[key] = _flag(raw[key], key)
     if "theta_star" in bounds:
         kwargs["theta_star"] = _number(float, bounds["theta_star"], "bounds theta_star")
     if "optimize" in bounds:
@@ -229,7 +207,7 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
             geometry=geometry,
             power=power,
             strategies=strategies,
-            snr_db=_snr_grid(merged.get("snr_db", [0.0])),
+            snr_db=_snr_grid(raw.get("snr_db", [0.0])),
             **kwargs,
         )
     except ValueError as exc:
@@ -252,6 +230,6 @@ def read_yaml(path: str) -> dict:
     return raw
 
 
-def load_config(path: str, **overrides) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     """Parse a YAML config file into an ExperimentConfig."""
-    return config_from_dict(read_yaml(path), **overrides)
+    return config_from_dict(read_yaml(path))

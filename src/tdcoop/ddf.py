@@ -11,7 +11,9 @@ destination sees a piecewise-constant rate: the direct-only part for the
 listen fraction and a higher multi-antenna rate afterwards.  With 3+
 hops the decode order is greedy (earliest decoder first, ties to the
 lowest node index) and each new decoder boosts its burst power by the
-inverse of its remaining transmit time.
+inverse of its remaining transmit time.  Only the destination sees that
+boost; a helper still listening hears each forwarder at its unboosted
+budget.
 
 Every function takes link distances already raised to gamma (d^gamma);
 the sweep harness raises them once per cell.  All trial-level functions
@@ -217,10 +219,12 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
 
     recv_amp_sq is (n, H, L): |A|^2 at helper h from transmitter slot t
     (slot 0 is the source, slots 1..H the helpers in input order).
-    recv_coef is (H, L) with entries Pbar_t / d(h, t)^gamma.  At each
-    stage the undecided helper needing the smallest additional fraction
-    decodes next, ties to the lowest helper index; the stage is capped at
-    the remaining time when nobody can decode, which ends the schedule.
+    recv_coef is (H, L) with entries Pbar_t / d(h, t)^gamma; the engine
+    passes unboosted budgets, so helpers do not see the 1 / remaining
+    boost of ``trial_mutual_info_multihop``.  At each stage the undecided
+    helper needing the smallest additional fraction decodes next, ties to
+    the lowest helper index; the stage is capped at the remaining time
+    when nobody can decode, which ends the schedule.
     In "accumulating" mode a helper keeps the information collected in
     earlier stages; in "per-fraction" mode it must decode within a single
     stage.

@@ -437,19 +437,17 @@ def sweep_fixed_placement(
         return [point.estimate() for _, _, point in points]
 
 
-def area_averaged_outage(
-    cfg: ExperimentConfig, strategy: Strategy, strategy_index: int = 0
-) -> list[OutageEstimate]:
-    """Adaptive pooled estimate at every SNR grid point.
-
-    strategy_index labels the point streams; sweeps over several
-    strategies must pass each one's position so streams never collide.
-    """
+def area_averaged_outage(cfg: ExperimentConfig) -> list[list[OutageEstimate]]:
+    """Adaptive pooled estimates, one list over the SNR grid per strategy
+    of cfg in config order: the averaged rows of ``run_experiment(cfg)``."""
     if cfg.bounds_only:
         raise ValueError("area_averaged_outage returns Monte Carlo estimates; bounds_only is set")
+    placements = cfg.placements()
     with mc.worker_pool(cfg.workers) as pool:
-        points = _points(cfg, strategy, strategy_index, cfg.placements(), pool)
-        return [point.estimate() for _, _, point in points]
+        return [
+            [point.estimate() for _, _, point in _points(cfg, s, i, placements, pool)]
+            for i, s in enumerate(cfg.strategies)
+        ]
 
 
 def diversity_slope(points) -> float:

@@ -221,7 +221,9 @@ def _count_ucmh_ddf(params, rng, fwd_rng, n):
     at the destination start at the direct term and never decrease, and
     the stage fractions sum to 1.  The schedule and the destination rate
     work trial by trial (a stage loop that ends early skips only stages
-    no kept trial has time left for).
+    no kept trial has time left for).  Helpers hear each other at the
+    unboosted ``budgets / hh_pow``; only the destination rate boosts a
+    forwarder by 1 / (its remaining time).
     """
     a_dk = _direct_screen(params, rng, n)
     if not a_dk.size:

@@ -108,6 +108,8 @@ def parse_strategy(
 
     ``coop_sets`` overrides the all-others default for the uc modes; it is
     a mapping {user -> iterable of helpers} or a full tuple-of-tuples.
+    Either way each helper set is sorted, so multihop decode-order ties go
+    to the lowest node index whatever order the helpers are listed in.
     """
     m = _NAME_RE.match(name.strip().lower())
     if not m:
@@ -122,13 +124,10 @@ def parse_strategy(
     family = m.group(4)
     if coop_sets is None:
         sets = _all_others(num_users)
-    elif isinstance(coop_sets, dict):
-        sets = tuple(
-            tuple(sorted(int(j) for j in coop_sets.get(k, ())))
-            for k in range(1, num_users + 1)
-        )
     else:
-        sets = tuple(tuple(int(j) for j in h) for h in coop_sets)
+        if isinstance(coop_sets, dict):
+            coop_sets = [coop_sets.get(k, ()) for k in range(1, num_users + 1)]
+        sets = tuple(tuple(sorted(int(j) for j in h)) for h in coop_sets)
     if hop_count == 2:
         return Strategy(
             name=token, family=family, mode="uc2", num_users=num_users, coop_sets=sets

@@ -366,8 +366,7 @@ def processing_cost_curves():
     )
     t0 = time.perf_counter()
     curves, cis = {}, {}
-    for idx, s in enumerate(cfg.strategies):
-        ests = area_averaged_outage(cfg, s, strategy_index=idx)
+    for s, ests in zip(cfg.strategies, area_averaged_outage(cfg)):
         curves[s.name] = [e.p_hat for e in ests]
         cis[s.name] = [e.ci95 for e in ests]
     stars = {"halfwidth": {}}

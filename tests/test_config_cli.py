@@ -10,6 +10,7 @@ from tdcoop.config import ConfigError, config_from_dict, load_config
 from tdcoop.harness import ExperimentConfig
 from tdcoop.network import GeometryParams
 from tdcoop.power import PowerConfig
+from tdcoop.strategies import parse_strategy
 
 BASE_YAML = """\
 seed: 5
@@ -118,6 +119,13 @@ class TestConfigFromDict:
         assert cfg.strategies[0].helpers(1) == (2,)
         assert cfg.strategies[1].multihop_mode == "per-fraction"
 
+    def test_coop_sets_order_matches_the_library(self):
+        """A helper list means the same strategy in YAML as in parse_strategy."""
+        written = {1: [3, 2], 2: [3, 1], 3: [2, 1]}
+        cfg = config_from_dict({"strategies": [{"name": "uc3-ddf", "coop_sets": written}]})
+        assert cfg.strategies[0] == parse_strategy("uc3-ddf", 3, coop_sets=written)
+        assert cfg.strategies[0].coop_sets == ((2, 3), (1, 3), (1, 2))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
             config_from_dict({"strategies": ["mac"], "snr_grid": [0]})
@@ -141,11 +149,6 @@ class TestConfigFromDict:
     def test_invalid_strategy_name(self):
         with pytest.raises(ValueError):
             config_from_dict({"strategies": ["tdma"]})
-
-    def test_overrides_replace_file_values(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path), seed=99, snr_db=[5.0])
-        assert cfg.master_seed == 99
-        assert cfg.snr_db == (5.0,)
 
     def test_root_must_be_mapping(self):
         with pytest.raises(ConfigError):
@@ -217,6 +220,60 @@ class TestCliRun:
         assert link.is_symlink()
         assert not (tmp_path / "target.csv").exists()
 
+    def test_flags_replace_file_values(self, tmp_path, monkeypatch):
+        """Each flag replaces its key's file value; --strategies picks the
+        file's entries by name and keeps their settings."""
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        text = BASE_YAML.replace(
+            "  - rc-ddf\n", "  - rc-ddf\n  - name: uc2-ddf\n    coop_sets: {1: [2], 2: [3], 3: [1]}\n"
+        )
+        path = write_cfg(tmp_path, text)
+        args = ["run", "-c", path, "--seed", "99", "--snr-db", "5", "--workers", "2"]
+        args += ["--target-events", "7", "--trial-ceiling", "600", "--bounds-only"]
+        args += ["--per-user-rows", "-o", str(tmp_path / "out.csv")]
+        assert main(args + ["--strategies", "uc2-ddf,mac"]) == 0
+        cfg = seen[0]
+        assert cfg.master_seed == 99
+        assert cfg.snr_db == (5.0,)
+        assert (cfg.workers, cfg.target_events, cfg.trial_ceiling) == (2, 7, 600)
+        assert cfg.bounds_only and cfg.per_user_rows
+        assert cfg.output_path == str(tmp_path / "out.csv")
+        assert [s.name for s in cfg.strategies] == ["uc2-ddf", "mac"]
+        assert cfg.strategies[0].coop_sets == ((2,), (3,), (1,))
+        assert main(["run", "-c", path]) == 0
+        assert seen[1] == load_config(path)
+
+    @pytest.mark.parametrize(
+        "old,new,flags",
+        (
+            ("seed: 5\n", "seed: [1]\n", ["--seed", "3"]),
+            ("target_events: 50\n", "target_events: many\n", ["--target-events", "5"]),
+            ("trial_ceiling: 30000\n", "trial_ceiling: 5\n", ["--trial-ceiling", "600"]),
+            ("snr_db: [0.0, 10.0]\n", "snr_db: [10.0, 0.0]\n", ["--snr-db", "0,10"]),
+            ("seed: 5\n", "seed: 5\nworkers: 0\n", ["--workers", "1"]),
+            ("seed: 5\n", "seed: 5\noutput: 5\n", ["-o", "out.csv"]),
+            ("seed: 5\n", 'seed: 5\nbounds_only: "no"\n', []),
+            ("seed: 5\n", "seed: 5\nper_user_rows: 1\n", ["--per-user-rows"]),
+            ("  - rc-ddf\n", "  - uc9-af\n", ["--strategies", "mac"]),
+        ),
+        ids=(
+            "seed", "target-events", "trial-ceiling", "snr-db", "workers", "output",
+            "bounds-only", "per-user-rows", "unselected-strategy",
+        ),
+    )
+    def test_flag_over_a_bad_file_value_exits_2(self, tmp_path, monkeypatch, capsys, old, new, flags):
+        """The file alone must be a valid experiment: a flag that replaces
+        a bad value, or a --strategies subset that skips a bad entry,
+        does not hide it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: [])
+        assert old in BASE_YAML
+        path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
+        assert main(["run", "-c", path, "--bounds-only"] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_snr_override_forms(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         assert main(["run", "-c", path, "--snr-db", "0:10:5", "--bounds-only"]) == 0
@@ -271,7 +328,14 @@ class TestCliRun:
         assert main(["run", "-c", path, "--trial-ceiling", "5", "--bounds-only"]) == 0
 
     def test_bad_snr_override_exits_2(self, tmp_path, capsys):
-        assert main(["run", "-c", write_cfg(tmp_path), "--snr-db", "5:1:2"]) == 2
+        path = write_cfg(tmp_path)
+        assert main(["run", "-c", path, "--snr-db", "5:1:2"]) == 2
+        assert main(["run", "-c", path, "--snr-db", "0,x"]) == 2
+        assert "snr_db must be a number, got 'x'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-c", path, "--snr-db", "0:10"])
+        assert exc.value.code == 2
+        assert "start:stop:step" in capsys.readouterr().err
 
     def test_strategy_subset(self, tmp_path, capsys):
         rc = main(["run", "-c", write_cfg(tmp_path), "--strategies", "mac"])
@@ -370,9 +434,7 @@ class TestCliRun:
         flag must be a YAML boolean, so a quoted "false" does not switch it on."""
         assert old in BASE_YAML
         path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
-        # --bounds-only would replace the file's bounds_only value.
-        flags = [] if "bounds_only" in new else ["--bounds-only"]
-        assert main(["run", "-c", path] + flags) == 2
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 
@@ -405,6 +467,26 @@ class TestCliExportPlacements:
         assert main(["export-placements", "-c", path, "-o", str(a)]) == 0
         assert main(["export-placements", "-c", path, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            ["--workers", "2"], ["--target-events", "5"], ["--trial-ceiling", "9"],
+            ["--snr-db", "1,2"], ["--strategies", "mac"], ["--bounds-only"], ["--per-user-rows"],
+        ),
+        ids=lambda flag: flag[0],
+    )
+    def test_run_only_flag_exits_2(self, tmp_path, capsys, flag):
+        """export-placements takes -c, --seed and -o only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["export-placements", "-c", write_cfg(tmp_path)] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_file_alone_must_be_valid(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE_YAML.replace("seed: 5\n", "seed: [1]\n"))
+        assert main(["export-placements", "-c", path, "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_seed_changes_placements(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

@@ -114,7 +114,7 @@ class TestAreaAveraged:
             target_events=10**9,
             trial_ceiling=18_000,
         )
-        avg = area_averaged_outage(cfg, cfg.strategies[0])[0]
+        avg = area_averaged_outage(cfg)[0][0]
         pl = cfg.placements()[0]
         est = estimate_outage(
             cfg.strategies[0], pl, PowerConfig(), 6_000,
@@ -125,10 +125,35 @@ class TestAreaAveraged:
         assert avg.p_hat == est.p_hat
         assert avg.trials == est.trials == 18_000
 
+    def test_every_one_placement_point_matches_fixed_estimate(self):
+        """A point of a one-placement sweep, stopped at its target or at its
+        ceiling, is estimate_outage at seed mix64(seed, 1, s, i) with the
+        per-user trial count its row reports."""
+        cfg = tiny_config(
+            strategies=(parse_strategy("mac", 3), parse_strategy("rc-ddf", 3)),
+            snr_db=(0.0, 10.0, 20.0),
+            num_placements=1,
+        )
+        rows = iter(run_experiment(cfg))
+        placement = cfg.placements()[0]
+        for s, strategy in enumerate(cfg.strategies):
+            for i, snr in enumerate(cfg.snr_db):
+                row = next(rows)
+                est = estimate_outage(
+                    strategy, placement, cfg.power.with_user_power(10.0 ** (snr / 10.0)),
+                    row["trials"] // 3, seed=mc.mix64(cfg.master_seed, 1, s, i),
+                )
+                assert (est.p_hat, est.trials, est.events) == (
+                    row["outage"], row["trials"], row["events"]
+                )
+                assert (est.bounds.lower, est.bounds.upper) == (
+                    row["bound_lower"], row["bound_upper"]
+                )
+
     def test_reproducible_to_last_bit(self):
         cfg = tiny_config(snr_db=(10.0,))
-        a = area_averaged_outage(cfg, cfg.strategies[0])[0]
-        b = area_averaged_outage(cfg, cfg.strategies[0])[0]
+        a = area_averaged_outage(cfg)[0][0]
+        b = area_averaged_outage(cfg)[0][0]
         assert a.p_hat == b.p_hat
         assert a.per_placement == b.per_placement
         assert a.ci95 == b.ci95
@@ -136,18 +161,47 @@ class TestAreaAveraged:
     def test_worker_count_invariance(self):
         base = tiny_config(snr_db=(10.0,))
         multi = tiny_config(snr_db=(10.0,), workers=2)
-        a = area_averaged_outage(base, base.strategies[0])[0]
-        b = area_averaged_outage(multi, multi.strategies[0])[0]
+        a = area_averaged_outage(base)[0][0]
+        b = area_averaged_outage(multi)[0][0]
         assert a.p_hat == b.p_hat and a.events == b.events
 
     def test_bounds_only_rejected(self):
         cfg = tiny_config(bounds_only=True)
         with pytest.raises(ValueError, match="bounds_only"):
-            area_averaged_outage(cfg, cfg.strategies[0])
+            area_averaged_outage(cfg)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_each_strategy_matches_its_csv_rows(self, workers):
+        """One estimate list per strategy, in config order, each keyed by
+        its strategy's position: uc2-ddf listed second reads its own rows."""
+        cfg = tiny_config(
+            power=PowerConfig(rate=1.0),
+            strategies=(parse_strategy("mac", 3), parse_strategy("uc2-ddf", 3)),
+            num_placements=4,
+            master_seed=13,
+            workers=workers,
+        )
+        ests = area_averaged_outage(cfg)
+        rows = run_experiment(cfg)
+        assert len(ests) == len(cfg.strategies)
+        for strategy, curve in zip(cfg.strategies, ests):
+            got = [
+                (e.p_hat, e.ci95, e.trials, e.events, e.bounds.lower, e.bounds.upper, e.ceiling_flag)
+                for e in curve
+            ]
+            want = [
+                tuple(r[key] for key in (
+                    "outage", "ci95", "trials", "events", "bound_lower", "bound_upper",
+                    "ceiling_flag",
+                ))
+                for r in rows
+                if r["strategy"] == strategy.name
+            ]
+            assert got == want and len(got) == len(cfg.snr_db)
 
     def test_per_placement_breakdown(self):
         cfg = tiny_config(snr_db=(0.0,), num_placements=3)
-        est = area_averaged_outage(cfg, cfg.strategies[0])[0]
+        est = area_averaged_outage(cfg)[0][0]
         assert len(est.per_placement) == 3
         # pooled estimate equals the arithmetic placement average because
         # every cell runs the same trial count

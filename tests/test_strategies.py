@@ -58,6 +58,15 @@ class TestParseStrategy:
             # out-of-range helper
             parse_strategy("uc2-ddf", 3, coop_sets={1: (4,), 2: (3,), 3: (2,)})
 
+    def test_helper_order_is_sorted_in_both_forms(self):
+        """A mapping and a tuple of helper sets give the same strategy
+        whatever order the helpers are listed in."""
+        written = {1: [3, 2], 2: [3, 1], 3: [2, 1]}
+        by_map = parse_strategy("uc3-ddf", 3, coop_sets=written)
+        by_tuple = parse_strategy("uc3-ddf", 3, coop_sets=tuple(map(tuple, written.values())))
+        assert by_map == by_tuple == parse_strategy("uc3-ddf", 3)
+        assert by_tuple.coop_sets == ((2, 3), (1, 3), (1, 2))
+
     def test_asymmetric_sets_change_burst_sharing(self):
         s = parse_strategy("uc2-ddf", 3, coop_sets={1: (2, 3), 2: (1,), 3: (1,)})
         assert s.helpers(1) == (2, 3)

@@ -184,19 +184,13 @@ class TestAreaAveraged:
         ests = area_averaged_outage(cfg)
         rows = run_experiment(cfg)
         assert len(ests) == len(cfg.strategies)
+        keys = ("outage", "ci95", "trials", "events", "bound_lower", "bound_upper", "ceiling_flag")
         for strategy, curve in zip(cfg.strategies, ests):
             got = [
                 (e.p_hat, e.ci95, e.trials, e.events, e.bounds.lower, e.bounds.upper, e.ceiling_flag)
                 for e in curve
             ]
-            want = [
-                tuple(r[key] for key in (
-                    "outage", "ci95", "trials", "events", "bound_lower", "bound_upper",
-                    "ceiling_flag",
-                ))
-                for r in rows
-                if r["strategy"] == strategy.name
-            ]
+            want = [tuple(r[k] for k in keys) for r in rows if r["strategy"] == strategy.name]
             assert got == want and len(got) == len(cfg.snr_db)
 
     def test_per_placement_breakdown(self):

@@ -11,6 +11,15 @@ saved run, prints ``same`` or ``DIFF`` after it and exits 1 on any DIFF:
     PYTHONPATH=src python3 scripts/probe_digests.py > before.txt
     PYTHONPATH=src python3 scripts/probe_digests.py --expect before.txt
 
+``scripts/probe_digests.expected`` is this script's output at the
+committed code, so one command checks a change without a second
+checkout:
+
+    PYTHONPATH=src python3 scripts/probe_digests.py --expect scripts/probe_digests.expected
+
+A change that moves a number on purpose rewrites that file in its own
+diff.
+
 Everything a digest covers is fixed here: the configs, the worker counts
 and how results turn into bytes (CLI probes hash the CSV file; the
 library probes hash ``json.dumps`` of the edge rows and the

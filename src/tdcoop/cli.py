@@ -42,15 +42,16 @@ def _build_config(args):
     written over it.
 
     Each flag's argparse dest is the config key it replaces; --strategies
-    picks the file's entries by name, settings kept.
+    picks the file's entries by canonical name (``parse_strategy``'s
+    rule: case and surrounding spaces do not count), settings kept.
     """
     raw = read_yaml(args.config)
     config_from_dict(raw)  # the file alone must be a valid experiment
     for key in args.flags:
         value = getattr(args, key)
         if key == "strategies" and value is not None:
-            have = {strategy_name(e): e for e in raw[key]}
-            wanted = [w.strip() for w in value.split(",") if w.strip()]
+            have = {strategy_name(e).strip().lower(): e for e in raw[key]}
+            wanted = [w.strip().lower() for w in value.split(",") if w.strip()]
             missing = [w for w in wanted if w not in have]
             if missing:
                 raise ConfigError(f"strategies not in config: {missing}")

@@ -3,9 +3,10 @@
 The file is one mapping; unknown keys are rejected so typos fail loudly.
 All keys are optional except ``strategies``.  ``snr_db`` takes either an
 explicit list or {start, stop, step} (inclusive stop; point i is
-start + i * step, not rounded).  Strategy entries are either a name
-string or a mapping with ``name`` plus optional ``coop_sets``
-({user: [helpers]}) and ``multihop_mode``.
+start + i * step, not rounded).  Numbers must be finite, and whole for
+integer keys.  Strategy entries are either a name string or a mapping
+with ``name`` plus optional ``coop_sets`` ({user: [helpers]}, ucN-*
+only) and ``multihop_mode`` (ucN-ddf with N >= 3 only).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _TOP_KEYS = set(_TOP_NUMBERS) | {
     "snr_db", "per_user_rows", "bounds_only", "output", "geometry", "power", "bounds", "strategies",
 }
 _GEOMETRY_KEYS = set(_GEOMETRY_NUMBERS) | {"sector_angle_deg", "relay", "destination"}
-_BOUNDS_KEYS = {"theta_star", "optimize"}
+_BOUNDS_KEYS = {"optimize"}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -61,11 +62,21 @@ def _check_keys(section: dict, allowed: set, where: str):
 
 
 def _number(kind, value, what: str):
-    """value as kind (int or float); a list, mapping or word is a config error."""
+    """value as kind (int or float).  A list, mapping, word or YAML
+    boolean is a config error, and so are NaN, infinity and a fraction
+    where an int is wanted."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        if isinstance(value, bool):
+            raise TypeError
+        finite = math.isfinite(float(value))
+        number = kind(value) if finite else None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not finite:
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return number
 
 
 def _numbers(raw: dict, fields: dict, where: str) -> dict:
@@ -110,10 +121,10 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _position(raw: dict, key: str) -> tuple[float, float]:
-    try:
-        x, y = (float(v) for v in raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"geometry {key} must be an (x, y) pair") from exc
+    pair = raw[key]
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ConfigError(f"geometry {key} must be an (x, y) pair")
+    x, y = (_number(float, v, f"geometry {key}") for v in pair)
     return x, y
 
 
@@ -164,12 +175,18 @@ def _strategy(entry, num_users: int) -> Strategy:
     if isinstance(entry, str):
         return parse_strategy(name, num_users)
     _check_keys(entry, {"name", "coop_sets", "multihop_mode"}, "strategy")
-    return parse_strategy(
+    strategy = parse_strategy(
         name,
         num_users,
         coop_sets=_coop_sets(entry.get("coop_sets"), num_users),
         multihop_mode=entry.get("multihop_mode", "accumulating"),
     )
+    # A setting the strategy does not read is an error, not a silent no-op.
+    if "coop_sets" in entry and strategy.mode in ("mac", "rc"):
+        raise ConfigError(f"strategy {strategy.name} takes no coop_sets")
+    if "multihop_mode" in entry and (strategy.mode, strategy.family) != ("ucmh", "ddf"):
+        raise ConfigError(f"strategy {strategy.name} takes no multihop_mode (only ucN-ddf, N >= 3)")
+    return strategy
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -198,8 +215,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("per_user_rows", "bounds_only"):
         if key in raw:
             kwargs[key] = _flag(raw[key], key)
-    if "theta_star" in bounds:
-        kwargs["theta_star"] = _number(float, bounds["theta_star"], "bounds theta_star")
     if "optimize" in bounds:
         kwargs["optimize_bounds"] = _flag(bounds["optimize"], "bounds optimize")
     try:

@@ -54,7 +54,6 @@ class ExperimentConfig:
     workers: int = 1
     output_path: str | None = None
     per_user_rows: bool = False
-    theta_star: float = 0.5
     optimize_bounds: bool = False
     bounds_only: bool = False
 
@@ -79,8 +78,6 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 0.0 < self.theta_star < 1.0:
-            raise ValueError("theta_star must be in (0, 1)")
         for s in self.strategies:
             if s.num_users != self.geometry.num_users:
                 raise ValueError(f"strategy {s.name} sized for {s.num_users} users")
@@ -101,7 +98,6 @@ class OutageEstimate:
     trials: int
     ci95: float
     bounds: BoundPair
-    per_placement: tuple[float, ...]
     events: int = 0
     ceiling_flag: bool = False
 
@@ -110,26 +106,24 @@ class OutageEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
 
 
-def mac_outage(rate: float, user_power, dk_pow, num_users: int):
-    """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / (K P_k)).
+def mac_outage(rate: float, burst_power, dk_pow):
+    """Closed-form direct-link outage 1 - exp(-(2^R - 1) d^g / P_burst).
 
-    dk_pow is d^gamma of the source-destination link.  user_power and
-    dk_pow are scalars or columns that broadcast against each other (a
-    sweep passes one cell's d^gamma and the SNR grid's powers); the
+    burst_power is the source's burst power (``user_burst_power``: K P_k
+    without cooperation) and dk_pow is d^gamma of the source-destination
+    link.  Both are scalars or columns that broadcast against each other
+    (a sweep passes one cell's d^gamma and the SNR grid's bursts); the
     result has their shape.
     """
-    if num_users < 1:
-        raise ValueError("mac_outage requires positive inputs")
-    d, p = np.broadcast_arrays(np.asarray(dk_pow, dtype=float), np.asarray(user_power, dtype=float))
+    d, b = np.broadcast_arrays(np.asarray(dk_pow, dtype=float), np.asarray(burst_power, dtype=float))
     scale = -math.expm1(rate * math.log(2.0))
     out = []
     # Per row in Python floats: numpy's expm1 can differ from math.expm1
     # in the last bit.
-    for i, (dv, pv) in enumerate(zip(d.ravel().tolist(), p.ravel().tolist())):
+    for i, (dv, bv) in enumerate(zip(d.ravel().tolist(), b.ravel().tolist())):
         if not dv > 0:
             raise ValueError(f"mac_outage requires positive inputs: d^gamma {dv} at row {i}")
-        burst = num_users * pv
-        out.append(-math.expm1(scale * dv / burst) if burst != 0.0 else float(rate > 0))
+        out.append(-math.expm1(scale * dv / bv) if bv != 0.0 else float(rate > 0))
     out = np.array(out).reshape(d.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -196,80 +190,46 @@ def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple
     ]
 
 
-def _cell_bounds(
-    cell: _Cell,
-    strategy: Strategy,
-    rate: float,
-    user_power,
-    burst,
-    lambdas,
-    theta_star: float = 0.5,
-    optimize: bool = False,
-) -> BoundPair:
+def _cell_bounds(cell: _Cell, rate: float, burst, lambdas, optimize: bool) -> BoundPair:
     """Analytic bound pair of the cell at every grid point; the closed form twice for mac.
 
-    user_power and burst (the source's burst power) are columns over the
-    SNR grid.  lambdas has one row per grid point: 1 for the source, then
-    each forwarder's budget over the burst.
+    burst (the source's burst power) is a column over the SNR grid.
+    lambdas has one row per grid point: 1 for the source, then each
+    forwarder's budget over the burst.
     """
     if cell.kernel == "mac":
-        cf = mac_outage(rate, user_power, cell.dk_pow, strategy.num_users)
+        cf = mac_outage(rate, burst, cell.dk_pow)
         return BoundPair(lower=cf, upper=cf)
     if cell.kernel in ("af2", "afmh"):
         af_bounds = af_bounds_2hop if cell.kernel == "af2" else af_bounds_multihop
         return af_bounds(rate, burst, cell.dk_pow, cell.dj_pow, cell.jk_pow)
     if cell.kernel == "rc-ddf":
         return ddf_bounds_rc(
-            rate,
-            burst,
-            lambdas[:, 1],
-            cell.dk_pow,
-            cell.dj_pow[0],
-            cell.jk_pow[0],
-            theta_star=theta_star,
-            optimize=optimize,
+            rate, burst, lambdas[:, 1], cell.dk_pow, cell.dj_pow[0], cell.jk_pow[0], optimize=optimize
         )
     dist_dest_pow = np.array((cell.dk_pow,) + cell.dj_pow)
     dist_src_pow = np.array(cell.jk_pow)
     if cell.kernel == "uc2-ddf":
-        return ddf_bounds_uc2(
-            rate,
-            burst,
-            lambdas,
-            dist_dest_pow,
-            dist_src_pow,
-            theta_star=theta_star,
-            optimize=optimize,
-        )
+        return ddf_bounds_uc2(rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize)
     return ddf_bounds_multihop(rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize)
 
 
-def _bounds(
-    cells: list[_Cell],
-    strategy: Strategy,
-    grid: list[PowerConfig],
-    powers,
-    theta_star: float = 0.5,
-    optimize: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(cells: list[_Cell], rate: float, powers, optimize: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's bound pair at every grid point: (lower, upper), each
     shaped (grid points, cells) in cell order.
 
-    powers[s] is ``_user_powers`` at grid[s].  One bound-function call per
-    cell covers the whole grid.
+    powers[s] is ``_user_powers`` at grid point s.  One bound-function
+    call per cell covers the whole grid.
     """
-    user_power = np.array([pc.user_power for pc in grid])
     per_user = []
-    for u in range(strategy.num_users):
+    for u in range(len(powers[0])):
         rows = [p[u] for p in powers]
         lambdas = [(1.0,) + tuple(f / b for f in budgets) for b, budgets in rows]
         per_user.append((np.array([b for b, _ in rows]), np.array(lambdas)))
-    lower = np.empty((len(grid), len(cells)))
+    lower = np.empty((len(powers), len(cells)))
     upper = np.empty_like(lower)
     for i, c in enumerate(cells):
-        pair = _cell_bounds(
-            c, strategy, grid[0].rate, user_power, *per_user[c.user_idx], theta_star, optimize
-        )
+        pair = _cell_bounds(c, rate, *per_user[c.user_idx], optimize)
         lower[:, i] = pair.lower
         upper[:, i] = pair.upper
     return lower, upper
@@ -278,10 +238,9 @@ def _bounds(
 @dataclass(frozen=True)
 class _Point:
     """One sweep point at cell granularity.  Arrays run in cell order:
-    each cell's placement and user index, its events (None when
-    bounds-only) and its bound pair; trials is the count every cell ran."""
+    each cell's user index, its events (None when bounds-only) and its
+    bound pair; trials is the count every cell ran."""
 
-    placements: np.ndarray
     users: np.ndarray
     events: np.ndarray | None
     trials: int
@@ -303,18 +262,11 @@ class _Point:
         e = int(events.sum())
         n = self.trials * events.size
         p = e / n
-        # Each placement's pooled events over its picked cells' trials.
-        per_placement = {}
-        for i, k in zip(self.placements[picked].tolist(), events.tolist()):
-            per_placement.setdefault(i, []).append(k)
         return OutageEstimate(
             p_hat=p,
             trials=n,
             ci95=1.96 * math.sqrt(p * (1.0 - p) / n),
             bounds=self.bounds(user),
-            per_placement=tuple(
-                sum(ks) / (self.trials * len(ks)) for _, ks in sorted(per_placement.items())
-            ),
             events=e,
             ceiling_flag=self.ceiling_flag,
         )
@@ -335,11 +287,6 @@ def _tasks(cells: list[_Cell], strategy: Strategy, pc: PowerConfig, powers) -> l
         params.update(dk_pow=c.dk_pow, dj_pow=c.dj_pow, jk_pow=c.jk_pow, hh_pow=c.hh_pow)
         tasks.append((c.placement_idx, c.user_idx, c.kernel, params))
     return tasks
-
-
-def _indices(cells: list[_Cell]) -> tuple[np.ndarray, np.ndarray]:
-    """Placement and user index arrays in cell order."""
-    return np.array([c.placement_idx for c in cells]), np.array([c.user_idx for c in cells])
 
 
 def estimate_outage(
@@ -368,8 +315,8 @@ def estimate_outage(
         target_events=trials * K + 1,
         trial_ceiling=trials * K,
     )
-    lower, upper = _bounds(cells, strategy, [pc], [powers])
-    return _Point(*_indices(cells), events, n, lower[0], upper[0], False).estimate()
+    lower, upper = _bounds(cells, pc.rate, [powers], optimize=False)
+    return _Point(np.arange(K), events, n, lower[0], upper[0], False).estimate()
 
 
 def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
@@ -384,16 +331,16 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
         for i, placement in enumerate(placements)
         for k in range(1, strategy.num_users + 1)
     ]
-    indices = _indices(cells)
+    users = np.array([c.user_idx for c in cells])
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
     powers = [_user_powers(strategy, pc) for pc in grid]
-    lower, upper = _bounds(cells, strategy, grid, powers, cfg.theta_star, cfg.optimize_bounds)
+    lower, upper = _bounds(cells, cfg.power.rate, powers, cfg.optimize_bounds)
     for snr_index, (snr, pc) in enumerate(zip(cfg.snr_db, grid)):
         # Row copies: a point the caller still holds must not keep the whole
         # grid's arrays alive while the next strategy builds its own.
         bounds = (lower[snr_index].copy(), upper[snr_index].copy())
         if cfg.bounds_only:
-            yield snr, pc, _Point(*indices, None, 0, *bounds, False)
+            yield snr, pc, _Point(users, None, 0, *bounds, False)
             continue
         events, trials, flagged = mc.run_cells(
             _tasks(cells, strategy, pc, powers[snr_index]),
@@ -403,7 +350,7 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
             trial_ceiling=cfg.trial_ceiling,
             pool=pool,
         )
-        yield snr, pc, _Point(*indices, events, trials, *bounds, flagged)
+        yield snr, pc, _Point(users, events, trials, *bounds, flagged)
 
 
 def sweep_fixed_placement(

@@ -5,9 +5,10 @@ P_k only while transmitting, so bursts are scaled up by the inverse of
 the transmitting time share (``user_burst_power``; the relay's budget is
 ``relay_power``).  These are the program's only burst and budget rules:
 the sweep harness passes each user's burst and its forwarders' budgets
-to the trial kernels in one parameter record, and the kernels apply the
-in-period boosts (a DDF forwarder's 1/(1 - theta) over its remaining
-time, an AF forwarder's two-slot gain).
+to the trial kernels in one parameter record and to every analytic
+bound, ``mac_outage`` included, and the kernels apply the in-period
+boosts (a DDF forwarder's 1/(1 - theta) over its remaining time, an AF
+forwarder's two-slot gain).
 
 Cooperation adds processing costs on top: a node pays eta * R_j to
 encode and delta * R_j to decode a rate-R_j message, plus a fixed
@@ -70,10 +71,7 @@ def user_burst_power(strategy: Strategy, pc: PowerConfig, k: int = 1) -> float:
     periods of the N_k users it forwards for, which divides the burst by
     N_k + 1.
     """
-    K = strategy.num_users
-    if strategy.mode in ("mac", "rc"):
-        return K * pc.user_power
-    return K * pc.user_power / (strategy.num_forwarded(k) + 1)
+    return strategy.num_users * pc.user_power / (strategy.num_forwarded(k) + 1)
 
 
 def relay_power(pc: PowerConfig) -> float:

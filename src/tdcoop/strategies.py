@@ -51,6 +51,8 @@ class Strategy:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.multihop_mode not in MULTIHOP_MODES:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
+        if self.mode in ("mac", "rc") and self.coop_sets:
+            raise ValueError(f"{self.name} takes no coop_sets")
         if self.mode in ("uc2", "ucmh"):
             if len(self.coop_sets) != self.num_users:
                 raise ValueError("coop_sets must list helpers for every user")
@@ -86,8 +88,6 @@ class Strategy:
 
     def num_forwarded(self, j: int) -> int:
         """N_j: how many users does user j forward for."""
-        if self.mode in ("mac", "rc"):
-            return 0
         return sum(1 for helpers in self.coop_sets for h in helpers if h == j)
 
 
@@ -106,15 +106,21 @@ def parse_strategy(
 ) -> Strategy:
     """Build a Strategy from its canonical name.
 
-    ``coop_sets`` overrides the all-others default for the uc modes; it is
-    a mapping {user -> iterable of helpers} or a full tuple-of-tuples.
-    Either way each helper set is sorted, so multihop decode-order ties go
-    to the lowest node index whatever order the helpers are listed in.
+    ``coop_sets`` overrides the all-others default for the uc modes (mac
+    and rc-* take none); it is a mapping {user -> iterable of helpers} or
+    a full tuple-of-tuples.  Either way each helper set is sorted, so
+    multihop decode-order ties go to the lowest node index whatever order
+    the helpers are listed in.  ``multihop_mode`` is checked for every
+    name, but only ucN-ddf (N >= 3) reads it.
     """
     m = _NAME_RE.match(name.strip().lower())
     if not m:
         raise ValueError(f"unknown strategy name {name!r}")
+    if multihop_mode not in MULTIHOP_MODES:
+        raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
     token = m.group(0)
+    if coop_sets is not None and m.group(3) is None:
+        raise ValueError(f"{token} takes no coop_sets")
     if token == "mac":
         return Strategy(name=token, family="mac", mode="mac", num_users=num_users)
     if token.startswith("rc-"):

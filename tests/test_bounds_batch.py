@@ -230,13 +230,13 @@ RATES = (0.25, 0.75)
 @pytest.mark.parametrize("rate", RATES)
 def test_mac_outage_batch(rate):
     c = random_rows(1, 0)
-    got = mac_outage(rate, 37.0, c["dk"], 3)
+    got = mac_outage(rate, 3 * 37.0, c["dk"])
     want = np.array([ref_mac(rate, 37.0, d, 3) for d in c["dk"].tolist()])
     assert got.tobytes() == want.tobytes()
-    assert all(mac_outage(rate, 37.0, d, 3) == got[i] for i, d in enumerate(c["dk"].tolist()))
-    # the sweep's shape: one d^gamma against a column of powers
+    assert all(mac_outage(rate, 3 * 37.0, d) == got[i] for i, d in enumerate(c["dk"].tolist()))
+    # the sweep's shape: one d^gamma against a column of bursts K * P
     powers = c["burst"] / 3.0
-    got = mac_outage(rate, powers, 0.8, 3)
+    got = mac_outage(rate, 3 * powers, 0.8)
     want = np.array([ref_mac(rate, p, 0.8, 3) for p in powers.tolist()])
     assert got.tobytes() == want.tobytes()
 
@@ -329,7 +329,7 @@ def test_sweep_bounds_match_the_per_point_formulas(num_users, strategy, optimize
     ]
     grid = [PowerConfig(rate=0.25).with_user_power(10.0 ** (snr / 10.0)) for snr in GRID_DB]
     powers = [harness._user_powers(strategy, pc) for pc in grid]
-    lower, upper = harness._bounds(cells, strategy, grid, powers, 0.5, optimize)
+    lower, upper = harness._bounds(cells, 0.25, powers, optimize)
     assert lower.shape == upper.shape == (len(grid), len(cells))
     for s, pc in enumerate(grid):
         refs = [
@@ -385,7 +385,7 @@ def test_invalid_row_named_by_index():
     dk = c["dk"].copy()
     dk[3] = 0.0
     with pytest.raises(ValueError, match="at row 3"):
-        mac_outage(0.25, 1.0, dk, 3)
+        mac_outage(0.25, 3 * 1.0, dk)
     with pytest.raises(ValueError, match=r"at row 2 \("):
         BoundPair(lower=np.array([0.1, 0.2, 0.3]), upper=np.array([0.1, 0.2, 0.25]))
     with pytest.raises(ValueError, match="shape"):
@@ -400,15 +400,13 @@ def test_batch_argument_checks():
         ddf_bounds_uc2(0.25, c["burst"], lambdas_of(c), dest_of(c), c["jk"], theta_star=1.0)
     with pytest.raises(ValueError, match="theta_star"):
         ddf_bounds_rc(0.25, c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0], theta_star=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        mac_outage(0.25, 1.0, c["dk"], 0)
 
 
 def test_mac_zero_power_batch():
     dk = random_rows(23, 0)["dk"]
-    got = mac_outage(0.25, 0.0, dk, 3)
+    got = mac_outage(0.25, 0.0, dk)
     assert got.shape == dk.shape and np.all(got == 1.0)
-    assert np.all(mac_outage(0.0, 0.0, dk, 3) == 0.0)
+    assert np.all(mac_outage(0.0, 0.0, dk) == 0.0)
     # a zero power among positive ones: certain outage on that row only
-    got = mac_outage(0.25, np.array([1.0, 0.0, 10.0]), 0.8, 3)
+    got = mac_outage(0.25, 3 * np.array([1.0, 0.0, 10.0]), 0.8)
     assert got[1] == 1.0 and got[0] == ref_mac(0.25, 1.0, 0.8, 3) and got[2] < got[0]

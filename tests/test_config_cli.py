@@ -47,7 +47,6 @@ class TestConfigFromDict:
         assert cfg.target_events == 100
         assert cfg.trial_ceiling == 10_000_000
         assert cfg.output_path is None
-        assert cfg.theta_star == 0.5
         assert cfg.power.rate == 0.25
         assert cfg.power.relay_power_factor == 0.5
         assert cfg.power.encode_factor == cfg.power.decode_factor == 0.0
@@ -437,6 +436,73 @@ class TestCliRun:
         assert main(["run", "-c", path, "--bounds-only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "old,new",
+        (
+            ("snr_db: [0.0, 10.0]\n", "snr_db: [.nan]\n"),
+            ("snr_db: [0.0, 10.0]\n", "snr_db: [0, .inf]\n"),
+            ("snr_db: [0.0, 10.0]\n", "snr_db: {start: 0, stop: .inf, step: 5}\n"),
+            ("  rate: 0.25\n", "  rate: .nan\n"),
+            ("  num_users: 3\n", "  num_users: 3\n  path_loss_exponent: .nan\n"),
+            ("  num_users: 3\n", "  num_users: 3\n  relay: [.nan, 0]\n"),
+            ("seed: 5\n", "seed: .inf\n"),
+            ("seed: 5\n", "seed: 3.9\n"),
+            ("placements: 2\n", "placements: 2.9\n"),
+            ("placements: 2\n", "placements: true\n"),
+            ("  - rc-ddf\n", "  - name: uc2-ddf\n    coop_sets: {1: [2.7], 2: [3], 3: [1]}\n"),
+        ),
+        ids=(
+            "snr-nan", "snr-inf", "snr-range-inf", "rate-nan", "path-loss-nan", "relay-nan",
+            "seed-inf", "seed-fraction", "placements-fraction", "placements-bool",
+            "coop-sets-fraction",
+        ),
+    )
+    def test_nonfinite_or_fractional_number_exits_2(self, tmp_path, capsys, old, new):
+        """Numbers must be finite, and whole where the key is an integer:
+        NaN and infinity are not passed on, a fraction is not truncated and
+        a YAML boolean is not read as 0 or 1."""
+        assert old in BASE_YAML
+        path = write_cfg(tmp_path, BASE_YAML.replace(old, new))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_theta_star_is_an_unknown_bounds_key(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE_YAML + "bounds:\n  theta_star: 0.5\n")
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        assert capsys.readouterr().err == "error: unknown bounds keys: ['theta_star']\n"
+
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            "name: mac\n    coop_sets: {1: [2], 2: [3], 3: [1]}",
+            "name: rc-af\n    coop_sets: {1: [2], 2: [3], 3: [1]}",
+            "name: rc-ddf\n    coop_sets: null",
+            "name: uc2-af\n    multihop_mode: per-fraction",
+            "name: rc-ddf\n    multihop_mode: accumulating",
+            "name: uc3-af\n    multihop_mode: accumulating",
+        ),
+        ids=("mac-coop-sets", "rc-af-coop-sets", "rc-ddf-null-coop-sets", "uc2-af-mode",
+             "rc-ddf-mode", "uc3-af-mode"),
+    )
+    def test_strategy_setting_that_does_nothing_exits_2(self, tmp_path, capsys, entry):
+        """coop_sets only on ucN entries, multihop_mode only on ucN-ddf, N >= 3."""
+        path = write_cfg(tmp_path, BASE_YAML.replace("  - rc-ddf\n", f"  - {entry}\n"))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "takes no" in err
+
+    def test_strategy_subset_matches_canonical_names(self, tmp_path, capsys):
+        """--strategies matches names as parse_strategy does: a file entry
+        MAC writes rows for mac, and the flag may say mac."""
+        path = write_cfg(tmp_path, BASE_YAML.replace("  - mac\n", "  - MAC\n"))
+        assert main(["run", "-c", path, "--strategies", "mac", "--bounds-only"]) == 0
+        body = capsys.readouterr().out.splitlines()[1:]
+        assert body and all(line.startswith("mac,") for line in body)
+        assert main(["run", "-c", path, "--strategies", " Rc-DDF ", "--bounds-only"]) == 0
+        body = capsys.readouterr().out.splitlines()[1:]
+        assert body and all(line.startswith("rc-ddf,") for line in body)
 
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
         path = write_cfg(tmp_path)

@@ -92,3 +92,21 @@ class TestStrategyInvariants:
                 name="uc3-ddf", family="ddf", mode="ucmh", num_users=3,
                 coop_sets=s.coop_sets, multihop_mode="bogus",
             )
+
+    def test_relay_and_mac_take_no_coop_sets(self):
+        with pytest.raises(ValueError, match="no coop_sets"):
+            Strategy(name="rc-ddf", family="ddf", mode="rc", num_users=3, coop_sets=((2,), (3,), (1,)))
+
+
+class TestSettingsThatDoNothing:
+    @pytest.mark.parametrize("name", ("mac", "rc-ddf", "rc-af", "uc2-ddf", "uc2-af", "uc3-af", "uc3-ddf"))
+    def test_multihop_mode_checked_for_every_name(self, name):
+        with pytest.raises(ValueError, match="multihop_mode"):
+            parse_strategy(name, 3, multihop_mode="bogus")
+        assert parse_strategy(name, 3, multihop_mode="accumulating") == parse_strategy(name, 3)
+
+    @pytest.mark.parametrize("name", ("mac", "rc-ddf", "rc-af"))
+    def test_coop_sets_rejected_without_helper_users(self, name):
+        with pytest.raises(ValueError, match="no coop_sets"):
+            parse_strategy(name, 3, coop_sets={1: [2], 2: [3], 3: [1]})
+        assert parse_strategy(name, 3, coop_sets=None) == parse_strategy(name, 3)

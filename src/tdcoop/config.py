@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import yaml
-
 from .harness import ExperimentConfig
 from .network import GeometryParams
 from .power import PowerConfig
@@ -151,6 +149,9 @@ def _coop_sets(raw, num_users: int):
         return None
     if not isinstance(raw, dict):
         raise ConfigError("coop_sets must map user -> helper list")
+    unknown = [key for key in raw if key not in range(1, num_users + 1)]
+    if unknown:
+        raise ConfigError(f"coop_sets keys {unknown} are not users 1..{num_users}")
     out = []
     for k in range(1, num_users + 1):
         if k not in raw:
@@ -231,6 +232,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def read_yaml(path: str) -> dict:
     """The raw mapping of a YAML config file (empty file: empty mapping)."""
+    import yaml  # only config files need PyYAML; library sweeps and pool workers skip it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

@@ -61,13 +61,17 @@ class ExperimentConfig:
         if len(self.strategies) == 0:
             raise ValueError("strategy list must not be empty")
         grid = tuple(float(x) for x in self.snr_db)
+        if not all(math.isfinite(x) for x in grid):
+            raise ValueError(f"snr_db must be finite, got {grid}")
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db grid must be nonempty and strictly increasing")
         object.__setattr__(self, "snr_db", grid)
         if self.num_placements < 1:
             raise ValueError("num_placements must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
+        # mc.derive_stream's key passes through float64 when its words
+        # straddle 2^63, which holds every integer below 2^53 exactly.
+        if not 0 <= self.master_seed < 2**53:
+            raise ValueError(f"master_seed must lie in [0, 2^53), got {self.master_seed}")
         if self.target_events < 1 or self.trial_ceiling < 1:
             raise ValueError("target_events and trial_ceiling must be >= 1")
         cells = self.num_placements * self.geometry.num_users
@@ -301,7 +305,10 @@ def estimate_outage(
     ``trials`` is per user; the estimate pools the per-user counts, which
     equals the arithmetic user average because every user runs the same
     count.  Streams are keyed exactly like the sweep engine's, so a sweep
-    point that stops at its ceiling reproduces this function.
+    point that stops at its ceiling reproduces this function.  seed is
+    such a point seed: a ``mc.mix64`` word, or a hand-picked seed below
+    2^53 (above it, neighbouring seeds share streams; see README,
+    Determinism).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -12,6 +12,7 @@ engine module draw the amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,11 @@ class GeometryParams:
     def __post_init__(self):
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
+        for name in ("sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
+                     "relay_position", "destination_position"):
+            value = getattr(self, name)
+            if not all(math.isfinite(v) for v in np.ravel(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sector_radius <= 0:
             raise ValueError("sector_radius must be positive")
         if not 0 < self.sector_angle <= 2 * np.pi:

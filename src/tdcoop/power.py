@@ -20,7 +20,8 @@ charged to the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .strategies import Strategy
 
@@ -52,6 +53,9 @@ class PowerConfig:
     overhead_power: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.user_power < 0 or self.relay_power_factor < 0:
             raise ValueError("powers must be nonnegative")
         if self.rate < 0:

@@ -468,6 +468,29 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ("4", "x", "0"))
+    def test_coop_sets_key_outside_the_users_exits_2(self, tmp_path, capsys, key):
+        """At K = 3 a coop_sets key other than 1, 2, 3 is an error, not dropped."""
+        entry = f"  - name: uc2-ddf\n    coop_sets: {{1: [2], 2: [3], 3: [1], {key}: [1]}}\n"
+        path = write_cfg(tmp_path, BASE_YAML.replace("  - rc-ddf\n", entry))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coop_sets keys") and err.count("\n") == 1
+        assert repr(int(key) if key.isdigit() else key) in err
+
+    @pytest.mark.parametrize("where", ("file", "flag"))
+    def test_seed_must_be_below_2_to_the_53(self, tmp_path, capsys, where):
+        """Seeds from 2^53 on would lose low bits in the stream key."""
+        for seed, code in ((2**53, 2), (2**64, 2), (2**53 - 1, 0)):
+            if where == "file":
+                args = ["-c", write_cfg(tmp_path, BASE_YAML.replace("seed: 5\n", f"seed: {seed}\n"))]
+            else:
+                args = ["-c", write_cfg(tmp_path), "--seed", str(seed)]
+            assert main(["export-placements"] + args) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err == f"error: master_seed must lie in [0, 2^53), got {seed}\n"
+
     def test_theta_star_is_an_unknown_bounds_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_YAML + "bounds:\n  theta_star: 0.5\n")
         assert main(["run", "-c", path, "--bounds-only"]) == 2

@@ -235,6 +235,34 @@ class TestSweepFixedPlacement:
         assert ests[0].p_hat == 0.0
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "snr_db",
+        ((float("nan"),), (0.0, float("inf")), (float("-inf"), 0.0)),
+        ids=("nan", "inf", "-inf"),
+    )
+    def test_nonfinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            tiny_config(snr_db=snr_db)
+
+    def test_master_seed_below_2_to_the_53(self):
+        """Seeds from 2^53 on would lose low bits in the stream key."""
+        for seed in (-1, 2**53, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                tiny_config(master_seed=seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            sweep_fixed_placement(
+                parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), (0.0,), seed=2**53
+            )
+        cfg = tiny_config(master_seed=2**53 - 1, bounds_only=True)
+        assert len(run_experiment(cfg)) == 2
+        # Neighbouring seeds share no placement, whatever the path word.
+        a, b = (
+            tiny_config(master_seed=s, num_placements=16).placements() for s in (2**53 - 2, 2**53 - 1)
+        )
+        assert all(x.positions != y.positions for x, y in zip(a, b))
+
+
 class TestFormatRows:
     def test_header_and_layout(self):
         rows = [

@@ -46,6 +46,20 @@ class TestGeometryParams:
         with pytest.raises(ValueError):
             GeometryParams(num_users=0)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    @pytest.mark.parametrize(
+        "name",
+        (
+            "sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
+            "relay_position", "destination_position",
+        ),
+    )
+    def test_nonfinite_field_rejected(self, name, value):
+        if name.endswith("_position"):
+            value = (0.0, value)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GeometryParams(**{name: value})
+
 
 class TestSamplePlacement:
     def test_positions_inside_annulus_sector(self):

@@ -130,6 +130,15 @@ class TestPowerConfig:
         with pytest.raises(ValueError):
             PowerConfig(encode_factor=-0.5)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    @pytest.mark.parametrize(
+        "name",
+        ("user_power", "rate", "relay_power_factor", "encode_factor", "decode_factor", "overhead_power"),
+    )
+    def test_nonfinite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PowerConfig(**{name: value})
+
     def test_with_user_power(self):
         pc = PowerConfig(user_power=1.0, rate=0.25)
         pc10 = pc.with_user_power(10.0)

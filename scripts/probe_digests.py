@@ -23,8 +23,8 @@ diff.
 Everything a digest covers is fixed here: the configs, the worker counts
 and how results turn into bytes (CLI probes hash the CSV file; the
 library probes hash ``json.dumps`` of the edge rows and the
-newline-joined ``repr`` of ``OutageEstimate`` values).  A probe run
-at several worker counts must give the same bytes at each, or the
+newline-joined ``repr`` of ``OutageEstimate`` or CDF values).  A probe
+run at several worker counts must give the same bytes at each, or the
 script exits 1.
 
   a  acceptance 8: seed 11, 4 placements, 0/10/20 dB, rate 1, mac,
@@ -52,6 +52,9 @@ script exits 1.
   l  ``tdcoop run`` on b's config with --strategies uc2-ddf,rc-af
      --snr-db 0:20:10 --seed 9 --per-user-rows (a ring coop_sets entry
      picked by name); workers 1 and 2
+  m  hypoexp_cdf then hypoexp_leading_cdf_term at each scalar eta in
+     0, 1e-8, 1e-5, 1e-3, 0.1, 1, 10, 100, for the weight sets (1, 2, 3),
+     (1, 1 + 1e-9), (1, 1, 1) and (0.5, 0.7, 1.9, 2.4)
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBES = tuple("abcdefghijkl")
+PROBES = tuple("abcdefghijklm")
 SEVEN = ["mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af"]
 
 ACCEPTANCE_8 = {
@@ -218,7 +221,23 @@ def area_digest() -> str:
     return _sha("\n".join(reprs).encode())
 
 
-LIBRARY_PROBES = {"d": edge_rows_digest, "e": estimate_digest, "j": area_digest}
+def hypoexp_digest() -> str:
+    from tdcoop.mathcore import hypoexp_cdf, hypoexp_leading_cdf_term
+
+    reprs = []
+    for weights in ((1.0, 2.0, 3.0), (1.0, 1.0 + 1e-9), (1.0, 1.0, 1.0), (0.5, 0.7, 1.9, 2.4)):
+        for eta in (0.0, 1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 100.0):
+            reprs.append(repr(hypoexp_cdf(weights, eta)))
+            reprs.append(repr(hypoexp_leading_cdf_term(weights, eta)))
+    return _sha("\n".join(reprs).encode())
+
+
+LIBRARY_PROBES = {
+    "d": edge_rows_digest,
+    "e": estimate_digest,
+    "j": area_digest,
+    "m": hypoexp_digest,
+}
 
 
 def read_expected(path: str) -> dict[str, str]:

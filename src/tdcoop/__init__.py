@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # Each submodule's public names, in ``__all__`` order.
 _MODULE_NAMES = {
     "mathcore": (
-        "WeightedExpSum", "capacity", "hypoexp_cdf", "hypoexp_coefficients", "hypoexp_leading_cdf_term",
+        "WeightedExpSum", "capacity", "hypoexp_cdf", "hypoexp_leading_cdf_term",
     ),
     "network": ("GeometryParams", "NodePlacement", "sample_placement", "user_id"),
     "strategies": ("Strategy", "parse_strategy"),

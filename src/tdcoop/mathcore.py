@@ -2,42 +2,48 @@
 
 Outage events in Rayleigh block fading reduce to tail probabilities of
 sums H = sum_l c_l * E_l where the E_l are i.i.d. unit-mean exponentials
-and the c_l are positive link-dependent weights.  For pairwise distinct
-weights the CDF has the closed form
+and the c_l are positive link-dependent weights.  H is the time to
+absorption of a chain that passes through L phases in turn, leaving the
+l-th at rate 1/c_l, so F_H(eta) is the probability that the chain is
+absorbed by time eta.  ``hypoexp_cdf`` evaluates it by uniformization:
+with Lambda the largest rate and J = I + Q / Lambda the chain's jump
+matrix (Q its generator), the transition matrix over a time t is the
+Poisson mixture
 
-    F_H(eta) = sum_l C_l * (1 - exp(-eta / c_l)),
-    C_l = (-c_l)^(L-1) / prod_{j != l} (c_j - c_l),   C_l = 1 when L = 1,
+    exp(Q t) = exp(-Lambda t) * sum_n (Lambda t)^n / n! * J^n,
 
-and its first nonzero Taylor coefficient gives the small-eta behaviour
+summed at a step t = eta / 2^k with Lambda t <= 1/2 and squared k times.
+Every term and every product is nonnegative, so nothing cancels and
+repeated weights need no special case: F keeps its relative accuracy
+where it is 1e-20.  The rounding error grows with the squarings and with
+the spread of the weights, to the order of 1e-16 * max c / min c relative
+(3.5e-13 measured at a spread of 1000).  The first nonzero Taylor
+coefficient gives the small-eta behaviour
 
     F_H(eta) ~ eta^L / (L! * prod_l c_l),
 
-which is what the analytic outage bounds are built from.  Repeated weights
-make the partial-fraction coefficients blow up, so near-duplicates are
-nudged apart by a deterministic multiplicative perturbation before the
-coefficients are formed.
+which is what the analytic outage bounds are built from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "capacity",
     "WeightedExpSum",
-    "hypoexp_coefficients",
     "hypoexp_cdf",
     "hypoexp_leading_cdf_term",
 ]
 
 _LN2 = math.log(2.0)
 
-# Weights closer than this (relatively) are treated as duplicates and
-# perturbed; duplicates that survive perturbation are a hard error.
-_DEGENERACY_RTOL = 1e-6
+# Poisson terms summed at least past the L-th: at Lambda t <= 1/2 the dropped tail
+# is below 2 * (1/2)^15 / 15! < 5e-17 of the first nonzero term of each entry.
+_TAIL_TERMS = 14
 
 
 def capacity(snr):
@@ -53,50 +59,11 @@ def capacity(snr):
     return float(out) if np.isscalar(snr) or out.ndim == 0 else out
 
 
-def _perturb_duplicates(weights: tuple[float, ...]) -> tuple[float, ...]:
-    """Split groups of relatively equal weights by distinct factors 1 +- k*1e-6.
-
-    Weights are grouped by chaining sorted neighbours that agree within
-    _DEGENERACY_RTOL; every member of a group of size >= 2 is scaled by its
-    own factor (1 + 1e-6, 1 - 1e-6, 1 + 2e-6, ...) so the partial-fraction
-    coefficients stay finite while the CDF moves by O(1e-6) at most.
-    """
-    n = len(weights)
-    if n == 1:
-        return weights
-    order = sorted(range(n), key=lambda i: weights[i])
-    adjusted = list(weights)
-    group = [order[0]]
-    groups = []
-    for idx in order[1:]:
-        ref = weights[group[0]]
-        if abs(weights[idx] - ref) <= _DEGENERACY_RTOL * max(abs(ref), abs(weights[idx])):
-            group.append(idx)
-        else:
-            groups.append(group)
-            group = [idx]
-    groups.append(group)
-    for members in groups:
-        if len(members) < 2:
-            continue
-        for rank, idx in enumerate(members):
-            k = rank // 2 + 1
-            sign = 1.0 if rank % 2 == 0 else -1.0
-            adjusted[idx] = weights[idx] * (1.0 + sign * k * _DEGENERACY_RTOL)
-    return tuple(adjusted)
-
-
 @dataclass(frozen=True)
 class WeightedExpSum:
-    """Distribution of sum_l c_l * E_l with E_l i.i.d. unit-mean exponential.
-
-    ``weights`` keeps the values as given (used for the leading-term
-    formula and for sampling); ``effective_weights`` are the possibly
-    perturbed, pairwise-distinct values used for the closed-form CDF.
-    """
+    """Distribution of sum_l c_l * E_l with E_l i.i.d. unit-mean exponential."""
 
     weights: tuple[float, ...]
-    effective_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         w = tuple(float(c) for c in self.weights)
@@ -105,15 +72,6 @@ class WeightedExpSum:
         if any(not math.isfinite(c) or c <= 0 for c in w):
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "weights", w)
-        eff = _perturb_duplicates(w)
-        if len(eff) > 1:
-            s = sorted(eff)
-            for a, b in zip(s, s[1:]):
-                if b - a <= 1e-9 * _DEGENERACY_RTOL * max(a, b):
-                    raise ValueError(
-                        "degenerate weights survived perturbation: %r" % (self.weights,)
-                    )
-        object.__setattr__(self, "effective_weights", eff)
 
     @property
     def order(self) -> int:
@@ -131,60 +89,52 @@ def _as_dist(dist) -> WeightedExpSum:
     return WeightedExpSum(weights=tuple(np.asarray(dist, dtype=float).ravel()))
 
 
-def _partial_fraction_coefficients(c: np.ndarray) -> np.ndarray:
-    """C_l in the dtype of c; long double keeps the cancellation noise down."""
-    n = c.size
-    if n == 1:
-        return np.ones(1, dtype=c.dtype)
-    coeffs = np.empty(n, dtype=c.dtype)
-    for l in range(n):
-        diff = np.delete(c, l) - c[l]
-        coeffs[l] = (-c[l]) ** (n - 1) / np.prod(diff)
-    return coeffs
-
-
-def hypoexp_coefficients(dist) -> np.ndarray:
-    """Partial-fraction coefficients C_l of the closed-form CDF.
-
-    Accepts a WeightedExpSum or a plain weight sequence.  C_l = 1 for a
-    single weight, otherwise C_l = (-c_l)^(L-1) / prod_{j != l} (c_j - c_l).
-    The coefficients always sum to 1 (F must tend to 1), which makes a
-    cheap self-check; with tightly spaced weights the individual values
-    grow like the inverse gaps and the sum identity degrades accordingly.
-    """
-    dist = _as_dist(dist)
-    c = np.asarray(dist.effective_weights, dtype=np.longdouble)
-    return _partial_fraction_coefficients(c).astype(float)
-
-
 def hypoexp_cdf(dist, eta):
     """CDF of the weighted exponential sum at eta (scalar or array).
 
-    The coefficients and the alternating series are evaluated in the
-    widest native float (80-bit long double on x86) because near-equal
-    weights produce large cancelling terms.  Returns exact 0.0 at
-    eta = 0 and clamps the result to [0, 1].
+    Each eta gets its own step eta / 2^k (module docstring), so small
+    arguments need no squaring.  Near F = 1 the result is 1 - S, with S
+    the probability of not yet being absorbed.  Exact 0.0 at eta = 0.
     """
     dist = _as_dist(dist)
     scalar = np.isscalar(eta)
     x = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(x < 0):
         raise ValueError("hypoexp_cdf requires eta >= 0")
-    c = np.asarray(dist.effective_weights, dtype=np.longdouble)
-    coeffs = _partial_fraction_coefficients(c)
-    xl = x.astype(np.longdouble)
-    terms = coeffs * (1.0 - np.exp(-xl[..., None] / c))
-    out = np.asarray(terms.sum(axis=-1), dtype=float)
-    out = np.clip(out, 0.0, 1.0)
-    out[x == 0.0] = 0.0
+    rates = 1.0 / np.asarray(dist.weights)
+    lam = rates.max()
+    ratio = rates / lam
+    L = ratio.size
+    jump = np.diag(np.append(1.0 - ratio, 1.0)) + np.diag(ratio, 1)
+    powers = np.array([np.eye(L + 1), jump])  # J^0 .. J^(m-1), doubled to m > L + _TAIL_TERMS
+    while len(powers) <= L + _TAIL_TERMS:
+        powers = np.concatenate([powers, powers @ (powers[-1] @ jump)])
+    # x = a * 2^e and lam = b * 2^e' with a, b < 1, so k = e + e' + 1
+    # squarings leave a step u < 1/2; eta = inf is taken as the largest float
+    x = np.minimum(x, np.finfo(float).max)
+    squarings = np.maximum(np.frexp(x)[1] + np.frexp(lam)[1] + 1, 0)
+    order = np.argsort(-squarings, kind="stable")  # the ones still squaring lead
+    squarings = squarings[order]
+    u = lam * np.ldexp(x[order], -squarings)
+    n = np.arange(len(powers))
+    poisson = np.exp(-u)[:, None] * u[:, None] ** n / np.cumprod(np.maximum(n, 1.0))
+    trans = (poisson @ powers.reshape(len(n), -1)).reshape(-1, L + 1, L + 1)
+    trans[:, L, L] = 1.0  # exact, so squaring leaks no mass out of the absorbing phase
+    for step in range(squarings.max(initial=0)):
+        m = np.count_nonzero(squarings > step)
+        trans[:m] = trans[:m] @ trans[:m]
+    cdf = trans[:, 0, L]
+    survival = trans[:, 0, :L].sum(axis=1)
+    out = np.empty_like(x)
+    out[order] = np.where(survival < cdf, 1.0 - survival, cdf)
     return float(out[0]) if scalar else out
 
 
 def hypoexp_leading_cdf_term(dist, eta):
     """First nonzero Taylor term eta^L / (L! * prod_l c_l) of the CDF.
 
-    Uses the raw weights (duplicates are harmless in a product).  This is
-    the high-SNR surrogate for the exact tail probability.
+    Repeated weights are harmless in a product.  This is the high-SNR
+    surrogate for the exact tail probability.
     """
     dist = _as_dist(dist)
     scalar = np.isscalar(eta)

@@ -67,6 +67,11 @@ class GeometryParams:
             )
         if self.path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
+        if tuple(map(float, self.relay_position)) == tuple(map(float, self.destination_position)):
+            raise ValueError(
+                "relay_position must differ from destination_position,"
+                f" both are {self.relay_position}"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ class NodePlacement:
     """Realised node coordinates plus the derived distance matrix.
 
     Nodes are ordered destination, relay, u1..uK.  The distance matrix is
-    symmetric with a zero diagonal and is precomputed once per placement.
+    symmetric with a zero diagonal and is precomputed once per placement;
+    two nodes at distance 0 are rejected, as a link needs a positive length.
     """
 
     params: GeometryParams
@@ -92,6 +98,9 @@ class NodePlacement:
         coords = np.array([self.positions[i] for i in ids], dtype=float)
         delta = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((delta**2).sum(axis=-1))
+        if np.count_nonzero(dist) < len(ids) * (len(ids) - 1):
+            pairs = [(ids[a], ids[b]) for a, b in zip(*np.nonzero(dist == 0)) if a < b]
+            raise ValueError(f"nodes at the same point: {pairs}")
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_dist", dist)
 

@@ -491,6 +491,15 @@ class TestCliRun:
             if code:
                 assert err == f"error: master_seed must lie in [0, 2^53), got {seed}\n"
 
+    def test_relay_on_the_destination_exits_2(self, tmp_path, capsys):
+        """A relay at the destination has no relay-destination link: the
+        config is refused instead of the bounds failing on a NaN."""
+        text = BASE_YAML.replace("  num_users: 3\n", "  num_users: 3\n  relay: [0.0, 0.0]\n")
+        path = write_cfg(tmp_path, text)
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: relay_position must differ") and err.count("\n") == 1
+
     def test_theta_star_is_an_unknown_bounds_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_YAML + "bounds:\n  theta_star: 0.5\n")
         assert main(["run", "-c", path, "--bounds-only"]) == 2

@@ -1,29 +1,47 @@
 """Tests for the capacity function and weighted-exponential-sum machinery.
 
-The closed-form CDF values are checked two ways: against frozen digits
-computed from the partial-fraction form by hand, and against independent
-oracles (Monte Carlo empirical CDFs, the Erlang-2 closed form) that do
-not share code with the implementation.
+The CDF values are checked against oracles that share no code with the
+uniformized evaluation: frozen digits of the partial-fraction form
+worked by hand, the same form summed in 150-digit ``decimal``
+arithmetic, the regularized incomplete gamma function for equal weights,
+and Monte Carlo empirical CDFs.
 """
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from tdcoop.mathcore import (
     WeightedExpSum,
     capacity,
     hypoexp_cdf,
-    hypoexp_coefficients,
     hypoexp_leading_cdf_term,
 )
 
 
 def empirical_cdf_at(samples: np.ndarray, eta: float) -> float:
     return float(np.mean(samples <= eta))
+
+
+def decimal_partial_fractions(weights, eta, digits=150) -> float:
+    """sum_l C_l (1 - exp(-eta/c_l)) for distinct weights, in `digits`-digit
+    decimal arithmetic, so the cancelling O(C_l) terms leave F exact to
+    float precision even where F is 1e-40."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c = [decimal.Decimal(float(w)) for w in weights]
+        x = decimal.Decimal(float(eta))
+        total = decimal.Decimal(0)
+        for l, cl in enumerate(c):
+            coeff = (-cl) ** (len(c) - 1)
+            for j, cj in enumerate(c):
+                if j != l:
+                    coeff /= cj - cl
+            total += coeff * (1 - (-x / cl).exp())
+        return float(total)
 
 
 class TestCapacity:
@@ -48,49 +66,6 @@ class TestCapacity:
             capacity(-0.1)
         with pytest.raises(ValueError):
             capacity(np.array([0.5, -2.0]))
-
-
-class TestCoefficients:
-    def test_single_weight(self):
-        np.testing.assert_allclose(hypoexp_coefficients((1.0,)), [1.0])
-
-    def test_two_weights(self):
-        # C1 = (-1)/(2-1), C2 = (-2)/(1-2)
-        np.testing.assert_allclose(hypoexp_coefficients((1.0, 2.0)), [-1.0, 2.0], rtol=1e-14)
-
-    def test_three_weights(self):
-        c = hypoexp_coefficients((1.0, 2.0, 3.0))
-        np.testing.assert_allclose(c, [0.5, -4.0, 4.5], rtol=1e-12)
-        np.testing.assert_allclose(c.sum(), 1.0, atol=1e-12)
-
-    def test_sum_is_one_random_sets(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            L = int(rng.integers(1, 7))
-            w = tuple(rng.uniform(0.05, 20.0, size=L))
-            c = hypoexp_coefficients(w)
-            np.testing.assert_allclose(c.sum(), 1.0, atol=1e-10)
-
-    @given(
-        st.floats(0.05, 5.0, allow_nan=False),
-        st.lists(st.floats(1.05, 3.0, allow_nan=False), min_size=0, max_size=5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_sum_is_one_hypothesis(self, first, ratios):
-        # built as a ratio chain so weights stay pairwise separated; the
-        # partial fractions are ill-conditioned at confluent weights
-        weights = [first]
-        for r in ratios:
-            weights.append(weights[-1] * r)
-        c = hypoexp_coefficients(tuple(weights))
-        np.testing.assert_allclose(c.sum(), 1.0, atol=1e-9)
-
-    def test_sum_degrades_gracefully_at_exact_duplicates(self):
-        # a perturbed triple leaves ~1e12 cancelling terms, so the sum
-        # identity only holds to the matching float64 resolution
-        c = hypoexp_coefficients((1.0, 1.0, 1.0))
-        np.testing.assert_allclose(c.sum(), 1.0, atol=5e-4)
-        np.testing.assert_allclose(hypoexp_coefficients((1.0, 1.0)).sum(), 1.0, atol=1e-9)
 
 
 class TestCdf:
@@ -122,11 +97,14 @@ class TestCdf:
             hypoexp_cdf((1.0, 1.0 + 1e-9), 1.0), 0.26424111765711533, atol=1e-6
         )
 
-    def test_exact_duplicates_take_perturbation_path(self):
-        # triple duplicate: still a valid CDF close to the Erlang-3 form
-        eta = 2.0
-        erlang3 = 1.0 - (1.0 + eta + eta**2 / 2.0) * math.exp(-eta)
-        np.testing.assert_allclose(hypoexp_cdf((1.0, 1.0, 1.0), eta), erlang3, atol=1e-5)
+    def test_exact_duplicates_are_erlang(self):
+        # a triple duplicate is the Erlang-3 law; the closed form cancels
+        # below eta ~ 0.1, so the small value is e^-eta * sum_{n>=3} eta^n/n!
+        eta = np.array([0.5, 2.0, 10.0])
+        erlang3 = 1.0 - (1.0 + eta + eta**2 / 2.0) * np.exp(-eta)
+        np.testing.assert_allclose(hypoexp_cdf((1.0, 1.0, 1.0), eta), erlang3, rtol=1e-12)
+        small = math.exp(-1e-3) * sum(1e-3**n / math.factorial(n) for n in range(3, 12))
+        np.testing.assert_allclose(hypoexp_cdf((1.0, 1.0, 1.0), 1e-3), small, rtol=1e-12)
 
     def test_zero_is_exact(self):
         assert hypoexp_cdf((0.3, 1.7), 0.0) == 0.0
@@ -144,6 +122,11 @@ class TestCdf:
             assert np.all(np.diff(f) >= -1e-12)
             assert f[-1] > 0.999
 
+    def test_infinite_or_huge_eta_is_one(self):
+        with np.errstate(over="raise", invalid="raise"):
+            assert hypoexp_cdf((1.0, 2.0), math.inf) == 1.0
+            assert hypoexp_cdf((1e-10, 1.0), 1e300) == 1.0
+
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             hypoexp_cdf((1.0,), -0.5)
@@ -160,6 +143,41 @@ class TestCdf:
             np.testing.assert_allclose(hypoexp_cdf(dist, grid), emp, atol=3e-3)
 
 
+class TestAccuracy:
+    """Relative error, not absolute: a bound needs F right where it is 1e-20."""
+
+    def test_distinct_weights_match_decimal_partial_fractions(self):
+        rng = np.random.default_rng(16)
+        ratios = np.logspace(-8.0, math.log10(30.0), 10)
+        worst = 0.0
+        for _ in range(300):
+            w = rng.uniform(0.05, 5.0, size=int(rng.integers(1, 6)))
+            eta = ratios * w.min()
+            got = hypoexp_cdf(tuple(w), eta)
+            want = np.array([decimal_partial_fractions(w, e) for e in eta])
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("order", (2, 3, 4))
+    def test_equal_weights_match_gammainc(self, order):
+        eta = np.logspace(-6.0, math.log10(40.0), 60)
+        for c in (0.3, 1.0, 2.5):
+            want = gammainc(order, eta / c)
+            np.testing.assert_allclose(hypoexp_cdf((c,) * order, eta), want, rtol=1e-12)
+
+    def test_cases_the_partial_fractions_got_wrong(self):
+        np.testing.assert_allclose(
+            hypoexp_cdf((0.5, 0.7, 1.9, 2.4), 1e-5),
+            decimal_partial_fractions((0.5, 0.7, 1.9, 2.4), 1e-5),
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(hypoexp_cdf((1.0,) * 4, 0.5), gammainc(4, 0.5), rtol=1e-12)
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(hypoexp_cdf((1.0, 2.0), 1.0), float)
+        assert hypoexp_cdf((1.0, 2.0), [1.0]).shape == (1,)
+
+
 class TestLeadingTerm:
     def test_first_order(self):
         np.testing.assert_allclose(hypoexp_leading_cdf_term((1.0,), 0.01), 0.01, rtol=1e-15)
@@ -170,8 +188,7 @@ class TestLeadingTerm:
         )
 
     def test_ratio_to_cdf_tends_to_one(self):
-        # well-separated weights (ratio chain) keep the exact CDF series
-        # conditioned; the first correction is eta * sum(1/c_j) / (L + 1)
+        # the first correction is eta * sum(1/c_j) / (L + 1)
         rng = np.random.default_rng(3)
         for _ in range(20):
             L = int(rng.integers(1, 5))
@@ -183,7 +200,7 @@ class TestLeadingTerm:
             np.testing.assert_allclose(ratio, 1.0, rtol=1e-2)
 
     def test_duplicates_allowed(self):
-        # raw weights enter a plain product, no perturbation involved
+        # repeated weights enter a plain product
         np.testing.assert_allclose(
             hypoexp_leading_cdf_term((2.0, 2.0), 0.2), 0.2**2 / (2 * 4.0), rtol=1e-14
         )
@@ -206,10 +223,3 @@ class TestWeightedExpSum:
         rng = np.random.default_rng(17)
         samples = dist.sample(rng, 200_000)
         np.testing.assert_allclose(samples.mean(), 4.0, rtol=2e-2)
-
-    def test_effective_weights_distinct(self):
-        dist = WeightedExpSum(weights=(1.0, 1.0, 2.0))
-        eff = sorted(dist.effective_weights)
-        assert eff[1] - eff[0] > 0
-        # untouched weight group stays exact
-        assert eff[2] == 2.0

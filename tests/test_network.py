@@ -124,6 +124,14 @@ class TestNodePlacement:
         with pytest.raises(ValueError):
             pl.distance("u1", "u1")
 
+    def test_nodes_at_one_point_rejected(self):
+        with pytest.raises(ValueError, match="relay_position must differ"):
+            GeometryParams(relay_position=(0.0, 0.0))
+        params = GeometryParams(num_users=2)
+        positions = {DESTINATION: (0, 0), RELAY: (0.5, 0), "u1": (0.5, 0.0), "u2": (0.0, 0.0)}
+        with pytest.raises(ValueError, match=r"\[\('d', 'u2'\), \('r', 'u1'\)\]"):
+            NodePlacement(params=params, positions=positions)
+
     def test_missing_node_rejected(self):
         params = GeometryParams(num_users=2)
         with pytest.raises(ValueError):

@@ -18,7 +18,9 @@ checkout:
     PYTHONPATH=src python3 scripts/probe_digests.py --expect scripts/probe_digests.expected
 
 A change that moves a number on purpose rewrites that file in its own
-diff.
+diff.  The first line names the numpy version and machine the digests
+were taken with; ``tests/test_probe_digests.py`` runs every probe against
+the file and skips when either differs.
 
 Everything a digest covers is fixed here: the configs, the worker counts
 and how results turn into bytes (CLI probes hash the CSV file; the
@@ -64,6 +66,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -240,6 +243,23 @@ LIBRARY_PROBES = {
 }
 
 
+def platform_line() -> str:
+    """The output's first line: numpy version and machine, which the digests depend on."""
+    import numpy
+
+    return f"# numpy {numpy.__version__} {platform.machine()}"
+
+
+def probe(name: str, tmp: Path) -> tuple[list[str], tuple[int, ...]]:
+    """Probe name's digest at each of its worker counts, and the counts."""
+    if name in CLI_PROBES:
+        config, extra, workers = CLI_PROBES[name]
+        return cli_digests(config, extra, workers, tmp), workers
+    if name == "k":
+        return [export_digest(tmp)], (1,)
+    return [LIBRARY_PROBES[name]()], (1,)
+
+
 def read_expected(path: str) -> dict[str, str]:
     """Probe name -> digest from a saved run of this script."""
     expected = {}
@@ -256,17 +276,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     expected = read_expected(args.expect) if args.expect else None
     status = 0
+    print(platform_line(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in PROBES:
-            if name in CLI_PROBES:
-                config, extra, workers = CLI_PROBES[name]
-                digests = cli_digests(config, extra, workers, Path(tmp))
-            elif name == "k":
-                digests = [export_digest(Path(tmp))]
-                workers = (1,)
-            else:
-                digests = [LIBRARY_PROBES[name]()]
-                workers = (1,)
+            digests, workers = probe(name, Path(tmp))
             label = "workers " + ",".join(map(str, workers))
             if len(set(digests)) != 1:
                 status = 1

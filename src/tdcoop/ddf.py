@@ -16,9 +16,9 @@ boost; a helper still listening hears each forwarder at its unboosted
 budget.
 
 Every function takes link distances already raised to gamma (d^gamma);
-the sweep harness raises them once per cell.  All trial-level functions
-are vectorised over trials.  The bound functions return the high-SNR
-lower/upper pair built from the leading term of the
+the sweep harness raises them in one table per placement.  All
+trial-level functions are vectorised over trials.  The bound functions
+return the high-SNR lower/upper pair built from the leading term of the
 weighted-exponential-sum CDF and broadcast over a leading axis of rows,
 so one call bounds one sweep cell at every point of the SNR grid.
 """
@@ -102,6 +102,13 @@ def _float_pow(x, p):
     """
     x = np.asarray(x, dtype=float)
     return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _best_split(bracket, default, optimize):
+    """bracket at the default split point, or its smallest value over the theta grid."""
+    if optimize:
+        return np.min([bracket(ts) for ts in _THETA_GRID], axis=0)
+    return bracket(default)
 
 
 def _columns(*arrays):
@@ -331,28 +338,17 @@ def _leading_product(rate, burst_power, lambdas, dist_dest_pow):
     )
 
 
-def ddf_bounds_rc(
-    rate,
-    burst_power,
-    relay_ratio,
-    dk_pow,
-    dr_pow,
-    rk_pow,
-    theta_star=0.5,
-    optimize=False,
-) -> BoundPair:
+def ddf_bounds_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, optimize=False) -> BoundPair:
     """High-SNR outage bounds for one dedicated DDF forwarder.
 
     relay_ratio is the relay budget over the user burst power; dk_pow,
     dr_pow and rk_pow are d^gamma of the source-destination,
-    relay-destination and source-relay links.  rate and theta_star are
-    scalars; the other arguments are scalars or columns over rows.  The
-    lower bound is the two-branch diversity term; the upper bound
-    multiplies it by a bracket evaluated at the split point theta_star
-    (or its smallest value over the theta grid).
+    relay-destination and source-relay links.  rate is a scalar; the
+    other arguments are scalars or columns over rows.  The lower bound is
+    the two-branch diversity term; the upper bound multiplies it by a
+    bracket evaluated at the split point 1/2 (or its smallest value over
+    the theta grid when optimising).
     """
-    if not 0.0 < theta_star < 1.0:
-        raise ValueError("theta_star must be in (0, 1)")
     burst_power, relay_ratio, dk_pow, dr_pow, rk_pow = _columns(
         burst_power, relay_ratio, dk_pow, dr_pow, rk_pow
     )
@@ -373,21 +369,11 @@ def ddf_bounds_rc(
         )
         return first + second
 
-    if optimize:
-        best = np.min([bracket(ts) for ts in _THETA_GRID], axis=0)
-    else:
-        best = bracket(theta_star)
-    return BoundPair(lower=lower, upper=best * lower)
+    return BoundPair(lower=lower, upper=_best_split(bracket, 0.5, optimize) * lower)
 
 
 def ddf_bounds_uc2(
-    rate,
-    burst_power,
-    lambdas,
-    dist_dest_pow,
-    dist_to_source_pow,
-    theta_star=0.5,
-    optimize=False,
+    rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, optimize=False
 ) -> BoundPair:
     """High-SNR outage bounds for the shared-slot user-cooperation scheme.
 
@@ -395,10 +381,9 @@ def ddf_bounds_uc2(
     first, lambda_k = 1, distances already raised to gamma);
     dist_to_source_pow are the helper-to-source d^gamma values.  Their
     last axis runs over the branches, any leading axis over rows, to
-    which burst_power also broadcasts.
+    which burst_power also broadcasts.  The split point is 1/2, or the
+    best one on the theta grid when optimising.
     """
-    if not 0.0 < theta_star < 1.0:
-        raise ValueError("theta_star must be in (0, 1)")
     burst_power, lam, dd, dk = _columns(burst_power, lambdas, dist_dest_pow, dist_to_source_pow)
     L = lam.shape[-1]
     eta = float(_pow2m1(rate))
@@ -421,11 +406,7 @@ def ddf_bounds_uc2(
         )
         return first + second
 
-    if optimize:
-        best = np.min([k2(ts) for ts in _THETA_GRID], axis=0)
-    else:
-        best = k2(theta_star)
-    return BoundPair(lower=lower, upper=best * lower)
+    return BoundPair(lower=lower, upper=_best_split(k2, 0.5, optimize) * lower)
 
 
 def _multihop_theta_vector(L, first_fraction=None):
@@ -472,38 +453,23 @@ def ddf_bounds_multihop(
         kd = _grid_pow(rate / tvec[0], L) * math.factorial(L) / eta**L * helper_prod
         return kc + kd
 
-    if optimize:
-        best = np.min([kc_kd(_multihop_theta_vector(L, t)) for t in _THETA_GRID], axis=0)
-    else:
-        best = kc_kd(_multihop_theta_vector(L))
+    best = _best_split(lambda t: kc_kd(_multihop_theta_vector(L, t)), None, optimize)
     return BoundPair(lower=lower, upper=best * lower)
 
 
-def clustering_condition(
-    rate,
-    burst_power,
-    lambdas,
-    dist_dest_pow,
-    dist_to_source_pow,
-    theta_star=0.5,
-):
+def clustering_condition(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow):
     """Whether helpers sit close enough for the full-diversity regime.
 
     Returns (satisfied, threshold) where the condition is
-    sum_j d_jk^gamma <= threshold.  Only defined for three or more
-    cooperating branches.
+    sum_j d_jk^gamma <= threshold at the split point 1/2.  Only defined
+    for three or more cooperating branches.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    dd = np.asarray(dist_dest_pow, dtype=float)
-    dk = np.asarray(dist_to_source_pow, dtype=float)
+    lam, dd, dk = _columns(lambdas, dist_dest_pow, dist_to_source_pow)
     L = lam.size
     if L <= 2:
         raise ValueError("clustering condition needs more than two branches")
-    if not 0.0 < theta_star < 1.0:
-        raise ValueError("theta_star must be in (0, 1)")
-    tb = 1.0 - theta_star
     threshold = (
-        float(_pow2m1(rate / tb)) ** (L - 2)
+        float(_pow2m1(rate / 0.5)) ** (L - 2)
         / (math.factorial(L) * burst_power ** (L - 2))
         * float(np.prod(dd / lam))
         / dd[0]

@@ -7,6 +7,13 @@ the estimate with the analytic bounds averaged the same way.  All
 randomness is derived from the master seed by the keyed-stream rule in
 the engine module, so rows are byte-identical across runs and worker
 counts.
+
+One builder describes a strategy's cells for the whole grid: ``_cells``
+gathers each cell's d^gamma links from one table per placement, and
+``_user_powers`` gives each user's burst power, forwarder budgets and
+DDF branch weights at every grid point.  ``_bounds`` reads both with one
+bound call per cell, and ``_tasks`` joins them at one grid point into the
+trial engine's parameter records.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ __all__ = [
     "run_experiment",
     "format_rows",
 ]
+
+# Largest decimal exponent, in magnitude, of a burst power raised to its branch count.
+_MAX_POW10 = 300
 
 CSV_HEADER = "strategy,user_k,snr_db,ptot_db,outage,ci95,bound_lower,bound_upper,trials,ceiling_flag"
 
@@ -85,6 +95,16 @@ class ExperimentConfig:
         for s in self.strategies:
             if s.num_users != self.geometry.num_users:
                 raise ValueError(f"strategy {s.name} sized for {s.num_users} users")
+            # The bounds raise the burst power K*P, or its inverse, to the
+            # strategy's branch count L; both must stay well inside floats.
+            L = 1 + max(len(_forwarders(s, k)) for k in range(1, s.num_users + 1))
+            for x in grid:
+                if L * abs(math.log10(s.num_users) + x / 10.0) > _MAX_POW10:
+                    raise ValueError(
+                        f"snr_db {x:g} is out of range for {s.name}: its bounds raise K*P "
+                        f"to the power +-{L}, so |snr_db/10 + log10 K| must not exceed "
+                        f"{_MAX_POW10 / L:.4g}"
+                    )
 
     def placements(self) -> list[NodePlacement]:
         """The run's placement ensemble (stream keyed by placement index)."""
@@ -132,111 +152,106 @@ def mac_outage(rate: float, burst_power, dk_pow):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """One (strategy, placement, user) cell: everything that does not depend on P.
-
-    The forwarders of user k are the relay under rc and its helper users
-    otherwise (none for mac).  Links run destination-source (dk),
-    destination-forwarder (dj) and forwarder-source (jk); ``hh_pow`` is
-    the helper-to-helper table of ucmh-ddf (zero diagonal).  Each link
-    is kept only as d^gamma, raised here with Python's float power: this
-    is the one link table, which the trial kernels and the bounds read
-    as it is.
-    """
-
-    placement_idx: int
-    user_idx: int
-    kernel: str
-    dk_pow: float
-    dj_pow: tuple[float, ...]
-    jk_pow: tuple[float, ...]
-    hh_pow: tuple[tuple[float, ...], ...]
-
-
 _NON_AF_KERNELS = {"mac": "mac", "rc": "rc-ddf", "uc2": "uc2-ddf", "ucmh": "ucmh-ddf"}
 
 
-def _cell(strategy: Strategy, placement: NodePlacement, placement_idx: int, k: int) -> _Cell:
-    gamma = placement.params.path_loss_exponent
-    src = user_id(k)
-    fwd = [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
+def _forwarders(strategy: Strategy, k: int) -> list[str]:
+    """Node ids of user k's forwarders: the relay under rc, its helper users otherwise."""
+    return [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
+
+
+def _cells(strategy: Strategy, placements) -> list[tuple]:
+    """Every (placement, user) cell, placement-major: (placement index,
+    user index, kernel, dk, dj, jk, hh).
+
+    The last four are the cell's d^gamma links: destination-source (a
+    float), destination-forwarder and forwarder-source (one per
+    forwarder) and forwarder-forwarder (a matrix with a zero diagonal).
+    They are gathered from one table per placement, raised with Python's
+    float power; the trial kernels and the bounds read them as they are.
+    """
     if strategy.family == "af":
-        kernel = "af2" if strategy.hops(k) == 2 else "afmh"
+        kernel = "afmh" if strategy.mode == "ucmh" else "af2"
     else:
         kernel = _NON_AF_KERNELS[strategy.mode]
-    hh_pow = ()
-    if kernel == "ucmh-ddf":
-        hh_pow = tuple(
-            tuple(0.0 if o == h else placement.distance(h, o) ** gamma for o in fwd)
-            for h in fwd
-        )
-    return _Cell(
-        placement_idx=placement_idx,
-        user_idx=k - 1,
-        kernel=kernel,
-        dk_pow=placement.distance(DESTINATION, src) ** gamma,
-        dj_pow=tuple(placement.distance(DESTINATION, h) ** gamma for h in fwd),
-        jk_pow=tuple(placement.distance(h, src) ** gamma for h in fwd),
-        hh_pow=hh_pow,
-    )
+    users = [(user_id(k), _forwarders(strategy, k)) for k in range(1, strategy.num_users + 1)]
+    cells = []
+    for i, placement in enumerate(placements):
+        gamma = placement.params.path_loss_exponent
+        ids = placement.node_ids
+        pw = {a: {b: 0.0 if a == b else placement.distance(a, b) ** gamma for b in ids} for a in ids}
+        for u, (src, fwd) in enumerate(users):
+            dj = tuple(pw[DESTINATION][h] for h in fwd)
+            jk = tuple(pw[h][src] for h in fwd)
+            hh = tuple(tuple(pw[h][o] for o in fwd) for h in fwd)
+            cells.append((i, u, kernel, pw[DESTINATION][src], dj, jk, hh))
+    return cells
 
 
-def _user_powers(strategy: Strategy, pc: PowerConfig) -> list[tuple[float, tuple[float, ...]]]:
-    """(burst power, forwarder budgets) of each user at one P."""
-    bursts = [user_burst_power(strategy, pc, k) for k in range(1, strategy.num_users + 1)]
-    if strategy.uses_relay:
-        relay = (relay_power(pc),)
-        return [(b, relay) for b in bursts]
-    return [
-        (b, tuple(bursts[j - 1] for j in strategy.helpers(k)))
-        for k, b in enumerate(bursts, start=1)
-    ]
+def _user_powers(strategy: Strategy, grid: list[PowerConfig]) -> list[tuple]:
+    """Each user's (burst, budgets, lambdas) over the SNR grid.
 
-
-def _cell_bounds(cell: _Cell, rate: float, burst, lambdas, optimize: bool) -> BoundPair:
-    """Analytic bound pair of the cell at every grid point; the closed form twice for mac.
-
-    burst (the source's burst power) is a column over the SNR grid.
-    lambdas has one row per grid point: 1 for the source, then each
-    forwarder's budget over the burst.
+    burst is the column of the source's burst powers, budgets lists its
+    forwarders' budgets (the relay's under rc) as one tuple per grid
+    point, and lambdas holds the DDF bounds' branch weights, one row per
+    point: 1 for the source, then each budget over the burst.
     """
-    if cell.kernel == "mac":
-        cf = mac_outage(rate, burst, cell.dk_pow)
-        return BoundPair(lower=cf, upper=cf)
-    if cell.kernel in ("af2", "afmh"):
-        af_bounds = af_bounds_2hop if cell.kernel == "af2" else af_bounds_multihop
-        return af_bounds(rate, burst, cell.dk_pow, cell.dj_pow, cell.jk_pow)
-    if cell.kernel == "rc-ddf":
-        return ddf_bounds_rc(
-            rate, burst, lambdas[:, 1], cell.dk_pow, cell.dj_pow[0], cell.jk_pow[0], optimize=optimize
-        )
-    dist_dest_pow = np.array((cell.dk_pow,) + cell.dj_pow)
-    dist_src_pow = np.array(cell.jk_pow)
-    if cell.kernel == "uc2-ddf":
-        return ddf_bounds_uc2(rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize)
-    return ddf_bounds_multihop(rate, burst, lambdas, dist_dest_pow, dist_src_pow, optimize=optimize)
+    bursts = [[user_burst_power(strategy, pc, k) for pc in grid] for k in range(1, strategy.num_users + 1)]
+    relay = [(relay_power(pc),) for pc in grid] if strategy.uses_relay else None
+    powers = []
+    for k, burst in enumerate(bursts, start=1):
+        if relay is None:
+            budgets = [tuple(bursts[j - 1][s] for j in strategy.helpers(k)) for s in range(len(grid))]
+        else:
+            budgets = relay
+        lambdas = [(1.0,) + tuple(f / b for f in fs) for b, fs in zip(burst, budgets)]
+        powers.append((np.array(burst), budgets, np.array(lambdas)))
+    return powers
 
 
-def _bounds(cells: list[_Cell], rate: float, powers, optimize: bool) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's bound pair at every grid point: (lower, upper), each
     shaped (grid points, cells) in cell order.
 
-    powers[s] is ``_user_powers`` at grid point s.  One bound-function
-    call per cell covers the whole grid.
+    One bound-function call per cell covers the whole grid, with the
+    cell's links as scalars and its user's ``_user_powers`` as rows; mac
+    takes the closed form twice.
     """
-    per_user = []
-    for u in range(len(powers[0])):
-        rows = [p[u] for p in powers]
-        lambdas = [(1.0,) + tuple(f / b for f in budgets) for b, budgets in rows]
-        per_user.append((np.array([b for b, _ in rows]), np.array(lambdas)))
-    lower = np.empty((len(powers), len(cells)))
+    lower = np.empty((len(powers[0][0]), len(cells)))
     upper = np.empty_like(lower)
-    for i, c in enumerate(cells):
-        pair = _cell_bounds(c, rate, *per_user[c.user_idx], optimize)
-        lower[:, i] = pair.lower
-        upper[:, i] = pair.upper
+    for c, (_, u, kernel, dk, dj, jk, _) in enumerate(cells):
+        burst, _, lambdas = powers[u]
+        if kernel == "mac":
+            cf = mac_outage(rate, burst, dk)
+            pair = BoundPair(lower=cf, upper=cf)
+        elif kernel in ("af2", "afmh"):
+            af_bounds = af_bounds_2hop if kernel == "af2" else af_bounds_multihop
+            pair = af_bounds(rate, burst, dk, dj, jk)
+        elif kernel == "rc-ddf":
+            pair = ddf_bounds_rc(rate, burst, lambdas[:, 1], dk, dj[0], jk[0], optimize=optimize)
+        else:
+            ddf_bounds = ddf_bounds_uc2 if kernel == "uc2-ddf" else ddf_bounds_multihop
+            pair = ddf_bounds(rate, burst, lambdas, np.array((dk,) + dj), np.array(jk), optimize=optimize)
+        lower[:, c] = pair.lower
+        upper[:, c] = pair.upper
     return lower, upper
+
+
+def _tasks(cells, powers, s: int, rate: float, mode: str) -> list[tuple]:
+    """``mc.run_cells`` entries at grid point s: (placement, user, kernel,
+    params) per cell.
+
+    params is mc's 8-key record, the same for every kernel: the rate, the
+    source's burst power, its forwarders' budgets, the multihop mode and
+    the cell's links, all Python floats and tuples of them.
+    """
+    tasks = []
+    for i, u, kernel, dk, dj, jk, hh in cells:
+        burst, budgets, _ = powers[u]
+        params = dict(rate=rate, burst=float(burst[s]), budgets=budgets[s], mode=mode)
+        params.update(dk_pow=dk, dj_pow=dj, jk_pow=jk, hh_pow=hh)
+        tasks.append((i, u, kernel, params))
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -276,23 +291,6 @@ class _Point:
         )
 
 
-def _tasks(cells: list[_Cell], strategy: Strategy, pc: PowerConfig, powers) -> list[tuple]:
-    """``mc.run_cells`` entries at one P: (placement, user, kernel, params) per cell.
-
-    params is the same record for every kernel: rate, the source's burst
-    power, its forwarders' budgets (the relay's under rc), the multihop
-    mode and the cell's link table; each kernel reads the entries its
-    rate step needs.  powers is ``_user_powers`` at pc.
-    """
-    tasks = []
-    for c in cells:
-        burst, budgets = powers[c.user_idx]
-        params = dict(rate=pc.rate, burst=burst, budgets=budgets, mode=strategy.multihop_mode)
-        params.update(dk_pow=c.dk_pow, dj_pow=c.dj_pow, jk_pow=c.jk_pow, hh_pow=c.hh_pow)
-        tasks.append((c.placement_idx, c.user_idx, c.kernel, params))
-    return tasks
-
-
 def estimate_outage(
     strategy: Strategy,
     placement: NodePlacement,
@@ -313,16 +311,16 @@ def estimate_outage(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     K = strategy.num_users
-    cells = [_cell(strategy, placement, 0, k) for k in range(1, K + 1)]
-    powers = _user_powers(strategy, pc)
+    cells = _cells(strategy, [placement])
+    powers = _user_powers(strategy, [pc])
     # A target above every possible count runs each cell to its ceiling share.
     events, n, _ = mc.run_cells(
-        _tasks(cells, strategy, pc, powers),
+        _tasks(cells, powers, 0, pc.rate, strategy.multihop_mode),
         seed,
         target_events=trials * K + 1,
         trial_ceiling=trials * K,
     )
-    lower, upper = _bounds(cells, pc.rate, [powers], optimize=False)
+    lower, upper = _bounds(cells, powers, pc.rate, optimize=False)
     return _Point(np.arange(K), events, n, lower[0], upper[0], False).estimate()
 
 
@@ -333,15 +331,11 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
     SNR point only scales the cells by P.  pool is the sweep's
     ``mc.worker_pool``.
     """
-    cells = [
-        _cell(strategy, placement, i, k)
-        for i, placement in enumerate(placements)
-        for k in range(1, strategy.num_users + 1)
-    ]
-    users = np.array([c.user_idx for c in cells])
+    cells = _cells(strategy, placements)
+    users = np.array([cell[1] for cell in cells])
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
-    powers = [_user_powers(strategy, pc) for pc in grid]
-    lower, upper = _bounds(cells, cfg.power.rate, powers, cfg.optimize_bounds)
+    powers = _user_powers(strategy, grid)
+    lower, upper = _bounds(cells, powers, cfg.power.rate, cfg.optimize_bounds)
     for snr_index, (snr, pc) in enumerate(zip(cfg.snr_db, grid)):
         # Row copies: a point the caller still holds must not keep the whole
         # grid's arrays alive while the next strategy builds its own.
@@ -350,7 +344,7 @@ def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, plac
             yield snr, pc, _Point(users, None, 0, *bounds, False)
             continue
         events, trials, flagged = mc.run_cells(
-            _tasks(cells, strategy, pc, powers[snr_index]),
+            _tasks(cells, powers, snr_index, pc.rate, strategy.multihop_mode),
             mc.mix64(cfg.master_seed, 1, strategy_index, snr_index),
             workers=cfg.workers,
             target_events=cfg.target_events,

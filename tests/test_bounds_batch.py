@@ -28,7 +28,7 @@ from tdcoop.ddf import (
 )
 from tdcoop.harness import mac_outage
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, sample_placement, user_id
-from tdcoop.power import PowerConfig
+from tdcoop.power import PowerConfig, relay_power, user_burst_power
 from tdcoop.strategies import parse_strategy
 
 ROWS = 240
@@ -55,7 +55,7 @@ def ref_mac(rate, user_power, dk_pow, num_users):
     return -math.expm1(-math.expm1(rate * math.log(2.0)) * dk_pow / burst)
 
 
-def ref_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, theta_star=0.5, optimize=False):
+def ref_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, optimize=False):
     eta = float(_pow2m1(rate))
     lower = eta**2 * dk_pow * dr_pow / (2.0 * relay_ratio * burst_power**2)
 
@@ -65,9 +65,8 @@ def ref_rc(rate, burst_power, relay_ratio, dk_pow, dr_pow, rk_pow, theta_star=0.
         second = 2.0 * rk_pow * float(_pow2m1(rate / ts)) ** 2 * relay_ratio / (dr_pow * eta**2)
         return first + second
 
-    if optimize:
-        theta_star = min(_THETA_GRID, key=inf_on_overflow(bracket))
-    return lower, bracket(theta_star) * lower
+    split = min(_THETA_GRID, key=inf_on_overflow(bracket)) if optimize else 0.5
+    return lower, bracket(split) * lower
 
 
 def ref_leading_product(rate, burst_power, lam, dd):
@@ -76,7 +75,7 @@ def ref_leading_product(rate, burst_power, lam, dd):
     return eta**L / (math.factorial(L) * burst_power**L) * float(np.prod(dd / lam))
 
 
-def ref_uc2(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, theta_star=0.5, optimize=False):
+def ref_uc2(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, optimize=False):
     lam = np.asarray(lambdas, dtype=float)
     dd = np.asarray(dist_dest_pow, dtype=float)
     dk = np.asarray(dist_to_source_pow, dtype=float)
@@ -97,9 +96,8 @@ def ref_uc2(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, theta
         )
         return first + second
 
-    if optimize:
-        theta_star = min(_THETA_GRID, key=inf_on_overflow(k2))
-    return lower, k2(theta_star) * lower
+    split = min(_THETA_GRID, key=inf_on_overflow(k2)) if optimize else 0.5
+    return lower, k2(split) * lower
 
 
 def ref_multihop(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow, optimize=False):
@@ -149,31 +147,35 @@ def ref_afmh(rate, burst_power, dk_pow, dj_pow, jk_pow):
     return lower, upper
 
 
-def ref_cell_bounds(cell, placement, strategy, pc, burst, budgets, optimize):
-    """One cell's bound pair at one P the way the sweep computed it point by
-    point, from the placement's raw distances, each raised to gamma with
-    Python's float power."""
+def ref_cell_bounds(kernel, k, placement, strategy, pc, optimize):
+    """User k's bound pair at one P the way the sweep computed it point by
+    point: from the placement's raw distances, each raised to gamma with
+    Python's float power, and from the power rules at pc."""
     g = placement.params.path_loss_exponent
-    k = cell.user_idx + 1
+    burst = user_burst_power(strategy, pc, k)
+    if strategy.uses_relay:
+        budgets = (relay_power(pc),)
+    else:
+        budgets = tuple(user_burst_power(strategy, pc, j) for j in strategy.helpers(k))
     src = user_id(k)
     fwd = [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
     dk_pow = placement.distance(DESTINATION, src) ** g
     dj_pow = tuple(placement.distance(DESTINATION, h) ** g for h in fwd)
     jk_pow = tuple(placement.distance(h, src) ** g for h in fwd)
-    if cell.kernel == "mac":
+    if kernel == "mac":
         cf = ref_mac(pc.rate, pc.user_power, dk_pow, strategy.num_users)
         return cf, cf
-    if cell.kernel in ("af2", "afmh"):
-        ref = ref_af2 if cell.kernel == "af2" else ref_afmh
+    if kernel in ("af2", "afmh"):
+        ref = ref_af2 if kernel == "af2" else ref_afmh
         return ref(pc.rate, burst, dk_pow, np.array(dj_pow), np.array(jk_pow))
-    if cell.kernel == "rc-ddf":
+    if kernel == "rc-ddf":
         return ref_rc(
             pc.rate, burst, budgets[0] / burst, dk_pow, dj_pow[0], jk_pow[0], optimize=optimize
         )
     lambdas = np.concatenate(([1.0], np.asarray(budgets) / burst))
     dd = np.array((dk_pow,) + dj_pow)
     dk = np.array(jk_pow)
-    if cell.kernel == "uc2-ddf":
+    if kernel == "uc2-ddf":
         return ref_uc2(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
     return ref_multihop(pc.rate, burst, lambdas, dd, dk, optimize=optimize)
 
@@ -246,12 +248,10 @@ def test_mac_outage_batch(rate):
 def test_rc_batch(rate, optimize):
     c = random_rows(2, 1)
     args = (c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0])
-    got = ddf_bounds_rc(rate, *args, theta_star=0.3, optimize=optimize)
-    refs = [ref_rc(rate, *(row(a, i) for a in args), 0.3, optimize) for i in range(ROWS)]
+    got = ddf_bounds_rc(rate, *args, optimize=optimize)
+    refs = [ref_rc(rate, *(row(a, i) for a in args), optimize) for i in range(ROWS)]
     assert_bitwise(
-        got,
-        refs,
-        lambda i: ddf_bounds_rc(rate, *(row(a, i) for a in args), theta_star=0.3, optimize=optimize),
+        got, refs, lambda i: ddf_bounds_rc(rate, *(row(a, i) for a in args), optimize=optimize)
     )
 
 
@@ -261,12 +261,10 @@ def test_rc_batch(rate, optimize):
 def test_uc2_batch(rate, helpers, optimize):
     c = random_rows(3 + helpers, helpers)
     args = (c["burst"], lambdas_of(c), dest_of(c), c["jk"])
-    got = ddf_bounds_uc2(rate, *args, theta_star=0.4, optimize=optimize)
-    refs = [ref_uc2(rate, *(row(a, i) for a in args), 0.4, optimize) for i in range(ROWS)]
+    got = ddf_bounds_uc2(rate, *args, optimize=optimize)
+    refs = [ref_uc2(rate, *(row(a, i) for a in args), optimize) for i in range(ROWS)]
     assert_bitwise(
-        got,
-        refs,
-        lambda i: ddf_bounds_uc2(rate, *(row(a, i) for a in args), theta_star=0.4, optimize=optimize),
+        got, refs, lambda i: ddf_bounds_uc2(rate, *(row(a, i) for a in args), optimize=optimize)
     )
 
 
@@ -322,26 +320,18 @@ def test_sweep_bounds_match_the_per_point_formulas(num_users, strategy, optimize
     bytes the one-pair formulas give at that point from the raw distances."""
     geometry = GeometryParams(num_users=num_users)
     placements = [sample_placement(geometry, np.random.default_rng([5, i])) for i in range(12)]
-    cells = [
-        harness._cell(strategy, pl, i, k)
-        for i, pl in enumerate(placements)
-        for k in range(1, num_users + 1)
+    cells = harness._cells(strategy, placements)
+    assert [cell[:2] for cell in cells] == [
+        (i, k - 1) for i in range(len(placements)) for k in range(1, num_users + 1)
     ]
     grid = [PowerConfig(rate=0.25).with_user_power(10.0 ** (snr / 10.0)) for snr in GRID_DB]
-    powers = [harness._user_powers(strategy, pc) for pc in grid]
-    lower, upper = harness._bounds(cells, 0.25, powers, optimize)
+    powers = harness._user_powers(strategy, grid)
+    lower, upper = harness._bounds(cells, powers, 0.25, optimize)
     assert lower.shape == upper.shape == (len(grid), len(cells))
     for s, pc in enumerate(grid):
         refs = [
-            ref_cell_bounds(
-                c,
-                placements[c.placement_idx],
-                strategy,
-                pc,
-                *powers[s][c.user_idx],
-                optimize,
-            )
-            for c in cells
+            ref_cell_bounds(kernel, u + 1, placements[i], strategy, pc, optimize)
+            for i, u, kernel, *_ in cells
         ]
         assert lower[s].tobytes() == np.array([lo for lo, _ in refs]).tobytes(), s
         assert upper[s].tobytes() == np.array([up for _, up in refs]).tobytes(), s
@@ -396,10 +386,6 @@ def test_batch_argument_checks():
     c = random_rows(22, 1)
     with pytest.raises(ValueError, match="three hops"):
         ddf_bounds_multihop(0.25, c["burst"], lambdas_of(c), dest_of(c), c["jk"])
-    with pytest.raises(ValueError, match="theta_star"):
-        ddf_bounds_uc2(0.25, c["burst"], lambdas_of(c), dest_of(c), c["jk"], theta_star=1.0)
-    with pytest.raises(ValueError, match="theta_star"):
-        ddf_bounds_rc(0.25, c["burst"], c["ratio"][:, 0], c["dk"], c["dj"][:, 0], c["jk"][:, 0], theta_star=0.0)
 
 
 def test_mac_zero_power_batch():

@@ -500,6 +500,41 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("error: relay_position must differ") and err.count("\n") == 1
 
+    @staticmethod
+    def one_strategy_yaml(strategy, num_users, snr_db):
+        return (
+            BASE_YAML.replace("snr_db: [0.0, 10.0]", f"snr_db: {snr_db}")
+            .replace("num_users: 3", f"num_users: {num_users}")
+            .replace("  - mac\n  - rc-ddf\n", f"  - {strategy}\n")
+        )
+
+    @pytest.mark.parametrize(
+        "strategy,num_users,snr",
+        (("rc-ddf", 3, 4000), ("rc-ddf", 3, -4000), ("uc3-ddf", 3, 1030), ("uc10-ddf", 10, 320)),
+        ids=("overflow", "underflow", "uc3-burst-cubed", "uc10-burst-tenth-power"),
+    )
+    def test_snr_outside_the_float_range_exits_2(self, tmp_path, capsys, strategy, num_users, snr):
+        """A grid point at which the burst power K*P, raised to the
+        strategy's branch count, or its inverse leaves the float range is
+        refused by name instead of failing inside the sweep."""
+        path = write_cfg(tmp_path, self.one_strategy_yaml(strategy, num_users, [snr]))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: snr_db {snr} is out of range for {strategy}: ")
+        assert err.count("\n") == 1
+
+    def test_snr_just_inside_the_float_range_runs(self, tmp_path, capsys):
+        """uc3-ddf at K = 3 takes |snr_db/10 + log10 3| <= 100: -1004 and
+        995 dB run, 996 dB does not."""
+        path = write_cfg(tmp_path, self.one_strategy_yaml("uc3-ddf", 3, [-1004, 995]))
+        assert main(["run", "-c", path, "--bounds-only"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[2] for r in rows] == ["-1004", "995"]
+        assert all(0.0 < float(r[6]) <= float(r[7]) < math.inf for r in rows)
+        path = write_cfg(tmp_path, self.one_strategy_yaml("uc3-ddf", 3, [996]))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        assert capsys.readouterr().err.startswith("error: snr_db 996 is out of range")
+
     def test_theta_star_is_an_unknown_bounds_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_YAML + "bounds:\n  theta_star: 0.5\n")
         assert main(["run", "-c", path, "--bounds-only"]) == 2

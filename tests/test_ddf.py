@@ -482,13 +482,13 @@ class TestBounds:
     def test_rc_frozen_values(self):
         got = ddf_bounds_rc(
             rate=1.0, burst_power=10.0, relay_ratio=1.0,
-            dk_pow=1.0**4.0, dr_pow=1.0**4.0, rk_pow=0.5**4.0, theta_star=0.5,
+            dk_pow=1.0**4.0, dr_pow=1.0**4.0, rk_pow=0.5**4.0,
         )
         np.testing.assert_allclose(got.lower, 0.005, rtol=1e-12)
         np.testing.assert_allclose(got.upper, 0.028125, rtol=1e-12)
 
     def test_rc_optimized_no_worse(self):
-        base = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9**4.0, 0.8**4.0, 0.4**4.0, theta_star=0.5)
+        base = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9**4.0, 0.8**4.0, 0.4**4.0)
         opt = ddf_bounds_rc(0.75, 50.0, 0.5, 0.9**4.0, 0.8**4.0, 0.4**4.0, optimize=True)
         assert opt.upper <= base.upper + 1e-15
         np.testing.assert_allclose(opt.lower, base.lower, rtol=1e-14)
@@ -512,12 +512,6 @@ class TestBounds:
         np.testing.assert_allclose(mh.lower, uc2.lower, rtol=1e-14)
         assert mh.upper >= mh.lower
 
-    def test_bad_theta_star_rejected(self):
-        with pytest.raises(ValueError):
-            ddf_bounds_rc(1.0, 10.0, 1.0, 1.0**4.0, 1.0**4.0, 0.5**4.0, theta_star=1.0)
-        with pytest.raises(ValueError):
-            ddf_bounds_uc2(0.25, 100.0, (1, 1), (1, 1), (1,), theta_star=0.0)
-
     def test_ordering_random_parameter_sets(self):
         """lower <= upper over 1e4 random parameter draws."""
         rng = np.random.default_rng(61)
@@ -529,7 +523,6 @@ class TestBounds:
                 rng.uniform(0.2, 1.5) ** 4.0,
                 rng.uniform(0.2, 1.5) ** 4.0,
                 rng.uniform(0.05, 1.0) ** 4.0,
-                theta_star=rng.uniform(0.05, 0.95),
             )
             assert got.lower <= got.upper
         for _ in range(2500):
@@ -539,7 +532,6 @@ class TestBounds:
                 np.concatenate(([1.0], rng.uniform(0.2, 2.0, L - 1))),
                 rng.uniform(0.05, 2.0, L),
                 rng.uniform(0.01, 1.5, L - 1),
-                theta_star=rng.uniform(0.05, 0.95),
             )
             assert bounds.lower <= bounds.upper
         for _ in range(2500):

@@ -19,7 +19,7 @@ from tdcoop.harness import (
     sweep_fixed_placement,
 )
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
-from tdcoop.power import PowerConfig, total_power
+from tdcoop.power import PowerConfig, relay_power, total_power, user_burst_power
 from tdcoop.strategies import parse_strategy
 
 MAC_REF = 0.06112134716664841
@@ -261,6 +261,66 @@ class TestExperimentConfig:
             tiny_config(master_seed=s, num_placements=16).placements() for s in (2**53 - 2, 2**53 - 1)
         )
         assert all(x.positions != y.positions for x, y in zip(a, b))
+
+
+RECORD_KEYS = {"rate", "burst", "budgets", "mode", "dk_pow", "dj_pow", "jk_pow", "hh_pow"}
+RING = {1: [2], 2: [3], 3: [1]}
+SEVEN = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
+
+
+class TestKernelRecords:
+    """Every task handed to ``mc.run_cells`` carries the engine's documented
+    8-key record in Python floats and tuples (it is pickled for the pool),
+    with the burst and budgets of the power rules at the task's point."""
+
+    @staticmethod
+    def check(tasks, strategy, pc, placements):
+        K = strategy.num_users
+        assert [(i, u) for i, u, _, _ in tasks] == [(i, u) for i in range(placements) for u in range(K)]
+        for _, u, _, params in tasks:
+            k = u + 1
+            assert set(params) == RECORD_KEYS
+            burst, budgets = params["burst"], params["budgets"]
+            assert type(burst) is float and type(budgets) is tuple
+            assert all(type(f) is float for f in budgets)
+            assert burst == user_burst_power(strategy, pc, k)
+            if strategy.uses_relay:
+                assert budgets == (relay_power(pc),)
+            else:
+                assert budgets == tuple(user_burst_power(strategy, pc, j) for j in strategy.helpers(k))
+            assert type(params["rate"]) is float and params["mode"] == strategy.multihop_mode
+            assert type(params["dk_pow"]) is float
+            for links in (params["dj_pow"], params["jk_pow"], *params["hh_pow"]):
+                assert type(links) is tuple and all(type(x) is float for x in links)
+
+    @pytest.mark.parametrize(
+        "num_users,name,coop_sets",
+        [(3, n, None) for n in SEVEN]
+        + [(3, "uc2-ddf", RING), (3, "uc2-af", RING), (4, "uc4-ddf", None), (4, "uc4-af", None)],
+        ids=lambda x: "ring" if x is RING else str(x),
+    )
+    def test_tasks_are_the_documented_record(self, monkeypatch, num_users, name, coop_sets):
+        strategy = parse_strategy(name, num_users, coop_sets=coop_sets)
+        handed = []
+
+        def run_cells(tasks, seed, **kwargs):
+            handed.append(tasks)
+            return np.zeros(len(tasks), dtype=np.int64), 1, False
+
+        monkeypatch.setattr(mc, "run_cells", run_cells)
+        cfg = tiny_config(
+            geometry=GeometryParams(num_users=num_users),
+            strategies=(strategy,),
+            snr_db=(-10.0, 0.0, 17.5, 40.0),
+            num_placements=3,
+        )
+        run_experiment(cfg)
+        assert len(handed) == len(cfg.snr_db)
+        for snr, tasks in zip(cfg.snr_db, handed):
+            self.check(tasks, strategy, cfg.power.with_user_power(10.0 ** (snr / 10.0)), 3)
+        pc = PowerConfig(user_power=7.0, rate=1.5)
+        estimate_outage(strategy, cfg.placements()[0], pc, trials=1, seed=1)
+        self.check(handed[-1], strategy, pc, 1)
 
 
 class TestFormatRows:

@@ -11,26 +11,25 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule's public names, in ``__all__`` order.
+# The public names by submodule: the sweep's inputs, entry points and config
+# readers, the bound functions and trial-rate kernels it runs, and the
+# capacity and hypoexponential CDF they rest on.  The one-forwarder and AF
+# log-det references the kernels are checked against (``listen_fraction_rc``,
+# ``af2_equivalent_channel``, ...) are importable from ``tdcoop.ddf`` and
+# ``tdcoop.af`` only.
 _MODULE_NAMES = {
-    "mathcore": (
-        "WeightedExpSum", "capacity", "hypoexp_cdf", "hypoexp_leading_cdf_term",
-    ),
+    "mathcore": ("capacity", "hypoexp_cdf", "hypoexp_leading_cdf_term"),
     "network": ("GeometryParams", "NodePlacement", "sample_placement", "user_id"),
     "strategies": ("Strategy", "parse_strategy"),
     "power": ("PowerConfig", "processing_power", "relay_power", "total_power", "user_burst_power"),
     "ddf": (
-        "BoundPair", "clustering_condition", "ddf_bounds_multihop", "ddf_bounds_rc", "ddf_bounds_uc2",
-        "listen_fraction_cdf", "listen_fraction_rc", "listen_fraction_uc2", "multihop_schedule",
-        "trial_mutual_info_multihop", "trial_mutual_info_rc", "trial_mutual_info_uc2",
+        "BoundPair", "ddf_bounds_multihop", "ddf_bounds_rc", "ddf_bounds_uc2", "listen_fraction_uc2",
+        "multihop_schedule", "trial_mutual_info_multihop", "trial_mutual_info_uc2",
     ),
-    "af": (
-        "EquivalentChannel", "af2_equivalent_channel", "af_amplifier_gain", "af_bounds_2hop",
-        "af_bounds_multihop", "af_trial_mutual_info", "afmh_equivalent_channel",
-    ),
+    "af": ("af_bounds_2hop", "af_bounds_multihop"),
     "harness": (
-        "CSV_HEADER", "ExperimentConfig", "OutageEstimate", "area_averaged_outage", "diversity_slope",
-        "estimate_outage", "mac_outage", "run_experiment", "sweep_fixed_placement",
+        "CSV_HEADER", "ExperimentConfig", "OutageEstimate", "area_averaged_outage", "estimate_outage",
+        "mac_outage", "run_experiment", "sweep_fixed_placement",
     ),
     "config": ("ConfigError", "config_from_dict", "load_config"),
 }

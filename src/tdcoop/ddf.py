@@ -36,7 +36,6 @@ __all__ = [
     "BoundPair",
     "listen_fraction_rc",
     "listen_fraction_uc2",
-    "listen_fraction_cdf",
     "trial_mutual_info_rc",
     "trial_mutual_info_uc2",
     "MultihopSchedule",
@@ -45,7 +44,6 @@ __all__ = [
     "ddf_bounds_rc",
     "ddf_bounds_uc2",
     "ddf_bounds_multihop",
-    "clustering_condition",
 ]
 
 _THETA_GRID = np.linspace(0.01, 0.99, 99)
@@ -151,22 +149,6 @@ def listen_fraction_uc2(amp_sq, dist_pow, burst_power, rate):
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
     return np.minimum(theta.max(axis=1), 1.0)
-
-
-def listen_fraction_cdf(theta, dist_pow_sum, burst_power, rate):
-    """Mixed CDF of the listen fraction.
-
-    dist_pow_sum is d^gamma of the source-forwarder link, or the sum of
-    d^gamma over helpers in the shared-slot case (the per-helper survival
-    probabilities multiply into one exponential).  The distribution has
-    an atom at 1: F(theta) = exp(-(2^(R/theta)-1) * dist_pow_sum / Pbar)
-    for 0 < theta < 1, and 1 from theta = 1 on.
-    """
-    t = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        body = np.exp(-_pow2m1(rate / np.maximum(t, 1e-300)) * dist_pow_sum / burst_power)
-    out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, body))
-    return float(out) if np.ndim(theta) == 0 else out
 
 
 def trial_mutual_info_rc(theta, direct_snr, relay_link_snr):
@@ -456,22 +438,3 @@ def ddf_bounds_multihop(
     best = _best_split(lambda t: kc_kd(_multihop_theta_vector(L, t)), None, optimize)
     return BoundPair(lower=lower, upper=best * lower)
 
-
-def clustering_condition(rate, burst_power, lambdas, dist_dest_pow, dist_to_source_pow):
-    """Whether helpers sit close enough for the full-diversity regime.
-
-    Returns (satisfied, threshold) where the condition is
-    sum_j d_jk^gamma <= threshold at the split point 1/2.  Only defined
-    for three or more cooperating branches.
-    """
-    lam, dd, dk = _columns(lambdas, dist_dest_pow, dist_to_source_pow)
-    L = lam.size
-    if L <= 2:
-        raise ValueError("clustering condition needs more than two branches")
-    threshold = (
-        float(_pow2m1(rate / 0.5)) ** (L - 2)
-        / (math.factorial(L) * burst_power ** (L - 2))
-        * float(np.prod(dd / lam))
-        / dd[0]
-    )
-    return bool(dk.sum() <= threshold), float(threshold)

@@ -1,4 +1,4 @@
-"""Experiment sweeps: outage estimates, area averaging, slopes, CSV rows.
+"""Experiment sweeps: outage estimates, area averaging, CSV rows.
 
 A sweep point is one (strategy, SNR) pair; the SNR grid is over the
 per-user power P_1 in dB.  Each point runs the adaptive trial engine
@@ -38,12 +38,12 @@ __all__ = [
     "estimate_outage",
     "area_averaged_outage",
     "sweep_fixed_placement",
-    "diversity_slope",
     "run_experiment",
     "format_rows",
 ]
 
-# Largest decimal exponent, in magnitude, of a burst power raised to its branch count.
+# Largest decimal exponent, in magnitude, of a power the bounds form: the burst
+# power raised to its branch count, or 2^R raised to the square of it.
 _MAX_POW10 = 300
 
 CSV_HEADER = "strategy,user_k,snr_db,ptot_db,outage,ci95,bound_lower,bound_upper,trials,ceiling_flag"
@@ -105,6 +105,14 @@ class ExperimentConfig:
                         f"to the power +-{L}, so |snr_db/10 + log10 K| must not exceed "
                         f"{_MAX_POW10 / L:.4g}"
                     )
+            # AF's (2^(LR) - 1)^L and the multihop bracket at split 1/L raise
+            # 2^R to the power L^2, the largest any bound forms.
+            if L * L * self.power.rate * math.log10(2.0) > _MAX_POW10:
+                raise ValueError(
+                    f"rate {self.power.rate:g} is out of range for {s.name}: its bounds raise 2^R "
+                    f"to the power {L * L}, so the rate must not exceed "
+                    f"{_MAX_POW10 / (L * L * math.log10(2.0)):.4g}"
+                )
 
     def placements(self) -> list[NodePlacement]:
         """The run's placement ensemble (stream keyed by placement index)."""
@@ -396,23 +404,6 @@ def area_averaged_outage(cfg: ExperimentConfig) -> list[list[OutageEstimate]]:
             [point.estimate() for _, _, point in _points(cfg, s, i, placements, pool)]
             for i, s in enumerate(cfg.strategies)
         ]
-
-
-def diversity_slope(points) -> float:
-    """Least-squares slope of -log10(outage) against SNR_dB / 10.
-
-    points is an iterable of (snr_db, outage) pairs; every outage must be
-    positive, and at least two points are required.
-    """
-    pts = [(float(s), float(p)) for s, p in points]
-    if len(pts) < 2:
-        raise ValueError("diversity_slope needs at least two points")
-    if any(p <= 0.0 for _, p in pts):
-        raise ValueError("diversity_slope: zero outage in window, not enough events")
-    x = np.array([s / 10.0 for s, _ in pts])
-    y = np.array([-math.log10(p) for _, p in pts])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
 
 
 def _fmt(x: float) -> str:

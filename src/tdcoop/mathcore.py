@@ -28,13 +28,11 @@ which is what the analytic outage bounds are built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "capacity",
-    "WeightedExpSum",
     "hypoexp_cdf",
     "hypoexp_leading_cdf_term",
 ]
@@ -59,49 +57,29 @@ def capacity(snr):
     return float(out) if np.isscalar(snr) or out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class WeightedExpSum:
-    """Distribution of sum_l c_l * E_l with E_l i.i.d. unit-mean exponential."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(c) for c in self.weights)
-        if len(w) == 0:
-            raise ValueError("WeightedExpSum requires at least one weight")
-        if any(not math.isfinite(c) or c <= 0 for c in w):
-            raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def order(self) -> int:
-        return len(self.weights)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw realisations of the sum (Monte Carlo oracle hook)."""
-        draws = rng.exponential(size=(size, len(self.weights)))
-        return draws @ np.asarray(self.weights)
+def _weights(weights) -> np.ndarray:
+    """The weights c_l as a float array: at least one, each positive and finite."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size == 0:
+        raise ValueError("a weighted exponential sum needs at least one weight")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite")
+    return w
 
 
-def _as_dist(dist) -> WeightedExpSum:
-    if isinstance(dist, WeightedExpSum):
-        return dist
-    return WeightedExpSum(weights=tuple(np.asarray(dist, dtype=float).ravel()))
-
-
-def hypoexp_cdf(dist, eta):
-    """CDF of the weighted exponential sum at eta (scalar or array).
+def hypoexp_cdf(weights, eta):
+    """CDF of sum_l c_l * E_l at eta (scalar or array), weights the c_l.
 
     Each eta gets its own step eta / 2^k (module docstring), so small
     arguments need no squaring.  Near F = 1 the result is 1 - S, with S
     the probability of not yet being absorbed.  Exact 0.0 at eta = 0.
     """
-    dist = _as_dist(dist)
+    w = _weights(weights)
     scalar = np.isscalar(eta)
     x = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(x < 0):
         raise ValueError("hypoexp_cdf requires eta >= 0")
-    rates = 1.0 / np.asarray(dist.weights)
+    rates = 1.0 / w
     lam = rates.max()
     ratio = rates / lam
     L = ratio.size
@@ -130,18 +108,18 @@ def hypoexp_cdf(dist, eta):
     return float(out[0]) if scalar else out
 
 
-def hypoexp_leading_cdf_term(dist, eta):
+def hypoexp_leading_cdf_term(weights, eta):
     """First nonzero Taylor term eta^L / (L! * prod_l c_l) of the CDF.
 
     Repeated weights are harmless in a product.  This is the high-SNR
     surrogate for the exact tail probability.
     """
-    dist = _as_dist(dist)
+    w = _weights(weights)
     scalar = np.isscalar(eta)
     x = np.asarray(eta, dtype=float)
     if np.any(x < 0):
         raise ValueError("hypoexp_leading_cdf_term requires eta >= 0")
-    L = dist.order
-    denom = math.factorial(L) * math.prod(dist.weights)
+    L = w.size
+    denom = math.factorial(L) * math.prod(w.tolist())
     out = x**L / denom
     return float(out) if scalar else out

@@ -34,7 +34,9 @@ class Strategy:
 
     ``coop_sets[k-1]`` lists the helper users of user k (1-based ids);
     empty for mac and for the relay networks, where the helper is the
-    dedicated relay.  ``multihop_mode`` only affects DDF with 3+ hops.
+    dedicated relay.  ``multihop_mode`` only affects DDF with 3+ hops;
+    every other strategy keeps the default, so equal physics compares
+    equal.
     """
 
     name: str
@@ -53,6 +55,8 @@ class Strategy:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
         if self.mode in ("mac", "rc") and self.coop_sets:
             raise ValueError(f"{self.name} takes no coop_sets")
+        if self.multihop_mode != MULTIHOP_MODES[0] and (self.mode, self.family) != ("ucmh", "ddf"):
+            raise ValueError(f"{self.name} takes no multihop_mode (only ucN-ddf, N >= 3)")
         if self.mode in ("uc2", "ucmh"):
             if len(self.coop_sets) != self.num_users:
                 raise ValueError("coop_sets must list helpers for every user")
@@ -111,7 +115,7 @@ def parse_strategy(
     a full tuple-of-tuples.  Either way each helper set is sorted, so
     multihop decode-order ties go to the lowest node index whatever order
     the helpers are listed in.  ``multihop_mode`` is checked for every
-    name, but only ucN-ddf (N >= 3) reads it.
+    name, but only ucN-ddf (N >= 3) keeps it.
     """
     m = _NAME_RE.match(name.strip().lower())
     if not m:
@@ -146,7 +150,7 @@ def parse_strategy(
         mode="ucmh",
         num_users=num_users,
         coop_sets=sets,
-        multihop_mode=multihop_mode,
+        multihop_mode=multihop_mode if family == "ddf" else MULTIHOP_MODES[0],
     )
     for k in range(1, num_users + 1):
         if strat.hops(k) != hop_count:

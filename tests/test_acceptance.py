@@ -20,18 +20,19 @@ import pytest
 import yaml
 
 from tdcoop.cli import main
-from tdcoop.ddf import clustering_condition, listen_fraction_cdf, listen_fraction_rc
+from tdcoop.ddf import listen_fraction_rc
 from tdcoop.harness import (
     ExperimentConfig,
     area_averaged_outage,
-    diversity_slope,
     mac_outage,
     sweep_fixed_placement,
 )
-from tdcoop.mathcore import WeightedExpSum, hypoexp_cdf
+from tdcoop.mathcore import hypoexp_cdf
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
 from tdcoop.power import PowerConfig, total_power, user_burst_power
 from tdcoop.strategies import parse_strategy
+
+from oracles import clustering_condition, diversity_slope, listen_fraction_cdf, weighted_exp_sum_sample
 
 GP = GeometryParams()
 GAMMA = GP.path_loss_exponent
@@ -124,14 +125,14 @@ def test_hypoexp_cdf_matches_empirical_sampling(capsys):
     worst_sup = 0.0
     worst_rel = 0.0
     for L in (1, 2, 3, 4):
-        dist = WeightedExpSum(weights=tuple(rng.uniform(0.2, 4.0, size=L)))
-        small = min(dist.weights) * np.array([1e-8, 1e-5, 1e-2])
-        exact = np.array([partial_fractions_100_digits(dist.weights, e) for e in small])
-        worst_rel = max(worst_rel, float(np.max(np.abs(hypoexp_cdf(dist, small) / exact - 1.0))))
-        samples = np.sort(dist.sample(rng, 10**6))
+        weights = tuple(rng.uniform(0.2, 4.0, size=L).tolist())
+        small = min(weights) * np.array([1e-8, 1e-5, 1e-2])
+        exact = np.array([partial_fractions_100_digits(weights, e) for e in small])
+        worst_rel = max(worst_rel, float(np.max(np.abs(hypoexp_cdf(weights, small) / exact - 1.0))))
+        samples = np.sort(weighted_exp_sum_sample(weights, rng, 10**6))
         grid = samples[:: len(samples) // 500]
         emp = np.searchsorted(samples, grid, side="right") / len(samples)
-        worst_sup = max(worst_sup, float(np.max(np.abs(hypoexp_cdf(dist, grid) - emp))))
+        worst_sup = max(worst_sup, float(np.max(np.abs(hypoexp_cdf(weights, grid) - emp))))
     dt = time.perf_counter() - t0
     ok = worst_sup <= 3e-3 and worst_rel <= 1e-10 and dt < 10.0
     tell(

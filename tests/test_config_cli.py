@@ -535,6 +535,36 @@ class TestCliRun:
         assert main(["run", "-c", path, "--bounds-only"]) == 2
         assert capsys.readouterr().err.startswith("error: snr_db 996 is out of range")
 
+    def one_rate_yaml(self, strategy, rate, snr_db):
+        return self.one_strategy_yaml(strategy, 3, [snr_db]).replace("rate: 0.25", f"rate: {rate}")
+
+    @pytest.mark.parametrize(
+        "strategy,rate",
+        (("uc3-ddf", 400), ("rc-ddf", 600), ("mac", 2000), ("uc3-af", 120), ("uc3-ddf", 200)),
+        ids=("uc3-ddf", "rc-ddf", "mac", "uc3-af", "uc3-ddf-inf-upper"),
+    )
+    def test_rate_outside_the_float_range_exits_2(self, tmp_path, capsys, strategy, rate):
+        """A rate at which 2^R, raised to the square of the strategy's
+        branch count, leaves the float range is refused by name instead of
+        overflowing inside the bounds or printing an infinite bound."""
+        path = write_cfg(tmp_path, self.one_rate_yaml(strategy, rate, 10))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rate {rate} is out of range for {strategy}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "strategy,rate",
+        (("uc3-ddf", 110), ("uc3-af", 110), ("rc-ddf", 249), ("mac", 996)),
+        ids=("uc3-ddf", "uc3-af", "rc-ddf", "mac"),
+    )
+    def test_rate_just_inside_the_float_range_runs(self, tmp_path, capsys, strategy, rate):
+        """L^2 R log10 2 <= 300 leaves every bound column finite."""
+        path = write_cfg(tmp_path, self.one_rate_yaml(strategy, rate, 0))
+        assert main(["run", "-c", path, "--bounds-only"]) == 0
+        (row,) = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert 0.0 < float(row[6]) <= float(row[7]) < math.inf
+
     def test_theta_star_is_an_unknown_bounds_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_YAML + "bounds:\n  theta_star: 0.5\n")
         assert main(["run", "-c", path, "--bounds-only"]) == 2

@@ -18,11 +18,9 @@ from tdcoop import mc
 from tdcoop.ddf import (
     BoundPair,
     MultihopSchedule,
-    clustering_condition,
     ddf_bounds_multihop,
     ddf_bounds_rc,
     ddf_bounds_uc2,
-    listen_fraction_cdf,
     listen_fraction_rc,
     listen_fraction_uc2,
     multihop_schedule,
@@ -31,6 +29,8 @@ from tdcoop.ddf import (
     trial_mutual_info_uc2,
 )
 from tdcoop.mathcore import capacity, hypoexp_leading_cdf_term
+
+from oracles import clustering_condition, listen_fraction_cdf
 
 
 class TestListenFractionRc:

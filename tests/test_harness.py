@@ -11,7 +11,6 @@ from tdcoop.harness import (
     CSV_HEADER,
     ExperimentConfig,
     area_averaged_outage,
-    diversity_slope,
     estimate_outage,
     format_rows,
     mac_outage,
@@ -21,6 +20,8 @@ from tdcoop.harness import (
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
 from tdcoop.power import PowerConfig, relay_power, total_power, user_burst_power
 from tdcoop.strategies import parse_strategy
+
+from oracles import diversity_slope
 
 MAC_REF = 0.06112134716664841
 

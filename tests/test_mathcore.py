@@ -15,11 +15,12 @@ import pytest
 from scipy.special import gammainc
 
 from tdcoop.mathcore import (
-    WeightedExpSum,
     capacity,
     hypoexp_cdf,
     hypoexp_leading_cdf_term,
 )
+
+from oracles import weighted_exp_sum_sample
 
 
 def empirical_cdf_at(samples: np.ndarray, eta: float) -> float:
@@ -81,11 +82,10 @@ class TestCdf:
     def test_two_weight_monte_carlo_oracle(self):
         """Empirical CDF of E1 + 2*E2 over 1e7 draws pins the same value."""
         rng = np.random.default_rng(2024)
-        dist = WeightedExpSum(weights=(1.0, 2.0))
-        samples = dist.sample(rng, 10**7)
+        samples = weighted_exp_sum_sample((1.0, 2.0), rng, 10**7)
         emp = empirical_cdf_at(samples, 1.0)
         np.testing.assert_allclose(emp, 0.15481812174617555, atol=3e-4)
-        np.testing.assert_allclose(hypoexp_cdf(dist, 1.0), emp, atol=3e-3)
+        np.testing.assert_allclose(hypoexp_cdf((1.0, 2.0), 1.0), emp, atol=3e-3)
 
     def test_near_degenerate_erlang_oracle(self):
         """Weights 1 and 1+1e-9 behave like an Erlang-2: 1-(1+eta)e^-eta."""
@@ -136,11 +136,10 @@ class TestCdf:
         rng = np.random.default_rng(5)
         for L in (1, 2, 3, 4):
             w = tuple(rng.uniform(0.2, 4.0, size=L))
-            dist = WeightedExpSum(weights=w)
-            samples = np.sort(dist.sample(rng, 10**6))
+            samples = np.sort(weighted_exp_sum_sample(w, rng, 10**6))
             grid = samples[:: len(samples) // 500]
             emp = np.searchsorted(samples, grid, side="right") / len(samples)
-            np.testing.assert_allclose(hypoexp_cdf(dist, grid), emp, atol=3e-3)
+            np.testing.assert_allclose(hypoexp_cdf(w, grid), emp, atol=3e-3)
 
 
 class TestAccuracy:
@@ -207,19 +206,19 @@ class TestLeadingTerm:
 
 
 class TestWeightedExpSum:
+    """The weights c_l of the sum, as both hypoexp functions take them."""
+
     def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            WeightedExpSum(weights=())
-        with pytest.raises(ValueError):
-            WeightedExpSum(weights=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            WeightedExpSum(weights=(1.0, -2.0))
-        with pytest.raises(ValueError):
-            WeightedExpSum(weights=(math.inf,))
+        for func in (hypoexp_cdf, hypoexp_leading_cdf_term):
+            for weights in ((), (1.0, 0.0), (1.0, -2.0), (math.inf,)):
+                with pytest.raises(ValueError):
+                    func(weights, 0.5)
 
     def test_order_and_mean(self):
-        dist = WeightedExpSum(weights=(0.5, 1.5, 2.0))
-        assert dist.order == 3
+        weights = (0.5, 1.5, 2.0)
+        # the order L = 3 is the leading term's power of eta
+        ratio = hypoexp_leading_cdf_term(weights, 0.2) / hypoexp_leading_cdf_term(weights, 0.1)
+        np.testing.assert_allclose(ratio, 2.0**3, rtol=1e-14)
         rng = np.random.default_rng(17)
-        samples = dist.sample(rng, 200_000)
+        samples = weighted_exp_sum_sample(weights, rng, 200_000)
         np.testing.assert_allclose(samples.mean(), 4.0, rtol=2e-2)

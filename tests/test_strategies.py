@@ -93,6 +93,18 @@ class TestStrategyInvariants:
                 coop_sets=s.coop_sets, multihop_mode="bogus",
             )
 
+    @pytest.mark.parametrize(
+        "name,family,mode",
+        (("mac", "mac", "mac"), ("rc-ddf", "ddf", "rc"), ("uc2-ddf", "ddf", "uc2"), ("uc3-af", "af", "ucmh")),
+    )
+    def test_only_multihop_ddf_takes_a_mode(self, name, family, mode):
+        sets = parse_strategy(name, 3).coop_sets
+        with pytest.raises(ValueError, match="no multihop_mode"):
+            Strategy(
+                name=name, family=family, mode=mode, num_users=3,
+                coop_sets=sets, multihop_mode="per-fraction",
+            )
+
     def test_relay_and_mac_take_no_coop_sets(self):
         with pytest.raises(ValueError, match="no coop_sets"):
             Strategy(name="rc-ddf", family="ddf", mode="rc", num_users=3, coop_sets=((2,), (3,), (1,)))
@@ -104,6 +116,15 @@ class TestSettingsThatDoNothing:
         with pytest.raises(ValueError, match="multihop_mode"):
             parse_strategy(name, 3, multihop_mode="bogus")
         assert parse_strategy(name, 3, multihop_mode="accumulating") == parse_strategy(name, 3)
+
+    @pytest.mark.parametrize(
+        "name,num_users,kept", (("uc3-af", 3, False), ("uc4-af", 4, False), ("uc3-ddf", 3, True))
+    )
+    def test_only_multihop_ddf_keeps_the_mode(self, name, num_users, kept):
+        """AF never reads the mode, so both modes give one strategy."""
+        got = parse_strategy(name, num_users, multihop_mode="per-fraction")
+        assert (got == parse_strategy(name, num_users)) is not kept
+        assert got.multihop_mode == ("per-fraction" if kept else "accumulating")
 
     @pytest.mark.parametrize("name", ("mac", "rc-ddf", "rc-af"))
     def test_coop_sets_rejected_without_helper_users(self, name):

@@ -49,7 +49,7 @@ _POWER_NUMBERS = {
 _TOP_KEYS = set(_TOP_NUMBERS) | {
     "snr_db", "per_user_rows", "bounds_only", "output", "geometry", "power", "bounds", "strategies",
 }
-_GEOMETRY_KEYS = set(_GEOMETRY_NUMBERS) | {"sector_angle_deg", "relay", "destination"}
+_GEOMETRY_KEYS = set(_GEOMETRY_NUMBERS) | {"sector_angle_deg", "relay"}
 _BOUNDS_KEYS = {"optimize"}
 
 
@@ -134,8 +134,6 @@ def _geometry(raw: dict) -> GeometryParams:
         kwargs["sector_angle"] = math.radians(angle)
     if "relay" in raw:
         kwargs["relay_position"] = _position(raw, "relay")
-    if "destination" in raw:
-        kwargs["destination_position"] = _position(raw, "destination")
     return GeometryParams(**kwargs)
 
 
@@ -185,7 +183,7 @@ def _strategy(entry, num_users: int) -> Strategy:
     # A setting the strategy does not read is an error, not a silent no-op.
     if "coop_sets" in entry and strategy.mode in ("mac", "rc"):
         raise ConfigError(f"strategy {strategy.name} takes no coop_sets")
-    if "multihop_mode" in entry and (strategy.mode, strategy.family) != ("ucmh", "ddf"):
+    if "multihop_mode" in entry and strategy.kernel != "ucmh-ddf":
         raise ConfigError(f"strategy {strategy.name} takes no multihop_mode (only ucN-ddf, N >= 3)")
     return strategy
 

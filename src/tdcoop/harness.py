@@ -49,6 +49,31 @@ _MAX_POW10 = 300
 CSV_HEADER = "strategy,user_k,snr_db,ptot_db,outage,ci95,bound_lower,bound_upper,trials,ceiling_flag"
 
 
+def _check_float_range(strategy: Strategy, rate: float, snr_db) -> None:
+    """Reject a rate, or a user power P at any of the points snr_db
+    (10 log10 P), at which the strategy's bounds leave the float range.
+
+    With L = ``strategy.branches`` the bounds raise K*P, or its inverse,
+    to the power L, and 2^R to the power L^2 (AF's (2^(LR) - 1)^L and the
+    multihop bracket at split 1/L).  ``ExperimentConfig`` and
+    ``estimate_outage`` both call this, so no entry point overflows.
+    """
+    L = strategy.branches
+    for x in snr_db:
+        if L * abs(math.log10(strategy.num_users) + x / 10.0) > _MAX_POW10:
+            raise ValueError(
+                f"snr_db {x:g} is out of range for {strategy.name}: its bounds raise K*P "
+                f"to the power +-{L}, so |snr_db/10 + log10 K| must not exceed "
+                f"{_MAX_POW10 / L:.4g}"
+            )
+    if L * L * rate * math.log10(2.0) > _MAX_POW10:
+        raise ValueError(
+            f"rate {rate:g} is out of range for {strategy.name}: its bounds raise 2^R "
+            f"to the power {L * L}, so the rate must not exceed "
+            f"{_MAX_POW10 / (L * L * math.log10(2.0)):.4g}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one sweep run."""
@@ -95,24 +120,7 @@ class ExperimentConfig:
         for s in self.strategies:
             if s.num_users != self.geometry.num_users:
                 raise ValueError(f"strategy {s.name} sized for {s.num_users} users")
-            # The bounds raise the burst power K*P, or its inverse, to the
-            # strategy's branch count L; both must stay well inside floats.
-            L = 1 + max(len(_forwarders(s, k)) for k in range(1, s.num_users + 1))
-            for x in grid:
-                if L * abs(math.log10(s.num_users) + x / 10.0) > _MAX_POW10:
-                    raise ValueError(
-                        f"snr_db {x:g} is out of range for {s.name}: its bounds raise K*P "
-                        f"to the power +-{L}, so |snr_db/10 + log10 K| must not exceed "
-                        f"{_MAX_POW10 / L:.4g}"
-                    )
-            # AF's (2^(LR) - 1)^L and the multihop bracket at split 1/L raise
-            # 2^R to the power L^2, the largest any bound forms.
-            if L * L * self.power.rate * math.log10(2.0) > _MAX_POW10:
-                raise ValueError(
-                    f"rate {self.power.rate:g} is out of range for {s.name}: its bounds raise 2^R "
-                    f"to the power {L * L}, so the rate must not exceed "
-                    f"{_MAX_POW10 / (L * L * math.log10(2.0)):.4g}"
-                )
+            _check_float_range(s, self.power.rate, grid)
 
     def placements(self) -> list[NodePlacement]:
         """The run's placement ensemble (stream keyed by placement index)."""
@@ -160,14 +168,6 @@ def mac_outage(rate: float, burst_power, dk_pow):
     return float(out) if out.ndim == 0 else out
 
 
-_NON_AF_KERNELS = {"mac": "mac", "rc": "rc-ddf", "uc2": "uc2-ddf", "ucmh": "ucmh-ddf"}
-
-
-def _forwarders(strategy: Strategy, k: int) -> list[str]:
-    """Node ids of user k's forwarders: the relay under rc, its helper users otherwise."""
-    return [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)]
-
-
 def _cells(strategy: Strategy, placements) -> list[tuple]:
     """Every (placement, user) cell, placement-major: (placement index,
     user index, kernel, dk, dj, jk, hh).
@@ -178,11 +178,11 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
     They are gathered from one table per placement, raised with Python's
     float power; the trial kernels and the bounds read them as they are.
     """
-    if strategy.family == "af":
-        kernel = "afmh" if strategy.mode == "ucmh" else "af2"
-    else:
-        kernel = _NON_AF_KERNELS[strategy.mode]
-    users = [(user_id(k), _forwarders(strategy, k)) for k in range(1, strategy.num_users + 1)]
+    # Each user's forwarders: the relay under rc, its helper users otherwise.
+    users = [
+        (user_id(k), [RELAY] if strategy.uses_relay else [user_id(j) for j in strategy.helpers(k)])
+        for k in range(1, strategy.num_users + 1)
+    ]
     cells = []
     for i, placement in enumerate(placements):
         gamma = placement.params.path_loss_exponent
@@ -192,7 +192,7 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
             dj = tuple(pw[DESTINATION][h] for h in fwd)
             jk = tuple(pw[h][src] for h in fwd)
             hh = tuple(tuple(pw[h][o] for o in fwd) for h in fwd)
-            cells.append((i, u, kernel, pw[DESTINATION][src], dj, jk, hh))
+            cells.append((i, u, strategy.kernel, pw[DESTINATION][src], dj, jk, hh))
     return cells
 
 
@@ -318,6 +318,9 @@ def estimate_outage(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # At P = 0 there is no power to range-check; the rate still is.
+    snr_db = [10.0 * math.log10(pc.user_power)] if pc.user_power > 0 else []
+    _check_float_range(strategy, pc.rate, snr_db)
     K = strategy.num_users
     cells = _cells(strategy, [placement])
     powers = _user_powers(strategy, [pc])

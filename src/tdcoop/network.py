@@ -1,13 +1,13 @@
 """Node geometry and the Rayleigh block-fading channel model.
 
-The destination sits at the origin of a circular sector, a fixed relay
-sits inside it, and the K users are placed uniformly over the sector
-area outside an exclusion radius (uniform in area means the radial
-density is proportional to r).  Every link (a, b) carries a proper
-complex Gaussian amplitude A with zero mean and unit variance, constant
-per trial, so |A|^2 is a unit-mean exponential.  The channel gain is
-H = A / d^(gamma/2) with d the link distance; the trial kernels of the
-engine module draw the amplitudes.
+The destination is the apex of a circular sector, at the origin; a fixed
+relay sits inside the sector, and the K users are placed uniformly over
+the sector area outside an exclusion radius around the destination
+(uniform in area means the radial density is proportional to r).  Every
+link (a, b) carries a proper complex Gaussian amplitude A with zero mean
+and unit variance, constant per trial, so |A|^2 is a unit-mean
+exponential.  The channel gain is H = A / d^(gamma/2) with d the link
+distance; the trial kernels of the engine module draw the amplitudes.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def user_id(k: int) -> str:
 class GeometryParams:
     """Sector geometry and propagation constants.
 
-    Defaults: unit sector radius, 60 degree opening, destination at the
-    origin, relay at (0.5, 0), users kept at least 0.3 away from the
-    destination, path-loss exponent 4.
+    The destination is the sector's apex at the origin.  Defaults: unit
+    sector radius, 60 degree opening, relay at (0.5, 0), users kept at
+    least 0.3 away from the destination, path-loss exponent 4.
     """
 
     num_users: int = 3
@@ -46,14 +46,13 @@ class GeometryParams:
     sector_angle: float = np.pi / 3
     exclusion_radius: float = 0.3
     relay_position: tuple[float, float] = (0.5, 0.0)
-    destination_position: tuple[float, float] = (0.0, 0.0)
     path_loss_exponent: float = 4.0
 
     def __post_init__(self):
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
         for name in ("sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
-                     "relay_position", "destination_position"):
+                     "relay_position"):
             value = getattr(self, name)
             if not all(math.isfinite(v) for v in np.ravel(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -67,10 +66,10 @@ class GeometryParams:
             )
         if self.path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
-        if tuple(map(float, self.relay_position)) == tuple(map(float, self.destination_position)):
+        if tuple(map(float, self.relay_position)) == (0.0, 0.0):
             raise ValueError(
-                "relay_position must differ from destination_position,"
-                f" both are {self.relay_position}"
+                "relay_position must differ from the destination at the origin,"
+                f" got {self.relay_position}"
             )
 
 
@@ -120,7 +119,8 @@ def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePl
 
     The radius is drawn as sqrt(r0^2 + U * (R^2 - r0^2)) so the density is
     proportional to r over [r0, R]; the angle is uniform over the sector.
-    Relay and destination are fixed by the params.
+    The destination sits at the origin and the relay where the params
+    put it.
     """
     u = rng.random(params.num_users)
     v = rng.random(params.num_users)
@@ -128,7 +128,7 @@ def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePl
     radius = np.sqrt(r0sq + u * (params.sector_radius**2 - r0sq))
     angle = v * params.sector_angle
     positions = {
-        DESTINATION: tuple(map(float, params.destination_position)),
+        DESTINATION: (0.0, 0.0),
         RELAY: tuple(map(float, params.relay_position)),
     }
     for k in range(1, params.num_users + 1):

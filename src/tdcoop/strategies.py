@@ -11,13 +11,16 @@ used.  Canonical names:
     ucN-ddf    user cooperation over N hops (N >= 3), greedy decode order
     ucN-af     user cooperation over N hops, fixed 1/N fractions
 
-Helper sets default to "all other users".  N_k below is the number of
-users that user k forwards for; it sets the burst power via the
-time-sharing rule in the power module.
+The name alone fixes the forwarding family (mac, ddf, af), the mode
+(mac, rc, uc2, ucmh) and the trial kernel, so a strategy cannot describe
+one scheme and run another.  Helper sets default to "all other users".
+N_k below is the number of users that user k forwards for; it sets the
+burst power via the time-sharing rule in the power module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 
@@ -25,70 +28,85 @@ __all__ = ["Strategy", "parse_strategy"]
 
 MULTIHOP_MODES = ("accumulating", "per-fraction")
 
-_NAME_RE = re.compile(r"^(mac|rc-(ddf|af)|uc(\d+)-(ddf|af))$")
+_NAME_RE = re.compile(r"mac|rc-(ddf|af)|uc([0-9]+)-(ddf|af)")
 
 
 @dataclass(frozen=True)
 class Strategy:
     """One simulated strategy over a K-user network.
 
-    ``coop_sets[k-1]`` lists the helper users of user k (1-based ids);
-    empty for mac and for the relay networks, where the helper is the
-    dedicated relay.  ``multihop_mode`` only affects DDF with 3+ hops;
-    every other strategy keeps the default, so equal physics compares
-    equal.
+    ``name`` is canonical (lower case, as listed above); ``family``,
+    ``mode`` and ``kernel`` follow from it.  ``coop_sets[k-1]`` lists the
+    helper users of user k (1-based ids); ucN-* takes N - 1 helpers per
+    user (any nonempty set under uc2-*), mac and the relay networks take
+    none.  ``multihop_mode`` only affects ucN-ddf with N >= 3; every other
+    strategy keeps the default, so equal physics compares equal.
     """
 
     name: str
-    family: str  # "mac" | "ddf" | "af"
-    mode: str  # "mac" | "rc" | "uc2" | "ucmh"
     num_users: int
     coop_sets: tuple[tuple[int, ...], ...] = field(default=())
     multihop_mode: str = "accumulating"
+    family: str = field(init=False, compare=False, repr=False)  # "mac" | "ddf" | "af"
+    mode: str = field(init=False, compare=False, repr=False)  # "mac" | "rc" | "uc2" | "ucmh"
+    kernel: str = field(init=False, compare=False, repr=False)  # mc's trial kernel
 
     def __post_init__(self):
-        if self.family not in ("mac", "ddf", "af"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.mode not in ("mac", "rc", "uc2", "ucmh"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        m = _NAME_RE.fullmatch(self.name)
+        if not m:
+            raise ValueError(f"unknown strategy name {self.name!r}")
+        relay_family, hops, user_family = m.groups()
+        if hops is None:
+            family = relay_family or "mac"
+            mode = "rc" if relay_family else "mac"
+        else:
+            family, hop_count = user_family, int(hops)
+            if hop_count < 2:
+                raise ValueError(f"hop count must be 2 or >= 3, got {hop_count}")
+            mode = "uc2" if hop_count == 2 else "ucmh"
+        if family == "af":
+            kernel = "afmh" if mode == "ucmh" else "af2"
+        else:
+            kernel = "mac" if mode == "mac" else f"{mode}-ddf"
+        for attr, value in (("family", family), ("mode", mode), ("kernel", kernel)):
+            object.__setattr__(self, attr, value)
         if self.multihop_mode not in MULTIHOP_MODES:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
-        if self.mode in ("mac", "rc") and self.coop_sets:
-            raise ValueError(f"{self.name} takes no coop_sets")
-        if self.multihop_mode != MULTIHOP_MODES[0] and (self.mode, self.family) != ("ucmh", "ddf"):
+        if self.multihop_mode != MULTIHOP_MODES[0] and kernel != "ucmh-ddf":
             raise ValueError(f"{self.name} takes no multihop_mode (only ucN-ddf, N >= 3)")
-        if self.mode in ("uc2", "ucmh"):
-            if len(self.coop_sets) != self.num_users:
-                raise ValueError("coop_sets must list helpers for every user")
-            for k, helpers in enumerate(self.coop_sets, start=1):
-                if len(helpers) == 0:
-                    raise ValueError(f"user {k} has an empty helper set")
-                if k in helpers or len(set(helpers)) != len(helpers):
-                    raise ValueError(f"invalid helper set for user {k}: {helpers}")
-                bad = [j for j in helpers if not 1 <= j <= self.num_users]
-                if bad:
-                    raise ValueError(f"helper ids out of range for user {k}: {bad}")
-            if self.mode == "ucmh":
-                sizes = {len(h) for h in self.coop_sets}
-                if sizes != {len(self.coop_sets[0])} or len(self.coop_sets[0]) < 2:
-                    raise ValueError("multihop requires >= 2 helpers per user, same count")
+        if hops is None:
+            if self.coop_sets:
+                raise ValueError(f"{self.name} takes no coop_sets")
+            return
+        if len(self.coop_sets) != self.num_users:
+            raise ValueError("coop_sets must list helpers for every user")
+        for k, helpers in enumerate(self.coop_sets, start=1):
+            if len(helpers) == 0:
+                raise ValueError(f"user {k} has an empty helper set")
+            if k in helpers or len(set(helpers)) != len(helpers):
+                raise ValueError(f"invalid helper set for user {k}: {helpers}")
+            bad = [j for j in helpers if not 1 <= j <= self.num_users]
+            if bad:
+                raise ValueError(f"helper ids out of range for user {k}: {bad}")
+            if mode == "ucmh" and len(helpers) != hop_count - 1:
+                raise ValueError(
+                    f"strategy {self.name!r} implies {hop_count} hops but user {k} "
+                    f"has {len(helpers)} helpers"
+                )
 
     @property
     def uses_relay(self) -> bool:
         return self.mode == "rc"
 
-    def hops(self, k: int = 1) -> int:
-        if self.mode == "mac":
-            return 1
-        if self.mode in ("rc", "uc2"):
-            return 2
-        return len(self.coop_sets[k - 1]) + 1
+    @property
+    def branches(self) -> int:
+        """L: the largest number of branches into the destination, the
+        source plus its forwarders (the relay, or its helper users)."""
+        return 2 if self.uses_relay else 1 + max(map(len, self.coop_sets), default=0)
 
     def helpers(self, k: int) -> tuple[int, ...]:
         """Helper users of user k (empty for mac / relay networks)."""
-        if self.mode in ("mac", "rc"):
-            return ()
-        return self.coop_sets[k - 1]
+        return self.coop_sets[k - 1] if self.coop_sets else ()
 
     def num_forwarded(self, j: int) -> int:
         """N_j: how many users does user j forward for."""
@@ -108,7 +126,7 @@ def parse_strategy(
     coop_sets=None,
     multihop_mode: str = "accumulating",
 ) -> Strategy:
-    """Build a Strategy from its canonical name.
+    """Build a Strategy from a strategy name in any case and spacing.
 
     ``coop_sets`` overrides the all-others default for the uc modes (mac
     and rc-* take none); it is a mapping {user -> iterable of helpers} or
@@ -117,45 +135,16 @@ def parse_strategy(
     the helpers are listed in.  ``multihop_mode`` is checked for every
     name, but only ucN-ddf (N >= 3) keeps it.
     """
-    m = _NAME_RE.match(name.strip().lower())
-    if not m:
-        raise ValueError(f"unknown strategy name {name!r}")
-    if multihop_mode not in MULTIHOP_MODES:
-        raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
-    token = m.group(0)
-    if coop_sets is not None and m.group(3) is None:
-        raise ValueError(f"{token} takes no coop_sets")
-    if token == "mac":
-        return Strategy(name=token, family="mac", mode="mac", num_users=num_users)
-    if token.startswith("rc-"):
-        family = token.split("-")[1]
-        return Strategy(name=token, family=family, mode="rc", num_users=num_users)
-    hop_count = int(m.group(3))
-    family = m.group(4)
+    token = name.strip().lower()
     if coop_sets is None:
-        sets = _all_others(num_users)
+        sets = _all_others(num_users) if token.startswith("uc") else ()
     else:
         if isinstance(coop_sets, dict):
             coop_sets = [coop_sets.get(k, ()) for k in range(1, num_users + 1)]
         sets = tuple(tuple(sorted(int(j) for j in h)) for h in coop_sets)
-    if hop_count == 2:
-        return Strategy(
-            name=token, family=family, mode="uc2", num_users=num_users, coop_sets=sets
-        )
-    if hop_count < 3:
-        raise ValueError(f"hop count must be 2 or >= 3, got {hop_count}")
-    strat = Strategy(
-        name=token,
-        family=family,
-        mode="ucmh",
-        num_users=num_users,
-        coop_sets=sets,
-        multihop_mode=multihop_mode if family == "ddf" else MULTIHOP_MODES[0],
-    )
-    for k in range(1, num_users + 1):
-        if strat.hops(k) != hop_count:
-            raise ValueError(
-                f"strategy {token!r} implies {hop_count} hops but user {k} "
-                f"has {len(sets[k - 1])} helpers"
-            )
-    return strat
+    strategy = Strategy(name=token, num_users=num_users, coop_sets=sets)
+    if multihop_mode not in MULTIHOP_MODES:
+        raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
+    if strategy.kernel == "ucmh-ddf":
+        return dataclasses.replace(strategy, multihop_mode=multihop_mode)
+    return strategy

@@ -344,7 +344,7 @@ def mac_area_outage(p, rate, num_users):
     [r0^2, rho^2], and E[exp(-a u^2)] is an error-function integral:
     sqrt(pi) / (2 sqrt(a)) * (erf(sqrt(a) rho^2) - erf(sqrt(a) r0^2)) / (rho^2 - r0^2).
     """
-    assert GAMMA == 4.0 and tuple(GP.destination_position) == (0.0, 0.0)
+    assert GAMMA == 4.0
     r0sq, rhosq = GP.exclusion_radius**2, GP.sector_radius**2
     s = math.sqrt(math.expm1(rate * math.log(2.0)) / (num_users * p))
     mean_success = (

@@ -1,8 +1,10 @@
 """Tests for YAML configuration loading and the command line front end."""
 
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from tdcoop import cli
 from tdcoop.cli import main
@@ -35,6 +37,13 @@ def write_cfg(tmp_path, text=BASE_YAML, name="cfg.yaml"):
 
 
 class TestConfigFromDict:
+    def test_readme_config_block_is_accepted(self):
+        """README's example config parses and passes every check."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file\n", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(yaml.safe_load(block))
+        assert [s.name for s in cfg.strategies] == ["mac", "rc-ddf", "uc2-ddf", "uc3-ddf"]
+
     def test_minimal(self):
         """Every unset key takes the dataclass default; snr_db defaults to 0 dB."""
         cfg = config_from_dict({"strategies": ["mac"]})
@@ -499,6 +508,13 @@ class TestCliRun:
         assert main(["run", "-c", path, "--bounds-only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: relay_position must differ") and err.count("\n") == 1
+
+    def test_destination_is_an_unknown_geometry_key(self, tmp_path, capsys):
+        """The destination is the sector's apex at the origin, where the
+        users are drawn around it; no key can move it away from them."""
+        text = BASE_YAML.replace("  num_users: 3\n", "  num_users: 3\n  destination: [0.9, 0.3]\n")
+        assert main(["run", "-c", write_cfg(tmp_path, text), "--bounds-only"]) == 2
+        assert capsys.readouterr().err == "error: unknown geometry keys: ['destination']\n"
 
     @staticmethod
     def one_strategy_yaml(strategy, num_users, snr_db):

@@ -98,6 +98,27 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), 0, 1)
 
+    @pytest.mark.parametrize(
+        "name,power,rate,what",
+        (
+            ("uc3-ddf", 10.0, 400.0, "rate 400"),
+            ("mac", 10.0, 2000.0, "rate 2000"),
+            ("uc3-ddf", 1e200, 0.25, "snr_db 2000"),
+            ("rc-ddf", 1e-200, 0.25, "snr_db -2000"),
+        ),
+    )
+    def test_inputs_outside_the_float_range_rejected(self, name, power, rate, what):
+        """The library entry point makes the sweep's range checks: the
+        bounds would overflow or turn infinite here."""
+        pc = PowerConfig(user_power=power, rate=rate)
+        with pytest.raises(ValueError, match=f"^{what} is out of range for {name}: .* must not exceed"):
+            estimate_outage(parse_strategy(name, 3), unit_circle_placement(), pc, trials=10, seed=1)
+
+    def test_rate_just_inside_the_float_range_runs(self):
+        pc = PowerConfig(user_power=10.0, rate=110.0)
+        est = estimate_outage(parse_strategy("uc3-ddf", 3), unit_circle_placement(), pc, trials=10, seed=1)
+        assert est.p_hat == 1.0 and 0.0 < est.bounds.lower <= est.bounds.upper < math.inf
+
     def test_deterministic(self):
         pl = unit_circle_placement()
         s = parse_strategy("rc-ddf", 3)
@@ -278,6 +299,7 @@ class TestKernelRecords:
     def check(tasks, strategy, pc, placements):
         K = strategy.num_users
         assert [(i, u) for i, u, _, _ in tasks] == [(i, u) for i in range(placements) for u in range(K)]
+        assert all(kernel == strategy.kernel for _, _, kernel, _ in tasks)
         for _, u, _, params in tasks:
             k = u + 1
             assert set(params) == RECORD_KEYS

@@ -51,7 +51,7 @@ class TestGeometryParams:
         "name",
         (
             "sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
-            "relay_position", "destination_position",
+            "relay_position",
         ),
     )
     def test_nonfinite_field_rejected(self, name, value):

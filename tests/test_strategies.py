@@ -1,5 +1,7 @@
 """Tests for strategy name parsing and cooperating-set bookkeeping."""
 
+import dataclasses
+
 import pytest
 
 from tdcoop.strategies import Strategy, parse_strategy
@@ -10,7 +12,7 @@ class TestParseStrategy:
         s = parse_strategy("mac", 3)
         assert (s.family, s.mode) == ("mac", "mac")
         assert not s.uses_relay
-        assert s.hops(1) == 1
+        assert (s.kernel, s.branches) == ("mac", 1)
 
     def test_rc_variants(self):
         for fam in ("ddf", "af"):
@@ -18,19 +20,19 @@ class TestParseStrategy:
             assert s.family == fam
             assert s.mode == "rc"
             assert s.uses_relay
-            assert s.hops(2) == 2
+            assert (s.kernel, s.branches) == ({"ddf": "rc-ddf", "af": "af2"}[fam], 2)
 
     def test_uc2_default_sets(self):
         s = parse_strategy("uc2-ddf", 3)
         assert s.mode == "uc2"
         assert s.helpers(1) == (2, 3)
         assert s.helpers(3) == (1, 2)
-        assert s.hops(1) == 2
+        assert (s.kernel, s.branches) == ("uc2-ddf", 3)
 
     def test_uc3_multihop(self):
         s = parse_strategy("uc3-af", 3)
         assert s.mode == "ucmh"
-        assert s.hops(1) == 3
+        assert (s.kernel, s.branches) == ("afmh", 3)
         assert s.helpers(2) == (1, 3)
 
     def test_forward_counts_symmetric_default(self):
@@ -79,35 +81,74 @@ class TestStrategyInvariants:
     def test_multihop_mode_field(self):
         s = parse_strategy("uc3-ddf", 3)
         assert s.multihop_mode == "accumulating"
-        s2 = Strategy(
-            name="uc3-ddf", family="ddf", mode="ucmh", num_users=3,
-            coop_sets=s.coop_sets, multihop_mode="per-fraction",
-        )
+        s2 = Strategy(name="uc3-ddf", num_users=3, coop_sets=s.coop_sets, multihop_mode="per-fraction")
         assert s2.multihop_mode == "per-fraction"
 
     def test_invalid_multihop_mode_rejected(self):
         s = parse_strategy("uc3-ddf", 3)
         with pytest.raises(ValueError):
-            Strategy(
-                name="uc3-ddf", family="ddf", mode="ucmh", num_users=3,
-                coop_sets=s.coop_sets, multihop_mode="bogus",
-            )
+            Strategy(name="uc3-ddf", num_users=3, coop_sets=s.coop_sets, multihop_mode="bogus")
 
     @pytest.mark.parametrize(
-        "name,family,mode",
-        (("mac", "mac", "mac"), ("rc-ddf", "ddf", "rc"), ("uc2-ddf", "ddf", "uc2"), ("uc3-af", "af", "ucmh")),
+        "name",
+        ("mac", "rc-ddf", "uc2-ddf", "uc3-af"),
+        ids=("mac-mac-mac", "rc-ddf-ddf-rc", "uc2-ddf-ddf-uc2", "uc3-af-af-ucmh"),  # name-family-mode
     )
-    def test_only_multihop_ddf_takes_a_mode(self, name, family, mode):
+    def test_only_multihop_ddf_takes_a_mode(self, name):
         sets = parse_strategy(name, 3).coop_sets
         with pytest.raises(ValueError, match="no multihop_mode"):
-            Strategy(
-                name=name, family=family, mode=mode, num_users=3,
-                coop_sets=sets, multihop_mode="per-fraction",
-            )
+            Strategy(name=name, num_users=3, coop_sets=sets, multihop_mode="per-fraction")
 
     def test_relay_and_mac_take_no_coop_sets(self):
         with pytest.raises(ValueError, match="no coop_sets"):
-            Strategy(name="rc-ddf", family="ddf", mode="rc", num_users=3, coop_sets=((2,), (3,), (1,)))
+            Strategy(name="rc-ddf", num_users=3, coop_sets=((2,), (3,), (1,)))
+
+
+class TestTheNameFixesTheScheme:
+    @pytest.mark.parametrize(
+        "name,num_users,family,mode,kernel,branches",
+        (
+            ("mac", 3, "mac", "mac", "mac", 1),
+            ("rc-ddf", 3, "ddf", "rc", "rc-ddf", 2),
+            ("rc-af", 3, "af", "rc", "af2", 2),
+            ("uc2-ddf", 3, "ddf", "uc2", "uc2-ddf", 3),
+            ("uc2-af", 3, "af", "uc2", "af2", 3),
+            ("uc3-ddf", 3, "ddf", "ucmh", "ucmh-ddf", 3),
+            ("uc3-af", 3, "af", "ucmh", "afmh", 3),
+            ("uc4-ddf", 4, "ddf", "ucmh", "ucmh-ddf", 4),
+            ("uc4-af", 4, "af", "ucmh", "afmh", 4),
+            ("uc5-ddf", 5, "ddf", "ucmh", "ucmh-ddf", 5),
+        ),
+    )
+    def test_derived_attributes(self, name, num_users, family, mode, kernel, branches):
+        s = parse_strategy(name, num_users)
+        assert (s.family, s.mode, s.kernel, s.branches) == (family, mode, kernel, branches)
+        assert Strategy(name=name, num_users=num_users, coop_sets=s.coop_sets) == s
+
+    def test_branches_follow_the_largest_helper_set(self):
+        s = parse_strategy("uc2-ddf", 3, coop_sets={1: (2,), 2: (1,), 3: (1, 2)})
+        assert s.branches == 3
+        assert parse_strategy("uc2-ddf", 3, coop_sets={1: (2,), 2: (3,), 3: (1,)}).branches == 2
+
+    def test_four_init_fields(self):
+        assert [f.name for f in dataclasses.fields(Strategy) if f.init] == [
+            "name", "num_users", "coop_sets", "multihop_mode"
+        ]
+        assert "family" not in repr(parse_strategy("rc-ddf", 3))
+
+    def test_scheme_cannot_be_set_beside_the_name(self):
+        """A mac strategy cannot be made to run the relay's kernel."""
+        with pytest.raises(TypeError):
+            Strategy(name="mac", family="ddf", mode="rc", num_users=3)
+
+    @pytest.mark.parametrize("name", ("tdma", "MAC", " mac", "uc1-ddf", "mac\n"))
+    def test_only_canonical_names(self, name):
+        with pytest.raises(ValueError):
+            Strategy(name=name, num_users=3)
+
+    def test_multihop_helper_count_is_hops_minus_one(self):
+        with pytest.raises(ValueError, match="implies 3 hops but user 1 has 3 helpers"):
+            Strategy(name="uc3-ddf", num_users=4, coop_sets=parse_strategy("uc4-ddf", 4).coop_sets)
 
 
 class TestSettingsThatDoNothing:

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, config_from_dict, read_yaml, strategy_name
+from .config import ConfigError, config_from_dict, read_yaml
 from .harness import format_rows, run_experiment
 
 __all__ = ["main"]
@@ -42,15 +42,15 @@ def _build_config(args):
     written over it.
 
     Each flag's argparse dest is the config key it replaces; --strategies
-    picks the file's entries by canonical name (``parse_strategy``'s
-    rule: case and surrounding spaces do not count), settings kept.
+    picks, with their settings, the file's entries whose parsed
+    ``Strategy.name`` it lists (lower-cased, surrounding spaces dropped).
     """
     raw = read_yaml(args.config)
-    config_from_dict(raw)  # the file alone must be a valid experiment
+    parsed = config_from_dict(raw)  # the file alone must be a valid experiment
     for key in args.flags:
         value = getattr(args, key)
         if key == "strategies" and value is not None:
-            have = {strategy_name(e).strip().lower(): e for e in raw[key]}
+            have = {s.name: e for s, e in zip(parsed.strategies, raw[key])}
             wanted = [w.strip().lower() for w in value.split(",") if w.strip()]
             missing = [w for w in wanted if w not in have]
             if missing:

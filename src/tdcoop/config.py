@@ -18,7 +18,7 @@ from .network import GeometryParams
 from .power import PowerConfig
 from .strategies import Strategy, parse_strategy
 
-__all__ = ["ConfigError", "load_config", "config_from_dict", "read_yaml", "strategy_name"]
+__all__ = ["ConfigError", "load_config", "config_from_dict", "read_yaml"]
 
 
 class ConfigError(ValueError):
@@ -142,42 +142,31 @@ def _power(raw: dict) -> PowerConfig:
     return PowerConfig(**_numbers(raw, _POWER_NUMBERS, "power "))
 
 
-def _coop_sets(raw, num_users: int):
+def _coop_sets(raw):
+    """{user: [whole numbers]}; parse_strategy checks users and helpers."""
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("coop_sets must map user -> helper list")
-    unknown = [key for key in raw if key not in range(1, num_users + 1)]
-    if unknown:
-        raise ConfigError(f"coop_sets keys {unknown} are not users 1..{num_users}")
-    out = []
-    for k in range(1, num_users + 1):
-        if k not in raw:
-            raise ConfigError(f"coop_sets missing user {k}")
-        if not isinstance(raw[k], (list, tuple)):
-            raise ConfigError(f"coop_sets user {k} must map to a helper list, got {raw[k]!r}")
-        out.append(tuple(_number(int, j, f"coop_sets user {k} helper") for j in raw[k]))
-    return tuple(out)
-
-
-def strategy_name(entry) -> str:
-    """The name of one ``strategies`` entry: the string, or its ``name``."""
-    if isinstance(entry, str):
-        return entry
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise ConfigError("strategy entries must be a name or a mapping with a 'name' string")
-    return entry["name"]
+    sets = {}
+    for k, helpers in raw.items():
+        if not isinstance(helpers, (list, tuple)):
+            raise ConfigError(f"coop_sets user {k} must map to a helper list, got {helpers!r}")
+        sets[k] = [_number(int, j, f"coop_sets user {k} helper") for j in helpers]
+    return sets
 
 
 def _strategy(entry, num_users: int) -> Strategy:
-    name = strategy_name(entry)
+    """One ``strategies`` entry: a name, or a mapping with a ``name``."""
     if isinstance(entry, str):
-        return parse_strategy(name, num_users)
+        return parse_strategy(entry, num_users)
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ConfigError("strategy entries must be a name or a mapping with a 'name' string")
     _check_keys(entry, {"name", "coop_sets", "multihop_mode"}, "strategy")
     strategy = parse_strategy(
-        name,
+        entry["name"],
         num_users,
-        coop_sets=_coop_sets(entry.get("coop_sets"), num_users),
+        coop_sets=_coop_sets(entry.get("coop_sets")),
         multihop_mode=entry.get("multihop_mode", "accumulating"),
     )
     # A setting the strategy does not read is an error, not a silent no-op.
@@ -202,8 +191,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     bounds = _section(raw, "bounds")
     _check_keys(bounds, _BOUNDS_KEYS, "bounds")
     strategies = tuple(_strategy(e, geometry.num_users) for e in raw["strategies"])
-    if len({s.name for s in strategies}) != len(strategies):
-        raise ConfigError("duplicate strategy names")
     # Only the keys the file sets; ExperimentConfig has the defaults.
     kwargs = _numbers(raw, _TOP_NUMBERS, "")
     output = raw.get("output")

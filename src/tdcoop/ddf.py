@@ -212,8 +212,9 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
     passes unboosted budgets, so helpers do not see the 1 / remaining
     boost of ``trial_mutual_info_multihop``.  At each stage the undecided
     helper needing the smallest additional fraction decodes next, ties to
-    the lowest helper index; the stage is capped at the remaining time
-    when nobody can decode, which ends the schedule.
+    the lowest node id (``Strategy`` stores helper sets sorted); the stage
+    is capped at the remaining time when nobody can decode, which ends
+    the schedule.
     In "accumulating" mode a helper keeps the information collected in
     earlier stages; in "per-fraction" mode it must decode within a single
     stage.

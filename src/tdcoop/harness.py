@@ -95,6 +95,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.strategies) == 0:
             raise ValueError("strategy list must not be empty")
+        names = [s.name for s in self.strategies]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate strategy names in {names}")
         grid = tuple(float(x) for x in self.snr_db)
         if not all(math.isfinite(x) for x in grid):
             raise ValueError(f"snr_db must be finite, got {grid}")

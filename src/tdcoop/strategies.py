@@ -11,16 +11,20 @@ used.  Canonical names:
     ucN-ddf    user cooperation over N hops (N >= 3), greedy decode order
     ucN-af     user cooperation over N hops, fixed 1/N fractions
 
-The name alone fixes the forwarding family (mac, ddf, af), the mode
-(mac, rc, uc2, ucmh) and the trial kernel, so a strategy cannot describe
-one scheme and run another.  Helper sets default to "all other users".
-N_k below is the number of users that user k forwards for; it sets the
-burst power via the time-sharing rule in the power module.
+N >= 2 is written without leading zeros, so each scheme has one name.  The
+name alone fixes the forwarding family (mac, ddf, af), the mode (mac,
+rc, uc2, ucmh) and the trial kernel, so a strategy cannot describe one
+scheme and run another.  Helper sets default to "all other users" and
+are stored in ascending order, so a scheme compares equal (and draws the
+same streams) whatever order its helpers were listed in.  N_k below is
+the number of users that user k forwards for; it sets the burst power
+via the time-sharing rule in the power module.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -28,7 +32,12 @@ __all__ = ["Strategy", "parse_strategy"]
 
 MULTIHOP_MODES = ("accumulating", "per-fraction")
 
-_NAME_RE = re.compile(r"mac|rc-(ddf|af)|uc([0-9]+)-(ddf|af)")
+_NAME_RE = re.compile(r"mac|rc-(ddf|af)|uc([2-9]|[1-9][0-9]+)-(ddf|af)")
+
+
+def _is_id(x) -> bool:
+    """A user id is an integer; a bool is not read as user 0 or 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,11 @@ class Strategy:
 
     ``name`` is canonical (lower case, as listed above); ``family``,
     ``mode`` and ``kernel`` follow from it.  ``coop_sets[k-1]`` lists the
-    helper users of user k (1-based ids); ucN-* takes N - 1 helpers per
-    user (any nonempty set under uc2-*), mac and the relay networks take
-    none.  ``multihop_mode`` only affects ucN-ddf with N >= 3; every other
-    strategy keeps the default, so equal physics compares equal.
+    helper users of user k (integer 1-based ids, stored sorted); ucN-*
+    takes N - 1 helpers per user (any nonempty set under uc2-*), mac and
+    the relay networks take none.  ``multihop_mode`` only affects ucN-ddf
+    with N >= 3; every other strategy keeps the default, so equal physics
+    compares equal.
     """
 
     name: str
@@ -54,16 +64,16 @@ class Strategy:
     def __post_init__(self):
         m = _NAME_RE.fullmatch(self.name)
         if not m:
-            raise ValueError(f"unknown strategy name {self.name!r}")
+            raise ValueError(
+                f"unknown strategy name {self.name!r}: expected mac, rc-ddf, rc-af, "
+                "ucN-ddf or ucN-af (N >= 2, no leading zero)"
+            )
         relay_family, hops, user_family = m.groups()
         if hops is None:
             family = relay_family or "mac"
             mode = "rc" if relay_family else "mac"
         else:
-            family, hop_count = user_family, int(hops)
-            if hop_count < 2:
-                raise ValueError(f"hop count must be 2 or >= 3, got {hop_count}")
-            mode = "uc2" if hop_count == 2 else "ucmh"
+            family, mode = user_family, "uc2" if hops == "2" else "ucmh"
         if family == "af":
             kernel = "afmh" if mode == "ucmh" else "af2"
         else:
@@ -74,13 +84,15 @@ class Strategy:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
         if self.multihop_mode != MULTIHOP_MODES[0] and kernel != "ucmh-ddf":
             raise ValueError(f"{self.name} takes no multihop_mode (only ucN-ddf, N >= 3)")
-        if hops is None:
-            if self.coop_sets:
-                raise ValueError(f"{self.name} takes no coop_sets")
-            return
-        if len(self.coop_sets) != self.num_users:
+        if hops is None and self.coop_sets:
+            raise ValueError(f"{self.name} takes no coop_sets")
+        if hops is not None and len(self.coop_sets) != self.num_users:
             raise ValueError("coop_sets must list helpers for every user")
-        for k, helpers in enumerate(self.coop_sets, start=1):
+        if not all(_is_id(j) for helpers in self.coop_sets for j in helpers):
+            raise ValueError(f"helper ids must be integers, got {self.coop_sets}")
+        sets = tuple(tuple(sorted(map(int, helpers))) for helpers in self.coop_sets)
+        object.__setattr__(self, "coop_sets", sets)
+        for k, helpers in enumerate(sets, start=1):
             if len(helpers) == 0:
                 raise ValueError(f"user {k} has an empty helper set")
             if k in helpers or len(set(helpers)) != len(helpers):
@@ -88,9 +100,9 @@ class Strategy:
             bad = [j for j in helpers if not 1 <= j <= self.num_users]
             if bad:
                 raise ValueError(f"helper ids out of range for user {k}: {bad}")
-            if mode == "ucmh" and len(helpers) != hop_count - 1:
+            if mode == "ucmh" and len(helpers) != int(hops) - 1:
                 raise ValueError(
-                    f"strategy {self.name!r} implies {hop_count} hops but user {k} "
+                    f"strategy {self.name!r} implies {hops} hops but user {k} "
                     f"has {len(helpers)} helpers"
                 )
 
@@ -113,13 +125,6 @@ class Strategy:
         return sum(1 for helpers in self.coop_sets for h in helpers if h == j)
 
 
-def _all_others(num_users: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(j for j in range(1, num_users + 1) if j != k)
-        for k in range(1, num_users + 1)
-    )
-
-
 def parse_strategy(
     name: str,
     num_users: int,
@@ -129,20 +134,21 @@ def parse_strategy(
     """Build a Strategy from a strategy name in any case and spacing.
 
     ``coop_sets`` overrides the all-others default for the uc modes (mac
-    and rc-* take none); it is a mapping {user -> iterable of helpers} or
-    a full tuple-of-tuples.  Either way each helper set is sorted, so
-    multihop decode-order ties go to the lowest node index whatever order
-    the helpers are listed in.  ``multihop_mode`` is checked for every
-    name, but only ucN-ddf (N >= 3) keeps it.
+    and rc-* take none); it is a mapping {user -> iterable of helpers},
+    whose keys must be users 1..K, or a full tuple-of-tuples.
+    ``multihop_mode`` is checked for every name, but only ucN-ddf (N >= 3)
+    keeps it.
     """
-    token = name.strip().lower()
+    token, users = name.strip().lower(), range(1, num_users + 1)
     if coop_sets is None:
-        sets = _all_others(num_users) if token.startswith("uc") else ()
-    else:
-        if isinstance(coop_sets, dict):
-            coop_sets = [coop_sets.get(k, ()) for k in range(1, num_users + 1)]
-        sets = tuple(tuple(sorted(int(j) for j in h)) for h in coop_sets)
-    strategy = Strategy(name=token, num_users=num_users, coop_sets=sets)
+        others = [[j for j in users if j != k] for k in users]
+        coop_sets = others if token.startswith("uc") else ()
+    elif isinstance(coop_sets, dict):
+        unknown = [key for key in coop_sets if not _is_id(key) or key not in users]
+        if unknown:
+            raise ValueError(f"coop_sets keys {unknown} are not users 1..{num_users}")
+        coop_sets = [coop_sets.get(k, ()) for k in users]
+    strategy = Strategy(name=token, num_users=num_users, coop_sets=coop_sets)
     if multihop_mode not in MULTIHOP_MODES:
         raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
     if strategy.kernel == "ucmh-ddf":

@@ -617,6 +617,15 @@ class TestCliRun:
         body = capsys.readouterr().out.splitlines()[1:]
         assert body and all(line.startswith("rc-ddf,") for line in body)
 
+    @pytest.mark.parametrize("name", ("uc03-ddf", "uc1-af"))
+    def test_second_spelling_of_a_scheme_exits_2(self, tmp_path, capsys, name):
+        """uc03-ddf is not uc3-ddf under another CSV label, and uc1-af is
+        no scheme: both are unknown names."""
+        path = write_cfg(tmp_path, BASE_YAML.replace("  - rc-ddf\n", f"  - uc3-ddf\n  - {name}\n"))
+        assert main(["run", "-c", path, "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown strategy name {name!r}") and err.count("\n") == 1
+
     def test_byte_identical_across_workers_and_reruns(self, tmp_path):
         path = write_cfg(tmp_path)
         outs = []

@@ -19,7 +19,7 @@ from tdcoop.harness import (
 )
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
 from tdcoop.power import PowerConfig, relay_power, total_power, user_burst_power
-from tdcoop.strategies import parse_strategy
+from tdcoop.strategies import Strategy, parse_strategy
 
 from oracles import diversity_slope
 
@@ -125,6 +125,15 @@ class TestEstimateOutage:
         a = estimate_outage(s, pl, PowerConfig(rate=2.0), 20_000, seed=9)
         b = estimate_outage(s, pl, PowerConfig(rate=2.0), 20_000, seed=9)
         assert a.p_hat == b.p_hat and a.events == b.events
+
+    def test_helper_order_does_not_change_the_estimate(self):
+        """A direct Strategy with unsorted helper sets is the parsed spec,
+        so it draws the same streams under the same label."""
+        pl, pc = unit_circle_placement(), PowerConfig(user_power=0.3, rate=1.0)
+        direct = Strategy("uc3-ddf", 3, ((3, 2), (3, 1), (2, 1)))
+        a = estimate_outage(direct, pl, pc, 20_000, seed=5)
+        b = estimate_outage(parse_strategy("uc3-ddf", 3), pl, pc, 20_000, seed=5)
+        assert repr(a) == repr(b)
 
 
 class TestAreaAveraged:
@@ -266,6 +275,12 @@ class TestExperimentConfig:
     def test_nonfinite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db must be finite"):
             tiny_config(snr_db=snr_db)
+
+    def test_repeated_strategy_names_rejected(self):
+        """Two rows may not share one CSV label, in the library as in a config."""
+        with pytest.raises(ValueError, match=r"duplicate strategy names in \['rc-ddf', 'rc-ddf'\]"):
+            tiny_config(strategies=(parse_strategy("rc-ddf", 3),) * 2)
+        tiny_config(strategies=(parse_strategy("rc-ddf", 3), parse_strategy("rc-af", 3)))
 
     def test_master_seed_below_2_to_the_53(self):
         """Seeds from 2^53 on would lose low bits in the stream key."""

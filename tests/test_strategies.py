@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tdcoop.strategies import Strategy, parse_strategy
@@ -48,7 +49,8 @@ class TestParseStrategy:
         assert s.helpers(4) == (1, 2)
 
     def test_unknown_names_rejected(self):
-        for bad in ("", "tdma", "uc-ddf", "uc1-ddf", "rc", "uc2-xx", "mac-ddf"):
+        names = ("", "tdma", "uc-ddf", "uc1-ddf", "rc", "uc2-xx", "mac-ddf", "uc03-ddf", "uc02-af")
+        for bad in names:
             with pytest.raises(ValueError):
                 parse_strategy(bad, 3)
 
@@ -141,10 +143,15 @@ class TestTheNameFixesTheScheme:
         with pytest.raises(TypeError):
             Strategy(name="mac", family="ddf", mode="rc", num_users=3)
 
-    @pytest.mark.parametrize("name", ("tdma", "MAC", " mac", "uc1-ddf", "mac\n"))
+    @pytest.mark.parametrize(
+        "name", ("tdma", "MAC", " mac", "uc1-ddf", "mac\n", "uc03-ddf", "uc02-af")
+    )
     def test_only_canonical_names(self, name):
-        with pytest.raises(ValueError):
-            Strategy(name=name, num_users=3)
+        """A second spelling of a scheme (uc03-ddf for uc3-ddf) is no name."""
+        like = {"uc03-ddf": "uc3-ddf", "uc02-af": "uc2-af"}.get(name)
+        sets = parse_strategy(like, 3).coop_sets if like else ()
+        with pytest.raises(ValueError, match="unknown strategy name .*: expected mac, rc-ddf"):
+            Strategy(name=name, num_users=3, coop_sets=sets)
 
     def test_multihop_helper_count_is_hops_minus_one(self):
         with pytest.raises(ValueError, match="implies 3 hops but user 1 has 3 helpers"):
@@ -172,3 +179,49 @@ class TestSettingsThatDoNothing:
         with pytest.raises(ValueError, match="no coop_sets"):
             parse_strategy(name, 3, coop_sets={1: [2], 2: [3], 3: [1]})
         assert parse_strategy(name, 3, coop_sets=None) == parse_strategy(name, 3)
+
+
+class TestOneSpecPerScheme:
+    """Each scheme has one name and one spec, however it was written."""
+
+    @pytest.mark.parametrize(
+        "name,sets",
+        (
+            ("uc3-ddf", ((3, 2), (3, 1), (2, 1))),
+            ("uc2-ddf", [[3, 2], [1, 3], [2, 1]]),
+            ("mac", []),
+            ("rc-af", []),
+        ),
+        ids=("unsorted", "unsorted-lists", "mac-list", "rc-af-list"),
+    )
+    def test_written_forms_are_the_parsed_spec(self, name, sets):
+        """Helper sets are stored as sorted tuples, so the spec compares
+        and hashes equal to the parsed one."""
+        direct, parsed = Strategy(name, 3, sets), parse_strategy(name, 3)
+        assert direct == parsed and hash(direct) == hash(parsed)
+        assert direct.coop_sets == parsed.coop_sets
+
+    @pytest.mark.parametrize(
+        "coop_sets",
+        (
+            {1: [2.7], 2: [3], 3: [1]},
+            {1: [2], 2: [True], 3: [1]},
+            {1: [2], 2: [3], 3: [1], 9: [1]},
+            {True: [2], 2: [3], 3: [1]},
+        ),
+        ids=("fractional-helper", "bool-helper", "key-9", "key-true"),
+    )
+    def test_ids_that_are_not_users_rejected(self, coop_sets):
+        """Nothing is truncated, read as 0 or 1, or dropped."""
+        with pytest.raises(ValueError):
+            parse_strategy("uc2-ddf", 3, coop_sets=coop_sets)
+
+    @pytest.mark.parametrize("helper", ("2", 2.0, None), ids=("string", "float", "none"))
+    def test_non_integer_helper_is_a_value_error(self, helper):
+        with pytest.raises(ValueError, match="helper ids must be integers"):
+            Strategy("uc2-ddf", 3, ((helper,), (3,), (1,)))
+
+    def test_numpy_integer_helpers_are_plain_ints(self):
+        s = Strategy("uc2-ddf", 3, ((np.int64(3),), (np.int32(1),), (1, 2)))
+        assert s == parse_strategy("uc2-ddf", 3, coop_sets={1: [3], 2: [1], 3: [2, 1]})
+        assert all(type(j) is int for helpers in s.coop_sets for j in helpers)

@@ -24,8 +24,9 @@ the file and skips when either differs.
 
 Everything a digest covers is fixed here: the configs, the worker counts
 and how results turn into bytes (CLI probes hash the CSV file; the
-library probes hash ``json.dumps`` of the edge rows and the
-newline-joined ``repr`` of ``OutageEstimate`` or CDF values).  A probe
+library probes hash ``json.dumps`` of the edge rows or of
+``run_experiment``'s rows, and the newline-joined ``repr`` of
+``OutageEstimate`` or CDF values).  A probe
 run at several worker counts must give the same bytes at each, or the
 script exits 1.
 
@@ -46,9 +47,9 @@ script exits 1.
   i  the bounds-grid sweep: default geometry, the seven strategies, 250
      placements, seed 2001, -10..45 dB in 5 dB steps, rate 0.25,
      relay/encode/decode factors 0.5, bounds.optimize off; --bounds-only
-  j  area_averaged_outage on default geometry, 4 placements, seed 13,
-     0/10 dB, rate 1, trial ceiling 60,000, strategies uc2-ddf then
-     uc2-af: every estimate of the first list, then of the second
+  j  run_experiment on default geometry, 4 placements, seed 13, 0/10 dB,
+     rate 1, trial ceiling 60,000, strategies uc2-ddf then uc2-af: its
+     rows, strategies in config order
   k  ``tdcoop export-placements`` on b's config, without and then with
      --seed 9: sha256 of the two CSV files joined
   l  ``tdcoop run`` on b's config with --strategies uc2-ddf,rc-af
@@ -206,7 +207,7 @@ def estimate_digest() -> str:
 
 
 def area_digest() -> str:
-    from tdcoop.harness import ExperimentConfig, area_averaged_outage
+    from tdcoop.harness import ExperimentConfig, run_experiment
     from tdcoop.network import GeometryParams
     from tdcoop.power import PowerConfig
     from tdcoop.strategies import parse_strategy
@@ -220,8 +221,7 @@ def area_digest() -> str:
         master_seed=13,
         trial_ceiling=60000,
     )
-    reprs = [repr(est) for ests in area_averaged_outage(cfg) for est in ests]
-    return _sha("\n".join(reprs).encode())
+    return _sha(json.dumps(run_experiment(cfg)).encode())
 
 
 def hypoexp_digest() -> str:

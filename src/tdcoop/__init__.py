@@ -28,8 +28,8 @@ _MODULE_NAMES = {
     ),
     "af": ("af_bounds_2hop", "af_bounds_multihop"),
     "harness": (
-        "CSV_HEADER", "ExperimentConfig", "OutageEstimate", "area_averaged_outage", "estimate_outage",
-        "mac_outage", "run_experiment", "sweep_fixed_placement",
+        "CSV_HEADER", "ExperimentConfig", "OutageEstimate", "estimate_outage", "mac_outage",
+        "run_experiment", "sweep_fixed_placement",
     ),
     "config": ("ConfigError", "config_from_dict", "load_config"),
 }

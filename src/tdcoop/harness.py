@@ -13,13 +13,15 @@ gathers each cell's d^gamma links from one table per placement, and
 ``_user_powers`` gives each user's burst power, forwarder budgets and
 DDF branch weights at every grid point.  ``_bounds`` reads both with one
 bound call per cell, and ``_tasks`` joins them at one grid point into the
-trial engine's parameter records.
+trial engine's parameter records.  Every entry point takes its points
+from ``_points``; the sweeps read them through ``_sweep``, which owns the
+worker pool and the point seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .af import af_bounds_2hop, af_bounds_multihop
 from .ddf import BoundPair, ddf_bounds_multihop, ddf_bounds_rc, ddf_bounds_uc2
 from .network import DESTINATION, RELAY, GeometryParams, NodePlacement, sample_placement, user_id
 from .power import PowerConfig, relay_power, total_power, user_burst_power
-from .strategies import Strategy
+from .strategies import Strategy, _is_int
 
 __all__ = [
     "CSV_HEADER",
@@ -36,7 +38,6 @@ __all__ = [
     "OutageEstimate",
     "mac_outage",
     "estimate_outage",
-    "area_averaged_outage",
     "sweep_fixed_placement",
     "run_experiment",
     "format_rows",
@@ -49,15 +50,22 @@ _MAX_POW10 = 300
 CSV_HEADER = "strategy,user_k,snr_db,ptot_db,outage,ci95,bound_lower,bound_upper,trials,ceiling_flag"
 
 
-def _check_float_range(strategy: Strategy, rate: float, snr_db) -> None:
-    """Reject a rate, or a user power P at any of the points snr_db
+def _check_strategy(strategy: Strategy, num_users: int, rate: float, snr_db) -> None:
+    """Reject a strategy sized for another user count than the geometry's
+    num_users, and a rate, or a user power P at any of the points snr_db
     (10 log10 P), at which the strategy's bounds leave the float range.
 
     With L = ``strategy.branches`` the bounds raise K*P, or its inverse,
     to the power L, and 2^R to the power L^2 (AF's (2^(LR) - 1)^L and the
     multihop bracket at split 1/L).  ``ExperimentConfig`` and
-    ``estimate_outage`` both call this, so no entry point overflows.
+    ``estimate_outage`` both call this, so no entry point runs a strategy
+    on the wrong users or overflows.
     """
+    if strategy.num_users != num_users:
+        raise ValueError(
+            f"strategy {strategy.name} is sized for {strategy.num_users} users, "
+            f"but the geometry has {num_users}"
+        )
     L = strategy.branches
     for x in snr_db:
         if L * abs(math.log10(strategy.num_users) + x / 10.0) > _MAX_POW10:
@@ -104,26 +112,24 @@ class ExperimentConfig:
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db grid must be nonempty and strictly increasing")
         object.__setattr__(self, "snr_db", grid)
-        if self.num_placements < 1:
-            raise ValueError("num_placements must be >= 1")
+        for name in ("num_placements", "target_events", "trial_ceiling", "workers"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.master_seed):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         # mc.derive_stream's key passes through float64 when its words
         # straddle 2^63, which holds every integer below 2^53 exactly.
         if not 0 <= self.master_seed < 2**53:
             raise ValueError(f"master_seed must lie in [0, 2^53), got {self.master_seed}")
-        if self.target_events < 1 or self.trial_ceiling < 1:
-            raise ValueError("target_events and trial_ceiling must be >= 1")
         cells = self.num_placements * self.geometry.num_users
         if not self.bounds_only and self.trial_ceiling < cells:
             raise ValueError(
                 f"trial_ceiling {self.trial_ceiling} is below one trial per cell "
                 f"({self.num_placements} placements x {self.geometry.num_users} users = {cells})"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         for s in self.strategies:
-            if s.num_users != self.geometry.num_users:
-                raise ValueError(f"strategy {s.name} sized for {s.num_users} users")
-            _check_float_range(s, self.power.rate, grid)
+            _check_strategy(s, self.geometry.num_users, self.power.rate, grid)
 
     def placements(self) -> list[NodePlacement]:
         """The run's placement ensemble (stream keyed by placement index)."""
@@ -302,6 +308,30 @@ class _Point:
         )
 
 
+def _points(strategy: Strategy, placements, grid: list[PowerConfig], optimize: bool, seeds, **run):
+    """Yield strategy's ``_Point`` over placements at each power config of
+    grid (one rate), bounds only without seeds.
+
+    Cells, user powers and bounds are built once for the grid; each point
+    runs ``mc.run_cells`` at its seed in seeds, with run's keywords.
+    """
+    rate = grid[0].rate
+    cells = _cells(strategy, placements)
+    users = np.array([cell[1] for cell in cells])
+    powers = _user_powers(strategy, grid)
+    lower, upper = _bounds(cells, powers, rate, optimize)
+    for s in range(len(grid)):
+        # Row copies: a point the caller still holds must not keep the whole
+        # grid's arrays alive while the next strategy builds its own.
+        bounds = (lower[s].copy(), upper[s].copy())
+        if seeds is None:
+            yield _Point(users, None, 0, *bounds, False)
+            continue
+        tasks = _tasks(cells, powers, s, rate, strategy.multihop_mode)
+        events, trials, flagged = mc.run_cells(tasks, seeds[s], **run)
+        yield _Point(users, events, trials, *bounds, flagged)
+
+
 def estimate_outage(
     strategy: Strategy,
     placement: NodePlacement,
@@ -319,53 +349,35 @@ def estimate_outage(
     2^53 (above it, neighbouring seeds share streams; see README,
     Determinism).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     # At P = 0 there is no power to range-check; the rate still is.
     snr_db = [10.0 * math.log10(pc.user_power)] if pc.user_power > 0 else []
-    _check_float_range(strategy, pc.rate, snr_db)
-    K = strategy.num_users
-    cells = _cells(strategy, [placement])
-    powers = _user_powers(strategy, [pc])
-    # A target above every possible count runs each cell to its ceiling share.
-    events, n, _ = mc.run_cells(
-        _tasks(cells, powers, 0, pc.rate, strategy.multihop_mode),
-        seed,
-        target_events=trials * K + 1,
-        trial_ceiling=trials * K,
-    )
-    lower, upper = _bounds(cells, powers, pc.rate, optimize=False)
-    return _Point(np.arange(K), events, n, lower[0], upper[0], False).estimate()
+    _check_strategy(strategy, placement.params.num_users, pc.rate, snr_db)
+    n = trials * strategy.num_users
+    # A target above every possible count runs each cell to its ceiling
+    # share; reaching it is the plan, not a flag.
+    (point,) = _points(strategy, [placement], [pc], False, [seed], target_events=n + 1, trial_ceiling=n)
+    return replace(point, ceiling_flag=False).estimate()
 
 
-def _points(cfg: ExperimentConfig, strategy: Strategy, strategy_index: int, placements, pool):
-    """Yield (snr_db, power config, point) over the SNR grid for one strategy.
+def _sweep(cfg: ExperimentConfig, placements, strategies):
+    """Yield (strategy, snr_db, power config, point) over cfg's SNR grid
+    for each (stream index, strategy) pair of strategies.
 
-    Cells and their bounds over the whole grid are computed once; each
-    SNR point only scales the cells by P.  pool is the sweep's
-    ``mc.worker_pool``.
+    Points are seeded ``mc.mix64(master_seed, 1, stream index, snr index)``
+    and share one ``mc.worker_pool``, open until the last one is read.
     """
-    cells = _cells(strategy, placements)
-    users = np.array([cell[1] for cell in cells])
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
-    powers = _user_powers(strategy, grid)
-    lower, upper = _bounds(cells, powers, cfg.power.rate, cfg.optimize_bounds)
-    for snr_index, (snr, pc) in enumerate(zip(cfg.snr_db, grid)):
-        # Row copies: a point the caller still holds must not keep the whole
-        # grid's arrays alive while the next strategy builds its own.
-        bounds = (lower[snr_index].copy(), upper[snr_index].copy())
-        if cfg.bounds_only:
-            yield snr, pc, _Point(users, None, 0, *bounds, False)
-            continue
-        events, trials, flagged = mc.run_cells(
-            _tasks(cells, powers, snr_index, pc.rate, strategy.multihop_mode),
-            mc.mix64(cfg.master_seed, 1, strategy_index, snr_index),
-            workers=cfg.workers,
-            target_events=cfg.target_events,
-            trial_ceiling=cfg.trial_ceiling,
-            pool=pool,
-        )
-        yield snr, pc, _Point(users, events, trials, *bounds, flagged)
+    run = dict(workers=cfg.workers, target_events=cfg.target_events, trial_ceiling=cfg.trial_ceiling)
+    with mc.worker_pool(cfg.workers) as pool:
+        for index, strategy in strategies:
+            seeds = None if cfg.bounds_only else [
+                mc.mix64(cfg.master_seed, 1, index, s) for s in range(len(grid))
+            ]
+            points = _points(strategy, placements, grid, cfg.optimize_bounds, seeds, pool=pool, **run)
+            for snr, pc, point in zip(cfg.snr_db, grid, points):
+                yield strategy, snr, pc, point
 
 
 def sweep_fixed_placement(
@@ -394,22 +406,7 @@ def sweep_fixed_placement(
         trial_ceiling=trial_ceiling,
         workers=workers,
     )
-    with mc.worker_pool(workers) as pool:
-        points = _points(cfg, strategy, strategy_index, [placement], pool)
-        return [point.estimate() for _, _, point in points]
-
-
-def area_averaged_outage(cfg: ExperimentConfig) -> list[list[OutageEstimate]]:
-    """Adaptive pooled estimates, one list over the SNR grid per strategy
-    of cfg in config order: the averaged rows of ``run_experiment(cfg)``."""
-    if cfg.bounds_only:
-        raise ValueError("area_averaged_outage returns Monte Carlo estimates; bounds_only is set")
-    placements = cfg.placements()
-    with mc.worker_pool(cfg.workers) as pool:
-        return [
-            [point.estimate() for _, _, point in _points(cfg, s, i, placements, pool)]
-            for i, s in enumerate(cfg.strategies)
-        ]
+    return [point.estimate() for *_, point in _sweep(cfg, [placement], [(strategy_index, strategy)])]
 
 
 def _fmt(x: float) -> str:
@@ -445,37 +442,34 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     Row order: strategies in config order, SNR ascending, the averaged
     row first and then per-user rows when enabled.
     """
-    placements = cfg.placements()
     rows = []
-    with mc.worker_pool(cfg.workers) as pool:
-        for s_idx, strategy in enumerate(cfg.strategies):
-            for snr, pc, point in _points(cfg, strategy, s_idx, placements, pool):
-                ptot_db = 10.0 * math.log10(total_power(strategy, pc))
-                targets: list[int | None] = [None]
-                if cfg.per_user_rows:
-                    targets += list(range(strategy.num_users))
-                for user in targets:
-                    if cfg.bounds_only:
-                        b, outage, ci, n, events = point.bounds(user), None, None, 0, None
-                    else:
-                        est = point.estimate(user)
-                        b, outage, ci = est.bounds, est.p_hat, est.ci95
-                        n, events = est.trials, est.events
-                    rows.append(
-                        {
-                            "strategy": strategy.name,
-                            "user_k": "avg" if user is None else user + 1,
-                            "snr_db": snr,
-                            "ptot_db": ptot_db,
-                            "outage": outage,
-                            "ci95": ci,
-                            "bound_lower": b.lower,
-                            "bound_upper": b.upper,
-                            "trials": n,
-                            "events": events,
-                            "ceiling_flag": point.ceiling_flag,
-                        }
-                    )
+    for strategy, snr, pc, point in _sweep(cfg, cfg.placements(), enumerate(cfg.strategies)):
+        ptot_db = 10.0 * math.log10(total_power(strategy, pc))
+        targets: list[int | None] = [None]
+        if cfg.per_user_rows:
+            targets += list(range(strategy.num_users))
+        for user in targets:
+            if cfg.bounds_only:
+                b, outage, ci, n, events = point.bounds(user), None, None, 0, None
+            else:
+                est = point.estimate(user)
+                b, outage, ci = est.bounds, est.p_hat, est.ci95
+                n, events = est.trials, est.events
+            rows.append(
+                {
+                    "strategy": strategy.name,
+                    "user_k": "avg" if user is None else user + 1,
+                    "snr_db": snr,
+                    "ptot_db": ptot_db,
+                    "outage": outage,
+                    "ci95": ci,
+                    "bound_lower": b.lower,
+                    "bound_upper": b.upper,
+                    "trials": n,
+                    "events": events,
+                    "ceiling_flag": point.ceiling_flag,
+                }
+            )
     if cfg.output_path is not None:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(format_rows(rows))

@@ -13,6 +13,7 @@ distance; the trial kernels of the engine module draw the amplitudes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,9 @@ class GeometryParams:
     path_loss_exponent: float = 4.0
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
+        k = self.num_users
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"num_users must be an integer >= 1, got {k!r}")
         for name in ("sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
                      "relay_position"):
             value = getattr(self, name)

@@ -35,8 +35,8 @@ MULTIHOP_MODES = ("accumulating", "per-fraction")
 _NAME_RE = re.compile(r"mac|rc-(ddf|af)|uc([2-9]|[1-9][0-9]+)-(ddf|af)")
 
 
-def _is_id(x) -> bool:
-    """A user id is an integer; a bool is not read as user 0 or 1."""
+def _is_int(x) -> bool:
+    """A user id or count is an integer; a bool is not read as 0 or 1."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
@@ -80,6 +80,8 @@ class Strategy:
             kernel = "mac" if mode == "mac" else f"{mode}-ddf"
         for attr, value in (("family", family), ("mode", mode), ("kernel", kernel)):
             object.__setattr__(self, attr, value)
+        if not _is_int(self.num_users) or self.num_users < 1:
+            raise ValueError(f"num_users must be an integer >= 1, got {self.num_users!r}")
         if self.multihop_mode not in MULTIHOP_MODES:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
         if self.multihop_mode != MULTIHOP_MODES[0] and kernel != "ucmh-ddf":
@@ -88,7 +90,7 @@ class Strategy:
             raise ValueError(f"{self.name} takes no coop_sets")
         if hops is not None and len(self.coop_sets) != self.num_users:
             raise ValueError("coop_sets must list helpers for every user")
-        if not all(_is_id(j) for helpers in self.coop_sets for j in helpers):
+        if not all(_is_int(j) for helpers in self.coop_sets for j in helpers):
             raise ValueError(f"helper ids must be integers, got {self.coop_sets}")
         sets = tuple(tuple(sorted(map(int, helpers))) for helpers in self.coop_sets)
         object.__setattr__(self, "coop_sets", sets)
@@ -144,7 +146,7 @@ def parse_strategy(
         others = [[j for j in users if j != k] for k in users]
         coop_sets = others if token.startswith("uc") else ()
     elif isinstance(coop_sets, dict):
-        unknown = [key for key in coop_sets if not _is_id(key) or key not in users]
+        unknown = [key for key in coop_sets if not _is_int(key) or key not in users]
         if unknown:
             raise ValueError(f"coop_sets keys {unknown} are not users 1..{num_users}")
         coop_sets = [coop_sets.get(k, ()) for k in users]

@@ -23,8 +23,8 @@ from tdcoop.cli import main
 from tdcoop.ddf import listen_fraction_rc
 from tdcoop.harness import (
     ExperimentConfig,
-    area_averaged_outage,
     mac_outage,
+    run_experiment,
     sweep_fixed_placement,
 )
 from tdcoop.mathcore import hypoexp_cdf
@@ -387,9 +387,9 @@ def processing_cost_curves():
     )
     t0 = time.perf_counter()
     curves, cis = {}, {}
-    for s, ests in zip(cfg.strategies, area_averaged_outage(cfg)):
-        curves[s.name] = [e.p_hat for e in ests]
-        cis[s.name] = [e.ci95 for e in ests]
+    for row in run_experiment(cfg):
+        curves.setdefault(row["strategy"], []).append(row["outage"])
+        cis.setdefault(row["strategy"], []).append(row["ci95"])
     stars = {"halfwidth": {}}
     for name in names:
         s = parse_strategy(name, 3)

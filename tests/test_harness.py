@@ -10,14 +10,13 @@ from tdcoop import mc
 from tdcoop.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    area_averaged_outage,
     estimate_outage,
     format_rows,
     mac_outage,
     run_experiment,
     sweep_fixed_placement,
 )
-from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
+from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, sample_placement, user_id
 from tdcoop.power import PowerConfig, relay_power, total_power, user_burst_power
 from tdcoop.strategies import Strategy, parse_strategy
 
@@ -98,6 +97,23 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), 0, 1)
 
+    @pytest.mark.parametrize("trials", (10.0, True), ids=("float", "bool"))
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
+            estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), trials, 1)
+
+    @pytest.mark.parametrize("sized_for", (2, 5))
+    def test_strategy_sized_for_another_user_count_rejected(self, sized_for):
+        """The library entry point makes the sweep's user-count check, and
+        both name both counts."""
+        placement = sample_placement(GeometryParams(), mc.derive_stream(3, 0, 0))
+        strategy = parse_strategy("mac", sized_for)
+        message = f"^strategy mac is sized for {sized_for} users, but the geometry has 3$"
+        with pytest.raises(ValueError, match=message):
+            estimate_outage(strategy, placement, PowerConfig(), trials=10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            tiny_config(strategies=(strategy,))
+
     @pytest.mark.parametrize(
         "name,power,rate,what",
         (
@@ -145,16 +161,16 @@ class TestAreaAveraged:
             target_events=10**9,
             trial_ceiling=18_000,
         )
-        avg = area_averaged_outage(cfg)[0][0]
+        [avg] = run_experiment(cfg)
         pl = cfg.placements()[0]
         est = estimate_outage(
             cfg.strategies[0], pl, PowerConfig(), 6_000,
             seed=mc.mix64(cfg.master_seed, 1, 0, 0),
         )
-        assert avg.ceiling_flag
-        assert avg.events == est.events
-        assert avg.p_hat == est.p_hat
-        assert avg.trials == est.trials == 18_000
+        assert avg["ceiling_flag"]
+        assert avg["events"] == est.events
+        assert avg["outage"] == est.p_hat
+        assert avg["trials"] == est.trials == 18_000
 
     def test_every_one_placement_point_matches_fixed_estimate(self):
         """A point of a one-placement sweep, stopped at its target or at its
@@ -183,44 +199,16 @@ class TestAreaAveraged:
 
     def test_reproducible_to_last_bit(self):
         cfg = tiny_config(snr_db=(10.0,))
-        a = area_averaged_outage(cfg)[0][0]
-        b = area_averaged_outage(cfg)[0][0]
+        [a] = run_experiment(cfg)
+        [b] = run_experiment(cfg)
         assert a == b
 
     def test_worker_count_invariance(self):
         base = tiny_config(snr_db=(10.0,))
         multi = tiny_config(snr_db=(10.0,), workers=2)
-        a = area_averaged_outage(base)[0][0]
-        b = area_averaged_outage(multi)[0][0]
-        assert a.p_hat == b.p_hat and a.events == b.events
-
-    def test_bounds_only_rejected(self):
-        cfg = tiny_config(bounds_only=True)
-        with pytest.raises(ValueError, match="bounds_only"):
-            area_averaged_outage(cfg)
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_each_strategy_matches_its_csv_rows(self, workers):
-        """One estimate list per strategy, in config order, each keyed by
-        its strategy's position: uc2-ddf listed second reads its own rows."""
-        cfg = tiny_config(
-            power=PowerConfig(rate=1.0),
-            strategies=(parse_strategy("mac", 3), parse_strategy("uc2-ddf", 3)),
-            num_placements=4,
-            master_seed=13,
-            workers=workers,
-        )
-        ests = area_averaged_outage(cfg)
-        rows = run_experiment(cfg)
-        assert len(ests) == len(cfg.strategies)
-        keys = ("outage", "ci95", "trials", "events", "bound_lower", "bound_upper", "ceiling_flag")
-        for strategy, curve in zip(cfg.strategies, ests):
-            got = [
-                (e.p_hat, e.ci95, e.trials, e.events, e.bounds.lower, e.bounds.upper, e.ceiling_flag)
-                for e in curve
-            ]
-            want = [tuple(r[k] for k in keys) for r in rows if r["strategy"] == strategy.name]
-            assert got == want and len(got) == len(cfg.snr_db)
+        [a] = run_experiment(base)
+        [b] = run_experiment(multi)
+        assert a["outage"] == b["outage"] and a["events"] == b["events"]
 
 
 class TestDiversitySlope:
@@ -281,6 +269,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"duplicate strategy names in \['rc-ddf', 'rc-ddf'\]"):
             tiny_config(strategies=(parse_strategy("rc-ddf", 3),) * 2)
         tiny_config(strategies=(parse_strategy("rc-ddf", 3), parse_strategy("rc-af", 3)))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        (
+            ("num_placements", 2.0), ("master_seed", 5.0), ("target_events", 50.0),
+            ("trial_ceiling", 60_000.0), ("workers", 1.5), ("workers", True),
+        ),
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """A whole float or a bool is refused when the config is built, not
+        deep in the sweep."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            tiny_config(**{field: value})
 
     def test_master_seed_below_2_to_the_53(self):
         """Seeds from 2^53 on would lose low bits in the stream key."""

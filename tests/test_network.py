@@ -46,6 +46,11 @@ class TestGeometryParams:
         with pytest.raises(ValueError):
             GeometryParams(num_users=0)
 
+    @pytest.mark.parametrize("num_users", (2.5, 3.0, True), ids=("fraction", "whole-float", "bool"))
+    def test_user_count_must_be_an_integer(self, num_users):
+        with pytest.raises(ValueError, match="^num_users must be an integer >= 1"):
+            GeometryParams(num_users=num_users)
+
     @pytest.mark.parametrize("value", (float("nan"), float("inf")))
     @pytest.mark.parametrize(
         "name",

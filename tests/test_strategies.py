@@ -221,6 +221,16 @@ class TestOneSpecPerScheme:
         with pytest.raises(ValueError, match="helper ids must be integers"):
             Strategy("uc2-ddf", 3, ((helper,), (3,), (1,)))
 
+    @pytest.mark.parametrize("num_users", (0, -1, 3.0, True), ids=("zero", "negative", "float", "bool"))
+    def test_user_count_must_be_a_positive_integer(self, num_users):
+        with pytest.raises(ValueError, match="^num_users must be an integer >= 1"):
+            Strategy("mac", num_users)
+
+    def test_parsed_strategy_needs_users(self):
+        """No uc2 strategy without helper sets: zero users is refused."""
+        with pytest.raises(ValueError, match="^num_users must be an integer >= 1"):
+            parse_strategy("uc2-ddf", 0)
+
     def test_numpy_integer_helpers_are_plain_ints(self):
         s = Strategy("uc2-ddf", 3, ((np.int64(3),), (np.int32(1),), (1, 2)))
         assert s == parse_strategy("uc2-ddf", 3, coop_sets={1: [3], 2: [1], 3: [2, 1]})

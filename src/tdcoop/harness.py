@@ -345,12 +345,14 @@ def estimate_outage(
     equals the arithmetic user average because every user runs the same
     count.  Streams are keyed exactly like the sweep engine's, so a sweep
     point that stops at its ceiling reproduces this function.  seed is
-    such a point seed: a ``mc.mix64`` word, or a hand-picked seed below
-    2^53 (above it, neighbouring seeds share streams; see README,
-    Determinism).
+    such a point seed, an integer in [0, 2^64): a ``mc.mix64`` word, or a
+    hand-picked seed below 2^53 (above it, neighbouring seeds share
+    streams; see README, Determinism).
     """
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     # At P = 0 there is no power to range-check; the rate still is.
     snr_db = [10.0 * math.log10(pc.user_power)] if pc.user_power > 0 else []
     _check_strategy(strategy, placement.params.num_users, pc.rate, snr_db)
@@ -394,8 +396,11 @@ def sweep_fixed_placement(
 
     Useful for slope benchmarks where the node layout must stay fixed
     across the grid.  Streams are keyed exactly like a one-placement
-    sweep under the same seed.
+    sweep under the same seed.  ``strategy_index`` is the strategy's
+    position in that sweep's list, an integer >= 0.
     """
+    if not _is_int(strategy_index) or strategy_index < 0:
+        raise ValueError(f"strategy_index must be an integer >= 0, got {strategy_index!r}")
     cfg = ExperimentConfig(
         geometry=placement.params,
         power=base_power,

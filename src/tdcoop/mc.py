@@ -1,14 +1,13 @@
 """Deterministic parallel Monte Carlo trial engine.
 
-Every task draws from its own counter-based streams, each keyed by
-(seed, blake2b-64 of an index path), so results depend only on the
+Every task draws from its own counter-based stream, keyed by (seed,
+blake2b-64 of an index path), so results depend only on the
 configuration and never on worker count or execution order:
 
     placement i       <- stream (master_seed; 0, i)
     point seed        <- mix64(master_seed, 1, strategy_idx, snr_idx)
-    trial chunk       <- direct stream (point_seed; placement_idx,
-                             user_idx, round_idx, chunk_idx)
-                         forwarder stream (point_seed; the same path, 1)
+    trial chunk       <- stream (point_seed; placement_idx, user_idx,
+                             round_idx, chunk_idx)
 
 Trials for one (strategy, SNR) point are scheduled in geometric rounds:
 every (placement, user) cell starts at MIN_CELL_TRIALS and quadruples at
@@ -23,12 +22,12 @@ count all cells ran, and the ceiling flag.  With more
 than one worker, tasks run on a spawn-started process pool that a whole
 sweep shares (``worker_pool``).
 
-A task draws its trials in internal batches of ``_BATCH`` trials that
-read the task's two streams in order, so counts do not depend on the
-batch size; it only keeps each batch's draw arrays in cache.  The direct
-stream holds every trial's first draws (the direct gain A_dk, or a whole
-mac or AF trial); the forwarder stream holds the other DDF links of the
-trials the direct screen keeps, one row per kept trial in trial order.
+A task reads its stream in order, in internal batches of ``_BATCH``
+rows, so counts do not depend on the batch size; it only keeps each
+batch's draw arrays in cache.  A mac or AF task reads one row per trial.
+A DDF task first draws how many of its trials survive the direct screen
+(below), then one row per survivor in trial order: the direct gain
+A_dk conditioned on surviving, then the trial's other links.
 
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
@@ -44,18 +43,22 @@ and uc2-ddf are one protocol, the source's slot and then a second slot
 that its decoded forwarders share, so rc-ddf runs on the uc2 kernel
 with the relay as its one forwarder.
 
-The DDF kernels screen on the direct link before they draw anything
-else.  Every DDF destination rate is a weighted sum, with weights
+The DDF kernels draw only the trials that the direct link alone may not
+carry.  Every DDF destination rate is a weighted sum, with weights
 summing to 1, of capacities whose SNR includes the direct term
 A_dk * burst / dk_pow, so it is at least C(A_dk * burst / dk_pow).  A
 trial whose A_dk reaches ``_direct_threshold`` (where that capacity
 equals the rate) times 1 + ``_SCREEN_MARGIN`` cannot be in outage; the
-margin covers rounding in the weighted sums.  Only the other trials draw
-their forwarder links and go through the rate step, which works
-elementwise over trials, so a kept trial's rate is the one it would get
-from the same links without the screen.  At zero burst power nothing is
-screened.  AF is not screened: its only direct-only bound,
-(1/L) C(P|h_dk|^2), drops few rows at the benchmark's points.
+margin covers rounding in the weighted sums.  A_dk is exponential, so
+the number of trials below that widened threshold t' is binomial with
+q = 1 - exp(-t'), and the survivors are independent with A_dk drawn
+given A_dk < t'.  Drawing the count and then only the survivors gives
+the event count exactly the distribution of screening every trial, and
+the rate step, which works elementwise over trials, never sees a
+dropped trial.  At zero burst power every trial survives and A_dk is
+drawn unconditioned; at rate 0 none does and nothing is drawn.  AF is
+not screened: its only direct-only bound, (1/L) C(P|h_dk|^2), drops few
+rows at the benchmark's points.
 """
 
 from __future__ import annotations
@@ -158,25 +161,40 @@ def _direct_threshold(params):
     return math.expm1(params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
 
 
-def _direct_screen(params, rng, n):
-    """Direct gains A_dk of the batch's trials the direct link alone may not
-    carry.
+def _survival(params):
+    """q: the chance that A_dk lies below the direct-link threshold widened
+    by ``_SCREEN_MARGIN``."""
+    return -math.expm1(-_direct_threshold(params) * (1.0 + _SCREEN_MARGIN))
 
-    Draws: exponential (n,) = A_dk from the task's direct stream.  Keeps,
-    in trial order, the gains below the direct-link threshold widened by
-    ``_SCREEN_MARGIN``; every dropped trial meets the rate under each DDF
-    scheme.  At rate 0 nothing is kept (no trial fails); at zero burst
-    power everything is.
+
+def _survivors(params, rng, trials):
+    """How many of a DDF task's trials the direct link alone may not carry.
+
+    Draws: binomial (trials, ``_survival``).  Every other trial meets the
+    rate under each DDF scheme.  At rate 0 none survives (no trial fails)
+    and at zero burst power all do; neither draws.
     """
-    a_dk = rng.exponential(size=n)
     if params["rate"] <= 0.0:
-        return a_dk[:0]
+        return 0
     if params["burst"] <= 0.0:
-        return a_dk
-    return a_dk[a_dk < _direct_threshold(params) * (1.0 + _SCREEN_MARGIN)]
+        return trials
+    return int(rng.binomial(trials, _survival(params)))
 
 
-def _count_mac(params, rng, fwd_rng, n):
+def _survivor_rows(params, rng, n, links):
+    """n surviving trials as rows [A_dk, links...].
+
+    Draws: exponential (n, 1 + links).  Column 0, E, becomes A_dk given
+    A_dk < t' by inversion, -log1p(q * expm1(-E)) with q = ``_survival``,
+    which lies in [0, t'); at zero burst power it stays E.
+    """
+    a = rng.exponential(size=(n, 1 + links))
+    if params["burst"] > 0.0:
+        a[:, 0] = -np.log1p(_survival(params) * np.expm1(-a[:, 0]))
+    return a
+
+
+def _count_mac(params, rng, n):
     """Direct slot only.  Draws: exponential (n,) = A_dk."""
     a = rng.exponential(size=n)
     if params["rate"] <= 0.0:
@@ -186,54 +204,45 @@ def _count_mac(params, rng, fwd_rng, n):
     return int((a < _direct_threshold(params)).sum())
 
 
-def _count_uc2_ddf(params, rng, fwd_rng, n):
+def _count_uc2_ddf(params, rng, n):
     """Shared second slot, m forwarders: the relay under rc (m = 1), the
     helper users under uc2.
 
-    Draws: A_dk from ``_direct_screen``; then, for the kept trials only,
-    exponential (kept, 2m) from the forwarder stream = forwarder listen
-    links A_jk (m), then destination links A_dj (m); at m = 1 that is
-    A_rk, A_dr.  A dropped trial meets the rate: the second slot's SNR
-    adds the forwarders' terms to the direct one, so the rate is at
-    least G1, the direct link's capacity.
+    Draws: n surviving rows from ``_survivor_rows`` = A_dk, forwarder
+    listen links A_jk (m), then destination links A_dj (m); at m = 1
+    that is A_dk, A_rk, A_dr.  A dropped trial meets the rate: the
+    second slot's SNR adds the forwarders' terms to the direct one, so
+    the rate is at least G1, the direct link's capacity.
     """
-    a_dk = _direct_screen(params, rng, n)
-    if not a_dk.size:
-        return 0
     rate, burst = params["rate"], params["burst"]
     m = len(params["budgets"])
-    a = fwd_rng.exponential(size=(a_dk.size, 2 * m))
-    theta = _ddf.listen_fraction_uc2(a[:, :m], params["jk_pow"], burst, rate)
+    a = _survivor_rows(params, rng, n, 2 * m)
+    theta = _ddf.listen_fraction_uc2(a[:, 1 : 1 + m], params["jk_pow"], burst, rate)
     budgets = np.asarray(params["budgets"])
-    helper_snr = a[:, m:] * budgets / np.asarray(params["dj_pow"])
-    mi = _ddf.trial_mutual_info_uc2(theta, a_dk * burst / params["dk_pow"], helper_snr)
+    helper_snr = a[:, 1 + m :] * budgets / np.asarray(params["dj_pow"])
+    mi = _ddf.trial_mutual_info_uc2(theta, a[:, 0] * burst / params["dk_pow"], helper_snr)
     return int((mi < rate).sum())
 
 
-def _count_ucmh_ddf(params, rng, fwd_rng, n):
+def _count_ucmh_ddf(params, rng, n):
     """Greedy multihop chain, m helpers (L = m + 1 slots).
 
-    Draws: A_dk from ``_direct_screen``; then, for the kept trials only,
-    exponential (kept, m + m(m-1)/2 + m) from the forwarder stream in the
-    order helper-hears-source (m), helper pairs (h < j, row-major),
-    destination from helpers (m).  A helper pair shares one fading draw
-    for both directions.  A dropped trial meets the rate: the stage SNRs
-    at the destination start at the direct term and never decrease, and
-    the stage fractions sum to 1.  The schedule and the destination rate
+    Draws: n surviving rows from ``_survivor_rows`` = A_dk,
+    helper-hears-source (m), helper pairs (h < j, row-major), destination
+    from helpers (m).  A helper pair shares one fading draw for both
+    directions.  A dropped trial meets the rate: the stage SNRs at the
+    destination start at the direct term and never decrease, and the
+    stage fractions sum to 1.  The schedule and the destination rate
     work trial by trial (a stage loop that ends early skips only stages
-    no kept trial has time left for).  Helpers hear each other at the
-    unboosted ``budgets / hh_pow``; only the destination rate boosts a
-    forwarder by 1 / (its remaining time).
+    no surviving trial has time left for).  Helpers hear each other at
+    the unboosted ``budgets / hh_pow``; only the destination rate boosts
+    a forwarder by 1 / (its remaining time).
     """
-    a_dk = _direct_screen(params, rng, n)
-    if not a_dk.size:
-        return 0
     rate, burst, budgets = params["rate"], params["burst"], params["budgets"]
     m = len(budgets)
     L = m + 1
     npairs = m * (m - 1) // 2
-    n = a_dk.size
-    a = fwd_rng.exponential(size=(n, m + npairs + m))
+    a = _survivor_rows(params, rng, n, m + npairs + m)
     # Link SNR coefficients: helper h hears the source (slot 0) and every
     # other helper; the destination hears the source and every helper.
     recv_coef = np.zeros((m, L))
@@ -249,14 +258,14 @@ def _count_ucmh_ddf(params, rng, fwd_rng, n):
     # Helper-major (m, L, n) storage, passed as its (n, m, L) view: the
     # schedule reads each helper's links as contiguous columns.
     recv = np.zeros((m, L, n))
-    recv[:, 0] = a[:, :m].T
-    col = m
+    recv[:, 0] = a[:, 1 : 1 + m].T
+    col = 1 + m
     for h in range(m):
         for j in range(h + 1, m):
             recv[h, j + 1] = a[:, col]
             recv[j, h + 1] = a[:, col]
             col += 1
-    dest = np.column_stack((a_dk, a[:, m + npairs :]))
+    dest = np.column_stack((a[:, 0], a[:, 1 + m + npairs :]))
     sched = _ddf.multihop_schedule(
         recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"]
     )
@@ -264,14 +273,13 @@ def _count_ucmh_ddf(params, rng, fwd_rng, n):
     return int((mi < rate).sum())
 
 
-def _count_af(params, rng, fwd_rng, n, multihop=False):
+def _count_af(params, rng, n, multihop=False):
     """AF over m helpers: the two-slot scheme (all helpers forward at
     once) or, with multihop, L = m + 1 slots with one helper per slot.
 
     Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
-    standard_normal (n, 2(1 + 2m)) from the direct stream; the forwarder
-    stream is unused.  Helpers never hear each other.  The rate is the
-    closed-form determinant of the scheme's whitened matrix
+    standard_normal (n, 2(1 + 2m)).  Helpers never hear each other.  The
+    rate is the closed-form determinant of the scheme's whitened matrix
     (``af2_trial_mutual_info``/``afmh_trial_mutual_info``); no matrix is
     built, and ``af_trial_mutual_info`` stays the general reference.
     """
@@ -294,25 +302,24 @@ _KERNELS = {
     "af2": _count_af,
     "afmh": functools.partial(_count_af, multihop=True),
 }
+# Kernels that draw only the trials the direct screen keeps.
+_SCREENED = frozenset(("rc-ddf", "uc2-ddf", "ucmh-ddf"))
 
 
 def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int) -> int:
-    """Outage events in one task, consumed in internal batches of the
-    task's two streams.
+    """Outage events in one task, read from the task's one stream (keyed
+    by path) in internal batches.
 
-    The direct stream is keyed by path and the forwarder stream by path
-    followed by 1.  Every kernel reads both trial-major (the forwarder
-    stream only for the trials the direct screen keeps), so the count is
-    the same for any batch size."""
+    A DDF task first draws its survivor count (``_survivors``) and then
+    one row per survivor; mac and AF read one row per trial.  Rows are
+    read trial-major, so the count is the same for any batch size."""
     fn = _KERNELS[kernel]
     rng = derive_stream(seed, *path)
-    fwd_rng = derive_stream(seed, *path, 1)
+    if kernel in _SCREENED:
+        trials = _survivors(params, rng, trials)
     events = 0
-    done = 0
-    while done < trials:
-        step = min(_BATCH, trials - done)
-        events += fn(params, rng, fwd_rng, step)
-        done += step
+    for done in range(0, trials, _BATCH):
+        events += fn(params, rng, min(_BATCH, trials - done))
     return events
 
 

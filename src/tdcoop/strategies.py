@@ -40,6 +40,11 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_num_users(num_users) -> None:
+    if not _is_int(num_users) or num_users < 1:
+        raise ValueError(f"num_users must be an integer >= 1, got {num_users!r}")
+
+
 @dataclass(frozen=True)
 class Strategy:
     """One simulated strategy over a K-user network.
@@ -80,8 +85,7 @@ class Strategy:
             kernel = "mac" if mode == "mac" else f"{mode}-ddf"
         for attr, value in (("family", family), ("mode", mode), ("kernel", kernel)):
             object.__setattr__(self, attr, value)
-        if not _is_int(self.num_users) or self.num_users < 1:
-            raise ValueError(f"num_users must be an integer >= 1, got {self.num_users!r}")
+        _check_num_users(self.num_users)
         if self.multihop_mode not in MULTIHOP_MODES:
             raise ValueError(f"multihop_mode must be one of {MULTIHOP_MODES}")
         if self.multihop_mode != MULTIHOP_MODES[0] and kernel != "ucmh-ddf":
@@ -141,6 +145,7 @@ def parse_strategy(
     ``multihop_mode`` is checked for every name, but only ucN-ddf (N >= 3)
     keeps it.
     """
+    _check_num_users(num_users)
     token, users = name.strip().lower(), range(1, num_users + 1)
     if coop_sets is None:
         others = [[j for j in users if j != k] for k in users]

@@ -385,20 +385,22 @@ def oracle_coefficients(params):
 
 
 def oracle_count_events(params, seed, path, trials):
-    """Reference ucmh-ddf kernel: the engine's two streams and draw layout
+    """Reference ucmh-ddf kernel: the engine's one stream and draw layout
     drawn in one piece, trial-major link arrays, the scatter schedule.
 
-    Every trial's A_dk comes from the direct stream.  The trials the
-    direct screen keeps take the forwarder stream's rows in order; the
-    dropped ones get dead forwarder links and still run the rate step."""
+    The stream gives the task's survivor count, binomial (trials, q) with
+    q = 1 - exp(-t') and t' the widened direct-link threshold, then one
+    row per survivor: A_dk given A_dk < t' by inversion, then the
+    forwarder links."""
     recv_coef, dest_coef = oracle_coefficients(params)
     m, L = recv_coef.shape
     npairs = m * (m - 1) // 2
-    a_dk = mc.derive_stream(seed, *path).exponential(size=trials)
-    keep = a_dk < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
-    a = np.zeros((trials, m + npairs + m))
-    a[keep] = mc.derive_stream(seed, *path, 1).exponential(size=(int(keep.sum()), a.shape[1]))
-    recv = np.zeros((trials, m, L))
+    rng = mc.derive_stream(seed, *path)
+    q = -math.expm1(-mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN))
+    rows = rng.exponential(size=(rng.binomial(trials, q), 1 + m + npairs + m))
+    a_dk = -np.log1p(q * np.expm1(-rows[:, 0]))
+    a = rows[:, 1:]
+    recv = np.zeros((len(a), m, L))
     recv[:, :, 0] = a[:, :m]
     col = m
     for h in range(m):

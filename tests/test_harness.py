@@ -102,6 +102,16 @@ class TestEstimateOutage:
         with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
             estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), trials, 1)
 
+    @pytest.mark.parametrize(
+        "seed", (1.5, True, -1, 2**64), ids=("float", "bool", "negative", "2^64")
+    )
+    def test_seed_must_be_a_64_bit_word(self, seed):
+        """A fractional or bool seed would run another seed's streams, and a
+        negative one would reach the stream key through a lossy cast."""
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\)"):
+            estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), 10, seed)
+        estimate_outage(parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), 10, 2**64 - 1)
+
     @pytest.mark.parametrize("sized_for", (2, 5))
     def test_strategy_sized_for_another_user_count_rejected(self, sized_for):
         """The library entry point makes the sweep's user-count check, and
@@ -252,6 +262,16 @@ class TestSweepFixedPlacement:
         )
         assert ests[0].ceiling_flag
         assert ests[0].p_hat == 0.0
+
+
+    @pytest.mark.parametrize("index", (1.5, True, -1), ids=("float", "bool", "negative"))
+    def test_strategy_index_must_be_a_count(self, index):
+        """A fractional or bool index would run index 1's streams."""
+        with pytest.raises(ValueError, match="^strategy_index must be an integer >= 0"):
+            sweep_fixed_placement(
+                parse_strategy("mac", 3), unit_circle_placement(), PowerConfig(), (0.0,), seed=1,
+                strategy_index=index, trial_ceiling=3_000,
+            )
 
 
 class TestExperimentConfig:

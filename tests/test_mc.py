@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from tdcoop import harness, mc
-from tdcoop.ddf import (
-    listen_fraction_rc,
-    listen_fraction_uc2,
-    multihop_schedule,
-    trial_mutual_info_multihop,
-    trial_mutual_info_rc,
-    trial_mutual_info_uc2,
-)
+from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
@@ -171,7 +164,7 @@ RECORD3 = dict(
     jk_pow=(0.6**4, 0.7**4, 0.8**4),
     hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
 )
-# (kernel, record, columns of the kernel's forwarder table)
+# (kernel, record, link columns after A_dk in the kernel's rows)
 SCREENED = {
     "rc-ddf": ("rc-ddf", RECORD1, 2),
     "uc2-ddf": ("uc2-ddf", RECORD, 4),
@@ -188,9 +181,9 @@ def scaled(params, rate, snr_db):
     return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
 
 
-def keep_every_trial(params, rng, n):
-    """A direct screen that keeps every trial, at rate 0 too."""
-    return rng.exponential(size=n)
+def raw_rows(params, rng, n, links):
+    """Survivor rows as drawn, with A_dk left unconditioned."""
+    return rng.exponential(size=(n, 1 + links))
 
 
 class StubDraws:
@@ -200,7 +193,7 @@ class StubDraws:
         self.table = table
 
     def exponential(self, size):
-        assert np.shape(self.table) == (size if isinstance(size, tuple) else (size,))
+        assert np.shape(self.table) == size
         return self.table.copy()
 
 
@@ -210,93 +203,143 @@ class NoDraws:
     def exponential(self, size):
         raise AssertionError(f"unexpected draw of {size}")
 
+    def binomial(self, n, p):
+        raise AssertionError(f"unexpected binomial draw ({n}, {p})")
 
-def unscreened_table(params, seed, path, trials, cols):
-    """One task's draws as an unscreened table: every trial's A_dk from the
-    direct stream, and a forwarder table in which the trials the screen
-    keeps take the forwarder stream's rows in order while the dropped
-    trials get dead links (zero gains)."""
-    a_dk = mc.derive_stream(seed, *path).exponential(size=trials)
+
+class RecordedStream:
+    """A task's generator that logs each draw: ("binomial", n) or
+    ("exponential", rows)."""
+
+    def __init__(self, gen, log):
+        self.gen, self.log = gen, log
+
+    def binomial(self, n, p):
+        self.log.append(("binomial", n))
+        return self.gen.binomial(n, p)
+
+    def exponential(self, size):
+        self.log.append(("exponential", size[0]))
+        return self.gen.exponential(size=size)
+
+
+def documented_rows(params, seed, path, trials, links):
+    """One task's rows as the documented layout reads them, in one piece.
+
+    The stream first gives the survivor count, binomial (trials, q) with
+    q = 1 - exp(-t') and t' the widened direct-link threshold (no trial
+    at rate 0, every trial without a draw at zero burst), then one row
+    exponential (1 + links) per survivor whose column 0 becomes A_dk given
+    A_dk < t' by inversion (left as drawn at zero burst)."""
+    rng = mc.derive_stream(seed, *path)
+    q = 1.0
     if params["rate"] <= 0.0:
-        keep = np.zeros(trials, dtype=bool)
+        survivors = 0
     elif params["burst"] <= 0.0:
-        keep = np.ones(trials, dtype=bool)
+        survivors = trials
     else:
-        keep = a_dk < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
-    fwd = np.zeros((trials, cols))
-    fwd[keep] = mc.derive_stream(seed, *path, 1).exponential(size=(int(keep.sum()), cols))
-    return a_dk, fwd
+        q = -math.expm1(-mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN))
+        survivors = rng.binomial(trials, q)
+    rows = rng.exponential(size=(survivors, 1 + links))
+    if params["burst"] > 0.0:
+        rows[:, 0] = -np.log1p(q * np.expm1(-rows[:, 0]))
+    return rows
 
 
-def unscreened_count(kernel, params, a_dk, fwd, monkeypatch):
+def unscreened_count(kernel, params, rows, monkeypatch):
     """The kernel's rate step over every row of the table, in one batch."""
+    if not len(rows):
+        return 0
     with monkeypatch.context() as patch:
-        patch.setattr(mc, "_direct_screen", keep_every_trial)
-        return mc._KERNELS[kernel](params, StubDraws(a_dk), StubDraws(fwd), len(a_dk))
+        patch.setattr(mc, "_survivor_rows", raw_rows)
+        return mc._KERNELS[kernel](params, StubDraws(rows), len(rows))
 
 
 class TestDirectScreen:
-    """The DDF kernels draw forwarder links and run the rate step only for
-    trials whose direct link may miss the rate; a dropped trial must
-    count as it would with dead forwarder links."""
+    """The DDF kernels draw a task's survivor count and then rows for the
+    survivors only, which run the rate step; a dropped trial must meet
+    the rate."""
 
     def spy(self, monkeypatch):
-        """Record (batch size, kept trials) of every screened batch."""
+        """Record (task trials, survivors) of every DDF task."""
         kept = []
-        screen = mc._direct_screen
+        survivors = mc._survivors
 
-        def spy(params, rng, n):
-            out = screen(params, rng, n)
-            kept.append((n, out.size))
+        def spy(params, rng, trials):
+            out = survivors(params, rng, trials)
+            kept.append((trials, out))
             return out
 
-        monkeypatch.setattr(mc, "_direct_screen", spy)
+        monkeypatch.setattr(mc, "_survivors", spy)
         return kept
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_counts_equal_the_unscreened_stream(self, case, rate, monkeypatch):
+        """A task counts what the rate step gives over its documented rows
+        in one batch, across the batch boundary."""
         kernel, record, cols = SCREENED[case]
         kept = self.spy(monkeypatch)
         trials = 40_000
-        assert trials > 2 * mc._BATCH
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 0, 0, 0)
             kept.clear()
             got = mc.count_events(kernel, params, 21, path, trials)
-            table = unscreened_table(params, 21, path, trials, cols)
-            assert got == unscreened_count(kernel, params, *table, monkeypatch), snr_db
+            rows = documented_rows(params, 21, path, trials, cols)
+            assert kept == [(trials, len(rows))]
+            assert got == unscreened_count(kernel, params, rows, monkeypatch), snr_db
+            if rate > 0.0 and snr_db == -10:
+                assert len(rows) > 2 * mc._BATCH
             if rate > 0.0 and snr_db >= 30:
-                assert sum(k for _, k in kept) < trials // 2
+                assert len(rows) < trials // 2
         zero = dict(scaled(record, rate, 0), burst=0.0)
         got = mc.count_events(kernel, zero, 21, (0,), 5000)
         assert got == (5000 if rate > 0.0 else 0)
-        table = unscreened_table(zero, 21, (0,), 5000, cols)
-        assert got == unscreened_count(kernel, zero, *table, monkeypatch)
+        rows = documented_rows(zero, 21, (0,), 5000, cols)
+        assert got == unscreened_count(kernel, zero, rows, monkeypatch)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_counts_across_batches_with_no_kept_trial(self, case, monkeypatch):
-        """Batches that keep no trial draw nothing from the forwarder
-        stream, so the next kept trial still takes its next row."""
+        """At 64-row batches a task's survivor rows span many batches and
+        count as in one; a task with no survivor draws nothing after its
+        count, and the task after it counts as it would alone."""
         kernel, record, cols = SCREENED[case]
-        kept = self.spy(monkeypatch)
         monkeypatch.setattr(mc, "_BATCH", 64)
-        trials = 64 * 200 + 7
-        params = scaled(record, 1.0, 30)
-        got = mc.count_events(kernel, params, 23, (1, 0, 0, 0), trials)
-        table = unscreened_table(params, 23, (1, 0, 0, 0), trials, cols)
-        assert got == unscreened_count(kernel, params, *table, monkeypatch)
-        sizes = [k for _, k in kept]
-        assert 0 in sizes and max(sizes) > 0
+        tasks = (
+            (scaled(record, 1.0, 10), (1, 0, 0, 0), 64 * 200 + 7),
+            (scaled(record, 1.0, 50), (2, 0, 0, 0), 500),
+            (scaled(record, 1.0, 10), (3, 0, 0, 0), 64 * 200 + 7),
+        )
+        want = [documented_rows(params, 23, path, trials, cols) for params, path, trials in tasks]
+        logs = {}
+        derive = mc.derive_stream
+        monkeypatch.setattr(
+            mc, "derive_stream", lambda seed, *path: RecordedStream(derive(seed, *path), logs.setdefault(path, []))
+        )
+        for (params, path, trials), rows in zip(tasks, want):
+            got = mc.count_events(kernel, params, 23, path, trials)
+            assert got == unscreened_count(kernel, params, rows, monkeypatch), path
+            batches = -(-len(rows) // 64)
+            assert logs[path] == [("binomial", trials)] + [
+                ("exponential", min(64, len(rows) - 64 * b)) for b in range(batches)
+            ]
+        assert len(logs[(2, 0, 0, 0)]) == 1
+        assert len(logs[(1, 0, 0, 0)]) > 2 and len(logs[(3, 0, 0, 0)]) > 2
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
-    def test_batch_with_no_surviving_row(self, case):
+    def test_batch_with_no_surviving_row(self, case, monkeypatch):
+        """A task with no survivor draws no row and counts no event; at
+        rate 0 it draws nothing at all."""
         kernel, record, _ = SCREENED[case]
-        params = scaled(record, 0.25, 50)
-        a_dk = np.full(64, 2.0 * mc._direct_threshold(params))
-        assert mc._direct_screen(params, StubDraws(a_dk), 64).size == 0
-        assert mc._KERNELS[kernel](params, StubDraws(a_dk), NoDraws(), 64) == 0
+
+        class NoSurvivor(NoDraws):
+            def binomial(self, n, p):
+                return 0
+
+        for params, stream in ((scaled(record, 0.25, 50), NoSurvivor()), (scaled(record, 0.0, 0), NoDraws())):
+            monkeypatch.setattr(mc, "derive_stream", lambda seed, *path: stream)
+            assert mc.count_events(kernel, params, 1, (0,), 5000) == 0
 
     @staticmethod
     def outages_at_cut(case, rate, snr_db, factor, monkeypatch):
@@ -313,8 +356,8 @@ class TestDirectScreen:
         rng = np.random.default_rng(int(rate * 100) + snr_db)
         fwd = rng.exponential(size=(len(steps), 33, cols))
         fwd[:, 0] = 0.0
-        a_dk = np.repeat(steps, 33)
-        return unscreened_count(kernel, params, a_dk, fwd.reshape(-1, cols), monkeypatch)
+        rows = np.column_stack((np.repeat(steps, 33), fwd.reshape(-1, cols)))
+        return unscreened_count(kernel, params, rows, monkeypatch)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
@@ -328,21 +371,46 @@ class TestDirectScreen:
                 assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
 
 
-def count_rc_ddf(params, rng, fwd_rng, n):
+class TestConditionedDirectGain:
+    """A survivor's A_dk is the exponential conditioned below the widened
+    threshold t', drawn by inversion."""
+
+    @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
+    def test_truncated_exponential(self, q):
+        """Every value lies in [0, t'), and the empirical CDF matches
+        (1 - e^-x)/q: the Kolmogorov-Smirnov distance stays below its 1 %
+        critical value, 1.63/sqrt(n)."""
+        widened = -math.log1p(-q)
+        params = dict(RECORD, rate=1.0, dk_pow=1.0, burst=(1.0 + mc._SCREEN_MARGIN) / widened)
+        cut = mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
+        q = mc._survival(params)
+        n = 200_000
+        a = mc._survivor_rows(params, np.random.default_rng(31), n, 0)
+        x = np.sort(a[:, 0])
+        assert a.shape == (n, 1) and x[0] >= 0.0 and x[-1] < cut
+        cdf = -np.expm1(-x) / q
+        ranks = np.arange(1, n + 1) / n
+        assert max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))) < 1.63 / math.sqrt(n)
+
+    def test_zero_burst_keeps_the_draw(self):
+        """At zero burst power every trial survives with A_dk as drawn."""
+        params = dict(RECORD, burst=0.0)
+        got = mc._survivor_rows(params, np.random.default_rng(5), 100, 4)
+        np.testing.assert_array_equal(got, np.random.default_rng(5).exponential(size=(100, 5)))
+
+
+def count_rc_ddf(params, rng, n):
     """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
-    uc2 kernel, on the two-stream layout.  Draws: A_dk through the direct
-    screen, then exponential (kept, 2) = A_rk, A_dr from the forwarder
-    stream; the kept trials go through the one-forwarder rate references."""
-    a_dk = mc._direct_screen(params, rng, n)
-    if not a_dk.size:
-        return 0
+    uc2 kernel, on the one-stream layout.  Draws: n surviving rows
+    [A_dk, A_rk, A_dr] from ``_survivor_rows``; the rows go through the
+    one-forwarder rate references."""
     rate, burst = params["rate"], params["burst"]
-    a = fwd_rng.exponential(size=(a_dk.size, 2))
-    theta = listen_fraction_rc(a[:, 0], params["jk_pow"][0], burst, rate)
+    a = mc._survivor_rows(params, rng, n, 2)
+    theta = listen_fraction_rc(a[:, 1], params["jk_pow"][0], burst, rate)
     mi = trial_mutual_info_rc(
         theta,
-        a_dk * burst / params["dk_pow"],
-        a[:, 1] * params["budgets"][0] / params["dj_pow"][0],
+        a[:, 0] * burst / params["dk_pow"],
+        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
     )
     return int((mi < rate).sum())
 
@@ -360,95 +428,21 @@ class TestRelayOnSharedSlotKernel:
         ids=("near-relay", "far-relay"),
     )
     def test_counts_equal_the_one_forwarder_kernel(self, record, rate):
-        """Same streams, same counts, across the batch boundary."""
+        """Same stream, same counts, across the batch boundary."""
         trials = 2 * mc._BATCH + 777
         counts = []
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 1, 0, 0)
             rng = mc.derive_stream(29, *path)
-            fwd_rng = mc.derive_stream(29, *path, 1)
+            survivors = mc._survivors(params, rng, trials)
             want = 0
-            for start in range(0, trials, mc._BATCH):
-                want += count_rc_ddf(params, rng, fwd_rng, min(mc._BATCH, trials - start))
+            for start in range(0, survivors, mc._BATCH):
+                want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start))
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
 
-
-# The DDF kernels before they drew forwarder links only for the trials the
-# direct screen keeps: every trial's links come from the one direct stream,
-# and the screen drops rows of the whole table.
-
-
-def one_stream_screen(a, dk_col, params):
-    """Rows of the draw table a whose A_dk (column dk_col) lies below the
-    widened direct-link threshold; every row at zero burst power."""
-    if params["burst"] <= 0.0:
-        return a
-    return a[a[:, dk_col] < mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)]
-
-
-def one_stream_uc2_ddf(params, rng, n):
-    """Shared second slot, m forwarders.  Draws: exponential (n, 2m + 1) =
-    A_jk (m), A_dk, A_dj (m)."""
-    rate = params["rate"]
-    m = len(params["budgets"])
-    a = rng.exponential(size=(n, 2 * m + 1))
-    if rate <= 0.0:
-        return 0
-    a = one_stream_screen(a, m, params)
-    burst = params["burst"]
-    theta = listen_fraction_uc2(a[:, :m], params["jk_pow"], burst, rate)
-    budgets = np.asarray(params["budgets"])
-    helper_snr = a[:, m + 1 :] * budgets / np.asarray(params["dj_pow"])
-    mi = trial_mutual_info_uc2(theta, a[:, m] * burst / params["dk_pow"], helper_snr)
-    return int((mi < rate).sum())
-
-
-def one_stream_ucmh_ddf(params, rng, n):
-    """Greedy multihop chain, m helpers.  Draws: exponential
-    (n, m + m(m-1)/2 + 1 + m) = helper-hears-source (m), helper pairs
-    (h < j, row-major), A_dk, destination from helpers (m)."""
-    rate = params["rate"]
-    burst, budgets = params["burst"], params["budgets"]
-    m = len(budgets)
-    L = m + 1
-    npairs = m * (m - 1) // 2
-    a = rng.exponential(size=(n, m + npairs + 1 + m))
-    if rate <= 0.0:
-        return 0
-    a = one_stream_screen(a, m + npairs, params)
-    n = len(a)
-    recv_coef = np.zeros((m, L))
-    for h in range(m):
-        recv_coef[h, 0] = burst / params["jk_pow"][h]
-        for j in range(m):
-            if j != h:
-                recv_coef[h, j + 1] = budgets[j] / params["hh_pow"][h][j]
-    dest_coef = np.array(
-        (burst / params["dk_pow"],)
-        + tuple(budget / d_pow for budget, d_pow in zip(budgets, params["dj_pow"]))
-    )
-    recv = np.zeros((m, L, n))
-    recv[:, 0] = a[:, :m].T
-    col = m
-    for h in range(m):
-        for j in range(h + 1, m):
-            recv[h, j + 1] = a[:, col]
-            recv[j, h + 1] = a[:, col]
-            col += 1
-    dest = a[:, m + npairs :]
-    sched = multihop_schedule(recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"])
-    mi = trial_mutual_info_multihop(sched, dest, dest_coef)
-    return int((mi < rate).sum())
-
-
-ONE_STREAM = {
-    "rc-ddf": one_stream_uc2_ddf,
-    "uc2-ddf": one_stream_uc2_ddf,
-    "ucmh-ddf": one_stream_ucmh_ddf,
-}
 
 # The acceptance slope benchmark's rim cluster, with a fourth rim user for K = 4.
 RIM = ((1.0, 29.0), (0.99, 31.0), (0.98, 33.0), (0.97, 35.0))
@@ -463,12 +457,14 @@ def rim_cluster(num_users):
 
 
 class TestTwoStreamLayoutOracle:
-    """The two-stream DDF layout samples the same outage distribution as the
-    one-stream layout it replaced: on the rim cluster, event rates from
-    independent seeds agree within 4.5 pooled standard errors at 2^20 or
-    more trials per side."""
+    """Thinned DDF sampling (a binomial survivor count, then only the
+    survivors' rows) samples the same outage distribution as plain Monte
+    Carlo that draws every trial unconditioned and runs it through the
+    rate step: on the rim cluster, event rates from independent seeds
+    agree within 4.5 pooled standard errors at 2^20 or more trials per
+    side."""
 
-    NEW_SEED, OLD_SEED = 1009, 2003
+    THINNED_SEED, PLAIN_SEED = 1009, 2003
     # Three SNRs per rate, where the outage runs from about 1e-4 to 0.6.
     POINTS = tuple(
         (rate, snr_db)
@@ -490,24 +486,21 @@ class TestTwoStreamLayoutOracle:
         strategy = parse_strategy(name, num_users, multihop_mode=mode)
         placement = rim_cluster(num_users)
         per_user = -(-(1 << 20) // num_users)
-        one_stream = {
-            kernel: (lambda params, rng, fwd_rng, n, fn=fn: fn(params, rng, n))
-            for kernel, fn in ONE_STREAM.items()
-        }
         total = 0
         for rate, snr_db in self.POINTS:
             pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
-            new = harness.estimate_outage(strategy, placement, pc, per_user, self.NEW_SEED)
+            thinned = harness.estimate_outage(strategy, placement, pc, per_user, self.THINNED_SEED)
             with monkeypatch.context() as patch:
-                for kernel, fn in one_stream.items():
-                    patch.setitem(mc._KERNELS, kernel, fn)
-                old = harness.estimate_outage(strategy, placement, pc, per_user, self.OLD_SEED)
-            n = new.trials
-            assert n == old.trials >= 1 << 20
-            pooled = (new.events + old.events) / (2 * n)
+                # Every trial is a row with its A_dk as drawn.
+                patch.setattr(mc, "_SCREENED", frozenset())
+                patch.setattr(mc, "_survivor_rows", raw_rows)
+                plain = harness.estimate_outage(strategy, placement, pc, per_user, self.PLAIN_SEED)
+            n = thinned.trials
+            assert n == plain.trials >= 1 << 20
+            pooled = (thinned.events + plain.events) / (2 * n)
             se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
-            assert abs(new.events - old.events) / n <= 4.5 * se, (rate, snr_db, new, old)
-            total += new.events
+            assert abs(thinned.events - plain.events) / n <= 4.5 * se, (rate, snr_db, thinned, plain)
+            total += thinned.events
         assert total > 1000
 
 

@@ -231,6 +231,13 @@ class TestOneSpecPerScheme:
         with pytest.raises(ValueError, match="^num_users must be an integer >= 1"):
             parse_strategy("uc2-ddf", 0)
 
+    @pytest.mark.parametrize("name,num_users", (("mac", 2.5), ("uc2-ddf", 3.0)))
+    def test_parsed_user_count_must_be_an_integer(self, name, num_users):
+        """The parser refuses a fractional user count as Strategy does,
+        before it builds the default helper sets."""
+        with pytest.raises(ValueError, match="^num_users must be an integer >= 1"):
+            parse_strategy(name, num_users)
+
     def test_numpy_integer_helpers_are_plain_ints(self):
         s = Strategy("uc2-ddf", 3, ((np.int64(3),), (np.int32(1),), (1, 2)))
         assert s == parse_strategy("uc2-ddf", 3, coop_sets={1: [3], 2: [1], 3: [2, 1]})

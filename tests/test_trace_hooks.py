@@ -44,8 +44,8 @@ def test_install_then_restore(mode):
 def test_full_mode_records_the_layers():
     placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
     # rc-ddf runs on the uc2 kernel but keeps its own task label.  At rate 4
-    # the direct screen keeps trials in every rc-ddf batch (one batch per
-    # user), so each batch draws from the direct and the forwarder stream.
+    # the direct screen keeps trials in every rc-ddf task (one batch per
+    # user), so each task draws its survivor rows once.
     for strategy, rate, spans in (
         ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule")),
         ("rc-ddf", 4.0, ("mc.task.rc-ddf", "ddf.rate")),
@@ -63,7 +63,7 @@ def test_full_mode_records_the_layers():
             assert name in tracer.span_names, (strategy, name)
     # tracer holds the rc-ddf estimate: three tasks of one batch each.
     assert tracer.tasks == 3
-    assert tracer.summary(1.0)["by_name"]["mc.draw"]["calls"] == 2 * tracer.tasks
+    assert tracer.summary(1.0)["by_name"]["mc.draw"]["calls"] == tracer.tasks
 
 
 def test_full_mode_records_the_bound_layers():

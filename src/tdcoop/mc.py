@@ -24,10 +24,10 @@ sweep shares (``worker_pool``).
 
 A task reads its stream in order, in internal batches of ``_BATCH``
 rows, so counts do not depend on the batch size; it only keeps each
-batch's draw arrays in cache.  A mac or AF task reads one row per trial.
-A DDF task first draws how many of its trials survive the direct screen
-(below), then one row per survivor in trial order: the direct gain
-A_dk conditioned on surviving, then the trial's other links.
+batch's draw arrays in cache.  A mac or afmh task reads one row per
+trial.  A DDF or af2 task first draws how many of its trials survive the
+direct screen (below), then one row per survivor in trial order, in
+which the direct gain A_dk is conditioned on surviving.
 
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
@@ -43,28 +43,32 @@ and uc2-ddf are one protocol, the source's slot and then a second slot
 that its decoded forwarders share, so rc-ddf runs on the uc2 kernel
 with the relay as its one forwarder.
 
-The DDF kernels draw only the trials that the direct link alone may not
-carry.  Every DDF destination rate is a weighted sum, with weights
-summing to 1, of capacities whose SNR includes the direct term
-A_dk * burst / dk_pow, so it is at least C(A_dk * burst / dk_pow).  A
-trial whose A_dk reaches ``_direct_threshold`` (where that capacity
-equals the rate) times 1 + ``_SCREEN_MARGIN`` cannot be in outage; the
-margin covers rounding in the weighted sums.  A_dk is exponential, so
-the number of trials below that widened threshold t' is binomial with
-q = 1 - exp(-t'), and the survivors are independent with A_dk drawn
-given A_dk < t'.  Drawing the count and then only the survivors gives
-the event count exactly the distribution of screening every trial, and
-the rate step, which works elementwise over trials, never sees a
-dropped trial.  At zero burst power every trial survives and A_dk is
-drawn unconditioned; at rate 0 none does and nothing is drawn.  AF is
-not screened: its only direct-only bound, (1/L) C(P|h_dk|^2), drops few
-rows at the benchmark's points.
+The DDF and af2 kernels draw only the trials that the direct link alone
+may not carry.  Each of their destination rates is at least
+(1/L) C(A_dk * burst / dk_pow) for a fixed slot count L
+(``_SCREEN_SLOTS``).  Every DDF rate (L = 1) is a weighted sum, with
+weights summing to 1, of capacities whose SNR includes the direct term.
+af2 (L = 2) takes half the log of det(I + P HH*), and det - 1 is a sum
+of nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk
+reaches ``_direct_threshold`` (where that bound equals the rate) times
+1 + ``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding
+in the rate step.  A_dk is exponential, so the number of trials below
+that widened threshold t' is binomial with q = 1 - exp(-t'), and the
+survivors are independent with A_dk drawn given A_dk < t'.  Drawing the
+count and then only the survivors gives the event count exactly the
+distribution of screening every trial, and the rate step, which works
+elementwise over trials, never sees a dropped trial.  At zero burst
+power every trial survives and A_dk is drawn unconditioned; at rate 0
+none does and nothing is drawn.  mac counts its direct link against the
+same threshold (L = 1) without a screen.  afmh is not screened: its
+bound holds at L = m + 1 slots, but that threshold keeps nearly every
+trial at the benchmark's uc3-af points, and screening would renumber the
+draws under acceptance 4's uc3-af slope.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import math
 import multiprocessing
@@ -156,55 +160,66 @@ def _rayleigh_complex(rng, n, m):
     return amp.T
 
 
-def _direct_threshold(params):
-    """Direct-link gain A_dk at which C(A_dk * burst / dk_pow) equals the rate."""
-    return math.expm1(params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
+def _direct_threshold(params, slots):
+    """Direct-link gain A_dk at which (1/slots) C(A_dk * burst / dk_pow)
+    equals the rate."""
+    return math.expm1(slots * params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
 
 
-def _survival(params):
-    """q: the chance that A_dk lies below the direct-link threshold widened
-    by ``_SCREEN_MARGIN``."""
-    return -math.expm1(-_direct_threshold(params) * (1.0 + _SCREEN_MARGIN))
+def _survival(params, slots):
+    """q: the chance that A_dk lies below the ``slots``-slot direct-link
+    threshold widened by ``_SCREEN_MARGIN``."""
+    return -math.expm1(-_direct_threshold(params, slots) * (1.0 + _SCREEN_MARGIN))
 
 
-def _survivors(params, rng, trials):
-    """How many of a DDF task's trials the direct link alone may not carry.
+def _survivors(params, rng, trials, slots):
+    """How many of a screened task's trials the direct link alone may not
+    carry, for a kernel whose rate is at least (1/slots) C(direct).
 
     Draws: binomial (trials, ``_survival``).  Every other trial meets the
-    rate under each DDF scheme.  At rate 0 none survives (no trial fails)
-    and at zero burst power all do; neither draws.
+    rate.  At rate 0 none survives (no trial fails) and at zero burst
+    power all do; neither draws.
     """
     if params["rate"] <= 0.0:
         return 0
     if params["burst"] <= 0.0:
         return trials
-    return int(rng.binomial(trials, _survival(params)))
+    return int(rng.binomial(trials, _survival(params, slots)))
 
 
-def _survivor_rows(params, rng, n, links):
+def _conditioned(e, q):
+    """A_dk given A_dk < t' from the exponential draws e, by inversion in
+    place: -log1p(q * expm1(-e)) with q = 1 - exp(-t'), which lies in
+    [0, t').  With q None (zero burst, or no screen) e is A_dk as drawn.
+    Returns e."""
+    if q is not None:
+        e[...] = -np.log1p(q * np.expm1(-e))
+    return e
+
+
+def _survivor_rows(rng, n, links, q):
     """n surviving trials as rows [A_dk, links...].
 
-    Draws: exponential (n, 1 + links).  Column 0, E, becomes A_dk given
-    A_dk < t' by inversion, -log1p(q * expm1(-E)) with q = ``_survival``,
-    which lies in [0, t'); at zero burst power it stays E.
+    Draws: exponential (n, 1 + links); column 0 becomes ``_conditioned``.
     """
     a = rng.exponential(size=(n, 1 + links))
-    if params["burst"] > 0.0:
-        a[:, 0] = -np.log1p(_survival(params) * np.expm1(-a[:, 0]))
+    _conditioned(a[:, 0], q)
     return a
 
 
-def _count_mac(params, rng, n):
-    """Direct slot only.  Draws: exponential (n,) = A_dk."""
+def _count_mac(params, rng, n, q):
+    """Direct slot only.  Draws: exponential (n,) = A_dk.  Not screened
+    (q is None): the count is the indicator A_dk < ``_direct_threshold``
+    at one slot."""
     a = rng.exponential(size=n)
     if params["rate"] <= 0.0:
         return 0
     if params["burst"] <= 0.0:
         return n
-    return int((a < _direct_threshold(params)).sum())
+    return int((a < _direct_threshold(params, 1)).sum())
 
 
-def _count_uc2_ddf(params, rng, n):
+def _count_uc2_ddf(params, rng, n, q):
     """Shared second slot, m forwarders: the relay under rc (m = 1), the
     helper users under uc2.
 
@@ -216,7 +231,7 @@ def _count_uc2_ddf(params, rng, n):
     """
     rate, burst = params["rate"], params["burst"]
     m = len(params["budgets"])
-    a = _survivor_rows(params, rng, n, 2 * m)
+    a = _survivor_rows(rng, n, 2 * m, q)
     theta = _ddf.listen_fraction_uc2(a[:, 1 : 1 + m], params["jk_pow"], burst, rate)
     budgets = np.asarray(params["budgets"])
     helper_snr = a[:, 1 + m :] * budgets / np.asarray(params["dj_pow"])
@@ -224,7 +239,7 @@ def _count_uc2_ddf(params, rng, n):
     return int((mi < rate).sum())
 
 
-def _count_ucmh_ddf(params, rng, n):
+def _count_ucmh_ddf(params, rng, n, q):
     """Greedy multihop chain, m helpers (L = m + 1 slots).
 
     Draws: n surviving rows from ``_survivor_rows`` = A_dk,
@@ -242,7 +257,7 @@ def _count_ucmh_ddf(params, rng, n):
     m = len(budgets)
     L = m + 1
     npairs = m * (m - 1) // 2
-    a = _survivor_rows(params, rng, n, m + npairs + m)
+    a = _survivor_rows(rng, n, m + npairs + m, q)
     # Link SNR coefficients: helper h hears the source (slot 0) and every
     # other helper; the destination hears the source and every helper.
     recv_coef = np.zeros((m, L))
@@ -273,15 +288,40 @@ def _count_ucmh_ddf(params, rng, n):
     return int((mi < rate).sum())
 
 
-def _count_af(params, rng, n, multihop=False):
-    """AF over m helpers: the two-slot scheme (all helpers forward at
-    once) or, with multihop, L = m + 1 slots with one helper per slot.
+def _count_af2(params, rng, n, q):
+    """Two-slot AF: all m helpers forward at once.
+
+    Draws: n surviving trials' complex amplitudes for links [d-k, d-j
+    (m), j-k (m)] via ``_rayleigh_complex`` (standard_normal
+    (n, 2(1 + 2m))).  The rate step reads only |h_dk|^2, so the d-k pair
+    gives E = |h_dk|^2 as drawn, which becomes ``_conditioned``, and its
+    phase is dropped.  A dropped trial meets the rate: det(I + P HH*) - 1
+    is a sum of nonnegative terms that includes P |h_dk|^2, so the rate
+    is at least half the direct link's capacity.  The rate is the closed
+    form ``af2_trial_mutual_info``; helpers never hear each other.
+    """
+    m = len(params["budgets"])
+    h = _rayleigh_complex(rng, n, 1 + 2 * m)
+    # In place: a fresh array per batch costs more than the arithmetic.
+    h[:, 1:] *= 1.0 / np.sqrt(np.array((*params["dj_pow"], *params["jk_pow"])))
+    h_dk = _conditioned(_af._abs2(h[:, 0]), q)
+    h_dk *= 1.0 / params["dk_pow"]
+    np.sqrt(h_dk, out=h_dk)
+    mi = _af.af2_trial_mutual_info(
+        h_dk, h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
+    )
+    return int((mi < params["rate"]).sum())
+
+
+def _count_afmh(params, rng, n, q):
+    """AF with L = m + 1 slots, one helper per slot.  Not screened (q is
+    None).
 
     Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
     standard_normal (n, 2(1 + 2m)).  Helpers never hear each other.  The
-    rate is the closed-form determinant of the scheme's whitened matrix
-    (``af2_trial_mutual_info``/``afmh_trial_mutual_info``); no matrix is
-    built, and ``af_trial_mutual_info`` stays the general reference.
+    rate is the closed-form determinant of the arrow matrix
+    (``afmh_trial_mutual_info``); no matrix is built, and
+    ``af_trial_mutual_info`` stays the general reference.
     """
     rate = params["rate"]
     m = len(params["budgets"])
@@ -289,8 +329,9 @@ def _count_af(params, rng, n, multihop=False):
     if rate <= 0.0:
         return 0
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mutual_info = _af.afmh_trial_mutual_info if multihop else _af.af2_trial_mutual_info
-    mi = mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
+    mi = _af.afmh_trial_mutual_info(
+        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
+    )
     return int((mi < rate).sum())
 
 
@@ -299,27 +340,34 @@ _KERNELS = {
     "rc-ddf": _count_uc2_ddf,
     "uc2-ddf": _count_uc2_ddf,
     "ucmh-ddf": _count_ucmh_ddf,
-    "af2": _count_af,
-    "afmh": functools.partial(_count_af, multihop=True),
+    "af2": _count_af2,
+    "afmh": _count_afmh,
 }
-# Kernels that draw only the trials the direct screen keeps.
-_SCREENED = frozenset(("rc-ddf", "uc2-ddf", "ucmh-ddf"))
+# Screened kernels and their slot count L: each destination rate is at
+# least (1/L) C(A_dk * burst / dk_pow).
+_SCREEN_SLOTS = {"rc-ddf": 1, "uc2-ddf": 1, "ucmh-ddf": 1, "af2": 2}
 
 
 def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int) -> int:
     """Outage events in one task, read from the task's one stream (keyed
     by path) in internal batches.
 
-    A DDF task first draws its survivor count (``_survivors``) and then
-    one row per survivor; mac and AF read one row per trial.  Rows are
-    read trial-major, so the count is the same for any batch size."""
+    A screened task (``_SCREEN_SLOTS``) first draws its survivor count
+    (``_survivors``) and then one row per survivor, with A_dk conditioned
+    by q = ``_survival`` (q is None at zero burst and for mac and afmh,
+    which read one row per trial).  Rows are read trial-major, so the
+    count is the same for any batch size."""
     fn = _KERNELS[kernel]
     rng = derive_stream(seed, *path)
-    if kernel in _SCREENED:
-        trials = _survivors(params, rng, trials)
+    slots = _SCREEN_SLOTS.get(kernel)
+    q = None
+    if slots is not None:
+        trials = _survivors(params, rng, trials, slots)
+        if params["burst"] > 0.0:
+            q = _survival(params, slots)
     events = 0
     for done in range(0, trials, _BATCH):
-        events += fn(params, rng, min(_BATCH, trials - done))
+        events += fn(params, rng, min(_BATCH, trials - done), q)
     return events
 
 

@@ -273,18 +273,32 @@ SHAPES = (
 
 def slogdet_count_events(kernel, params, seed, path, trials):
     """Reference AF kernel: the engine's stream and draw layout, the
-    general log-det rate of the equivalent-channel matrix."""
+    general log-det rate of the equivalent-channel matrix.
+
+    afmh reads one row per trial.  af2 first draws its survivor count,
+    binomial (trials, q) with q = 1 - exp(-t') and t' the two-slot direct
+    threshold (2^(2R) - 1) dk_pow / burst widened by ``_SCREEN_MARGIN``,
+    then one row per survivor.  Its d-k pair gives E = |h_dk|^2, which
+    becomes |h_dk|^2 given |h_dk|^2 < t' by inversion, phase dropped."""
     build = afmh_equivalent_channel if kernel == "afmh" else af2_equivalent_channel
     m = len(params["budgets"])
     links = 1 + 2 * m
     rng = mc.derive_stream(seed, *path)
+    q = None
+    if kernel == "af2":
+        t = math.expm1(2.0 * params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
+        q = -math.expm1(-t * (1.0 + mc._SCREEN_MARGIN))
+        trials = rng.binomial(trials, q)
     events = 0
     for start in range(0, trials, 1 << 16):
         n = min(1 << 16, trials - start)
         parts = rng.standard_normal((n, 2 * links))
         amp = math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
+        h_dk = amp[:, 0]
+        if q is not None:
+            h_dk = np.sqrt(-np.log1p(q * np.expm1(-np.abs(h_dk) ** 2)))
         ch = build(
-            amp[:, 0] * (1.0 / math.sqrt(params["dk_pow"])),
+            h_dk * (1.0 / math.sqrt(params["dk_pow"])),
             amp[:, 1 : 1 + m] * (1.0 / np.sqrt(params["dj_pow"])),
             amp[:, 1 + m :] * (1.0 / np.sqrt(params["jk_pow"])),
             np.asarray(params["budgets"]),

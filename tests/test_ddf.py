@@ -396,7 +396,7 @@ def oracle_count_events(params, seed, path, trials):
     m, L = recv_coef.shape
     npairs = m * (m - 1) // 2
     rng = mc.derive_stream(seed, *path)
-    q = -math.expm1(-mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN))
+    q = -math.expm1(-mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN))
     rows = rng.exponential(size=(rng.binomial(trials, q), 1 + m + npairs + m))
     a_dk = -np.log1p(q * np.expm1(-rows[:, 0]))
     a = rows[:, 1:]

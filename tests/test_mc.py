@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from tdcoop import harness, mc
+from tdcoop.af import af2_equivalent_channel, af2_trial_mutual_info, af_trial_mutual_info
 from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
-from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, user_id
+from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, sample_placement, user_id
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
 
@@ -164,13 +165,17 @@ RECORD3 = dict(
     jk_pow=(0.6**4, 0.7**4, 0.8**4),
     hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
 )
-# (kernel, record, link columns after A_dk in the kernel's rows)
+# (kernel, record, draw, columns of one trial's row): the DDF kernels
+# read exponential rows [A_dk, links...], af2 standard-normal rows, the
+# real then the imaginary parts of its 1 + 2m complex links.
 SCREENED = {
-    "rc-ddf": ("rc-ddf", RECORD1, 2),
-    "uc2-ddf": ("uc2-ddf", RECORD, 4),
-    "ucmh-accumulating": ("ucmh-ddf", RECORD, 5),
-    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 5),
-    "ucmh-k4": ("ucmh-ddf", RECORD3, 9),
+    "rc-ddf": ("rc-ddf", RECORD1, "exponential", 3),
+    "uc2-ddf": ("uc2-ddf", RECORD, "exponential", 5),
+    "ucmh-accumulating": ("ucmh-ddf", RECORD, "exponential", 6),
+    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), "exponential", 6),
+    "ucmh-k4": ("ucmh-ddf", RECORD3, "exponential", 10),
+    "af2-m1": ("af2", RECORD1, "standard_normal", 6),
+    "af2-m2": ("af2", RECORD, "standard_normal", 10),
 }
 
 
@@ -179,11 +184,6 @@ def scaled(params, rate, snr_db):
     scale = 10.0 ** (snr_db / 10.0)
     budgets = tuple(b * scale for b in params["budgets"])
     return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
-
-
-def raw_rows(params, rng, n, links):
-    """Survivor rows as drawn, with A_dk left unconditioned."""
-    return rng.exponential(size=(n, 1 + links))
 
 
 class StubDraws:
@@ -196,6 +196,8 @@ class StubDraws:
         assert np.shape(self.table) == size
         return self.table.copy()
 
+    standard_normal = exponential
+
 
 class NoDraws:
     """A generator the kernel must not draw from."""
@@ -203,13 +205,15 @@ class NoDraws:
     def exponential(self, size):
         raise AssertionError(f"unexpected draw of {size}")
 
+    standard_normal = exponential
+
     def binomial(self, n, p):
         raise AssertionError(f"unexpected binomial draw ({n}, {p})")
 
 
 class RecordedStream:
-    """A task's generator that logs each draw: ("binomial", n) or
-    ("exponential", rows)."""
+    """A task's generator that logs each draw: ("binomial", n), or the
+    draw's name and its row count."""
 
     def __init__(self, gen, log):
         self.gen, self.log = gen, log
@@ -222,51 +226,77 @@ class RecordedStream:
         self.log.append(("exponential", size[0]))
         return self.gen.exponential(size=size)
 
+    def standard_normal(self, size):
+        self.log.append(("standard_normal", size[0]))
+        return self.gen.standard_normal(size)
 
-def documented_rows(params, seed, path, trials, links):
+
+def documented_rows(kernel, params, seed, path, trials, draw, cols):
     """One task's rows as the documented layout reads them, in one piece.
 
     The stream first gives the survivor count, binomial (trials, q) with
-    q = 1 - exp(-t') and t' the widened direct-link threshold (no trial
-    at rate 0, every trial without a draw at zero burst), then one row
-    exponential (1 + links) per survivor whose column 0 becomes A_dk given
-    A_dk < t' by inversion (left as drawn at zero burst)."""
+    q = 1 - exp(-t') and t' the widened direct-link threshold at the
+    kernel's slot count (no trial at rate 0, every trial without a draw
+    at zero burst), then one row of ``cols`` draws per survivor.  Returns
+    the rows as drawn and q (None at zero burst)."""
     rng = mc.derive_stream(seed, *path)
-    q = 1.0
+    q = None
     if params["rate"] <= 0.0:
         survivors = 0
     elif params["burst"] <= 0.0:
         survivors = trials
     else:
-        q = -math.expm1(-mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN))
+        slots = 2 if kernel == "af2" else 1
+        q = -math.expm1(-mc._direct_threshold(params, slots) * (1.0 + mc._SCREEN_MARGIN))
         survivors = rng.binomial(trials, q)
-    rows = rng.exponential(size=(survivors, 1 + links))
-    if params["burst"] > 0.0:
-        rows[:, 0] = -np.log1p(q * np.expm1(-rows[:, 0]))
-    return rows
+    if draw == "exponential":
+        return rng.exponential(size=(survivors, cols)), q
+    return rng.standard_normal((survivors, cols)), q
 
 
-def unscreened_count(kernel, params, rows, monkeypatch):
-    """The kernel's rate step over every row of the table, in one batch."""
+def truncated(e, q):
+    """A_dk given A_dk < t' from an exponential draw, by inversion."""
+    return e if q is None else -np.log1p(q * np.expm1(-e))
+
+
+def unscreened_count(kernel, params, rows, q=None):
+    """The outage count of the table's trials, in one batch.
+
+    DDF rows [A_dk, links...] run through the kernel's rate step with
+    column 0 conditioned by q.  af2 rows are standard-normal parts,
+    sqrt(1/2) (re + i im), of the links [d-k, d-j, j-k]; A_dk is |h_dk|^2
+    conditioned by q, and the count comes from the general log-det."""
     if not len(rows):
         return 0
-    with monkeypatch.context() as patch:
-        patch.setattr(mc, "_survivor_rows", raw_rows)
-        return mc._KERNELS[kernel](params, StubDraws(rows), len(rows))
+    if kernel == "af2":
+        links = rows.shape[1] // 2
+        m = len(params["budgets"])
+        amp = math.sqrt(0.5) * (rows[:, :links] + 1j * rows[:, links:])
+        ch = af2_equivalent_channel(
+            np.sqrt(truncated(np.abs(amp[:, 0]) ** 2, q) / params["dk_pow"]),
+            amp[:, 1 : 1 + m] / np.sqrt(params["dj_pow"]),
+            amp[:, 1 + m :] / np.sqrt(params["jk_pow"]),
+            np.asarray(params["budgets"]),
+            params["burst"],
+        )
+        return int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
+    rows = rows.copy()
+    rows[:, 0] = truncated(rows[:, 0], q)
+    return mc._KERNELS[kernel](params, StubDraws(rows), len(rows), None)
 
 
 class TestDirectScreen:
-    """The DDF kernels draw a task's survivor count and then rows for the
-    survivors only, which run the rate step; a dropped trial must meet
-    the rate."""
+    """The DDF and af2 kernels draw a task's survivor count and then rows
+    for the survivors only, which run the rate step; a dropped trial must
+    meet the rate."""
 
     def spy(self, monkeypatch):
-        """Record (task trials, survivors) of every DDF task."""
+        """Record (task trials, survivors) of every screened task."""
         kept = []
         survivors = mc._survivors
 
-        def spy(params, rng, trials):
-            out = survivors(params, rng, trials)
+        def spy(params, rng, trials, slots):
+            out = survivors(params, rng, trials, slots)
             kept.append((trials, out))
             return out
 
@@ -278,7 +308,7 @@ class TestDirectScreen:
     def test_counts_equal_the_unscreened_stream(self, case, rate, monkeypatch):
         """A task counts what the rate step gives over its documented rows
         in one batch, across the batch boundary."""
-        kernel, record, cols = SCREENED[case]
+        kernel, record, draw, cols = SCREENED[case]
         kept = self.spy(monkeypatch)
         trials = 40_000
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
@@ -286,43 +316,44 @@ class TestDirectScreen:
             path = (snr_db + 10, 0, 0, 0)
             kept.clear()
             got = mc.count_events(kernel, params, 21, path, trials)
-            rows = documented_rows(params, 21, path, trials, cols)
+            rows, q = documented_rows(kernel, params, 21, path, trials, draw, cols)
             assert kept == [(trials, len(rows))]
-            assert got == unscreened_count(kernel, params, rows, monkeypatch), snr_db
+            assert got == unscreened_count(kernel, params, rows, q), snr_db
             if rate > 0.0 and snr_db == -10:
                 assert len(rows) > 2 * mc._BATCH
-            if rate > 0.0 and snr_db >= 30:
+            # af2's threshold is 2^(2R) - 1: at rate 9 it keeps most rows.
+            if 0.0 < rate * (2 if kernel == "af2" else 1) <= 9.0 and snr_db >= 30:
                 assert len(rows) < trials // 2
         zero = dict(scaled(record, rate, 0), burst=0.0)
         got = mc.count_events(kernel, zero, 21, (0,), 5000)
         assert got == (5000 if rate > 0.0 else 0)
-        rows = documented_rows(zero, 21, (0,), 5000, cols)
-        assert got == unscreened_count(kernel, zero, rows, monkeypatch)
+        rows, q = documented_rows(kernel, zero, 21, (0,), 5000, draw, cols)
+        assert got == unscreened_count(kernel, zero, rows, q)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_counts_across_batches_with_no_kept_trial(self, case, monkeypatch):
         """At 64-row batches a task's survivor rows span many batches and
         count as in one; a task with no survivor draws nothing after its
         count, and the task after it counts as it would alone."""
-        kernel, record, cols = SCREENED[case]
+        kernel, record, draw, cols = SCREENED[case]
         monkeypatch.setattr(mc, "_BATCH", 64)
         tasks = (
             (scaled(record, 1.0, 10), (1, 0, 0, 0), 64 * 200 + 7),
             (scaled(record, 1.0, 50), (2, 0, 0, 0), 500),
             (scaled(record, 1.0, 10), (3, 0, 0, 0), 64 * 200 + 7),
         )
-        want = [documented_rows(params, 23, path, trials, cols) for params, path, trials in tasks]
+        want = [documented_rows(kernel, params, 23, path, trials, draw, cols) for params, path, trials in tasks]
         logs = {}
         derive = mc.derive_stream
         monkeypatch.setattr(
             mc, "derive_stream", lambda seed, *path: RecordedStream(derive(seed, *path), logs.setdefault(path, []))
         )
-        for (params, path, trials), rows in zip(tasks, want):
+        for (params, path, trials), (rows, q) in zip(tasks, want):
             got = mc.count_events(kernel, params, 23, path, trials)
-            assert got == unscreened_count(kernel, params, rows, monkeypatch), path
+            assert got == unscreened_count(kernel, params, rows, q), path
             batches = -(-len(rows) // 64)
             assert logs[path] == [("binomial", trials)] + [
-                ("exponential", min(64, len(rows) - 64 * b)) for b in range(batches)
+                (draw, min(64, len(rows) - 64 * b)) for b in range(batches)
             ]
         assert len(logs[(2, 0, 0, 0)]) == 1
         assert len(logs[(1, 0, 0, 0)]) > 2 and len(logs[(3, 0, 0, 0)]) > 2
@@ -331,7 +362,7 @@ class TestDirectScreen:
     def test_batch_with_no_surviving_row(self, case, monkeypatch):
         """A task with no survivor draws no row and counts no event; at
         rate 0 it draws nothing at all."""
-        kernel, record, _ = SCREENED[case]
+        kernel, record, _, _ = SCREENED[case]
 
         class NoSurvivor(NoDraws):
             def binomial(self, n, p):
@@ -343,21 +374,40 @@ class TestDirectScreen:
 
     @staticmethod
     def outages_at_cut(case, rate, snr_db, factor, monkeypatch):
-        """Unscreened outage count of trials whose A_dk sits at the cut
-        threshold * factor and up to four ulps above it, once with every
-        forwarder link zero (the forwarders never decode, so theta = 1)
-        and in trials with random forwarder links."""
-        kernel, record, cols = SCREENED[case]
+        """Outage count, through the kernel's own rate step, of trials
+        whose A_dk sits at the cut threshold * factor and up to four ulps
+        above it: once with the forwarders as weak as the scheme allows
+        and in trials with random forwarder links.
+
+        DDF: every forwarder link zero, so the forwarders never decode and
+        theta = 1.  af2: the helpers hear nothing (h_jk = 0) and reach the
+        destination with gain 1e24, so the forwarded noise leaves the
+        second slot little more than the direct term over c_s^2 and the
+        rate is within about 1e-24 of (1/2) C(P |h_dk|^2).  The af2 links
+        are random complex amplitudes, phases included."""
+        kernel, record, draw, cols = SCREENED[case]
         params = scaled(record, rate, snr_db)
-        cut = mc._direct_threshold(params) * factor
+        cut = mc._direct_threshold(params, 2 if kernel == "af2" else 1) * factor
         steps = [cut]
         for _ in range(4):
             steps.append(np.nextafter(steps[-1], np.inf))
+        a_dk = np.repeat(steps, 33)
         rng = np.random.default_rng(int(rate * 100) + snr_db)
-        fwd = rng.exponential(size=(len(steps), 33, cols))
-        fwd[:, 0] = 0.0
-        rows = np.column_stack((np.repeat(steps, 33), fwd.reshape(-1, cols)))
-        return unscreened_count(kernel, params, rows, monkeypatch)
+        if draw == "exponential":
+            fwd = rng.exponential(size=(len(steps), 33, cols - 1))
+            fwd[:, 0] = 0.0
+            rows = np.column_stack((a_dk, fwd.reshape(-1, cols - 1)))
+            return unscreened_count(kernel, params, rows)
+        m = len(params["budgets"])
+        parts = rng.standard_normal((len(steps), 33, cols))
+        weak = parts[:, 0]
+        weak[:, 1 : 1 + m] = 1e12
+        weak[:, 2 + 2 * m : 2 + 3 * m] = 0.0
+        weak[:, 1 + m : 1 + 2 * m] = 0.0
+        weak[:, 2 + 3 * m :] = 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_conditioned", lambda e, q: a_dk)
+            return mc._KERNELS[kernel](params, StubDraws(parts.reshape(-1, cols)), len(a_dk), None)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
@@ -371,41 +421,81 @@ class TestDirectScreen:
                 assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
 
 
+def ks_truncated(x, q):
+    """Kolmogorov-Smirnov distance of the sample x to (1 - e^-x)/q."""
+    x = np.sort(x)
+    n = len(x)
+    cdf = -np.expm1(-x) / q
+    ranks = np.arange(1, n + 1) / n
+    return max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+
+
 class TestConditionedDirectGain:
     """A survivor's A_dk is the exponential conditioned below the widened
-    threshold t', drawn by inversion."""
+    threshold t', drawn by inversion; af2 takes the exponential from its
+    d-k normal pair."""
+
+    @staticmethod
+    def params_for(q, slots):
+        """A record whose ``slots``-slot survival probability is q."""
+        widened = -math.log1p(-q)
+        burst = math.expm1(slots * math.log(2.0)) * (1.0 + mc._SCREEN_MARGIN) / widened
+        return dict(RECORD1, rate=1.0, dk_pow=1.0, burst=burst)
 
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
     def test_truncated_exponential(self, q):
         """Every value lies in [0, t'), and the empirical CDF matches
         (1 - e^-x)/q: the Kolmogorov-Smirnov distance stays below its 1 %
         critical value, 1.63/sqrt(n)."""
-        widened = -math.log1p(-q)
-        params = dict(RECORD, rate=1.0, dk_pow=1.0, burst=(1.0 + mc._SCREEN_MARGIN) / widened)
-        cut = mc._direct_threshold(params) * (1.0 + mc._SCREEN_MARGIN)
-        q = mc._survival(params)
+        params = self.params_for(q, 1)
+        cut = mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN)
+        q = mc._survival(params, 1)
         n = 200_000
-        a = mc._survivor_rows(params, np.random.default_rng(31), n, 0)
-        x = np.sort(a[:, 0])
-        assert a.shape == (n, 1) and x[0] >= 0.0 and x[-1] < cut
-        cdf = -np.expm1(-x) / q
-        ranks = np.arange(1, n + 1) / n
-        assert max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))) < 1.63 / math.sqrt(n)
+        a = mc._survivor_rows(np.random.default_rng(31), n, 0, q)
+        x = a[:, 0]
+        assert a.shape == (n, 1) and x.min() >= 0.0 and x.max() < cut
+        assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
+    def test_af2_gain_from_the_normal_pair(self, q, monkeypatch):
+        """af2 conditions E = |h_dk|^2 of its d-k normal pair, 0.5 (re^2 +
+        im^2), which lies in [0, t') after it and passes the same KS check."""
+        params = self.params_for(q, 2)
+        cut = mc._direct_threshold(params, 2) * (1.0 + mc._SCREEN_MARGIN)
+        q = mc._survival(params, 2)
+        seen = []
+        conditioned = mc._conditioned
+
+        def spy(e, q):
+            # Copies: the kernel works on these arrays in place.
+            seen.append(e.copy())
+            out = conditioned(e, q)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(mc, "_conditioned", spy)
+        n = 200_000
+        mc._KERNELS["af2"](params, np.random.default_rng(37), n, q)
+        e, x = seen
+        parts = np.random.default_rng(37).standard_normal((n, 6))
+        np.testing.assert_allclose(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 3] ** 2), rtol=1e-15)
+        assert x.shape == (n,) and x.min() >= 0.0 and x.max() < cut
+        assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
 
     def test_zero_burst_keeps_the_draw(self):
-        """At zero burst power every trial survives with A_dk as drawn."""
-        params = dict(RECORD, burst=0.0)
-        got = mc._survivor_rows(params, np.random.default_rng(5), 100, 4)
+        """At zero burst power (q None) every trial survives with A_dk as
+        drawn."""
+        got = mc._survivor_rows(np.random.default_rng(5), 100, 4, None)
         np.testing.assert_array_equal(got, np.random.default_rng(5).exponential(size=(100, 5)))
 
 
-def count_rc_ddf(params, rng, n):
+def count_rc_ddf(params, rng, n, q):
     """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
     uc2 kernel, on the one-stream layout.  Draws: n surviving rows
     [A_dk, A_rk, A_dr] from ``_survivor_rows``; the rows go through the
     one-forwarder rate references."""
     rate, burst = params["rate"], params["burst"]
-    a = mc._survivor_rows(params, rng, n, 2)
+    a = mc._survivor_rows(rng, n, 2, q)
     theta = listen_fraction_rc(a[:, 1], params["jk_pow"][0], burst, rate)
     mi = trial_mutual_info_rc(
         theta,
@@ -435,10 +525,11 @@ class TestRelayOnSharedSlotKernel:
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 1, 0, 0)
             rng = mc.derive_stream(29, *path)
-            survivors = mc._survivors(params, rng, trials)
+            survivors = mc._survivors(params, rng, trials, 1)
+            q = mc._survival(params, 1)
             want = 0
             for start in range(0, survivors, mc._BATCH):
-                want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start))
+                want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start), q)
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
@@ -456,13 +547,26 @@ def rim_cluster(num_users):
     return NodePlacement(params=GeometryParams(num_users=num_users), positions=pos)
 
 
+def plain_af2(params, rng, n, q):
+    """The af2 kernel without the screen, as it drew before: every trial's
+    complex amplitudes [d-k, d-j (m), j-k (m)], d-k phase included,
+    scaled by 1/sqrt(d^gamma), through ``af2_trial_mutual_info``."""
+    m = len(params["budgets"])
+    h = mc._rayleigh_complex(rng, n, 1 + 2 * m)
+    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
+    mi = af2_trial_mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
+    return int((mi < params["rate"]).sum())
+
+
 class TestTwoStreamLayoutOracle:
-    """Thinned DDF sampling (a binomial survivor count, then only the
+    """Thinned sampling (a binomial survivor count, then only the
     survivors' rows) samples the same outage distribution as plain Monte
     Carlo that draws every trial unconditioned and runs it through the
-    rate step: on the rim cluster, event rates from independent seeds
-    agree within 4.5 pooled standard errors at 2^20 or more trials per
-    side."""
+    rate step: event rates from independent seeds agree within 4.5 pooled
+    standard errors at 2^20 or more trials per side.  The DDF kernels run
+    on the rim cluster; af2 on the rim cluster and on one default-geometry
+    placement at low SNR, against the unscreened layout with the d-k
+    phase."""
 
     THINNED_SEED, PLAIN_SEED = 1009, 2003
     # Three SNRs per rate, where the outage runs from about 1e-4 to 0.6.
@@ -484,16 +588,39 @@ class TestTwoStreamLayoutOracle:
     )
     def test_event_rates_agree(self, name, num_users, mode, monkeypatch):
         strategy = parse_strategy(name, num_users, multihop_mode=mode)
-        placement = rim_cluster(num_users)
+        assert self.agreeing_events(strategy, rim_cluster(num_users), self.POINTS, monkeypatch) > 1000
+
+    # Rate 5 on the rim cluster, where af2's outage runs from about 4e-4
+    # to 0.04; rate 0.25 at low SNR on a placement of the default geometry.
+    AF2_POINTS = {"rim": ((5.0, 25), (5.0, 30), (5.0, 35)), "area": ((0.25, -10), (0.25, 0))}
+
+    @pytest.mark.parametrize("where", ("rim", "area"))
+    @pytest.mark.parametrize(
+        "name,coop_sets",
+        (("rc-af", None), ("uc2-af", {1: [2], 2: [3], 3: [1]}), ("uc2-af", None)),
+        ids=("rc-af", "uc2-af-m1", "uc2-af-m2"),
+    )
+    def test_af2_event_rates_agree(self, name, coop_sets, where, monkeypatch):
+        strategy = parse_strategy(name, 3, coop_sets=coop_sets)
+        if where == "rim":
+            placement = rim_cluster(3)
+        else:
+            placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
+        assert self.agreeing_events(strategy, placement, self.AF2_POINTS[where], monkeypatch) > 1000
+
+    def agreeing_events(self, strategy, placement, points, monkeypatch):
+        """Check each point's thinned and plain event rates against each
+        other; return the thinned events summed over the points."""
+        num_users = placement.params.num_users
         per_user = -(-(1 << 20) // num_users)
         total = 0
-        for rate, snr_db in self.POINTS:
+        for rate, snr_db in points:
             pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
             thinned = harness.estimate_outage(strategy, placement, pc, per_user, self.THINNED_SEED)
             with monkeypatch.context() as patch:
                 # Every trial is a row with its A_dk as drawn.
-                patch.setattr(mc, "_SCREENED", frozenset())
-                patch.setattr(mc, "_survivor_rows", raw_rows)
+                patch.setattr(mc, "_SCREEN_SLOTS", {})
+                patch.setitem(mc._KERNELS, "af2", plain_af2)
                 plain = harness.estimate_outage(strategy, placement, pc, per_user, self.PLAIN_SEED)
             n = thinned.trials
             assert n == plain.trials >= 1 << 20
@@ -501,7 +628,7 @@ class TestTwoStreamLayoutOracle:
             se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
             assert abs(thinned.events - plain.events) / n <= 4.5 * se, (rate, snr_db, thinned, plain)
             total += thinned.events
-        assert total > 1000
+        return total
 
 
 class TestRayleighDraw:

@@ -41,15 +41,28 @@ def test_install_then_restore(mode):
     assert bindings() == before
 
 
-def test_full_mode_records_the_layers():
+def test_full_mode_records_the_layers(monkeypatch):
     placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
+    survivors = mc._survivors
+    kept = []
+
+    def spy(params, rng, trials, slots):
+        kept.append(survivors(params, rng, trials, slots))
+        return kept[-1]
+
+    monkeypatch.setattr(mc, "_survivors", spy)
     # rc-ddf runs on the uc2 kernel but keeps its own task label.  At rate 4
     # the direct screen keeps trials in every rc-ddf task (one batch per
-    # user), so each task draws its survivor rows once.
+    # user), so each task draws its survivor rows once.  rc-af runs on the
+    # af2 kernel, which draws rows only in a task with survivors: at rate 1
+    # two of its three tasks have none.
+    draws = {}
     for strategy, rate, spans in (
         ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule")),
         ("rc-ddf", 4.0, ("mc.task.rc-ddf", "ddf.rate")),
+        ("rc-af", 1.0, ("mc.task.af2",)),
     ):
+        kept.clear()
         tracer = tracing.Tracer()
         try:
             tracing.install(tracer, "full")
@@ -61,9 +74,11 @@ def test_full_mode_records_the_layers():
             tracer.restore()
         for name in ("mc.run_cells", "mc.draw", "power") + spans:
             assert name in tracer.span_names, (strategy, name)
-    # tracer holds the rc-ddf estimate: three tasks of one batch each.
-    assert tracer.tasks == 3
-    assert tracer.summary(1.0)["by_name"]["mc.draw"]["calls"] == tracer.tasks
+        # three tasks of one batch each
+        assert tracer.tasks == 3
+        draws[strategy] = (tracer.summary(1.0)["by_name"]["mc.draw"]["calls"], sum(k > 0 for k in kept))
+    assert draws["rc-ddf"] == (3, 3)
+    assert draws["rc-af"] == (1, 1)
 
 
 def test_full_mode_records_the_bound_layers():

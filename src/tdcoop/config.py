@@ -104,7 +104,10 @@ def _snr_grid(raw) -> tuple[float, ...]:
             raise ConfigError(f"snr_db range needs start/stop/step: missing {exc}") from exc
         if step <= 0 or stop < start:
             raise ConfigError("snr_db range needs step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not math.isfinite(span):
+            raise ConfigError(f"snr_db range {start:g}:{stop:g}:{step:g} has too many points to count")
+        count = int(math.floor(span)) + 1
         return tuple(start + i * step for i in range(count))
     if isinstance(raw, (list, tuple)):
         return tuple(_number(float, x, "snr_db") for x in raw)

@@ -206,12 +206,14 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
 
 
 def _user_powers(strategy: Strategy, grid: list[PowerConfig]) -> list[tuple]:
-    """Each user's (burst, budgets, lambdas) over the SNR grid.
+    """Each user's (burst, budgets, live, lambdas) over the SNR grid.
 
-    burst is the column of the source's burst powers, budgets lists its
-    forwarders' budgets (the relay's under rc) as one tuple per grid
-    point, and lambdas holds the DDF bounds' branch weights, one row per
-    point: 1 for the source, then each budget over the burst.
+    burst is the column of the source's burst powers and budgets lists
+    its forwarders' budgets (the relay's under rc) as one tuple per grid
+    point.  live indexes the points where the source transmits (burst >
+    0): a slice over the whole grid unless P = 0 silences it somewhere.
+    lambdas holds the DDF bounds' branch weights at the live points, one
+    row per point: 1 for the source, then each budget over the burst.
     """
     bursts = [[user_burst_power(strategy, pc, k) for pc in grid] for k in range(1, strategy.num_users + 1)]
     relay = [(relay_power(pc),) for pc in grid] if strategy.uses_relay else None
@@ -221,8 +223,10 @@ def _user_powers(strategy: Strategy, grid: list[PowerConfig]) -> list[tuple]:
             budgets = [tuple(bursts[j - 1][s] for j in strategy.helpers(k)) for s in range(len(grid))]
         else:
             budgets = relay
-        lambdas = [(1.0,) + tuple(f / b for f in fs) for b, fs in zip(burst, budgets)]
-        powers.append((np.array(burst), budgets, np.array(lambdas)))
+        rows = [s for s, b in enumerate(burst) if b > 0.0]
+        lambdas = [(1.0,) + tuple(f / burst[s] for f in budgets[s]) for s in rows]
+        live = slice(None) if len(rows) == len(grid) else np.array(rows, dtype=int)
+        powers.append((np.array(burst), budgets, live, np.array(lambdas)))
     return powers
 
 
@@ -231,13 +235,19 @@ def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.
     shaped (grid points, cells) in cell order.
 
     One bound-function call per cell covers the whole grid, with the
-    cell's links as scalars and its user's ``_user_powers`` as rows; mac
-    takes the closed form twice.
+    cell's links as scalars and its user's live ``_user_powers`` rows as
+    rows; mac takes the closed form twice.  A silent source is in outage
+    at every positive rate, so at a point off its live rows both columns
+    are float(rate > 0), ``mac_outage``'s rule, and no bound is called.
     """
-    lower = np.empty((len(powers[0][0]), len(cells)))
-    upper = np.empty_like(lower)
+    lower = np.full((len(powers[0][0]), len(cells)), float(rate > 0.0))
+    upper = lower.copy()
+    # Per user: its live rows and their bursts and branch weights.
+    rows = [(live, burst[live], lambdas) for burst, _, live, lambdas in powers]
     for c, (_, u, kernel, dk, dj, jk, _) in enumerate(cells):
-        burst, _, lambdas = powers[u]
+        live, burst, lambdas = rows[u]
+        if not len(burst):
+            continue
         if kernel == "mac":
             cf = mac_outage(rate, burst, dk)
             pair = BoundPair(lower=cf, upper=cf)
@@ -249,8 +259,8 @@ def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.
         else:
             ddf_bounds = ddf_bounds_uc2 if kernel == "uc2-ddf" else ddf_bounds_multihop
             pair = ddf_bounds(rate, burst, lambdas, np.array((dk,) + dj), np.array(jk), optimize=optimize)
-        lower[:, c] = pair.lower
-        upper[:, c] = pair.upper
+        lower[live, c] = pair.lower
+        upper[live, c] = pair.upper
     return lower, upper
 
 
@@ -264,7 +274,7 @@ def _tasks(cells, powers, s: int, rate: float, mode: str) -> list[tuple]:
     """
     tasks = []
     for i, u, kernel, dk, dj, jk, hh in cells:
-        burst, budgets, _ = powers[u]
+        burst, budgets, *_ = powers[u]
         params = dict(rate=rate, burst=float(burst[s]), budgets=budgets[s], mode=mode)
         params.update(dk_pow=dk, dj_pow=dj, jk_pow=jk, hh_pow=hh)
         tasks.append((i, u, kernel, params))

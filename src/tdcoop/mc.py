@@ -31,7 +31,12 @@ which the direct gain A_dk is conditioned on surviving.
 
 Kernels draw channels directly (documented column layouts below) and
 return outage event counts.  A trial is in outage when its mutual
-information is strictly below the rate; rate 0 therefore never fails.
+information is strictly below the rate.  Two outcomes are certain,
+and ``count_events`` alone decides them, before it derives a stream or
+calls a kernel: at rate 0 no trial fails, and with a silent source
+(zero burst power) every trial does, since every rate step then gives
+mutual information 0.
+
 Every kernel takes the same 8-key parameter record (built by the sweep
 harness): ``rate``, the source's ``burst`` power, its forwarders'
 ``budgets`` (the relay's under rc), the multihop ``mode`` and the
@@ -45,11 +50,11 @@ with the relay as its one forwarder.
 
 The DDF and af2 kernels draw only the trials that the direct link alone
 may not carry.  Each of their destination rates is at least
-(1/L) C(A_dk * burst / dk_pow) for a fixed slot count L
-(``_SCREEN_SLOTS``).  Every DDF rate (L = 1) is a weighted sum, with
-weights summing to 1, of capacities whose SNR includes the direct term.
-af2 (L = 2) takes half the log of det(I + P HH*), and det - 1 is a sum
-of nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk
+(1/L) C(A_dk * burst / dk_pow) for a fixed slot count L, listed beside
+the kernel in ``_KERNELS``.  Every DDF rate (L = 1) is a weighted sum,
+with weights summing to 1, of capacities whose SNR includes the direct
+term.  af2 (L = 2) takes half the log of det(I + P HH*), and det - 1 is
+a sum of nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk
 reaches ``_direct_threshold`` (where that bound equals the rate) times
 1 + ``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding
 in the rate step.  A_dk is exponential, so the number of trials below
@@ -57,13 +62,11 @@ that widened threshold t' is binomial with q = 1 - exp(-t'), and the
 survivors are independent with A_dk drawn given A_dk < t'.  Drawing the
 count and then only the survivors gives the event count exactly the
 distribution of screening every trial, and the rate step, which works
-elementwise over trials, never sees a dropped trial.  At zero burst
-power every trial survives and A_dk is drawn unconditioned; at rate 0
-none does and nothing is drawn.  mac counts its direct link against the
-same threshold (L = 1) without a screen.  afmh is not screened: its
-bound holds at L = m + 1 slots, but that threshold keeps nearly every
-trial at the benchmark's uc3-af points, and screening would renumber the
-draws under acceptance 4's uc3-af slope.
+elementwise over trials, never sees a dropped trial.  mac counts its
+direct link against the same threshold (L = 1) without a screen.  afmh
+is not screened: its bound holds at L = m + 1 slots, but that threshold
+keeps nearly every trial at the benchmark's uc3-af points, and
+screening would renumber the draws under acceptance 4's uc3-af slope.
 """
 
 from __future__ import annotations
@@ -166,32 +169,22 @@ def _direct_threshold(params, slots):
     return math.expm1(slots * params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
 
 
-def _survival(params, slots):
-    """q: the chance that A_dk lies below the ``slots``-slot direct-link
-    threshold widened by ``_SCREEN_MARGIN``."""
-    return -math.expm1(-_direct_threshold(params, slots) * (1.0 + _SCREEN_MARGIN))
-
-
 def _survivors(params, rng, trials, slots):
     """How many of a screened task's trials the direct link alone may not
-    carry, for a kernel whose rate is at least (1/slots) C(direct).
+    carry, for a kernel whose rate is at least (1/slots) C(direct), and
+    q: the chance that A_dk lies below the ``slots``-slot direct-link
+    threshold widened by ``_SCREEN_MARGIN``.
 
-    Draws: binomial (trials, ``_survival``).  Every other trial meets the
-    rate.  At rate 0 none survives (no trial fails) and at zero burst
-    power all do; neither draws.
+    Draws: binomial (trials, q).  Every other trial meets the rate.
     """
-    if params["rate"] <= 0.0:
-        return 0
-    if params["burst"] <= 0.0:
-        return trials
-    return int(rng.binomial(trials, _survival(params, slots)))
+    q = -math.expm1(-_direct_threshold(params, slots) * (1.0 + _SCREEN_MARGIN))
+    return int(rng.binomial(trials, q)), q
 
 
 def _conditioned(e, q):
     """A_dk given A_dk < t' from the exponential draws e, by inversion in
     place: -log1p(q * expm1(-e)) with q = 1 - exp(-t'), which lies in
-    [0, t').  With q None (zero burst, or no screen) e is A_dk as drawn.
-    Returns e."""
+    [0, t').  With q None (no screen) e is A_dk as drawn.  Returns e."""
     if q is not None:
         e[...] = -np.log1p(q * np.expm1(-e))
     return e
@@ -212,10 +205,6 @@ def _count_mac(params, rng, n, q):
     (q is None): the count is the indicator A_dk < ``_direct_threshold``
     at one slot."""
     a = rng.exponential(size=n)
-    if params["rate"] <= 0.0:
-        return 0
-    if params["burst"] <= 0.0:
-        return n
     return int((a < _direct_threshold(params, 1)).sum())
 
 
@@ -323,48 +312,48 @@ def _count_afmh(params, rng, n, q):
     (``afmh_trial_mutual_info``); no matrix is built, and
     ``af_trial_mutual_info`` stays the general reference.
     """
-    rate = params["rate"]
     m = len(params["budgets"])
     h = _rayleigh_complex(rng, n, 1 + 2 * m)
-    if rate <= 0.0:
-        return 0
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
     mi = _af.afmh_trial_mutual_info(
         h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
     )
-    return int((mi < rate).sum())
+    return int((mi < params["rate"]).sum())
 
 
+# Each kernel and its screen's slot count L (its destination rate is at
+# least (1/L) C(A_dk * burst / dk_pow)), or None for a kernel that reads
+# one row per trial.
 _KERNELS = {
-    "mac": _count_mac,
-    "rc-ddf": _count_uc2_ddf,
-    "uc2-ddf": _count_uc2_ddf,
-    "ucmh-ddf": _count_ucmh_ddf,
-    "af2": _count_af2,
-    "afmh": _count_afmh,
+    "mac": (_count_mac, None),
+    "rc-ddf": (_count_uc2_ddf, 1),
+    "uc2-ddf": (_count_uc2_ddf, 1),
+    "ucmh-ddf": (_count_ucmh_ddf, 1),
+    "af2": (_count_af2, 2),
+    "afmh": (_count_afmh, None),
 }
-# Screened kernels and their slot count L: each destination rate is at
-# least (1/L) C(A_dk * burst / dk_pow).
-_SCREEN_SLOTS = {"rc-ddf": 1, "uc2-ddf": 1, "ucmh-ddf": 1, "af2": 2}
 
 
 def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int) -> int:
     """Outage events in one task, read from the task's one stream (keyed
     by path) in internal batches.
 
-    A screened task (``_SCREEN_SLOTS``) first draws its survivor count
-    (``_survivors``) and then one row per survivor, with A_dk conditioned
-    by q = ``_survival`` (q is None at zero burst and for mac and afmh,
-    which read one row per trial).  Rows are read trial-major, so the
-    count is the same for any batch size."""
-    fn = _KERNELS[kernel]
+    At rate 0 no trial fails and at zero burst power every trial does;
+    either count returns before the stream is derived.  Otherwise a
+    screened task (slot count L in ``_KERNELS``) first draws its
+    survivor count and q (``_survivors``) and then one row per survivor,
+    with A_dk conditioned by q; mac and afmh read one row per trial (q
+    is None).  Rows are read trial-major, so the count is the same for
+    any batch size."""
+    fn, slots = _KERNELS[kernel]
+    if params["rate"] <= 0.0:
+        return 0
+    if params["burst"] <= 0.0:
+        return trials
     rng = derive_stream(seed, *path)
-    slots = _SCREEN_SLOTS.get(kernel)
     q = None
     if slots is not None:
-        trials = _survivors(params, rng, trials, slots)
-        if params["burst"] > 0.0:
-            q = _survival(params, slots)
+        trials, q = _survivors(params, rng, trials, slots)
     events = 0
     for done in range(0, trials, _BATCH):
         events += fn(params, rng, min(_BATCH, trials - done), q)

@@ -73,6 +73,20 @@ class GeometryParams:
                 "relay_position must differ from the destination at the origin,"
                 f" got {self.relay_position}"
             )
+        # Every link is at most 2 max(sector_radius, |relay|) long, and the
+        # sweep raises each length to gamma with Python float power.
+        relay = math.hypot(*self.relay_position)
+        for d in (self.sector_radius, relay, 2.0 * max(self.sector_radius, relay)):
+            try:
+                in_range = 0.0 < float(d) ** self.path_loss_exponent < math.inf
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(
+                    f"sector_radius {self.sector_radius:g}, relay_position "
+                    f"{tuple(self.relay_position)} and path_loss_exponent "
+                    f"{self.path_loss_exponent:g} put a link's d^gamma outside the float range"
+                )
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,18 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_snr_range_without_a_finite_point_count_exits_2(self, tmp_path, capsys):
+        """A range whose point count overflows is refused by name, from the
+        flag and from the file's mapping alike."""
+        mapping = BASE_YAML.replace("snr_db: [0.0, 10.0]", "snr_db: {start: 0, stop: 1.0e300, step: 1.0e-300}")
+        for path, flags in (
+            (write_cfg(tmp_path), ["--snr-db", "0:1e300:1e-300"]),
+            (write_cfg(tmp_path, mapping, "range.yaml"), []),
+        ):
+            assert main(["run", "-c", path, "--bounds-only"] + flags) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: snr_db range 0:1e+300:1e-300 ") and err.count("\n") == 1
+
     def test_snr_override_forms(self, tmp_path, capsys):
         path = write_cfg(tmp_path)
         assert main(["run", "-c", path, "--snr-db", "0:10:5", "--bounds-only"]) == 0
@@ -508,6 +520,26 @@ class TestCliRun:
         assert main(["run", "-c", path, "--bounds-only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: relay_position must differ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "geometry,strategy",
+        (
+            ("  relay: [1.0e100, 0.0]\n", "rc-ddf"),
+            ("  sector_radius: 1.0e100\n", "mac"),
+            ("  sector_radius: 1.0e-100\n  exclusion_radius: 0.0\n", "mac"),
+        ),
+        ids=("far-relay", "huge-sector", "tiny-sector"),
+    )
+    def test_link_gains_outside_the_float_range_exit_2(self, tmp_path, capsys, geometry, strategy):
+        """A scale at which a link's d^gamma overflows or underflows to 0
+        is refused by name instead of failing inside the sweep."""
+        text = BASE_YAML.replace("  num_users: 3\n", "  num_users: 3\n" + geometry).replace(
+            "  - mac\n  - rc-ddf\n", f"  - {strategy}\n"
+        )
+        assert main(["run", "-c", write_cfg(tmp_path, text), "--bounds-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sector_radius ") and err.count("\n") == 1
+        assert "relay_position" in err and "path_loss_exponent" in err
 
     def test_destination_is_an_unknown_geometry_key(self, tmp_path, capsys):
         """The destination is the sector's apex at the origin, where the

@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from tdcoop import mc
+from tdcoop import harness, mc
 from tdcoop.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -92,6 +92,32 @@ class TestEstimateOutage:
             parse_strategy("mac", 3), pl, PowerConfig(user_power=0.0), 5_000, seed=1
         )
         assert est.p_hat == 1.0
+
+    @pytest.mark.parametrize("rate", (0.25, 0.0))
+    @pytest.mark.parametrize("name", ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af"))
+    def test_silent_source_is_certain(self, name, rate):
+        """At P = 0 every trial fails at a positive rate and none at rate 0,
+        and both bound columns say the same, for every scheme."""
+        placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
+        pc = PowerConfig(user_power=0.0, rate=rate)
+        est = estimate_outage(parse_strategy(name, 3), placement, pc, trials=1000, seed=5)
+        certain = float(rate > 0.0)
+        assert (est.p_hat, est.ci95) == (certain, 0.0)
+        assert (est.trials, est.events) == (3000, 3000 * int(certain))
+        assert (est.bounds.lower, est.bounds.upper) == (certain, certain)
+
+    def test_silent_grid_row_bounds(self):
+        """On a grid with a P = 0 row, that row's columns are 1 and the
+        other rows are the bounds of the grid without it."""
+        strategy = parse_strategy("uc3-ddf", 3)
+        cells = harness._cells(strategy, [unit_circle_placement()])
+        grid = [PowerConfig(user_power=p) for p in (1.0, 0.0, 10.0)]
+        lower, upper = harness._bounds(cells, harness._user_powers(strategy, grid), 0.25, False)
+        live = [grid[0], grid[2]]
+        want = harness._bounds(cells, harness._user_powers(strategy, live), 0.25, False)
+        for got, ref in zip((lower, upper), want):
+            assert (got[1] == 1.0).all()
+            np.testing.assert_array_equal(got[[0, 2]], ref)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,22 @@ class TestCountEvents:
         params = dict(MAC_PARAMS, burst=0.0)
         assert mc.count_events("mac", params, 5, (0,), 10_000) == 10_000
 
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_PARAMS))
+    def test_certain_outcomes_draw_nothing(self, kernel, monkeypatch):
+        """At rate 0 no trial fails and with a silent source every trial
+        does; count_events decides both before it derives a stream.  The
+        kernel's own rate step agrees on rows drawn in full (mac's
+        threshold divides by the burst, so it runs at rate 0 only)."""
+        fn, _ = mc._KERNELS[kernel]
+        idle = dict(KERNEL_PARAMS[kernel], rate=0.0)
+        silent = dict(KERNEL_PARAMS[kernel], burst=0.0)
+        for params, certain in ((idle, 0), (silent, 5000)):
+            if kernel != "mac" or params is idle:
+                assert fn(params, np.random.default_rng(3), 5000, None) == certain
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "derive_stream", lambda seed, *path: NoDraws())
+                assert mc.count_events(kernel, params, 5, (0,), 5000) == certain
+
     def test_event_fraction_tracks_closed_form(self):
         n = 200_000
         got = mc.count_events("mac", MAC_PARAMS, 7, (0,), n)
@@ -282,7 +298,7 @@ def unscreened_count(kernel, params, rows, q=None):
         return int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
     rows = rows.copy()
     rows[:, 0] = truncated(rows[:, 0], q)
-    return mc._KERNELS[kernel](params, StubDraws(rows), len(rows), None)
+    return mc._KERNELS[kernel][0](params, StubDraws(rows), len(rows), None)
 
 
 class TestDirectScreen:
@@ -297,7 +313,7 @@ class TestDirectScreen:
 
         def spy(params, rng, trials, slots):
             out = survivors(params, rng, trials, slots)
-            kept.append((trials, out))
+            kept.append((trials, out[0]))
             return out
 
         monkeypatch.setattr(mc, "_survivors", spy)
@@ -317,7 +333,8 @@ class TestDirectScreen:
             kept.clear()
             got = mc.count_events(kernel, params, 21, path, trials)
             rows, q = documented_rows(kernel, params, 21, path, trials, draw, cols)
-            assert kept == [(trials, len(rows))]
+            # At rate 0 the task has no survivor step.
+            assert kept == ([(trials, len(rows))] if rate > 0.0 else [])
             assert got == unscreened_count(kernel, params, rows, q), snr_db
             if rate > 0.0 and snr_db == -10:
                 assert len(rows) > 2 * mc._BATCH
@@ -407,7 +424,7 @@ class TestDirectScreen:
         weak[:, 2 + 3 * m :] = 0.0
         with monkeypatch.context() as patch:
             patch.setattr(mc, "_conditioned", lambda e, q: a_dk)
-            return mc._KERNELS[kernel](params, StubDraws(parts.reshape(-1, cols)), len(a_dk), None)
+            return mc._KERNELS[kernel][0](params, StubDraws(parts.reshape(-1, cols)), len(a_dk), None)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
@@ -449,7 +466,7 @@ class TestConditionedDirectGain:
         critical value, 1.63/sqrt(n)."""
         params = self.params_for(q, 1)
         cut = mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN)
-        q = mc._survival(params, 1)
+        q = -math.expm1(-cut)
         n = 200_000
         a = mc._survivor_rows(np.random.default_rng(31), n, 0, q)
         x = a[:, 0]
@@ -462,7 +479,7 @@ class TestConditionedDirectGain:
         im^2), which lies in [0, t') after it and passes the same KS check."""
         params = self.params_for(q, 2)
         cut = mc._direct_threshold(params, 2) * (1.0 + mc._SCREEN_MARGIN)
-        q = mc._survival(params, 2)
+        q = -math.expm1(-cut)
         seen = []
         conditioned = mc._conditioned
 
@@ -475,7 +492,7 @@ class TestConditionedDirectGain:
 
         monkeypatch.setattr(mc, "_conditioned", spy)
         n = 200_000
-        mc._KERNELS["af2"](params, np.random.default_rng(37), n, q)
+        mc._KERNELS["af2"][0](params, np.random.default_rng(37), n, q)
         e, x = seen
         parts = np.random.default_rng(37).standard_normal((n, 6))
         np.testing.assert_allclose(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 3] ** 2), rtol=1e-15)
@@ -483,8 +500,8 @@ class TestConditionedDirectGain:
         assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
 
     def test_zero_burst_keeps_the_draw(self):
-        """At zero burst power (q None) every trial survives with A_dk as
-        drawn."""
+        """With q None (no screen) every row keeps A_dk as drawn: the
+        reference path on which the tests run a kernel's rate step."""
         got = mc._survivor_rows(np.random.default_rng(5), 100, 4, None)
         np.testing.assert_array_equal(got, np.random.default_rng(5).exponential(size=(100, 5)))
 
@@ -509,7 +526,7 @@ class TestRelayOnSharedSlotKernel:
     """rc-ddf is uc2-ddf with the relay as the one forwarder."""
 
     def test_one_kernel(self):
-        assert mc._KERNELS["rc-ddf"] is mc._KERNELS["uc2-ddf"]
+        assert mc._KERNELS["rc-ddf"][0] is mc._KERNELS["uc2-ddf"][0]
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
     @pytest.mark.parametrize(
@@ -525,11 +542,12 @@ class TestRelayOnSharedSlotKernel:
             params = scaled(record, rate, snr_db)
             path = (snr_db + 10, 1, 0, 0)
             rng = mc.derive_stream(29, *path)
-            survivors = mc._survivors(params, rng, trials, 1)
-            q = mc._survival(params, 1)
             want = 0
-            for start in range(0, survivors, mc._BATCH):
-                want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start), q)
+            # At rate 0 the task has no survivor step.
+            if rate > 0.0:
+                survivors, q = mc._survivors(params, rng, trials, 1)
+                for start in range(0, survivors, mc._BATCH):
+                    want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start), q)
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
@@ -618,9 +636,10 @@ class TestTwoStreamLayoutOracle:
             pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
             thinned = harness.estimate_outage(strategy, placement, pc, per_user, self.THINNED_SEED)
             with monkeypatch.context() as patch:
-                # Every trial is a row with its A_dk as drawn.
-                patch.setattr(mc, "_SCREEN_SLOTS", {})
-                patch.setitem(mc._KERNELS, "af2", plain_af2)
+                # Every trial is a row with its A_dk as drawn: no kernel
+                # screens (slots None), and af2 draws its d-k phase.
+                for kernel, (fn, _) in list(mc._KERNELS.items()):
+                    patch.setitem(mc._KERNELS, kernel, (plain_af2 if kernel == "af2" else fn, None))
                 plain = harness.estimate_outage(strategy, placement, pc, per_user, self.PLAIN_SEED)
             n = thinned.trials
             assert n == plain.trials >= 1 << 20

@@ -47,8 +47,9 @@ def test_full_mode_records_the_layers(monkeypatch):
     kept = []
 
     def spy(params, rng, trials, slots):
-        kept.append(survivors(params, rng, trials, slots))
-        return kept[-1]
+        out = survivors(params, rng, trials, slots)
+        kept.append(out[0])
+        return out
 
     monkeypatch.setattr(mc, "_survivors", spy)
     # rc-ddf runs on the uc2 kernel but keeps its own task label.  At rate 4

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # ``tdcoop.af`` only.
 _MODULE_NAMES = {
     "mathcore": ("capacity", "hypoexp_cdf", "hypoexp_leading_cdf_term"),
-    "network": ("GeometryParams", "NodePlacement", "sample_placement", "user_id"),
+    "network": ("GeometryParams", "LinkRangeError", "NodePlacement", "sample_placement", "user_id"),
     "strategies": ("Strategy", "parse_strategy"),
     "power": ("PowerConfig", "processing_power", "relay_power", "total_power", "user_burst_power"),
     "ddf": (

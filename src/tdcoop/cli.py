@@ -5,7 +5,9 @@ tdcoop export-placements -c cfg.yaml [--seed N] [-o placements.csv]
 
 The config file alone must be a valid experiment; each flag then
 replaces its key's value, and the result is checked again.  Exit codes:
-0 success, 2 invalid configuration or usage, 3 output not writable
+0 success, 2 invalid configuration or usage, or a placement with a link
+whose d^gamma is 0 or past the float range (both commands sample every
+placement before they compute or write anything), 3 output not writable
 (``run`` checks it before the sweep starts).  ``run`` prints one stderr
 warning per sweep point that stopped at its trial ceiling short of the
 target events; the CSV is unchanged.
@@ -19,6 +21,7 @@ import sys
 
 from .config import ConfigError, config_from_dict, read_yaml
 from .harness import format_rows, run_experiment
+from .network import LinkRangeError
 
 __all__ = ["main"]
 
@@ -164,7 +167,11 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.fn(cfg, args)
+    try:
+        return args.fn(cfg, args)
+    except LinkRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,11 +9,12 @@ the engine module, so rows are byte-identical across runs and worker
 counts.
 
 One builder describes a strategy's cells for the whole grid: ``_cells``
-gathers each cell's d^gamma links from one table per placement, and
-``_user_powers`` gives each user's burst power, forwarder budgets and
-DDF branch weights at every grid point.  ``_bounds`` reads both with one
-bound call per cell, and ``_tasks`` joins them at one grid point into the
-trial engine's parameter records.  Every entry point takes its points
+gathers each cell's d^gamma links from its placement's table
+(``NodePlacement.link_pow``), and ``_user_powers`` gives each user's
+burst power, forwarder budgets and DDF branch weights at every grid
+point.  ``_bounds`` reads both with one bound call per cell, and
+``_tasks`` joins them at one grid point into the trial engine's
+parameter records.  Every entry point takes its points
 from ``_points``; the sweeps read them through ``_sweep``, which owns the
 worker pool and the point seeds.
 """
@@ -184,8 +185,8 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
     The last four are the cell's d^gamma links: destination-source (a
     float), destination-forwarder and forwarder-source (one per
     forwarder) and forwarder-forwarder (a matrix with a zero diagonal).
-    They are gathered from one table per placement, raised with Python's
-    float power; the trial kernels and the bounds read them as they are.
+    They are gathered from the placement's ``link_pow`` table, read once
+    per placement; the trial kernels and the bounds read them as they are.
     """
     # Each user's forwarders: the relay under rc, its helper users otherwise.
     users = [
@@ -194,9 +195,7 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
     ]
     cells = []
     for i, placement in enumerate(placements):
-        gamma = placement.params.path_loss_exponent
-        ids = placement.node_ids
-        pw = {a: {b: 0.0 if a == b else placement.distance(a, b) ** gamma for b in ids} for a in ids}
+        pw = placement.link_pow()
         for u, (src, fwd) in enumerate(users):
             dj = tuple(pw[DESTINATION][h] for h in fwd)
             jk = tuple(pw[h][src] for h in fwd)
@@ -236,19 +235,28 @@ def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.
 
     One bound-function call per cell covers the whole grid, with the
     cell's links as scalars and its user's live ``_user_powers`` rows as
-    rows; mac takes the closed form twice.  A silent source is in outage
-    at every positive rate, so at a point off its live rows both columns
-    are float(rate > 0), ``mac_outage``'s rule, and no bound is called.
+    rows.  A source whose forwarders have no budget at any point (mac's,
+    which has none, or rc's at relay factor 0) takes ``mac_outage``'s
+    closed form twice: a silent forwarder adds nothing to the DDF rate,
+    and an AF gain of 0 leaves det(I + P HH*) = (1 + P |h_dk|^2)^2, so
+    either rate is the direct link's capacity.  A silent source is in
+    outage at every positive rate, so at a point off its live rows both
+    columns are float(rate > 0), ``mac_outage``'s rule, and no bound is
+    called.
     """
     lower = np.full((len(powers[0][0]), len(cells)), float(rate > 0.0))
     upper = lower.copy()
-    # Per user: its live rows and their bursts and branch weights.
-    rows = [(live, burst[live], lambdas) for burst, _, live, lambdas in powers]
+    # Per user: its live rows, their bursts and branch weights, and
+    # whether its forwarders have no budget at any point.
+    rows = [
+        (live, burst[live], lambdas, not any(map(any, budgets)))
+        for burst, budgets, live, lambdas in powers
+    ]
     for c, (_, u, kernel, dk, dj, jk, _) in enumerate(cells):
-        live, burst, lambdas = rows[u]
+        live, burst, lambdas, direct_only = rows[u]
         if not len(burst):
             continue
-        if kernel == "mac":
+        if direct_only:
             cf = mac_outage(rate, burst, dk)
             pair = BoundPair(lower=cf, upper=cf)
         elif kernel in ("af2", "afmh"):
@@ -455,7 +463,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Run the full sweep; returns rows and writes the CSV when configured.
 
     Row order: strategies in config order, SNR ascending, the averaged
-    row first and then per-user rows when enabled.
+    row first and then per-user rows when enabled.  Every placement is
+    drawn before the first point, so one whose links leave the float
+    range raises ``LinkRangeError`` before any work or output.
     """
     rows = []
     for strategy, snr, pc, point in _sweep(cfg, cfg.placements(), enumerate(cfg.strategies)):

@@ -72,6 +72,7 @@ screening would renumber the draws under acceptance 4's uc3-af slope.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -277,17 +278,21 @@ def _count_ucmh_ddf(params, rng, n, q):
     return int((mi < rate).sum())
 
 
-def _count_af2(params, rng, n, q):
-    """Two-slot AF: all m helpers forward at once.
+def _count_af(mutual_info, params, rng, n, q):
+    """AF with m helpers, rate from the closed form ``mutual_info``:
+    ``af2_trial_mutual_info`` when all helpers forward in one second slot
+    (af2, screened at L = 2), ``afmh_trial_mutual_info`` with one helper
+    per slot (afmh, L = m + 1 slots, not screened: q is None).
 
-    Draws: n surviving trials' complex amplitudes for links [d-k, d-j
+    Draws: n (surviving) trials' complex amplitudes for links [d-k, d-j
     (m), j-k (m)] via ``_rayleigh_complex`` (standard_normal
-    (n, 2(1 + 2m))).  The rate step reads only |h_dk|^2, so the d-k pair
+    (n, 2(1 + 2m))).  Both rates read only |h_dk|^2, so the d-k pair
     gives E = |h_dk|^2 as drawn, which becomes ``_conditioned``, and its
-    phase is dropped.  A dropped trial meets the rate: det(I + P HH*) - 1
-    is a sum of nonnegative terms that includes P |h_dk|^2, so the rate
-    is at least half the direct link's capacity.  The rate is the closed
-    form ``af2_trial_mutual_info``; helpers never hear each other.
+    phase is dropped.  An af2 trial the screen drops meets the rate:
+    det(I + P HH*) - 1 is a sum of nonnegative terms that includes
+    P |h_dk|^2, so the rate is at least half the direct link's capacity.
+    Helpers never hear each other, and no matrix is built:
+    ``af_trial_mutual_info`` stays the general reference.
     """
     m = len(params["budgets"])
     h = _rayleigh_complex(rng, n, 1 + 2 * m)
@@ -296,28 +301,7 @@ def _count_af2(params, rng, n, q):
     h_dk = _conditioned(_af._abs2(h[:, 0]), q)
     h_dk *= 1.0 / params["dk_pow"]
     np.sqrt(h_dk, out=h_dk)
-    mi = _af.af2_trial_mutual_info(
-        h_dk, h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
-    )
-    return int((mi < params["rate"]).sum())
-
-
-def _count_afmh(params, rng, n, q):
-    """AF with L = m + 1 slots, one helper per slot.  Not screened (q is
-    None).
-
-    Draws: complex amplitudes for links [d-k, d-j (m), j-k (m)] via
-    standard_normal (n, 2(1 + 2m)).  Helpers never hear each other.  The
-    rate is the closed-form determinant of the arrow matrix
-    (``afmh_trial_mutual_info``); no matrix is built, and
-    ``af_trial_mutual_info`` stays the general reference.
-    """
-    m = len(params["budgets"])
-    h = _rayleigh_complex(rng, n, 1 + 2 * m)
-    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mi = _af.afmh_trial_mutual_info(
-        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
-    )
+    mi = mutual_info(h_dk, h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
     return int((mi < params["rate"]).sum())
 
 
@@ -329,8 +313,8 @@ _KERNELS = {
     "rc-ddf": (_count_uc2_ddf, 1),
     "uc2-ddf": (_count_uc2_ddf, 1),
     "ucmh-ddf": (_count_ucmh_ddf, 1),
-    "af2": (_count_af2, 2),
-    "afmh": (_count_afmh, None),
+    "af2": (functools.partial(_count_af, _af.af2_trial_mutual_info), 2),
+    "afmh": (functools.partial(_count_af, _af.afmh_trial_mutual_info), None),
 }
 
 

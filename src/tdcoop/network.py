@@ -8,6 +8,9 @@ link (a, b) carries a proper complex Gaussian amplitude A with zero mean
 and unit variance, constant per trial, so |A|^2 is a unit-mean
 exponential.  The channel gain is H = A / d^(gamma/2) with d the link
 distance; the trial kernels of the engine module draw the amplitudes.
+A placement owns the one d^gamma table the sweep reads
+(``NodePlacement.link_pow``), and refuses to exist when any of its
+links has a d^gamma of 0 or past the float range.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "GeometryParams",
+    "LinkRangeError",
     "NodePlacement",
     "sample_placement",
 ]
@@ -73,20 +77,10 @@ class GeometryParams:
                 "relay_position must differ from the destination at the origin,"
                 f" got {self.relay_position}"
             )
-        # Every link is at most 2 max(sector_radius, |relay|) long, and the
-        # sweep raises each length to gamma with Python float power.
-        relay = math.hypot(*self.relay_position)
-        for d in (self.sector_radius, relay, 2.0 * max(self.sector_radius, relay)):
-            try:
-                in_range = 0.0 < float(d) ** self.path_loss_exponent < math.inf
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                raise ValueError(
-                    f"sector_radius {self.sector_radius:g}, relay_position "
-                    f"{tuple(self.relay_position)} and path_loss_exponent "
-                    f"{self.path_loss_exponent:g} put a link's d^gamma outside the float range"
-                )
+
+
+class LinkRangeError(ValueError):
+    """A placement has a link whose d^gamma is 0 or past the float range."""
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,11 @@ class NodePlacement:
     """Realised node coordinates plus the derived distance matrix.
 
     Nodes are ordered destination, relay, u1..uK.  The distance matrix is
-    symmetric with a zero diagonal and is precomputed once per placement;
-    two nodes at distance 0 are rejected, as a link needs a positive length.
+    symmetric with a zero diagonal and is precomputed once per placement.
+    ``link_pow`` raises it to the path-loss exponent; every link's d^gamma
+    must be a positive, finite float, so a placement with two nodes at
+    one point, or with a link so short or so long that its d^gamma
+    underflows to 0 or overflows, raises ``LinkRangeError``.
     """
 
     params: GeometryParams
@@ -112,12 +109,17 @@ class NodePlacement:
             raise ValueError(f"placement missing nodes: {missing}")
         coords = np.array([self.positions[i] for i in ids], dtype=float)
         delta = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=-1))
-        if np.count_nonzero(dist) < len(ids) * (len(ids) - 1):
-            pairs = [(ids[a], ids[b]) for a, b in zip(*np.nonzero(dist == 0)) if a < b]
-            raise ValueError(f"nodes at the same point: {pairs}")
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "_dist", np.sqrt((delta**2).sum(axis=-1)))
+        pw = self.link_pow()
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not 0.0 < pw[a][b] < math.inf]
+        if pairs:
+            p = self.params
+            raise LinkRangeError(
+                f"sector_radius {p.sector_radius:g}, relay_position {tuple(p.relay_position)} "
+                f"and path_loss_exponent {p.path_loss_exponent:g} put the d^gamma of links "
+                f"{pairs} at 0 or outside the float range"
+            )
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -128,6 +130,22 @@ class NodePlacement:
             raise ValueError(f"no link from a node to itself: {a!r}")
         ia, ib = self._ids.index(a), self._ids.index(b)
         return float(self._dist[ia, ib])
+
+    def link_pow(self) -> dict[str, dict[str, float]]:
+        """The d^gamma table: ``link_pow()[a][b]`` is
+        ``distance(a, b) ** path_loss_exponent`` in Python float power,
+        and 0.0 for a == b; a power that overflows reads inf.  Computed
+        on each call, not stored."""
+        gamma = self.params.path_loss_exponent
+        table = {}
+        for a, row in zip(self._ids, self._dist.tolist()):
+            table[a] = {}
+            for b, d in zip(self._ids, row):
+                try:
+                    table[a][b] = 0.0 if a == b else d**gamma
+                except OverflowError:
+                    table[a][b] = math.inf
+        return table
 
 
 def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePlacement:

@@ -541,6 +541,29 @@ class TestCliRun:
         assert err.startswith("error: sector_radius ") and err.count("\n") == 1
         assert "relay_position" in err and "path_loss_exponent" in err
 
+    @pytest.mark.parametrize(
+        "command", (["run"], ["run", "--bounds-only"], ["export-placements"]), ids=" ".join
+    )
+    def test_close_nodes_at_a_large_exponent_exit_2(self, tmp_path, capsys, command):
+        """At path-loss exponent 700 a link shorter than about 0.35 has a
+        d^gamma of 0.  One of the first placements draws such links, and
+        every command exits 2 with one line naming them before it writes
+        anything."""
+        text = (
+            "seed: 5\nplacements: 50\n"
+            "geometry: {exclusion_radius: 0.1, path_loss_exponent: 700}\n"
+            "strategies: [mac]\n"
+        )
+        out = tmp_path / "out.csv"
+        args = command + ["-c", write_cfg(tmp_path, text), "-o", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: sector_radius 1, relay_position (0.5, 0.0) and path_loss_exponent 700 "
+        )
+        assert "[('r', 'u2'), ('u1', 'u3')]" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_destination_is_an_unknown_geometry_key(self, tmp_path, capsys):
         """The destination is the sector's apex at the origin, where the
         users are drawn around it; no key can move it away from them."""

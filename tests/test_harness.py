@@ -491,6 +491,27 @@ class TestRunExperiment:
                 [r[c] for c in cols] for r in full
             ]
 
+    def test_a_silent_relay_gives_the_direct_link_bounds(self):
+        """At relay factor 0 the relay adds nothing: a silent DDF forwarder
+        leaves the rate at the direct link's capacity, and an AF gain of 0
+        leaves det(I + P HH*) = (1 + P |h_dk|^2)^2.  Both rc schemes' bound
+        columns are then mac's closed form in every row, and their
+        averaged estimates agree with it."""
+        names = ("mac", "rc-ddf", "rc-af")
+        cfg = tiny_config(
+            power=PowerConfig(relay_power_factor=0.0),
+            strategies=tuple(parse_strategy(n, 3) for n in names),
+            snr_db=(0.0, 20.0), num_placements=4, master_seed=3,
+            target_events=400, trial_ceiling=400_000, per_user_rows=True,
+        )
+        rows = {name: [r for r in run_experiment(cfg) if r["strategy"] == name] for name in names}
+        for name in ("rc-ddf", "rc-af"):
+            assert len(rows[name]) == len(rows["mac"]) == 2 * 4
+            for mac, row in zip(rows["mac"], rows[name]):
+                assert row["bound_lower"] == row["bound_upper"] == mac["bound_lower"] == mac["bound_upper"]
+                if row["user_k"] == "avg":
+                    assert abs(row["outage"] - mac["bound_lower"]) <= 2.0 * row["ci95"]
+
     def test_one_worker_pool_per_run(self, tmp_path, monkeypatch):
         """All points of a run share one pool; the CSV matches one worker."""
         built = []

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from tdcoop import harness, mc
-from tdcoop.af import af2_equivalent_channel, af2_trial_mutual_info, af_trial_mutual_info
+from tdcoop.af import (
+    af2_equivalent_channel,
+    af2_trial_mutual_info,
+    af_trial_mutual_info,
+    afmh_trial_mutual_info,
+)
 from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, sample_placement, user_id
 from tdcoop.power import PowerConfig
@@ -551,6 +556,43 @@ class TestRelayOnSharedSlotKernel:
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
+
+
+def complex_afmh(params, rng, n):
+    """afmh as it counted with its own function: the complex d-k
+    amplitude scaled by 1/sqrt(d^gamma), phase kept, into the closed form."""
+    m = len(params["budgets"])
+    h = mc._rayleigh_complex(rng, n, 1 + 2 * m)
+    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
+    mi = afmh_trial_mutual_info(
+        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
+    )
+    return int((mi < params["rate"]).sum())
+
+
+class TestOneAfCountFunction:
+    """af2 and afmh share one count function: they differ only in the
+    closed form bound into it and in af2's screen."""
+
+    def test_one_function(self):
+        af2, afmh = mc._KERNELS["af2"][0], mc._KERNELS["afmh"][0]
+        assert af2.func is afmh.func
+        assert af2.args == (af2_trial_mutual_info,) and afmh.args == (afmh_trial_mutual_info,)
+
+    @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
+    def test_afmh_counts_as_its_complex_direct_gain(self, record):
+        """afmh's direct gain takes af2's route, sqrt(|h_dk|^2 / d^gamma),
+        which moves it by at most an ulp: on the same draws every count
+        equals the complex amplitude's."""
+        counts = []
+        for rate in (0.25, 1.0, 4.0):
+            for snr_db in (-10, 0, 10, 20, 30, 40):
+                params = scaled(record, rate, snr_db)
+                seed = 100 * int(rate * 4) + snr_db + 10
+                got = mc._KERNELS["afmh"][0](params, np.random.default_rng(seed), 20_000, None)
+                assert got == complex_afmh(params, np.random.default_rng(seed), 20_000), (rate, snr_db)
+                counts.append(got)
+        assert any(0 < c < 20_000 for c in counts)
 
 
 # The acceptance slope benchmark's rim cluster, with a fourth rim user for K = 4.

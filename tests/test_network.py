@@ -1,8 +1,11 @@
 """Tests for sector geometry sampling and node distances."""
 
+import math
+
 import numpy as np
 import pytest
 
+from tdcoop import network
 from tdcoop.network import (
     DESTINATION,
     RELAY,
@@ -144,3 +147,63 @@ class TestNodePlacement:
                 params=params,
                 positions={DESTINATION: (0, 0), RELAY: (0.5, 0), "u1": (0.4, 0.1)},
             )
+
+
+class TestLinkTable:
+    """A placement owns its d^gamma table and refuses a link whose
+    d^gamma is 0 or past the float range."""
+
+    # The edge workload's rim cluster: three users near the sector's rim,
+    # 2 degrees apart.
+    RIM = ((1.0, 29.0), (0.99, 31.0), (0.98, 33.0))
+
+    @staticmethod
+    def polar_placement(params, users):
+        positions = {DESTINATION: (0.0, 0.0), RELAY: (0.5, 0.0)}
+        for k, (r, deg) in enumerate(users, start=1):
+            a = math.radians(deg)
+            positions[user_id(k)] = (r * math.cos(a), r * math.sin(a))
+        return NodePlacement(params=params, positions=positions)
+
+    @pytest.mark.parametrize("gamma", (4.0, 3.7))
+    def test_table_is_the_float_power_of_each_distance(self, gamma):
+        """Bit for bit, every ordered pair's entry is distance ** gamma
+        in Python float power, and a node's link to itself reads 0."""
+        params = GeometryParams(path_loss_exponent=gamma)
+        rng = np.random.default_rng(17)
+        placements = [sample_placement(params, rng) for _ in range(20)]
+        placements.append(self.polar_placement(params, self.RIM))
+        for pl in placements:
+            table = pl.link_pow()
+            assert list(table) == list(pl.node_ids)
+            for a in pl.node_ids:
+                assert list(table[a]) == list(pl.node_ids)
+                for b in pl.node_ids:
+                    want = 0.0 if a == b else pl.distance(a, b) ** gamma
+                    assert table[a][b] == want, (a, b)
+
+    def test_close_users_underflow_rejected(self):
+        """Users at radius 0.9 and 10, 16 and 22 degrees sit 0.094 apart
+        in neighbouring pairs, and 0.094^400 underflows to 0: the placement
+        names both links instead of handing a d^gamma of 0 to the kernels
+        and the bounds (which returned p_hat 0 for uc2-af or raised for
+        uc2-ddf and uc3-ddf)."""
+        params = GeometryParams(path_loss_exponent=400)
+        with pytest.raises(ValueError, match=r"\[\('u1', 'u2'\), \('u2', 'u3'\)\]") as info:
+            self.polar_placement(params, ((0.9, 10.0), (0.9, 16.0), (0.9, 22.0)))
+        assert isinstance(info.value, network.LinkRangeError)
+        assert str(info.value).startswith(
+            "sector_radius 1, relay_position (0.5, 0.0) and path_loss_exponent 400 "
+        )
+
+    @pytest.mark.parametrize(
+        "scale",
+        ({"sector_radius": 1.0e100}, {"relay_position": (1.0e100, 0.0)}),
+        ids=("huge-sector", "far-relay"),
+    )
+    def test_a_hopeless_scale_fails_at_its_first_placement(self, scale):
+        """The geometry itself is accepted; the first placement it draws
+        raises, since its links' d^gamma overflow."""
+        params = GeometryParams(**scale)
+        with pytest.raises(network.LinkRangeError, match="outside the float range"):
+            sample_placement(params, np.random.default_rng(0))

@@ -22,8 +22,9 @@ diff.  The first line names the numpy version and machine the digests
 were taken with; ``tests/test_probe_digests.py`` runs every probe against
 the file and skips when either differs.
 
-Everything a digest covers is fixed here: the configs, the worker counts
-and how results turn into bytes (CLI probes hash the CSV file; the
+Everything a digest covers is fixed here: the configs, the worker counts,
+the task size at more than one worker (``POOL_TASK_TRIALS``) and how
+results turn into bytes (CLI probes hash the CSV file; the
 library probes hash ``json.dumps`` of the edge rows or of
 ``run_experiment``'s rows, and the newline-joined ``repr`` of
 ``OutageEstimate`` or CDF values).  A probe
@@ -117,6 +118,14 @@ BOUNDS_GRID = {
     "strategies": SEVEN,
 }
 
+# A sweep runs its rounds in its own process until one reaches workers *
+# mc.MAX_TASK_TRIALS trials, so at full-size tasks no probe would start a
+# worker.  Above one worker the CLI probes run with tasks of at most this
+# many trials.  That splits no cell's round in a, b or l, so the streams
+# are unchanged (a split would show as a MISMATCH against one worker),
+# and their workers start at the first round.
+POOL_TASK_TRIALS = 8192
+
 # name -> (config, extra CLI arguments, worker counts)
 CLI_PROBES = {
     "a": (ACCEPTANCE_8, [], (1, 2)),
@@ -161,11 +170,18 @@ def _cli(argv: list[str]) -> None:
 
 def cli_digests(config: dict, extra: list[str], workers: tuple[int, ...], tmp: Path) -> list[str]:
     """sha256 of ``tdcoop run``'s CSV at each worker count."""
+    from tdcoop import mc
+
     cfg = _write_config(config, tmp)
     out = []
+    full = mc.MAX_TASK_TRIALS
     for w in workers:
         csv = tmp / f"probe_w{w}.csv"
-        _cli(["run", "-c", str(cfg), "-o", str(csv), "--workers", str(w), *extra])
+        mc.MAX_TASK_TRIALS = POOL_TASK_TRIALS if w > 1 else full
+        try:
+            _cli(["run", "-c", str(cfg), "-o", str(csv), "--workers", str(w), *extra])
+        finally:
+            mc.MAX_TASK_TRIALS = full
         out.append(_sha(csv.read_bytes()))
     return out
 

@@ -387,6 +387,9 @@ def _sweep(cfg: ExperimentConfig, placements, strategies):
 
     Points are seeded ``mc.mix64(master_seed, 1, stream index, snr index)``
     and share one ``mc.worker_pool``, open until the last one is read.
+    Its worker processes start at the sweep's first round of at least
+    workers * ``mc.MAX_TASK_TRIALS`` trials and run every later round;
+    a sweep whose rounds stay smaller runs in this process alone.
     """
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
     run = dict(workers=cfg.workers, target_events=cfg.target_events, trial_ceiling=cfg.trial_ceiling)

@@ -18,9 +18,13 @@ identical for any worker count.  Rounds are cut into tasks of at most
 MAX_TASK_TRIALS trials; each task reduces to one integer.  Since every
 cell runs every round, ``run_cells`` returns one count table: the events
 of each cell as an int array in the caller's cell order, the one trial
-count all cells ran, and the ceiling flag.  With more
-than one worker, tasks run on a spawn-started process pool that a whole
-sweep shares (``worker_pool``).
+count all cells ran, and the ceiling flag.  A whole sweep shares one
+``worker_pool`` of at most as many workers as this process has CPUs.
+Its rounds run in the sweep's own process until the first round of at
+least workers * MAX_TASK_TRIALS trials, big enough to give every worker
+one full-size task.  The spawn-started workers start at that round and
+run it and every later round of the sweep, small ones included.  Every
+task owns its stream, so where a task runs never changes a count.
 
 A task reads its stream in order, in internal batches of ``_BATCH``
 rows, so counts do not depend on the batch size; it only keeps each
@@ -76,6 +80,7 @@ import functools
 import hashlib
 import math
 import multiprocessing
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 
@@ -349,26 +354,58 @@ def _run_task(args):
     return count_events(kernel, params, seed, path, trials)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Workers:
+    """The handle ``worker_pool`` yields: ``count`` worker processes,
+    ``executor`` None until they start."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.executor = None
+
+    def run(self, tasks: list) -> list[int]:
+        """Event counts of one round's tasks, in task order.
+
+        The first round of at least count * MAX_TASK_TRIALS trials starts
+        the workers; from then on every round runs on them.
+        """
+        if self.executor is None and self.count > 1:
+            if sum(task[-1] for task in tasks) >= self.count * MAX_TASK_TRIALS:
+                self.executor = ProcessPoolExecutor(
+                    max_workers=self.count, mp_context=multiprocessing.get_context("spawn")
+                )
+        if self.executor is None:
+            return [_run_task(t) for t in tasks]
+        # About four chunks per worker balance the load while keeping the
+        # per-chunk pickling and IPC overhead small.
+        chunk = -(-len(tasks) // (4 * self.count))
+        return list(self.executor.map(_run_task, tasks, chunksize=chunk))
+
+
 @contextlib.contextmanager
 def worker_pool(workers: int):
-    """Process pool shared by every ``run_cells`` call of one sweep.
+    """Worker processes shared by every ``run_cells`` call of one sweep.
 
-    Yields None at one worker.  Otherwise the pool starts its workers
-    with spawn (never fork, which is unsafe once the parent has threads)
-    when the first tasks arrive, and shuts them down when the block
-    exits.  Scripts that run a sweep with more than one worker therefore
-    need an ``if __name__ == "__main__":`` guard.
+    Yields a handle for n = min(workers, CPUs this process may run on)
+    processes.  Rounds run in this process until the first round of at
+    least n * MAX_TASK_TRIALS trials; the workers start there, with spawn
+    (never fork, which is unsafe once the parent has threads), run that
+    round and every later one, and shut down when the block exits.
+    Scripts that run a sweep with more than one worker therefore need an
+    ``if __name__ == "__main__":`` guard.
     """
-    if workers <= 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-    )
+    handle = _Workers(min(workers, _cpu_count()))
     try:
-        yield pool
+        yield handle
     finally:
-        pool.shutdown()
+        if handle.executor is not None:
+            handle.executor.shutdown()
 
 
 def run_cells(
@@ -384,8 +421,10 @@ def run_cells(
     cells holds (placement_idx, user_idx, kernel, params) entries; every
     cell receives the same per-round trial counts (equal shares of the
     ceiling), so per-user and per-placement averages pool cleanly.
-    With more than one worker the tasks run on ``pool`` (a
-    ``worker_pool``), or on a pool of this call's own when none is given.
+    Rounds run through ``pool`` (a ``worker_pool`` handle), or through
+    this call's own ``worker_pool(workers)`` when none is given; either
+    way they run in this process until a round is big enough to start
+    the pool's workers, and on the workers from then on.
     Returns the events of each cell as an int array in the order of
     cells, the trial count every cell ran, and the ceiling flag (True
     when the point stopped at the ceiling with fewer than target_events
@@ -406,13 +445,7 @@ def run_cells(
                 for placement_idx, user_idx, kernel, params in cells
                 for chunk_idx, size in enumerate(sizes)
             ]
-            if pool is not None:
-                # About four chunks per worker balance the load while
-                # keeping the per-chunk pickling and IPC overhead small.
-                chunk = -(-len(tasks) // (4 * workers))
-                results = list(pool.map(_run_task, tasks, chunksize=chunk))
-            else:
-                results = [_run_task(t) for t in tasks]
+            results = pool.run(tasks)
             # Each cell's tasks are consecutive, one per chunk.
             events += np.reshape(results, (len(cells), len(sizes))).sum(axis=1)
             if events.sum() >= target_events:

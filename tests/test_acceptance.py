@@ -518,8 +518,17 @@ def test_relay_beats_user_cooperation_once_processing_counts(capsys, processing_
     assert ok, parts
 
 
-def test_csv_byte_identity_across_workers(capsys, tmp_path):
-    """Same CSV bytes for worker counts 1, 2, 8 and across reruns."""
+def test_csv_byte_identity_across_workers(capsys, tmp_path, spy_pool):
+    """Same CSV bytes for worker counts 1, 2, 8 and across reruns, with
+    the pool running tasks.
+
+    Twelve cells run rounds of 24,576, 73,728 and 21,456 trials.  With
+    tasks of at most 16,384 trials (no round splits a cell's chunk, so
+    the streams are the unpatched ones) and four CPUs, two workers start
+    at a 73,728-trial round, and eight are capped to four, which start
+    there too.
+    """
+    pools = spy_pool(task_trials=16_384, cpus=4)
     t0 = time.perf_counter()
     raw = {
         "seed": 11,
@@ -542,11 +551,15 @@ def test_csv_byte_identity_across_workers(capsys, tmp_path):
         blobs.append(out.read_bytes())
     dt = time.perf_counter() - t0
     identical = len(set(blobs)) == 1
-    ok = identical and dt < 60.0
+    pooled = [(p["workers"], len(p["rounds"])) for p in pools]
+    ran = [w for w, rounds in pooled if rounds] == [2, 4]
+    ok = identical and ran and dt < 60.0
     tell(
         capsys,
         f"[acceptance 8] CSV byte identity: {'PASS' if ok else 'FAIL'} "
-        f"(workers 1/2/8 plus rerun identical={identical}, {dt:.1f}s < 60s)",
+        f"(workers 1/2/8 plus rerun identical={identical}, "
+        f"pools (workers, rounds run) {pooled}, {dt:.1f}s < 60s)",
     )
     assert identical
+    assert ran, pooled
     assert dt < 60.0

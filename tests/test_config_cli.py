@@ -681,7 +681,11 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown strategy name {name!r}") and err.count("\n") == 1
 
-    def test_byte_identical_across_workers_and_reruns(self, tmp_path):
+    def test_byte_identical_across_workers_and_reruns(self, tmp_path, spy_pool):
+        # Six cells run rounds of 12,288 then 17,712 trials; with tasks of
+        # at most 4096 trials no cell's round splits, and two workers
+        # start at the first round (2 * 4096 trials).
+        pools = spy_pool(task_trials=4096, cpus=2)
         path = write_cfg(tmp_path)
         outs = []
         for i, workers in enumerate((1, 2, 1)):
@@ -692,6 +696,8 @@ class TestCliRun:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+        assert [(p["workers"], p["method"]) for p in pools] == [(2, "spawn")]
+        assert pools[0]["rounds"]
 
 
 class TestCliExportPlacements:

@@ -239,12 +239,18 @@ class TestAreaAveraged:
         [b] = run_experiment(cfg)
         assert a == b
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, spy_pool):
+        # Six cells run rounds of 12,288 and 36,864 trials; with tasks of
+        # at most 8192 trials no cell's round splits, and two workers
+        # start at the second round (2 * 8192 trials).
+        pools = spy_pool(task_trials=8192, cpus=2)
         base = tiny_config(snr_db=(10.0,))
         multi = tiny_config(snr_db=(10.0,), workers=2)
         [a] = run_experiment(base)
         [b] = run_experiment(multi)
         assert a["outage"] == b["outage"] and a["events"] == b["events"]
+        assert [(p["workers"], p["method"]) for p in pools] == [(2, "spawn")]
+        assert pools[0]["rounds"]
 
 
 class TestDiversitySlope:
@@ -512,16 +518,11 @@ class TestRunExperiment:
                 if row["user_k"] == "avg":
                     assert abs(row["outage"] - mac["bound_lower"]) <= 2.0 * row["ci95"]
 
-    def test_one_worker_pool_per_run(self, tmp_path, monkeypatch):
+    def test_one_worker_pool_per_run(self, tmp_path, spy_pool):
         """All points of a run share one pool; the CSV matches one worker."""
-        built = []
-
-        class CountingPool(mc.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["mp_context"].get_start_method())
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        # Rounds of 12,288 then 36,864 trials (six cells) against a start
+        # threshold of 2 * 8192: the pool starts at a second round.
+        pools = spy_pool(task_trials=8192, cpus=2)
         strategies = (parse_strategy("rc-ddf", 3), parse_strategy("uc2-af", 3))
         blobs = []
         for workers in (1, 2):
@@ -530,7 +531,29 @@ class TestRunExperiment:
                 tiny_config(strategies=strategies, workers=workers, output_path=str(out))
             )
             blobs.append(out.read_bytes())
-        assert built == ["spawn"]
+        assert [(p["workers"], p["method"]) for p in pools] == [(2, "spawn")]
+        # It starts at a second round and keeps later first rounds.
+        assert pools[0]["rounds"][0] == 36_864 and 12_288 in pools[0]["rounds"]
+        assert blobs[0] == blobs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_small_rounds_start_no_worker(self, tmp_path, monkeypatch):
+        """A run whose rounds all stay below workers * MAX_TASK_TRIALS
+        trials starts no process, and its CSV matches one worker's."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+        strategies = (parse_strategy("rc-ddf", 3), parse_strategy("uc2-af", 3))
+        blobs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}.csv"
+            run_experiment(
+                tiny_config(strategies=strategies, workers=workers, output_path=str(out))
+            )
+            blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
         assert multiprocessing.active_children() == []
 

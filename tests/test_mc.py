@@ -6,6 +6,7 @@ here in detail.
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -746,13 +747,79 @@ class TestRunCells:
         assert trials == 10_000
         assert events.shape == (4,)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, spy_pool):
+        # Rounds of 6,144 then 18,432 trials against a start threshold of
+        # 2 * 4096: the second round runs on the two workers.
+        pools = spy_pool(task_trials=4096, cpus=2)
         cells = mac_cells(3)
         seq = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000)
         par = mc.run_cells(
             cells, point_seed=11, target_events=500, trial_ceiling=30_000, workers=2
         )
         assert seq[1:] == par[1:]
+        assert seq[0].tolist() == par[0].tolist()
+        assert pools == [dict(workers=2, method="spawn", rounds=[18_432])]
+
+    def test_workers_start_once_and_run_every_later_round(self, spy_pool, monkeypatch):
+        """A sweep's rounds run in its own process until the first round of
+        at least workers * MAX_TASK_TRIALS trials.  The workers start
+        there, once, and run every later round of the sweep, small ones
+        included; the count tables match one worker's."""
+        pools = spy_pool(task_trials=4096, cpus=2)
+        in_process = []
+        count_events = mc.count_events
+
+        def counted(kernel, params, seed, path, trials):
+            in_process.append(trials)
+            return count_events(kernel, params, seed, path, trials)
+
+        monkeypatch.setattr(mc, "count_events", counted)
+        # One 2,048-trial round, then 6,144 and 18,432 (the threshold is
+        # 2 * 4096), then one 2,048-trial round again.
+        points = [(mac_cells(1), 100, 40_000), (mac_cells(3), 500, 30_000), (mac_cells(1), 100, 40_000)]
+
+        def sweep(workers):
+            with mc.worker_pool(workers) as pool:
+                tables = [
+                    mc.run_cells(cells, point_seed=seed, target_events=target, trial_ceiling=ceiling, pool=pool)
+                    for seed, (cells, target, ceiling) in enumerate(points)
+                ]
+            return [(events.tolist(), trials, flagged) for events, trials, flagged in tables]
+
+        par = sweep(2)
+        assert pools == [dict(workers=2, method="spawn", rounds=[18_432, 2048])]
+        assert in_process == [2048] * 4
+        assert multiprocessing.active_children() == []
+        in_process.clear()
+        assert sweep(1) == par
+        assert sum(in_process) == 2048 + 3 * 8192 + 2048
+        assert len(pools) == 1
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        """The pool never has more workers than CPUs, and the start
+        threshold uses that capped count."""
+        built = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                built.append(max_workers)
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "MAX_TASK_TRIALS", 2048)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+        # Rounds of 4,096 then 12,288 trials: below and above 3 * 2048,
+        # far below 1000 * 2048.
+        cells = mac_cells(2)
+        seq = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000)
+        par = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000, workers=1000)
+        assert built == [3]
+        assert seq[1:] == par[1:] == (8192, False)
         assert seq[0].tolist() == par[0].tolist()
 
     def test_cell_list_order_irrelevant(self):

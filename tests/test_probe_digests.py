@@ -22,10 +22,15 @@ EXPECTED = ROOT / "scripts" / "probe_digests.expected"
 
 
 @pytest.mark.parametrize("name", probe_digests.PROBES)
-def test_probe_keeps_its_digest(name, tmp_path):
+def test_probe_keeps_its_digest(name, tmp_path, spy_pool):
+    """Each probe keeps its digest, and a probe run at two workers runs
+    its tasks on a two-worker pool."""
     recorded = EXPECTED.read_text(encoding="utf-8").splitlines()[0]
     running = probe_digests.platform_line()
     if recorded != running:
         pytest.skip(f"digests taken with '{recorded[2:]}', running '{running[2:]}'")
-    digests, _ = probe_digests.probe(name, tmp_path)
+    pools = spy_pool(task_trials=None, cpus=2)
+    digests, workers = probe_digests.probe(name, tmp_path)
     assert set(digests) == {probe_digests.read_expected(str(EXPECTED))[name]}
+    pooled = [(p["workers"], bool(p["rounds"])) for p in pools]
+    assert pooled == [(2, True)] * (max(workers) > 1)

@@ -127,9 +127,13 @@ def _add_shared(parser: argparse.ArgumentParser):
 
 
 def _add_run_only(parser: argparse.ArgumentParser):
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--target-events", type=int, default=None)
-    parser.add_argument("--trial-ceiling", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="most processes a run uses, capped at the CPUs; they start at "
+                        "the first round of at least workers x 2^20 trials")
+    parser.add_argument("--target-events", type=int, default=None,
+                        help="pooled outage events at which a point stops")
+    parser.add_argument("--trial-ceiling", type=int, default=None,
+                        help="most trials per point, summed over its cells")
     parser.add_argument("--snr-db", type=_parse_snr, default=None, help="'0,5,10' or '0:45:5'")
     parser.add_argument("--strategies", default=None, help="comma-separated subset")
     parser.add_argument(

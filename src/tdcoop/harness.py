@@ -392,13 +392,13 @@ def _sweep(cfg: ExperimentConfig, placements, strategies):
     a sweep whose rounds stay smaller runs in this process alone.
     """
     grid = [cfg.power.with_user_power(10.0 ** (snr / 10.0)) for snr in cfg.snr_db]
-    run = dict(workers=cfg.workers, target_events=cfg.target_events, trial_ceiling=cfg.trial_ceiling)
     with mc.worker_pool(cfg.workers) as pool:
+        run = dict(target_events=cfg.target_events, trial_ceiling=cfg.trial_ceiling, pool=pool)
         for index, strategy in strategies:
             seeds = None if cfg.bounds_only else [
                 mc.mix64(cfg.master_seed, 1, index, s) for s in range(len(grid))
             ]
-            points = _points(strategy, placements, grid, cfg.optimize_bounds, seeds, pool=pool, **run)
+            points = _points(strategy, placements, grid, cfg.optimize_bounds, seeds, **run)
             for snr, pc, point in zip(cfg.snr_db, grid, points):
                 yield strategy, snr, pc, point
 

@@ -75,7 +75,6 @@ screening would renumber the draws under acceptance 4's uc3-af slope.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import math
@@ -361,20 +360,32 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-class _Workers:
-    """The handle ``worker_pool`` yields: ``count`` worker processes,
-    ``executor`` None until they start."""
+class worker_pool:
+    """Worker processes shared by every ``run_cells`` call of one sweep.
 
-    def __init__(self, count: int):
-        self.count = count
+    A handle for ``count`` = min(workers, CPUs this process may run on)
+    processes, whose ``executor`` is None until they start.  Rounds run
+    in this process until the first round of at least count *
+    MAX_TASK_TRIALS trials; the workers start there, with spawn (never
+    fork, which is unsafe once the parent has threads), run that round
+    and every later one, and shut down when the ``with`` block exits.
+    Scripts that run a sweep with more than one worker therefore need an
+    ``if __name__ == "__main__":`` guard.
+    """
+
+    def __init__(self, workers: int):
+        self.count = min(workers, _cpu_count())
         self.executor = None
 
-    def run(self, tasks: list) -> list[int]:
-        """Event counts of one round's tasks, in task order.
+    def __enter__(self):
+        return self
 
-        The first round of at least count * MAX_TASK_TRIALS trials starts
-        the workers; from then on every round runs on them.
-        """
+    def __exit__(self, *exc):
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def run(self, tasks: list) -> list[int]:
+        """Event counts of one round's tasks, in task order."""
         if self.executor is None and self.count > 1:
             if sum(task[-1] for task in tasks) >= self.count * MAX_TASK_TRIALS:
                 self.executor = ProcessPoolExecutor(
@@ -388,30 +399,9 @@ class _Workers:
         return list(self.executor.map(_run_task, tasks, chunksize=chunk))
 
 
-@contextlib.contextmanager
-def worker_pool(workers: int):
-    """Worker processes shared by every ``run_cells`` call of one sweep.
-
-    Yields a handle for n = min(workers, CPUs this process may run on)
-    processes.  Rounds run in this process until the first round of at
-    least n * MAX_TASK_TRIALS trials; the workers start there, with spawn
-    (never fork, which is unsafe once the parent has threads), run that
-    round and every later one, and shut down when the block exits.
-    Scripts that run a sweep with more than one worker therefore need an
-    ``if __name__ == "__main__":`` guard.
-    """
-    handle = _Workers(min(workers, _cpu_count()))
-    try:
-        yield handle
-    finally:
-        if handle.executor is not None:
-            handle.executor.shutdown()
-
-
 def run_cells(
     cells: list[tuple[int, int, str, dict]],
     point_seed: int,
-    workers: int = 1,
     target_events: int = TARGET_EVENTS,
     trial_ceiling: int = TRIAL_CEILING,
     pool=None,
@@ -421,10 +411,8 @@ def run_cells(
     cells holds (placement_idx, user_idx, kernel, params) entries; every
     cell receives the same per-round trial counts (equal shares of the
     ceiling), so per-user and per-placement averages pool cleanly.
-    Rounds run through ``pool`` (a ``worker_pool`` handle), or through
-    this call's own ``worker_pool(workers)`` when none is given; either
-    way they run in this process until a round is big enough to start
-    the pool's workers, and on the workers from then on.
+    Rounds run through ``pool``, the sweep's ``worker_pool`` handle, or
+    all in this process when pool is None.
     Returns the events of each cell as an int array in the order of
     cells, the trial count every cell ran, and the ceiling flag (True
     when the point stopped at the ceiling with fewer than target_events
@@ -436,18 +424,19 @@ def run_cells(
         raise ValueError("trial ceiling below one trial per cell")
     events = np.zeros(len(cells), dtype=np.int64)
     trials = 0
-    with worker_pool(workers) if pool is None else contextlib.nullcontext(pool) as pool:
-        for round_idx, cum in enumerate(round_targets(trial_ceiling // len(cells))):
-            sizes = chunk_sizes(cum - trials)
-            trials = cum
-            tasks = [
-                (kernel, params, point_seed, (placement_idx, user_idx, round_idx, chunk_idx), size)
-                for placement_idx, user_idx, kernel, params in cells
-                for chunk_idx, size in enumerate(sizes)
-            ]
-            results = pool.run(tasks)
-            # Each cell's tasks are consecutive, one per chunk.
-            events += np.reshape(results, (len(cells), len(sizes))).sum(axis=1)
-            if events.sum() >= target_events:
-                break
+    if pool is None:
+        pool = worker_pool(1)
+    for round_idx, cum in enumerate(round_targets(trial_ceiling // len(cells))):
+        sizes = chunk_sizes(cum - trials)
+        trials = cum
+        tasks = [
+            (kernel, params, point_seed, (placement_idx, user_idx, round_idx, chunk_idx), size)
+            for placement_idx, user_idx, kernel, params in cells
+            for chunk_idx, size in enumerate(sizes)
+        ]
+        results = pool.run(tasks)
+        # Each cell's tasks are consecutive, one per chunk.
+        events += np.reshape(results, (len(cells), len(sizes))).sum(axis=1)
+        if events.sum() >= target_events:
+            break
     return events, trials, bool(events.sum() < target_events)

@@ -5,10 +5,11 @@ P_k only while transmitting, so bursts are scaled up by the inverse of
 the transmitting time share (``user_burst_power``; the relay's budget is
 ``relay_power``).  These are the program's only burst and budget rules:
 the sweep harness passes each user's burst and its forwarders' budgets
-to the trial kernels in one parameter record and to every analytic
-bound, ``mac_outage`` included, and the kernels apply the in-period
-boosts (a DDF forwarder's 1/(1 - theta) over its remaining time, an AF
-forwarder's two-slot gain).
+to the trial kernels in one parameter record, and the kernels apply the
+in-period boosts (a DDF forwarder's 1/(1 - theta) over its remaining
+time, an AF forwarder's two-slot gain).  Every analytic bound,
+``mac_outage`` included, takes the source's burst; only the DDF bounds
+take the forwarders' budgets, as branch weights.
 
 Cooperation adds processing costs on top: a node pays eta * R_j to
 encode and delta * R_j to decode a rate-R_j message, plus a fixed

@@ -1,6 +1,7 @@
 """Tests for YAML configuration loading and the command line front end."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,16 @@ class TestCliRun:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_YAML.replace("- rc-ddf", "- mac"))
         assert main(["run", "-c", path]) == 2
+
+    def test_run_help_explains_every_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "-h"])
+        text = capsys.readouterr().out
+        for dest in cli._RUN_FLAGS:
+            flag = re.escape("--" + dest.replace("_", "-"))
+            # The invocation, then its help on the same line or indented
+            # on the next; a flag without help is followed by the next flag.
+            assert re.search(rf"^  (?:-\w \w+, )?{flag}(?: [A-Z_]+)?(?: {{2,}}|\n {{3,}})\S", text, re.M), dest
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys, monkeypatch):
         """The output path is checked before the sweep starts."""

@@ -748,14 +748,16 @@ class TestRunCells:
         assert events.shape == (4,)
 
     def test_worker_count_invariance(self, spy_pool):
+        """Without a pool every round runs in this process, also one past
+        the start threshold; a 2-worker handle gives the same table."""
         # Rounds of 6,144 then 18,432 trials against a start threshold of
         # 2 * 4096: the second round runs on the two workers.
         pools = spy_pool(task_trials=4096, cpus=2)
         cells = mac_cells(3)
         seq = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000)
-        par = mc.run_cells(
-            cells, point_seed=11, target_events=500, trial_ceiling=30_000, workers=2
-        )
+        assert pools == []
+        with mc.worker_pool(2) as pool:
+            par = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000, pool=pool)
         assert seq[1:] == par[1:]
         assert seq[0].tolist() == par[0].tolist()
         assert pools == [dict(workers=2, method="spawn", rounds=[18_432])]
@@ -817,7 +819,8 @@ class TestRunCells:
         # far below 1000 * 2048.
         cells = mac_cells(2)
         seq = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000)
-        par = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000, workers=1000)
+        with mc.worker_pool(1000) as pool:
+            par = mc.run_cells(cells, point_seed=11, target_events=500, trial_ceiling=30_000, pool=pool)
         assert built == [3]
         assert seq[1:] == par[1:] == (8192, False)
         assert seq[0].tolist() == par[0].tolist()

@@ -104,3 +104,31 @@ def test_full_mode_records_the_bound_layers():
     assert calls.get("ddf.bounds") == 3 * cells
     assert calls.get("af.bounds") == 3 * cells
     assert calls.get("harness.mac_outage") == cells
+
+
+def test_pool_mode_times_the_workers(monkeypatch):
+    """The ``pool`` mode times the map of the pool that a sweep's handle
+    starts, and the workers give one process's estimates.
+
+    Rounds of 6,144, 18,432 and 5,424 trials against a start threshold of
+    2 * 4096: the last two run on the workers, and the point has events.
+    """
+    monkeypatch.setattr(mc, "MAX_TASK_TRIALS", 4096)
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
+
+    def sweep(workers):
+        return harness.sweep_fixed_placement(
+            parse_strategy("rc-ddf", 3), placement, PowerConfig(rate=2.0), [10.0], seed=1,
+            trial_ceiling=30_000, workers=workers,
+        )
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, "pool")
+        par = sweep(2)
+    finally:
+        tracer.restore()
+    assert tracer.summary(1.0)["by_name"]["mc.pool_wait"]["calls"] == 2
+    assert par == sweep(1)
+    assert par[0].events > 0

@@ -28,54 +28,66 @@ task owns its stream, so where a task runs never changes a count.
 
 A task reads its stream in order, in internal batches of ``_BATCH``
 rows, so counts do not depend on the batch size; it only keeps each
-batch's draw arrays in cache.  A mac or afmh task reads one row per
-trial.  A DDF or af2 task first draws how many of its trials survive the
-direct screen (below), then one row per survivor in trial order, in
-which the direct gain A_dk is conditioned on surviving.
+batch's draw arrays in cache.  Two outcomes are certain, and
+``count_events`` alone decides them, before it derives a stream: at
+rate 0 no trial fails, and with a silent source (zero burst power)
+every trial does, since every rate step then gives mutual information
+0.
 
-Kernels draw channels directly (documented column layouts below) and
-return outage event counts.  A trial is in outage when its mutual
-information is strictly below the rate.  Two outcomes are certain,
-and ``count_events`` alone decides them, before it derives a stream or
-calls a kernel: at rate 0 no trial fails, and with a silent source
-(zero burst power) every trial does, since every rate step then gives
-mutual information 0.
+``_KERNELS`` declares each kernel's row layout, rate function and
+screen.  ``count_events`` alone draws, through ``_rows``: one generator
+call per batch, the direct gain (column 0) conditioned by the screen's
+q.  A trial is in outage when the rate function gives mutual
+information strictly below the rate; mac, which has none, counts A_dk
+below ``_direct_threshold`` at one slot.
 
-Every kernel takes the same 8-key parameter record (built by the sweep
-harness): ``rate``, the source's ``burst`` power, its forwarders'
+    kernel     draw         columns at m forwarders   screen L
+    mac        exponential  1                         -
+    rc-ddf     exponential  1 + 2m                    1
+    uc2-ddf    exponential  1 + 2m                    1
+    ucmh-ddf   exponential  1 + 2m + m(m-1)/2         1
+    af2        complex      1 + 2m                    2
+    afmh       complex      1 + 2m                    -
+
+An exponential row is ``rng.exponential`` (n, columns): A_dk, then A_jk
+(m) and A_dj (m), with ucmh-ddf's helper pairs (h < j, row-major, one
+draw for both directions) between them.  A complex row is
+``rng.standard_normal`` (n, 2 columns), the real then the imaginary
+parts, times sqrt(1/2), of the links [d-k, d-j (m), j-k (m)].  Both AF
+rates read only |h_dk|^2, so the d-k pair gives the direct gain and its
+phase is dropped.  rc-ddf and uc2-ddf are one protocol, the source's
+slot and then a second slot that its decoded forwarders share, so
+rc-ddf is uc2-ddf with the relay as its one forwarder.
+
+Every rate function takes the same 8-key parameter record (built by the
+sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
 ``budgets`` (the relay's under rc), the multihop ``mode`` and the
 cell's d^gamma link table -- ``dk_pow`` (destination-source),
 ``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
-``hh_pow`` (between helpers).  Each kernel reads what its rate step
-needs; the AF kernels scale their amplitudes by 1/sqrt(d^gamma).  rc-ddf
-and uc2-ddf are one protocol, the source's slot and then a second slot
-that its decoded forwarders share, so rc-ddf runs on the uc2 kernel
-with the relay as its one forwarder.
+``hh_pow`` (between helpers).  Each reads what its rate step needs; the
+AF rates scale their amplitudes by 1/sqrt(d^gamma).
 
-The DDF and af2 kernels draw only the trials that the direct link alone
-may not carry.  Each of their destination rates is at least
-(1/L) C(A_dk * burst / dk_pow) for a fixed slot count L, listed beside
-the kernel in ``_KERNELS``.  Every DDF rate (L = 1) is a weighted sum,
-with weights summing to 1, of capacities whose SNR includes the direct
-term.  af2 (L = 2) takes half the log of det(I + P HH*), and det - 1 is
-a sum of nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk
-reaches ``_direct_threshold`` (where that bound equals the rate) times
-1 + ``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding
-in the rate step.  A_dk is exponential, so the number of trials below
-that widened threshold t' is binomial with q = 1 - exp(-t'), and the
+A screened kernel (L in the table) draws only the trials that the
+direct link alone may not carry.  Its destination rate is at least
+(1/L) C(A_dk * burst / dk_pow).  Every DDF rate is a weighted sum, with
+weights summing to 1, of capacities whose SNR includes the direct term.
+af2 takes half the log of det(I + P HH*), and det - 1 is a sum of
+nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk reaches
+``_direct_threshold`` (where that bound equals the rate) times 1 +
+``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding in
+the rate step.  A_dk is exponential, so the number of trials below that
+widened threshold t' is binomial with q = 1 - exp(-t'), and the
 survivors are independent with A_dk drawn given A_dk < t'.  Drawing the
 count and then only the survivors gives the event count exactly the
 distribution of screening every trial, and the rate step, which works
-elementwise over trials, never sees a dropped trial.  mac counts its
-direct link against the same threshold (L = 1) without a screen.  afmh
-is not screened: its bound holds at L = m + 1 slots, but that threshold
-keeps nearly every trial at the benchmark's uc3-af points, and
-screening would renumber the draws under acceptance 4's uc3-af slope.
+elementwise over trials, never sees a dropped trial.  afmh is not
+screened: its bound holds at L = m + 1 slots, but that threshold keeps
+nearly every trial at the benchmark's uc3-af points, and screening
+would renumber the draws under acceptance 4's uc3-af slope.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import multiprocessing
@@ -148,24 +160,8 @@ def chunk_sizes(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Trial kernels.  params is the plain-data record described above, so
-# tasks pickle cheaply.  Each kernel documents its draw layout; changing a
-# layout changes results.
-
-
-def _rayleigh_complex(rng, n, m):
-    """m proper complex unit-variance amplitudes per trial.
-
-    Layout: standard_normal (n, 2m), first m columns real parts, last m
-    imaginary, scaled by sqrt(1/2).
-    """
-    parts = rng.standard_normal((n, 2 * m))
-    parts *= math.sqrt(0.5)
-    # Link-major storage (Fortran order): each link's column is contiguous,
-    # which keeps the per-trial sums over links in the rate step fast.
-    amp = np.empty((m, n), dtype=complex)
-    amp.real = parts[:, :m].T
-    amp.imag = parts[:, m:].T
-    return amp.T
+# tasks pickle cheaply.  A rate function reads its rows and never writes
+# them; changing a layout changes results.
 
 
 def _direct_threshold(params, slots):
@@ -195,63 +191,51 @@ def _conditioned(e, q):
     return e
 
 
-def _survivor_rows(rng, n, links, q):
-    """n surviving trials as rows [A_dk, links...].
+def _rows(draw, columns, rng, n, q):
+    """The engine's one draw: n trials' rows in the layout (draw,
+    columns), as (direct gain conditioned by q, the other links).
 
-    Draws: exponential (n, 1 + links); column 0 becomes ``_conditioned``.
+    exponential: ``rng.exponential`` (n, columns); column 0 is A_dk.
+    complex: ``rng.standard_normal`` (n, 2 columns), the real then the
+    imaginary parts, times sqrt(1/2), of ``columns`` complex links; the
+    direct gain is |h_dk|^2 and the d-k phase is dropped.
     """
-    a = rng.exponential(size=(n, 1 + links))
-    _conditioned(a[:, 0], q)
-    return a
+    if draw == "exponential":
+        a = rng.exponential(size=(n, columns))
+        return _conditioned(a[:, 0], q), a[:, 1:]
+    parts = rng.standard_normal((n, 2 * columns))
+    parts *= math.sqrt(0.5)
+    # Link-major storage (Fortran order): each link's column is contiguous,
+    # which keeps the per-trial sums over links in the rate step fast.
+    amp = np.empty((columns, n), dtype=complex)
+    amp.real = parts[:, :columns].T
+    amp.imag = parts[:, columns:].T
+    return _conditioned(_af._abs2(amp[0]), q), amp[1:].T
 
 
-def _count_mac(params, rng, n, q):
-    """Direct slot only.  Draws: exponential (n,) = A_dk.  Not screened
-    (q is None): the count is the indicator A_dk < ``_direct_threshold``
-    at one slot."""
-    a = rng.exponential(size=n)
-    return int((a < _direct_threshold(params, 1)).sum())
-
-
-def _count_uc2_ddf(params, rng, n, q):
+def _rate_uc2_ddf(params, direct, links):
     """Shared second slot, m forwarders: the relay under rc (m = 1), the
-    helper users under uc2.
-
-    Draws: n surviving rows from ``_survivor_rows`` = A_dk, forwarder
-    listen links A_jk (m), then destination links A_dj (m); at m = 1
-    that is A_dk, A_rk, A_dr.  A dropped trial meets the rate: the
-    second slot's SNR adds the forwarders' terms to the direct one, so
-    the rate is at least G1, the direct link's capacity.
-    """
+    helper users under uc2.  links: A_jk (m), then A_dj (m)."""
     rate, burst = params["rate"], params["burst"]
     m = len(params["budgets"])
-    a = _survivor_rows(rng, n, 2 * m, q)
-    theta = _ddf.listen_fraction_uc2(a[:, 1 : 1 + m], params["jk_pow"], burst, rate)
-    budgets = np.asarray(params["budgets"])
-    helper_snr = a[:, 1 + m :] * budgets / np.asarray(params["dj_pow"])
-    mi = _ddf.trial_mutual_info_uc2(theta, a[:, 0] * burst / params["dk_pow"], helper_snr)
-    return int((mi < rate).sum())
+    theta = _ddf.listen_fraction_uc2(links[:, :m], params["jk_pow"], burst, rate)
+    helper_snr = links[:, m:] * np.asarray(params["budgets"]) / np.asarray(params["dj_pow"])
+    return _ddf.trial_mutual_info_uc2(theta, direct * burst / params["dk_pow"], helper_snr)
 
 
-def _count_ucmh_ddf(params, rng, n, q):
-    """Greedy multihop chain, m helpers (L = m + 1 slots).
-
-    Draws: n surviving rows from ``_survivor_rows`` = A_dk,
-    helper-hears-source (m), helper pairs (h < j, row-major), destination
-    from helpers (m).  A helper pair shares one fading draw for both
-    directions.  A dropped trial meets the rate: the stage SNRs at the
-    destination start at the direct term and never decrease, and the
-    stage fractions sum to 1.  The schedule and the destination rate
-    work trial by trial (a stage loop that ends early skips only stages
-    no surviving trial has time left for).  Helpers hear each other at
-    the unboosted ``budgets / hh_pow``; only the destination rate boosts
-    a forwarder by 1 / (its remaining time).
+def _rate_ucmh_ddf(params, direct, links):
+    """Greedy multihop chain, m helpers (L = m + 1 slots).  links:
+    helper-hears-source (m), helper pairs (h < j, row-major; one fading
+    draw for both directions), destination from helpers (m).  The
+    schedule and the destination rate work trial by trial (a stage loop
+    that ends early skips only stages no trial has time left for).
+    Helpers hear each other at the unboosted ``budgets / hh_pow``; only
+    the destination rate boosts a forwarder by 1 / (its remaining time).
     """
     rate, burst, budgets = params["rate"], params["burst"], params["budgets"]
     m = len(budgets)
     L = m + 1
     npairs = m * (m - 1) // 2
-    a = _survivor_rows(rng, n, m + npairs + m, q)
     # Link SNR coefficients: helper h hears the source (slot 0) and every
     # other helper; the destination hears the source and every helper.
     recv_coef = np.zeros((m, L))
@@ -266,59 +250,52 @@ def _count_ucmh_ddf(params, rng, n, q):
     )
     # Helper-major (m, L, n) storage, passed as its (n, m, L) view: the
     # schedule reads each helper's links as contiguous columns.
-    recv = np.zeros((m, L, n))
-    recv[:, 0] = a[:, 1 : 1 + m].T
-    col = 1 + m
+    recv = np.zeros((m, L, len(direct)))
+    recv[:, 0] = links[:, :m].T
+    col = m
     for h in range(m):
         for j in range(h + 1, m):
-            recv[h, j + 1] = a[:, col]
-            recv[j, h + 1] = a[:, col]
+            recv[h, j + 1] = links[:, col]
+            recv[j, h + 1] = links[:, col]
             col += 1
-    dest = np.column_stack((a[:, 0], a[:, 1 + m + npairs :]))
+    dest = np.column_stack((direct, links[:, m + npairs :]))
     sched = _ddf.multihop_schedule(
         recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"]
     )
-    mi = _ddf.trial_mutual_info_multihop(sched, dest, dest_coef)
-    return int((mi < rate).sum())
+    return _ddf.trial_mutual_info_multihop(sched, dest, dest_coef)
 
 
-def _count_af(mutual_info, params, rng, n, q):
-    """AF with m helpers, rate from the closed form ``mutual_info``:
-    ``af2_trial_mutual_info`` when all helpers forward in one second slot
-    (af2, screened at L = 2), ``afmh_trial_mutual_info`` with one helper
-    per slot (afmh, L = m + 1 slots, not screened: q is None).
-
-    Draws: n (surviving) trials' complex amplitudes for links [d-k, d-j
-    (m), j-k (m)] via ``_rayleigh_complex`` (standard_normal
-    (n, 2(1 + 2m))).  Both rates read only |h_dk|^2, so the d-k pair
-    gives E = |h_dk|^2 as drawn, which becomes ``_conditioned``, and its
-    phase is dropped.  An af2 trial the screen drops meets the rate:
-    det(I + P HH*) - 1 is a sum of nonnegative terms that includes
-    P |h_dk|^2, so the rate is at least half the direct link's capacity.
+def _af_inputs(params, direct, links):
+    """An AF closed form's arguments: amplitudes scaled by 1/sqrt(d^gamma),
+    the direct one as sqrt(|h_dk|^2 / dk_pow).  links: h_dj (m), h_jk (m).
     Helpers never hear each other, and no matrix is built:
-    ``af_trial_mutual_info`` stays the general reference.
-    """
+    ``af_trial_mutual_info`` stays the general reference."""
     m = len(params["budgets"])
-    h = _rayleigh_complex(rng, n, 1 + 2 * m)
-    # In place: a fresh array per batch costs more than the arithmetic.
-    h[:, 1:] *= 1.0 / np.sqrt(np.array((*params["dj_pow"], *params["jk_pow"])))
-    h_dk = _conditioned(_af._abs2(h[:, 0]), q)
-    h_dk *= 1.0 / params["dk_pow"]
+    h_dk = direct * (1.0 / params["dk_pow"])
     np.sqrt(h_dk, out=h_dk)
-    mi = mutual_info(h_dk, h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
-    return int((mi < params["rate"]).sum())
+    h = links * (1.0 / np.sqrt(np.array((*params["dj_pow"], *params["jk_pow"]))))
+    return h_dk, h[:, :m], h[:, m:], params["budgets"], params["burst"]
 
 
-# Each kernel and its screen's slot count L (its destination rate is at
-# least (1/L) C(A_dk * burst / dk_pow)), or None for a kernel that reads
-# one row per trial.
+def _rate_af2(params, direct, links):
+    """All helpers forward in one second slot."""
+    return _af.af2_trial_mutual_info(*_af_inputs(params, direct, links))
+
+
+def _rate_afmh(params, direct, links):
+    """One helper per slot."""
+    return _af.afmh_trial_mutual_info(*_af_inputs(params, direct, links))
+
+
+# kernel -> ((draw, columns at m forwarders), rate function or None for
+# mac, screen slot count L or None): the table in the module docstring.
 _KERNELS = {
-    "mac": (_count_mac, None),
-    "rc-ddf": (_count_uc2_ddf, 1),
-    "uc2-ddf": (_count_uc2_ddf, 1),
-    "ucmh-ddf": (_count_ucmh_ddf, 1),
-    "af2": (functools.partial(_count_af, _af.af2_trial_mutual_info), 2),
-    "afmh": (functools.partial(_count_af, _af.afmh_trial_mutual_info), None),
+    "mac": (("exponential", lambda m: 1), None, None),
+    "rc-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
+    "uc2-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
+    "ucmh-ddf": (("exponential", lambda m: 1 + 2 * m + m * (m - 1) // 2), _rate_ucmh_ddf, 1),
+    "af2": (("complex", lambda m: 1 + 2 * m), _rate_af2, 2),
+    "afmh": (("complex", lambda m: 1 + 2 * m), _rate_afmh, None),
 }
 
 
@@ -330,11 +307,12 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     either count returns before the stream is derived.  Otherwise a
     screened task (slot count L in ``_KERNELS``) first draws its
     survivor count and q (``_survivors``) and then one row per survivor,
-    with A_dk conditioned by q; mac and afmh read one row per trial (q
-    is None).  Rows are read trial-major, so the count is the same for
-    any batch size."""
-    fn, slots = _KERNELS[kernel]
-    if params["rate"] <= 0.0:
+    with the direct gain conditioned by q; mac and afmh read one row per
+    trial (q is None).  Rows are read trial-major, so the count is the
+    same for any batch size."""
+    (draw, columns), rate_of, slots = _KERNELS[kernel]
+    rate = params["rate"]
+    if rate <= 0.0:
         return 0
     if params["burst"] <= 0.0:
         return trials
@@ -342,9 +320,14 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     q = None
     if slots is not None:
         trials, q = _survivors(params, rng, trials, slots)
+    width = columns(len(params["budgets"]))
     events = 0
     for done in range(0, trials, _BATCH):
-        events += fn(params, rng, min(_BATCH, trials - done), q)
+        direct, links = _rows(draw, width, rng, min(_BATCH, trials - done), q)
+        if rate_of is None:
+            events += int((direct < _direct_threshold(params, 1)).sum())
+        else:
+            events += int((rate_of(params, direct, links) < rate).sum())
     return events
 
 

@@ -7,6 +7,8 @@ here in detail.
 
 import math
 import multiprocessing
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,12 +160,12 @@ class TestCountEvents:
         does; count_events decides both before it derives a stream.  The
         kernel's own rate step agrees on rows drawn in full (mac's
         threshold divides by the burst, so it runs at rate 0 only)."""
-        fn, _ = mc._KERNELS[kernel]
         idle = dict(KERNEL_PARAMS[kernel], rate=0.0)
         silent = dict(KERNEL_PARAMS[kernel], burst=0.0)
         for params, certain in ((idle, 0), (silent, 5000)):
             if kernel != "mac" or params is idle:
-                assert fn(params, np.random.default_rng(3), 5000, None) == certain
+                rows = layout_rows(kernel, params, np.random.default_rng(3), 5000)
+                assert rate_count(kernel, params, *rows) == certain
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "derive_stream", lambda seed, *path: NoDraws())
                 assert mc.count_events(kernel, params, 5, (0,), 5000) == certain
@@ -208,17 +210,27 @@ def scaled(params, rate, snr_db):
     return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
 
 
-class StubDraws:
-    """Stands in for a kernel's generator and hands it a fixed draw array."""
+def layout_rows(kernel, params, rng, n, q=None):
+    """n trials' (direct gain, links) in the kernel's declared layout, drawn
+    from rng as the engine draws them."""
+    (draw, columns), _, _ = mc._KERNELS[kernel]
+    return mc._rows(draw, columns(len(params["budgets"])), rng, n, q)
 
-    def __init__(self, table):
-        self.table = table
 
-    def exponential(self, size):
-        assert np.shape(self.table) == size
-        return self.table.copy()
+def rate_count(kernel, params, direct, links):
+    """Outage count of rows handed straight to the kernel's rate function;
+    mac, which has none, counts A_dk below its one-slot threshold."""
+    rate_of = mc._KERNELS[kernel][1]
+    if rate_of is None:
+        return int((direct < mc._direct_threshold(params, 1)).sum())
+    return int((rate_of(params, direct, links) < params["rate"]).sum())
 
-    standard_normal = exponential
+
+def complex_links(parts):
+    """Complex links from a standard-normal table in the documented layout:
+    the real then the imaginary parts, times sqrt(1/2)."""
+    links = parts.shape[1] // 2
+    return math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
 
 
 class NoDraws:
@@ -291,9 +303,8 @@ def unscreened_count(kernel, params, rows, q=None):
     if not len(rows):
         return 0
     if kernel == "af2":
-        links = rows.shape[1] // 2
         m = len(params["budgets"])
-        amp = math.sqrt(0.5) * (rows[:, :links] + 1j * rows[:, links:])
+        amp = complex_links(rows)
         ch = af2_equivalent_channel(
             np.sqrt(truncated(np.abs(amp[:, 0]) ** 2, q) / params["dk_pow"]),
             amp[:, 1 : 1 + m] / np.sqrt(params["dj_pow"]),
@@ -302,9 +313,7 @@ def unscreened_count(kernel, params, rows, q=None):
             params["burst"],
         )
         return int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
-    rows = rows.copy()
-    rows[:, 0] = truncated(rows[:, 0], q)
-    return mc._KERNELS[kernel][0](params, StubDraws(rows), len(rows), None)
+    return rate_count(kernel, params, truncated(rows[:, 0], q), rows[:, 1:])
 
 
 class TestDirectScreen:
@@ -396,7 +405,7 @@ class TestDirectScreen:
             assert mc.count_events(kernel, params, 1, (0,), 5000) == 0
 
     @staticmethod
-    def outages_at_cut(case, rate, snr_db, factor, monkeypatch):
+    def outages_at_cut(case, rate, snr_db, factor):
         """Outage count, through the kernel's own rate step, of trials
         whose A_dk sits at the cut threshold * factor and up to four ulps
         above it: once with the forwarders as weak as the scheme allows
@@ -428,20 +437,93 @@ class TestDirectScreen:
         weak[:, 2 + 2 * m : 2 + 3 * m] = 0.0
         weak[:, 1 + m : 1 + 2 * m] = 0.0
         weak[:, 2 + 3 * m :] = 0.0
-        with monkeypatch.context() as patch:
-            patch.setattr(mc, "_conditioned", lambda e, q: a_dk)
-            return mc._KERNELS[kernel][0](params, StubDraws(parts.reshape(-1, cols)), len(a_dk), None)
+        return rate_count(kernel, params, a_dk, complex_links(parts.reshape(-1, cols))[:, 1:])
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
-    def test_dropped_rows_meet_the_rate(self, case, monkeypatch):
+    def test_dropped_rows_meet_the_rate(self, case):
         """Every trial the screen drops meets the rate through the kernel's
         own rate step, and a cut 1e-9 below the threshold would drop
         trials that do not."""
         for rate in (0.25, 0.5, 1.0, 2.0, 4.0, 9.0):
             for snr_db in (-10, 10, 30, 50):
                 keep_cut = 1.0 + mc._SCREEN_MARGIN
-                assert self.outages_at_cut(case, rate, snr_db, keep_cut, monkeypatch) == 0
-                assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9, monkeypatch) > 0
+                assert self.outages_at_cut(case, rate, snr_db, keep_cut) == 0
+                assert self.outages_at_cut(case, rate, snr_db, 1.0 - 1e-9) > 0
+
+
+# (kernel, record) of every rate step: each DDF multihop mode and each AF
+# closed form at two forwarder counts.
+RATE_CASES = {
+    "mac": ("mac", MAC_PARAMS),
+    "rc-ddf": ("rc-ddf", RECORD1),
+    "uc2-ddf": ("uc2-ddf", RECORD),
+    "ucmh-accumulating": ("ucmh-ddf", RECORD),
+    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction")),
+    "af2-m1": ("af2", RECORD1),
+    "af2-m2": ("af2", RECORD),
+    "afmh-m2": ("afmh", RECORD),
+    "afmh-m3": ("afmh", RECORD3),
+}
+
+
+class TestRateFunctions:
+    """What an estimator that moves the direct gain relies on."""
+
+    @pytest.mark.parametrize("case", sorted(RATE_CASES))
+    def test_rate_nondecreasing_in_the_direct_gain(self, case):
+        """Raising column 0 of random rows, by an ulp up to a factor 1e4,
+        never lowers the rate by more than 1e-12 relative (mac: never puts
+        a trial into outage), and a rate function leaves its rows as they
+        were."""
+        kernel, record = RATE_CASES[case]
+        rate_of = mc._KERNELS[kernel][1]
+        rng = np.random.default_rng(43)
+        for rate in (0.25, 1.0, 4.0, 9.0):
+            for snr_db in (-10, 0, 10, 20, 30, 40, 50):
+                params = scaled(record, rate, snr_db)
+                direct, links = layout_rows(kernel, params, rng, 3000)
+                direct[:500] = 0.0
+                raised = direct * 10.0 ** rng.uniform(0.0, 4.0, len(direct)) + rng.exponential(1e-3, len(direct))
+                raised[250:750] = np.nextafter(direct[250:750], np.inf)
+                if rate_of is None:
+                    threshold = mc._direct_threshold(params, 1)
+                    assert not np.any((raised < threshold) & (direct >= threshold))
+                    continue
+                rows = direct.copy(), links.copy()
+                low = rate_of(params, direct, links)
+                high = rate_of(params, raised, links)
+                assert np.array_equal(direct, rows[0]) and np.array_equal(links, rows[1])
+                assert np.all(high >= low - 1e-12 * np.abs(low)), (rate, snr_db)
+                assert np.any(high > low), (rate, snr_db)
+
+
+def layout_table(rows):
+    """{kernel: (draw, columns at m = 1, 2, 3, screen L)} from the cells of
+    a layout table's rows; a column count reads like 1 + 2m."""
+    out = {}
+    for kernel, draw, columns, slots in rows:
+        formula = re.sub(r"(?<=[0-9m)])(?=[m(])", "*", columns)
+        counts = tuple(eval(formula, {"__builtins__": {}}, {"m": m}) for m in (1, 2, 3))
+        out[kernel.strip("`")] = (draw, counts, None if slots == "-" else int(slots))
+    return out
+
+
+def test_layout_tables_match_the_kernels():
+    """The layout tables of the ``mc`` docstring and of README
+    "Determinism" both say what ``mc._KERNELS`` declares."""
+    want = {
+        kernel: (draw, tuple(columns(m) for m in (1, 2, 3)), slots)
+        for kernel, ((draw, columns), _, slots) in mc._KERNELS.items()
+    }
+    doc = mc.__doc__.splitlines()
+    top = next(i for i, line in enumerate(doc) if line.split()[:2] == ["kernel", "draw"])
+    end = doc.index("", top)
+    assert layout_table(re.split(r"\s{2,}", line.strip()) for line in doc[top + 1 : end]) == want
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    top = readme.index("| kernel | draw | columns at m forwarders | screen L |")
+    end = readme.index("", top)
+    cells = ([cell.strip() for cell in line.strip("|").split("|")] for line in readme[top + 2 : end])
+    assert layout_table(cells) == want
 
 
 def ks_truncated(x, q):
@@ -474,9 +556,8 @@ class TestConditionedDirectGain:
         cut = mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN)
         q = -math.expm1(-cut)
         n = 200_000
-        a = mc._survivor_rows(np.random.default_rng(31), n, 0, q)
-        x = a[:, 0]
-        assert a.shape == (n, 1) and x.min() >= 0.0 and x.max() < cut
+        x, links = layout_rows("mac", params, np.random.default_rng(31), n, q)
+        assert x.shape == (n,) and links.shape == (n, 0) and x.min() >= 0.0 and x.max() < cut
         assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
 
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
@@ -498,7 +579,7 @@ class TestConditionedDirectGain:
 
         monkeypatch.setattr(mc, "_conditioned", spy)
         n = 200_000
-        mc._KERNELS["af2"][0](params, np.random.default_rng(37), n, q)
+        layout_rows("af2", params, np.random.default_rng(37), n, q)
         e, x = seen
         parts = np.random.default_rng(37).standard_normal((n, 6))
         np.testing.assert_allclose(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 3] ** 2), rtol=1e-15)
@@ -508,17 +589,19 @@ class TestConditionedDirectGain:
     def test_zero_burst_keeps_the_draw(self):
         """With q None (no screen) every row keeps A_dk as drawn: the
         reference path on which the tests run a kernel's rate step."""
-        got = mc._survivor_rows(np.random.default_rng(5), 100, 4, None)
+        direct, links = layout_rows("uc2-ddf", RECORD, np.random.default_rng(5), 100)
+        got = np.column_stack((direct, links))
         np.testing.assert_array_equal(got, np.random.default_rng(5).exponential(size=(100, 5)))
 
 
 def count_rc_ddf(params, rng, n, q):
     """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
     uc2 kernel, on the one-stream layout.  Draws: n surviving rows
-    [A_dk, A_rk, A_dr] from ``_survivor_rows``; the rows go through the
-    one-forwarder rate references."""
+    [A_dk, A_rk, A_dr], exponential (n, 3) with A_dk conditioned by q;
+    the rows go through the one-forwarder rate references."""
     rate, burst = params["rate"], params["burst"]
-    a = mc._survivor_rows(rng, n, 2, q)
+    a = rng.exponential(size=(n, 3))
+    a[:, 0] = truncated(a[:, 0], q)
     theta = listen_fraction_rc(a[:, 1], params["jk_pow"][0], burst, rate)
     mi = trial_mutual_info_rc(
         theta,
@@ -532,7 +615,11 @@ class TestRelayOnSharedSlotKernel:
     """rc-ddf is uc2-ddf with the relay as the one forwarder."""
 
     def test_one_kernel(self):
-        assert mc._KERNELS["rc-ddf"][0] is mc._KERNELS["uc2-ddf"][0]
+        (rc_draw, rc_columns), rc_rate, rc_slots = mc._KERNELS["rc-ddf"]
+        (uc2_draw, uc2_columns), uc2_rate, uc2_slots = mc._KERNELS["uc2-ddf"]
+        assert rc_rate is uc2_rate
+        assert (rc_draw, rc_slots) == (uc2_draw, uc2_slots)
+        assert [rc_columns(m) for m in (1, 2, 3)] == [uc2_columns(m) for m in (1, 2, 3)]
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
     @pytest.mark.parametrize(
@@ -563,7 +650,7 @@ def complex_afmh(params, rng, n):
     """afmh as it counted with its own function: the complex d-k
     amplitude scaled by 1/sqrt(d^gamma), phase kept, into the closed form."""
     m = len(params["budgets"])
-    h = mc._rayleigh_complex(rng, n, 1 + 2 * m)
+    h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
     mi = afmh_trial_mutual_info(
         h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
@@ -572,13 +659,26 @@ def complex_afmh(params, rng, n):
 
 
 class TestOneAfCountFunction:
-    """af2 and afmh share one count function: they differ only in the
-    closed form bound into it and in af2's screen."""
+    """af2 and afmh share one row layout and one route into their closed
+    forms: they differ only in the closed form their rate function runs
+    and in af2's screen."""
 
     def test_one_function(self):
-        af2, afmh = mc._KERNELS["af2"][0], mc._KERNELS["afmh"][0]
-        assert af2.func is afmh.func
-        assert af2.args == (af2_trial_mutual_info,) and afmh.args == (afmh_trial_mutual_info,)
+        """Each AF rate function is its closed form on sqrt(|h_dk|^2 /
+        d^gamma) and the links scaled by 1/sqrt(d^gamma), on rows of the
+        one complex layout."""
+        (af2_draw, af2_columns), af2_rate, _ = mc._KERNELS["af2"]
+        (afmh_draw, afmh_columns), afmh_rate, _ = mc._KERNELS["afmh"]
+        assert af2_draw == afmh_draw == "complex"
+        for record in (RECORD1, RECORD, RECORD3):
+            m = len(record["budgets"])
+            assert af2_columns(m) == afmh_columns(m) == 1 + 2 * m
+            direct, links = layout_rows("af2", record, np.random.default_rng(41), 1000)
+            h_dk = np.sqrt(direct * (1.0 / record["dk_pow"]))
+            h = links * (1.0 / np.sqrt(np.array((*record["dj_pow"], *record["jk_pow"]))))
+            for rate_of, closed_form in ((af2_rate, af2_trial_mutual_info), (afmh_rate, afmh_trial_mutual_info)):
+                want = closed_form(h_dk, h[:, :m], h[:, m:], record["budgets"], record["burst"])
+                np.testing.assert_array_equal(rate_of(record, direct, links), want)
 
     @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
     def test_afmh_counts_as_its_complex_direct_gain(self, record):
@@ -590,7 +690,7 @@ class TestOneAfCountFunction:
             for snr_db in (-10, 0, 10, 20, 30, 40):
                 params = scaled(record, rate, snr_db)
                 seed = 100 * int(rate * 4) + snr_db + 10
-                got = mc._KERNELS["afmh"][0](params, np.random.default_rng(seed), 20_000, None)
+                got = rate_count("afmh", params, *layout_rows("afmh", params, np.random.default_rng(seed), 20_000))
                 assert got == complex_afmh(params, np.random.default_rng(seed), 20_000), (rate, snr_db)
                 counts.append(got)
         assert any(0 < c < 20_000 for c in counts)
@@ -608,12 +708,32 @@ def rim_cluster(num_users):
     return NodePlacement(params=GeometryParams(num_users=num_users), positions=pos)
 
 
-def plain_af2(params, rng, n, q):
+def plain_count_events(kernel, params, seed, path, trials):
+    """A task as plain Monte Carlo counts it: the certain outcomes as the
+    engine decides them, then every trial's row from the task's stream,
+    A_dk as drawn, in batches of ``mc._BATCH``; af2 draws with
+    ``plain_af2``, every other kernel its declared layout."""
+    if params["rate"] <= 0.0:
+        return 0
+    if params["burst"] <= 0.0:
+        return trials
+    rng = mc.derive_stream(seed, *path)
+    events = 0
+    for done in range(0, trials, mc._BATCH):
+        n = min(mc._BATCH, trials - done)
+        if kernel == "af2":
+            events += plain_af2(params, rng, n)
+        else:
+            events += rate_count(kernel, params, *layout_rows(kernel, params, rng, n))
+    return events
+
+
+def plain_af2(params, rng, n):
     """The af2 kernel without the screen, as it drew before: every trial's
     complex amplitudes [d-k, d-j (m), j-k (m)], d-k phase included,
     scaled by 1/sqrt(d^gamma), through ``af2_trial_mutual_info``."""
     m = len(params["budgets"])
-    h = mc._rayleigh_complex(rng, n, 1 + 2 * m)
+    h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
     mi = af2_trial_mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
     return int((mi < params["rate"]).sum())
@@ -680,9 +800,8 @@ class TestTwoStreamLayoutOracle:
             thinned = harness.estimate_outage(strategy, placement, pc, per_user, self.THINNED_SEED)
             with monkeypatch.context() as patch:
                 # Every trial is a row with its A_dk as drawn: no kernel
-                # screens (slots None), and af2 draws its d-k phase.
-                for kernel, (fn, _) in list(mc._KERNELS.items()):
-                    patch.setitem(mc._KERNELS, kernel, (plain_af2 if kernel == "af2" else fn, None))
+                # screens, and af2 draws its d-k phase.
+                patch.setattr(mc, "count_events", plain_count_events)
                 plain = harness.estimate_outage(strategy, placement, pc, per_user, self.PLAIN_SEED)
             n = thinned.trials
             assert n == plain.trials >= 1 << 20
@@ -697,19 +816,20 @@ class TestRayleighDraw:
     """The AF kernels' complex amplitude draw."""
 
     def test_amp_sq_unit_mean(self):
-        amp = mc._rayleigh_complex(np.random.default_rng(9), 10**6, 1)
-        np.testing.assert_allclose((np.abs(amp) ** 2).mean(), 1.0, atol=4e-3)
+        amp_sq, _ = mc._rows("complex", 1, np.random.default_rng(9), 10**6, None)
+        np.testing.assert_allclose(amp_sq.mean(), 1.0, atol=4e-3)
 
     def test_phase_draw_components(self):
         """Complex amplitudes have two independent N(0, 1/2) components."""
-        amp = mc._rayleigh_complex(np.random.default_rng(10), 10**5, 2)
+        _, amp = mc._rows("complex", 3, np.random.default_rng(10), 10**5, None)
         assert amp.shape == (10**5, 2)
         np.testing.assert_allclose(amp.real.var(), 0.5, atol=1e-2)
         np.testing.assert_allclose(amp.imag.var(), 0.5, atol=1e-2)
         assert abs(np.corrcoef(amp.real[:, 0], amp.imag[:, 0])[0, 1]) < 0.01
 
     def test_links_uncorrelated(self):
-        amp_sq = np.abs(mc._rayleigh_complex(np.random.default_rng(12), 10**5, 3)) ** 2
+        direct, links = mc._rows("complex", 3, np.random.default_rng(12), 10**5, None)
+        amp_sq = np.column_stack((direct, np.abs(links) ** 2))
         corr = np.corrcoef(amp_sq.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.01)

@@ -52,16 +52,21 @@ def test_full_mode_records_the_layers(monkeypatch):
         return out
 
     monkeypatch.setattr(mc, "_survivors", spy)
-    # rc-ddf runs on the uc2 kernel but keeps its own task label.  At rate 4
-    # the direct screen keeps trials in every rc-ddf task (one batch per
-    # user), so each task draws its survivor rows once.  rc-af runs on the
-    # af2 kernel, which draws rows only in a task with survivors: at rate 1
-    # two of its three tasks have none.
+    # Every kernel's task spans and draws.  rc-ddf runs on the uc2 kernel
+    # but keeps its own task label.  At rate 4 the direct screen keeps
+    # trials in every rc-ddf and uc2-ddf task (one batch per user), so each
+    # task draws its survivor rows once; mac and afmh (uc3-af) are not
+    # screened and draw once per task.  A screened task draws rows only when
+    # it has survivors: two of the three tasks have none for uc3-ddf at rate
+    # 0.25 and for rc-af (on the af2 kernel) at rate 1.
     draws = {}
     for strategy, rate, spans in (
+        ("mac", 1.0, ("mc.task.mac",)),
         ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule")),
         ("rc-ddf", 4.0, ("mc.task.rc-ddf", "ddf.rate")),
+        ("uc2-ddf", 4.0, ("mc.task.uc2-ddf", "ddf.rate")),
         ("rc-af", 1.0, ("mc.task.af2",)),
+        ("uc3-af", 1.0, ("mc.task.afmh",)),
     ):
         kept.clear()
         tracer = tracing.Tracer()
@@ -78,8 +83,9 @@ def test_full_mode_records_the_layers(monkeypatch):
         # three tasks of one batch each
         assert tracer.tasks == 3
         draws[strategy] = (tracer.summary(1.0)["by_name"]["mc.draw"]["calls"], sum(k > 0 for k in kept))
-    assert draws["rc-ddf"] == (3, 3)
-    assert draws["rc-af"] == (1, 1)
+    assert draws["rc-ddf"] == draws["uc2-ddf"] == (3, 3)
+    assert draws["uc3-ddf"] == draws["rc-af"] == (1, 1)
+    assert draws["mac"] == draws["uc3-af"] == (3, 0)
 
 
 def test_full_mode_records_the_bound_layers():

@@ -18,9 +18,11 @@ checkout:
     PYTHONPATH=src python3 scripts/probe_digests.py --expect scripts/probe_digests.expected
 
 A change that moves a number on purpose rewrites that file in its own
-diff.  The first line names the numpy version and machine the digests
-were taken with; ``tests/test_probe_digests.py`` runs every probe against
-the file and skips when either differs.
+diff.  The first line names the numpy version, the machine and the SIMD
+targets numpy dispatches to (probe m's digest moves when the AVX-512
+targets are switched off with ``NPY_DISABLE_CPU_FEATURES``) that the
+digests were taken with; ``tests/test_probe_digests.py`` runs every
+probe against the file and skips when any of them differs.
 
 Everything a digest covers is fixed here: the configs, the worker counts,
 the task size at more than one worker (``POOL_TASK_TRIALS``) and how
@@ -260,10 +262,17 @@ LIBRARY_PROBES = {
 
 
 def platform_line() -> str:
-    """The output's first line: numpy version and machine, which the digests depend on."""
+    """The output's first line: numpy version, machine and the SIMD targets
+    numpy dispatches to on this CPU, which the digests depend on."""
     import numpy
 
-    return f"# numpy {numpy.__version__} {platform.machine()}"
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"# numpy {numpy.__version__} {platform.machine()} {' '.join(targets)}"
 
 
 def probe(name: str, tmp: Path) -> tuple[list[str], tuple[int, ...]]:

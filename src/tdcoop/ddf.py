@@ -11,12 +11,11 @@ destination sees a piecewise-constant rate: the direct-only part for the
 listen fraction and a higher multi-antenna rate afterwards.  With 3+
 hops the decode order is greedy (earliest decoder first, ties to the
 lowest node index) and each new decoder boosts its burst power by the
-inverse of its remaining transmit time.  Only the destination sees that
-boost; a helper still listening hears each forwarder at its unboosted
-budget.
+inverse of its remaining transmit time.
 
-Every function takes link distances already raised to gamma (d^gamma);
-the sweep harness raises them in one table per placement.  All
+The trial-level functions take received SNRs |A|^2 * Pbar / d^gamma,
+which the engine forms from its draws and the placement's d^gamma
+table; the bound functions take the d^gamma values themselves.  All
 trial-level functions are vectorised over trials.  The bound functions
 return the high-SNR lower/upper pair built from the leading term of the
 weighted-exponential-sum CDF and broadcast over a leading axis of rows,
@@ -113,39 +112,30 @@ def _columns(*arrays):
     return tuple(np.asarray(a, dtype=float) for a in arrays)
 
 
-def listen_fraction_rc(amp_sq, dist_pow, burst_power, rate):
-    """Listen fraction of a single forwarder on link gain |A|^2.
+def listen_fraction_rc(snr, rate):
+    """Listen fraction of a single forwarder on its received SNR.
 
-    min(1, R / C(|A|^2 * Pbar / d^gamma)), with dist_pow = d^gamma of the
-    source-forwarder link; a zero gain gives 1 (the forwarder never
-    decodes and stays silent).  Co-located nodes have no fading link, so
-    a zero distance is rejected.  The trial kernels call
-    ``listen_fraction_uc2`` for one forwarder too; this is its
-    one-forwarder reference.
+    min(1, R / C(snr)) with snr = |A|^2 * Pbar / d^gamma of the
+    source-forwarder link; a zero SNR gives 1 (the forwarder never
+    decodes and stays silent), and ``capacity`` rejects a negative one.
+    The trial kernels call ``listen_fraction_uc2`` for one forwarder too;
+    this is its one-forwarder reference.
     """
-    if dist_pow <= 0.0:
-        raise ValueError("forwarder distance must be positive")
-    snr = np.asarray(amp_sq, dtype=float) * burst_power / dist_pow
-    c = capacity(snr)
+    c = capacity(np.asarray(snr, dtype=float))
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
     out = np.minimum(theta, 1.0)
-    return float(out) if np.ndim(amp_sq) == 0 else out
+    return float(out) if np.ndim(snr) == 0 else out
 
 
-def listen_fraction_uc2(amp_sq, dist_pow, burst_power, rate):
+def listen_fraction_uc2(snr, rate):
     """Shared listen fraction when all forwarders must decode before relaying.
 
-    amp_sq has one column per forwarder and dist_pow holds each one's
-    source-link d^gamma; the slot boundary waits for the slowest
-    forwarder, so the fraction is the per-forwarder maximum capped at 1.
+    snr has one column per forwarder, each its received SNR from the
+    source; the slot boundary waits for the slowest forwarder, so the
+    fraction is the per-forwarder maximum capped at 1.
     """
-    a = np.atleast_2d(np.asarray(amp_sq, dtype=float))
-    d = np.asarray(dist_pow, dtype=float)
-    if np.any(d <= 0.0):
-        raise ValueError("forwarder distances must be positive")
-    snr = a * burst_power / d
-    c = capacity(snr)
+    c = capacity(np.atleast_2d(np.asarray(snr, dtype=float)))
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
     return np.minimum(theta.max(axis=1), 1.0)
@@ -203,14 +193,12 @@ class MultihopSchedule:
     decoded: np.ndarray
 
 
-def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
+def multihop_schedule(recv_snr, rate, mode="accumulating"):
     """Greedy stage fractions for the 3+ hop decode-and-forward chain.
 
-    recv_amp_sq is (n, H, L): |A|^2 at helper h from transmitter slot t
-    (slot 0 is the source, slots 1..H the helpers in input order).
-    recv_coef is (H, L) with entries Pbar_t / d(h, t)^gamma; the engine
-    passes unboosted budgets, so helpers do not see the 1 / remaining
-    boost of ``trial_mutual_info_multihop``.  At each stage the undecided
+    recv_snr is helper-major (H, L, n): the received SNR at helper h from
+    transmitter slot t (slot 0 is the source, slots 1..H the helpers in
+    input order) in each of n trials.  At each stage the undecided
     helper needing the smallest additional fraction decodes next, ties to
     the lowest node id (``Strategy`` stores helper sets sorted); the stage
     is capped at the remaining time when nobody can decode, which ends
@@ -219,30 +207,25 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
     earlier stages; in "per-fraction" mode it must decode within a single
     stage.
 
-    Each stage works on helper-major (H, n) arrays and selects with
-    ``np.where``.  A trial whose stage is capped has no time left, and
-    nothing computed for it afterwards is read, so the stage updates run
-    over all trials without masking them.  recv_amp_sq stored
-    helper-major, e.g. ``x.transpose(2, 0, 1)`` of an (H, L, n) array x,
-    is read contiguously.  The returned arrays are trial-major views of
+    Each stage works on (H, n) arrays and selects with ``np.where``.  A
+    trial whose stage is capped has no time left, and nothing computed
+    for it afterwards is read, so the stage updates run over all trials
+    without masking them.  The returned arrays are trial-major views of
     stage-major storage.
     """
     if mode not in ("accumulating", "per-fraction"):
         raise ValueError(f"unknown multihop mode {mode!r}")
-    a = np.asarray(recv_amp_sq, dtype=float)
-    coef = np.asarray(recv_coef, dtype=float)
-    n, H, L = a.shape
-    if H != L - 1 or coef.shape != (H, L):
-        raise ValueError("recv_amp_sq must be (n, L-1, L) with matching recv_coef")
-    # gain[h, t] = |A|^2 * Pbar_t / d(h, t)^gamma, the SNR at helper h from slot t.
-    gain = np.moveaxis(a, 0, -1) * coef[:, :, None]
+    snr = np.asarray(recv_snr, dtype=float)
+    if snr.ndim != 3 or snr.shape[0] != snr.shape[1] - 1:
+        raise ValueError("recv_snr must be (L-1, L, n)")
+    H, L, n = snr.shape
     order = np.zeros((L, n), dtype=np.int64)
     fractions = np.zeros((L, n))
     decoded = np.ones(n, dtype=np.int64)
     undecided = np.ones((H, n), dtype=bool)
     acc_info = np.zeros((H, n))
     remaining = np.ones(n)  # 0 exactly once a stage is capped
-    helper_snr = gain[:, 0].copy()  # source transmits from stage 0
+    helper_snr = snr[:, 0].copy()  # source transmits from stage 0
     for s in range(L - 1):
         rate_now = capacity(helper_snr)
         need = rate - acc_info if mode == "accumulating" else rate
@@ -273,26 +256,24 @@ def multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
         # The new decoder's links into every helper join their SNRs.  Row-wise
         # updates of undecided beat one broadcast compare (372 against 400 ns
         # per trial at H = 3).
-        joining = gain[:, 1]
+        joining = snr[:, 1]
         undecided[0] &= best != 0
         for h in range(1, H):
-            joining = np.where(best == h, gain[:, h + 1], joining)
+            joining = np.where(best == h, snr[:, h + 1], joining)
             undecided[h] &= best != h
         helper_snr += joining
     fractions[L - 1] = remaining
     return MultihopSchedule(order=order.T, fractions=fractions.T, decoded=decoded)
 
 
-def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coef):
+def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_snr):
     """Destination rate sum_l theta_l * C(stage-l SNR) for the schedule.
 
-    dest_amp_sq is (n, L) with |A|^2 of destination links by node slot;
-    dest_coef[t] = Pbar_t / d(d, t)^gamma.  A node entering at position p
-    transmits for the remaining time there, so its received power is
-    boosted by 1 / remaining.
+    dest_snr is (n, L): the destination's received SNR from each node
+    slot at the node's budget.  A node entering at position p transmits
+    for the remaining time there, so its SNR is boosted by 1 / remaining.
     """
-    a = np.asarray(dest_amp_sq, dtype=float)
-    coef = np.asarray(dest_coef, dtype=float)
+    a = np.asarray(dest_snr, dtype=float)
     n, L = a.shape
     fr = schedule.fractions
     info = np.zeros(n)
@@ -303,7 +284,7 @@ def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_amp_sq, dest_coe
         active = (p < schedule.decoded) & (remaining > 0.0)
         slot = schedule.order[:, p]
         boost = np.where(active, remaining, 1.0)
-        snr = snr + np.where(active, a[rows, slot] * coef[slot] / boost, 0.0)
+        snr = snr + np.where(active, a[rows, slot] / boost, 0.0)
         theta_p = fr[:, p]
         info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
         remaining = remaining - theta_p

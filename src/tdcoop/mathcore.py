@@ -16,8 +16,9 @@ summed at a step t = eta / 2^k with Lambda t <= 1/2 and squared k times.
 Every term and every product is nonnegative, so nothing cancels and
 repeated weights need no special case: F keeps its relative accuracy
 where it is 1e-20.  The rounding error grows with the squarings and with
-the spread of the weights, to the order of 1e-16 * max c / min c relative
-(3.5e-13 measured at a spread of 1000).  The first nonzero Taylor
+the spread of the weights: against 150-digit partial fractions it stayed
+below 2e-15 * max c / min c relative at spreads from 1e3 to 1.4e6
+(2.5e-12 at a spread of 1400, 2.2e-9 at 1.4e6).  The first nonzero Taylor
 coefficient gives the small-eta behaviour
 
     F_H(eta) ~ eta^L / (L! * prod_l c_l),

@@ -64,8 +64,10 @@ sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
 ``budgets`` (the relay's under rc), the multihop ``mode`` and the
 cell's d^gamma link table -- ``dk_pow`` (destination-source),
 ``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
-``hh_pow`` (between helpers).  Each reads what its rate step needs; the
-AF rates scale their amplitudes by 1/sqrt(d^gamma).
+``hh_pow`` (between helpers).  Each reads what its rate step needs.
+The DDF rates form each link's received SNR, the drawn |A|^2 times the
+sender's power over d^gamma, and hand ``ddf`` only SNRs; the AF rates
+scale their amplitudes by 1/sqrt(d^gamma).
 
 A screened kernel (L in the table) draws only the trials that the
 direct link alone may not carry.  Its destination rate is at least
@@ -218,7 +220,7 @@ def _rate_uc2_ddf(params, direct, links):
     helper users under uc2.  links: A_jk (m), then A_dj (m)."""
     rate, burst = params["rate"], params["burst"]
     m = len(params["budgets"])
-    theta = _ddf.listen_fraction_uc2(links[:, :m], params["jk_pow"], burst, rate)
+    theta = _ddf.listen_fraction_uc2(links[:, :m] * burst / np.asarray(params["jk_pow"]), rate)
     helper_snr = links[:, m:] * np.asarray(params["budgets"]) / np.asarray(params["dj_pow"])
     return _ddf.trial_mutual_info_uc2(theta, direct * burst / params["dk_pow"], helper_snr)
 
@@ -229,40 +231,28 @@ def _rate_ucmh_ddf(params, direct, links):
     draw for both directions), destination from helpers (m).  The
     schedule and the destination rate work trial by trial (a stage loop
     that ends early skips only stages no trial has time left for).
-    Helpers hear each other at the unboosted ``budgets / hh_pow``; only
-    the destination rate boosts a forwarder by 1 / (its remaining time).
+    Helper h hears the source at burst / jk_pow[h] and helper j at the
+    unboosted budgets[j] / hh_pow[h][j]; only the destination rate
+    boosts a forwarder by 1 / (its remaining time).
     """
     rate, burst, budgets = params["rate"], params["burst"], params["budgets"]
     m = len(budgets)
-    L = m + 1
     npairs = m * (m - 1) // 2
-    # Link SNR coefficients: helper h hears the source (slot 0) and every
-    # other helper; the destination hears the source and every helper.
-    recv_coef = np.zeros((m, L))
-    for h in range(m):
-        recv_coef[h, 0] = burst / params["jk_pow"][h]
-        for j in range(m):
-            if j != h:
-                recv_coef[h, j + 1] = budgets[j] / params["hh_pow"][h][j]
-    dest_coef = np.array(
-        (burst / params["dk_pow"],)
-        + tuple(budget / d_pow for budget, d_pow in zip(budgets, params["dj_pow"]))
-    )
-    # Helper-major (m, L, n) storage, passed as its (n, m, L) view: the
-    # schedule reads each helper's links as contiguous columns.
-    recv = np.zeros((m, L, len(direct)))
-    recv[:, 0] = links[:, :m].T
+    # Helper-major (m, L, n) SNRs, the layout the schedule's stage loop
+    # reads; a helper's link to itself stays 0.
+    recv = np.zeros((m, m + 1, len(direct)))
+    recv[:, 0] = links[:, :m].T * np.divide(burst, params["jk_pow"])[:, None]
     col = m
     for h in range(m):
         for j in range(h + 1, m):
-            recv[h, j + 1] = links[:, col]
-            recv[j, h + 1] = links[:, col]
+            np.multiply(links[:, col], budgets[j] / params["hh_pow"][h][j], out=recv[h, j + 1])
+            np.multiply(links[:, col], budgets[h] / params["hh_pow"][j][h], out=recv[j, h + 1])
             col += 1
-    dest = np.column_stack((direct, links[:, m + npairs :]))
-    sched = _ddf.multihop_schedule(
-        recv.transpose(2, 0, 1), recv_coef, rate, mode=params["mode"]
-    )
-    return _ddf.trial_mutual_info_multihop(sched, dest, dest_coef)
+    dest = np.empty((len(direct), m + 1))
+    dest[:, 0] = direct * (burst / params["dk_pow"])
+    dest[:, 1:] = links[:, m + npairs :] * np.divide(budgets, params["dj_pow"])
+    sched = _ddf.multihop_schedule(recv, rate, mode=params["mode"])
+    return _ddf.trial_mutual_info_multihop(sched, dest)
 
 
 def _af_inputs(params, direct, links):

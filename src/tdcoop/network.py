@@ -57,6 +57,10 @@ class GeometryParams:
         k = self.num_users
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
             raise ValueError(f"num_users must be an integer >= 1, got {k!r}")
+        pos = self.relay_position
+        if not (isinstance(pos, (tuple, list, np.ndarray)) and len(pos) == 2
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pos)):
+            raise ValueError(f"relay_position must be an (x, y) pair of numbers, got {pos!r}")
         for name in ("sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
                      "relay_position"):
             value = getattr(self, name)

@@ -152,7 +152,7 @@ def test_listen_fraction_distribution_law(capsys):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for d_rk, pbar, rate in ((0.25, 100.0, 0.25), (0.5, 10.0, 1.0), (0.8, 50.0, 2.0)):
-        theta = np.sort(listen_fraction_rc(rng.exponential(size=10**6), d_rk**GAMMA, pbar, rate))
+        theta = np.sort(listen_fraction_rc(rng.exponential(size=10**6) * pbar / d_rk**GAMMA, rate))
         grid = np.linspace(0.02, 0.998, 250)
         emp = np.searchsorted(theta, grid, side="right") / theta.size
         law = listen_fraction_cdf(grid, d_rk**GAMMA, pbar, rate)

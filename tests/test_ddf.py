@@ -39,14 +39,14 @@ class TestListenFractionRc:
         rate = 0.25
         amp = (2 ** (2 * rate) - 1) * 0.5**4 / 100.0
         np.testing.assert_allclose(
-            listen_fraction_rc(amp, 0.5**4, 100.0, rate), 0.5, rtol=1e-12
+            listen_fraction_rc(amp * 100.0 / 0.5**4, rate), 0.5, rtol=1e-12
         )
 
     def test_zero_gain_never_decodes(self):
-        assert listen_fraction_rc(0.0, 0.5**4, 100.0, 0.25) == 1.0
+        assert listen_fraction_rc(0.0, 0.25) == 1.0
 
     def test_strong_link_decodes_fast(self):
-        theta = listen_fraction_rc(50.0, 0.3**4, 1000.0, 0.25)
+        theta = listen_fraction_rc(50.0 * 1000.0 / 0.3**4, 0.25)
         assert 0.0 < theta < 0.02
 
     def test_cdf_frozen_point(self):
@@ -60,7 +60,7 @@ class TestListenFractionRc:
         """Sampled listen fractions reproduce the mixed CDF within 3e-3."""
         rng = np.random.default_rng(101)
         amp = rng.exponential(size=10**6)
-        theta = listen_fraction_rc(amp, 0.5**4, 100.0, 0.25)
+        theta = listen_fraction_rc(amp * 100.0 / 0.5**4, 0.25)
         grid = np.linspace(0.05, 0.999, 97)
         emp = np.searchsorted(np.sort(theta), grid, side="right") / theta.size
         np.testing.assert_allclose(
@@ -74,30 +74,33 @@ class TestListenFractionRc:
         below = listen_fraction_cdf(1.0 - 1e-9, 0.0625, 1.0, 2.0)
         assert below < 1.0
 
-    def test_zero_distance_rejected(self):
-        with pytest.raises((ValueError, ZeroDivisionError)):
-            listen_fraction_rc(1.0, 0.0, 100.0, 0.25)
+    def test_negative_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr >= 0"):
+            listen_fraction_rc(-1.0, 0.25)
+        with pytest.raises(ValueError, match="snr >= 0"):
+            listen_fraction_rc(np.array([1.0, -1e-300]), 0.25)
 
 
 class TestListenFractionUc2:
     def test_single_helper_reduces_to_rc(self):
         rng = np.random.default_rng(7)
         amp = rng.exponential(size=500)
-        via_rc = listen_fraction_rc(amp, 0.4**4, 50.0, 0.25)
-        via_uc = listen_fraction_uc2(amp[:, None], np.array([0.4**4]), 50.0, 0.25)
+        snr = amp * 50.0 / 0.4**4
+        via_rc = listen_fraction_rc(snr, 0.25)
+        via_uc = listen_fraction_uc2(snr[:, None], 0.25)
         np.testing.assert_allclose(via_uc, via_rc, rtol=1e-14)
 
     def test_equal_snrs_give_half(self):
         rate = 0.25
         d = np.array([0.2, 0.3])
         amp = (2 ** (2 * rate) - 1) * d**4 / 100.0
-        out = listen_fraction_uc2(amp[None, :], d**4, 100.0, rate)
+        out = listen_fraction_uc2((amp * 100.0 / d**4)[None, :], rate)
         np.testing.assert_allclose(out, [0.5], rtol=1e-12)
 
     def test_slowest_helper_sets_fraction(self):
         amp = np.array([[5.0, 0.01]])
-        out = listen_fraction_uc2(amp, np.array([0.3, 0.3])**4, 100.0, 0.25)
-        slow = listen_fraction_rc(0.01, 0.3**4, 100.0, 0.25)
+        out = listen_fraction_uc2(amp * 100.0 / 0.3**4, 0.25)
+        slow = listen_fraction_rc(0.01 * 100.0 / 0.3**4, 0.25)
         np.testing.assert_allclose(out, [slow], rtol=1e-14)
 
     def test_product_cdf_clustered_oracle(self):
@@ -106,7 +109,7 @@ class TestListenFractionUc2:
         n = 10**6
         d = np.array([0.1, 0.1])
         amp = rng.exponential(size=(n, 2))
-        theta = listen_fraction_uc2(amp, d**4, 100.0, 0.25)
+        theta = listen_fraction_uc2(amp * 100.0 / d**4, 0.25)
         want = listen_fraction_cdf(0.5, float((d**4).sum()), 100.0, 0.25)
         emp = float(np.mean(theta <= 0.5))
         se = math.sqrt(want * (1 - want) / n)
@@ -152,19 +155,15 @@ class TestTrialMutualInfoTwoHop:
 class TestMultihopSchedule:
     def test_fastest_decoder_goes_first(self):
         # helper 0 sees capacity 1.0, helper 1 capacity 0.5
-        a = np.zeros((1, 2, 3))
-        a[0, :, 0] = [1.0, 2**0.5 - 1]
-        coef = np.zeros((2, 3))
-        coef[:, 0] = 1.0
-        sched = multihop_schedule(a, coef, rate=0.25)
+        snr = np.zeros((2, 3, 1))
+        snr[:, 0, 0] = [1.0, 2**0.5 - 1]
+        sched = multihop_schedule(snr, rate=0.25)
         assert sched.order[0, 1] == 1
         np.testing.assert_allclose(sched.fractions[0, 0], 0.25, rtol=1e-12)
         assert sched.decoded[0] >= 2
 
     def test_dead_links_collapse_to_direct(self):
-        a = np.zeros((1, 2, 3))
-        coef = np.ones((2, 3))
-        sched = multihop_schedule(a, coef, rate=0.25)
+        sched = multihop_schedule(np.zeros((2, 3, 1)), rate=0.25)
         assert sched.decoded[0] == 1
         np.testing.assert_allclose(sched.fractions[0], [1.0, 0.0, 0.0])
 
@@ -174,7 +173,7 @@ class TestMultihopSchedule:
         a = rng.exponential(size=(n, 2, 3))
         coef = rng.uniform(5.0, 50.0, size=(2, 3))
         for mode in ("accumulating", "per-fraction"):
-            sched = multihop_schedule(a, coef, rate=0.8, mode=mode)
+            sched = multihop_schedule(helper_major(a * coef), rate=0.8, mode=mode)
             np.testing.assert_allclose(sched.fractions.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(sched.fractions >= 0.0)
             assert np.all(sched.decoded >= 1)
@@ -187,8 +186,9 @@ class TestMultihopSchedule:
         n = 2000
         a = rng.exponential(size=(n, 2, 3))
         coef = rng.uniform(2.0, 20.0, size=(2, 3))
-        acc = multihop_schedule(a, coef, rate=1.2, mode="accumulating")
-        per = multihop_schedule(a, coef, rate=1.2, mode="per-fraction")
+        snr = helper_major(a * coef)
+        acc = multihop_schedule(snr, rate=1.2, mode="accumulating")
+        per = multihop_schedule(snr, rate=1.2, mode="per-fraction")
         assert np.all(acc.decoded >= per.decoded)
 
     def test_first_stage_mean_matches_quadrature(self):
@@ -205,7 +205,7 @@ class TestMultihopSchedule:
         a[:, :, 0] = rng.exponential(size=(n, 2))
         coef = np.zeros((2, 3))
         coef[:, 0] = c
-        sched = multihop_schedule(a, coef, rate=rate)
+        sched = multihop_schedule(helper_major(a * coef), rate=rate)
         mc_mean = sched.fractions[:, 0].mean()
 
         def survival(t):
@@ -219,21 +219,17 @@ class TestMultihopSchedule:
         assert abs(mc_mean - want) <= 3 * se
 
     def test_bad_mode_and_shapes_rejected(self):
-        a = np.zeros((1, 2, 3))
-        coef = np.ones((2, 3))
         with pytest.raises(ValueError):
-            multihop_schedule(a, coef, rate=0.5, mode="bogus")
+            multihop_schedule(np.zeros((2, 3, 1)), rate=0.5, mode="bogus")
         with pytest.raises(ValueError):
-            multihop_schedule(np.zeros((1, 2, 4)), coef, rate=0.5)
+            multihop_schedule(np.zeros((2, 4, 1)), rate=0.5)
 
 
 class TestTrialMutualInfoMultihop:
     def test_direct_only_schedule(self):
-        a = np.zeros((1, 2, 3))
-        coef = np.ones((2, 3))
-        sched = multihop_schedule(a, coef, rate=0.25)
+        sched = multihop_schedule(np.zeros((2, 3, 1)), rate=0.25)
         dest = np.array([[3.0, 9.9, 9.9]])
-        got = trial_mutual_info_multihop(sched, dest, np.array([1.0, 1.0, 1.0]))
+        got = trial_mutual_info_multihop(sched, dest)
         np.testing.assert_allclose(got, [2.0], rtol=1e-12)
 
     def test_hand_two_stage_value(self):
@@ -243,7 +239,7 @@ class TestTrialMutualInfoMultihop:
             decoded=np.array([2]),
         )
         dest = np.array([[1.0, 1.5]])
-        got = trial_mutual_info_multihop(sched, dest, np.array([1.0, 1.0]))
+        got = trial_mutual_info_multihop(sched, dest)
         np.testing.assert_allclose(got, [1.660964047443681], rtol=1e-13)
 
     def test_two_hop_equivalence_with_uc2(self):
@@ -255,28 +251,31 @@ class TestTrialMutualInfoMultihop:
         a_dk = rng.exponential(size=n)
         a_dj = rng.exponential(size=n)
 
-        theta = listen_fraction_rc(a_jk, d_jk**gamma, burst, rate)
+        theta = listen_fraction_rc(a_jk * burst / d_jk**gamma, rate)
         uc2 = trial_mutual_info_uc2(
             theta,
             a_dk * burst / d_dk**gamma,
             (a_dj * burst / d_dj**gamma)[:, None],
         )
 
-        recv = np.zeros((n, 1, 2))
-        recv[:, 0, 0] = a_jk
-        coef = np.array([[burst / d_jk**gamma, 0.0]])
-        sched = multihop_schedule(recv, coef, rate=rate)
-        dest = np.stack([a_dk, a_dj], axis=1)
-        dest_coef = np.array([burst / d_dk**gamma, burst / d_dj**gamma])
-        mh = trial_mutual_info_multihop(sched, dest, dest_coef)
+        recv = np.zeros((1, 2, n))
+        recv[0, 0] = a_jk * (burst / d_jk**gamma)
+        sched = multihop_schedule(recv, rate=rate)
+        dest = np.stack([a_dk * (burst / d_dk**gamma), a_dj * (burst / d_dj**gamma)], axis=1)
+        mh = trial_mutual_info_multihop(sched, dest)
         np.testing.assert_allclose(mh, uc2, atol=1e-12)
 
 
-def scatter_multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating"):
-    """Reference greedy schedule: trial-major arrays, boolean-mask scatters
-    and a fancy gather, ties to the lowest helper index through argmin."""
-    a = np.asarray(recv_amp_sq, dtype=float)
-    coef = np.asarray(recv_coef, dtype=float)
+def helper_major(snr):
+    """Trial-major (n, H, L) received SNRs in the schedule's (H, L, n) layout."""
+    return np.moveaxis(snr, 0, -1)
+
+
+def scatter_multihop_schedule(recv_snr, rate, mode="accumulating"):
+    """Reference greedy schedule: trial-major (n, H, L) SNRs, boolean-mask
+    scatters and a fancy gather, ties to the lowest helper index through
+    argmin."""
+    a = np.asarray(recv_snr, dtype=float)
     n, H, L = a.shape
     order = np.zeros((n, L), dtype=np.int64)
     fractions = np.zeros((n, L))
@@ -286,7 +285,7 @@ def scatter_multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating")
     remaining = np.ones(n)
     alive = np.ones(n, dtype=bool)
     rows = np.arange(n)
-    helper_snr = a[:, :, 0] * coef[:, 0]
+    helper_snr = a[:, :, 0].copy()
     for s in range(L - 1):
         rate_now = capacity(helper_snr)
         need = rate - acc_info if mode == "accumulating" else np.full((n, H), rate)
@@ -312,16 +311,15 @@ def scatter_multihop_schedule(recv_amp_sq, recv_coef, rate, mode="accumulating")
         decoded[decode] += 1
         undecided[rows[decode], best[decode]] = False
         new_slot = best[decode] + 1
-        helper_snr[decode] += a[rows[decode], :, new_slot] * coef.T[new_slot]
+        helper_snr[decode] += a[rows[decode], :, new_slot]
     fractions[alive, L - 1] = remaining[alive]
     return MultihopSchedule(order=order, fractions=fractions, decoded=decoded)
 
 
-def gather_trial_mutual_info_multihop(schedule, dest_amp_sq, dest_coef):
+def gather_trial_mutual_info_multihop(schedule, dest_snr):
     """Reference destination rate: a per-trial gather of the entering slot,
     with the boost guarding remaining > 0 on its own."""
-    a = np.asarray(dest_amp_sq, dtype=float)
-    coef = np.asarray(dest_coef, dtype=float)
+    a = np.asarray(dest_snr, dtype=float)
     n, L = a.shape
     info = np.zeros(n)
     snr = np.zeros(n)
@@ -331,7 +329,7 @@ def gather_trial_mutual_info_multihop(schedule, dest_amp_sq, dest_coef):
         active = (p < schedule.decoded) & (remaining > 0.0)
         slot = schedule.order[:, p]
         boost = np.where(active, np.where(remaining > 0.0, remaining, 1.0), 1.0)
-        snr = snr + np.where(active, a[rows, slot] * coef[slot] / boost, 0.0)
+        snr = snr + np.where(active, a[rows, slot] / boost, 0.0)
         theta_p = schedule.fractions[:, p]
         info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
         remaining = remaining - theta_p
@@ -339,7 +337,8 @@ def gather_trial_mutual_info_multihop(schedule, dest_amp_sq, dest_coef):
 
 
 def edge_case_inputs(H, seed, n=6000):
-    """Random multihop inputs with blocks of edge cases (rate 0.5).
+    """Random trial-major multihop SNRs, helpers' (n, H, L) and the
+    destination's (n, L), with blocks of edge cases (rate 0.5).
 
     Every helper's self-link is 0.  Rows 0-499: no helper hears the
     source, so the schedule caps at stage 0.  Rows 500-999: every source
@@ -364,7 +363,7 @@ def edge_case_inputs(H, seed, n=6000):
     dest = rng.exponential(size=(n, L))
     dest[2000:2500] = 0.0
     dest_coef = rng.uniform(1.0, 10.0, size=L)
-    return a, coef, dest, dest_coef
+    return a * coef, dest * dest_coef
 
 
 UCMH_ORACLE_RATE = 0.5
@@ -408,9 +407,9 @@ def oracle_count_events(params, seed, path, trials):
             recv[:, h, j + 1] = a[:, col]
             recv[:, j, h + 1] = a[:, col]
             col += 1
-    sched = scatter_multihop_schedule(recv, recv_coef, params["rate"], params["mode"])
+    sched = scatter_multihop_schedule(recv * recv_coef, params["rate"], params["mode"])
     dest = np.column_stack((a_dk, a[:, m + npairs :]))
-    mi = gather_trial_mutual_info_multihop(sched, dest, dest_coef)
+    mi = gather_trial_mutual_info_multihop(sched, dest * dest_coef)
     return int((mi < params["rate"]).sum())
 
 
@@ -420,17 +419,17 @@ class TestMultihopScatterOracle:
     @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
     @pytest.mark.parametrize("H", (1, 2, 3))
     def test_bitwise_equal(self, H, mode):
-        a, coef, dest, dest_coef = edge_case_inputs(H, seed=200 + H)
+        snr, dest = edge_case_inputs(H, seed=200 + H)
         # At rate 0 every helper needs nothing, one that hears no one included.
         for rate in (0.0, UCMH_ORACLE_RATE):
-            want = scatter_multihop_schedule(a, coef, rate, mode)
-            got = multihop_schedule(a, coef, rate, mode)
+            want = scatter_multihop_schedule(snr, rate, mode)
+            got = multihop_schedule(helper_major(snr), rate, mode)
             for field in ("order", "fractions", "decoded"):
                 w, g = getattr(want, field), getattr(got, field)
                 assert g.shape == w.shape and g.dtype == w.dtype, field
                 assert np.array_equal(g, w), (rate, field)
-            want_mi = gather_trial_mutual_info_multihop(want, dest, dest_coef)
-            got_mi = trial_mutual_info_multihop(got, dest, dest_coef)
+            want_mi = gather_trial_mutual_info_multihop(want, dest)
+            got_mi = trial_mutual_info_multihop(got, dest)
             assert np.array_equal(got_mi, want_mi), rate
         # The edge cases occur: stage-0 caps, and (two or more helpers)
         # ties and helpers that need nothing more.
@@ -444,11 +443,10 @@ class TestMultihopScatterOracle:
                 assert np.all(want.decoded[500:1000] == H + 1)
 
     def test_ties_go_to_the_lowest_index(self):
-        a = np.zeros((1, 3, 4))
-        a[0, :, 0] = 0.5
-        coef = np.ones((3, 4))
+        snr = np.zeros((3, 4, 1))
+        snr[:, 0, 0] = 0.5
         for mode in ("accumulating", "per-fraction"):
-            sched = multihop_schedule(a, coef, rate=0.25, mode=mode)
+            sched = multihop_schedule(snr, rate=0.25, mode=mode)
             assert sched.order[0, 1] == 1
 
     @pytest.mark.parametrize(

@@ -157,6 +157,20 @@ class TestAccuracy:
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("spread", (1e3, 1e4, 1e5, 1e6))
+    def test_wide_weight_spreads_match_decimal_partial_fractions(self, spread):
+        """The rounding error grows with max c / min c: at most 4e-15 times
+        the spread s, from 1e-6 of the smallest weight to 30 times the
+        largest (measured: about 1.2e-15 s on this grid)."""
+        s = spread
+        worst = 0.0
+        for w in ((1.0 / s, 1.0), (1.0, s), (0.5, 0.5 * s, 0.7 * s)):
+            eta = np.logspace(math.log10(1e-6 * min(w)), math.log10(30.0 * max(w)), 200)
+            got = hypoexp_cdf(w, eta)
+            want = np.array([decimal_partial_fractions(w, e) for e in eta])
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 4e-15 * s
+
     @pytest.mark.parametrize("order", (2, 3, 4))
     def test_equal_weights_match_gammainc(self, order):
         eta = np.logspace(-6.0, math.log10(40.0), 60)

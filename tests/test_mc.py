@@ -602,7 +602,7 @@ def count_rc_ddf(params, rng, n, q):
     rate, burst = params["rate"], params["burst"]
     a = rng.exponential(size=(n, 3))
     a[:, 0] = truncated(a[:, 0], q)
-    theta = listen_fraction_rc(a[:, 1], params["jk_pow"][0], burst, rate)
+    theta = listen_fraction_rc(a[:, 1] * burst / params["jk_pow"][0], rate)
     mi = trial_mutual_info_rc(
         theta,
         a[:, 0] * burst / params["dk_pow"],

@@ -68,6 +68,19 @@ class TestGeometryParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             GeometryParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "value",
+        ((0.5,), (0.5, 0.0, 0.0), 0.5, "xy", (True, 0.0), ((0.5, 0.0),), [0.5, None]),
+        ids=("one", "three", "scalar", "word", "bool", "nested", "none"),
+    )
+    def test_relay_position_must_be_two_numbers(self, value):
+        """A relay position that is not an (x, y) pair fails when the
+        params are built, not at the first placement."""
+        with pytest.raises(ValueError, match="^relay_position must be an \\(x, y\\) pair"):
+            GeometryParams(relay_position=value)
+        params = GeometryParams(relay_position=[0.4, 1])
+        assert sample_placement(params, np.random.default_rng(0)).positions[RELAY] == (0.4, 1.0)
+
 
 class TestSamplePlacement:
     def test_positions_inside_annulus_sector(self):

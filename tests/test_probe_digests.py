@@ -4,8 +4,9 @@
 ``scripts/probe_digests.expected`` holds the digests of the committed
 code.  A refactor must keep every digest, and a change that moves a
 number on purpose rewrites that file.  Float results can differ in the
-last bit across numpy versions and machines, so the probes are checked
-only where the file's first line names the running numpy and machine.
+last bit across numpy versions, machines and SIMD dispatch levels, so
+the probes are checked only where the file's first line names the
+running numpy, machine and dispatched SIMD targets.
 """
 
 import sys

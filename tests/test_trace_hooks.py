@@ -62,7 +62,7 @@ def test_full_mode_records_the_layers(monkeypatch):
     draws = {}
     for strategy, rate, spans in (
         ("mac", 1.0, ("mc.task.mac",)),
-        ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule")),
+        ("uc3-ddf", 0.25, ("mc.task.ucmh-ddf", "ddf.schedule", "ddf.multihop_mi")),
         ("rc-ddf", 4.0, ("mc.task.rc-ddf", "ddf.rate")),
         ("uc2-ddf", 4.0, ("mc.task.uc2-ddf", "ddf.rate")),
         ("rc-af", 1.0, ("mc.task.af2",)),
@@ -78,11 +78,15 @@ def test_full_mode_records_the_layers(monkeypatch):
             )
         finally:
             tracer.restore()
+        # A span name is registered when its function is rebound, so each
+        # layer must show calls, not just a name.
+        by_name = tracer.summary(1.0)["by_name"]
         for name in ("mc.run_cells", "mc.draw", "power") + spans:
             assert name in tracer.span_names, (strategy, name)
+            assert by_name[name]["calls"] > 0, (strategy, name)
         # three tasks of one batch each
         assert tracer.tasks == 3
-        draws[strategy] = (tracer.summary(1.0)["by_name"]["mc.draw"]["calls"], sum(k > 0 for k in kept))
+        draws[strategy] = (by_name["mc.draw"]["calls"], sum(k > 0 for k in kept))
     assert draws["rc-ddf"] == draws["uc2-ddf"] == (3, 3)
     assert draws["uc3-ddf"] == draws["rc-af"] == (1, 1)
     assert draws["mac"] == draws["uc3-af"] == (3, 0)

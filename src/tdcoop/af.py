@@ -13,9 +13,10 @@ The whitened matrix has one of two fixed shapes: 2x2 lower-triangular
 when all helpers forward in one slot (``af2_*``), an arrow when each
 helper has its own slot (``afmh_*``).  The trial kernels take the rate
 from the closed-form determinant of each shape
-(``af2_trial_mutual_info``, ``afmh_trial_mutual_info``);
-``af_trial_mutual_info`` of the ``*_equivalent_channel`` matrices is the
-general log-det reference they are tested against.
+(``af2_trial_mutual_info``, ``afmh_trial_mutual_info``), which read
+received SNRs only; ``af_trial_mutual_info`` of the
+``*_equivalent_channel`` matrices is the general log-det reference they
+are tested against.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def _abs2(z):
     return z.real**2 + z.imag**2
 
 
-def _amplifier_gain_sq(h_jk_sq, helper_budgets, source_burst):
-    """c_j^2 = 2 Pbar_j / (|H_jk|^2 Pbar_k + 1), unchecked (see af_amplifier_gain)."""
-    return 2.0 * np.asarray(helper_budgets, dtype=float) / (h_jk_sq * source_burst + 1.0)
-
-
 def af_amplifier_gain(h_jk_sq, helper_budget, source_burst):
     """Forwarding gain c_j = sqrt(2 Pbar_j / (|H_jk|^2 Pbar_k + 1)).
 
@@ -78,7 +74,7 @@ def af_amplifier_gain(h_jk_sq, helper_budget, source_burst):
     budget = np.asarray(helper_budget, dtype=float)
     if np.any(h < 0) or np.any(budget < 0) or source_burst < 0:
         raise ValueError("gains and powers must be nonnegative")
-    out = np.sqrt(_amplifier_gain_sq(h, budget, source_burst))
+    out = np.sqrt(2.0 * budget / (h * source_burst + 1.0))
     return float(out) if np.ndim(h_jk_sq) == 0 else out
 
 
@@ -149,47 +145,46 @@ def af_trial_mutual_info(channel: EquivalentChannel, source_burst):
     return logdet / (L * math.log(2.0))
 
 
-def af2_trial_mutual_info(h_dk, h_dj, h_jk, helper_budgets, source_burst):
+def af2_trial_mutual_info(dk_snr, dj_amp, jk_amp):
     """Closed form of ``af_trial_mutual_info(af2_equivalent_channel(...))``.
 
-    The whitened matrix is lower-triangular with diagonal (h_dk, h_dk/c_s)
-    and f/c_s below it, f = sum_j c_j H_dj H_jk, so
-    det(I + P HH*) = 1 + P (|h_dk|^2 + (|f|^2 + |h_dk|^2)/c_s^2)
-    + P^2 |h_dk|^4 / c_s^2, a sum of nonnegative terms.  Inputs are shaped
-    as for ``af2_equivalent_channel``.
+    dk_snr is the direct SNR (n,); dj_amp and jk_amp are (n, m) complex
+    amplitudes with |dj_amp|^2 the d-j SNR at the helper's budget and
+    |jk_amp|^2 the j-k SNR at the source's burst.  With
+    w_j = 2 |dj_amp_j|^2 / (|jk_amp_j|^2 + 1), c_s^2 = 1 + sum_j w_j and
+    F = sum_j sqrt(2 / (|jk_amp_j|^2 + 1)) dj_amp_j jk_amp_j, the
+    lower-triangular whitened matrix gives
+    det(I + P HH*) - 1 = s + (|F|^2 + s) / c_s^2 + s^2 / c_s^2, s = dk_snr,
+    a sum of nonnegative terms.
     """
-    P = source_burst
-    h_dj, h_jk = np.asarray(h_dj), np.asarray(h_jk)
-    a_dk = _abs2(np.asarray(h_dk))
-    c_sq = _amplifier_gain_sq(_abs2(h_jk), helper_budgets, P)
-    fwd_sq = _abs2((np.sqrt(c_sq) * h_dj * h_jk).sum(axis=1))
-    cs_sq = 1.0 + (c_sq * _abs2(h_dj)).sum(axis=1)
-    det_m1 = P * (a_dk + (fwd_sq + a_dk) / cs_sq) + P * P * a_dk * a_dk / cs_sq
+    s = np.asarray(dk_snr)
+    dj_amp, jk_amp = np.asarray(dj_amp), np.asarray(jk_amp)
+    gain_sq = 2.0 / (_abs2(jk_amp) + 1.0)
+    fwd_sq = _abs2((np.sqrt(gain_sq) * dj_amp * jk_amp).sum(axis=1))
+    cs_sq = 1.0 + (gain_sq * _abs2(dj_amp)).sum(axis=1)
+    det_m1 = s + (fwd_sq + s) / cs_sq + s * s / cs_sq
     return np.log1p(det_m1) / (2.0 * math.log(2.0))
 
 
-def afmh_trial_mutual_info(h_dk, h_dj, h_jk, helper_budgets, source_burst):
+def afmh_trial_mutual_info(dk_snr, dj_amp, jk_amp):
     """Closed form of ``af_trial_mutual_info(afmh_equivalent_channel(...))``.
 
-    Row j of the whitened arrow matrix holds u_j = c_j H_dj H_jk / c_sj
-    in column 0 and h_dk / c_sj on the diagonal, so with
-    g_j = 1 + P |h_dk|^2 / c_sj^2
-    det(I + P HH*) = prod_j g_j (1 + P |h_dk|^2 + sum_j P |u_j|^2 / g_j).
-    Only magnitudes enter.  Inputs are shaped as for
-    ``afmh_equivalent_channel``.
+    Inputs are as for ``af2_trial_mutual_info``.  Row j of the whitened
+    arrow matrix is divided by c_sj, c_sj^2 = 1 + w_j, so with
+    s = dk_snr and g_j = 1 + s / c_sj^2
+    log det(I + P HH*) = sum_j log g_j
+    + log(1 + s + sum_j w_j |jk_amp_j|^2 / (c_sj^2 g_j)).
+    Only magnitudes enter.
     """
-    P = source_burst
-    a_dk = _abs2(np.asarray(h_dk))
-    a_dj = _abs2(np.asarray(h_dj))
-    a_jk = _abs2(np.asarray(h_jk))
-    c_sq = _amplifier_gain_sq(a_jk, helper_budgets, P)
-    cs_sq = 1.0 + c_sq * a_dj
-    g_m1 = P * a_dk[:, None] / cs_sq
-    u_sq = c_sq * a_dj * a_jk / cs_sq
+    s = np.asarray(dk_snr)
+    a_jk = _abs2(np.asarray(jk_amp))
+    w = 2.0 * _abs2(np.asarray(dj_amp)) / (a_jk + 1.0)
+    cs_sq = 1.0 + w
+    g_m1 = s[:, None] / cs_sq
     logdet = np.log1p(g_m1).sum(axis=1) + np.log1p(
-        P * a_dk + (P * u_sq / (1.0 + g_m1)).sum(axis=1)
+        s + (w * a_jk / cs_sq / (1.0 + g_m1)).sum(axis=1)
     )
-    return logdet / ((a_dj.shape[1] + 1) * math.log(2.0))
+    return logdet / ((a_jk.shape[1] + 1) * math.log(2.0))
 
 
 def af_bounds_2hop(rate, burst_power, dk_pow, dj_pow, jk_pow) -> BoundPair:

@@ -163,7 +163,8 @@ def mac_outage(rate: float, burst_power, dk_pow):
     without cooperation) and dk_pow is d^gamma of the source-destination
     link.  Both are scalars or columns that broadcast against each other
     (a sweep passes one cell's d^gamma and the SNR grid's bursts); the
-    result has their shape.
+    result has their shape.  A row with d^gamma not > 0 or a burst not
+    >= 0 raises ValueError; a zero burst gives float(rate > 0).
     """
     d, b = np.broadcast_arrays(np.asarray(dk_pow, dtype=float), np.asarray(burst_power, dtype=float))
     scale = -math.expm1(rate * math.log(2.0))
@@ -173,6 +174,8 @@ def mac_outage(rate: float, burst_power, dk_pow):
     for i, (dv, bv) in enumerate(zip(d.ravel().tolist(), b.ravel().tolist())):
         if not dv > 0:
             raise ValueError(f"mac_outage requires positive inputs: d^gamma {dv} at row {i}")
+        if not bv >= 0:
+            raise ValueError(f"mac_outage requires a burst >= 0: {bv} at row {i}")
         out.append(-math.expm1(scale * dv / bv) if bv != 0.0 else float(rate > 0))
     out = np.array(out).reshape(d.shape)
     return float(out) if out.ndim == 0 else out

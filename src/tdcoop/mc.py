@@ -38,8 +38,7 @@ every trial does, since every rate step then gives mutual information
 screen.  ``count_events`` alone draws, through ``_rows``: one generator
 call per batch, the direct gain (column 0) conditioned by the screen's
 q.  A trial is in outage when the rate function gives mutual
-information strictly below the rate; mac, which has none, counts A_dk
-below ``_direct_threshold`` at one slot.
+information strictly below the rate.
 
     kernel     draw         columns at m forwarders   screen L
     mac        exponential  1                         -
@@ -65,9 +64,10 @@ sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
 cell's d^gamma link table -- ``dk_pow`` (destination-source),
 ``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
 ``hh_pow`` (between helpers).  Each reads what its rate step needs.
-The DDF rates form each link's received SNR, the drawn |A|^2 times the
-sender's power over d^gamma, and hand ``ddf`` only SNRs; the AF rates
-scale their amplitudes by 1/sqrt(d^gamma).
+Every rate function forms each link's received SNR, the drawn |A|^2
+times the sender's power over d^gamma, and hands ``ddf`` and ``af``
+only SNRs; for AF these are amplitudes whose squared magnitude is the
+SNR.
 
 A screened kernel (L in the table) draws only the trials that the
 direct link alone may not carry.  Its destination rate is at least
@@ -256,15 +256,14 @@ def _rate_ucmh_ddf(params, direct, links):
 
 
 def _af_inputs(params, direct, links):
-    """An AF closed form's arguments: amplitudes scaled by 1/sqrt(d^gamma),
-    the direct one as sqrt(|h_dk|^2 / dk_pow).  links: h_dj (m), h_jk (m).
-    Helpers never hear each other, and no matrix is built:
-    ``af_trial_mutual_info`` stays the general reference."""
+    """An AF closed form's arguments, received SNRs: the direct SNR
+    |h_dk|^2 * burst / dk_pow, and the links times sqrt(power / d^gamma),
+    each budget for h_dj (m) and the burst for h_jk (m).  Helpers never
+    hear each other."""
     m = len(params["budgets"])
-    h_dk = direct * (1.0 / params["dk_pow"])
-    np.sqrt(h_dk, out=h_dk)
-    h = links * (1.0 / np.sqrt(np.array((*params["dj_pow"], *params["jk_pow"]))))
-    return h_dk, h[:, :m], h[:, m:], params["budgets"], params["burst"]
+    power = np.array((*params["budgets"], *(params["burst"],) * m))
+    h = links * np.sqrt(power / np.array((*params["dj_pow"], *params["jk_pow"])))
+    return direct * (params["burst"] / params["dk_pow"]), h[:, :m], h[:, m:]
 
 
 def _rate_af2(params, direct, links):
@@ -277,10 +276,15 @@ def _rate_afmh(params, direct, links):
     return _af.afmh_trial_mutual_info(*_af_inputs(params, direct, links))
 
 
-# kernel -> ((draw, columns at m forwarders), rate function or None for
-# mac, screen slot count L or None): the table in the module docstring.
+def _rate_mac(params, direct, links):
+    """The direct link alone, one slot."""
+    return _ddf.capacity(direct * (params["burst"] / params["dk_pow"]))
+
+
+# kernel -> ((draw, columns at m forwarders), rate function, screen slot
+# count L or None): the table in the module docstring.
 _KERNELS = {
-    "mac": (("exponential", lambda m: 1), None, None),
+    "mac": (("exponential", lambda m: 1), _rate_mac, None),
     "rc-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
     "uc2-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
     "ucmh-ddf": (("exponential", lambda m: 1 + 2 * m + m * (m - 1) // 2), _rate_ucmh_ddf, 1),
@@ -314,10 +318,7 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     events = 0
     for done in range(0, trials, _BATCH):
         direct, links = _rows(draw, width, rng, min(_BATCH, trials - done), q)
-        if rate_of is None:
-            events += int((direct < _direct_threshold(params, 1)).sum())
-        else:
-            events += int((rate_of(params, direct, links) < rate).sum())
+        events += int((rate_of(params, direct, links) < rate).sum())
     return events
 
 

@@ -324,7 +324,7 @@ class TestClosedFormRates:
             h_jk = random_complex(rng, (n, m)) * scale[1 + m :]
             budgets = rng.uniform(0.1, 3.0, size=m)
             want = af_trial_mutual_info(build(h_dk, h_dj, h_jk, budgets, pbar), pbar)
-            got = closed_form(h_dk, h_dj, h_jk, budgets, pbar)
+            got = closed_form(pbar * np.abs(h_dk) ** 2, h_dj * np.sqrt(budgets), h_jk * math.sqrt(pbar))
             assert got.shape == (n,)
             np.testing.assert_allclose(got, want, rtol=1e-10, err_msg=f"{name} P={pbar:g}")
 
@@ -333,7 +333,7 @@ class TestClosedFormRates:
         zeros = np.zeros((3, 2), dtype=complex)
         a_dk = np.abs(h_dk) ** 2
         for _, _, closed_form in SHAPES:
-            got = closed_form(h_dk, zeros, zeros, (0.5, 0.5), 10.0)
+            got = closed_form(10.0 * a_dk, zeros, zeros)
             np.testing.assert_allclose(got, np.log2(1.0 + 10.0 * a_dk), rtol=1e-14)
 
     @pytest.mark.parametrize(

@@ -68,6 +68,12 @@ class TestMacOutage:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             mac_outage(0.25, 3 * 1.0, 0.0**4.0)
+        with pytest.raises(ValueError, match="at row 0"):
+            mac_outage(0.25, -1.0, 1.0)
+        with pytest.raises(ValueError, match="at row 0"):
+            mac_outage(0.25, float("nan"), 1.0)
+        with pytest.raises(ValueError, match="at row 1"):
+            mac_outage(0.25, np.array([3.0, -1.0]), 1.0)
 
 
 class TestEstimateOutage:

@@ -158,14 +158,12 @@ class TestCountEvents:
     def test_certain_outcomes_draw_nothing(self, kernel, monkeypatch):
         """At rate 0 no trial fails and with a silent source every trial
         does; count_events decides both before it derives a stream.  The
-        kernel's own rate step agrees on rows drawn in full (mac's
-        threshold divides by the burst, so it runs at rate 0 only)."""
+        kernel's own rate step agrees on rows drawn in full."""
         idle = dict(KERNEL_PARAMS[kernel], rate=0.0)
         silent = dict(KERNEL_PARAMS[kernel], burst=0.0)
         for params, certain in ((idle, 0), (silent, 5000)):
-            if kernel != "mac" or params is idle:
-                rows = layout_rows(kernel, params, np.random.default_rng(3), 5000)
-                assert rate_count(kernel, params, *rows) == certain
+            rows = layout_rows(kernel, params, np.random.default_rng(3), 5000)
+            assert rate_count(kernel, params, *rows) == certain
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "derive_stream", lambda seed, *path: NoDraws())
                 assert mc.count_events(kernel, params, 5, (0,), 5000) == certain
@@ -218,11 +216,8 @@ def layout_rows(kernel, params, rng, n, q=None):
 
 
 def rate_count(kernel, params, direct, links):
-    """Outage count of rows handed straight to the kernel's rate function;
-    mac, which has none, counts A_dk below its one-slot threshold."""
+    """Outage count of rows handed straight to the kernel's rate function."""
     rate_of = mc._KERNELS[kernel][1]
-    if rate_of is None:
-        return int((direct < mc._direct_threshold(params, 1)).sum())
     return int((rate_of(params, direct, links) < params["rate"]).sum())
 
 
@@ -465,6 +460,18 @@ RATE_CASES = {
     "afmh-m3": ("afmh", RECORD3),
 }
 
+# (kernel, record) of every rate function at each forwarder count it runs
+# at: mac has no forwarder, rc-ddf one.
+RECEIVED_CASES = {
+    "mac": ("mac", RECORD),
+    "rc-ddf": ("rc-ddf", RECORD1),
+    **{
+        f"{kernel}-m{len(record['budgets'])}": (kernel, record)
+        for kernel in ("uc2-ddf", "ucmh-ddf", "af2", "afmh")
+        for record in (RECORD1, RECORD, RECORD3)
+    },
+}
+
 
 class TestRateFunctions:
     """What an estimator that moves the direct gain relies on."""
@@ -472,9 +479,8 @@ class TestRateFunctions:
     @pytest.mark.parametrize("case", sorted(RATE_CASES))
     def test_rate_nondecreasing_in_the_direct_gain(self, case):
         """Raising column 0 of random rows, by an ulp up to a factor 1e4,
-        never lowers the rate by more than 1e-12 relative (mac: never puts
-        a trial into outage), and a rate function leaves its rows as they
-        were."""
+        never lowers the rate by more than 1e-12 relative, and a rate
+        function leaves its rows as they were."""
         kernel, record = RATE_CASES[case]
         rate_of = mc._KERNELS[kernel][1]
         rng = np.random.default_rng(43)
@@ -485,16 +491,39 @@ class TestRateFunctions:
                 direct[:500] = 0.0
                 raised = direct * 10.0 ** rng.uniform(0.0, 4.0, len(direct)) + rng.exponential(1e-3, len(direct))
                 raised[250:750] = np.nextafter(direct[250:750], np.inf)
-                if rate_of is None:
-                    threshold = mc._direct_threshold(params, 1)
-                    assert not np.any((raised < threshold) & (direct >= threshold))
-                    continue
                 rows = direct.copy(), links.copy()
                 low = rate_of(params, direct, links)
                 high = rate_of(params, raised, links)
                 assert np.array_equal(direct, rows[0]) and np.array_equal(links, rows[1])
                 assert np.all(high >= low - 1e-12 * np.abs(low)), (rate, snr_db)
                 assert np.any(high > low), (rate, snr_db)
+
+    @pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
+    def test_rate_reads_only_received_snrs(self, case):
+        """Scaling the burst, dk_pow and jk_pow by one factor and the
+        budgets, dj_pow and hh_pow by another keeps every received SNR,
+        so the rate function gives the same mutual information on the
+        same rows, to 1e-12 relative."""
+        kernel, record = RECEIVED_CASES[case]
+        rate_of = mc._KERNELS[kernel][1]
+        rng = np.random.default_rng(47)
+        for source, forwarder in ((10.0**0.37, 10.0**-1.3), (10.0**-2.1, 10.0**1.7)):
+            for rate in (0.25, 1.0, 4.0):
+                for snr_db in (-10, 10, 30, 50):
+                    params = scaled(record, rate, snr_db)
+                    moved = dict(
+                        params,
+                        burst=params["burst"] * source,
+                        dk_pow=params["dk_pow"] * source,
+                        jk_pow=tuple(p * source for p in params["jk_pow"]),
+                        budgets=tuple(b * forwarder for b in params["budgets"]),
+                        dj_pow=tuple(p * forwarder for p in params["dj_pow"]),
+                        hh_pow=tuple(tuple(p * forwarder for p in row) for row in params["hh_pow"]),
+                    )
+                    direct, links = layout_rows(kernel, params, rng, 2000)
+                    want = rate_of(params, direct, links)
+                    assert np.all(want > 0.0)
+                    np.testing.assert_allclose(rate_of(moved, direct, links), want, rtol=1e-12, atol=0.0)
 
 
 def layout_table(rows):
@@ -652,10 +681,18 @@ def complex_afmh(params, rng, n):
     m = len(params["budgets"])
     h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mi = afmh_trial_mutual_info(
-        h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"]
-    )
+    mi = afmh_trial_mutual_info(*received(params, h))
     return int((mi < params["rate"]).sum())
+
+
+def received(params, h):
+    """The AF closed forms' received-SNR arguments from complex amplitudes
+    [d-k, d-j (m), j-k (m)] with the path loss folded in: the burst times
+    |h_dk|^2, h_dj times sqrt(budget) and h_jk times sqrt(burst)."""
+    m = len(params["budgets"])
+    burst = params["burst"]
+    dj_amp = h[:, 1 : 1 + m] * np.sqrt(params["budgets"])
+    return burst * np.abs(h[:, 0]) ** 2, dj_amp, h[:, 1 + m :] * math.sqrt(burst)
 
 
 class TestOneAfCountFunction:
@@ -664,8 +701,8 @@ class TestOneAfCountFunction:
     and in af2's screen."""
 
     def test_one_function(self):
-        """Each AF rate function is its closed form on sqrt(|h_dk|^2 /
-        d^gamma) and the links scaled by 1/sqrt(d^gamma), on rows of the
+        """Each AF rate function is its closed form on |h_dk|^2 * burst /
+        dk_pow and the links times sqrt(power / d^gamma), on rows of the
         one complex layout."""
         (af2_draw, af2_columns), af2_rate, _ = mc._KERNELS["af2"]
         (afmh_draw, afmh_columns), afmh_rate, _ = mc._KERNELS["afmh"]
@@ -674,16 +711,17 @@ class TestOneAfCountFunction:
             m = len(record["budgets"])
             assert af2_columns(m) == afmh_columns(m) == 1 + 2 * m
             direct, links = layout_rows("af2", record, np.random.default_rng(41), 1000)
-            h_dk = np.sqrt(direct * (1.0 / record["dk_pow"]))
-            h = links * (1.0 / np.sqrt(np.array((*record["dj_pow"], *record["jk_pow"]))))
+            dk_snr = direct * (record["burst"] / record["dk_pow"])
+            power = np.array((*record["budgets"], *(record["burst"],) * m))
+            h = links * np.sqrt(power / np.array((*record["dj_pow"], *record["jk_pow"])))
             for rate_of, closed_form in ((af2_rate, af2_trial_mutual_info), (afmh_rate, afmh_trial_mutual_info)):
-                want = closed_form(h_dk, h[:, :m], h[:, m:], record["budgets"], record["burst"])
+                want = closed_form(dk_snr, h[:, :m], h[:, m:])
                 np.testing.assert_array_equal(rate_of(record, direct, links), want)
 
     @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
     def test_afmh_counts_as_its_complex_direct_gain(self, record):
-        """afmh's direct gain takes af2's route, sqrt(|h_dk|^2 / d^gamma),
-        which moves it by at most an ulp: on the same draws every count
+        """afmh's direct SNR takes af2's route, |h_dk|^2 * burst / dk_pow,
+        which moves it by a few ulps at most: on the same draws every count
         equals the complex amplitude's."""
         counts = []
         for rate in (0.25, 1.0, 4.0):
@@ -735,7 +773,7 @@ def plain_af2(params, rng, n):
     m = len(params["budgets"])
     h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
     h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mi = af2_trial_mutual_info(h[:, 0], h[:, 1 : 1 + m], h[:, 1 + m :], params["budgets"], params["burst"])
+    mi = af2_trial_mutual_info(*received(params, h))
     return int((mi < params["rate"]).sum())
 
 

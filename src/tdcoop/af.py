@@ -14,7 +14,8 @@ when all helpers forward in one slot (``af2_*``), an arrow when each
 helper has its own slot (``afmh_*``).  The trial kernels take the rate
 from the closed-form determinant of each shape
 (``af2_trial_mutual_info``, ``afmh_trial_mutual_info``), which read
-received SNRs only; ``af_trial_mutual_info`` of the
+received SNRs and, for af2's coherent sum, the phases of the forwarded
+paths; ``af_trial_mutual_info`` of the
 ``*_equivalent_channel`` matrices is the general log-det reference they
 are tested against.
 """
@@ -55,11 +56,6 @@ class EquivalentChannel:
     @property
     def hops(self) -> int:
         return self.matrix.shape[-1]
-
-
-def _abs2(z):
-    """|z|^2 without the square root of np.abs."""
-    return z.real**2 + z.imag**2
 
 
 def af_amplifier_gain(h_jk_sq, helper_budget, source_burst):
@@ -145,40 +141,47 @@ def af_trial_mutual_info(channel: EquivalentChannel, source_burst):
     return logdet / (L * math.log(2.0))
 
 
-def af2_trial_mutual_info(dk_snr, dj_amp, jk_amp):
+def af2_trial_mutual_info(dk_snr, dj_snr, jk_snr, phase=None):
     """Closed form of ``af_trial_mutual_info(af2_equivalent_channel(...))``.
 
-    dk_snr is the direct SNR (n,); dj_amp and jk_amp are (n, m) complex
-    amplitudes with |dj_amp|^2 the d-j SNR at the helper's budget and
-    |jk_amp|^2 the j-k SNR at the source's burst.  With
-    w_j = 2 |dj_amp_j|^2 / (|jk_amp_j|^2 + 1), c_s^2 = 1 + sum_j w_j and
-    F = sum_j sqrt(2 / (|jk_amp_j|^2 + 1)) dj_amp_j jk_amp_j, the
+    dk_snr is the direct SNR (n,); dj_snr and jk_snr are (n, m), the d-j
+    SNR at the helper's budget and the j-k SNR at the source's burst.
+    phase (n, m) is the phase phi_j of H_dj H_jk, which only the coherent
+    sum over m >= 2 helpers reads; at m = 1 it drops out and may be None.
+    With g_j = 2 / (jk_snr_j + 1), c_s^2 = 1 + sum_j g_j dj_snr_j and
+    |F|^2 = |sum_j sqrt(g_j dj_snr_j jk_snr_j) e^{i phi_j}|^2, the
     lower-triangular whitened matrix gives
     det(I + P HH*) - 1 = s + (|F|^2 + s) / c_s^2 + s^2 / c_s^2, s = dk_snr,
     a sum of nonnegative terms.
     """
-    s = np.asarray(dk_snr)
-    dj_amp, jk_amp = np.asarray(dj_amp), np.asarray(jk_amp)
-    gain_sq = 2.0 / (_abs2(jk_amp) + 1.0)
-    fwd_sq = _abs2((np.sqrt(gain_sq) * dj_amp * jk_amp).sum(axis=1))
-    cs_sq = 1.0 + (gain_sq * _abs2(dj_amp)).sum(axis=1)
+    s, dj_snr = np.asarray(dk_snr), np.asarray(dj_snr)
+    gain_sq = 2.0 / (np.asarray(jk_snr) + 1.0)
+    power = gain_sq * dj_snr * jk_snr
+    fwd_sq = power.sum(axis=1)
+    m = power.shape[1]
+    if m > 1 and phase is None:
+        raise ValueError("af2 needs the helpers' phases at m >= 2")
+    # |F|^2 by pairs: sum_j power_j + 2 sum_{i<j} |F_i| |F_j| cos(phi_i - phi_j).
+    for i in range(m):
+        for j in range(i + 1, m):
+            fwd_sq += 2.0 * np.sqrt(power[:, i] * power[:, j]) * np.cos(phase[:, i] - phase[:, j])
+    cs_sq = 1.0 + (gain_sq * dj_snr).sum(axis=1)
     det_m1 = s + (fwd_sq + s) / cs_sq + s * s / cs_sq
     return np.log1p(det_m1) / (2.0 * math.log(2.0))
 
 
-def afmh_trial_mutual_info(dk_snr, dj_amp, jk_amp):
+def afmh_trial_mutual_info(dk_snr, dj_snr, jk_snr):
     """Closed form of ``af_trial_mutual_info(afmh_equivalent_channel(...))``.
 
-    Inputs are as for ``af2_trial_mutual_info``.  Row j of the whitened
-    arrow matrix is divided by c_sj, c_sj^2 = 1 + w_j, so with
-    s = dk_snr and g_j = 1 + s / c_sj^2
+    Inputs are as for ``af2_trial_mutual_info``; no phase enters.  Row j
+    of the whitened arrow matrix is divided by c_sj, c_sj^2 = 1 + w_j with
+    w_j = 2 dj_snr_j / (jk_snr_j + 1), so with s = dk_snr and
+    g_j = 1 + s / c_sj^2
     log det(I + P HH*) = sum_j log g_j
-    + log(1 + s + sum_j w_j |jk_amp_j|^2 / (c_sj^2 g_j)).
-    Only magnitudes enter.
+    + log(1 + s + sum_j w_j jk_snr_j / (c_sj^2 g_j)).
     """
-    s = np.asarray(dk_snr)
-    a_jk = _abs2(np.asarray(jk_amp))
-    w = 2.0 * _abs2(np.asarray(dj_amp)) / (a_jk + 1.0)
+    s, a_jk = np.asarray(dk_snr), np.asarray(jk_snr)
+    w = 2.0 * np.asarray(dj_snr) / (a_jk + 1.0)
     cs_sq = 1.0 + w
     g_m1 = s[:, None] / cs_sq
     logdet = np.log1p(g_m1).sum(axis=1) + np.log1p(

@@ -35,28 +35,29 @@ every trial does, since every rate step then gives mutual information
 0.
 
 ``_KERNELS`` declares each kernel's row layout, rate function and
-screen.  ``count_events`` alone draws, through ``_rows``: one generator
-call per batch, the direct gain (column 0) conditioned by the screen's
-q.  A trial is in outage when the rate function gives mutual
-information strictly below the rate.
+screen.  ``count_events`` alone draws, through ``_rows``: one
+``rng.exponential`` (n, columns) call per batch, the direct gain
+(column 0) conditioned by the screen's q.  A trial is in outage when the
+rate function gives mutual information strictly below the rate.
 
-    kernel     draw         columns at m forwarders   screen L
-    mac        exponential  1                         -
-    rc-ddf     exponential  1 + 2m                    1
-    uc2-ddf    exponential  1 + 2m                    1
-    ucmh-ddf   exponential  1 + 2m + m(m-1)/2         1
-    af2        complex      1 + 2m                    2
-    afmh       complex      1 + 2m                    -
+    kernel     columns at m forwarders     screen L
+    mac        1                           -
+    rc-ddf     1 + 2m                      1
+    uc2-ddf    1 + 2m                      1
+    ucmh-ddf   1 + 2m + m(m-1)/2           1
+    af2        1 + 2m, 1 + 3m at m >= 2    2
+    afmh       1 + 2m                      -
 
-An exponential row is ``rng.exponential`` (n, columns): A_dk, then A_jk
-(m) and A_dj (m), with ucmh-ddf's helper pairs (h < j, row-major, one
-draw for both directions) between them.  A complex row is
-``rng.standard_normal`` (n, 2 columns), the real then the imaginary
-parts, times sqrt(1/2), of the links [d-k, d-j (m), j-k (m)].  Both AF
-rates read only |h_dk|^2, so the d-k pair gives the direct gain and its
-phase is dropped.  rc-ddf and uc2-ddf are one protocol, the source's
-slot and then a second slot that its decoded forwarders share, so
-rc-ddf is uc2-ddf with the relay as its one forwarder.
+A row holds the fading power gains |h|^2: A_dk, then A_jk (m) and A_dj
+(m), with ucmh-ddf's helper pairs (h < j, row-major, one draw for both
+directions) between them.  Every rate reads only these magnitudes,
+except af2's coherent sum over m >= 2 helpers, which also reads the
+phase phi_j of H_dj H_jk.  That phase is uniform and independent of
+both magnitudes, so af2's row ends, at m >= 2, in m more exponentials
+E_j, read as phi_j = 2 pi (1 - exp(-E_j)).  rc-ddf and uc2-ddf are one
+protocol, the source's slot and then a second slot that its decoded
+forwarders share, so rc-ddf is uc2-ddf with the relay as its one
+forwarder; rc-af and uc2-af read the same row on af2.
 
 Every rate function takes the same 8-key parameter record (built by the
 sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
@@ -64,10 +65,9 @@ sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
 cell's d^gamma link table -- ``dk_pow`` (destination-source),
 ``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
 ``hh_pow`` (between helpers).  Each reads what its rate step needs.
-Every rate function forms each link's received SNR, the drawn |A|^2
+Every rate function forms each link's received SNR, the drawn A
 times the sender's power over d^gamma, and hands ``ddf`` and ``af``
-only SNRs; for AF these are amplitudes whose squared magnitude is the
-SNR.
+only SNRs (and af2's phases).
 
 A screened kernel (L in the table) draws only the trials that the
 direct link alone may not carry.  Its destination rate is at least
@@ -85,7 +85,8 @@ distribution of screening every trial, and the rate step, which works
 elementwise over trials, never sees a dropped trial.  afmh is not
 screened: its bound holds at L = m + 1 slots, but that threshold keeps
 nearly every trial at the benchmark's uc3-af points, and screening
-would renumber the draws under acceptance 4's uc3-af slope.
+would renumber the draws under acceptance 4's uc3-af slope, whose 45 dB
+point rests on 5 events.
 """
 
 from __future__ import annotations
@@ -193,26 +194,14 @@ def _conditioned(e, q):
     return e
 
 
-def _rows(draw, columns, rng, n, q):
-    """The engine's one draw: n trials' rows in the layout (draw,
-    columns), as (direct gain conditioned by q, the other links).
-
-    exponential: ``rng.exponential`` (n, columns); column 0 is A_dk.
-    complex: ``rng.standard_normal`` (n, 2 columns), the real then the
-    imaginary parts, times sqrt(1/2), of ``columns`` complex links; the
-    direct gain is |h_dk|^2 and the d-k phase is dropped.
-    """
-    if draw == "exponential":
-        a = rng.exponential(size=(n, columns))
-        return _conditioned(a[:, 0], q), a[:, 1:]
-    parts = rng.standard_normal((n, 2 * columns))
-    parts *= math.sqrt(0.5)
-    # Link-major storage (Fortran order): each link's column is contiguous,
-    # which keeps the per-trial sums over links in the rate step fast.
-    amp = np.empty((columns, n), dtype=complex)
-    amp.real = parts[:, :columns].T
-    amp.imag = parts[:, columns:].T
-    return _conditioned(_af._abs2(amp[0]), q), amp[1:].T
+def _rows(columns, rng, n, q):
+    """The engine's one draw: n trials' rows, ``rng.exponential`` (n,
+    columns), as (column 0, A_dk, conditioned by q; the other columns).
+    The rows are stored link-major (Fortran order), so that each column is
+    contiguous: a rate step's elementwise work on a few columns then runs
+    in long inner loops instead of loops of m elements."""
+    a = np.asfortranarray(rng.exponential(size=(n, columns)))
+    return _conditioned(a[:, 0], q), a[:, 1:]
 
 
 def _rate_uc2_ddf(params, direct, links):
@@ -256,19 +245,22 @@ def _rate_ucmh_ddf(params, direct, links):
 
 
 def _af_inputs(params, direct, links):
-    """An AF closed form's arguments, received SNRs: the direct SNR
-    |h_dk|^2 * burst / dk_pow, and the links times sqrt(power / d^gamma),
-    each budget for h_dj (m) and the burst for h_jk (m).  Helpers never
-    hear each other."""
-    m = len(params["budgets"])
-    power = np.array((*params["budgets"], *(params["burst"],) * m))
-    h = links * np.sqrt(power / np.array((*params["dj_pow"], *params["jk_pow"])))
-    return direct * (params["burst"] / params["dk_pow"]), h[:, :m], h[:, m:]
+    """An AF closed form's received SNRs, formed as the DDF rate functions
+    form them: the direct SNR, then A_dj (m) at each budget over dj_pow
+    and A_jk (m) at the burst over jk_pow.  Helpers never hear each
+    other."""
+    burst, m = params["burst"], len(params["budgets"])
+    dj_snr = links[:, m : 2 * m] * np.asarray(params["budgets"]) / np.asarray(params["dj_pow"])
+    jk_snr = links[:, :m] * burst / np.asarray(params["jk_pow"])
+    return direct * (burst / params["dk_pow"]), dj_snr, jk_snr
 
 
 def _rate_af2(params, direct, links):
-    """All helpers forward in one second slot."""
-    return _af.af2_trial_mutual_info(*_af_inputs(params, direct, links))
+    """All helpers forward in one second slot; at m >= 2 the phases
+    phi_j = 2 pi (1 - exp(-E_j)) come from the row's last m columns."""
+    m = len(params["budgets"])
+    phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if m > 1 else None
+    return _af.af2_trial_mutual_info(*_af_inputs(params, direct, links), phase)
 
 
 def _rate_afmh(params, direct, links):
@@ -281,15 +273,15 @@ def _rate_mac(params, direct, links):
     return _ddf.capacity(direct * (params["burst"] / params["dk_pow"]))
 
 
-# kernel -> ((draw, columns at m forwarders), rate function, screen slot
-# count L or None): the table in the module docstring.
+# kernel -> (columns at m forwarders, rate function, screen slot count L
+# or None): the table in the module docstring.
 _KERNELS = {
-    "mac": (("exponential", lambda m: 1), _rate_mac, None),
-    "rc-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
-    "uc2-ddf": (("exponential", lambda m: 1 + 2 * m), _rate_uc2_ddf, 1),
-    "ucmh-ddf": (("exponential", lambda m: 1 + 2 * m + m * (m - 1) // 2), _rate_ucmh_ddf, 1),
-    "af2": (("complex", lambda m: 1 + 2 * m), _rate_af2, 2),
-    "afmh": (("complex", lambda m: 1 + 2 * m), _rate_afmh, None),
+    "mac": (lambda m: 1, _rate_mac, None),
+    "rc-ddf": (lambda m: 1 + 2 * m, _rate_uc2_ddf, 1),
+    "uc2-ddf": (lambda m: 1 + 2 * m, _rate_uc2_ddf, 1),
+    "ucmh-ddf": (lambda m: 1 + 2 * m + m * (m - 1) // 2, _rate_ucmh_ddf, 1),
+    "af2": (lambda m: 1 + 2 * m if m == 1 else 1 + 3 * m, _rate_af2, 2),
+    "afmh": (lambda m: 1 + 2 * m, _rate_afmh, None),
 }
 
 
@@ -304,7 +296,7 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     with the direct gain conditioned by q; mac and afmh read one row per
     trial (q is None).  Rows are read trial-major, so the count is the
     same for any batch size."""
-    (draw, columns), rate_of, slots = _KERNELS[kernel]
+    columns, rate_of, slots = _KERNELS[kernel]
     rate = params["rate"]
     if rate <= 0.0:
         return 0
@@ -317,7 +309,7 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     width = columns(len(params["budgets"]))
     events = 0
     for done in range(0, trials, _BATCH):
-        direct, links = _rows(draw, width, rng, min(_BATCH, trials - done), q)
+        direct, links = _rows(width, rng, min(_BATCH, trials - done), q)
         events += int((rate_of(params, direct, links) < rate).sum())
     return events
 

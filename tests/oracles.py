@@ -2,8 +2,10 @@
 
 Closed forms and fits the tests check the package against: the listen
 fraction's mixed CDF, the multihop clustering condition, the diversity
-slope of an outage curve, and draws of a weighted sum of unit-mean
-exponentials.  The sweep never runs them.
+slope of an outage curve, draws of a weighted sum of unit-mean
+exponentials, the AF closed forms on complex amplitudes that the trial
+kernels ran before they drew magnitudes, and complex gains with the
+magnitudes and phases of an AF row.  The sweep never runs them.
 """
 
 from __future__ import annotations
@@ -72,3 +74,55 @@ def weighted_exp_sum_sample(weights, rng: np.random.Generator, size: int) -> np.
     """size draws of sum_l c_l * E_l, E_l i.i.d. unit-mean exponential."""
     w = np.asarray(weights, dtype=float)
     return rng.exponential(size=(size, w.size)) @ w
+
+
+def _abs2(z):
+    """|z|^2 without the square root of np.abs."""
+    return z.real**2 + z.imag**2
+
+
+def af2_complex_mutual_info(dk_snr, dj_amp, jk_amp):
+    """af2's closed form on complex amplitudes: dk_snr is the direct SNR
+    (n,); dj_amp and jk_amp are (n, m) complex amplitudes whose squared
+    magnitudes are the d-j SNR at the helper's budget and the j-k SNR at
+    the source's burst.  With g_j = 2 / (|jk_amp_j|^2 + 1),
+    c_s^2 = 1 + sum_j g_j |dj_amp_j|^2 and
+    F = sum_j sqrt(g_j) dj_amp_j jk_amp_j,
+    det(I + P HH*) - 1 = s + (|F|^2 + s) / c_s^2 + s^2 / c_s^2, s = dk_snr.
+    """
+    s = np.asarray(dk_snr)
+    dj_amp, jk_amp = np.asarray(dj_amp), np.asarray(jk_amp)
+    gain_sq = 2.0 / (_abs2(jk_amp) + 1.0)
+    fwd_sq = _abs2((np.sqrt(gain_sq) * dj_amp * jk_amp).sum(axis=1))
+    cs_sq = 1.0 + (gain_sq * _abs2(dj_amp)).sum(axis=1)
+    det_m1 = s + (fwd_sq + s) / cs_sq + s * s / cs_sq
+    return np.log1p(det_m1) / (2.0 * math.log(2.0))
+
+
+def afmh_complex_mutual_info(dk_snr, dj_amp, jk_amp):
+    """afmh's closed form on complex amplitudes, inputs as for
+    ``af2_complex_mutual_info``: with w_j = 2 |dj_amp_j|^2 /
+    (|jk_amp_j|^2 + 1), c_sj^2 = 1 + w_j, s = dk_snr and
+    g_j = 1 + s / c_sj^2, log det(I + P HH*) = sum_j log g_j
+    + log(1 + s + sum_j w_j |jk_amp_j|^2 / (c_sj^2 g_j))."""
+    s = np.asarray(dk_snr)
+    a_jk = _abs2(np.asarray(jk_amp))
+    w = 2.0 * _abs2(np.asarray(dj_amp)) / (a_jk + 1.0)
+    cs_sq = 1.0 + w
+    g_m1 = s[:, None] / cs_sq
+    logdet = np.log1p(g_m1).sum(axis=1) + np.log1p(
+        s + (w * a_jk / cs_sq / (1.0 + g_m1)).sum(axis=1)
+    )
+    return logdet / ((a_jk.shape[1] + 1) * math.log(2.0))
+
+
+def af_row_gains(params, direct, links):
+    """Complex gains (h_dk, h_dj (m), h_jk (m)), path loss folded in, with
+    the magnitudes of an AF kernel's row [A_dk | A_jk (m), A_dj (m)]:
+    |h|^2 = A / d^gamma.  h_dk and h_jk are real, and h_dj carries the
+    phase of H_dj H_jk, which af2's row gives at m >= 2 in m more columns
+    as phi_j = 2 pi (1 - exp(-E_j)), and which is 0 otherwise."""
+    m = len(params["budgets"])
+    phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if links.shape[1] > 2 * m else 0.0
+    h_dj = np.sqrt(links[:, m : 2 * m] / np.asarray(params["dj_pow"])) * np.exp(1j * phase)
+    return np.sqrt(direct / params["dk_pow"]), h_dj, np.sqrt(links[:, :m] / np.asarray(params["jk_pow"]))

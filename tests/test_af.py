@@ -25,6 +25,8 @@ from tdcoop.af import (
 )
 from tdcoop.mathcore import hypoexp_leading_cdf_term
 
+from oracles import af2_complex_mutual_info, af_row_gains, afmh_complex_mutual_info
+
 
 def random_complex(rng, shape):
     return math.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -266,23 +268,33 @@ class TestTrialMutualInfo:
 
 
 SHAPES = (
-    ("af2", af2_equivalent_channel, af2_trial_mutual_info),
-    ("afmh", afmh_equivalent_channel, afmh_trial_mutual_info),
+    ("af2", af2_equivalent_channel, af2_trial_mutual_info, af2_complex_mutual_info),
+    ("afmh", afmh_equivalent_channel, afmh_trial_mutual_info, afmh_complex_mutual_info),
 )
 
 
+def closed_form_args(name, h_dk, h_dj, h_jk, budgets, pbar):
+    """A closed form's arguments from complex gains with the path loss
+    folded in: the received SNRs P |h_dk|^2, budget |h_dj|^2 and
+    P |h_jk|^2, and for af2 the phases of H_dj H_jk."""
+    snrs = (pbar * np.abs(h_dk) ** 2, budgets * np.abs(h_dj) ** 2, pbar * np.abs(h_jk) ** 2)
+    return snrs + (np.angle(h_dj * h_jk),) if name == "af2" else snrs
+
+
 def slogdet_count_events(kernel, params, seed, path, trials):
-    """Reference AF kernel: the engine's stream and draw layout, the
+    """Reference AF kernel: the engine's stream and row layout, the
     general log-det rate of the equivalent-channel matrix.
 
     afmh reads one row per trial.  af2 first draws its survivor count,
     binomial (trials, q) with q = 1 - exp(-t') and t' the two-slot direct
     threshold (2^(2R) - 1) dk_pow / burst widened by ``_SCREEN_MARGIN``,
-    then one row per survivor.  Its d-k pair gives E = |h_dk|^2, which
-    becomes |h_dk|^2 given |h_dk|^2 < t' by inversion, phase dropped."""
+    then one row per survivor, whose A_dk becomes A_dk given A_dk < t' by
+    inversion.  A row [A_dk, A_jk (m), A_dj (m)] of exponentials, with m
+    phase columns more for af2 at m >= 2, gives the complex gains of
+    ``af_row_gains``."""
     build = afmh_equivalent_channel if kernel == "afmh" else af2_equivalent_channel
     m = len(params["budgets"])
-    links = 1 + 2 * m
+    phases = m if kernel == "af2" and m > 1 else 0
     rng = mc.derive_stream(seed, *path)
     q = None
     if kernel == "af2":
@@ -292,18 +304,10 @@ def slogdet_count_events(kernel, params, seed, path, trials):
     events = 0
     for start in range(0, trials, 1 << 16):
         n = min(1 << 16, trials - start)
-        parts = rng.standard_normal((n, 2 * links))
-        amp = math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
-        h_dk = amp[:, 0]
+        row = rng.exponential(size=(n, 1 + 2 * m + phases))
         if q is not None:
-            h_dk = np.sqrt(-np.log1p(q * np.expm1(-np.abs(h_dk) ** 2)))
-        ch = build(
-            h_dk * (1.0 / math.sqrt(params["dk_pow"])),
-            amp[:, 1 : 1 + m] * (1.0 / np.sqrt(params["dj_pow"])),
-            amp[:, 1 + m :] * (1.0 / np.sqrt(params["jk_pow"])),
-            np.asarray(params["budgets"]),
-            params["burst"],
-        )
+            row[:, 0] = -np.log1p(q * np.expm1(-row[:, 0]))
+        ch = build(*af_row_gains(params, row[:, 0], row[:, 1:]), np.asarray(params["budgets"]), params["burst"])
         events += int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
     return events
 
@@ -312,8 +316,11 @@ class TestClosedFormRates:
     """The kernel's closed-form rates against the general log-det path."""
 
     @pytest.mark.parametrize("m", (1, 2, 3))
-    @pytest.mark.parametrize("name,build,closed_form", SHAPES)
-    def test_match_slogdet_oracle(self, name, build, closed_form, m):
+    @pytest.mark.parametrize("name,build,closed_form,complex_form", SHAPES)
+    def test_match_slogdet_oracle(self, name, build, closed_form, complex_form, m):
+        """On complex gains, the closed form of the received SNRs (with
+        af2's product phases) and the retired closed form of the complex
+        amplitudes both give the log-det rate to 1e-10 relative."""
         rng = np.random.default_rng(127 + m)
         n = 2000
         for pbar in np.logspace(-2, 6, 9):
@@ -324,17 +331,49 @@ class TestClosedFormRates:
             h_jk = random_complex(rng, (n, m)) * scale[1 + m :]
             budgets = rng.uniform(0.1, 3.0, size=m)
             want = af_trial_mutual_info(build(h_dk, h_dj, h_jk, budgets, pbar), pbar)
-            got = closed_form(pbar * np.abs(h_dk) ** 2, h_dj * np.sqrt(budgets), h_jk * math.sqrt(pbar))
+            got = closed_form(*closed_form_args(name, h_dk, h_dj, h_jk, budgets, pbar))
             assert got.shape == (n,)
             np.testing.assert_allclose(got, want, rtol=1e-10, err_msg=f"{name} P={pbar:g}")
+            old = complex_form(pbar * np.abs(h_dk) ** 2, h_dj * np.sqrt(budgets), h_jk * math.sqrt(pbar))
+            np.testing.assert_allclose(old, want, rtol=1e-10, err_msg=f"{name} complex P={pbar:g}")
 
     def test_dead_cooperators_leave_the_direct_link(self):
         h_dk = np.array([0.8 + 0.1j, 0.0, 2.0j])
-        zeros = np.zeros((3, 2), dtype=complex)
+        zeros = np.zeros((3, 2))
         a_dk = np.abs(h_dk) ** 2
-        for _, _, closed_form in SHAPES:
-            got = closed_form(10.0 * a_dk, zeros, zeros)
+        for name, _, closed_form, _ in SHAPES:
+            phase = (zeros,) if name == "af2" else ()
+            got = closed_form(10.0 * a_dk, zeros, zeros, *phase)
             np.testing.assert_allclose(got, np.log2(1.0 + 10.0 * a_dk), rtol=1e-14)
+
+    def test_af2_rate_is_blind_to_a_common_phase(self):
+        """Turning every helper's phase by one constant leaves af2's rate
+        unchanged to 1e-12 relative; at m = 1 af2's row has no phase
+        column, and its rate needs no phase."""
+        rng = np.random.default_rng(131)
+        n = 4000
+        for m in (2, 3):
+            snrs = (rng.exponential(size=n) * 30.0, *(rng.exponential(size=(2, n, m)) * 50.0))
+            phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, m))
+            base = af2_trial_mutual_info(*snrs, phase)
+            for turn in (0.3, math.pi, 5.9, -40.0):
+                np.testing.assert_allclose(af2_trial_mutual_info(*snrs, phase + turn), base, rtol=1e-12, atol=0.0)
+            with pytest.raises(ValueError):
+                af2_trial_mutual_info(*snrs)
+        columns, rate_of, _ = mc._KERNELS["af2"]
+        assert columns(1) == 3
+        params = dict(
+            rate=1.0, burst=3.0, budgets=(1.2,), dk_pow=0.9**4, dj_pow=(0.8**4,), jk_pow=(0.5**4,)
+        )
+        row = rng.exponential(size=(n, 3))
+        snrs = (row[:, 0] * (3.0 / 0.9**4), row[:, 2:] * 1.2 / 0.8**4, row[:, 1:2] * 3.0 / 0.5**4)
+        np.testing.assert_array_equal(rate_of(params, row[:, 0], row[:, 1:]), af2_trial_mutual_info(*snrs))
+        np.testing.assert_allclose(
+            af2_trial_mutual_info(*snrs, rng.uniform(0.0, 2.0 * math.pi, size=(n, 1))),
+            af2_trial_mutual_info(*snrs),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
     @pytest.mark.parametrize(
         "kernel,budgets,seed,path,trials",

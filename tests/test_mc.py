@@ -18,12 +18,15 @@ from tdcoop.af import (
     af2_equivalent_channel,
     af2_trial_mutual_info,
     af_trial_mutual_info,
+    afmh_equivalent_channel,
     afmh_trial_mutual_info,
 )
 from tdcoop.ddf import listen_fraction_rc, trial_mutual_info_rc
 from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, sample_placement, user_id
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
+
+from oracles import af2_complex_mutual_info, af_row_gains, afmh_complex_mutual_info
 
 
 class TestMix64:
@@ -187,17 +190,16 @@ RECORD3 = dict(
     jk_pow=(0.6**4, 0.7**4, 0.8**4),
     hh_pow=((0.0, 0.5, 0.4), (0.5, 0.0, 0.3), (0.4, 0.3, 0.0)),
 )
-# (kernel, record, draw, columns of one trial's row): the DDF kernels
-# read exponential rows [A_dk, links...], af2 standard-normal rows, the
-# real then the imaginary parts of its 1 + 2m complex links.
+# (kernel, record, columns of one trial's exponential row [A_dk,
+# links...]): af2 at m = 2 ends its row in two phase columns.
 SCREENED = {
-    "rc-ddf": ("rc-ddf", RECORD1, "exponential", 3),
-    "uc2-ddf": ("uc2-ddf", RECORD, "exponential", 5),
-    "ucmh-accumulating": ("ucmh-ddf", RECORD, "exponential", 6),
-    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), "exponential", 6),
-    "ucmh-k4": ("ucmh-ddf", RECORD3, "exponential", 10),
-    "af2-m1": ("af2", RECORD1, "standard_normal", 6),
-    "af2-m2": ("af2", RECORD, "standard_normal", 10),
+    "rc-ddf": ("rc-ddf", RECORD1, 3),
+    "uc2-ddf": ("uc2-ddf", RECORD, 5),
+    "ucmh-accumulating": ("ucmh-ddf", RECORD, 6),
+    "ucmh-per-fraction": ("ucmh-ddf", dict(RECORD, mode="per-fraction"), 6),
+    "ucmh-k4": ("ucmh-ddf", RECORD3, 10),
+    "af2-m1": ("af2", RECORD1, 3),
+    "af2-m2": ("af2", RECORD, 7),
 }
 
 
@@ -211,8 +213,8 @@ def scaled(params, rate, snr_db):
 def layout_rows(kernel, params, rng, n, q=None):
     """n trials' (direct gain, links) in the kernel's declared layout, drawn
     from rng as the engine draws them."""
-    (draw, columns), _, _ = mc._KERNELS[kernel]
-    return mc._rows(draw, columns(len(params["budgets"])), rng, n, q)
+    columns, _, _ = mc._KERNELS[kernel]
+    return mc._rows(columns(len(params["budgets"])), rng, n, q)
 
 
 def rate_count(kernel, params, direct, links):
@@ -221,11 +223,12 @@ def rate_count(kernel, params, direct, links):
     return int((rate_of(params, direct, links) < params["rate"]).sum())
 
 
-def complex_links(parts):
-    """Complex links from a standard-normal table in the documented layout:
-    the real then the imaginary parts, times sqrt(1/2)."""
-    links = parts.shape[1] // 2
-    return math.sqrt(0.5) * (parts[:, :links] + 1j * parts[:, links:])
+def slogdet_count(kernel, params, gains):
+    """Outage count, through the general log-det of the AF kernel's
+    equivalent-channel matrix, of complex gains (h_dk, h_dj, h_jk)."""
+    build = af2_equivalent_channel if kernel == "af2" else afmh_equivalent_channel
+    ch = build(*gains, np.asarray(params["budgets"]), params["burst"])
+    return int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
 
 
 class NoDraws:
@@ -234,15 +237,13 @@ class NoDraws:
     def exponential(self, size):
         raise AssertionError(f"unexpected draw of {size}")
 
-    standard_normal = exponential
-
     def binomial(self, n, p):
         raise AssertionError(f"unexpected binomial draw ({n}, {p})")
 
 
 class RecordedStream:
-    """A task's generator that logs each draw: ("binomial", n), or the
-    draw's name and its row count."""
+    """A task's generator that logs each draw: ("binomial", n) or
+    ("exponential", its row count)."""
 
     def __init__(self, gen, log):
         self.gen, self.log = gen, log
@@ -255,18 +256,14 @@ class RecordedStream:
         self.log.append(("exponential", size[0]))
         return self.gen.exponential(size=size)
 
-    def standard_normal(self, size):
-        self.log.append(("standard_normal", size[0]))
-        return self.gen.standard_normal(size)
 
-
-def documented_rows(kernel, params, seed, path, trials, draw, cols):
+def documented_rows(kernel, params, seed, path, trials, cols):
     """One task's rows as the documented layout reads them, in one piece.
 
     The stream first gives the survivor count, binomial (trials, q) with
     q = 1 - exp(-t') and t' the widened direct-link threshold at the
     kernel's slot count (no trial at rate 0, every trial without a draw
-    at zero burst), then one row of ``cols`` draws per survivor.  Returns
+    at zero burst), then one row of ``cols`` exponentials per survivor.  Returns
     the rows as drawn and q (None at zero burst)."""
     rng = mc.derive_stream(seed, *path)
     q = None
@@ -278,9 +275,7 @@ def documented_rows(kernel, params, seed, path, trials, draw, cols):
         slots = 2 if kernel == "af2" else 1
         q = -math.expm1(-mc._direct_threshold(params, slots) * (1.0 + mc._SCREEN_MARGIN))
         survivors = rng.binomial(trials, q)
-    if draw == "exponential":
-        return rng.exponential(size=(survivors, cols)), q
-    return rng.standard_normal((survivors, cols)), q
+    return rng.exponential(size=(survivors, cols)), q
 
 
 def truncated(e, q):
@@ -291,24 +286,16 @@ def truncated(e, q):
 def unscreened_count(kernel, params, rows, q=None):
     """The outage count of the table's trials, in one batch.
 
-    DDF rows [A_dk, links...] run through the kernel's rate step with
-    column 0 conditioned by q.  af2 rows are standard-normal parts,
-    sqrt(1/2) (re + i im), of the links [d-k, d-j, j-k]; A_dk is |h_dk|^2
-    conditioned by q, and the count comes from the general log-det."""
+    Rows [A_dk, links...] have column 0 conditioned by q.  DDF rows run
+    through the kernel's rate step; af2 rows become complex gains with
+    their magnitudes and phases, and the count comes from the general
+    log-det."""
     if not len(rows):
         return 0
+    direct, links = truncated(rows[:, 0], q), rows[:, 1:]
     if kernel == "af2":
-        m = len(params["budgets"])
-        amp = complex_links(rows)
-        ch = af2_equivalent_channel(
-            np.sqrt(truncated(np.abs(amp[:, 0]) ** 2, q) / params["dk_pow"]),
-            amp[:, 1 : 1 + m] / np.sqrt(params["dj_pow"]),
-            amp[:, 1 + m :] / np.sqrt(params["jk_pow"]),
-            np.asarray(params["budgets"]),
-            params["burst"],
-        )
-        return int((af_trial_mutual_info(ch, params["burst"]) < params["rate"]).sum())
-    return rate_count(kernel, params, truncated(rows[:, 0], q), rows[:, 1:])
+        return slogdet_count(kernel, params, af_row_gains(params, direct, links))
+    return rate_count(kernel, params, direct, links)
 
 
 class TestDirectScreen:
@@ -334,7 +321,7 @@ class TestDirectScreen:
     def test_counts_equal_the_unscreened_stream(self, case, rate, monkeypatch):
         """A task counts what the rate step gives over its documented rows
         in one batch, across the batch boundary."""
-        kernel, record, draw, cols = SCREENED[case]
+        kernel, record, cols = SCREENED[case]
         kept = self.spy(monkeypatch)
         trials = 40_000
         for snr_db in (-10, 0, 10, 20, 30, 40, 50):
@@ -342,7 +329,7 @@ class TestDirectScreen:
             path = (snr_db + 10, 0, 0, 0)
             kept.clear()
             got = mc.count_events(kernel, params, 21, path, trials)
-            rows, q = documented_rows(kernel, params, 21, path, trials, draw, cols)
+            rows, q = documented_rows(kernel, params, 21, path, trials, cols)
             # At rate 0 the task has no survivor step.
             assert kept == ([(trials, len(rows))] if rate > 0.0 else [])
             assert got == unscreened_count(kernel, params, rows, q), snr_db
@@ -354,7 +341,7 @@ class TestDirectScreen:
         zero = dict(scaled(record, rate, 0), burst=0.0)
         got = mc.count_events(kernel, zero, 21, (0,), 5000)
         assert got == (5000 if rate > 0.0 else 0)
-        rows, q = documented_rows(kernel, zero, 21, (0,), 5000, draw, cols)
+        rows, q = documented_rows(kernel, zero, 21, (0,), 5000, cols)
         assert got == unscreened_count(kernel, zero, rows, q)
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
@@ -362,14 +349,14 @@ class TestDirectScreen:
         """At 64-row batches a task's survivor rows span many batches and
         count as in one; a task with no survivor draws nothing after its
         count, and the task after it counts as it would alone."""
-        kernel, record, draw, cols = SCREENED[case]
+        kernel, record, cols = SCREENED[case]
         monkeypatch.setattr(mc, "_BATCH", 64)
         tasks = (
             (scaled(record, 1.0, 10), (1, 0, 0, 0), 64 * 200 + 7),
             (scaled(record, 1.0, 50), (2, 0, 0, 0), 500),
             (scaled(record, 1.0, 10), (3, 0, 0, 0), 64 * 200 + 7),
         )
-        want = [documented_rows(kernel, params, 23, path, trials, draw, cols) for params, path, trials in tasks]
+        want = [documented_rows(kernel, params, 23, path, trials, cols) for params, path, trials in tasks]
         logs = {}
         derive = mc.derive_stream
         monkeypatch.setattr(
@@ -380,7 +367,7 @@ class TestDirectScreen:
             assert got == unscreened_count(kernel, params, rows, q), path
             batches = -(-len(rows) // 64)
             assert logs[path] == [("binomial", trials)] + [
-                (draw, min(64, len(rows) - 64 * b)) for b in range(batches)
+                ("exponential", min(64, len(rows) - 64 * b)) for b in range(batches)
             ]
         assert len(logs[(2, 0, 0, 0)]) == 1
         assert len(logs[(1, 0, 0, 0)]) > 2 and len(logs[(3, 0, 0, 0)]) > 2
@@ -389,7 +376,7 @@ class TestDirectScreen:
     def test_batch_with_no_surviving_row(self, case, monkeypatch):
         """A task with no survivor draws no row and counts no event; at
         rate 0 it draws nothing at all."""
-        kernel, record, _, _ = SCREENED[case]
+        kernel, record, _ = SCREENED[case]
 
         class NoSurvivor(NoDraws):
             def binomial(self, n, p):
@@ -407,12 +394,12 @@ class TestDirectScreen:
         and in trials with random forwarder links.
 
         DDF: every forwarder link zero, so the forwarders never decode and
-        theta = 1.  af2: the helpers hear nothing (h_jk = 0) and reach the
-        destination with gain 1e24, so the forwarded noise leaves the
-        second slot little more than the direct term over c_s^2 and the
-        rate is within about 1e-24 of (1/2) C(P |h_dk|^2).  The af2 links
-        are random complex amplitudes, phases included."""
-        kernel, record, draw, cols = SCREENED[case]
+        theta = 1.  af2: the helpers hear nothing (A_jk = 0) and reach the
+        destination with gain A_dj = 1e24, so the forwarded noise leaves
+        the second slot little more than the direct term over c_s^2 and
+        the rate is within about 1e-24 of (1/2) C(P A_dk / dk_pow).  The
+        af2 rows keep their random phase columns."""
+        kernel, record, cols = SCREENED[case]
         params = scaled(record, rate, snr_db)
         cut = mc._direct_threshold(params, 2 if kernel == "af2" else 1) * factor
         steps = [cut]
@@ -420,19 +407,14 @@ class TestDirectScreen:
             steps.append(np.nextafter(steps[-1], np.inf))
         a_dk = np.repeat(steps, 33)
         rng = np.random.default_rng(int(rate * 100) + snr_db)
-        if draw == "exponential":
-            fwd = rng.exponential(size=(len(steps), 33, cols - 1))
+        fwd = rng.exponential(size=(len(steps), 33, cols - 1))
+        if kernel == "af2":
+            m = len(params["budgets"])
+            fwd[:, 0, :m] = 0.0
+            fwd[:, 0, m : 2 * m] = 1e24
+        else:
             fwd[:, 0] = 0.0
-            rows = np.column_stack((a_dk, fwd.reshape(-1, cols - 1)))
-            return unscreened_count(kernel, params, rows)
-        m = len(params["budgets"])
-        parts = rng.standard_normal((len(steps), 33, cols))
-        weak = parts[:, 0]
-        weak[:, 1 : 1 + m] = 1e12
-        weak[:, 2 + 2 * m : 2 + 3 * m] = 0.0
-        weak[:, 1 + m : 1 + 2 * m] = 0.0
-        weak[:, 2 + 3 * m :] = 0.0
-        return rate_count(kernel, params, a_dk, complex_links(parts.reshape(-1, cols))[:, 1:])
+        return rate_count(kernel, params, a_dk, fwd.reshape(-1, cols - 1))
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case):
@@ -527,13 +509,16 @@ class TestRateFunctions:
 
 
 def layout_table(rows):
-    """{kernel: (draw, columns at m = 1, 2, 3, screen L)} from the cells of
-    a layout table's rows; a column count reads like 1 + 2m."""
+    """{kernel: (columns at m = 1, 2, 3, screen L)} from the cells of a
+    layout table's rows; a column count reads like 1 + 2m, or like
+    "1 + 2m, 1 + 3m at m >= 2" where it changes at m = 2."""
     out = {}
-    for kernel, draw, columns, slots in rows:
-        formula = re.sub(r"(?<=[0-9m)])(?=[m(])", "*", columns)
-        counts = tuple(eval(formula, {"__builtins__": {}}, {"m": m}) for m in (1, 2, 3))
-        out[kernel.strip("`")] = (draw, counts, None if slots == "-" else int(slots))
+    for kernel, columns, slots in rows:
+        formulas = [
+            re.sub(r"(?<=[0-9m)])(?=[m(])", "*", f) for f in columns.removesuffix(" at m >= 2").split(", ")
+        ]
+        counts = tuple(eval(formulas[min(m, len(formulas)) - 1], {"__builtins__": {}}, {"m": m}) for m in (1, 2, 3))
+        out[kernel.strip("`")] = (counts, None if slots == "-" else int(slots))
     return out
 
 
@@ -541,18 +526,25 @@ def test_layout_tables_match_the_kernels():
     """The layout tables of the ``mc`` docstring and of README
     "Determinism" both say what ``mc._KERNELS`` declares."""
     want = {
-        kernel: (draw, tuple(columns(m) for m in (1, 2, 3)), slots)
-        for kernel, ((draw, columns), _, slots) in mc._KERNELS.items()
+        kernel: (tuple(columns(m) for m in (1, 2, 3)), slots)
+        for kernel, (columns, _, slots) in mc._KERNELS.items()
     }
     doc = mc.__doc__.splitlines()
-    top = next(i for i, line in enumerate(doc) if line.split()[:2] == ["kernel", "draw"])
+    top = next(i for i, line in enumerate(doc) if line.split()[:2] == ["kernel", "columns"])
     end = doc.index("", top)
     assert layout_table(re.split(r"\s{2,}", line.strip()) for line in doc[top + 1 : end]) == want
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
-    top = readme.index("| kernel | draw | columns at m forwarders | screen L |")
+    top = readme.index("| kernel | columns at m forwarders | screen L |")
     end = readme.index("", top)
     cells = ([cell.strip() for cell in line.strip("|").split("|")] for line in readme[top + 2 : end])
     assert layout_table(cells) == want
+
+
+def ks_two_sample(a, b):
+    """Kolmogorov-Smirnov distance between the samples a and b."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate((a, b))
+    return np.max(np.abs(np.searchsorted(a, grid, "right") / len(a) - np.searchsorted(b, grid, "right") / len(b)))
 
 
 def ks_truncated(x, q):
@@ -566,8 +558,8 @@ def ks_truncated(x, q):
 
 class TestConditionedDirectGain:
     """A survivor's A_dk is the exponential conditioned below the widened
-    threshold t', drawn by inversion; af2 takes the exponential from its
-    d-k normal pair."""
+    threshold t', drawn by inversion; af2's exponential has the law of the
+    |h_dk|^2 of the d-k normal pair it drew before."""
 
     @staticmethod
     def params_for(q, slots):
@@ -591,8 +583,11 @@ class TestConditionedDirectGain:
 
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
     def test_af2_gain_from_the_normal_pair(self, q, monkeypatch):
-        """af2 conditions E = |h_dk|^2 of its d-k normal pair, 0.5 (re^2 +
-        im^2), which lies in [0, t') after it and passes the same KS check."""
+        """af2 conditions column 0 of its exponential row, E, whose law is
+        that of |h_dk|^2 = 0.5 (re^2 + im^2) of a d-k normal pair: the
+        two-sample KS distance stays below its 1 % critical value,
+        1.63 sqrt(2/n).  E lies in [0, t') after it and passes the same KS
+        check."""
         params = self.params_for(q, 2)
         cut = mc._direct_threshold(params, 2) * (1.0 + mc._SCREEN_MARGIN)
         q = -math.expm1(-cut)
@@ -610,8 +605,9 @@ class TestConditionedDirectGain:
         n = 200_000
         layout_rows("af2", params, np.random.default_rng(37), n, q)
         e, x = seen
-        parts = np.random.default_rng(37).standard_normal((n, 6))
-        np.testing.assert_allclose(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 3] ** 2), rtol=1e-15)
+        np.testing.assert_array_equal(e, np.random.default_rng(37).exponential(size=(n, 3))[:, 0])
+        parts = np.random.default_rng(38).standard_normal((n, 2))
+        assert ks_two_sample(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 1] ** 2)) < 1.63 * math.sqrt(2.0 / n)
         assert x.shape == (n,) and x.min() >= 0.0 and x.max() < cut
         assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
 
@@ -644,10 +640,10 @@ class TestRelayOnSharedSlotKernel:
     """rc-ddf is uc2-ddf with the relay as the one forwarder."""
 
     def test_one_kernel(self):
-        (rc_draw, rc_columns), rc_rate, rc_slots = mc._KERNELS["rc-ddf"]
-        (uc2_draw, uc2_columns), uc2_rate, uc2_slots = mc._KERNELS["uc2-ddf"]
+        rc_columns, rc_rate, rc_slots = mc._KERNELS["rc-ddf"]
+        uc2_columns, uc2_rate, uc2_slots = mc._KERNELS["uc2-ddf"]
         assert rc_rate is uc2_rate
-        assert (rc_draw, rc_slots) == (uc2_draw, uc2_slots)
+        assert rc_slots == uc2_slots
         assert [rc_columns(m) for m in (1, 2, 3)] == [uc2_columns(m) for m in (1, 2, 3)]
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
@@ -675,61 +671,66 @@ class TestRelayOnSharedSlotKernel:
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
 
 
-def complex_afmh(params, rng, n):
-    """afmh as it counted with its own function: the complex d-k
-    amplitude scaled by 1/sqrt(d^gamma), phase kept, into the closed form."""
-    m = len(params["budgets"])
-    h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
-    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mi = afmh_trial_mutual_info(*received(params, h))
-    return int((mi < params["rate"]).sum())
-
-
-def received(params, h):
-    """The AF closed forms' received-SNR arguments from complex amplitudes
-    [d-k, d-j (m), j-k (m)] with the path loss folded in: the burst times
-    |h_dk|^2, h_dj times sqrt(budget) and h_jk times sqrt(burst)."""
+def complex_count(kernel, params, rng, n):
+    """An AF kernel's outage count on the complex layout it drew before:
+    every trial's amplitudes [d-k, d-j (m), j-k (m)] from
+    ``rng.standard_normal`` (n, 2(1 + 2m)), the real then the imaginary
+    parts times sqrt(1/2), scaled by 1/sqrt(d^gamma), through the retired
+    complex closed forms: the burst times |h_dk|^2, h_dj times
+    sqrt(budget) and h_jk times sqrt(burst).  No screen; every phase is
+    kept."""
     m = len(params["budgets"])
     burst = params["burst"]
+    parts = rng.standard_normal((n, 2 * (1 + 2 * m)))
+    h = math.sqrt(0.5) * (parts[:, : 1 + 2 * m] + 1j * parts[:, 1 + 2 * m :])
+    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
+    closed_form = af2_complex_mutual_info if kernel == "af2" else afmh_complex_mutual_info
     dj_amp = h[:, 1 : 1 + m] * np.sqrt(params["budgets"])
-    return burst * np.abs(h[:, 0]) ** 2, dj_amp, h[:, 1 + m :] * math.sqrt(burst)
+    mi = closed_form(burst * np.abs(h[:, 0]) ** 2, dj_amp, h[:, 1 + m :] * math.sqrt(burst))
+    return int((mi < params["rate"]).sum())
 
 
 class TestOneAfCountFunction:
     """af2 and afmh share one row layout and one route into their closed
-    forms: they differ only in the closed form their rate function runs
-    and in af2's screen."""
+    forms: they differ only in the closed form their rate function runs,
+    in af2's phase columns at m >= 2 and in af2's screen."""
 
     def test_one_function(self):
-        """Each AF rate function is its closed form on |h_dk|^2 * burst /
-        dk_pow and the links times sqrt(power / d^gamma), on rows of the
-        one complex layout."""
-        (af2_draw, af2_columns), af2_rate, _ = mc._KERNELS["af2"]
-        (afmh_draw, afmh_columns), afmh_rate, _ = mc._KERNELS["afmh"]
-        assert af2_draw == afmh_draw == "complex"
+        """Each AF rate function is its closed form on the received SNRs of
+        one exponential row, direct * (burst / dk_pow), A_dj * budget /
+        dj_pow and A_jk * burst / jk_pow; af2 at m >= 2 also reads the
+        phases 2 pi (1 - exp(-E_j)) of its last m columns."""
+        af2_columns, af2_rate, _ = mc._KERNELS["af2"]
+        afmh_columns, afmh_rate, _ = mc._KERNELS["afmh"]
         for record in (RECORD1, RECORD, RECORD3):
             m = len(record["budgets"])
-            assert af2_columns(m) == afmh_columns(m) == 1 + 2 * m
+            assert afmh_columns(m) == 1 + 2 * m
+            assert af2_columns(m) == (1 + 2 * m if m == 1 else 1 + 3 * m)
             direct, links = layout_rows("af2", record, np.random.default_rng(41), 1000)
-            dk_snr = direct * (record["burst"] / record["dk_pow"])
-            power = np.array((*record["budgets"], *(record["burst"],) * m))
-            h = links * np.sqrt(power / np.array((*record["dj_pow"], *record["jk_pow"])))
-            for rate_of, closed_form in ((af2_rate, af2_trial_mutual_info), (afmh_rate, afmh_trial_mutual_info)):
-                want = closed_form(dk_snr, h[:, :m], h[:, m:])
-                np.testing.assert_array_equal(rate_of(record, direct, links), want)
+            snrs = (
+                direct * (record["burst"] / record["dk_pow"]),
+                links[:, m : 2 * m] * np.asarray(record["budgets"]) / np.asarray(record["dj_pow"]),
+                links[:, :m] * record["burst"] / np.asarray(record["jk_pow"]),
+            )
+            phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if m > 1 else None
+            np.testing.assert_array_equal(af2_rate(record, direct, links), af2_trial_mutual_info(*snrs, phase))
+            np.testing.assert_array_equal(afmh_rate(record, direct, links[:, : 2 * m]), afmh_trial_mutual_info(*snrs))
 
     @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
     def test_afmh_counts_as_its_complex_direct_gain(self, record):
-        """afmh's direct SNR takes af2's route, |h_dk|^2 * burst / dk_pow,
-        which moves it by a few ulps at most: on the same draws every count
-        equals the complex amplitude's."""
+        """afmh reads only magnitudes: on the same rows every count equals
+        the log-det count of complex gains with the rows' magnitudes and a
+        random phase on every link, the direct one included."""
         counts = []
         for rate in (0.25, 1.0, 4.0):
             for snr_db in (-10, 0, 10, 20, 30, 40):
                 params = scaled(record, rate, snr_db)
                 seed = 100 * int(rate * 4) + snr_db + 10
-                got = rate_count("afmh", params, *layout_rows("afmh", params, np.random.default_rng(seed), 20_000))
-                assert got == complex_afmh(params, np.random.default_rng(seed), 20_000), (rate, snr_db)
+                direct, links = layout_rows("afmh", params, np.random.default_rng(seed), 20_000)
+                got = rate_count("afmh", params, direct, links)
+                turn = np.random.default_rng(seed + 1)
+                gains = [g * np.exp(2j * math.pi * turn.random(g.shape)) for g in af_row_gains(params, direct, links)]
+                assert got == slogdet_count("afmh", params, gains), (rate, snr_db)
                 counts.append(got)
         assert any(0 < c < 20_000 for c in counts)
 
@@ -746,35 +747,50 @@ def rim_cluster(num_users):
     return NodePlacement(params=GeometryParams(num_users=num_users), positions=pos)
 
 
-def plain_count_events(kernel, params, seed, path, trials):
-    """A task as plain Monte Carlo counts it: the certain outcomes as the
-    engine decides them, then every trial's row from the task's stream,
-    A_dk as drawn, in batches of ``mc._BATCH``; af2 draws with
-    ``plain_af2``, every other kernel its declared layout."""
-    if params["rate"] <= 0.0:
-        return 0
-    if params["burst"] <= 0.0:
-        return trials
-    rng = mc.derive_stream(seed, *path)
-    events = 0
-    for done in range(0, trials, mc._BATCH):
-        n = min(mc._BATCH, trials - done)
-        if kernel == "af2":
-            events += plain_af2(params, rng, n)
-        else:
-            events += rate_count(kernel, params, *layout_rows(kernel, params, rng, n))
-    return events
+def plain_task(batch_count):
+    """A stand-in for ``mc.count_events``: the certain outcomes as the
+    engine decides them, then ``batch_count(kernel, params, rng, n)`` over
+    every trial of the task's stream, in batches of ``mc._BATCH``, with no
+    screen."""
+
+    def count_events(kernel, params, seed, path, trials):
+        if params["rate"] <= 0.0:
+            return 0
+        if params["burst"] <= 0.0:
+            return trials
+        rng = mc.derive_stream(seed, *path)
+        return sum(batch_count(kernel, params, rng, min(mc._BATCH, trials - done)) for done in range(0, trials, mc._BATCH))
+
+    return count_events
 
 
-def plain_af2(params, rng, n):
-    """The af2 kernel without the screen, as it drew before: every trial's
-    complex amplitudes [d-k, d-j (m), j-k (m)], d-k phase included,
-    scaled by 1/sqrt(d^gamma), through ``af2_trial_mutual_info``."""
-    m = len(params["budgets"])
-    h = complex_links(rng.standard_normal((n, 2 * (1 + 2 * m))))
-    h *= 1.0 / np.sqrt(np.array((params["dk_pow"], *params["dj_pow"], *params["jk_pow"])))
-    mi = af2_trial_mutual_info(*received(params, h))
-    return int((mi < params["rate"]).sum())
+# Plain Monte Carlo: every trial's row in the kernel's declared layout,
+# A_dk as drawn.
+plain_count_events = plain_task(lambda kernel, params, rng, n: rate_count(kernel, params, *layout_rows(kernel, params, rng, n)))
+
+
+def agreeing_events(strategy, placement, points, seeds, reference, z, monkeypatch):
+    """Check each (rate, snr_db) point's engine event rate, at seed
+    seeds[0], against the one counted with ``reference`` in place of
+    ``mc.count_events``, at seed seeds[1]: within z pooled standard errors
+    at 2^20 or more trials per side.  Return the engine's events summed
+    over the points."""
+    num_users = placement.params.num_users
+    per_user = -(-(1 << 20) // num_users)
+    total = 0
+    for rate, snr_db in points:
+        pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
+        engine = harness.estimate_outage(strategy, placement, pc, per_user, seeds[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "count_events", reference)
+            other = harness.estimate_outage(strategy, placement, pc, per_user, seeds[1])
+        n = engine.trials
+        assert n == other.trials >= 1 << 20
+        pooled = (engine.events + other.events) / (2 * n)
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+        assert abs(engine.events - other.events) / n <= z * se, (rate, snr_db, engine, other)
+        total += engine.events
+    return total
 
 
 class TestTwoStreamLayoutOracle:
@@ -784,10 +800,9 @@ class TestTwoStreamLayoutOracle:
     rate step: event rates from independent seeds agree within 4.5 pooled
     standard errors at 2^20 or more trials per side.  The DDF kernels run
     on the rim cluster; af2 on the rim cluster and on one default-geometry
-    placement at low SNR, against the unscreened layout with the d-k
-    phase."""
+    placement at low SNR."""
 
-    THINNED_SEED, PLAIN_SEED = 1009, 2003
+    SEEDS = (1009, 2003)
     # Three SNRs per rate, where the outage runs from about 1e-4 to 0.6.
     POINTS = tuple(
         (rate, snr_db)
@@ -807,7 +822,10 @@ class TestTwoStreamLayoutOracle:
     )
     def test_event_rates_agree(self, name, num_users, mode, monkeypatch):
         strategy = parse_strategy(name, num_users, multihop_mode=mode)
-        assert self.agreeing_events(strategy, rim_cluster(num_users), self.POINTS, monkeypatch) > 1000
+        events = agreeing_events(
+            strategy, rim_cluster(num_users), self.POINTS, self.SEEDS, plain_count_events, 4.5, monkeypatch
+        )
+        assert events > 1000
 
     # Rate 5 on the rim cluster, where af2's outage runs from about 4e-4
     # to 0.04; rate 0.25 at low SNR on a placement of the default geometry.
@@ -825,49 +843,63 @@ class TestTwoStreamLayoutOracle:
             placement = rim_cluster(3)
         else:
             placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0))
-        assert self.agreeing_events(strategy, placement, self.AF2_POINTS[where], monkeypatch) > 1000
+        points = self.AF2_POINTS[where]
+        assert agreeing_events(strategy, placement, points, self.SEEDS, plain_count_events, 4.5, monkeypatch) > 1000
 
-    def agreeing_events(self, strategy, placement, points, monkeypatch):
-        """Check each point's thinned and plain event rates against each
-        other; return the thinned events summed over the points."""
-        num_users = placement.params.num_users
-        per_user = -(-(1 << 20) // num_users)
-        total = 0
-        for rate, snr_db in points:
-            pc = PowerConfig(rate=rate, user_power=10.0 ** (snr_db / 10.0))
-            thinned = harness.estimate_outage(strategy, placement, pc, per_user, self.THINNED_SEED)
-            with monkeypatch.context() as patch:
-                # Every trial is a row with its A_dk as drawn: no kernel
-                # screens, and af2 draws its d-k phase.
-                patch.setattr(mc, "count_events", plain_count_events)
-                plain = harness.estimate_outage(strategy, placement, pc, per_user, self.PLAIN_SEED)
-            n = thinned.trials
-            assert n == plain.trials >= 1 << 20
-            pooled = (thinned.events + plain.events) / (2 * n)
-            se = math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
-            assert abs(thinned.events - plain.events) / n <= 4.5 * se, (rate, snr_db, thinned, plain)
-            total += thinned.events
-        return total
+
+class TestComplexLayoutOracle:
+    """The AF kernels' exponential rows sample the outage distribution of
+    the complex layout they replaced.  The engine's event rate and the one
+    counted on the complex layout (``complex_count``: every trial, no
+    screen, an independent seed) agree within 4 pooled standard errors at
+    2^20 or more trials per side.  Cases: af2 at m = 1 (rc-af), 2 (uc2-af)
+    and 3 (uc2-af at K = 4), afmh at m = 2 (uc3-af) and 3 (uc4-af), each
+    on the rim cluster and on one placement of the default geometry."""
+
+    SEEDS = (5003, 6007)
+    # One point per place, where every case's outage lies between about
+    # 0.01 and 0.08.
+    POINTS = {"rim": ((4.0, 20),), "area": ((1.0, 0),)}
+
+    @pytest.mark.parametrize("where", ("rim", "area"))
+    @pytest.mark.parametrize(
+        "name,num_users",
+        (("rc-af", 3), ("uc2-af", 3), ("uc2-af", 4), ("uc3-af", 3), ("uc4-af", 4)),
+        ids=("af2-m1", "af2-m2", "af2-m3", "afmh-m2", "afmh-m3"),
+    )
+    def test_event_rates_agree(self, name, num_users, where, monkeypatch):
+        if where == "rim":
+            placement = rim_cluster(num_users)
+        else:
+            placement = sample_placement(GeometryParams(num_users=num_users), mc.derive_stream(1, 0, 0))
+        complex_count_events = plain_task(complex_count)
+        events = agreeing_events(
+            parse_strategy(name, num_users), placement, self.POINTS[where], self.SEEDS, complex_count_events, 4.0, monkeypatch
+        )
+        assert events > 1000
 
 
 class TestRayleighDraw:
-    """The AF kernels' complex amplitude draw."""
+    """The AF kernels' fading: a row's A is |h|^2 of a unit-power complex
+    normal gain, and af2's phase column gives the phase of H_dj H_jk."""
 
     def test_amp_sq_unit_mean(self):
-        amp_sq, _ = mc._rows("complex", 1, np.random.default_rng(9), 10**6, None)
+        amp_sq, _ = mc._rows(1, np.random.default_rng(9), 10**6, None)
         np.testing.assert_allclose(amp_sq.mean(), 1.0, atol=4e-3)
 
     def test_phase_draw_components(self):
-        """Complex amplitudes have two independent N(0, 1/2) components."""
-        _, amp = mc._rows("complex", 3, np.random.default_rng(10), 10**5, None)
+        """sqrt(A) e^{i phi}, with phi = 2 pi (1 - exp(-E)) from af2's phase
+        column, has two independent N(0, 1/2) components."""
+        _, links = mc._rows(7, np.random.default_rng(10), 10**5, None)
+        amp = np.sqrt(links[:, 2:4]) * np.exp(-2j * math.pi * np.expm1(-links[:, 4:]))
         assert amp.shape == (10**5, 2)
         np.testing.assert_allclose(amp.real.var(), 0.5, atol=1e-2)
         np.testing.assert_allclose(amp.imag.var(), 0.5, atol=1e-2)
         assert abs(np.corrcoef(amp.real[:, 0], amp.imag[:, 0])[0, 1]) < 0.01
 
     def test_links_uncorrelated(self):
-        direct, links = mc._rows("complex", 3, np.random.default_rng(12), 10**5, None)
-        amp_sq = np.column_stack((direct, np.abs(links) ** 2))
+        direct, links = mc._rows(3, np.random.default_rng(12), 10**5, None)
+        amp_sq = np.column_stack((direct, links))
         corr = np.corrcoef(amp_sq.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.01)

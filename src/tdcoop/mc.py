@@ -30,15 +30,15 @@ A task reads its stream in order, in internal batches of ``_BATCH``
 rows, so counts do not depend on the batch size; it only keeps each
 batch's draw arrays in cache.  Two outcomes are certain, and
 ``count_events`` alone decides them, before it derives a stream: at
-rate 0 no trial fails, and with a silent source (zero burst power)
-every trial does, since every rate step then gives mutual information
-0.
+rate 0 no trial fails, and with a silent source (a direct gain
+burst/dk_pow of 0) every trial does, since every rate step then gives
+mutual information 0.
 
-``_KERNELS`` declares each kernel's row layout, rate function and
-screen.  ``count_events`` alone draws, through ``_rows``: one
-``rng.exponential`` (n, columns) call per batch, the direct gain
-(column 0) conditioned by the screen's q.  A trial is in outage when the
-rate function gives mutual information strictly below the rate.
+``_KERNELS`` declares each kernel's rate function and screen.
+``count_events`` alone draws, through ``_snrs``: one ``rng.exponential``
+(n, columns) call per batch, the direct gain (column 0) conditioned by
+the screen's q.  A trial is in outage when the rate function gives
+mutual information strictly below the rate.
 
     kernel     columns at m forwarders     screen L
     mac        1                           -
@@ -59,23 +59,24 @@ protocol, the source's slot and then a second slot that its decoded
 forwarders share, so rc-ddf is uc2-ddf with the relay as its one
 forwarder; rc-af and uc2-af read the same row on af2.
 
-Every rate function takes the same 8-key parameter record (built by the
-sweep harness): ``rate``, the source's ``burst`` power, its forwarders'
-``budgets`` (the relay's under rc), the multihop ``mode`` and the
-cell's d^gamma link table -- ``dk_pow`` (destination-source),
-``dj_pow`` (destination-forwarder), ``jk_pow`` (forwarder-source) and
-``hh_pow`` (between helpers).  Each reads what its rate step needs.
-Every rate function forms each link's received SNR, the drawn A
-times the sender's power over d^gamma, and hands ``ddf`` and ``af``
-only SNRs (and af2's phases).
+A task gets an 8-key record (built by the sweep harness): ``rate``,
+the source's ``burst`` power, its forwarders' ``budgets`` (the relay's
+under rc), the multihop ``mode`` and the cell's d^gamma -- ``dk_pow``
+(destination-source), ``dj_pow`` (destination-forwarder), ``jk_pow``
+(forwarder-source), ``hh_pow`` (between helpers).  ``_snr_table`` alone
+reads the powers and d^gamma, once per task: for each received SNR,
+the draw column it reads and its gain P/d^gamma.  A batch's SNRs are
+one product of the rows' columns and the gains, so every SNR is
+A * (P/d^gamma), rounded one way.  A rate function reads only SNRs
+(and af2's phase draws, at gain 1), m, the rate and the mode.
 
 A screened kernel (L in the table) draws only the trials that the
 direct link alone may not carry.  Its destination rate is at least
-(1/L) C(A_dk * burst / dk_pow).  Every DDF rate is a weighted sum, with
-weights summing to 1, of capacities whose SNR includes the direct term.
-af2 takes half the log of det(I + P HH*), and det - 1 is a sum of
+(1/L) C(A_dk g), g the direct gain.  Every DDF rate is a weighted sum,
+with weights summing to 1, of capacities whose SNR includes the direct
+term.  af2 takes half the log of det(I + P HH*), and det - 1 is a sum of
 nonnegative terms that includes P |h_dk|^2.  A trial whose A_dk reaches
-``_direct_threshold`` (where that bound equals the rate) times 1 +
+expm1(L R ln 2) / g (where that bound equals the rate) times 1 +
 ``_SCREEN_MARGIN`` cannot be in outage; the margin covers rounding in
 the rate step.  A_dk is exponential, so the number of trials below that
 widened threshold t' is binomial with q = 1 - exp(-t'), and the
@@ -135,9 +136,23 @@ def mix64(*words) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
+class _KeyWords(np.random.bit_generator.ISeedSequence):
+    """A Philox key given word for word.  ``Philox(key=...)`` would also
+    build, and drop, a ``SeedSequence`` of fresh OS entropy."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def derive_stream(seed, *path) -> np.random.Generator:
-    """Independent generator for one index path under the given seed."""
-    return np.random.Generator(np.random.Philox(key=[int(seed) & _MASK, mix64(*path)]))
+    """Independent generator for one index path under the given seed.  The
+    Philox key words are the ones numpy makes from the list [seed, path
+    word] (README "Determinism")."""
+    words = np.asarray([int(seed) & _MASK, mix64(*path)]).astype(np.uint64)
+    return np.random.Generator(np.random.Philox(_KeyWords(words)))
 
 
 def round_targets(cap: int) -> list[int]:
@@ -163,25 +178,43 @@ def chunk_sizes(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Trial kernels.  params is the plain-data record described above, so
-# tasks pickle cheaply.  A rate function reads its rows and never writes
+# tasks pickle cheaply.  A rate function reads its SNRs and never writes
 # them; changing a layout changes results.
 
 
-def _direct_threshold(params, slots):
-    """Direct-link gain A_dk at which (1/slots) C(A_dk * burst / dk_pow)
-    equals the rate."""
-    return math.expm1(slots * params["rate"] * math.log(2.0)) * params["dk_pow"] / params["burst"]
+def _snr_table(kernel, params):
+    """The cell's SNR table: per SNR column, the draw column it reads and
+    its gain P/d^gamma, and the forwarder count m (0 for mac).  Columns:
+    the direct link, the source into each forwarder, ucmh-ddf's helper
+    pairs (h < j, row-major; one draw read as h hearing j, then as j
+    hearing h), each forwarder into the destination, then af2's phase
+    draws at m >= 2 with gain 1."""
+    burst, budgets = params["burst"], () if kernel == "mac" else params["budgets"]
+    m = len(budgets)
+    # (draw column, sender power, d^gamma) per SNR column
+    links = [(0, burst, params["dk_pow"])] + [(1 + j, burst, params["jk_pow"][j]) for j in range(m)]
+    if kernel == "ucmh-ddf":
+        hh = params["hh_pow"]
+        pairs = [(h, j) for h in range(m) for j in range(h + 1, m)]
+        for col, (h, j) in enumerate(pairs, start=1 + m):
+            links += [(col, budgets[j], hh[h][j]), (col, budgets[h], hh[j][h])]
+    dest = links[-1][0] + 1  # draw column of the first forwarder-destination link
+    links += [(dest + j, budgets[j], params["dj_pow"][j]) for j in range(m)]
+    if kernel == "af2" and m > 1:
+        links += [(dest + m + j, 1.0, 1.0) for j in range(m)]
+    columns, power, d_pow = (np.array(v) for v in zip(*links))
+    return columns, power / d_pow, m
 
 
-def _survivors(params, rng, trials, slots):
+def _survivors(rng, trials, rate, gain, slots):
     """How many of a screened task's trials the direct link alone may not
-    carry, for a kernel whose rate is at least (1/slots) C(direct), and
-    q: the chance that A_dk lies below the ``slots``-slot direct-link
-    threshold widened by ``_SCREEN_MARGIN``.
+    carry, for a kernel whose rate is at least (1/slots) C(A_dk gain), and
+    q: the chance that A_dk lies below the threshold expm1(slots R ln 2) /
+    gain, where that bound equals the rate, widened by ``_SCREEN_MARGIN``.
 
     Draws: binomial (trials, q).  Every other trial meets the rate.
     """
-    q = -math.expm1(-_direct_threshold(params, slots) * (1.0 + _SCREEN_MARGIN))
+    q = -math.expm1(-math.expm1(slots * rate * math.log(2.0)) / gain * (1.0 + _SCREEN_MARGIN))
     return int(rng.binomial(trials, q)), q
 
 
@@ -194,94 +227,68 @@ def _conditioned(e, q):
     return e
 
 
-def _rows(columns, rng, n, q):
+def _snrs(columns, gains, rng, n, q):
     """The engine's one draw: n trials' rows, ``rng.exponential`` (n,
-    columns), as (column 0, A_dk, conditioned by q; the other columns).
-    The rows are stored link-major (Fortran order), so that each column is
-    contiguous: a rate step's elementwise work on a few columns then runs
-    in long inner loops instead of loops of m elements."""
-    a = np.asfortranarray(rng.exponential(size=(n, columns)))
-    return _conditioned(a[:, 0], q), a[:, 1:]
+    width), as SNR columns, each column's draws (A_dk conditioned by q)
+    times its gain.  The gather stores them link-major (Fortran order), so
+    a rate step's elementwise work runs in long contiguous loops."""
+    snr = rng.exponential(size=(n, columns[-1] + 1))[:, columns]
+    _conditioned(snr[:, 0], q)
+    snr *= gains
+    return snr
 
 
-def _rate_uc2_ddf(params, direct, links):
+def _rate_uc2_ddf(snr, m, rate, mode):
     """Shared second slot, m forwarders: the relay under rc (m = 1), the
-    helper users under uc2.  links: A_jk (m), then A_dj (m)."""
-    rate, burst = params["rate"], params["burst"]
-    m = len(params["budgets"])
-    theta = _ddf.listen_fraction_uc2(links[:, :m] * burst / np.asarray(params["jk_pow"]), rate)
-    helper_snr = links[:, m:] * np.asarray(params["budgets"]) / np.asarray(params["dj_pow"])
-    return _ddf.trial_mutual_info_uc2(theta, direct * burst / params["dk_pow"], helper_snr)
+    helper users under uc2."""
+    theta = _ddf.listen_fraction_uc2(snr[:, 1 : m + 1], rate)
+    return _ddf.trial_mutual_info_uc2(theta, snr[:, 0], snr[:, m + 1 :])
 
 
-def _rate_ucmh_ddf(params, direct, links):
-    """Greedy multihop chain, m helpers (L = m + 1 slots).  links:
-    helper-hears-source (m), helper pairs (h < j, row-major; one fading
-    draw for both directions), destination from helpers (m).  The
-    schedule and the destination rate work trial by trial (a stage loop
-    that ends early skips only stages no trial has time left for).
-    Helper h hears the source at burst / jk_pow[h] and helper j at the
-    unboosted budgets[j] / hh_pow[h][j]; only the destination rate
-    boosts a forwarder by 1 / (its remaining time).
-    """
-    rate, burst, budgets = params["rate"], params["burst"], params["budgets"]
-    m = len(budgets)
-    npairs = m * (m - 1) // 2
+def _rate_ucmh_ddf(snr, m, rate, mode):
+    """Greedy multihop chain, m helpers (L = m + 1 slots), trial by trial
+    (a stage loop that ends early skips only stages no trial has time
+    left for).  A helper hears another at its unboosted budget; only the
+    destination rate boosts a forwarder by 1 / (its remaining time)."""
     # Helper-major (m, L, n) SNRs, the layout the schedule's stage loop
     # reads; a helper's link to itself stays 0.
-    recv = np.zeros((m, m + 1, len(direct)))
-    recv[:, 0] = links[:, :m].T * np.divide(burst, params["jk_pow"])[:, None]
-    col = m
+    recv = np.zeros((m, m + 1, len(snr)))
+    recv[:, 0] = snr[:, 1 : m + 1].T
+    col = m + 1
     for h in range(m):
         for j in range(h + 1, m):
-            np.multiply(links[:, col], budgets[j] / params["hh_pow"][h][j], out=recv[h, j + 1])
-            np.multiply(links[:, col], budgets[h] / params["hh_pow"][j][h], out=recv[j, h + 1])
-            col += 1
-    dest = np.empty((len(direct), m + 1))
-    dest[:, 0] = direct * (burst / params["dk_pow"])
-    dest[:, 1:] = links[:, m + npairs :] * np.divide(budgets, params["dj_pow"])
-    sched = _ddf.multihop_schedule(recv, rate, mode=params["mode"])
-    return _ddf.trial_mutual_info_multihop(sched, dest)
+            recv[h, j + 1], recv[j, h + 1] = snr[:, col], snr[:, col + 1]
+            col += 2
+    sched = _ddf.multihop_schedule(recv, rate, mode=mode)
+    return _ddf.trial_mutual_info_multihop(sched, snr[:, [0, *range(col, col + m)]])
 
 
-def _af_inputs(params, direct, links):
-    """An AF closed form's received SNRs, formed as the DDF rate functions
-    form them: the direct SNR, then A_dj (m) at each budget over dj_pow
-    and A_jk (m) at the burst over jk_pow.  Helpers never hear each
-    other."""
-    burst, m = params["burst"], len(params["budgets"])
-    dj_snr = links[:, m : 2 * m] * np.asarray(params["budgets"]) / np.asarray(params["dj_pow"])
-    jk_snr = links[:, :m] * burst / np.asarray(params["jk_pow"])
-    return direct * (burst / params["dk_pow"]), dj_snr, jk_snr
-
-
-def _rate_af2(params, direct, links):
+def _rate_af2(snr, m, rate, mode):
     """All helpers forward in one second slot; at m >= 2 the phases
-    phi_j = 2 pi (1 - exp(-E_j)) come from the row's last m columns."""
-    m = len(params["budgets"])
-    phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if m > 1 else None
-    return _af.af2_trial_mutual_info(*_af_inputs(params, direct, links), phase)
+    phi_j = 2 pi (1 - exp(-E_j)) come from the last m columns."""
+    phase = -2.0 * math.pi * np.expm1(-snr[:, 2 * m + 1 :]) if m > 1 else None
+    return _af.af2_trial_mutual_info(snr[:, 0], snr[:, m + 1 : 2 * m + 1], snr[:, 1 : m + 1], phase)
 
 
-def _rate_afmh(params, direct, links):
+def _rate_afmh(snr, m, rate, mode):
     """One helper per slot."""
-    return _af.afmh_trial_mutual_info(*_af_inputs(params, direct, links))
+    return _af.afmh_trial_mutual_info(snr[:, 0], snr[:, m + 1 :], snr[:, 1 : m + 1])
 
 
-def _rate_mac(params, direct, links):
+def _rate_mac(snr, m, rate, mode):
     """The direct link alone, one slot."""
-    return _ddf.capacity(direct * (params["burst"] / params["dk_pow"]))
+    return _ddf.capacity(snr[:, 0])
 
 
-# kernel -> (columns at m forwarders, rate function, screen slot count L
-# or None): the table in the module docstring.
+# kernel -> (rate function, screen slot count L or None): the table in
+# the module docstring.
 _KERNELS = {
-    "mac": (lambda m: 1, _rate_mac, None),
-    "rc-ddf": (lambda m: 1 + 2 * m, _rate_uc2_ddf, 1),
-    "uc2-ddf": (lambda m: 1 + 2 * m, _rate_uc2_ddf, 1),
-    "ucmh-ddf": (lambda m: 1 + 2 * m + m * (m - 1) // 2, _rate_ucmh_ddf, 1),
-    "af2": (lambda m: 1 + 2 * m if m == 1 else 1 + 3 * m, _rate_af2, 2),
-    "afmh": (lambda m: 1 + 2 * m, _rate_afmh, None),
+    "mac": (_rate_mac, None),
+    "rc-ddf": (_rate_uc2_ddf, 1),
+    "uc2-ddf": (_rate_uc2_ddf, 1),
+    "ucmh-ddf": (_rate_ucmh_ddf, 1),
+    "af2": (_rate_af2, 2),
+    "afmh": (_rate_afmh, None),
 }
 
 
@@ -289,28 +296,28 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     """Outage events in one task, read from the task's one stream (keyed
     by path) in internal batches.
 
-    At rate 0 no trial fails and at zero burst power every trial does;
-    either count returns before the stream is derived.  Otherwise a
-    screened task (slot count L in ``_KERNELS``) first draws its
-    survivor count and q (``_survivors``) and then one row per survivor,
-    with the direct gain conditioned by q; mac and afmh read one row per
-    trial (q is None).  Rows are read trial-major, so the count is the
-    same for any batch size."""
-    columns, rate_of, slots = _KERNELS[kernel]
+    At rate 0 no trial fails and at a direct gain of 0 (zero burst power)
+    every trial does; either count returns before the stream is derived.
+    Otherwise a screened task (slot count L in ``_KERNELS``) first draws
+    its survivor count and q (``_survivors``) and then one row per
+    survivor, with the direct draw conditioned by q; mac and afmh read one
+    row per trial (q is None).  Rows are read trial-major, so the count
+    is the same for any batch size."""
+    rate_of, slots = _KERNELS[kernel]
     rate = params["rate"]
     if rate <= 0.0:
         return 0
-    if params["burst"] <= 0.0:
+    columns, gains, m = _snr_table(kernel, params)
+    if gains[0] <= 0.0:
         return trials
     rng = derive_stream(seed, *path)
     q = None
     if slots is not None:
-        trials, q = _survivors(params, rng, trials, slots)
-    width = columns(len(params["budgets"]))
+        trials, q = _survivors(rng, trials, rate, gains[0], slots)
     events = 0
     for done in range(0, trials, _BATCH):
-        direct, links = _rows(width, rng, min(_BATCH, trials - done), q)
-        events += int((rate_of(params, direct, links) < rate).sum())
+        snr = _snrs(columns, gains, rng, min(_BATCH, trials - done), q)
+        events += int((rate_of(snr, m, rate, params.get("mode")) < rate).sum())
     return events
 
 

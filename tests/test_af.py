@@ -360,14 +360,15 @@ class TestClosedFormRates:
                 np.testing.assert_allclose(af2_trial_mutual_info(*snrs, phase + turn), base, rtol=1e-12, atol=0.0)
             with pytest.raises(ValueError):
                 af2_trial_mutual_info(*snrs)
-        columns, rate_of, _ = mc._KERNELS["af2"]
-        assert columns(1) == 3
+        rate_of, _ = mc._KERNELS["af2"]
         params = dict(
             rate=1.0, burst=3.0, budgets=(1.2,), dk_pow=0.9**4, dj_pow=(0.8**4,), jk_pow=(0.5**4,)
         )
+        columns, gains, m = mc._snr_table("af2", params)
+        assert m == 1 and columns.tolist() == [0, 1, 2]
         row = rng.exponential(size=(n, 3))
-        snrs = (row[:, 0] * (3.0 / 0.9**4), row[:, 2:] * 1.2 / 0.8**4, row[:, 1:2] * 3.0 / 0.5**4)
-        np.testing.assert_array_equal(rate_of(params, row[:, 0], row[:, 1:]), af2_trial_mutual_info(*snrs))
+        snrs = (row[:, 0] * (3.0 / 0.9**4), row[:, 2:] * (1.2 / 0.8**4), row[:, 1:2] * (3.0 / 0.5**4))
+        np.testing.assert_array_equal(rate_of(row * gains, 1, 1.0, None), af2_trial_mutual_info(*snrs))
         np.testing.assert_allclose(
             af2_trial_mutual_info(*snrs, rng.uniform(0.0, 2.0 * math.pi, size=(n, 1))),
             af2_trial_mutual_info(*snrs),

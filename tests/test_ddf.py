@@ -388,14 +388,15 @@ def oracle_count_events(params, seed, path, trials):
     drawn in one piece, trial-major link arrays, the scatter schedule.
 
     The stream gives the task's survivor count, binomial (trials, q) with
-    q = 1 - exp(-t') and t' the widened direct-link threshold, then one
-    row per survivor: A_dk given A_dk < t' by inversion, then the
-    forwarder links."""
+    q = 1 - exp(-t') and t' the direct-link threshold expm1(R ln 2) over
+    the direct gain burst / dk_pow, widened, then one row per survivor:
+    A_dk given A_dk < t' by inversion, then the forwarder links."""
     recv_coef, dest_coef = oracle_coefficients(params)
     m, L = recv_coef.shape
     npairs = m * (m - 1) // 2
     rng = mc.derive_stream(seed, *path)
-    q = -math.expm1(-mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN))
+    threshold = math.expm1(params["rate"] * math.log(2.0)) / (params["burst"] / params["dk_pow"])
+    q = -math.expm1(-threshold * (1.0 + mc._SCREEN_MARGIN))
     rows = rng.exponential(size=(rng.binomial(trials, q), 1 + m + npairs + m))
     a_dk = -np.log1p(q * np.expm1(-rows[:, 0]))
     a = rows[:, 1:]

@@ -7,7 +7,9 @@ here in detail.
 
 import math
 import multiprocessing
+import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,53 @@ class TestDeriveStream:
         a = mc.derive_stream(9, 1).standard_normal(8)
         b = mc.derive_stream(10, 1).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_key_words_are_the_ones_numpy_makes_from_the_list(self, monkeypatch):
+        """On 20,000 keys the Philox state equals that of
+        ``Philox(key=[seed, path word])``, whose list numpy turns into
+        float64 when it straddles 2^63: seeds and path words near 0, 2^53,
+        2^63 and 2^64 and random ones across the 64-bit range.  The path
+        word is given as it is (``mix64`` stands aside)."""
+        monkeypatch.setattr(mc, "mix64", lambda word: word)
+        corners = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 5, 2**64 - 1]
+        rng = np.random.default_rng(59)
+        words = [int(w) for w in rng.integers(0, 2**64, size=2 * 19_900, dtype=np.uint64)]
+        words += [int(w) for w in rng.integers(0, 2**53, size=2 * 100)]
+        keys = [(a, b) for a in corners for b in corners] + list(zip(words[::2], words[1::2]))
+        assert len(keys) >= 20_000
+        with np.errstate(invalid="ignore"):
+            for seed, word in keys:
+                got = mc.derive_stream(seed, word).bit_generator.state
+                want = np.random.Philox(key=[seed, word]).state
+                assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+                for name in ("counter", "key"):
+                    assert np.array_equal(got["state"][name], want["state"][name]), (seed, word)
+                for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+                    assert np.array_equal(got[name], want[name]), (seed, word)
+
+    def test_reads_no_os_entropy(self):
+        """Deriving a stream never calls ``SystemRandom.getrandbits``, which
+        ``Philox(key=...)`` calls for a seed sequence it then drops."""
+        target = random.SystemRandom.getrandbits.__code__
+
+        def getrandbits_calls(derive):
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is target:
+                    calls.append(event)
+
+            sys.setprofile(profile)
+            try:
+                for i in range(100):
+                    derive(9, i)
+            finally:
+                sys.setprofile(None)
+            return len(calls)
+
+        # The probe sees the calls that Philox(key=...) makes.
+        assert getrandbits_calls(lambda seed, i: np.random.Philox(key=[seed, i])) >= 100
+        assert getrandbits_calls(mc.derive_stream) == 0
 
 
 class TestRoundTargets:
@@ -165,8 +214,8 @@ class TestCountEvents:
         idle = dict(KERNEL_PARAMS[kernel], rate=0.0)
         silent = dict(KERNEL_PARAMS[kernel], burst=0.0)
         for params, certain in ((idle, 0), (silent, 5000)):
-            rows = layout_rows(kernel, params, np.random.default_rng(3), 5000)
-            assert rate_count(kernel, params, *rows) == certain
+            snr = layout_snrs(kernel, params, np.random.default_rng(3), 5000)
+            assert rate_count(kernel, params, snr) == certain
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "derive_stream", lambda seed, *path: NoDraws())
                 assert mc.count_events(kernel, params, 5, (0,), 5000) == certain
@@ -210,17 +259,40 @@ def scaled(params, rate, snr_db):
     return dict(params, rate=rate, burst=params["burst"] * scale, budgets=budgets)
 
 
-def layout_rows(kernel, params, rng, n, q=None):
-    """n trials' (direct gain, links) in the kernel's declared layout, drawn
-    from rng as the engine draws them."""
-    columns, _, _ = mc._KERNELS[kernel]
-    return mc._rows(columns(len(params["budgets"])), rng, n, q)
+def direct_threshold(params, slots):
+    """The documented screen threshold, read from the record: the direct
+    draw A_dk at which (1/slots) C(A_dk * burst / dk_pow) equals the rate,
+    expm1(slots R ln 2) over the direct gain burst / dk_pow."""
+    return math.expm1(slots * params["rate"] * math.log(2.0)) / (params["burst"] / params["dk_pow"])
 
 
-def rate_count(kernel, params, direct, links):
-    """Outage count of rows handed straight to the kernel's rate function."""
-    rate_of = mc._KERNELS[kernel][1]
-    return int((rate_of(params, direct, links) < params["rate"]).sum())
+def layout_rows(kernel, params, rng, n):
+    """n trials' unconditioned rows in the kernel's declared layout, one
+    ``exponential`` (n, width) draw with the width of the cell's SNR
+    table."""
+    columns, _, _ = mc._snr_table(kernel, params)
+    return rng.exponential(size=(n, columns[-1] + 1))
+
+
+def row_snrs(kernel, params, rows):
+    """The received SNRs of rows [A_dk, links...]: the cell's SNR table's
+    product rows[:, columns] * gains."""
+    columns, gains, _ = mc._snr_table(kernel, params)
+    return rows[:, columns] * gains
+
+
+def layout_snrs(kernel, params, rng, n, q=None):
+    """n trials' received SNRs as the engine forms them from rng, the
+    direct draw conditioned by q."""
+    columns, gains, _ = mc._snr_table(kernel, params)
+    return mc._snrs(columns, gains, rng, n, q)
+
+
+def rate_count(kernel, params, snr):
+    """Outage count of SNRs handed straight to the kernel's rate function."""
+    rate_of, _ = mc._KERNELS[kernel]
+    m = mc._snr_table(kernel, params)[2]
+    return int((rate_of(snr, m, params["rate"], params["mode"]) < params["rate"]).sum())
 
 
 def slogdet_count(kernel, params, gains):
@@ -273,7 +345,7 @@ def documented_rows(kernel, params, seed, path, trials, cols):
         survivors = trials
     else:
         slots = 2 if kernel == "af2" else 1
-        q = -math.expm1(-mc._direct_threshold(params, slots) * (1.0 + mc._SCREEN_MARGIN))
+        q = -math.expm1(-direct_threshold(params, slots) * (1.0 + mc._SCREEN_MARGIN))
         survivors = rng.binomial(trials, q)
     return rng.exponential(size=(survivors, cols)), q
 
@@ -287,15 +359,15 @@ def unscreened_count(kernel, params, rows, q=None):
     """The outage count of the table's trials, in one batch.
 
     Rows [A_dk, links...] have column 0 conditioned by q.  DDF rows run
-    through the kernel's rate step; af2 rows become complex gains with
-    their magnitudes and phases, and the count comes from the general
-    log-det."""
+    through the kernel's rate step on their received SNRs; af2 rows
+    become complex gains with their magnitudes and phases, and the count
+    comes from the general log-det."""
     if not len(rows):
         return 0
-    direct, links = truncated(rows[:, 0], q), rows[:, 1:]
+    rows = np.column_stack((truncated(rows[:, 0], q), rows[:, 1:]))
     if kernel == "af2":
-        return slogdet_count(kernel, params, af_row_gains(params, direct, links))
-    return rate_count(kernel, params, direct, links)
+        return slogdet_count(kernel, params, af_row_gains(params, rows[:, 0], rows[:, 1:]))
+    return rate_count(kernel, params, row_snrs(kernel, params, rows))
 
 
 class TestDirectScreen:
@@ -308,8 +380,8 @@ class TestDirectScreen:
         kept = []
         survivors = mc._survivors
 
-        def spy(params, rng, trials, slots):
-            out = survivors(params, rng, trials, slots)
+        def spy(rng, trials, rate, gain, slots):
+            out = survivors(rng, trials, rate, gain, slots)
             kept.append((trials, out[0]))
             return out
 
@@ -401,7 +473,7 @@ class TestDirectScreen:
         af2 rows keep their random phase columns."""
         kernel, record, cols = SCREENED[case]
         params = scaled(record, rate, snr_db)
-        cut = mc._direct_threshold(params, 2 if kernel == "af2" else 1) * factor
+        cut = direct_threshold(params, 2 if kernel == "af2" else 1) * factor
         steps = [cut]
         for _ in range(4):
             steps.append(np.nextafter(steps[-1], np.inf))
@@ -414,7 +486,8 @@ class TestDirectScreen:
             fwd[:, 0, m : 2 * m] = 1e24
         else:
             fwd[:, 0] = 0.0
-        return rate_count(kernel, params, a_dk, fwd.reshape(-1, cols - 1))
+        rows = np.column_stack((a_dk, fwd.reshape(-1, cols - 1)))
+        return rate_count(kernel, params, row_snrs(kernel, params, rows))
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_dropped_rows_meet_the_rate(self, case):
@@ -460,34 +533,37 @@ class TestRateFunctions:
 
     @pytest.mark.parametrize("case", sorted(RATE_CASES))
     def test_rate_nondecreasing_in_the_direct_gain(self, case):
-        """Raising column 0 of random rows, by an ulp up to a factor 1e4,
-        never lowers the rate by more than 1e-12 relative, and a rate
-        function leaves its rows as they were."""
+        """Raising the direct SNR (column 0) of random SNR rows, by an ulp
+        up to a factor 1e4, never lowers the rate by more than 1e-12
+        relative, and a rate function leaves its SNRs as they were."""
         kernel, record = RATE_CASES[case]
-        rate_of = mc._KERNELS[kernel][1]
+        rate_of, _ = mc._KERNELS[kernel]
         rng = np.random.default_rng(43)
         for rate in (0.25, 1.0, 4.0, 9.0):
             for snr_db in (-10, 0, 10, 20, 30, 40, 50):
                 params = scaled(record, rate, snr_db)
-                direct, links = layout_rows(kernel, params, rng, 3000)
-                direct[:500] = 0.0
-                raised = direct * 10.0 ** rng.uniform(0.0, 4.0, len(direct)) + rng.exponential(1e-3, len(direct))
-                raised[250:750] = np.nextafter(direct[250:750], np.inf)
-                rows = direct.copy(), links.copy()
-                low = rate_of(params, direct, links)
-                high = rate_of(params, raised, links)
-                assert np.array_equal(direct, rows[0]) and np.array_equal(links, rows[1])
+                m = mc._snr_table(kernel, params)[2]
+                snr = layout_snrs(kernel, params, rng, 3000)
+                snr[:500, 0] = 0.0
+                raised = snr.copy()
+                raised[:, 0] = snr[:, 0] * 10.0 ** rng.uniform(0.0, 4.0, len(snr)) + rng.exponential(1e-3, len(snr))
+                raised[250:750, 0] = np.nextafter(snr[250:750, 0], np.inf)
+                before = snr.copy(), raised.copy()
+                low = rate_of(snr, m, rate, params["mode"])
+                high = rate_of(raised, m, rate, params["mode"])
+                assert np.array_equal(snr, before[0]) and np.array_equal(raised, before[1])
                 assert np.all(high >= low - 1e-12 * np.abs(low)), (rate, snr_db)
                 assert np.any(high > low), (rate, snr_db)
 
     @pytest.mark.parametrize("case", sorted(RECEIVED_CASES))
     def test_rate_reads_only_received_snrs(self, case):
         """Scaling the burst, dk_pow and jk_pow by one factor and the
-        budgets, dj_pow and hh_pow by another keeps every received SNR,
-        so the rate function gives the same mutual information on the
-        same rows, to 1e-12 relative."""
+        budgets, dj_pow and hh_pow by another keeps the SNR table: the
+        same columns and forwarder count, every gain P/d^gamma to 1e-15
+        relative, and so the rate function's mutual information on the
+        same draws to 1e-12 relative."""
         kernel, record = RECEIVED_CASES[case]
-        rate_of = mc._KERNELS[kernel][1]
+        rate_of, _ = mc._KERNELS[kernel]
         rng = np.random.default_rng(47)
         for source, forwarder in ((10.0**0.37, 10.0**-1.3), (10.0**-2.1, 10.0**1.7)):
             for rate in (0.25, 1.0, 4.0):
@@ -502,10 +578,15 @@ class TestRateFunctions:
                         dj_pow=tuple(p * forwarder for p in params["dj_pow"]),
                         hh_pow=tuple(tuple(p * forwarder for p in row) for row in params["hh_pow"]),
                     )
-                    direct, links = layout_rows(kernel, params, rng, 2000)
-                    want = rate_of(params, direct, links)
+                    columns, gains, m = mc._snr_table(kernel, params)
+                    moved_columns, moved_gains, moved_m = mc._snr_table(kernel, moved)
+                    assert np.array_equal(moved_columns, columns) and moved_m == m
+                    np.testing.assert_allclose(moved_gains, gains, rtol=1e-15, atol=0.0)
+                    rows = layout_rows(kernel, params, rng, 2000)
+                    want = rate_of(rows[:, columns] * gains, m, rate, params["mode"])
                     assert np.all(want > 0.0)
-                    np.testing.assert_allclose(rate_of(moved, direct, links), want, rtol=1e-12, atol=0.0)
+                    got = rate_of(rows[:, columns] * moved_gains, m, rate, params["mode"])
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def layout_table(rows):
@@ -522,12 +603,19 @@ def layout_table(rows):
     return out
 
 
+def draw_width(kernel, record):
+    """Columns of a kernel's row: the draw width of its SNR table."""
+    return int(mc._snr_table(kernel, record)[0][-1]) + 1
+
+
 def test_layout_tables_match_the_kernels():
     """The layout tables of the ``mc`` docstring and of README
-    "Determinism" both say what ``mc._KERNELS`` declares."""
+    "Determinism" both give the draw widths of the kernels' SNR tables
+    at m = 1, 2 and 3 forwarders and the screens ``mc._KERNELS``
+    declares."""
     want = {
-        kernel: (tuple(columns(m) for m in (1, 2, 3)), slots)
-        for kernel, (columns, _, slots) in mc._KERNELS.items()
+        kernel: (tuple(draw_width(kernel, record) for record in (RECORD1, RECORD, RECORD3)), slots)
+        for kernel, (_, slots) in mc._KERNELS.items()
     }
     doc = mc.__doc__.splitlines()
     top = next(i for i, line in enumerate(doc) if line.split()[:2] == ["kernel", "columns"])
@@ -538,6 +626,50 @@ def test_layout_tables_match_the_kernels():
     end = readme.index("", top)
     cells = ([cell.strip() for cell in line.strip("|").split("|")] for line in readme[top + 2 : end])
     assert layout_table(cells) == want
+
+
+def documented_snrs(kernel, record, rng, n):
+    """n trials' received SNRs, read from the record apart from ``mc``:
+    one row of exponentials per trial, A_dk, then A_jk (m), ucmh-ddf's
+    helper pairs, A_dj (m) and af2's phase draws at m >= 2, and each draw
+    times its sender's power over the link's d^gamma.  The columns: the
+    direct link, the source into each forwarder, the helper pairs (h < j,
+    row-major; h hearing j at budgets[j], then j hearing h at
+    budgets[h]), each forwarder into the destination, then the phase
+    draws as they are.  mac has no forwarder."""
+    m = 0 if kernel == "mac" else len(record["budgets"])
+    burst, budgets = record["burst"], record["budgets"]
+    pairs = m * (m - 1) // 2 if kernel == "ucmh-ddf" else 0
+    phases = m if kernel == "af2" and m > 1 else 0
+    draws = iter(rng.exponential(size=(n, 1 + 2 * m + pairs + phases)).T)
+    out = [next(draws) * burst / record["dk_pow"]]
+    out += [next(draws) * burst / record["jk_pow"][j] for j in range(m)]
+    if kernel == "ucmh-ddf":
+        for h in range(m):
+            for j in range(h + 1, m):
+                a = next(draws)
+                out += [a * budgets[j] / record["hh_pow"][h][j], a * budgets[h] / record["hh_pow"][j][h]]
+    out += [next(draws) * budgets[j] / record["dj_pow"][j] for j in range(m)]
+    out += [next(draws) for _ in range(phases)]
+    return np.column_stack(out)
+
+
+# Unequal budgets and one-way d^gamma between helpers, so that a pair
+# read in the wrong direction moves its SNR.
+SKEWED3 = dict(RECORD3, hh_pow=((0.0, 0.5, 0.4), (0.45, 0.0, 0.3), (0.35, 0.25, 0.0)))
+
+
+@pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3, SKEWED3), ids=("m1", "m2", "m3", "m3-skewed"))
+@pytest.mark.parametrize("kernel", sorted(mc._KERNELS))
+def test_snr_table_reads_each_link(kernel, record):
+    """Every SNR column the engine forms from a stream is its draw times
+    the sender's power over d^gamma, read from the record apart from
+    ``mc``, to 1e-15 relative, on rows of the same width.  mac reads only
+    the direct link although its record lists budgets."""
+    snr = layout_snrs(kernel, record, np.random.default_rng(53), 500)
+    want = documented_snrs(kernel, record, np.random.default_rng(53), 500)
+    assert snr.shape == want.shape
+    np.testing.assert_allclose(snr, want, rtol=1e-15, atol=0.0)
 
 
 def ks_two_sample(a, b):
@@ -568,17 +700,38 @@ class TestConditionedDirectGain:
         burst = math.expm1(slots * math.log(2.0)) * (1.0 + mc._SCREEN_MARGIN) / widened
         return dict(RECORD1, rate=1.0, dk_pow=1.0, burst=burst)
 
+    @staticmethod
+    def conditioned_draws(kernel, params, seed, n, q, monkeypatch):
+        """The direct draws E of n trials' SNRs formed from
+        default_rng(seed) with the screen's q, before and after
+        ``mc._conditioned``, and the SNRs."""
+        seen = []
+        conditioned = mc._conditioned
+
+        def spy(e, q):
+            # Copies: the engine works on these arrays in place.
+            seen.append(e.copy())
+            out = conditioned(e, q)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(mc, "_conditioned", spy)
+        snr = layout_snrs(kernel, params, np.random.default_rng(seed), n, q)
+        return (*seen, snr)
+
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
-    def test_truncated_exponential(self, q):
+    def test_truncated_exponential(self, q, monkeypatch):
         """Every value lies in [0, t'), and the empirical CDF matches
         (1 - e^-x)/q: the Kolmogorov-Smirnov distance stays below its 1 %
-        critical value, 1.63/sqrt(n)."""
+        critical value, 1.63/sqrt(n).  mac's one SNR column is x times
+        burst / dk_pow."""
         params = self.params_for(q, 1)
-        cut = mc._direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN)
+        cut = direct_threshold(params, 1) * (1.0 + mc._SCREEN_MARGIN)
         q = -math.expm1(-cut)
         n = 200_000
-        x, links = layout_rows("mac", params, np.random.default_rng(31), n, q)
-        assert x.shape == (n,) and links.shape == (n, 0) and x.min() >= 0.0 and x.max() < cut
+        _, x, snr = self.conditioned_draws("mac", params, 31, n, q, monkeypatch)
+        assert x.shape == (n,) and snr.shape == (n, 1) and x.min() >= 0.0 and x.max() < cut
+        np.testing.assert_array_equal(snr[:, 0], x * (params["burst"] / params["dk_pow"]))
         assert ks_truncated(x, q) < 1.63 / math.sqrt(n)
 
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
@@ -589,22 +742,10 @@ class TestConditionedDirectGain:
         1.63 sqrt(2/n).  E lies in [0, t') after it and passes the same KS
         check."""
         params = self.params_for(q, 2)
-        cut = mc._direct_threshold(params, 2) * (1.0 + mc._SCREEN_MARGIN)
+        cut = direct_threshold(params, 2) * (1.0 + mc._SCREEN_MARGIN)
         q = -math.expm1(-cut)
-        seen = []
-        conditioned = mc._conditioned
-
-        def spy(e, q):
-            # Copies: the kernel works on these arrays in place.
-            seen.append(e.copy())
-            out = conditioned(e, q)
-            seen.append(out.copy())
-            return out
-
-        monkeypatch.setattr(mc, "_conditioned", spy)
         n = 200_000
-        layout_rows("af2", params, np.random.default_rng(37), n, q)
-        e, x = seen
+        e, x, _ = self.conditioned_draws("af2", params, 37, n, q, monkeypatch)
         np.testing.assert_array_equal(e, np.random.default_rng(37).exponential(size=(n, 3))[:, 0])
         parts = np.random.default_rng(38).standard_normal((n, 2))
         assert ks_two_sample(e, 0.5 * (parts[:, 0] ** 2 + parts[:, 1] ** 2)) < 1.63 * math.sqrt(2.0 / n)
@@ -614,24 +755,25 @@ class TestConditionedDirectGain:
     def test_zero_burst_keeps_the_draw(self):
         """With q None (no screen) every row keeps A_dk as drawn: the
         reference path on which the tests run a kernel's rate step."""
-        direct, links = layout_rows("uc2-ddf", RECORD, np.random.default_rng(5), 100)
-        got = np.column_stack((direct, links))
-        np.testing.assert_array_equal(got, np.random.default_rng(5).exponential(size=(100, 5)))
+        snr = layout_snrs("uc2-ddf", RECORD, np.random.default_rng(5), 100)
+        want = row_snrs("uc2-ddf", RECORD, np.random.default_rng(5).exponential(size=(100, 5)))
+        np.testing.assert_array_equal(snr, want)
 
 
 def count_rc_ddf(params, rng, n, q):
     """The one-forwarder DDF kernel that rc-ddf ran on before it shared the
     uc2 kernel, on the one-stream layout.  Draws: n surviving rows
     [A_dk, A_rk, A_dr], exponential (n, 3) with A_dk conditioned by q;
-    the rows go through the one-forwarder rate references."""
+    the rows go through the one-forwarder rate references, each SNR
+    formed as the engine forms it, A * (P / d^gamma)."""
     rate, burst = params["rate"], params["burst"]
     a = rng.exponential(size=(n, 3))
     a[:, 0] = truncated(a[:, 0], q)
-    theta = listen_fraction_rc(a[:, 1] * burst / params["jk_pow"][0], rate)
+    theta = listen_fraction_rc(a[:, 1] * (burst / params["jk_pow"][0]), rate)
     mi = trial_mutual_info_rc(
         theta,
-        a[:, 0] * burst / params["dk_pow"],
-        a[:, 2] * params["budgets"][0] / params["dj_pow"][0],
+        a[:, 0] * (burst / params["dk_pow"]),
+        a[:, 2] * (params["budgets"][0] / params["dj_pow"][0]),
     )
     return int((mi < rate).sum())
 
@@ -640,11 +782,13 @@ class TestRelayOnSharedSlotKernel:
     """rc-ddf is uc2-ddf with the relay as the one forwarder."""
 
     def test_one_kernel(self):
-        rc_columns, rc_rate, rc_slots = mc._KERNELS["rc-ddf"]
-        uc2_columns, uc2_rate, uc2_slots = mc._KERNELS["uc2-ddf"]
+        rc_rate, rc_slots = mc._KERNELS["rc-ddf"]
+        uc2_rate, uc2_slots = mc._KERNELS["uc2-ddf"]
         assert rc_rate is uc2_rate
         assert rc_slots == uc2_slots
-        assert [rc_columns(m) for m in (1, 2, 3)] == [uc2_columns(m) for m in (1, 2, 3)]
+        for record in (RECORD1, RECORD, RECORD3):
+            rc_table, uc2_table = mc._snr_table("rc-ddf", record), mc._snr_table("uc2-ddf", record)
+            assert all(np.array_equal(a, b) for a, b in zip(rc_table, uc2_table))
 
     @pytest.mark.parametrize("rate", (0.0, 0.25, 1.0, 9.0))
     @pytest.mark.parametrize(
@@ -663,7 +807,7 @@ class TestRelayOnSharedSlotKernel:
             want = 0
             # At rate 0 the task has no survivor step.
             if rate > 0.0:
-                survivors, q = mc._survivors(params, rng, trials, 1)
+                survivors, q = mc._survivors(rng, trials, rate, params["burst"] / params["dk_pow"], 1)
                 for start in range(0, survivors, mc._BATCH):
                     want += count_rc_ddf(params, rng, min(mc._BATCH, survivors - start), q)
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
@@ -696,25 +840,25 @@ class TestOneAfCountFunction:
     in af2's phase columns at m >= 2 and in af2's screen."""
 
     def test_one_function(self):
-        """Each AF rate function is its closed form on the received SNRs of
-        one exponential row, direct * (burst / dk_pow), A_dj * budget /
-        dj_pow and A_jk * burst / jk_pow; af2 at m >= 2 also reads the
-        phases 2 pi (1 - exp(-E_j)) of its last m columns."""
-        af2_columns, af2_rate, _ = mc._KERNELS["af2"]
-        afmh_columns, afmh_rate, _ = mc._KERNELS["afmh"]
+        """afmh's SNR table is af2's without the phase columns, and each AF
+        rate function is its closed form on the table's received SNRs:
+        the direct SNR, the forwarders into the destination and the source
+        into the forwarders; af2 at m >= 2 also reads the phases
+        2 pi (1 - exp(-E_j)) of its last m columns."""
+        af2_rate, _ = mc._KERNELS["af2"]
+        afmh_rate, _ = mc._KERNELS["afmh"]
         for record in (RECORD1, RECORD, RECORD3):
             m = len(record["budgets"])
-            assert afmh_columns(m) == 1 + 2 * m
-            assert af2_columns(m) == (1 + 2 * m if m == 1 else 1 + 3 * m)
-            direct, links = layout_rows("af2", record, np.random.default_rng(41), 1000)
-            snrs = (
-                direct * (record["burst"] / record["dk_pow"]),
-                links[:, m : 2 * m] * np.asarray(record["budgets"]) / np.asarray(record["dj_pow"]),
-                links[:, :m] * record["burst"] / np.asarray(record["jk_pow"]),
-            )
-            phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if m > 1 else None
-            np.testing.assert_array_equal(af2_rate(record, direct, links), af2_trial_mutual_info(*snrs, phase))
-            np.testing.assert_array_equal(afmh_rate(record, direct, links[:, : 2 * m]), afmh_trial_mutual_info(*snrs))
+            af2_columns, af2_gains, _ = mc._snr_table("af2", record)
+            afmh_columns, afmh_gains, _ = mc._snr_table("afmh", record)
+            assert len(af2_columns) == (3 if m == 1 else 1 + 3 * m)
+            assert np.array_equal(af2_columns[: 2 * m + 1], afmh_columns)
+            assert np.array_equal(af2_gains[: 2 * m + 1], afmh_gains) and np.all(af2_gains[2 * m + 1 :] == 1.0)
+            snr = layout_snrs("af2", record, np.random.default_rng(41), 1000)
+            snrs = (snr[:, 0], snr[:, m + 1 : 2 * m + 1], snr[:, 1 : m + 1])
+            phase = -2.0 * math.pi * np.expm1(-snr[:, 2 * m + 1 :]) if m > 1 else None
+            np.testing.assert_array_equal(af2_rate(snr, m, 1.0, None), af2_trial_mutual_info(*snrs, phase))
+            np.testing.assert_array_equal(afmh_rate(snr[:, : 2 * m + 1], m, 1.0, None), afmh_trial_mutual_info(*snrs))
 
     @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
     def test_afmh_counts_as_its_complex_direct_gain(self, record):
@@ -726,10 +870,11 @@ class TestOneAfCountFunction:
             for snr_db in (-10, 0, 10, 20, 30, 40):
                 params = scaled(record, rate, snr_db)
                 seed = 100 * int(rate * 4) + snr_db + 10
-                direct, links = layout_rows("afmh", params, np.random.default_rng(seed), 20_000)
-                got = rate_count("afmh", params, direct, links)
+                rows = layout_rows("afmh", params, np.random.default_rng(seed), 20_000)
+                got = rate_count("afmh", params, row_snrs("afmh", params, rows))
                 turn = np.random.default_rng(seed + 1)
-                gains = [g * np.exp(2j * math.pi * turn.random(g.shape)) for g in af_row_gains(params, direct, links)]
+                row_gains = af_row_gains(params, rows[:, 0], rows[:, 1:])
+                gains = [g * np.exp(2j * math.pi * turn.random(g.shape)) for g in row_gains]
                 assert got == slogdet_count("afmh", params, gains), (rate, snr_db)
                 counts.append(got)
         assert any(0 < c < 20_000 for c in counts)
@@ -766,7 +911,7 @@ def plain_task(batch_count):
 
 # Plain Monte Carlo: every trial's row in the kernel's declared layout,
 # A_dk as drawn.
-plain_count_events = plain_task(lambda kernel, params, rng, n: rate_count(kernel, params, *layout_rows(kernel, params, rng, n)))
+plain_count_events = plain_task(lambda kernel, params, rng, n: rate_count(kernel, params, layout_snrs(kernel, params, rng, n)))
 
 
 def agreeing_events(strategy, placement, points, seeds, reference, z, monkeypatch):
@@ -879,27 +1024,32 @@ class TestComplexLayoutOracle:
         assert events > 1000
 
 
+# Unit powers over unit d^gamma: every gain is 1, so the engine's SNRs
+# are its draws as they are.
+UNIT = dict(RECORD, burst=1.0, budgets=(1.0, 1.0), dk_pow=1.0, dj_pow=(1.0, 1.0), jk_pow=(1.0, 1.0))
+UNIT1 = dict(UNIT, budgets=(1.0,), dj_pow=(1.0,), jk_pow=(1.0,), hh_pow=())
+
+
 class TestRayleighDraw:
-    """The AF kernels' fading: a row's A is |h|^2 of a unit-power complex
+    """The kernels' fading: a row's A is |h|^2 of a unit-power complex
     normal gain, and af2's phase column gives the phase of H_dj H_jk."""
 
     def test_amp_sq_unit_mean(self):
-        amp_sq, _ = mc._rows(1, np.random.default_rng(9), 10**6, None)
+        amp_sq = layout_snrs("mac", UNIT, np.random.default_rng(9), 10**6)
         np.testing.assert_allclose(amp_sq.mean(), 1.0, atol=4e-3)
 
     def test_phase_draw_components(self):
         """sqrt(A) e^{i phi}, with phi = 2 pi (1 - exp(-E)) from af2's phase
         column, has two independent N(0, 1/2) components."""
-        _, links = mc._rows(7, np.random.default_rng(10), 10**5, None)
-        amp = np.sqrt(links[:, 2:4]) * np.exp(-2j * math.pi * np.expm1(-links[:, 4:]))
+        rows = layout_snrs("af2", UNIT, np.random.default_rng(10), 10**5)
+        amp = np.sqrt(rows[:, 3:5]) * np.exp(-2j * math.pi * np.expm1(-rows[:, 5:]))
         assert amp.shape == (10**5, 2)
         np.testing.assert_allclose(amp.real.var(), 0.5, atol=1e-2)
         np.testing.assert_allclose(amp.imag.var(), 0.5, atol=1e-2)
         assert abs(np.corrcoef(amp.real[:, 0], amp.imag[:, 0])[0, 1]) < 0.01
 
     def test_links_uncorrelated(self):
-        direct, links = mc._rows(3, np.random.default_rng(12), 10**5, None)
-        amp_sq = np.column_stack((direct, links))
+        amp_sq = layout_snrs("uc2-ddf", UNIT1, np.random.default_rng(12), 10**5)
         corr = np.corrcoef(amp_sq.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.01)

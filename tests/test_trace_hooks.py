@@ -46,8 +46,8 @@ def test_full_mode_records_the_layers(monkeypatch):
     survivors = mc._survivors
     kept = []
 
-    def spy(params, rng, trials, slots):
-        out = survivors(params, rng, trials, slots)
+    def spy(rng, trials, rate, gain, slots):
+        out = survivors(rng, trials, rate, gain, slots)
         kept.append(out[0])
         return out
 

@@ -135,10 +135,12 @@ def listen_fraction_uc2(snr, rate):
     source; the slot boundary waits for the slowest forwarder, so the
     fraction is the per-forwarder maximum capped at 1.
     """
-    c = capacity(np.atleast_2d(np.asarray(snr, dtype=float)))
+    # R / c rounds nonincreasing in c, so the slowest forwarder's capacity
+    # gives the largest fraction.
+    c = capacity(np.atleast_2d(np.asarray(snr, dtype=float))).min(axis=1)
     with np.errstate(divide="ignore"):
         theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
-    return np.minimum(theta.max(axis=1), 1.0)
+    return np.minimum(theta, 1.0)
 
 
 def trial_mutual_info_rc(theta, direct_snr, relay_link_snr):
@@ -180,32 +182,31 @@ def trial_mutual_info_uc2(theta, direct_snr, helper_link_snr):
 
 @dataclass(frozen=True)
 class MultihopSchedule:
-    """Greedy decode schedule for a batch of trials.
+    """Greedy decode schedule for a batch of trials, trial-major (n, L):
+    fractions[i, s] is the time of stage s in trial i (summing to 1) and
+    stage_snr[i, s] the destination's SNR in it.  A stage after the
+    schedule ends has no time and keeps the SNR before it."""
 
-    order[i, p] is the node slot (0 = source, 1.. = helpers in input
-    order) transmitting from stage p on; fractions[i] sums to 1 and
-    decoded[i] counts the nodes that actually transmit.  Positions at and
-    beyond decoded[i] never got any time.
-    """
-
-    order: np.ndarray
     fractions: np.ndarray
-    decoded: np.ndarray
+    stage_snr: np.ndarray
 
 
-def multihop_schedule(recv_snr, rate, mode="accumulating"):
-    """Greedy stage fractions for the 3+ hop decode-and-forward chain.
+def multihop_schedule(recv_snr, dest_snr, rate, mode="accumulating"):
+    """Greedy stages of the 3+ hop decode-and-forward chain and the
+    destination's SNR in each.
 
     recv_snr is helper-major (H, L, n): the received SNR at helper h from
     transmitter slot t (slot 0 is the source, slots 1..H the helpers in
-    input order) in each of n trials.  At each stage the undecided
-    helper needing the smallest additional fraction decodes next, ties to
-    the lowest node id (``Strategy`` stores helper sets sorted); the stage
-    is capped at the remaining time when nobody can decode, which ends
-    the schedule.
-    In "accumulating" mode a helper keeps the information collected in
-    earlier stages; in "per-fraction" mode it must decode within a single
-    stage.
+    input order) in each of n trials; dest_snr (n, L) is the
+    destination's from each slot, at the sender's budget.  At each stage
+    the undecided helper needing the smallest additional fraction decodes
+    next, ties to the lowest node id (``Strategy`` stores helper sets
+    sorted); the stage is capped at the remaining time when nobody can
+    decode, which ends the schedule.  A new decoder adds its destination
+    SNR over the time left at its entry (the burst boost) to every later
+    stage; helpers hear it unboosted.  In "accumulating" mode a helper
+    keeps the information collected in earlier stages; in "per-fraction"
+    mode it must decode within a single stage.
 
     Each stage works on (H, n) arrays and selects with ``np.where``.  A
     trial whose stage is capped has no time left, and nothing computed
@@ -216,16 +217,19 @@ def multihop_schedule(recv_snr, rate, mode="accumulating"):
     if mode not in ("accumulating", "per-fraction"):
         raise ValueError(f"unknown multihop mode {mode!r}")
     snr = np.asarray(recv_snr, dtype=float)
+    dest = np.asarray(dest_snr, dtype=float)
     if snr.ndim != 3 or snr.shape[0] != snr.shape[1] - 1:
         raise ValueError("recv_snr must be (L-1, L, n)")
     H, L, n = snr.shape
-    order = np.zeros((L, n), dtype=np.int64)
+    if dest.shape != (n, L):
+        raise ValueError("dest_snr must be (n, L)")
     fractions = np.zeros((L, n))
-    decoded = np.ones(n, dtype=np.int64)
+    stage_snr = np.empty((L, n))
+    stage_snr[0] = dest[:, 0]  # the source transmits from stage 0
     undecided = np.ones((H, n), dtype=bool)
     acc_info = np.zeros((H, n))
     remaining = np.ones(n)  # 0 exactly once a stage is capped
-    helper_snr = snr[:, 0].copy()  # source transmits from stage 0
+    helper_snr = snr[:, 0].copy()
     for s in range(L - 1):
         rate_now = capacity(helper_snr)
         need = rate - acc_info if mode == "accumulating" else rate
@@ -248,46 +252,32 @@ def multihop_schedule(recv_snr, rate, mode="accumulating"):
         fractions[s] = np.where(decode, best_theta, remaining)
         remaining = np.where(decode, remaining - best_theta, 0.0)
         if not decode.any():
+            stage_snr[s + 1 :] = stage_snr[s]
             break
         if mode == "accumulating":
             acc_info += fractions[s] * rate_now
-        order[s + 1] = np.where(decode, best + 1, 0)
-        decoded += decode
-        # The new decoder's links into every helper join their SNRs.  Row-wise
-        # updates of undecided beat one broadcast compare (372 against 400 ns
-        # per trial at H = 3).
-        joining = snr[:, 1]
+        # The new decoder's links into every helper and into the destination
+        # join their SNRs.  Row-wise updates of undecided beat one broadcast
+        # compare (372 against 400 ns per trial at H = 3).
+        joining, dest_joining = snr[:, 1], dest[:, 1]
         undecided[0] &= best != 0
         for h in range(1, H):
             joining = np.where(best == h, snr[:, h + 1], joining)
+            dest_joining = np.where(best == h, dest[:, h + 1], dest_joining)
             undecided[h] &= best != h
         helper_snr += joining
+        # The new decoder transmits for the time left at its entry.
+        stage_snr[s + 1] = stage_snr[s] + np.divide(dest_joining, remaining, out=np.zeros(n), where=decode)
     fractions[L - 1] = remaining
-    return MultihopSchedule(order=order.T, fractions=fractions.T, decoded=decoded)
+    return MultihopSchedule(fractions=fractions.T, stage_snr=stage_snr.T)
 
 
-def trial_mutual_info_multihop(schedule: MultihopSchedule, dest_snr):
-    """Destination rate sum_l theta_l * C(stage-l SNR) for the schedule.
-
-    dest_snr is (n, L): the destination's received SNR from each node
-    slot at the node's budget.  A node entering at position p transmits
-    for the remaining time there, so its SNR is boosted by 1 / remaining.
-    """
-    a = np.asarray(dest_snr, dtype=float)
-    n, L = a.shape
-    fr = schedule.fractions
-    info = np.zeros(n)
-    snr = np.zeros(n)
-    remaining = np.ones(n)
-    rows = np.arange(n)
-    for p in range(L):
-        active = (p < schedule.decoded) & (remaining > 0.0)
-        slot = schedule.order[:, p]
-        boost = np.where(active, remaining, 1.0)
-        snr = snr + np.where(active, a[rows, slot] / boost, 0.0)
-        theta_p = fr[:, p]
-        info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
-        remaining = remaining - theta_p
+def trial_mutual_info_multihop(schedule: MultihopSchedule):
+    """Destination rate sum_s theta_s * C(stage-s SNR) for the schedule;
+    a stage without time adds nothing."""
+    info = np.zeros(len(schedule.fractions))
+    for theta, snr in zip(schedule.fractions.T, schedule.stage_snr.T):
+        info = info + np.where(theta > 0.0, theta * capacity(snr), 0.0)
     return info
 
 

@@ -48,14 +48,15 @@ _TAIL_TERMS = 14
 def capacity(snr):
     """Shannon capacity log2(1 + snr) in bits per channel use.
 
-    Accepts scalars or arrays; snr must be nonnegative.  Uses log1p so
-    that small SNRs do not lose precision.
+    Accepts scalars or arrays; snr must be nonnegative (NaN is refused,
+    inf gives inf), and a 0-d result comes back as a float.  Uses log1p
+    so that small SNRs do not lose precision.
     """
     x = np.asarray(snr, dtype=float)
-    if np.any(x < 0):
+    if not (x >= 0).all():
         raise ValueError("capacity requires snr >= 0")
     out = np.log1p(x) / _LN2
-    return float(out) if np.isscalar(snr) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _weights(weights) -> np.ndarray:

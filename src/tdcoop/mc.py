@@ -67,8 +67,13 @@ under rc), the multihop ``mode`` and the cell's d^gamma -- ``dk_pow``
 reads the powers and d^gamma, once per task: for each received SNR,
 the draw column it reads and its gain P/d^gamma.  A batch's SNRs are
 one product of the rows' columns and the gains, so every SNR is
-A * (P/d^gamma), rounded one way.  A rate function reads only SNRs
-(and af2's phase draws, at gain 1), m, the rate and the mode.
+A * (P/d^gamma), rounded one way.  SNR columns: the direct link, the
+source into each forwarder, each forwarder into the destination, then
+af2's phase draws.  ucmh-ddf's follow its chain: the direct link, each
+helper into the destination, then per helper h the source into h and h
+hearing each helper (the pair's one draw; h itself at gain 0).  A rate
+function reads only SNRs (and af2's phase draws, at gain 1), m, the
+rate and the mode.
 
 A screened kernel (L in the table) draws only the trials that the
 direct link alone may not carry.  Its destination rate is at least
@@ -93,6 +98,7 @@ point rests on 5 events.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -183,23 +189,28 @@ def chunk_sizes(n: int) -> list[int]:
 
 
 def _snr_table(kernel, params):
-    """The cell's SNR table: per SNR column, the draw column it reads and
-    its gain P/d^gamma, and the forwarder count m (0 for mac).  Columns:
-    the direct link, the source into each forwarder, ucmh-ddf's helper
-    pairs (h < j, row-major; one draw read as h hearing j, then as j
-    hearing h), each forwarder into the destination, then af2's phase
-    draws at m >= 2 with gain 1."""
+    """The cell's SNR table, in the column order of the module docstring:
+    per SNR column, the draw column it reads and its gain P/d^gamma, and
+    the forwarder count m (0 for mac)."""
     burst, budgets = params["burst"], () if kernel == "mac" else params["budgets"]
     m = len(budgets)
+    pair = {}  # draw column of each helper pair, both ways round
+    if kernel == "ucmh-ddf":
+        for col, (h, j) in enumerate(itertools.combinations(range(m), 2), start=1 + m):
+            pair[h, j] = pair[j, h] = col
+    dest = 1 + m + len(pair) // 2  # draw column of the first forwarder-destination link
     # (draw column, sender power, d^gamma) per SNR column
-    links = [(0, burst, params["dk_pow"])] + [(1 + j, burst, params["jk_pow"][j]) for j in range(m)]
+    links = [(0, burst, params["dk_pow"])]
+    source = [(1 + j, burst, params["jk_pow"][j]) for j in range(m)]
+    to_dest = [(dest + j, budgets[j], params["dj_pow"][j]) for j in range(m)]
     if kernel == "ucmh-ddf":
         hh = params["hh_pow"]
-        pairs = [(h, j) for h in range(m) for j in range(h + 1, m)]
-        for col, (h, j) in enumerate(pairs, start=1 + m):
-            links += [(col, budgets[j], hh[h][j]), (col, budgets[h], hh[j][h])]
-    dest = links[-1][0] + 1  # draw column of the first forwarder-destination link
-    links += [(dest + j, budgets[j], params["dj_pow"][j]) for j in range(m)]
+        links += to_dest
+        for h in range(m):
+            links.append(source[h])
+            links += [(pair[h, j], budgets[j], hh[h][j]) if j != h else (0, 0.0, 1.0) for j in range(m)]
+    else:
+        links += source + to_dest
     if kernel == "af2" and m > 1:
         links += [(dest + m + j, 1.0, 1.0) for j in range(m)]
     columns, power, d_pow = (np.array(v) for v in zip(*links))
@@ -229,10 +240,11 @@ def _conditioned(e, q):
 
 def _snrs(columns, gains, rng, n, q):
     """The engine's one draw: n trials' rows, ``rng.exponential`` (n,
-    width), as SNR columns, each column's draws (A_dk conditioned by q)
-    times its gain.  The gather stores them link-major (Fortran order), so
-    a rate step's elementwise work runs in long contiguous loops."""
-    snr = rng.exponential(size=(n, columns[-1] + 1))[:, columns]
+    width) up to the table's largest draw column, as SNR columns, each
+    column's draws (A_dk conditioned by q) times its gain.  The gather
+    stores them link-major (Fortran order), so a rate step's elementwise
+    work runs in long contiguous loops."""
+    snr = rng.exponential(size=(n, columns.max() + 1))[:, columns]
     _conditioned(snr[:, 0], q)
     snr *= gains
     return snr
@@ -248,19 +260,11 @@ def _rate_uc2_ddf(snr, m, rate, mode):
 def _rate_ucmh_ddf(snr, m, rate, mode):
     """Greedy multihop chain, m helpers (L = m + 1 slots), trial by trial
     (a stage loop that ends early skips only stages no trial has time
-    left for).  A helper hears another at its unboosted budget; only the
-    destination rate boosts a forwarder by 1 / (its remaining time)."""
-    # Helper-major (m, L, n) SNRs, the layout the schedule's stage loop
-    # reads; a helper's link to itself stays 0.
-    recv = np.zeros((m, m + 1, len(snr)))
-    recv[:, 0] = snr[:, 1 : m + 1].T
-    col = m + 1
-    for h in range(m):
-        for j in range(h + 1, m):
-            recv[h, j + 1], recv[j, h + 1] = snr[:, col], snr[:, col + 1]
-            col += 2
-    sched = _ddf.multihop_schedule(recv, rate, mode=mode)
-    return _ddf.trial_mutual_info_multihop(sched, snr[:, [0, *range(col, col + m)]])
+    left for).  The table's column order makes both chain inputs views of
+    the link-major batch: the helpers' (m, L, n) received SNRs and the
+    destination's (n, L)."""
+    recv = snr.T[m + 1 :].reshape(m, m + 1, len(snr))
+    return _ddf.trial_mutual_info_multihop(_ddf.multihop_schedule(recv, snr[:, : m + 1], rate, mode))
 
 
 def _rate_af2(snr, m, rate, mode):

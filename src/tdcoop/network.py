@@ -92,8 +92,8 @@ class NodePlacement:
     """Realised node coordinates plus the derived distance matrix.
 
     Nodes are ordered destination, relay, u1..uK.  The distance matrix is
-    symmetric with a zero diagonal and is precomputed once per placement.
-    ``link_pow`` raises it to the path-loss exponent; every link's d^gamma
+    symmetric with a zero diagonal and is precomputed once per placement,
+    and so is its d^gamma table (``link_pow``); every link's d^gamma
     must be a positive, finite float, so a placement with two nodes at
     one point, or with a link so short or so long that its d^gamma
     underflows to 0 or overflows, raises ``LinkRangeError``.
@@ -103,6 +103,7 @@ class NodePlacement:
     positions: dict[str, tuple[float, float]]
     _ids: tuple[str, ...] = field(init=False, repr=False)
     _dist: np.ndarray = field(init=False, repr=False)
+    _pow: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = (DESTINATION, RELAY) + tuple(
@@ -115,7 +116,16 @@ class NodePlacement:
         delta = coords[:, None, :] - coords[None, :, :]
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_dist", np.sqrt((delta**2).sum(axis=-1)))
-        pw = self.link_pow()
+        gamma = self.params.path_loss_exponent
+        pw = {}
+        for a, row in zip(ids, self._dist.tolist()):
+            pw[a] = {}
+            for b, d in zip(ids, row):
+                try:
+                    pw[a][b] = 0.0 if a == b else d**gamma
+                except OverflowError:
+                    pw[a][b] = math.inf
+        object.__setattr__(self, "_pow", pw)
         pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not 0.0 < pw[a][b] < math.inf]
         if pairs:
             p = self.params
@@ -138,18 +148,9 @@ class NodePlacement:
     def link_pow(self) -> dict[str, dict[str, float]]:
         """The d^gamma table: ``link_pow()[a][b]`` is
         ``distance(a, b) ** path_loss_exponent`` in Python float power,
-        and 0.0 for a == b; a power that overflows reads inf.  Computed
-        on each call, not stored."""
-        gamma = self.params.path_loss_exponent
-        table = {}
-        for a, row in zip(self._ids, self._dist.tolist()):
-            table[a] = {}
-            for b, d in zip(self._ids, row):
-                try:
-                    table[a][b] = 0.0 if a == b else d**gamma
-                except OverflowError:
-                    table[a][b] = math.inf
-        return table
+        and 0.0 for a == b; a power that overflows reads inf.  Built once
+        with the placement; each call returns a fresh copy."""
+        return {a: dict(row) for a, row in self._pow.items()}
 
 
 def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePlacement:

@@ -5,10 +5,12 @@ mutual-information formulas.  Distributional claims are checked against
 independent oracles: empirical CDFs of the sampled listen fraction and a
 quadrature of the first-stage fraction's survival function.  The greedy
 multihop schedule is checked bit for bit against a trial-major reference
-implementation that selects with boolean-mask scatters.
+implementation that selects with boolean-mask scatters and a gather of
+each stage's entering node.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -157,15 +159,18 @@ class TestMultihopSchedule:
         # helper 0 sees capacity 1.0, helper 1 capacity 0.5
         snr = np.zeros((2, 3, 1))
         snr[:, 0, 0] = [1.0, 2**0.5 - 1]
-        sched = multihop_schedule(snr, rate=0.25)
-        assert sched.order[0, 1] == 1
-        np.testing.assert_allclose(sched.fractions[0, 0], 0.25, rtol=1e-12)
-        assert sched.decoded[0] >= 2
+        dest = np.array([[1.0, 2.0, 4.0]])
+        sched = multihop_schedule(snr, dest, rate=0.25)
+        np.testing.assert_allclose(sched.fractions[0], [0.25, 0.25, 0.5], rtol=1e-12)
+        # helper 0 joins for the remaining 0.75, then helper 1 for 0.5
+        np.testing.assert_allclose(
+            sched.stage_snr[0], [1.0, 1.0 + 2.0 / 0.75, 1.0 + 2.0 / 0.75 + 4.0 / 0.5], rtol=1e-12
+        )
 
     def test_dead_links_collapse_to_direct(self):
-        sched = multihop_schedule(np.zeros((2, 3, 1)), rate=0.25)
-        assert sched.decoded[0] == 1
+        sched = multihop_schedule(np.zeros((2, 3, 1)), np.array([[3.0, 9.9, 9.9]]), rate=0.25)
         np.testing.assert_allclose(sched.fractions[0], [1.0, 0.0, 0.0])
+        assert np.array_equal(sched.stage_snr[0], [3.0, 3.0, 3.0])
 
     def test_fractions_partition_the_period(self):
         rng = np.random.default_rng(41)
@@ -173,13 +178,14 @@ class TestMultihopSchedule:
         a = rng.exponential(size=(n, 2, 3))
         coef = rng.uniform(5.0, 50.0, size=(2, 3))
         for mode in ("accumulating", "per-fraction"):
-            sched = multihop_schedule(helper_major(a * coef), rate=0.8, mode=mode)
+            sched = multihop_schedule(helper_major(a * coef), np.ones((n, 3)), rate=0.8, mode=mode)
             np.testing.assert_allclose(sched.fractions.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(sched.fractions >= 0.0)
-            assert np.all(sched.decoded >= 1)
+            assert np.all(np.diff(sched.stage_snr, axis=1) >= 0.0)
             # no time assigned past the last transmitting node
+            nodes = transmitting(sched)
             for i in range(0, n, 173):
-                assert np.all(sched.fractions[i, sched.decoded[i]:] == 0.0)
+                assert np.all(sched.fractions[i, nodes[i]:] == 0.0)
 
     def test_accumulating_never_decodes_later_than_per_fraction(self):
         rng = np.random.default_rng(43)
@@ -187,9 +193,9 @@ class TestMultihopSchedule:
         a = rng.exponential(size=(n, 2, 3))
         coef = rng.uniform(2.0, 20.0, size=(2, 3))
         snr = helper_major(a * coef)
-        acc = multihop_schedule(snr, rate=1.2, mode="accumulating")
-        per = multihop_schedule(snr, rate=1.2, mode="per-fraction")
-        assert np.all(acc.decoded >= per.decoded)
+        acc = multihop_schedule(snr, np.ones((n, 3)), rate=1.2, mode="accumulating")
+        per = multihop_schedule(snr, np.ones((n, 3)), rate=1.2, mode="per-fraction")
+        assert np.all(transmitting(acc) >= transmitting(per))
 
     def test_first_stage_mean_matches_quadrature(self):
         """E[first fraction] against integrating the survival function.
@@ -205,7 +211,7 @@ class TestMultihopSchedule:
         a[:, :, 0] = rng.exponential(size=(n, 2))
         coef = np.zeros((2, 3))
         coef[:, 0] = c
-        sched = multihop_schedule(helper_major(a * coef), rate=rate)
+        sched = multihop_schedule(helper_major(a * coef), np.zeros((n, 3)), rate=rate)
         mc_mean = sched.fractions[:, 0].mean()
 
         def survival(t):
@@ -219,27 +225,25 @@ class TestMultihopSchedule:
         assert abs(mc_mean - want) <= 3 * se
 
     def test_bad_mode_and_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            multihop_schedule(np.zeros((2, 3, 1)), rate=0.5, mode="bogus")
-        with pytest.raises(ValueError):
-            multihop_schedule(np.zeros((2, 4, 1)), rate=0.5)
+        with pytest.raises(ValueError, match="mode"):
+            multihop_schedule(np.zeros((2, 3, 1)), np.zeros((1, 3)), rate=0.5, mode="bogus")
+        with pytest.raises(ValueError, match="recv_snr"):
+            multihop_schedule(np.zeros((2, 4, 1)), np.zeros((1, 4)), rate=0.5)
+        for dest in (np.zeros((1, 4)), np.zeros((2, 3)), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="dest_snr"):
+                multihop_schedule(np.zeros((2, 3, 1)), dest, rate=0.5)
 
 
 class TestTrialMutualInfoMultihop:
     def test_direct_only_schedule(self):
-        sched = multihop_schedule(np.zeros((2, 3, 1)), rate=0.25)
-        dest = np.array([[3.0, 9.9, 9.9]])
-        got = trial_mutual_info_multihop(sched, dest)
+        sched = multihop_schedule(np.zeros((2, 3, 1)), np.array([[3.0, 9.9, 9.9]]), rate=0.25)
+        got = trial_mutual_info_multihop(sched)
         np.testing.assert_allclose(got, [2.0], rtol=1e-12)
 
     def test_hand_two_stage_value(self):
-        sched = MultihopSchedule(
-            order=np.array([[0, 1]]),
-            fractions=np.array([[0.5, 0.5]]),
-            decoded=np.array([2]),
-        )
-        dest = np.array([[1.0, 1.5]])
-        got = trial_mutual_info_multihop(sched, dest)
+        # the second stage hears 1.5 boosted by 1/0.5 on top of the direct 1
+        sched = MultihopSchedule(fractions=np.array([[0.5, 0.5]]), stage_snr=np.array([[1.0, 4.0]]))
+        got = trial_mutual_info_multihop(sched)
         np.testing.assert_allclose(got, [1.660964047443681], rtol=1e-13)
 
     def test_two_hop_equivalence_with_uc2(self):
@@ -260,10 +264,21 @@ class TestTrialMutualInfoMultihop:
 
         recv = np.zeros((1, 2, n))
         recv[0, 0] = a_jk * (burst / d_jk**gamma)
-        sched = multihop_schedule(recv, rate=rate)
         dest = np.stack([a_dk * (burst / d_dk**gamma), a_dj * (burst / d_dj**gamma)], axis=1)
-        mh = trial_mutual_info_multihop(sched, dest)
+        mh = trial_mutual_info_multihop(multihop_schedule(recv, dest, rate=rate))
         np.testing.assert_allclose(mh, uc2, atol=1e-12)
+
+
+def transmitting(schedule):
+    """Nodes the destination hears in each trial of a schedule whose
+    destination SNRs are all positive: the source, and every helper that
+    raises the stage SNR when it joins."""
+    return 1 + (np.diff(schedule.stage_snr, axis=1) > 0.0).sum(axis=1)
+
+
+# The scatter reference's schedule: the decode order, the stage fractions
+# and the count of nodes that transmit.
+Decodes = namedtuple("Decodes", "order fractions decoded")
 
 
 def helper_major(snr):
@@ -274,7 +289,9 @@ def helper_major(snr):
 def scatter_multihop_schedule(recv_snr, rate, mode="accumulating"):
     """Reference greedy schedule: trial-major (n, H, L) SNRs, boolean-mask
     scatters and a fancy gather, ties to the lowest helper index through
-    argmin."""
+    argmin.  Returns the decode order (order[i, p] is the node slot that
+    enters at stage p, 0 the source), the stage fractions and the count
+    of nodes that transmit."""
     a = np.asarray(recv_snr, dtype=float)
     n, H, L = a.shape
     order = np.zeros((n, L), dtype=np.int64)
@@ -313,16 +330,18 @@ def scatter_multihop_schedule(recv_snr, rate, mode="accumulating"):
         new_slot = best[decode] + 1
         helper_snr[decode] += a[rows[decode], :, new_slot]
     fractions[alive, L - 1] = remaining[alive]
-    return MultihopSchedule(order=order, fractions=fractions, decoded=decoded)
+    return Decodes(order=order, fractions=fractions, decoded=decoded)
 
 
 def gather_trial_mutual_info_multihop(schedule, dest_snr):
-    """Reference destination rate: a per-trial gather of the entering slot,
-    with the boost guarding remaining > 0 on its own."""
+    """Reference destination rate of a scatter schedule, and the SNR the
+    destination hears at each stage (n, L): a per-trial gather of the
+    entering slot, with the boost guarding remaining > 0 on its own."""
     a = np.asarray(dest_snr, dtype=float)
     n, L = a.shape
     info = np.zeros(n)
     snr = np.zeros(n)
+    stage_snr = np.zeros((n, L))
     remaining = np.ones(n)
     rows = np.arange(n)
     for p in range(L):
@@ -330,10 +349,11 @@ def gather_trial_mutual_info_multihop(schedule, dest_snr):
         slot = schedule.order[:, p]
         boost = np.where(active, np.where(remaining > 0.0, remaining, 1.0), 1.0)
         snr = snr + np.where(active, a[rows, slot] / boost, 0.0)
+        stage_snr[:, p] = snr
         theta_p = schedule.fractions[:, p]
         info = info + np.where(theta_p > 0.0, theta_p * capacity(snr), 0.0)
         remaining = remaining - theta_p
-    return info
+    return info, stage_snr
 
 
 def edge_case_inputs(H, seed, n=6000):
@@ -410,28 +430,31 @@ def oracle_count_events(params, seed, path, trials):
             col += 1
     sched = scatter_multihop_schedule(recv * recv_coef, params["rate"], params["mode"])
     dest = np.column_stack((a_dk, a[:, m + npairs :]))
-    mi = gather_trial_mutual_info_multihop(sched, dest * dest_coef)
+    mi, _ = gather_trial_mutual_info_multihop(sched, dest * dest_coef)
     return int((mi < params["rate"]).sum())
 
 
 class TestMultihopScatterOracle:
-    """The helper-major schedule reproduces the scatter reference exactly."""
+    """The helper-major schedule reproduces the scatter reference exactly:
+    its fractions, the destination's SNR at every stage and the rate."""
 
     @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
     @pytest.mark.parametrize("H", (1, 2, 3))
     def test_bitwise_equal(self, H, mode):
         snr, dest = edge_case_inputs(H, seed=200 + H)
+        # A distinct power of two per slot: every decode order gives its own
+        # stage SNRs, in the rows with dead destination links too.
+        slots = np.broadcast_to(2.0 ** np.arange(H + 1), dest.shape)
         # At rate 0 every helper needs nothing, one that hears no one included.
         for rate in (0.0, UCMH_ORACLE_RATE):
             want = scatter_multihop_schedule(snr, rate, mode)
-            got = multihop_schedule(helper_major(snr), rate, mode)
-            for field in ("order", "fractions", "decoded"):
-                w, g = getattr(want, field), getattr(got, field)
-                assert g.shape == w.shape and g.dtype == w.dtype, field
-                assert np.array_equal(g, w), (rate, field)
-            want_mi = gather_trial_mutual_info_multihop(want, dest)
-            got_mi = trial_mutual_info_multihop(got, dest)
-            assert np.array_equal(got_mi, want_mi), rate
+            for heard in (dest, slots):
+                got = multihop_schedule(helper_major(snr), heard, rate, mode)
+                assert got.fractions.shape == want.fractions.shape == got.stage_snr.shape
+                assert np.array_equal(got.fractions, want.fractions), rate
+                want_mi, want_snr = gather_trial_mutual_info_multihop(want, heard)
+                assert np.array_equal(got.stage_snr, want_snr), rate
+                assert np.array_equal(trial_mutual_info_multihop(got), want_mi), rate
         # The edge cases occur: stage-0 caps, and (two or more helpers)
         # ties and helpers that need nothing more.
         capped = (want.decoded == 1) & (want.fractions[:, 0] == 1.0)
@@ -444,11 +467,16 @@ class TestMultihopScatterOracle:
                 assert np.all(want.decoded[500:1000] == H + 1)
 
     def test_ties_go_to_the_lowest_index(self):
+        """Three helpers hear the source alike: helper 0 (slot 1) joins
+        first, so the second stage hears slot 1's SNR boosted."""
         snr = np.zeros((3, 4, 1))
         snr[:, 0, 0] = 0.5
+        dest = np.array([[1.0, 2.0, 4.0, 8.0]])
         for mode in ("accumulating", "per-fraction"):
-            sched = multihop_schedule(snr, rate=0.25, mode=mode)
-            assert sched.order[0, 1] == 1
+            sched = multihop_schedule(snr, dest, rate=0.25, mode=mode)
+            remaining = 1.0 - sched.fractions[0, 0]
+            assert 0.0 < remaining < 1.0
+            assert sched.stage_snr[0, 1] == 1.0 + 2.0 / remaining
 
     @pytest.mark.parametrize(
         "m,mode,seed,path,trials",

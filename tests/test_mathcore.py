@@ -68,6 +68,19 @@ class TestCapacity:
         with pytest.raises(ValueError):
             capacity(np.array([0.5, -2.0]))
 
+    def test_nan_rejected_and_inf_kept(self):
+        for bad in (float("nan"), -1.0, np.array([1.0, np.nan]), np.array([[2.0], [-1.0]])):
+            with pytest.raises(ValueError, match="snr >= 0"):
+                capacity(bad)
+        assert capacity(math.inf) == math.inf
+        assert np.array_equal(capacity(np.array([0.0, np.inf])), [0.0, np.inf])
+
+    def test_float_exactly_for_a_0d_result(self):
+        for x in (3.0, 3, np.float64(3.0), np.array(3.0)):
+            assert type(capacity(x)) is float and capacity(x) == 2.0
+        for x in (np.array([3.0]), [3.0], np.zeros((2, 0))):
+            assert isinstance(capacity(x), np.ndarray)
+
 
 class TestCdf:
     def test_exponential_median(self):

@@ -268,10 +268,10 @@ def direct_threshold(params, slots):
 
 def layout_rows(kernel, params, rng, n):
     """n trials' unconditioned rows in the kernel's declared layout, one
-    ``exponential`` (n, width) draw with the width of the cell's SNR
-    table."""
+    ``exponential`` (n, width) draw up to the largest draw column of the
+    cell's SNR table."""
     columns, _, _ = mc._snr_table(kernel, params)
-    return rng.exponential(size=(n, columns[-1] + 1))
+    return rng.exponential(size=(n, columns.max() + 1))
 
 
 def row_snrs(kernel, params, rows):
@@ -604,8 +604,9 @@ def layout_table(rows):
 
 
 def draw_width(kernel, record):
-    """Columns of a kernel's row: the draw width of its SNR table."""
-    return int(mc._snr_table(kernel, record)[0][-1]) + 1
+    """Columns of a kernel's row: one past the largest draw column its
+    SNR table reads."""
+    return int(mc._snr_table(kernel, record)[0].max()) + 1
 
 
 def test_layout_tables_match_the_kernels():
@@ -631,26 +632,32 @@ def test_layout_tables_match_the_kernels():
 def documented_snrs(kernel, record, rng, n):
     """n trials' received SNRs, read from the record apart from ``mc``:
     one row of exponentials per trial, A_dk, then A_jk (m), ucmh-ddf's
-    helper pairs, A_dj (m) and af2's phase draws at m >= 2, and each draw
-    times its sender's power over the link's d^gamma.  The columns: the
-    direct link, the source into each forwarder, the helper pairs (h < j,
-    row-major; h hearing j at budgets[j], then j hearing h at
-    budgets[h]), each forwarder into the destination, then the phase
-    draws as they are.  mac has no forwarder."""
+    helper pairs (h < j, row-major), A_dj (m) and af2's phase draws at
+    m >= 2, and each draw times its sender's power over the link's
+    d^gamma.  The columns: the direct link, the source into each
+    forwarder, each forwarder into the destination, then the phase draws
+    as they are.  ucmh-ddf's: the direct link, each helper into the
+    destination, then per helper h the source into h and h hearing each
+    helper j at budgets[j] (the pair's one draw; 0 for h itself).  mac
+    has no forwarder."""
     m = 0 if kernel == "mac" else len(record["budgets"])
     burst, budgets = record["burst"], record["budgets"]
     pairs = m * (m - 1) // 2 if kernel == "ucmh-ddf" else 0
     phases = m if kernel == "af2" and m > 1 else 0
     draws = iter(rng.exponential(size=(n, 1 + 2 * m + pairs + phases)).T)
-    out = [next(draws) * burst / record["dk_pow"]]
-    out += [next(draws) * burst / record["jk_pow"][j] for j in range(m)]
-    if kernel == "ucmh-ddf":
-        for h in range(m):
-            for j in range(h + 1, m):
-                a = next(draws)
-                out += [a * budgets[j] / record["hh_pow"][h][j], a * budgets[h] / record["hh_pow"][j][h]]
-    out += [next(draws) * budgets[j] / record["dj_pow"][j] for j in range(m)]
-    out += [next(draws) for _ in range(phases)]
+    direct = [next(draws) * burst / record["dk_pow"]]
+    source = [next(draws) * burst / record["jk_pow"][j] for j in range(m)]
+    pair = {}
+    for h in range(m):
+        for j in range(h + 1, m) if kernel == "ucmh-ddf" else ():
+            pair[h, j] = pair[j, h] = next(draws)
+    to_dest = [next(draws) * budgets[j] / record["dj_pow"][j] for j in range(m)]
+    if kernel != "ucmh-ddf":
+        return np.column_stack(direct + source + to_dest + [next(draws) for _ in range(phases)])
+    out = direct + to_dest
+    for h in range(m):
+        out += [source[h]]
+        out += [np.zeros(n) if j == h else pair[h, j] * budgets[j] / record["hh_pow"][h][j] for j in range(m)]
     return np.column_stack(out)
 
 
@@ -670,6 +677,34 @@ def test_snr_table_reads_each_link(kernel, record):
     want = documented_snrs(kernel, record, np.random.default_rng(53), 500)
     assert snr.shape == want.shape
     np.testing.assert_allclose(snr, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
+def test_ucmh_chain_reads_views_of_the_batch(record, monkeypatch):
+    """ucmh-ddf's rate function hands the chain its inputs as views of the
+    engine's batch, in the table's column order: the destination's (n, L)
+    SNRs are the first L columns, and helper h's row of the (m, L, n)
+    received SNRs the next L columns after those of the helpers before
+    it, its own link 0."""
+    m = len(record["budgets"])
+    snr = layout_snrs("ucmh-ddf", record, np.random.default_rng(59), 300)
+    seen = []
+    schedule = mc._ddf.multihop_schedule
+
+    def spy(recv_snr, dest_snr, rate, mode):
+        seen.append((recv_snr, dest_snr))
+        return schedule(recv_snr, dest_snr, rate, mode)
+
+    monkeypatch.setattr(mc._ddf, "multihop_schedule", spy)
+    rate_of, _ = mc._KERNELS["ucmh-ddf"]
+    rate_of(snr, m, record["rate"], record["mode"])
+    ((recv, dest),) = seen
+    assert recv.shape == (m, m + 1, len(snr)) and dest.shape == (len(snr), m + 1)
+    assert np.shares_memory(recv, snr) and np.shares_memory(dest, snr)
+    assert np.array_equal(dest, snr[:, : m + 1])
+    for h in range(m):
+        assert np.array_equal(recv[h].T, snr[:, (m + 1) * (h + 1) : (m + 1) * (h + 2)])
+        assert not recv[h, h + 1].any()
 
 
 def ks_two_sample(a, b):

@@ -195,6 +195,15 @@ class TestLinkTable:
                     want = 0.0 if a == b else pl.distance(a, b) ** gamma
                     assert table[a][b] == want, (a, b)
 
+    def test_editing_a_returned_table_leaves_the_next_one_unchanged(self):
+        pl = self.polar_placement(GeometryParams(), self.RIM)
+        first = pl.link_pow()
+        want = {a: dict(row) for a, row in first.items()}
+        first[DESTINATION][RELAY] = -1.0
+        first["u1"].clear()
+        del first["u2"]
+        assert pl.link_pow() == want
+
     def test_close_users_underflow_rejected(self):
         """Users at radius 0.9 and 10, 16 and 22 degrees sit 0.094 apart
         in neighbouring pairs, and 0.094^400 underflows to 0: the placement

@@ -8,9 +8,9 @@ link (a, b) carries a proper complex Gaussian amplitude A with zero mean
 and unit variance, constant per trial, so |A|^2 is a unit-mean
 exponential.  The channel gain is H = A / d^(gamma/2) with d the link
 distance; the trial kernels of the engine module draw the amplitudes.
-A placement owns the one d^gamma table the sweep reads
-(``NodePlacement.link_pow``), and refuses to exist when any of its
-links has a d^gamma of 0 or past the float range.
+A placement is its positions plus the one d^gamma table the sweep reads
+(``NodePlacement.link_pow``), compares by identity, and refuses to exist
+when any of its links has a d^gamma of 0 or past the float range.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class GeometryParams:
 
     The destination is the sector's apex at the origin.  Defaults: unit
     sector radius, 60 degree opening, relay at (0.5, 0), users kept at
-    least 0.3 away from the destination, path-loss exponent 4.
+    least 0.3 away from the destination, path-loss exponent 4.  The relay
+    position is stored as a tuple of two floats, whatever pair held it.
     """
 
     num_users: int = 3
@@ -61,6 +62,7 @@ class GeometryParams:
         if not (isinstance(pos, (tuple, list, np.ndarray)) and len(pos) == 2
                 and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pos)):
             raise ValueError(f"relay_position must be an (x, y) pair of numbers, got {pos!r}")
+        object.__setattr__(self, "relay_position", tuple(map(float, pos)))
         for name in ("sector_radius", "sector_angle", "exclusion_radius", "path_loss_exponent",
                      "relay_position"):
             value = getattr(self, name)
@@ -76,7 +78,7 @@ class GeometryParams:
             )
         if self.path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
-        if tuple(map(float, self.relay_position)) == (0.0, 0.0):
+        if self.relay_position == (0.0, 0.0):
             raise ValueError(
                 "relay_position must differ from the destination at the origin,"
                 f" got {self.relay_position}"
@@ -87,63 +89,60 @@ class LinkRangeError(ValueError):
     """A placement has a link whose d^gamma is 0 or past the float range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodePlacement:
-    """Realised node coordinates plus the derived distance matrix.
+    """Realised node coordinates plus their d^gamma table.
 
-    Nodes are ordered destination, relay, u1..uK.  The distance matrix is
-    symmetric with a zero diagonal and is precomputed once per placement,
-    and so is its d^gamma table (``link_pow``); every link's d^gamma
-    must be a positive, finite float, so a placement with two nodes at
-    one point, or with a link so short or so long that its d^gamma
-    underflows to 0 or overflows, raises ``LinkRangeError``.
+    Nodes are ordered destination, relay, u1..uK.  The placement keeps a
+    copy of the positions, computes ``distance`` from it and builds the
+    d^gamma table (``link_pow``) once, link by link in Python floats.
+    Every link's d^gamma must be a positive, finite float, so a placement
+    with two nodes at one point, or with a link so short or so long that
+    its d^gamma underflows to 0 or overflows, raises ``LinkRangeError``.
+    Placements compare and hash by identity, never by their positions.
     """
 
     params: GeometryParams
     positions: dict[str, tuple[float, float]]
-    _ids: tuple[str, ...] = field(init=False, repr=False)
-    _dist: np.ndarray = field(init=False, repr=False)
     _pow: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = (DESTINATION, RELAY) + tuple(
-            user_id(k) for k in range(1, self.params.num_users + 1)
-        )
+        ids = (DESTINATION, RELAY) + tuple(user_id(k) for k in range(1, self.params.num_users + 1))
         missing = [i for i in ids if i not in self.positions]
         if missing:
             raise ValueError(f"placement missing nodes: {missing}")
-        coords = np.array([self.positions[i] for i in ids], dtype=float)
-        delta = coords[:, None, :] - coords[None, :, :]
-        object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_dist", np.sqrt((delta**2).sum(axis=-1)))
-        gamma = self.params.path_loss_exponent
-        pw = {}
-        for a, row in zip(ids, self._dist.tolist()):
-            pw[a] = {}
-            for b, d in zip(ids, row):
+        object.__setattr__(self, "positions", dict(self.positions))
+        pw = {a: dict.fromkeys(ids, 0.0) for a in ids}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
                 try:
-                    pw[a][b] = 0.0 if a == b else d**gamma
+                    pw[a][b] = pw[b][a] = self._length(a, b) ** self.params.path_loss_exponent
                 except OverflowError:
-                    pw[a][b] = math.inf
-        object.__setattr__(self, "_pow", pw)
+                    pw[a][b] = pw[b][a] = math.inf
         pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not 0.0 < pw[a][b] < math.inf]
         if pairs:
             p = self.params
             raise LinkRangeError(
-                f"sector_radius {p.sector_radius:g}, relay_position {tuple(p.relay_position)} "
+                f"sector_radius {p.sector_radius:g}, relay_position {p.relay_position} "
                 f"and path_loss_exponent {p.path_loss_exponent:g} put the d^gamma of links "
                 f"{pairs} at 0 or outside the float range"
             )
+        object.__setattr__(self, "_pow", pw)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return self._ids
+        return tuple(self._pow)
 
     def distance(self, a: str, b: str) -> float:
-        if a == b:
-            raise ValueError(f"no link from a node to itself: {a!r}")
-        ia, ib = self._ids.index(a), self._ids.index(b)
-        return float(self._dist[ia, ib])
+        if a == b or not {a, b} <= self._pow.keys():
+            raise ValueError(f"no link from {a!r} to {b!r} in this placement")
+        return self._length(a, b)
+
+    def _length(self, a: str, b: str) -> float:
+        """dx*dx + dy*dy between two nodes' positions, then its square root."""
+        (xa, ya), (xb, yb) = self.positions[a], self.positions[b]
+        dx, dy = float(xa) - float(xb), float(ya) - float(yb)
+        return math.sqrt(dx * dx + dy * dy)
 
     def link_pow(self) -> dict[str, dict[str, float]]:
         """The d^gamma table: ``link_pow()[a][b]`` is
@@ -168,7 +167,7 @@ def sample_placement(params: GeometryParams, rng: np.random.Generator) -> NodePl
     angle = v * params.sector_angle
     positions = {
         DESTINATION: (0.0, 0.0),
-        RELAY: tuple(map(float, params.relay_position)),
+        RELAY: params.relay_position,
     }
     for k in range(1, params.num_users + 1):
         positions[user_id(k)] = (

@@ -30,6 +30,10 @@ from tdcoop.strategies import parse_strategy
 
 from oracles import af2_complex_mutual_info, af_row_gains, afmh_complex_mutual_info
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import checks  # noqa: E402
+
 
 class TestMix64:
     def test_deterministic(self):
@@ -848,6 +852,48 @@ class TestRelayOnSharedSlotKernel:
             assert mc.count_events("rc-ddf", params, 29, path, trials) == want, snr_db
             counts.append(want)
         assert any(0 < c < trials for c in counts) == (rate > 0.0)
+
+
+class TestRelayExactOutage:
+    """rc-ddf's event rate on default-geometry cells agrees with the exact
+    cell outage of ``perfbench/checks.rc_ddf_cell_outage`` (Gauss-Legendre
+    quadrature, written apart from tdcoop) within 4 binomial standard
+    errors, at 2^20 trials per point.  The cells are every user of three
+    placements, at rate 0.25 and relay factor 0.5 over the low-SNR screen,
+    where most trials survive; points with fewer than 100 expected events
+    are left out."""
+
+    SEED = 3701
+    TRIALS = 1 << 20
+
+    def test_event_rates_match_the_quadrature(self):
+        rate, users, checked = 0.25, 3, 0
+        for i in range(3):
+            placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, i))
+            pw = placement.link_pow()
+            gamma = placement.params.path_loss_exponent
+            d_dr = placement.distance(DESTINATION, RELAY)
+            for k in range(1, users + 1):
+                u = user_id(k)
+                d_rk, d_dk = placement.distance(RELAY, u), placement.distance(DESTINATION, u)
+                for snr_db in (-10, -5, 0):
+                    # The burst K * P and the relay's budget 0.5 * P, as the
+                    # checks' rc_ddf_outage takes them.
+                    p = 10.0 ** (snr_db / 10.0)
+                    burst, budget = users * p, 0.5 * p
+                    exact = checks.rc_ddf_cell_outage(rate, burst, budget, d_rk, d_dk, d_dr, gamma)
+                    if exact * self.TRIALS < 100:
+                        continue
+                    record = {
+                        "rate": rate, "burst": burst, "budgets": (budget,), "mode": "accumulating",
+                        "dk_pow": pw[DESTINATION][u], "dj_pow": (pw[DESTINATION][RELAY],),
+                        "jk_pow": (pw[RELAY][u],), "hh_pow": ((0.0,),),
+                    }
+                    events = mc.count_events("rc-ddf", record, self.SEED, (i, k, snr_db + 10), self.TRIALS)
+                    se = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+                    assert abs(events / self.TRIALS - exact) <= 4.0 * se, (i, u, snr_db, events, exact)
+                    checked += 1
+        assert checked == 25
 
 
 def complex_count(kernel, params, rng, n):

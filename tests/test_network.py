@@ -1,11 +1,12 @@
 """Tests for sector geometry sampling and node distances."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tdcoop import network
+from tdcoop import mc, network
 from tdcoop.network import (
     DESTINATION,
     RELAY,
@@ -81,6 +82,18 @@ class TestGeometryParams:
         params = GeometryParams(relay_position=[0.4, 1])
         assert sample_placement(params, np.random.default_rng(0)).positions[RELAY] == (0.4, 1.0)
 
+    def test_relay_position_is_a_float_pair(self):
+        """A relay given as a tuple, a list or an ndarray is stored as one
+        tuple of two floats, so the params compare and hash alike."""
+        built = [
+            GeometryParams(relay_position=pos) for pos in ((0.4, 1), [0.4, 1.0], np.array([0.4, 1.0]))
+        ]
+        for params in built:
+            assert params.relay_position == (0.4, 1.0)
+            assert [type(v) for v in params.relay_position] == [float, float]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(params) for params in built}) == 1
+
 
 class TestSamplePlacement:
     def test_positions_inside_annulus_sector(self):
@@ -144,6 +157,33 @@ class TestNodePlacement:
         pl = unit_circle_placement()
         with pytest.raises(ValueError):
             pl.distance("u1", "u1")
+
+    @pytest.mark.parametrize("pair", (("u4", DESTINATION), (RELAY, "x")))
+    def test_unknown_node_rejected(self, pair):
+        pl = unit_circle_placement()
+        with pytest.raises(ValueError):
+            pl.distance(*pair)
+
+    def test_later_edits_to_the_positions_move_nothing(self):
+        positions = {DESTINATION: (0.0, 0.0), RELAY: (0.5, 0.0), "u1": (0.9, 0.1)}
+        pl = NodePlacement(params=GeometryParams(num_users=1), positions=positions)
+        table, length = pl.link_pow(), pl.distance(RELAY, "u1")
+        positions["u1"] = (0.2, 0.2)
+        assert pl.positions["u1"] == (0.9, 0.1)
+        assert pl.distance(RELAY, "u1") == length and pl.link_pow() == table
+
+    def test_placements_compare_by_identity(self):
+        """A placement holds no array: two drawn from one stream key have
+        equal positions, yet compare unequal without raising, and both
+        hash."""
+        assert [f.name for f in dataclasses.fields(NodePlacement)] == ["params", "positions", "_pow"]
+        p, q = (sample_placement(GeometryParams(), mc.derive_stream(1, 0, 0)) for _ in range(2))
+        assert p.positions == q.positions
+        assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
+        assert (p == q) is False
+        assert (p == p) is True
+        assert len({p, q}) == 2
+        assert hash(p) == hash(p)
 
     def test_nodes_at_one_point_rejected(self):
         with pytest.raises(ValueError, match="relay_position must differ"):
@@ -229,3 +269,97 @@ class TestLinkTable:
         params = GeometryParams(**scale)
         with pytest.raises(network.LinkRangeError, match="outside the float range"):
             sample_placement(params, np.random.default_rng(0))
+
+
+def broadcast_reference(params, positions):
+    """An independent build of a placement's links: every distance from one
+    numpy broadcast of the coordinates, read back with ``.tolist()``, and
+    each d^gamma in Python float power (inf where it overflows, 0.0 on the
+    diagonal).  Returns the node ids, the distance rows and the table."""
+    ids = (DESTINATION, RELAY) + tuple(user_id(k) for k in range(1, params.num_users + 1))
+    coords = np.array([positions[i] for i in ids], dtype=float)
+    delta = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((delta**2).sum(axis=-1)).tolist()
+    table = {}
+    for a, row in zip(ids, dist):
+        table[a] = {}
+        for b, d in zip(ids, row):
+            try:
+                table[a][b] = 0.0 if a == b else d**params.path_loss_exponent
+            except OverflowError:
+                table[a][b] = math.inf
+    return ids, dist, table
+
+
+class TestBroadcastReference:
+    """Link by link in Python floats, a placement's distances and d^gamma
+    table equal, bit for bit, the ones a numpy broadcast gives, and it
+    refuses exactly the links whose reference d^gamma is 0 or inf."""
+
+    @staticmethod
+    def assert_matches(params, positions):
+        """Check one geometry; return whether it made a placement."""
+        ids, dist, table = broadcast_reference(params, positions)
+        bad = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if not 0.0 < table[a][b] < math.inf]
+        if bad:
+            with pytest.raises(network.LinkRangeError) as info:
+                NodePlacement(params=params, positions=positions)
+            assert f"links {bad} at 0" in str(info.value)
+            return False
+        pl = NodePlacement(params=params, positions=positions)
+        got = pl.link_pow()
+        assert list(got) == list(ids) and all(list(row) == list(ids) for row in got.values())
+        assert got == table
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                if a != b:
+                    assert pl.distance(a, b) == dist[i][j], (a, b)
+        return True
+
+    def test_sampled_placements(self):
+        """10,080 placements: K = 2-4, gamma from 2 to 6, with the default
+        relay and a moved one."""
+        rng = np.random.default_rng(3707)
+        count = 0
+        for num_users in (2, 3, 4):
+            for gamma in (2, 2.5, 3.0, 3.7, 4.0, 6.0):
+                for relay in ((0.5, 0.0), (0.35, 0.45)):
+                    params = GeometryParams(num_users=num_users, path_loss_exponent=gamma, relay_position=relay)
+                    for _ in range(280):
+                        pl = sample_placement(params, rng)
+                        assert self.assert_matches(params, pl.positions)
+                        count += 1
+        assert count >= 10_000
+
+    @pytest.mark.parametrize(
+        "params,users,builds",
+        (
+            (GeometryParams(), TestLinkTable.RIM, True),
+            (GeometryParams(path_loss_exponent=3.7), TestLinkTable.RIM, True),
+            # 0.094^400 underflows to 0; 0.157^400 is a subnormal above it.
+            (GeometryParams(path_loss_exponent=400), ((0.9, 10.0), (0.9, 16.0), (0.9, 22.0)), False),
+            (GeometryParams(path_loss_exponent=400), ((0.9, 10.0), (0.9, 20.0), (0.9, 30.0)), True),
+            # A relay whose d^4 sits just inside the float range, and one
+            # past it.
+            (GeometryParams(relay_position=(1.0e77, 0.0)), TestLinkTable.RIM, True),
+            (GeometryParams(relay_position=(1.0e78, 0.0)), TestLinkTable.RIM, False),
+        ),
+        ids=("rim", "rim-3.7", "close-underflow", "close-subnormal", "far-relay-inside", "far-relay-past"),
+    )
+    def test_edge_geometries(self, params, users, builds):
+        positions = {DESTINATION: (0.0, 0.0), RELAY: params.relay_position}
+        for k, (r, deg) in enumerate(users, start=1):
+            a = math.radians(deg)
+            positions[user_id(k)] = (r * math.cos(a), r * math.sin(a))
+        assert self.assert_matches(params, positions) is builds
+
+    @pytest.mark.parametrize(
+        "scale",
+        ({"sector_radius": 1.0e100}, {"relay_position": (1.0e100, 0.0)}),
+        ids=("huge-sector", "far-relay"),
+    )
+    def test_hopeless_scales(self, scale):
+        """The positions are drawn at gamma 1, where every d^gamma fits."""
+        params = GeometryParams(**scale)
+        drawn = sample_placement(dataclasses.replace(params, path_loss_exponent=1.0), np.random.default_rng(0))
+        assert self.assert_matches(params, drawn.positions) is False

@@ -4,7 +4,9 @@ multiaccess networks.
 Every public name loads its submodule on first use (PEP 562), so
 ``import tdcoop`` imports nothing and a process loads only the modules
 it uses: building placements or strategies needs neither the sweep
-engine nor PyYAML.
+engine nor PyYAML.  The sweep engine does the same with its worker
+pool: only a sweep whose round starts workers imports
+``concurrent.futures.process`` and ``multiprocessing``.
 """
 
 import importlib

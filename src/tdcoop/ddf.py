@@ -122,8 +122,7 @@ def listen_fraction_rc(snr, rate):
     this is its one-forwarder reference.
     """
     c = capacity(np.asarray(snr, dtype=float))
-    with np.errstate(divide="ignore"):
-        theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
+    theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
     out = np.minimum(theta, 1.0)
     return float(out) if np.ndim(snr) == 0 else out
 
@@ -138,8 +137,7 @@ def listen_fraction_uc2(snr, rate):
     # R / c rounds nonincreasing in c, so the slowest forwarder's capacity
     # gives the largest fraction.
     c = capacity(np.atleast_2d(np.asarray(snr, dtype=float))).min(axis=1)
-    with np.errstate(divide="ignore"):
-        theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
+    theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
     return np.minimum(theta, 1.0)
 
 

@@ -23,8 +23,12 @@ count all cells ran, and the ceiling flag.  A whole sweep shares one
 Its rounds run in the sweep's own process until the first round of at
 least workers * MAX_TASK_TRIALS trials, big enough to give every worker
 one full-size task.  The spawn-started workers start at that round and
-run it and every later round of the sweep, small ones included.  Every
-task owns its stream, so where a task runs never changes a count.
+run it and every later round of the sweep, small ones included.  Only
+that start imports the pool machinery: ``ProcessPoolExecutor`` is a
+module attribute resolved on first use, so a sweep that starts no
+worker never loads ``concurrent.futures.process`` or
+``multiprocessing``.  Every task owns its stream, so where a task runs
+never changes a count.
 
 A task reads its stream in order, in internal batches of ``_BATCH``
 rows, so counts do not depend on the batch size; it only keeps each
@@ -100,10 +104,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
+import sys
 
 import numpy as np
 
@@ -223,9 +226,14 @@ def _survivors(rng, trials, rate, gain, slots):
     q: the chance that A_dk lies below the threshold expm1(slots R ln 2) /
     gain, where that bound equals the rate, widened by ``_SCREEN_MARGIN``.
 
-    Draws: binomial (trials, q).  Every other trial meets the rate.
+    Draws: binomial (trials, q).  Every other trial meets the rate.  A
+    threshold past the float range is inf: q = 1, every trial survives.
     """
-    q = -math.expm1(-math.expm1(slots * rate * math.log(2.0)) / gain * (1.0 + _SCREEN_MARGIN))
+    try:
+        threshold = math.expm1(slots * rate * math.log(2.0)) / gain
+    except OverflowError:
+        threshold = math.inf
+    q = -math.expm1(-threshold * (1.0 + _SCREEN_MARGIN))
     return int(rng.binomial(trials, q)), q
 
 
@@ -321,7 +329,7 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     events = 0
     for done in range(0, trials, _BATCH):
         snr = _snrs(columns, gains, rng, min(_BATCH, trials - done), q)
-        events += int((rate_of(snr, m, rate, params.get("mode")) < rate).sum())
+        events += int(np.count_nonzero(rate_of(snr, m, rate, params.get("mode")) < rate))
     return events
 
 
@@ -337,6 +345,16 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def __getattr__(name):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562)."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 class worker_pool:
     """Worker processes shared by every ``run_cells`` call of one sweep.
 
@@ -346,7 +364,10 @@ class worker_pool:
     MAX_TASK_TRIALS trials; the workers start there, with spawn (never
     fork, which is unsafe once the parent has threads), run that round
     and every later one, and shut down when the ``with`` block exits.
-    Scripts that run a sweep with more than one worker therefore need an
+    The start alone imports ``multiprocessing`` and reads the executor
+    class through this module's ``ProcessPoolExecutor`` attribute, so a
+    handle whose workers never start loads no pool machinery.  Scripts
+    that run a sweep with more than one worker need an
     ``if __name__ == "__main__":`` guard.
     """
 
@@ -365,7 +386,12 @@ class worker_pool:
         """Event counts of one round's tasks, in task order."""
         if self.executor is None and self.count > 1:
             if sum(task[-1] for task in tasks) >= self.count * MAX_TASK_TRIALS:
-                self.executor = ProcessPoolExecutor(
+                import multiprocessing
+
+                # Through the module attribute, so a stand-in bound on this
+                # module (a tracer's, a test's) is the class that starts.
+                pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+                self.executor = pool_class(
                     max_workers=self.count, mp_context=multiprocessing.get_context("spawn")
                 )
         if self.executor is None:

@@ -4,8 +4,9 @@ Closed forms and fits the tests check the package against: the listen
 fraction's mixed CDF, the multihop clustering condition, the diversity
 slope of an outage curve, draws of a weighted sum of unit-mean
 exponentials, the AF closed forms on complex amplitudes that the trial
-kernels ran before they drew magnitudes, and complex gains with the
-magnitudes and phases of an AF row.  The sweep never runs them.
+kernels ran before they drew magnitudes, complex gains with the
+magnitudes and phases of an AF row, and rc-af's exact cell outage by
+quadrature.  The sweep never runs them.
 """
 
 from __future__ import annotations
@@ -126,3 +127,62 @@ def af_row_gains(params, direct, links):
     phase = -2.0 * math.pi * np.expm1(-links[:, 2 * m :]) if links.shape[1] > 2 * m else 0.0
     h_dj = np.sqrt(links[:, m : 2 * m] / np.asarray(params["dj_pow"])) * np.exp(1j * phase)
     return np.sqrt(direct / params["dk_pow"]), h_dj, np.sqrt(links[:, :m] / np.asarray(params["jk_pow"]))
+
+
+def _panel_nodes(nodes, fine_at_hi):
+    """Gauss-Legendre nodes and weights on [0, 1], in 24 panels whose
+    widths shrink geometrically (to 1e-12) towards 1 or towards 0."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    offsets = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 24)))
+    edges = 1.0 - offsets[::-1] if fine_at_hi else offsets
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def rc_af_cell_outage(rate, burst, relay_budget, d_rk, d_dk, d_dr, gamma, nodes=32):
+    """Exact rc-af (af2, one relay) outage of one user by quadrature.
+
+    With the received SNRs jk = A_rk burst / d_rk^gamma (source into the
+    relay), dj = A_dr budget / d_dr^gamma (relay into the destination) and
+    s (direct), g = 2 / (jk + 1), F = g dj jk and c = 1 + g dj, the rate
+    (1/2) log2(1 + s + (F + s) / c + s^2 / c) lies below R exactly when s
+    lies below s*, the positive root of s^2 + (c + 1) s + (F - c E) = 0
+    with E = 2^(2R) - 1 (s* = 0 where F >= c E).  A_dk is a unit
+    exponential, so the outage given (A_rk, A_dr) is
+    1 - exp(-s* d_dk^gamma / burst), averaged here over the two unit
+    exponentials A_rk and A_dr.
+
+    s* > 0 needs g dj (jk - E) < E: for jk <= E every A_dr, for jk > E
+    only dj below E / (g (jk - E)).  So the outer gain is split at
+    t = E d_rk^gamma / burst (jk = E), each side mapped to u = 1 - exp(-a)
+    with panels refined towards t, and the inner gain, mapped to
+    v = 1 - exp(-A_dr), runs over [0, 1 - exp(-b_max)] with panels refined
+    towards its end.  The region where s* > 0 shrinks with the SNR, and
+    the split keeps nodes in it."""
+    e = math.expm1(2.0 * rate * math.log(2.0))
+    jk_gain, dj_gain = burst / d_rk**gamma, relay_budget / d_dr**gamma
+    dk_scale = d_dk**gamma / burst
+    t = e / jk_gain
+    x, w = _panel_nodes(nodes, fine_at_hi=True)
+    # Outer nodes: A_rk in [0, t] (u up to 1 - exp(-t)) and in [t, inf)
+    # (u from 0, a = t - log(1 - u), weight exp(-t) du).
+    below = -math.expm1(-t)
+    a_low, w_low = -np.log1p(-below * x), below * w
+    u, wu = _panel_nodes(nodes, fine_at_hi=False)
+    a_high, w_high = t - np.log1p(-u), math.exp(-t) * wu
+    total = 0.0
+    for a, wa in ((a_low, w_low), (a_high, w_high)):
+        for block in range(0, len(a), nodes):
+            jk = a[block : block + nodes, None] * jk_gain
+            g = 2.0 / (jk + 1.0)
+            # v_max = 1 - exp(-b_max), b_max = E / (g (jk - E)) in A_dr's units
+            with np.errstate(divide="ignore"):
+                b_max = np.where(jk > e, e / (g * (jk - e)) / dj_gain, np.inf)
+            v_max = -np.expm1(-b_max)
+            dj = -np.log1p(-v_max * x) * dj_gain
+            c = 1.0 + g * dj
+            gap = np.maximum(c * e - g * dj * jk, 0.0)
+            root = 2.0 * gap / ((c + 1.0) + np.sqrt((c + 1.0) ** 2 + 4.0 * gap))
+            inner = (-np.expm1(-root * dk_scale) * (v_max * w)).sum(axis=1)
+            total += float(inner @ wa[block : block + nodes])
+    return total

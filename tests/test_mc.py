@@ -28,7 +28,7 @@ from tdcoop.network import DESTINATION, RELAY, GeometryParams, NodePlacement, sa
 from tdcoop.power import PowerConfig
 from tdcoop.strategies import parse_strategy
 
-from oracles import af2_complex_mutual_info, af_row_gains, afmh_complex_mutual_info
+from oracles import af2_complex_mutual_info, af_row_gains, afmh_complex_mutual_info, rc_af_cell_outage
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -449,6 +449,20 @@ class TestDirectScreen:
         assert len(logs[(1, 0, 0, 0)]) > 2 and len(logs[(3, 0, 0, 0)]) > 2
 
     @pytest.mark.parametrize("case", sorted(SCREENED))
+    def test_threshold_past_the_float_range_keeps_every_trial(self, case, monkeypatch):
+        """Where expm1(L R ln 2) overflows (R past 1024 / L) the threshold
+        is inf: q = 1, every trial survives and is in outage, as mac
+        counts at the same record."""
+        kernel, record, _ = SCREENED[case]
+        kept = self.spy(monkeypatch)
+        params = dict(record, rate=1100.0 if kernel != "af2" else 600.0)
+        with pytest.raises(OverflowError):
+            direct_threshold(params, 2 if kernel == "af2" else 1)
+        assert mc.count_events(kernel, params, 5, (0,), 1000) == 1000
+        assert kept == [(1000, 1000)]
+        assert mc.count_events("mac", params, 5, (0,), 1000) == 1000
+
+    @pytest.mark.parametrize("case", sorted(SCREENED))
     def test_batch_with_no_surviving_row(self, case, monkeypatch):
         """A task with no survivor draws no row and counts no event; at
         rate 0 it draws nothing at all."""
@@ -855,18 +869,19 @@ class TestRelayOnSharedSlotKernel:
 
 
 class TestRelayExactOutage:
-    """rc-ddf's event rate on default-geometry cells agrees with the exact
-    cell outage of ``perfbench/checks.rc_ddf_cell_outage`` (Gauss-Legendre
-    quadrature, written apart from tdcoop) within 4 binomial standard
-    errors, at 2^20 trials per point.  The cells are every user of three
+    """The one-relay kernels' event rates on default-geometry cells agree
+    with exact cell outages by quadrature, written apart from tdcoop,
+    within 4 binomial standard errors at 2^20 trials per point: rc-ddf
+    with ``perfbench/checks.rc_ddf_cell_outage``, rc-af (the af2 kernel)
+    with ``oracles.rc_af_cell_outage``.  The cells are every user of three
     placements, at rate 0.25 and relay factor 0.5 over the low-SNR screen,
     where most trials survive; points with fewer than 100 expected events
     are left out."""
 
-    SEED = 3701
     TRIALS = 1 << 20
 
-    def test_event_rates_match_the_quadrature(self):
+    def points_checked(self, kernel, exact_outage, seed):
+        """How many points agree; fails at the first that does not."""
         rate, users, checked = 0.25, 3, 0
         for i in range(3):
             placement = sample_placement(GeometryParams(), mc.derive_stream(1, 0, i))
@@ -881,7 +896,7 @@ class TestRelayExactOutage:
                     # checks' rc_ddf_outage takes them.
                     p = 10.0 ** (snr_db / 10.0)
                     burst, budget = users * p, 0.5 * p
-                    exact = checks.rc_ddf_cell_outage(rate, burst, budget, d_rk, d_dk, d_dr, gamma)
+                    exact = exact_outage(rate, burst, budget, d_rk, d_dk, d_dr, gamma)
                     if exact * self.TRIALS < 100:
                         continue
                     record = {
@@ -889,11 +904,55 @@ class TestRelayExactOutage:
                         "dk_pow": pw[DESTINATION][u], "dj_pow": (pw[DESTINATION][RELAY],),
                         "jk_pow": (pw[RELAY][u],), "hh_pow": ((0.0,),),
                     }
-                    events = mc.count_events("rc-ddf", record, self.SEED, (i, k, snr_db + 10), self.TRIALS)
+                    events = mc.count_events(kernel, record, seed, (i, k, snr_db + 10), self.TRIALS)
                     se = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
                     assert abs(events / self.TRIALS - exact) <= 4.0 * se, (i, u, snr_db, events, exact)
                     checked += 1
-        assert checked == 25
+        return checked
+
+    def test_event_rates_match_the_quadrature(self):
+        assert self.points_checked("rc-ddf", checks.rc_ddf_cell_outage, 3701) == 25
+
+    def test_rc_af_event_rates_match_the_quadrature(self):
+        assert self.points_checked("af2", rc_af_cell_outage, 3811) == 26
+
+    @pytest.mark.parametrize("snr_db", (-10, 0, 10, 20, 40))
+    def test_rc_af_quadrature_converges(self, snr_db):
+        """Twice the nodes per panel moves the exact rc-af outage by less
+        than 5e-3 relative, down to about 1e-11 at 40 dB."""
+        p = 10.0 ** (snr_db / 10.0)
+        cell = (0.25, 3.0 * p, 0.5 * p, 0.6, 0.9, 0.5, 4.0)
+        coarse, fine = rc_af_cell_outage(*cell), rc_af_cell_outage(*cell, nodes=64)
+        assert 0.0 < fine and abs(coarse - fine) <= 5e-3 * fine
+
+    def test_rc_af_quadrature_matches_scipy_dblquad(self):
+        """One cell against adaptive quadrature of the outage indicator's
+        conditional mean, with s* from the textbook quadratic formula."""
+        integrate = pytest.importorskip("scipy.integrate")
+        rate, burst, budget, d_rk, d_dk, d_dr, g = 0.5, 6.0, 2.0, 0.6, 0.9, 0.5, 4.0
+        e = 2.0 ** (2.0 * rate) - 1.0
+
+        def outage(a_dr, a_rk):
+            jk, dj = a_rk * burst / d_rk**g, a_dr * budget / d_dr**g
+            gain = 2.0 / (jk + 1.0)
+            f, c = gain * dj * jk, 1.0 + gain * dj
+            if f >= c * e:
+                return 0.0
+            root = (-(c + 1.0) + math.sqrt((c + 1.0) ** 2 - 4.0 * (f - c * e))) / 2.0
+            return -math.expm1(-root * d_dk**g / burst) * math.exp(-a_rk - a_dr)
+
+        def top(a_rk):
+            """The largest A_dr with s* > 0, capped at 60."""
+            jk = a_rk * burst / d_rk**g
+            return 60.0 if jk <= e else min(60.0, e * (jk + 1.0) / (2.0 * (jk - e)) * d_dr**g / budget)
+
+        t = e * d_rk**g / burst
+        want = sum(
+            integrate.dblquad(outage, lo, hi, 0.0, top, epsabs=1e-14, epsrel=1e-10)[0]
+            for lo, hi in ((0.0, t), (t, 60.0))
+        )
+        got = rc_af_cell_outage(rate, burst, budget, d_rk, d_dk, d_dr, g)
+        assert abs(got - want) <= 1e-6 * want
 
 
 def complex_count(kernel, params, rng, n):

@@ -31,6 +31,10 @@ def bindings():
 
 @pytest.mark.parametrize("mode", ("full", "light", "pool"))
 def test_install_then_restore(mode):
+    # mc.ProcessPoolExecutor is resolved on first use, and a lazy name
+    # enters vars(mc) the first time anything reads it: read it before the
+    # snapshot, as the pool mode's install does.
+    mc.ProcessPoolExecutor
     before = bindings()
     tracer = tracing.Tracer()
     try:

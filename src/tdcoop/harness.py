@@ -10,12 +10,12 @@ counts.
 
 One builder describes a strategy's cells for the whole grid: ``_cells``
 gathers each cell's d^gamma links from its placement's table
-(``NodePlacement.link_pow``), and ``_user_powers`` gives each user's
-burst power, forwarder budgets and DDF branch weights at every grid
-point.  ``_bounds`` reads both with one bound call per cell, and
+(``NodePlacement.link_pow``), and ``_user_powers`` cuts each user's
+burst and its forwarders' budgets from one per-node power table over
+the grid.  ``_bounds`` reads both with one bound call per cell, and
 ``_tasks`` joins them at one grid point into the trial engine's
-parameter records.  Every entry point takes its points
-from ``_points``; the sweeps read them through ``_sweep``, which owns the
+parameter records.  Every entry point takes its points from
+``_points``; the sweeps read them through ``_sweep``, which owns the
 worker pool and the point seeds.
 """
 
@@ -207,29 +207,23 @@ def _cells(strategy: Strategy, placements) -> list[tuple]:
     return cells
 
 
-def _user_powers(strategy: Strategy, grid: list[PowerConfig]) -> list[tuple]:
-    """Each user's (burst, budgets, live, lambdas) over the SNR grid.
+def _user_powers(strategy: Strategy, grid: list[PowerConfig]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each user's (burst, budgets) over the SNR grid.
 
-    burst is the column of the source's burst powers and budgets lists
-    its forwarders' budgets (the relay's under rc) as one tuple per grid
-    point.  live indexes the points where the source transmits (burst >
-    0): a slice over the whole grid unless P = 0 silences it somewhere.
-    lambdas holds the DDF bounds' branch weights at the live points, one
-    row per point: 1 for the source, then each budget over the burst.
+    Both are cut from one power table with a row per grid point: column
+    0 holds the relay's budget and column k user k's burst.  burst is
+    the user's own column, shaped (points,); budgets holds its
+    forwarders' columns, shaped (points, forwarders): the relay's under
+    rc, its helpers' under uc and none under mac.
     """
-    bursts = [[user_burst_power(strategy, pc, k) for pc in grid] for k in range(1, strategy.num_users + 1)]
-    relay = [(relay_power(pc),) for pc in grid] if strategy.uses_relay else None
-    powers = []
-    for k, burst in enumerate(bursts, start=1):
-        if relay is None:
-            budgets = [tuple(bursts[j - 1][s] for j in strategy.helpers(k)) for s in range(len(grid))]
-        else:
-            budgets = relay
-        rows = [s for s, b in enumerate(burst) if b > 0.0]
-        lambdas = [(1.0,) + tuple(f / burst[s] for f in budgets[s]) for s in rows]
-        live = slice(None) if len(rows) == len(grid) else np.array(rows, dtype=int)
-        powers.append((np.array(burst), budgets, live, np.array(lambdas)))
-    return powers
+    users = range(1, strategy.num_users + 1)
+    table = np.array([[relay_power(pc)] + [user_burst_power(strategy, pc, k) for k in users] for pc in grid])
+    # np.take, not a list index: an empty list index (mac's) raises peak
+    # memory on first use.
+    return [
+        (table[:, k], np.take(table, [0] if strategy.uses_relay else strategy.helpers(k), axis=1))
+        for k in users
+    ]
 
 
 def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -237,24 +231,26 @@ def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.
     shaped (grid points, cells) in cell order.
 
     One bound-function call per cell covers the whole grid, with the
-    cell's links as scalars and its user's live ``_user_powers`` rows as
-    rows.  A source whose forwarders have no budget at any point (mac's,
-    which has none, or rc's at relay factor 0) takes ``mac_outage``'s
-    closed form twice: a silent forwarder adds nothing to the DDF rate,
-    and an AF gain of 0 leaves det(I + P HH*) = (1 + P |h_dk|^2)^2, so
-    either rate is the direct link's capacity.  A silent source is in
-    outage at every positive rate, so at a point off its live rows both
-    columns are float(rate > 0), ``mac_outage``'s rule, and no bound is
-    called.
+    cell's links as scalars and its user's live rows as rows: the points
+    where its burst is positive.  The DDF bounds weigh the source by 1
+    and each forwarder by its budget over the burst.  A source whose
+    forwarders have no budget at any point (mac's, which has none, or
+    rc's at relay factor 0) takes ``mac_outage``'s closed form twice: a
+    silent forwarder adds nothing to the DDF rate, and an AF gain of 0
+    leaves det(I + P HH*) = (1 + P |h_dk|^2)^2, so either rate is the
+    direct link's capacity.  A silent source is in outage at every
+    positive rate, so at a point off its live rows both columns are
+    float(rate > 0), ``mac_outage``'s rule, and no bound is called.
     """
     lower = np.full((len(powers[0][0]), len(cells)), float(rate > 0.0))
     upper = lower.copy()
-    # Per user: its live rows, their bursts and branch weights, and
-    # whether its forwarders have no budget at any point.
-    rows = [
-        (live, burst[live], lambdas, not any(map(any, budgets)))
-        for burst, budgets, live, lambdas in powers
-    ]
+    rows = []
+    for burst, budgets in powers:
+        # Live rows picked in Python: a numpy mask costs more peak memory
+        # on first use than a grid's few rows repay.
+        live = np.array([s for s, b in enumerate(burst.tolist()) if b > 0.0], dtype=int)
+        lambdas = np.column_stack((np.ones(len(live)), budgets[live] / burst[live, None]))
+        rows.append((live, burst[live], lambdas, not any(map(any, budgets.tolist()))))
     for c, (_, u, kernel, dk, dj, jk, _) in enumerate(cells):
         live, burst, lambdas, direct_only = rows[u]
         if not len(burst):
@@ -270,8 +266,9 @@ def _bounds(cells, powers, rate: float, optimize: bool) -> tuple[np.ndarray, np.
         else:
             ddf_bounds = ddf_bounds_uc2 if kernel == "uc2-ddf" else ddf_bounds_multihop
             pair = ddf_bounds(rate, burst, lambdas, np.array((dk,) + dj), np.array(jk), optimize=optimize)
-        lower[live, c] = pair.lower
-        upper[live, c] = pair.upper
+        # Through the column's view: a 1-D index writes faster than a 2-D one.
+        lower[:, c][live] = pair.lower
+        upper[:, c][live] = pair.upper
     return lower, upper
 
 
@@ -283,10 +280,11 @@ def _tasks(cells, powers, s: int, rate: float, mode: str) -> list[tuple]:
     source's burst power, its forwarders' budgets, the multihop mode and
     the cell's links, all Python floats and tuples of them.
     """
+    at_point = [(float(burst[s]), tuple(budgets[s].tolist())) for burst, budgets in powers]
     tasks = []
     for i, u, kernel, dk, dj, jk, hh in cells:
-        burst, budgets, *_ = powers[u]
-        params = dict(rate=rate, burst=float(burst[s]), budgets=budgets[s], mode=mode)
+        burst, budgets = at_point[u]
+        params = dict(rate=rate, burst=burst, budgets=budgets, mode=mode)
         params.update(dk_pow=dk, dj_pow=dj, jk_pow=jk, hh_pow=hh)
         tasks.append((i, u, kernel, params))
     return tasks

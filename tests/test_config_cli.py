@@ -199,6 +199,11 @@ class TestCliRun:
         path = write_cfg(tmp_path, BASE_YAML.replace("- rc-ddf", "- mac"))
         assert main(["run", "-c", path]) == 2
 
+    def test_empty_config_exits_2(self, tmp_path, capsys):
+        """An empty file reads as an empty mapping, which lists no strategy."""
+        assert main(["run", "-c", write_cfg(tmp_path, "")]) == 2
+        assert capsys.readouterr().err == "error: configuration must list at least one strategy\n"
+
     def test_run_help_explains_every_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "-h"])
@@ -727,6 +732,15 @@ class TestCliExportPlacements:
         assert main(["export-placements", "-c", path, "-o", str(a)]) == 0
         assert main(["export-placements", "-c", path, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "placements.csv"
+        assert main(["export-placements", "-c", write_cfg(tmp_path), "-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write output")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "flag",

@@ -361,6 +361,8 @@ class TestExperimentConfig:
 
 RECORD_KEYS = {"rate", "burst", "budgets", "mode", "dk_pow", "dj_pow", "jk_pow", "hh_pow"}
 RING = {1: [2], 2: [3], 3: [1]}
+# Users with two, one and one helper: budgets of uneven width.
+UNEVEN = {1: [2, 3], 2: [3], 3: [1]}
 SEVEN = ("mac", "rc-ddf", "uc2-ddf", "uc3-ddf", "rc-af", "uc2-af", "uc3-af")
 
 
@@ -393,8 +395,9 @@ class TestKernelRecords:
     @pytest.mark.parametrize(
         "num_users,name,coop_sets",
         [(3, n, None) for n in SEVEN]
-        + [(3, "uc2-ddf", RING), (3, "uc2-af", RING), (4, "uc4-ddf", None), (4, "uc4-af", None)],
-        ids=lambda x: "ring" if x is RING else str(x),
+        + [(3, n, sets) for sets in (RING, UNEVEN) for n in ("uc2-ddf", "uc2-af")]
+        + [(4, "uc4-ddf", None), (4, "uc4-af", None)],
+        ids=lambda x: "ring" if x is RING else "uneven" if x is UNEVEN else str(x),
     )
     def test_tasks_are_the_documented_record(self, monkeypatch, num_users, name, coop_sets):
         strategy = parse_strategy(name, num_users, coop_sets=coop_sets)
@@ -415,9 +418,9 @@ class TestKernelRecords:
         assert len(handed) == len(cfg.snr_db)
         for snr, tasks in zip(cfg.snr_db, handed):
             self.check(tasks, strategy, cfg.power.with_user_power(10.0 ** (snr / 10.0)), 3)
-        pc = PowerConfig(user_power=7.0, rate=1.5)
-        estimate_outage(strategy, cfg.placements()[0], pc, trials=1, seed=1)
-        self.check(handed[-1], strategy, pc, 1)
+        for pc in (PowerConfig(user_power=7.0, rate=1.5), PowerConfig(user_power=0.0)):
+            estimate_outage(strategy, cfg.placements()[0], pc, trials=1, seed=1)
+            self.check(handed[-1], strategy, pc, 1)
 
 
 class TestFormatRows:

@@ -916,6 +916,43 @@ class TestRelayExactOutage:
     def test_rc_af_event_rates_match_the_quadrature(self):
         assert self.points_checked("af2", rc_af_cell_outage, 3811) == 26
 
+    @pytest.mark.parametrize(
+        "name,exact_outage,seed",
+        (("rc-ddf", checks.rc_ddf_cell_outage, 3901), ("rc-af", rc_af_cell_outage, 3902)),
+        ids=("rc-ddf", "rc-af"),
+    )
+    def test_area_rows_match_the_quadrature(self, name, exact_outage, seed):
+        """A sweep's averaged rows over 20 default-geometry placements agree
+        with the mean exact outage of their 60 cells within 4 standard
+        errors, every cell run to its ceiling of 2^16 trials."""
+        users, placements, trials = 3, 20, 1 << 16
+        cells = users * placements
+        cfg = harness.ExperimentConfig(
+            geometry=GeometryParams(num_users=users),
+            power=PowerConfig(rate=0.25, relay_power_factor=0.5),
+            strategies=(parse_strategy(name, users),),
+            snr_db=(-10.0, 0.0),
+            num_placements=placements,
+            master_seed=seed,
+            target_events=cells * trials + 1,
+            trial_ceiling=cells * trials,
+        )
+        gamma = cfg.geometry.path_loss_exponent
+        for row in harness.run_experiment(cfg):
+            p = 10.0 ** (row["snr_db"] / 10.0)
+            exact = [
+                exact_outage(
+                    0.25, users * p, 0.5 * p, placement.distance(RELAY, user_id(k)),
+                    placement.distance(DESTINATION, user_id(k)), placement.distance(DESTINATION, RELAY), gamma,
+                )
+                for placement in cfg.placements()
+                for k in range(1, users + 1)
+            ]
+            mean = sum(exact) / cells
+            se = math.sqrt(sum(q * (1.0 - q) for q in exact) / trials) / cells
+            assert row["trials"] == cells * trials
+            assert abs(row["outage"] - mean) <= 4.0 * se, (row["snr_db"], row["outage"], mean, se)
+
     @pytest.mark.parametrize("snr_db", (-10, 0, 10, 20, 40))
     def test_rc_af_quadrature_converges(self, snr_db):
         """Twice the nodes per panel moves the exact rc-af outage by less

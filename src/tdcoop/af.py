@@ -156,7 +156,8 @@ def af2_trial_mutual_info(dk_snr, dj_snr, jk_snr, phase=None):
     """
     s, dj_snr = np.asarray(dk_snr), np.asarray(dj_snr)
     gain_sq = 2.0 / (np.asarray(jk_snr) + 1.0)
-    power = gain_sq * dj_snr * jk_snr
+    weighted = gain_sq * dj_snr
+    power = weighted * jk_snr
     fwd_sq = power.sum(axis=1)
     m = power.shape[1]
     if m > 1 and phase is None:
@@ -165,7 +166,7 @@ def af2_trial_mutual_info(dk_snr, dj_snr, jk_snr, phase=None):
     for i in range(m):
         for j in range(i + 1, m):
             fwd_sq += 2.0 * np.sqrt(power[:, i] * power[:, j]) * np.cos(phase[:, i] - phase[:, j])
-    cs_sq = 1.0 + (gain_sq * dj_snr).sum(axis=1)
+    cs_sq = 1.0 + weighted.sum(axis=1)
     det_m1 = s + (fwd_sq + s) / cs_sq + s * s / cs_sq
     return np.log1p(det_m1) / (2.0 * math.log(2.0))
 

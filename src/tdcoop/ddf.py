@@ -135,10 +135,10 @@ def listen_fraction_uc2(snr, rate):
     fraction is the per-forwarder maximum capped at 1.
     """
     # R / c rounds nonincreasing in c, so the slowest forwarder's capacity
-    # gives the largest fraction.
+    # gives the largest fraction.  Where c is 0, R / 1e-300 caps at 1 for
+    # any rate of at least 1e-300; at rate 0 every fraction is 0.
     c = capacity(np.atleast_2d(np.asarray(snr, dtype=float))).min(axis=1)
-    theta = np.where(c > 0.0, rate / np.maximum(c, 1e-300), np.inf)
-    return np.minimum(theta, 1.0)
+    return np.minimum(rate / np.maximum(c, 1e-300), 1.0)
 
 
 def trial_mutual_info_rc(theta, direct_snr, relay_link_snr):
@@ -207,10 +207,13 @@ def multihop_schedule(recv_snr, dest_snr, rate, mode="accumulating"):
     mode it must decode within a single stage.
 
     Each stage works on (H, n) arrays and selects with ``np.where``.  A
-    trial whose stage is capped has no time left, and nothing computed
-    for it afterwards is read, so the stage updates run over all trials
-    without masking them.  The returned arrays are trial-major views of
-    stage-major storage.
+    running minimum over the helpers, seeded with the time left, gives the
+    stage's fraction; the helper that last lowered it decodes.  A trial
+    whose stage is capped has no time left, and nothing computed for it
+    afterwards is read, so the stage updates run over all trials without
+    masking them.  The last stage updates only what the destination
+    hears.  The returned arrays are trial-major views of stage-major
+    storage.
     """
     if mode not in ("accumulating", "per-fraction"):
         raise ValueError(f"unknown multihop mode {mode!r}")
@@ -221,51 +224,64 @@ def multihop_schedule(recv_snr, dest_snr, rate, mode="accumulating"):
     H, L, n = snr.shape
     if dest.shape != (n, L):
         raise ValueError("dest_snr must be (n, L)")
+    accumulating = mode == "accumulating"
     fractions = np.zeros((L, n))
     stage_snr = np.empty((L, n))
     stage_snr[0] = dest[:, 0]  # the source transmits from stage 0
-    undecided = np.ones((H, n), dtype=bool)
+    decided = np.zeros((H, n), dtype=bool)
     acc_info = np.zeros((H, n))
     remaining = np.ones(n)  # 0 exactly once a stage is capped
     helper_snr = snr[:, 0].copy()
-    for s in range(L - 1):
-        rate_now = capacity(helper_snr)
-        need = rate - acc_info if mode == "accumulating" else rate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = np.where(rate_now > 0.0, need / rate_now, np.inf)
-        cand = np.where(undecided, np.where(need <= 0.0, 0.0, cand), np.inf)
-        # A running minimum over helpers, strict so that ties go to the lowest
-        # index.  cand.argmin(axis=0) and cand.min(axis=0) give the same values
-        # but the schedule then takes 173 rather than 143 ns per trial at H = 2
-        # (n = 8192, 2 vCPUs, numpy 2.4).
-        best = np.zeros(n, dtype=np.int64)
-        best_theta = cand[0]
-        for h in range(1, H):
-            better = cand[h] < best_theta
-            best = np.where(better, h, best)
-            best_theta = np.where(better, cand[h], best_theta)
-        decode = best_theta < remaining
-        # A capped stage takes the remaining time, which a finished trial has
-        # at 0; the trials that decode give up their fraction.
-        fractions[s] = np.where(decode, best_theta, remaining)
-        remaining = np.where(decode, remaining - best_theta, 0.0)
-        if not decode.any():
-            stage_snr[s + 1 :] = stage_snr[s]
-            break
-        if mode == "accumulating":
-            acc_info += fractions[s] * rate_now
-        # The new decoder's links into every helper and into the destination
-        # join their SNRs.  Row-wise updates of undecided beat one broadcast
-        # compare (372 against 400 ns per trial at H = 3).
-        joining, dest_joining = snr[:, 1], dest[:, 1]
-        undecided[0] &= best != 0
-        for h in range(1, H):
-            joining = np.where(best == h, snr[:, h + 1], joining)
-            dest_joining = np.where(best == h, dest[:, h + 1], dest_joining)
-            undecided[h] &= best != h
-        helper_snr += joining
-        # The new decoder transmits for the time left at its entry.
-        stage_snr[s + 1] = stage_snr[s] + np.divide(dest_joining, remaining, out=np.zeros(n), where=decode)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(L - 1):
+            rate_now = capacity(helper_snr)
+            # The additional fraction each helper needs: 0 once it needs
+            # nothing more, inf where it hears nothing or has decoded.
+            if accumulating:
+                need = rate - acc_info
+                cand = np.where(need <= 0.0, 0.0, need / rate_now)
+            elif rate > 0.0:
+                cand = rate / rate_now
+            else:
+                cand = np.zeros((H, n))
+            cand = np.where(decided, np.inf, cand)
+            # Strict comparisons, so that ties go to the lowest index and a
+            # helper that needs all the time left does not decode.  The stage
+            # takes the smallest fraction, or the time left when nobody
+            # decodes, so the trials that decode give up their fraction and
+            # the capped ones reach 0 exactly.
+            frac = fractions[s]
+            frac[:] = remaining
+            joins = []
+            for h in range(H):
+                joins.append(cand[h] < frac)
+                np.minimum(frac, cand[h], out=frac)
+            remaining -= frac
+            if not remaining.any():
+                stage_snr[s + 1 :] = stage_snr[s]
+                break
+            # The decoder is the last helper that lowered the minimum.
+            later = joins[-1]
+            for h in range(H - 2, -1, -1):
+                joins[h], later = joins[h] > later, later | joins[h]
+            # The decoder's links into the destination and, before the last
+            # stage, into every helper join their SNRs.
+            last = s == L - 2
+            dest_joining, joining = dest[:, 1], snr[:, 1]
+            for h in range(1, H):
+                dest_joining = np.where(joins[h], dest[:, h + 1], dest_joining)
+                if not last:
+                    joining = np.where(joins[h], snr[:, h + 1], joining)
+            if not last:
+                helper_snr += joining
+                for h in range(H):
+                    decided[h] |= joins[h]
+                if accumulating:
+                    rate_now *= frac
+                    acc_info += rate_now
+            # The new decoder transmits for the time left at its entry.
+            boost = np.where(remaining > 0.0, dest_joining / remaining, 0.0)
+            np.add(stage_snr[s], boost, out=stage_snr[s + 1])
     fractions[L - 1] = remaining
     return MultihopSchedule(fractions=fractions.T, stage_snr=stage_snr.T)
 
@@ -273,9 +289,11 @@ def multihop_schedule(recv_snr, dest_snr, rate, mode="accumulating"):
 def trial_mutual_info_multihop(schedule: MultihopSchedule):
     """Destination rate sum_s theta_s * C(stage-s SNR) for the schedule;
     a stage without time adds nothing."""
-    info = np.zeros(len(schedule.fractions))
-    for theta, snr in zip(schedule.fractions.T, schedule.stage_snr.T):
-        info = info + np.where(theta > 0.0, theta * capacity(snr), 0.0)
+    fractions = schedule.fractions.T
+    terms = np.where(fractions > 0.0, fractions * capacity(schedule.stage_snr.T), 0.0)
+    info = terms[0].copy()
+    for term in terms[1:]:
+        info += term
     return info
 
 

@@ -68,9 +68,11 @@ the source's ``burst`` power, its forwarders' ``budgets`` (the relay's
 under rc), the multihop ``mode`` and the cell's d^gamma -- ``dk_pow``
 (destination-source), ``dj_pow`` (destination-forwarder), ``jk_pow``
 (forwarder-source), ``hh_pow`` (between helpers).  ``_snr_table`` alone
-reads the powers and d^gamma, once per task: for each received SNR,
-the draw column it reads and its gain P/d^gamma.  A batch's SNRs are
-one product of the rows' columns and the gains, so every SNR is
+reads the powers and d^gamma.  The column layout, for each received
+SNR the draw column it reads and which power and link it takes, is
+built once per (kernel, m) (``_layout``); each task forms its gains
+P/d^gamma from its record, one float division each.  A batch's SNRs
+are one product of the rows' columns and the gains, so every SNR is
 A * (P/d^gamma), rounded one way.  SNR columns: the direct link, the
 source into each forwarder, each forwarder into the destination, then
 af2's phase draws.  ucmh-ddf's follow its chain: the direct link, each
@@ -101,6 +103,7 @@ point rests on 5 events.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -191,33 +194,51 @@ def chunk_sizes(n: int) -> list[int]:
 # them; changing a layout changes results.
 
 
-def _snr_table(kernel, params):
-    """The cell's SNR table, in the column order of the module docstring:
-    per SNR column, the draw column it reads and its gain P/d^gamma, and
-    the forwarder count m (0 for mac)."""
-    burst, budgets = params["burst"], () if kernel == "mac" else params["budgets"]
-    m = len(budgets)
+@functools.cache
+def _layout(kernel, m):
+    """The SNR columns of a kernel at m forwarders, in the column order of
+    the module docstring, for every task alike: the draw column each
+    reads (one read-only array), its sender and link as indices into the
+    power and d^gamma tuples ``_snr_table`` reads from a record, and the
+    row width, one past the largest draw column."""
     pair = {}  # draw column of each helper pair, both ways round
     if kernel == "ucmh-ddf":
         for col, (h, j) in enumerate(itertools.combinations(range(m), 2), start=1 + m):
             pair[h, j] = pair[j, h] = col
     dest = 1 + m + len(pair) // 2  # draw column of the first forwarder-destination link
-    # (draw column, sender power, d^gamma) per SNR column
-    links = [(0, burst, params["dk_pow"])]
-    source = [(1 + j, burst, params["jk_pow"][j]) for j in range(m)]
-    to_dest = [(dest + j, budgets[j], params["dj_pow"][j]) for j in range(m)]
+    # (draw column, sender, link) per SNR column.  Senders: 0.0, 1.0, burst,
+    # budgets.  Links: 1.0, dk_pow, jk_pow, dj_pow, hh_pow row-major.
+    links = [(0, 2, 1)]
+    source = [(1 + j, 2, 2 + j) for j in range(m)]
+    to_dest = [(dest + j, 3 + j, 2 + m + j) for j in range(m)]
     if kernel == "ucmh-ddf":
-        hh = params["hh_pow"]
         links += to_dest
         for h in range(m):
             links.append(source[h])
-            links += [(pair[h, j], budgets[j], hh[h][j]) if j != h else (0, 0.0, 1.0) for j in range(m)]
+            links += [(pair[h, j], 3 + j, 2 + (2 + h) * m + j) if j != h else (0, 0, 0) for j in range(m)]
     else:
         links += source + to_dest
     if kernel == "af2" and m > 1:
-        links += [(dest + m + j, 1.0, 1.0) for j in range(m)]
-    columns, power, d_pow = (np.array(v) for v in zip(*links))
-    return columns, power / d_pow, m
+        links += [(dest + m + j, 1, 0) for j in range(m)]
+    columns = np.array([col for col, _, _ in links])
+    columns.flags.writeable = False
+    return columns, tuple((sender, link) for _, sender, link in links), int(columns.max()) + 1
+
+
+def _snr_table(kernel, params):
+    """The cell's SNR table: per SNR column, the draw column it reads
+    (``_layout``'s shared array) and its gain P/d^gamma, and the forwarder
+    count m (0 for mac)."""
+    budgets = () if kernel == "mac" else params["budgets"]
+    m = len(budgets)
+    columns, links, _ = _layout(kernel, m)
+    power = (0.0, 1.0, params["burst"], *budgets)
+    d_pow = (1.0, params["dk_pow"])
+    if m:
+        d_pow += (*params["jk_pow"], *params["dj_pow"])
+    if kernel == "ucmh-ddf":
+        d_pow += tuple(itertools.chain.from_iterable(params["hh_pow"]))
+    return columns, np.array([power[sender] / d_pow[link] for sender, link in links]), m
 
 
 def _survivors(rng, trials, rate, gain, slots):
@@ -242,17 +263,21 @@ def _conditioned(e, q):
     place: -log1p(q * expm1(-e)) with q = 1 - exp(-t'), which lies in
     [0, t').  With q None (no screen) e is A_dk as drawn.  Returns e."""
     if q is not None:
-        e[...] = -np.log1p(q * np.expm1(-e))
+        np.negative(e, out=e)
+        np.expm1(e, out=e)
+        e *= q
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
     return e
 
 
-def _snrs(columns, gains, rng, n, q):
+def _snrs(columns, width, gains, rng, n, q):
     """The engine's one draw: n trials' rows, ``rng.exponential`` (n,
-    width) up to the table's largest draw column, as SNR columns, each
+    width) up to the layout's largest draw column, as SNR columns, each
     column's draws (A_dk conditioned by q) times its gain.  The gather
     stores them link-major (Fortran order), so a rate step's elementwise
     work runs in long contiguous loops."""
-    snr = rng.exponential(size=(n, columns.max() + 1))[:, columns]
+    snr = rng.exponential(size=(n, width))[:, columns]
     _conditioned(snr[:, 0], q)
     snr *= gains
     return snr
@@ -322,13 +347,14 @@ def count_events(kernel: str, params: dict, seed: int, path: tuple, trials: int)
     columns, gains, m = _snr_table(kernel, params)
     if gains[0] <= 0.0:
         return trials
+    width = _layout(kernel, m)[2]
     rng = derive_stream(seed, *path)
     q = None
     if slots is not None:
         trials, q = _survivors(rng, trials, rate, gains[0], slots)
     events = 0
     for done in range(0, trials, _BATCH):
-        snr = _snrs(columns, gains, rng, min(_BATCH, trials - done), q)
+        snr = _snrs(columns, width, gains, rng, min(_BATCH, trials - done), q)
         events += int(np.count_nonzero(rate_of(snr, m, rate, params.get("mode")) < rate))
     return events
 

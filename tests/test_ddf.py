@@ -438,10 +438,11 @@ class TestMultihopScatterOracle:
     """The helper-major schedule reproduces the scatter reference exactly:
     its fractions, the destination's SNR at every stage and the rate."""
 
-    @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
-    @pytest.mark.parametrize("H", (1, 2, 3))
-    def test_bitwise_equal(self, H, mode):
-        snr, dest = edge_case_inputs(H, seed=200 + H)
+    @staticmethod
+    def assert_bitwise_equal(snr, dest, mode):
+        """The schedule of trial-major inputs equals the scatter reference at
+        rate 0 and at the oracle rate; returns the reference at the latter."""
+        H = snr.shape[1]
         # A distinct power of two per slot: every decode order gives its own
         # stage SNRs, in the rows with dead destination links too.
         slots = np.broadcast_to(2.0 ** np.arange(H + 1), dest.shape)
@@ -455,6 +456,12 @@ class TestMultihopScatterOracle:
                 want_mi, want_snr = gather_trial_mutual_info_multihop(want, heard)
                 assert np.array_equal(got.stage_snr, want_snr), rate
                 assert np.array_equal(trial_mutual_info_multihop(got), want_mi), rate
+        return want
+
+    @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
+    @pytest.mark.parametrize("H", (1, 2, 3, 4))
+    def test_bitwise_equal(self, H, mode):
+        want = self.assert_bitwise_equal(*edge_case_inputs(H, seed=200 + H), mode)
         # The edge cases occur: stage-0 caps, and (two or more helpers)
         # ties and helpers that need nothing more.
         capped = (want.decoded == 1) & (want.fractions[:, 0] == 1.0)
@@ -465,6 +472,18 @@ class TestMultihopScatterOracle:
             if mode == "accumulating":
                 assert np.all(want.fractions[500:1000, 1] == 0.0)
                 assert np.all(want.decoded[500:1000] == H + 1)
+
+    @pytest.mark.parametrize("mode", ("accumulating", "per-fraction"))
+    @pytest.mark.parametrize("H", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", (1, 40, 2048, 8193))
+    def test_bitwise_equal_at_batch_sizes(self, n, H, mode):
+        """At the batch sizes tasks run, from one row to past ``mc._BATCH``.
+        A batch smaller than the edge-case set takes rows spread over all of
+        it, so that from 40 rows up it holds rows of every block."""
+        assert 8193 > mc._BATCH
+        snr, dest = edge_case_inputs(H, seed=300 + H, n=max(n, 6000))
+        rows = np.linspace(0, len(dest) - 1, n).round().astype(int)
+        self.assert_bitwise_equal(snr[rows], dest[rows], mode)
 
     def test_ties_go_to_the_lowest_index(self):
         """Three helpers hear the source alike: helper 0 (slot 1) joins

@@ -288,8 +288,8 @@ def row_snrs(kernel, params, rows):
 def layout_snrs(kernel, params, rng, n, q=None):
     """n trials' received SNRs as the engine forms them from rng, the
     direct draw conditioned by q."""
-    columns, gains, _ = mc._snr_table(kernel, params)
-    return mc._snrs(columns, gains, rng, n, q)
+    columns, gains, m = mc._snr_table(kernel, params)
+    return mc._snrs(columns, mc._layout(kernel, m)[2], gains, rng, n, q)
 
 
 def rate_count(kernel, params, snr):
@@ -697,6 +697,55 @@ def test_snr_table_reads_each_link(kernel, record):
     np.testing.assert_allclose(snr, want, rtol=1e-15, atol=0.0)
 
 
+def documented_gains(kernel, record):
+    """Each SNR column's gain, read from the record apart from ``mc``, in
+    the column order of ``documented_snrs``: the sender's power over the
+    link's d^gamma, one Python float division; 0.0 for a helper hearing
+    itself and 1.0 for af2's phase draws."""
+    m = 0 if kernel == "mac" else len(record["budgets"])
+    burst, budgets = record["burst"], record["budgets"]
+    direct = [burst / record["dk_pow"]]
+    source = [burst / record["jk_pow"][j] for j in range(m)]
+    to_dest = [budgets[j] / record["dj_pow"][j] for j in range(m)]
+    if kernel != "ucmh-ddf":
+        return direct + source + to_dest + [1.0] * (m if kernel == "af2" and m > 1 else 0)
+    out = direct + to_dest
+    for h in range(m):
+        out += [source[h]] + [0.0 if j == h else budgets[j] / record["hh_pow"][h][j] for j in range(m)]
+    return out
+
+
+@pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3, SKEWED3), ids=("m1", "m2", "m3", "m3-skewed"))
+@pytest.mark.parametrize("kernel", sorted(mc._KERNELS))
+def test_snr_table_gains_are_the_records_quotients(kernel, record):
+    """Every gain is exactly the record's P/d^gamma: mac's at m = 0 and
+    every other kernel's at m = 1-3, af2's phase columns at gain 1."""
+    _, gains, m = mc._snr_table(kernel, record)
+    assert m == (0 if kernel == "mac" else len(record["budgets"]))
+    assert gains.dtype == np.float64
+    assert gains.tolist() == documented_gains(kernel, record)
+
+
+@pytest.mark.parametrize("kernel", sorted(mc._KERNELS))
+def test_snr_table_columns_are_shared_and_read_only(kernel):
+    """Every task of a kernel at m forwarders gets the one array of draw
+    columns, and nothing can write it, so no caller can move a later
+    task's columns; the engine's batch is its own, writable array."""
+    for record, other in ((RECORD1, RECORD), (RECORD, RECORD3), (RECORD3, RECORD1)):
+        columns = mc._snr_table(kernel, record)[0]
+        assert mc._snr_table(kernel, scaled(record, 4.0, 20))[0] is columns
+        if kernel != "mac":
+            assert mc._snr_table(kernel, other)[0] is not columns
+        before = columns.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0] = columns[-1] + 1
+        with pytest.raises(ValueError, match="read-only"):
+            columns += 1
+        assert np.array_equal(columns, before)
+        snr = layout_snrs(kernel, record, np.random.default_rng(67), 10)
+        assert snr.flags.writeable and not np.shares_memory(snr, columns)
+
+
 @pytest.mark.parametrize("record", (RECORD1, RECORD, RECORD3), ids=("m1", "m2", "m3"))
 def test_ucmh_chain_reads_views_of_the_batch(record, monkeypatch):
     """ucmh-ddf's rate function hands the chain its inputs as views of the
@@ -771,6 +820,28 @@ class TestConditionedDirectGain:
         monkeypatch.setattr(mc, "_conditioned", spy)
         snr = layout_snrs(kernel, params, np.random.default_rng(seed), n, q)
         return (*seen, snr)
+
+    @pytest.mark.parametrize("q", (1e-12, 0.3, 1.0 - 1e-12))
+    def test_in_place_matches_the_formula(self, q):
+        """``_conditioned`` overwrites a contiguous column, as the engine
+        passes it (column 0 of a link-major batch), with
+        -log1p(q expm1(-e)) bit for bit, at e = 0, 1e-300, 1 and 700 and on
+        a column longer than ``mc._BATCH``, and returns it; the other
+        columns keep their values.  With q None e comes back as it was."""
+        edge = np.array([0.0, 1e-300, 1.0, 700.0])
+        draws = np.random.default_rng(61).exponential(size=mc._BATCH + 1)
+        for e in (edge, np.concatenate((edge, draws))):
+            batch = np.asfortranarray(np.column_stack((e, 2.0 * e)))
+            column = batch[:, 0]
+            assert column.flags.c_contiguous
+            want = -np.log1p(q * np.expm1(-e))
+            assert mc._conditioned(column, q) is column
+            assert column.tobytes() == want.tobytes()
+            assert batch[:, 1].tobytes() == (2.0 * e).tobytes()
+            batch = np.asfortranarray(np.column_stack((e, 2.0 * e)))
+            column = batch[:, 0]
+            assert mc._conditioned(column, None) is column
+            assert column.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 1.0 - 1e-9))
     def test_truncated_exponential(self, q, monkeypatch):
